@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-parallel fuzz chaos conformance cover-ght cover-metrics cover-antientropy cover-node cover-trace cover-attrib cover-sim smoke-bench micro-bench loadtest check bench bench-compare golden
+.PHONY: build test vet race race-parallel fuzz chaos conformance cover-ght cover-metrics cover-antientropy cover-node cover-trace cover-attrib cover-sim smoke-bench micro-bench loadtest check bench bench-compare bench-e2e golden
 
 build:
 	$(GO) build ./...
@@ -22,17 +22,21 @@ race:
 # real contention: 8 scheduler threads regardless of host core count.
 # The load harness rides along — its saturation sweep fans out over the
 # same worker pool, and the poolload goldens must stay byte-identical
-# under the race detector.
+# under the race detector. The forEach workers share one gpsr.Router, so
+# its concurrent-readers contract (lock-free greedy memo) is raced here
+# too.
 race-parallel:
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/experiment \
 		-run 'TestParallelMatchesSequential|TestForEachOrderAndErrors|TestSaturationParallelInvariance'
+	GOMAXPROCS=8 $(GO) test -race -count=10 ./internal/gpsr -run TestRouterConcurrentReaders
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./cmd/poolload -run Golden
 
 # Short fuzz smoke: random fault plans + queries must never panic or
 # over-report completeness, the metrics exposition writer must stay
 # grammar-clean on arbitrary registries, and the rateless reconciliation
-# codec must never decode to a wrong difference. go test accepts one
-# -fuzz target per invocation, hence the separate runs.
+# codec must never decode to a wrong difference; the router's greedy
+# memo must never change a route. go test accepts one -fuzz target per
+# invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/chaos -run=NONE -fuzz=FuzzResolveUnderFaults -fuzztime=10s
 	$(GO) test ./internal/metrics -run=NONE -fuzz=FuzzExpositionWrite -fuzztime=10s
@@ -40,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/node -run=NONE -fuzz=FuzzRepairPackets -fuzztime=10s
 	$(GO) test ./internal/attrib -run=NONE -fuzz=FuzzAutopsy -fuzztime=10s
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzSchedulerOrdering -fuzztime=10s
+	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzRouteMemo -fuzztime=10s
 
 # Race-enabled sweep of the chaos seeds (fault injection, churn
 # experiment, pool/dim repair paths).
@@ -141,7 +146,7 @@ smoke-bench:
 # bench_micro_baseline.json absorb scheduler jitter.
 micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
-		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$' 2>&1 \
+		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$' 2>&1 \
 		| tee /tmp/micro-bench.out
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
@@ -182,6 +187,15 @@ bench-compare:
 	@set -- $$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
 	if [ $$# -lt 2 ]; then echo "bench-compare: need at least two BENCH_*.json archives"; exit 1; fi; \
 	$(GO) run ./cmd/benchjson -compare "$$1" "$$2"
+
+# The repository benchmark (bench/, its own module, declared in
+# BENCHMARK.json): its tests, then every workload untraced and traced,
+# twice, with the modelled metrics of the two sets compared bit for bit.
+# Takes minutes, so it is not part of `check`; run it before and after
+# any change that claims or risks a speed difference.
+bench-e2e:
+	$(GO) test -C bench -short ./...
+	$(GO) run -C bench . -all -repeat 2 -check
 
 # Regenerate golden files after an intentional behaviour change.
 golden:

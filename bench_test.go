@@ -238,6 +238,91 @@ func BenchmarkGPSRRoute(b *testing.B) {
 	}
 }
 
+// routePairs pins n (src, dst) pairs over a 900-node deployment. With
+// hot > 0 destinations come from that many nodes, as Pool traffic
+// converges on index nodes; otherwise they are uniform.
+func routePairs(n, hot int) (*field.Layout, [][2]int, error) {
+	layout, err := field.Generate(field.DefaultSpec(900), rng.New(9))
+	if err != nil {
+		return nil, nil, err
+	}
+	src := rng.New(10)
+	dsts := src.Perm(900)
+	if hot > 0 {
+		dsts = dsts[:hot]
+	}
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{src.Intn(900), dsts[src.Intn(len(dsts))]}
+	}
+	return layout, pairs, nil
+}
+
+// BenchmarkRouteToNodeWarm is steady-state node-addressed routing: one
+// long-lived Router, destinations from 64 hot nodes, the greedy memo
+// filled by a full pass before the clock starts.
+func BenchmarkRouteToNodeWarm(b *testing.B) {
+	layout, pairs, err := routePairs(4096, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	router := gpsr.New(layout)
+	buf := make([]int, 0, 64)
+	for _, p := range pairs {
+		if _, err := router.RouteToNodeBuf(p[0], p[1], buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, err := router.RouteToNodeBuf(p[0], p[1], buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteToNodeCold prices the miss path and the memo's set-up: a
+// fresh Router (built off the clock) every 1024 routes, uniform
+// destinations, so nearly every hop scans its neighbours and each Router
+// builds its table on its first route.
+func BenchmarkRouteToNodeCold(b *testing.B) {
+	layout, pairs, err := routePairs(1024, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var router *gpsr.Router
+	buf := make([]int, 0, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(pairs) == 0 {
+			b.StopTimer()
+			router = gpsr.New(layout)
+			b.StartTimer()
+		}
+		p := pairs[i%len(pairs)]
+		if _, err := router.RouteToNodeBuf(p[0], p[1], buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSplitterFor is splitter choice in steady state: every (Pool,
+// sink) of a 900-node deployment asked again and again.
+func BenchmarkSplitterFor(b *testing.B) {
+	env := benchEnv(b, 900)
+	pools := env.Pool.Pools()
+	sum := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += env.Pool.SplitterFor(pools[i%len(pools)], i%900)
+	}
+	benchSink = sum
+}
+
+// benchSink keeps a benchmark's result live.
+var benchSink int
+
 func BenchmarkGabrielPlanarization(b *testing.B) {
 	layout, err := field.Generate(field.DefaultSpec(900), rng.New(11))
 	if err != nil {

@@ -17,7 +17,6 @@ package discovery
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"pooldcs/internal/metrics"
@@ -70,8 +69,17 @@ type Protocol struct {
 	sched *sim.Scheduler
 	src   *rng.Source
 
-	// lastHeard[a][b] is when a last received b's beacon.
-	lastHeard []map[int]time.Duration
+	// hid is the protocol's typed-event handler: a beacon tick is the
+	// event (hid, 0, node id, epoch).
+	hid sim.HandlerID
+	// lastHeard[a][k] is when a last received the beacon of its k-th radio
+	// neighbour, layout.Neighbors(a)[k], or never while that neighbour is
+	// not in a's table. Rows run parallel to the (ascending) adjacency
+	// rows, so a table walk is already in id order.
+	lastHeard [][]time.Duration
+	// rev[a][k] is a's own slot in the row of layout.Neighbors(a)[k]: where
+	// a's beacon lands at that neighbour.
+	rev [][]int32
 	// failed marks nodes that have stopped beaconing.
 	failed []bool
 	// epoch invalidates stale beacon loops: Fail and Recover bump it, and
@@ -92,24 +100,56 @@ type Protocol struct {
 	mEvictions  *metrics.Counter
 }
 
+// never marks a lastHeard slot whose neighbour is not in the table;
+// virtual time is never negative.
+const never time.Duration = -1
+
 // New prepares the protocol over a network and scheduler.
 func New(net *network.Network, sched *sim.Scheduler, src *rng.Source, cfg Config) *Protocol {
 	cfg.applyDefaults()
-	n := net.Layout().N()
+	layout := net.Layout()
+	n := layout.N()
 	p := &Protocol{
 		cfg:       cfg,
 		net:       net,
 		sched:     sched,
 		src:       src,
-		lastHeard: make([]map[int]time.Duration, n),
+		lastHeard: make([][]time.Duration, n),
+		rev:       make([][]int32, n),
 		failed:    make([]bool, n),
 		epoch:     make([]uint64, n),
 		suspected: make([]bool, n),
 	}
-	for i := range p.lastHeard {
-		p.lastHeard[i] = make(map[int]time.Duration)
+	p.hid = sched.Register(p)
+	edges := 0
+	for a := 0; a < n; a++ {
+		edges += len(layout.Neighbors(a))
+	}
+	heard, rev := make([]time.Duration, edges), make([]int32, edges)
+	for i := range heard {
+		heard[i] = never
+	}
+	// Rows are ascending and a ascends, so a's slot in b's row is the
+	// number of b's neighbours already visited.
+	seen := make([]int32, n)
+	for a := 0; a < n; a++ {
+		nbrs := layout.Neighbors(a)
+		p.lastHeard[a], heard = heard[:len(nbrs):len(nbrs)], heard[len(nbrs):]
+		p.rev[a], rev = rev[:len(nbrs):len(nbrs)], rev[len(nbrs):]
+		for k, b := range nbrs {
+			p.rev[a][k] = seen[b]
+			seen[b]++
+		}
 	}
 	return p
+}
+
+// HandleEvent implements sim.Handler: node a's beacon tick for epoch b.
+func (p *Protocol) HandleEvent(_ uint8, a, b uint64) { p.beacon(int(a), b) }
+
+// scheduleBeacon queues node id's next beacon tick d from now.
+func (p *Protocol) scheduleBeacon(id int, ep uint64, d time.Duration) {
+	p.sched.AfterEvent(d, p.hid, 0, uint64(id), ep)
 }
 
 // Config returns the effective configuration (defaults applied).
@@ -140,10 +180,8 @@ func (p *Protocol) EnableMetrics(reg *metrics.Registry) {
 // advance the protocol.
 func (p *Protocol) Start() {
 	for id := 0; id < p.net.Layout().N(); id++ {
-		id := id
-		ep := p.epoch[id]
 		offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-		p.sched.After(offset, func() { p.beacon(id, ep) })
+		p.scheduleBeacon(id, p.epoch[id], offset)
 	}
 }
 
@@ -170,9 +208,8 @@ func (p *Protocol) Recover(id int) {
 	}
 	p.failed[id] = false
 	p.epoch[id]++
-	ep := p.epoch[id]
 	offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-	p.sched.After(offset, func() { p.beacon(id, ep) })
+	p.scheduleBeacon(id, p.epoch[id], offset)
 }
 
 // Failed reports whether the node's beacon loop is currently silenced.
@@ -198,8 +235,14 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	}
 	now := p.sched.Now()
 	p.mBeacons.Inc()
+	// The receivers are a subsequence of id's adjacency row; k tracks each
+	// one's slot there, and rev turns it into id's slot in their row.
+	nbrs, rev, k := p.net.Layout().Neighbors(id), p.rev[id], 0
 	for _, nbr := range p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes) {
-		p.lastHeard[nbr][id] = now
+		for nbrs[k] != nbr {
+			k++
+		}
+		p.lastHeard[nbr][rev[k]] = now
 	}
 	// Any node that heard this beacon knows id is alive.
 	if p.suspected[id] {
@@ -207,26 +250,21 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	}
 	p.sweep(id, now)
 	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-	p.sched.After(p.cfg.Interval+jitter-p.cfg.Jitter/2, func() { p.beacon(id, ep) })
+	p.scheduleBeacon(id, ep, p.cfg.Interval+jitter-p.cfg.Jitter/2)
 }
 
 // sweep evicts neighbours of id not heard within the timeout and raises
-// a suspicion for each eviction. Stale entries are collected and sorted
-// before firing so the callback order is deterministic.
+// a suspicion for each eviction, in ascending id order — the order of
+// the table's slots — so the callback order is deterministic.
 func (p *Protocol) sweep(id int, now time.Duration) {
 	deadline := now - p.cfg.Timeout()
-	var stale []int
-	for nbr, heard := range p.lastHeard[id] {
-		if heard < deadline {
-			stale = append(stale, nbr)
+	nbrs := p.net.Layout().Neighbors(id)
+	for k, heard := range p.lastHeard[id] {
+		if heard == never || heard >= deadline {
+			continue
 		}
-	}
-	if len(stale) == 0 {
-		return
-	}
-	sort.Ints(stale)
-	for _, nbr := range stale {
-		delete(p.lastHeard[id], nbr)
+		nbr := nbrs[k]
+		p.lastHeard[id][k] = never
 		p.mEvictions.Inc()
 		if p.suspected[nbr] {
 			continue
@@ -246,13 +284,13 @@ func (p *Protocol) sweep(id int, now time.Duration) {
 // to observe the updated table).
 func (p *Protocol) Neighbors(id int) []int {
 	deadline := p.sched.Now() - p.cfg.Timeout()
-	out := make([]int, 0, len(p.lastHeard[id]))
-	for nbr, heard := range p.lastHeard[id] {
-		if heard >= deadline {
-			out = append(out, nbr)
+	nbrs := p.net.Layout().Neighbors(id)
+	out := make([]int, 0, len(nbrs))
+	for k, heard := range p.lastHeard[id] {
+		if heard != never && heard >= deadline {
+			out = append(out, nbrs[k])
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

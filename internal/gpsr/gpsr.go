@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
@@ -24,11 +25,26 @@ import (
 
 // Router precomputes the planar subgraph of a deployment and routes packets
 // over it. Nodes can be excluded (crashed, depleted) with Exclude; routes
-// then detour around them over the planarized alive subgraph. A Router
-// with a changing exclusion set is not safe for concurrent use.
+// then detour around them over the planarized alive subgraph.
+//
+// Concurrency: while the exclusion set is static any number of goroutines
+// may route on one Router; Exclude and Restore need exclusive access, and
+// so does the first route after them (it re-planarizes).
+//
+// Node-addressed routes (RouteToNode, RouteToNodeBuf) memoise greedy
+// forwarding decisions. Nodes never move, so "the alive radio neighbour of
+// cur closest to node dst" is a pure function of (cur, dst, exclusion set):
+// a hit replays exactly the hop the scan would pick and every route is
+// hop-for-hop the one an un-memoised Router returns. Local minima,
+// perimeter mode and co-located positions always take the full step.
 type Router struct {
 	layout *field.Layout
 	planar [][]int
+
+	// memo is built by the first node-addressed route and cleared in place
+	// whenever the exclusion set changes (ensurePlanar).
+	memoOnce sync.Once
+	memo     *routeMemo
 
 	// excluded marks nodes routes must avoid; the planarization is
 	// recomputed lazily over the alive subgraph when it changes.
@@ -94,8 +110,12 @@ func (r *Router) markChanged(id int) {
 	r.pending = append(r.pending, id)
 }
 
-// Excluded reports whether a node is currently excluded from routing.
-func (r *Router) Excluded(id int) bool { return r.excluded[id] }
+// Excluded reports whether a node is currently excluded from routing;
+// out-of-range ids are not.
+func (r *Router) Excluded(id int) bool { return r.valid(id) && r.excluded[id] }
+
+// valid reports whether id names a node of the deployment.
+func (r *Router) valid(id int) bool { return id >= 0 && id < len(r.excluded) }
 
 // NumExcluded returns the number of nodes currently excluded from
 // routing — a cheap consistency probe for fault harnesses, which check
@@ -126,6 +146,7 @@ func (r *Router) ensurePlanar() {
 			}
 		}
 	}
+	r.memo.reset()
 	r.pending = r.pending[:0]
 	r.pendingFull = false
 	r.dirty = false
@@ -269,8 +290,16 @@ func (r *Router) RouteBuf(src int, target geo.Point, buf []int) (Result, error) 
 func (r *Router) route(src int, target geo.Point, consumeAt int, buf []int) (Result, error) {
 	l := r.layout
 	r.ensurePlanar()
+	if !r.valid(src) {
+		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: source %d out of range: %w", src, ErrUnreachable)
+	}
 	if r.excluded[src] {
 		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: source %d is down: %w", src, ErrUnreachable)
+	}
+	var memo *routeMemo
+	if consumeAt >= 0 {
+		r.memoOnce.Do(func() { r.memo = newRouteMemo(l.N()) })
+		memo = r.memo
 	}
 	pkt := packet{target: target, mode: modeGreedy, prev: -1}
 	cur := src
@@ -285,10 +314,22 @@ func (r *Router) route(src int, target geo.Point, consumeAt int, buf []int) (Res
 			res.Home = cur
 			return res, nil
 		}
-		next, deliver := r.step(cur, &pkt)
-		if deliver {
-			res.Home = cur
-			return res, nil
+		next, hit := 0, false
+		if memo != nil && pkt.mode == modeGreedy {
+			next, hit = memo.get(cur, consumeAt)
+		}
+		if !hit {
+			var deliver bool
+			next, deliver = r.step(cur, &pkt)
+			if deliver {
+				res.Home = cur
+				return res, nil
+			}
+			// Still (or again) greedy after the step: next is the pure
+			// greedy choice at cur, whatever mode the packet arrived in.
+			if memo != nil && pkt.mode == modeGreedy {
+				memo.put(cur, consumeAt, next)
+			}
 		}
 		if pkt.mode == modeGreedy {
 			res.GreedyHops++
@@ -431,8 +472,10 @@ func (r *Router) RouteToNode(src, dst int) (Result, error) {
 // RouteToNodeBuf is RouteToNode with a caller-provided path buffer; see
 // RouteBuf for the aliasing contract.
 func (r *Router) RouteToNodeBuf(src, dst int, buf []int) (Result, error) {
-	r.ensurePlanar()
-	if dst >= 0 && dst < len(r.excluded) && r.excluded[dst] {
+	if !r.valid(dst) {
+		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: node %d out of range: %w", dst, ErrUnreachable)
+	}
+	if r.excluded[dst] {
 		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: node %d is down: %w", dst, ErrUnreachable)
 	}
 	res, err := r.route(src, r.layout.Pos(dst), dst, buf)

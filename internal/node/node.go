@@ -97,6 +97,10 @@ type Engine struct {
 	grid   *pool.Grid
 	holder map[pool.CellID]int
 
+	// splitters memoises splitterFor over holder; electGranted, the one
+	// place a holder changes after construction, invalidates it.
+	splitters *pool.SplitterMemo
+
 	hopLatency time.Duration
 
 	// Service-mode state (nil/zero unless EnableService): per-node serial
@@ -292,6 +296,7 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 			}
 		}
 	}
+	e.splitters = pool.NewSplitterMemo(layout, e.pools, e.holder)
 	return e, nil
 }
 
@@ -927,17 +932,9 @@ func (e *Engine) mirrorFor(key storeKey, index int) (int, bool) {
 	return m, true
 }
 
-// splitterFor mirrors pool.System.SplitterFor.
+// splitterFor is pool.System.SplitterFor over the engine's holder table.
 func (e *Engine) splitterFor(p pool.Pool, sink int) int {
-	sinkPos := e.layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := e.holder[c]
-		if d2 := e.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
+	return e.splitters.For(p, sink)
 }
 
 // alternateSplitter mirrors pool.System.alternateSplitter: the Pool's

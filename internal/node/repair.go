@@ -400,6 +400,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 // against the post-election primary.
 func (e *Engine) electGranted(t *electTask) {
 	e.holder[t.cell] = t.candidate
+	e.splitters.Invalidate()
 	if e.replicate {
 		for _, p := range e.pools {
 			if !cellInPool(p, t.cell) {

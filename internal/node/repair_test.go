@@ -1,6 +1,8 @@
 package node
 
 import (
+	"maps"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -67,6 +69,7 @@ func (f *repairFixture) mostLoaded() int {
 // detection: routing, radio, then the message-driven repair.
 func (f *repairFixture) crash(t testing.TB, victim int) {
 	t.Helper()
+	checkSplitters(t, f.engine)
 	f.router.Exclude(victim)
 	f.net.FailNode(victim)
 	if err := f.engine.FailNode(victim); err != nil {
@@ -75,10 +78,50 @@ func (f *repairFixture) crash(t testing.TB, victim int) {
 }
 
 // recover brings a node back at every layer, empty.
-func (f *repairFixture) recover(id int) {
+func (f *repairFixture) recover(t testing.TB, id int) {
+	t.Helper()
 	f.router.Restore(id)
 	f.net.RecoverNode(id)
 	f.engine.RecoverNode(id)
+	checkSplitters(t, f.engine)
+}
+
+// checkSplitters holds the memoised splitterFor to the linear scan it
+// replaced, for every (Pool, sink). A call leaves the memo warm, so the
+// call after the next grant catches an invalidation that did not happen.
+func checkSplitters(t testing.TB, e *Engine) {
+	t.Helper()
+	for _, p := range e.pools {
+		cells := p.Cells()
+		for sink := 0; sink < e.layout.N(); sink++ {
+			want, bestD2 := -1, math.Inf(1)
+			for _, c := range cells {
+				h := e.holder[c]
+				if d2 := e.layout.Pos(h).Dist2(e.layout.Pos(sink)); d2 < bestD2 {
+					want, bestD2 = h, d2
+				}
+			}
+			if got := e.splitterFor(p, sink); got != want {
+				t.Fatalf("splitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
+			}
+		}
+	}
+}
+
+// drain runs the scheduler dry, checking the splitter memo after every
+// event that changed a holder — every re-election grant — and returns
+// how many did.
+func (f *repairFixture) drain(t testing.TB) (grants int) {
+	t.Helper()
+	before := maps.Clone(f.engine.holder)
+	for f.sched.Step() {
+		if !maps.Equal(before, f.engine.holder) {
+			grants++
+			checkSplitters(t, f.engine)
+			before = maps.Clone(f.engine.holder)
+		}
+	}
+	return grants
 }
 
 func (f *repairFixture) alive(from int) int {
@@ -140,8 +183,10 @@ func TestRepairCompletenessMonotone(t *testing.T) {
 	// copy across the radio.
 	first := f.mostLoaded()
 	f.crash(t, first)
-	f.sched.Run()
-	f.recover(first)
+	if f.drain(t) == 0 {
+		t.Fatal("no re-election was granted for the first victim")
+	}
+	f.recover(t, first)
 	victim := f.mostLoaded()
 	f.crash(t, victim)
 	sink := f.alive(victim + 1)
@@ -290,7 +335,9 @@ func TestRepairSurvivesCascade(t *testing.T) {
 	}
 	second := f.alive(victim + 1)
 	f.crash(t, second)
-	f.sched.Run()
+	if f.drain(t) == 0 {
+		t.Fatal("no re-election was granted; the cascade repaired nothing")
+	}
 	if got := f.engine.RepairsInFlight(); got != 0 {
 		t.Fatalf("%d repairs still in flight after full drain", got)
 	}
@@ -322,8 +369,10 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	// crash alone repairs by local mirror adoption — nothing to abort).
 	first := f.mostLoaded()
 	f.crash(t, first)
-	f.sched.Run()
-	f.recover(first)
+	if f.drain(t) == 0 {
+		t.Fatal("no re-election was granted for the first victim")
+	}
+	f.recover(t, first)
 	victim := f.mostLoaded()
 	f.crash(t, victim)
 	for i := 0; i < 10000 && len(f.engine.xfers) == 0; i++ {
@@ -345,7 +394,7 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 			f.crash(t, id)
 		}
 	}
-	f.sched.Run()
+	f.drain(t)
 
 	if got := f.engine.RepairsInFlight(); got != 0 {
 		t.Fatalf("%d repairs still in flight after aborts drained", got)

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"math"
 	"testing"
 
 	"pooldcs/internal/event"
@@ -47,10 +48,35 @@ func loadEvents(t testing.TB, s *System, n int, seed int64) []event.Event {
 // radio, then the storage protocol.
 func crash(t testing.TB, s *System, net *network.Network, router *gpsr.Router, id int) {
 	t.Helper()
+	checkSplitters(t, s)
 	router.Exclude(id)
 	net.FailNode(id)
 	if err := s.FailNode(id); err != nil {
 		t.Fatal(err)
+	}
+	checkSplitters(t, s)
+}
+
+// checkSplitters holds the memoised SplitterFor to the linear scan it
+// replaced, for every (Pool, sink). A call leaves the memo warm, so the
+// call after the next fault catches an invalidation that did not happen.
+func checkSplitters(t testing.TB, s *System) {
+	t.Helper()
+	layout := s.net.Layout()
+	for _, p := range s.pools {
+		cells := p.Cells()
+		for sink := 0; sink < layout.N(); sink++ {
+			want, bestD2 := -1, math.Inf(1)
+			for _, c := range cells {
+				h := s.holder[c]
+				if d2 := layout.Pos(h).Dist2(layout.Pos(sink)); d2 < bestD2 {
+					want, bestD2 = h, d2
+				}
+			}
+			if got := s.SplitterFor(p, sink); got != want {
+				t.Fatalf("SplitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
+			}
+		}
 	}
 }
 
@@ -133,6 +159,7 @@ func TestFailRecoveredNodeAgain(t *testing.T) {
 	if s.Failed(victim) {
 		t.Fatal("recovered node still failed")
 	}
+	checkSplitters(t, s)
 	// Failing the recovered node again must be a real failure, not the
 	// double-fail no-op: it holds no cells anymore, so nothing changes.
 	crash(t, s, net, router, victim)

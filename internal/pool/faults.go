@@ -65,6 +65,7 @@ func (s *System) FailNode(id int) error {
 			return fmt.Errorf("pool: no surviving node for cell %v", cell)
 		}
 		s.holder[cell] = next
+		s.splitters.Invalidate()
 	}
 
 	// Repair or drop storage segments held by the failed node.

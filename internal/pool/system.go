@@ -6,6 +6,7 @@ import (
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
+	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
@@ -117,6 +118,10 @@ type System struct {
 	// holder maps each Pool cell to its index node — the node closest to
 	// the cell centre (§2), which fields all traffic for the cell.
 	holder map[CellID]int
+	// splitters memoises SplitterFor over holder; FailNode's re-election
+	// loop, the one place a holder changes after construction,
+	// invalidates it.
+	splitters *SplitterMemo
 	// store holds the storage segments of each (Pool, cell).
 	store map[storeKey][]segment
 	// stored counts events held per node, maintained incrementally.
@@ -230,6 +235,7 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 			}
 		}
 	}
+	s.splitters = NewSplitterMemo(layout, s.pools, s.holder)
 	if cfg.reg != nil {
 		s.enableMetrics(cfg.reg)
 	}
@@ -439,18 +445,66 @@ func (s *System) RelevantCells(q event.Query) map[int][]CellID {
 
 // SplitterFor returns the Pool's splitter for a given sink: the Pool's
 // index node closest to the sink (§3.2.3). Pools are predefined, so the
-// sink computes this locally.
+// sink computes this locally. Answers are memoised per (Pool, sink) until
+// the next re-election (SplitterMemo), so a repeat call is a table lookup
+// that returns what the scan over the Pool's cells would.
 func (s *System) SplitterFor(p Pool, sink int) int {
-	layout := s.net.Layout()
-	sinkPos := layout.Pos(sink)
+	return s.splitters.For(p, sink)
+}
+
+// SplitterMemo memoises splitter choice for the synchronous system and
+// the node actor engine alike. The Pool index node closest to a sink is a
+// pure function of node positions and the owner's holder table: positions
+// never change, and the owner calls Invalidate wherever it writes a
+// holder.
+type SplitterMemo struct {
+	layout *field.Layout
+	pools  []Pool
+	holder map[CellID]int
+	// rows[dim-1][sink] is the memoised splitter plus one; 0 is unknown.
+	rows [][]int32
+}
+
+// NewSplitterMemo returns an empty memo over the owner's Pools and holder
+// table (shared, not copied).
+func NewSplitterMemo(layout *field.Layout, pools []Pool, holder map[CellID]int) *SplitterMemo {
+	m := &SplitterMemo{layout: layout, pools: pools, holder: holder, rows: make([][]int32, len(pools))}
+	for i := range m.rows {
+		m.rows[i] = make([]int32, layout.N())
+	}
+	return m
+}
+
+// For returns the index node of p closest to sink — ties go to the
+// earlier cell in p.Cells() order — or -1 for a Pool without cells. A
+// Pool the memo was not built for is scanned every time.
+func (m *SplitterMemo) For(p Pool, sink int) int {
+	var slot *int32
+	if i := p.Dim - 1; i >= 0 && i < len(m.pools) && m.pools[i] == p {
+		slot = &m.rows[i][sink]
+		if *slot != 0 {
+			return int(*slot) - 1
+		}
+	}
+	sinkPos := m.layout.Pos(sink)
 	best, bestD2 := -1, math.Inf(1)
 	for _, c := range p.Cells() {
-		h := s.holder[c]
-		if d2 := layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
+		h := m.holder[c]
+		if d2 := m.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
 			best, bestD2 = h, d2
 		}
 	}
+	if slot != nil {
+		*slot = int32(best + 1)
+	}
 	return best
+}
+
+// Invalidate forgets every memoised splitter, in place.
+func (m *SplitterMemo) Invalidate() {
+	for _, row := range m.rows {
+		clear(row)
+	}
 }
 
 // Query implements dcs.System: the query is resolved with Theorem 3.2 and

@@ -2,10 +2,14 @@ package systemtest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/node"
+	"pooldcs/internal/pool"
 )
 
 // TestConformanceActorEquivalence pins the actor engine to its
@@ -46,11 +50,17 @@ func TestConformanceActorEquivalence(t *testing.T) {
 					if av, sv := actor.MostLoaded(), spec.MostLoaded(); av != sv {
 						t.Fatalf("storage diverges before any fault: actor crashes %d, spec %d", av, sv)
 					}
+					// Warm both splitter memos so that a fault which fails to
+					// invalidate them shows below.
+					checkSplitters(t, actor, spec)
 					sc.apply(t, actor)
 					sc.apply(t, spec)
 					if t.Failed() {
 						return
 					}
+					// The actor's repair is message-driven: let its grants land.
+					actor.Sched.Run()
+					checkSplitters(t, actor, spec)
 					sink := actor.PickAlive()
 					if sink != spec.PickAlive() {
 						t.Fatalf("sink diverges: actor %d, spec %d", sink, spec.PickAlive())
@@ -87,6 +97,42 @@ func TestConformanceActorEquivalence(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkSplitters holds both implementations' memoised splitter choice to
+// a linear scan of the spec's index-node table, for every sink: whatever
+// FailNode, RecoverNode and repair grants the scenario caused, a splitter
+// is still the Pool's index node closest to the sink.
+func checkSplitters(t *testing.T, actor, spec *Universe) {
+	t.Helper()
+	eng := actor.Sys.(*node.Sync).Engine()
+	sys := spec.Sys.(*pool.System)
+	layout := spec.Net.Layout()
+	full := make([]event.Range, confDims)
+	for i := range full {
+		full[i] = event.Span(0, 1)
+	}
+	for sink := 0; sink < layout.N(); sink++ {
+		var scan []int // distinct, in Pool order, as SplittersFor reports them
+		for _, p := range sys.Pools() {
+			want, bestD2 := -1, math.Inf(1)
+			for _, c := range p.Cells() {
+				h := sys.IndexNode(c)
+				if d2 := layout.Pos(h).Dist2(layout.Pos(sink)); d2 < bestD2 {
+					want, bestD2 = h, d2
+				}
+			}
+			if got := sys.SplitterFor(p, sink); got != want {
+				t.Fatalf("spec: SplitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
+			}
+			if !slices.Contains(scan, want) {
+				scan = append(scan, want)
+			}
+		}
+		if got := eng.SplittersFor(sink, event.NewQuery(full...)); !slices.Equal(got, scan) {
+			t.Fatalf("actor: SplittersFor(%d) = %v, linear scan of the spec says %v", sink, got, scan)
 		}
 	}
 }
