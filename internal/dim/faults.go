@@ -15,8 +15,9 @@ import (
 // is re-homed to the closest surviving node, so later inserts and
 // queries route around the corpse instead of erroring.
 
-// Failed reports whether a node has been marked failed.
-func (s *System) Failed(id int) bool { return s.dead[id] }
+// Failed reports whether a node has been marked failed; ids outside the
+// deployment are not.
+func (s *System) Failed(id int) bool { return id >= 0 && id < len(s.dead) && s.dead[id] }
 
 // FailNode marks a node as failed: its stored events are lost (DIM keeps
 // a single copy per zone) and every zone it owned is re-homed to the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
@@ -108,14 +109,13 @@ func dimLatency(env *Env, sink int, q event.Query) (float64, error) {
 // poolLatency takes the deepest branch of the splitter tree: all Pools
 // and all cells proceed in parallel.
 func poolLatency(env *Env, sink int, q event.Query) (float64, error) {
-	rq := q.Rewrite()
+	var plan pool.Plan
+	if err := env.Pool.Resolve(q, &plan); err != nil {
+		return 0, err
+	}
 	worst := 0.0
-	for _, p := range env.Pool.Pools() {
-		cells := p.RelevantCells(rq)
-		if len(cells) == 0 {
-			continue
-		}
-		splitter := env.Pool.SplitterFor(p, sink)
+	for _, f := range plan.Fanouts {
+		splitter := env.Pool.SplitterFor(f.Pool, sink)
 		toSplitter, err := env.Router.RouteToNode(sink, splitter)
 		if err != nil {
 			return 0, err
@@ -126,7 +126,7 @@ func poolLatency(env *Env, sink int, q event.Query) (float64, error) {
 		}
 		base := float64(toSplitter.Hops() + back.Hops())
 		deepest := 0.0
-		for _, c := range cells {
+		for _, c := range f.Cells {
 			index := env.Pool.IndexNode(c)
 			if index == splitter {
 				continue

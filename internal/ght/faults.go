@@ -21,8 +21,9 @@ import (
 // so one crash loses only the share homed at the corpse while the
 // query's mirror walk keeps serving the rest.
 
-// Failed reports whether a node has been marked failed.
-func (s *System) Failed(id int) bool { return s.dead[id] }
+// Failed reports whether a node has been marked failed; ids outside the
+// deployment are not.
+func (s *System) Failed(id int) bool { return id >= 0 && id < len(s.dead) && s.dead[id] }
 
 // FailNode marks a node as failed and repairs the hash-to-home mapping:
 // every cached home pointing at the corpse is re-hashed to the alive

@@ -5,8 +5,8 @@ import (
 	"math"
 	"time"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/dim"
-	"pooldcs/internal/event"
 	"pooldcs/internal/ght"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -268,6 +268,22 @@ func trafficDelta(net *network.Network) uint64 {
 	return net.Messages(network.KindQuery) + net.Messages(network.KindReply) + net.Messages(network.KindInsert)
 }
 
+// execute runs op on sys and returns the radio messages it cost — the
+// Execute of every SystemBackend.
+func execute(name string, sys dcs.System, net *network.Network, op *Op) (uint64, error) {
+	before := trafficDelta(net)
+	var err error
+	if op.Class == Insert {
+		err = sys.Insert(op.Node, op.Event)
+	} else {
+		_, err = sys.Query(op.Node, op.Query)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("load: %s %s: %w", name, op.Class, err)
+	}
+	return trafficDelta(net) - before, nil
+}
+
 // PoolBackend adapts pool.System.
 type PoolBackend struct {
 	Sys *pool.System
@@ -285,47 +301,20 @@ func (b *PoolBackend) Supports(c Class) bool { return true }
 // 3.1 index node for inserts.
 func (b *PoolBackend) Station(op *Op) int {
 	if op.Class == Insert {
-		return b.Sys.IndexNode(b.insertCell(op.Event, op.Node))
-	}
-	rq := op.Query.Rewrite()
-	for _, p := range b.Sys.Pools() {
-		if cells := p.RelevantCells(rq); len(cells) > 0 {
-			return b.Sys.SplitterFor(p, op.Node)
+		if _, index, err := b.Sys.Place(op.Node, op.Event); err == nil {
+			return index
 		}
+		return op.Node
+	}
+	var plan pool.Plan
+	if err := b.Sys.Resolve(op.Query, &plan); err == nil && len(plan.Fanouts) > 0 {
+		return b.Sys.SplitterFor(plan.Fanouts[0].Pool, op.Node)
 	}
 	return op.Node
 }
 
-// insertCell mirrors the §4.1 tie rule the system applies on Insert.
-func (b *PoolBackend) insertCell(ev event.Event, origin int) pool.CellID {
-	layout := b.Net.Layout()
-	grid := b.Sys.Grid()
-	originCell := grid.CellOf(layout.Pos(origin))
-	dims := event.GreatestDims(ev)
-	bestCell, bestDist := pool.CellID{}, math.Inf(1)
-	for _, d := range dims {
-		cell := b.Sys.Pools()[d-1].InsertCell(ev.Values[d-1], event.SecondGreatest(ev, d))
-		if dist := pool.CellDist(cell, originCell); dist < bestDist {
-			bestCell, bestDist = cell, dist
-		}
-	}
-	return bestCell
-}
-
 // Execute implements SystemBackend.
-func (b *PoolBackend) Execute(op *Op) (uint64, error) {
-	before := trafficDelta(b.Net)
-	var err error
-	if op.Class == Insert {
-		err = b.Sys.Insert(op.Node, op.Event)
-	} else {
-		_, err = b.Sys.Query(op.Node, op.Query)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("load: pool %s: %w", op.Class, err)
-	}
-	return trafficDelta(b.Net) - before, nil
-}
+func (b *PoolBackend) Execute(op *Op) (uint64, error) { return execute("pool", b.Sys, b.Net, op) }
 
 // DIMBackend adapts dim.System.
 type DIMBackend struct {
@@ -354,19 +343,7 @@ func (b *DIMBackend) Station(op *Op) int {
 }
 
 // Execute implements SystemBackend.
-func (b *DIMBackend) Execute(op *Op) (uint64, error) {
-	before := trafficDelta(b.Net)
-	var err error
-	if op.Class == Insert {
-		err = b.Sys.Insert(op.Node, op.Event)
-	} else {
-		_, err = b.Sys.Query(op.Node, op.Query)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("load: dim %s: %w", op.Class, err)
-	}
-	return trafficDelta(b.Net) - before, nil
-}
+func (b *DIMBackend) Execute(op *Op) (uint64, error) { return execute("dim", b.Sys, b.Net, op) }
 
 // GHTBackend adapts ght.System. GHT hashes whole events to a point, so
 // only point queries and inserts are servable.
@@ -394,16 +371,4 @@ func (b *GHTBackend) Station(op *Op) int {
 }
 
 // Execute implements SystemBackend.
-func (b *GHTBackend) Execute(op *Op) (uint64, error) {
-	before := trafficDelta(b.Net)
-	var err error
-	if op.Class == Insert {
-		err = b.Sys.Insert(op.Node, op.Event)
-	} else {
-		_, err = b.Sys.Query(op.Node, op.Query)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("load: ght %s: %w", op.Class, err)
-	}
-	return trafficDelta(b.Net) - before, nil
-}
+func (b *GHTBackend) Execute(op *Op) (uint64, error) { return execute("ght", b.Sys, b.Net, op) }

@@ -41,9 +41,9 @@ func FuzzRepairPackets(f *testing.F) {
 				from:   int(chunk[1]) % n,
 				to:     int(chunk[2]) % n,
 				victim: int(chunk[3]) % n,
-				key: storeKey{
-					dim:  int(chunk[4])%3 + 1,
-					cell: pool.CellID{X: int(chunk[5]) % 40, Y: int(chunk[6]) % 40},
+				key: pool.Key{
+					Dim:  int(chunk[4])%3 + 1,
+					Cell: pool.CellID{X: int(chunk[5]) % 40, Y: int(chunk[6]) % 40},
 				},
 				seq:  int(chunk[7]) % 8,
 				last: chunk[7]&1 == 1,
@@ -66,10 +66,8 @@ func FuzzRepairPackets(f *testing.F) {
 		if got := fx.engine.RepairsInFlight(); got != 0 {
 			t.Errorf("%d repairs still in flight after drain", got)
 		}
-		for c, h := range fx.engine.holder {
-			if fx.engine.Failed(h) {
-				t.Errorf("cell %v held by dead node %d after drain", c, h)
-			}
+		if cells := fx.engine.Orphaned(); len(cells) > 0 {
+			t.Errorf("cells %v held by dead nodes after drain", cells)
 		}
 		for _, err := range fx.engine.Errors() {
 			t.Errorf("non-degradable transport error: %v", err)

@@ -25,7 +25,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -44,14 +43,20 @@ import (
 // DefaultHopLatency is the per-hop transmission plus processing delay.
 const DefaultHopLatency = 5 * time.Millisecond
 
-// Option configures NewEngine.
-type Option interface {
-	apply(*Engine)
+// config collects construction options.
+type config struct {
+	tracer    *trace.Tracer
+	replicate bool
 }
 
-type optionFunc func(*Engine)
+// Option configures NewEngine.
+type Option interface {
+	apply(*config)
+}
 
-func (f optionFunc) apply(e *Engine) { f(e) }
+type optionFunc func(*config)
+
+func (f optionFunc) apply(c *config) { f(c) }
 
 // WithTracer attaches a causal-span tracer: every query and insert runs
 // under its own span, recovery detours (alternate splitters, mirror
@@ -61,7 +66,7 @@ func (f optionFunc) apply(e *Engine) { f(e) }
 // the same tracer so per-hop records land in the same stream. A nil
 // tracer (the default) costs one pointer compare per send.
 func WithTracer(t *trace.Tracer) Option {
-	return optionFunc(func(e *Engine) { e.tracer = t })
+	return optionFunc(func(c *config) { c.tracer = t })
 }
 
 // SetTracer attaches the tracer after construction, to the engine and
@@ -80,26 +85,20 @@ func (e *Engine) SetTracer(t *trace.Tracer) {
 // message-driven repair (repair.go) restores a re-elected index node's
 // store from the mirror copy.
 func WithReplication() Option {
-	return optionFunc(func(e *Engine) { e.replicate = true })
+	return optionFunc(func(c *config) { c.replicate = true })
 }
 
-// Engine owns the actors and the shared (configuration-time) structures:
-// pools, pivots, and index-node designations — exactly what the paper
-// assumes is predeployed knowledge.
+// Engine owns the actors. What the paper assumes is predeployed
+// knowledge — pools, pivots, index-node designations, membership, mirror
+// assignments — is the embedded Directory, the same type with the same
+// rules the synchronous pool.System embeds.
 type Engine struct {
+	*pool.Directory
+
 	layout *field.Layout
 	router *gpsr.Router
 	net    *network.Network
 	sched  *sim.Scheduler
-
-	dims   int
-	pools  []pool.Pool
-	grid   *pool.Grid
-	holder map[pool.CellID]int
-
-	// splitters memoises splitterFor over holder; electGranted, the one
-	// place a holder changes after construction, invalidates it.
-	splitters *pool.SplitterMemo
 
 	hopLatency time.Duration
 
@@ -114,20 +113,18 @@ type Engine struct {
 	// Per-node storage: the state each actor owns. stored counts events
 	// per primary holder (mirror copies excluded), matching
 	// pool.System's accounting.
-	store  []map[storeKey][]event.Event
+	store  []map[pool.Key][]event.Event
 	stored []int
 
-	// Fault and replication state.
-	dead        []bool
-	replicate   bool
-	mirrors     map[storeKey]int
-	mirrorStore map[storeKey][]event.Event
+	// mirrorStore holds the mirror copies, keyed like the directory's
+	// mirror assignments (nil without replication).
+	mirrorStore map[pool.Key][]event.Event
 
 	// Repair-protocol state (repair.go).
 	repairs      map[int]*repairRun
 	elects       map[pool.CellID]*electTask
-	xfers        map[storeKey]*xferTask
-	transferring map[storeKey]bool
+	xfers        map[pool.Key]*xferTask
+	transferring map[pool.Key]bool
 	repairHist   *stats.IntHistogram
 	repairMsgs   uint64
 	repairBytes  uint64
@@ -156,11 +153,6 @@ type Engine struct {
 	mInserts  *metrics.Counter
 	mQueries  *metrics.Counter
 	mSendErrs *metrics.Counter
-}
-
-type storeKey struct {
-	dim  int
-	cell pool.CellID
 }
 
 // operation tracks an in-flight query.
@@ -226,77 +218,43 @@ const (
 	opServe
 )
 
-// NewEngine builds the actor network. Pivot placement mirrors
-// pool.New's, so the same rng seed yields the same Pool layout as the
+// NewEngine builds the actor network over a pool.Directory of the default
+// geometry, so the same rng seed yields the same Pool layout as the
 // synchronous system.
 func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source, pivots []pool.CellID, opts ...Option) (*Engine, error) {
-	if dims < 1 {
-		return nil, fmt.Errorf("node: dimensionality must be ≥ 1, got %d", dims)
+	var cfg config
+	for _, o := range opts {
+		o.apply(&cfg)
 	}
 	layout := net.Layout()
-	grid, err := pool.NewGrid(layout.Bounds(), pool.DefaultAlpha)
+	dir, err := pool.NewDirectory(layout, dims, pool.DefaultAlpha, pool.DefaultSide, pivots, src, cfg.replicate)
 	if err != nil {
 		return nil, err
 	}
-	if pivots == nil {
-		// Reuse pool.New to perform the identical pivot draw, then copy
-		// its layout.
-		probe, err := pool.New(network.New(layout), router, dims, src)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range probe.Pools() {
-			pivots = append(pivots, p.Pivot)
-		}
-	}
-	if len(pivots) != dims {
-		return nil, fmt.Errorf("node: %d pivots for %d dimensions", len(pivots), dims)
-	}
-
 	e := &Engine{
+		Directory:    dir,
 		layout:       layout,
 		router:       router,
 		net:          net,
 		sched:        sched,
-		dims:         dims,
-		grid:         grid,
-		holder:       make(map[pool.CellID]int),
 		hopLatency:   DefaultHopLatency,
-		store:        make([]map[storeKey][]event.Event, layout.N()),
+		store:        make([]map[pool.Key][]event.Event, layout.N()),
 		stored:       make([]int, layout.N()),
-		dead:         make([]bool, layout.N()),
 		repairs:      make(map[int]*repairRun),
 		elects:       make(map[pool.CellID]*electTask),
-		xfers:        make(map[storeKey]*xferTask),
-		transferring: make(map[storeKey]bool),
+		xfers:        make(map[pool.Key]*xferTask),
+		transferring: make(map[pool.Key]bool),
 		repairHist:   stats.NewIntHistogram(),
 		ops:          make(map[uint64]*operation),
+		tracer:       cfg.tracer,
 	}
 	e.hid = sched.Register(e)
 	for i := range e.store {
-		e.store[i] = make(map[storeKey][]event.Event)
+		e.store[i] = make(map[pool.Key][]event.Event)
 	}
-	for _, o := range opts {
-		o.apply(e)
+	if cfg.replicate {
+		e.mirrorStore = make(map[pool.Key][]event.Event)
 	}
-	if e.replicate {
-		e.mirrors = make(map[storeKey]int)
-		e.mirrorStore = make(map[storeKey][]event.Event)
-	}
-	for i, pc := range pivots {
-		if pc.X < 0 || pc.Y < 0 || pc.X+pool.DefaultSide > grid.Cols || pc.Y+pool.DefaultSide > grid.Rows {
-			return nil, fmt.Errorf("node: pivot %v does not fit the grid", pc)
-		}
-		e.pools = append(e.pools, pool.Pool{Dim: i + 1, Pivot: pc, Side: pool.DefaultSide})
-	}
-	for _, p := range e.pools {
-		for _, c := range p.Cells() {
-			if _, ok := e.holder[c]; !ok {
-				e.holder[c] = layout.Nearest(grid.Center(c))
-			}
-		}
-	}
-	e.splitters = pool.NewSplitterMemo(layout, e.pools, e.holder)
 	return e, nil
 }
 
@@ -346,9 +304,6 @@ func (e *Engine) within(span uint64, fn func()) {
 // partitions, exhausted hop budgets — are not errors: they feed the
 // operation-level retry and completeness machinery instead.
 func (e *Engine) Errors() []error { return e.errs }
-
-// Pools returns the engine's Pool layout.
-func (e *Engine) Pools() []pool.Pool { return e.pools }
 
 // send moves a packet from one node to another hop by hop; each hop is a
 // scheduled radio transmission with per-hop link-layer retransmission
@@ -562,43 +517,16 @@ func (e *Engine) freeTask(ti int32) {
 	e.taskFree = ti + 1
 }
 
-// placement runs the §4.1 tie rule, identical to the synchronous
-// system: among the pools of the event's greatest attributes, the
-// candidate cell closest to the detecting sensor wins.
-func (e *Engine) placement(origin int, ev event.Event) (index int, key storeKey) {
-	dims := event.GreatestDims(ev)
-	originCell := e.grid.CellOf(e.layout.Pos(origin))
-	bestDim, bestCell, bestDist := -1, pool.CellID{}, math.Inf(1)
-	for _, d := range dims {
-		cell := e.pools[d-1].InsertCell(ev.Values[d-1], event.SecondGreatest(ev, d))
-		if dist := pool.CellDist(cell, originCell); dist < bestDist {
-			bestDim, bestCell, bestDist = d, cell, dist
-		}
-	}
-	return e.holder[bestCell], storeKey{dim: bestDim, cell: bestCell}
-}
-
-// validateEvent applies the shared insert preconditions.
-func (e *Engine) validateEvent(ev event.Event) error {
-	if err := ev.Validate(); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	if ev.Dims() != e.dims {
-		return fmt.Errorf("node: event has %d dims, engine built for %d", ev.Dims(), e.dims)
-	}
-	return nil
-}
-
 // Insert injects an event at its detecting sensor. done (optional) fires
 // when the index node has stored it. With replication the mirror copy
 // rides a second exchange; an unreachable index node loses the event
 // (the radio-level loss the synchronous system reports as an insert
 // error).
 func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
-	if err := e.validateEvent(ev); err != nil {
+	key, index, err := e.Place(origin, ev)
+	if err != nil {
 		return err
 	}
-	index, key := e.placement(origin, ev)
 	e.mInserts.Inc()
 	span := e.tracer.BeginAt(e.tracer.CurrentSpan(), trace.OpInsert, origin, "")
 	var fail func(error)
@@ -606,7 +534,7 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 		fail = func(error) { e.tracer.EndSpan(span) }
 	}
 	e.within(span, func() {
-		e.send(origin, index, network.KindInsert, dcs.EventBytes(e.dims), func() {
+		e.send(origin, index, network.KindInsert, dcs.EventBytes(e.Dims()), func() {
 			e.storeEvent(key, index, ev, true)
 			e.tracer.EndSpan(span)
 			if done != nil {
@@ -622,38 +550,31 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 // before the clock starts. Placement, storage, and mirror election are
 // identical to a drained Insert; only the radio traffic is skipped.
 func (e *Engine) Preload(origin int, ev event.Event) error {
-	if err := e.validateEvent(ev); err != nil {
+	key, index, err := e.Place(origin, ev)
+	if err != nil {
 		return err
 	}
-	index, key := e.placement(origin, ev)
 	e.storeEvent(key, index, ev, false)
 	return nil
 }
 
 // storeEvent lands an event at its primary holder and mirrors it when
 // replication is on, electing the mirror on first use with the same
-// rule as the synchronous mirrorEvent (pool.NearestAlive excluding the
-// index node). viaRadio selects whether the mirror copy is a real
+// rule as the synchronous mirrorEvent (the directory's ElectMirror).
+// viaRadio selects whether the mirror copy is a real
 // exchange or a preload-time bookkeeping write.
-func (e *Engine) storeEvent(key storeKey, index int, ev event.Event, viaRadio bool) {
+func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bool) {
 	e.store[index][key] = append(e.store[index][key], ev)
 	e.stored[index]++
-	if !e.replicate {
-		return
-	}
-	mirror, ok := e.mirrors[key]
-	if !ok {
-		mirror = pool.NearestAlive(e.layout, e.dead, e.grid.Center(key.cell), index)
-		e.mirrors[key] = mirror
-	}
-	if mirror < 0 || e.dead[mirror] {
+	mirror := e.ElectMirror(key, index)
+	if mirror < 0 {
 		return
 	}
 	if !viaRadio {
 		e.mirrorStore[key] = append(e.mirrorStore[key], ev)
 		return
 	}
-	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.dims), func() {
+	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.Dims()), func() {
 		e.mirrorStore[key] = append(e.mirrorStore[key], ev)
 	}, nil)
 }
@@ -681,13 +602,11 @@ func (e *Engine) Query(sink int, q event.Query, onDone func(results []event.Even
 // arrived and is reported unreached — the measured completeness dips
 // until the transfer converges.
 func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []event.Event, comp dcs.Completeness, elapsed time.Duration)) error {
-	if err := q.Validate(); err != nil {
-		return fmt.Errorf("node: %w", err)
+	var plan pool.Plan
+	if err := e.Resolve(q, &plan); err != nil {
+		return err
 	}
-	if q.Dims() != e.dims {
-		return fmt.Errorf("node: query has %d dims, engine built for %d", q.Dims(), e.dims)
-	}
-	rq := q.Rewrite()
+	rq := plan.Query
 	e.seq++
 	op := &operation{
 		id:      e.seq,
@@ -698,26 +617,16 @@ func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []
 	}
 	e.ops[op.id] = op
 
-	type poolPlan struct {
-		p     pool.Pool
-		cells []pool.CellID
-	}
-	var plans []poolPlan
-	for _, p := range e.pools {
-		if cells := p.RelevantCells(rq); len(cells) > 0 {
-			plans = append(plans, poolPlan{p: p, cells: cells})
-		}
-	}
 	e.mQueries.Inc()
-	op.poolsLeft = len(plans)
-	if len(plans) == 0 {
+	op.poolsLeft = len(plan.Fanouts)
+	op.comp.CellsTotal = plan.NumCells()
+	if len(plan.Fanouts) == 0 {
 		e.sched.After(0, func() { e.finish(op) })
 		return nil
 	}
-	for _, plan := range plans {
-		plan := plan
-		op.comp.CellsTotal += len(plan.cells)
-		e.within(op.span, func() { e.startPool(op, plan.p, plan.cells, rq) })
+	for _, f := range plan.Fanouts {
+		f := f
+		e.within(op.span, func() { e.startPool(op, f.Pool, f.Cells, rq) })
 	}
 	return nil
 }
@@ -725,14 +634,14 @@ func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []
 // startPool launches one pool's fan-out: sink → splitter, with the
 // one-retry alternate-splitter policy on failure.
 func (e *Engine) startPool(op *operation, p pool.Pool, cells []pool.CellID, rq event.Query) {
-	qBytes := dcs.QueryBytes(e.dims)
-	splitter := e.splitterFor(p, op.sink)
+	qBytes := dcs.QueryBytes(e.Dims())
+	splitter := e.SplitterFor(p, op.sink)
 	e.send(op.sink, splitter, network.KindQuery, qBytes, func() {
 		e.runSplitter(op, p, splitter, cells, rq)
 	}, func(error) {
 		// The splitter timed out: retry once through the Pool's
 		// next-closest index node.
-		alt := e.alternateSplitter(p, op.sink, splitter)
+		alt := e.AlternateSplitter(p, op.sink, splitter)
 		if alt < 0 {
 			e.poolUnreached(op, p, cells)
 			return
@@ -775,14 +684,14 @@ func (e *Engine) runSplitter(op *operation, p pool.Pool, splitter int, cells []p
 // copy, otherwise re-attempting the primary — the synchronous
 // queryCellVia policy, message by message.
 func (e *Engine) queryCellVia(op *operation, g *gather, p pool.Pool, c pool.CellID, rq event.Query) {
-	qBytes := dcs.QueryBytes(e.dims)
-	key := storeKey{dim: p.Dim, cell: c}
-	index := e.holder[c]
+	qBytes := dcs.QueryBytes(e.Dims())
+	key := pool.Key{Dim: p.Dim, Cell: c}
+	index := e.IndexNode(c)
 	e.send(g.splitter, index, network.KindQuery, qBytes, func() {
 		e.serveCell(op, g, p, c, key, index, false, rq)
 	}, func(error) {
 		op.comp.Retries++
-		if m, ok := e.mirrorFor(key, index); ok {
+		if m, ok := e.MirrorFor(key, index); ok {
 			r := e.tracer.BeginAt(op.span, trace.OpRetry, g.splitter, "mirror")
 			e.within(r, func() {
 				e.send(g.splitter, m, network.KindQuery, qBytes, func() {
@@ -813,7 +722,7 @@ func (e *Engine) queryCellVia(op *operation, g *gather, p pool.Pool, c pool.Cell
 // copy), then return the reply to the splitter, retrying the leg once.
 // A cell whose restore transfer is still streaming serves its partial
 // slice but is reported unreached (degraded completeness).
-func (e *Engine) serveCell(op *operation, g *gather, p pool.Pool, c pool.CellID, key storeKey, target int, useMirror bool, rq event.Query) {
+func (e *Engine) serveCell(op *operation, g *gather, p pool.Pool, c pool.CellID, key pool.Key, target int, useMirror bool, rq event.Query) {
 	var matches []event.Event
 	partial := false
 	if useMirror {
@@ -822,7 +731,7 @@ func (e *Engine) serveCell(op *operation, g *gather, p pool.Pool, c pool.CellID,
 		matches = rq.Filter(e.store[target][key])
 		partial = e.transferring[key]
 	}
-	reply := dcs.ReplyBytes(e.dims, len(matches))
+	reply := dcs.ReplyBytes(e.Dims(), len(matches))
 	deliver := func() { e.cellServed(op, g, p, c, matches, partial) }
 	e.send(target, g.splitter, network.KindReply, reply, deliver, func(error) {
 		op.comp.Retries++
@@ -867,7 +776,7 @@ func (e *Engine) cellUnreached(op *operation, g *gather, p pool.Pool, c pool.Cel
 // matches the lost reply carried (empty cells still count reached, as
 // in the fault-free protocol).
 func (e *Engine) finishPool(op *operation, g *gather, p pool.Pool) {
-	reply := dcs.ReplyBytes(e.dims, len(g.results))
+	reply := dcs.ReplyBytes(e.Dims(), len(g.results))
 	success := func() {
 		// The merge marker: from here to span end the sink is folding
 		// pool replies together.
@@ -916,43 +825,6 @@ func (e *Engine) finish(op *operation) {
 	if op.onDone != nil {
 		op.onDone(op.results, op.comp, e.sched.Now()-op.started)
 	}
-}
-
-// mirrorFor returns the cell's mirror node when replication keeps an
-// alive copy distinct from the (unreachable) index node — the same
-// predicate as the synchronous system's.
-func (e *Engine) mirrorFor(key storeKey, index int) (int, bool) {
-	if !e.replicate {
-		return -1, false
-	}
-	m, elected := e.mirrors[key]
-	if !elected || m < 0 || m == index || e.dead[m] {
-		return -1, false
-	}
-	return m, true
-}
-
-// splitterFor is pool.System.SplitterFor over the engine's holder table.
-func (e *Engine) splitterFor(p pool.Pool, sink int) int {
-	return e.splitters.For(p, sink)
-}
-
-// alternateSplitter mirrors pool.System.alternateSplitter: the Pool's
-// index node closest to the sink among nodes other than avoid, or -1
-// when the Pool has no other holder.
-func (e *Engine) alternateSplitter(p pool.Pool, sink, avoid int) int {
-	sinkPos := e.layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := e.holder[c]
-		if h == avoid {
-			continue
-		}
-		if d2 := e.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
 }
 
 // StorageLoad implements dcs.StorageReporter: events currently held by

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -246,11 +247,25 @@ func TestEngineRandomPivots(t *testing.T) {
 		t.Fatal(err)
 	}
 	router := gpsr.New(layout)
-	eng, err := NewEngine(network.New(layout), router, sim.NewScheduler(), 3, rng.New(210), nil)
+	engSrc, specSrc := rng.New(210), rng.New(210)
+	eng, err := NewEngine(network.New(layout), router, sim.NewScheduler(), 3, engSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(eng.Pools()) != 3 {
 		t.Fatalf("pools = %v", eng.Pools())
+	}
+	// The same seed gives the synchronous system the same pivots and
+	// leaves both sources at the same draw, so whatever a caller draws
+	// next (events, sinks) stays paired across the two implementations.
+	spec, err := pool.New(network.New(layout), router, 3, specSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(eng.Pools(), spec.Pools()) {
+		t.Errorf("pools diverge at one seed: engine %v, spec %v", eng.Pools(), spec.Pools())
+	}
+	if a, b := engSrc.Int63(), specSrc.Int63(); a != b {
+		t.Errorf("construction consumed different draws: next is %d vs %d", a, b)
 	}
 }

@@ -9,8 +9,8 @@
 //     repair initiator and announces the suspicion to the candidate of
 //     every orphaned cell (repairSuspect).
 //  2. Re-election — each candidate (the alive node closest to the cell
-//     centre, pool.NearestAlive: the exact rule the synchronous repair
-//     applies) claims the index role back to the initiator
+//     centre, the directory's Elect: the exact rule the synchronous
+//     repair applies) claims the index role back to the initiator
 //     (repairClaim) and is granted it (repairGrant). The grant flips
 //     the cell's holder: inserts and queries issued afterwards route to
 //     the new index node.
@@ -38,7 +38,6 @@ package node
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -65,13 +64,13 @@ const electRetryBudget = 8
 type repairKind uint8
 
 const (
-	repairSuspect   repairKind = iota + 1 // initiator → candidate: your cell's holder is dead
-	repairClaim                           // candidate → initiator: I claim the index role
-	repairGrant                           // initiator → candidate: role granted, pull state
-	repairPull                            // new holder → mirror: stream me the cell copy
-	repairChunk                           // transfer source → dest: one chunk of events
-	repairChunkAck                        // dest → source: chunk received, send the next
-	repairMirror                          // initiator → primary: re-home the cell's mirror
+	repairSuspect  repairKind = iota + 1 // initiator → candidate: your cell's holder is dead
+	repairClaim                          // candidate → initiator: I claim the index role
+	repairGrant                          // initiator → candidate: role granted, pull state
+	repairPull                           // new holder → mirror: stream me the cell copy
+	repairChunk                          // transfer source → dest: one chunk of events
+	repairChunkAck                       // dest → source: chunk received, send the next
+	repairMirror                         // initiator → primary: re-home the cell's mirror
 )
 
 // repairPacket is one repair-protocol message. Unlike the data path,
@@ -83,7 +82,7 @@ type repairPacket struct {
 	from   int
 	to     int
 	victim int
-	key    storeKey
+	key    pool.Key
 	seq    int           // chunk ordinal for repairChunk/repairChunkAck
 	last   bool          // final-chunk marker
 	events []event.Event // chunk payload
@@ -108,13 +107,13 @@ type electTask struct {
 	// rehomes lists keys whose mirror re-home must wait for this cell's
 	// new holder to be in place (the synchronous repair re-homes after
 	// re-electing, and copies from the post-election primary).
-	rehomes []storeKey
+	rehomes []pool.Key
 }
 
 // xferTask is one cell copy streaming between two nodes.
 type xferTask struct {
 	run    *repairRun
-	key    storeKey
+	key    pool.Key
 	source int
 	dest   int
 	// toMirror: the destination is a mirror (re-home or role split) and
@@ -151,18 +150,21 @@ func (e *Engine) RepairTraffic() (msgs, bytes uint64) { return e.repairMsgs, e.r
 // the repair: failure detection on the dead leg, the mirror fallback
 // round-trip, and service-queue contention with transfer chunks.
 func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
-	rq := q.Rewrite()
-	for _, p := range e.pools {
-		for _, c := range p.RelevantCells(rq) {
+	var plan pool.Plan
+	if e.Resolve(q, &plan) != nil {
+		return false
+	}
+	for _, f := range plan.Fanouts {
+		for _, c := range f.Cells {
 			if e.elects[c] != nil {
 				return true
 			}
-			key := storeKey{dim: p.Dim, cell: c}
+			key := pool.Key{Dim: f.Pool.Dim, Cell: c}
 			if e.xfers[key] != nil || e.transferring[key] {
 				return true
 			}
-			h := e.holder[c]
-			if e.dead[h] || (down != nil && down(h)) {
+			h := e.IndexNode(c)
+			if e.Failed(h) || (down != nil && down(h)) {
 				return true
 			}
 		}
@@ -170,49 +172,30 @@ func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 	return false
 }
 
-// Failed implements dcs.Degradable.
-func (e *Engine) Failed(id int) bool {
-	return id >= 0 && id < len(e.dead) && e.dead[id]
-}
-
-// RecoverNode implements dcs.Degradable: the node resumes routing and
-// storing, but comes back empty (its RAM died with it) and reclaims no
-// cells.
-func (e *Engine) RecoverNode(id int) {
-	if id < 0 || id >= len(e.dead) || !e.dead[id] {
-		return
-	}
-	e.dead[id] = false
-}
-
-// FailNode implements dcs.Degradable: it marks the node dead — the
+// FailNode implements dcs.Degradable (Failed and RecoverNode are the
+// directory's): it marks the node dead — the
 // radio goes silent immediately, its storage is gone — and launches the
 // message-driven repair. The call returns as soon as the first
 // suspicion packets are scheduled; the repair itself converges over
 // virtual time as the exchanges play out. The error covers only the
 // unrecoverable case of no surviving node.
 func (e *Engine) FailNode(victim int) error {
-	if victim < 0 || victim >= len(e.dead) {
-		return fmt.Errorf("node: node %d out of range", victim)
+	if changed, err := e.MarkFailed(victim); err != nil || !changed {
+		return err
 	}
-	if e.dead[victim] {
-		return nil
-	}
-	e.dead[victim] = true
 	// A crashed mote loses its RAM: primary segments, queued state, and
 	// any mirror copies it kept — a later recovery must never let those
 	// serve phantom data.
-	e.store[victim] = make(map[storeKey][]event.Event)
+	e.store[victim] = make(map[pool.Key][]event.Event)
 	e.stored[victim] = 0
-	if e.replicate {
-		for key, m := range e.mirrors {
-			if m == victim {
-				delete(e.mirrorStore, key)
-			}
+	mirrored := e.MirrorKeys()
+	for _, key := range mirrored {
+		if e.Mirror(key) == victim {
+			delete(e.mirrorStore, key)
 		}
 	}
 
-	initiator := pool.NearestAlive(e.layout, e.dead, e.layout.Pos(victim), -1)
+	initiator := e.NearestAlive(e.layout.Pos(victim), -1)
 	if initiator < 0 {
 		return fmt.Errorf("node: no surviving node to repair %d", victim)
 	}
@@ -222,29 +205,20 @@ func (e *Engine) FailNode(victim int) error {
 	// Plan re-elections: every cell whose holder is dead and not already
 	// being repaired — the victim's cells, plus any cell stalled by a
 	// repair a previous cascade cut short.
-	var cells []pool.CellID
-	for c, h := range e.holder {
-		if e.dead[h] && e.elects[c] == nil {
-			cells = append(cells, c)
+	var tasks []*electTask
+	for _, c := range e.Orphaned() {
+		if e.elects[c] != nil {
+			continue
 		}
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Y != cells[j].Y {
-			return cells[i].Y < cells[j].Y
-		}
-		return cells[i].X < cells[j].X
-	})
-	tasks := make([]*electTask, 0, len(cells))
-	for _, c := range cells {
 		t := &electTask{
 			run:       run,
 			victim:    victim,
 			cell:      c,
 			initiator: initiator,
-			candidate: pool.NearestAlive(e.layout, e.dead, e.grid.Center(c), -1),
+			candidate: e.Elect(c, -1),
 		}
 		// candidate ≥ 0 always holds here: an initiator exists, so the
-		// alive set is non-empty and NearestAlive excludes nobody.
+		// alive set is non-empty and Elect excludes nobody.
 		e.elects[c] = t
 		tasks = append(tasks, t)
 	}
@@ -252,25 +226,22 @@ func (e *Engine) FailNode(victim int) error {
 	// Plan mirror re-homes: every key whose mirror copy died. A key whose
 	// cell is also being re-elected defers until the grant lands, because
 	// the re-copy reads from the post-election primary.
-	var rehomes []storeKey
-	if e.replicate {
-		for key, m := range e.mirrors {
-			if m >= 0 && e.dead[m] && e.xfers[key] == nil {
-				rehomes = append(rehomes, key)
-			}
+	var rehomes []pool.Key
+	for _, key := range mirrored {
+		if e.Failed(e.Mirror(key)) && e.xfers[key] == nil {
+			rehomes = append(rehomes, key)
 		}
-		sort.Slice(rehomes, func(i, j int) bool { return lessKey(rehomes[i], rehomes[j]) })
 	}
 
 	for _, t := range tasks {
 		run.pending++
 		e.sendRepair(repairPacket{
 			kind: repairSuspect, from: t.initiator, to: t.candidate,
-			victim: victim, key: storeKey{cell: t.cell},
+			victim: victim, key: pool.Key{Cell: t.cell},
 		}, func() { e.electAborted(t) })
 	}
 	for _, key := range rehomes {
-		if t := e.elects[key.cell]; t != nil {
+		if t := e.elects[key.Cell]; t != nil {
 			t.rehomes = append(t.rehomes, key)
 			continue
 		}
@@ -287,22 +258,12 @@ func (e *Engine) FailNode(victim int) error {
 	return nil
 }
 
-func lessKey(a, b storeKey) bool {
-	if a.dim != b.dim {
-		return a.dim < b.dim
-	}
-	if a.cell.Y != b.cell.Y {
-		return a.cell.Y < b.cell.Y
-	}
-	return a.cell.X < b.cell.X
-}
-
 // sendRepair routes one repair packet as a KindControl exchange;
 // onAbort (optional) runs when the packet is known lost.
 func (e *Engine) sendRepair(pkt repairPacket, onAbort func()) {
-	size := dcs.QueryBytes(e.dims)
+	size := dcs.QueryBytes(e.Dims())
 	if len(pkt.events) > 0 {
-		size = dcs.ReplyBytes(e.dims, len(pkt.events))
+		size = dcs.ReplyBytes(e.Dims(), len(pkt.events))
 	}
 	e.repairMsgs++
 	e.repairBytes += uint64(size)
@@ -324,7 +285,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 	}
 	switch pkt.kind {
 	case repairSuspect:
-		t := e.elects[pkt.key.cell]
+		t := e.elects[pkt.key.Cell]
 		if t == nil || pkt.to != t.candidate || pkt.from != t.initiator || t.claimed {
 			return
 		}
@@ -334,7 +295,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		}, func() { e.electAborted(t) })
 
 	case repairClaim:
-		t := e.elects[pkt.key.cell]
+		t := e.elects[pkt.key.Cell]
 		if t == nil || pkt.from != t.candidate || pkt.to != t.initiator || t.claimed {
 			return
 		}
@@ -345,7 +306,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		}, func() { e.electAborted(t) })
 
 	case repairGrant:
-		t := e.elects[pkt.key.cell]
+		t := e.elects[pkt.key.Cell]
 		if t == nil || pkt.to != t.candidate || pkt.from != t.initiator || !t.claimed {
 			return
 		}
@@ -399,34 +360,31 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 // segment the cell kept there — then any deferred mirror re-homes run
 // against the post-election primary.
 func (e *Engine) electGranted(t *electTask) {
-	e.holder[t.cell] = t.candidate
-	e.splitters.Invalidate()
-	if e.replicate {
-		for _, p := range e.pools {
-			if !cellInPool(p, t.cell) {
-				continue
-			}
-			key := storeKey{dim: p.Dim, cell: t.cell}
-			m, elected := e.mirrors[key]
-			if !elected || m < 0 || e.dead[m] {
-				continue // the copy died with its mirror: events lost
-			}
-			if m == t.candidate {
-				e.adoptMirrorLocally(t.run, key, t.candidate)
-				continue
-			}
-			if len(e.mirrorStore[key]) == 0 {
-				continue
-			}
-			x := &xferTask{run: t.run, key: key, source: m, dest: t.candidate}
-			e.xfers[key] = x
-			e.transferring[key] = true
-			t.run.pending++
-			e.sendRepair(repairPacket{
-				kind: repairPull, from: x.dest, to: x.source,
-				victim: t.run.victim, key: key,
-			}, func() { e.xferAborted(x) })
+	e.Reelect(t.cell, t.candidate)
+	for _, p := range e.Pools() {
+		if !p.ContainsCell(t.cell) {
+			continue
 		}
+		key := pool.Key{Dim: p.Dim, Cell: t.cell}
+		m, ok := e.MirrorFor(key, -1)
+		if !ok {
+			continue // no replication, or the copy died with its mirror: events lost
+		}
+		if m == t.candidate {
+			e.adoptMirrorLocally(t.run, key, t.candidate)
+			continue
+		}
+		if len(e.mirrorStore[key]) == 0 {
+			continue
+		}
+		x := &xferTask{run: t.run, key: key, source: m, dest: t.candidate}
+		e.xfers[key] = x
+		e.transferring[key] = true
+		t.run.pending++
+		e.sendRepair(repairPacket{
+			kind: repairPull, from: x.dest, to: x.source,
+			victim: t.run.victim, key: key,
+		}, func() { e.xferAborted(x) })
 	}
 	rehomes := t.rehomes
 	delete(e.elects, t.cell)
@@ -441,18 +399,18 @@ func (e *Engine) electGranted(t *electTask) {
 // primary without radio traffic, then splits the roles again by moving
 // the mirror copy to the next-closest alive node — the synchronous
 // repair's role-split pass.
-func (e *Engine) adoptMirrorLocally(run *repairRun, key storeKey, candidate int) {
+func (e *Engine) adoptMirrorLocally(run *repairRun, key pool.Key, candidate int) {
 	copied := append([]event.Event(nil), e.mirrorStore[key]...)
 	e.store[candidate][key] = append(e.store[candidate][key], copied...)
 	e.stored[candidate] += len(copied)
-	next := pool.NearestAlive(e.layout, e.dead, e.grid.Center(key.cell), candidate)
+	next := e.Elect(key.Cell, candidate)
 	if next < 0 {
-		e.mirrors[key] = -1
+		e.SetMirror(key, -1)
 		delete(e.mirrorStore, key)
 		return
 	}
 	if len(copied) == 0 {
-		e.mirrors[key] = next
+		e.SetMirror(key, next)
 		e.mirrorStore[key] = nil
 		return
 	}
@@ -461,11 +419,11 @@ func (e *Engine) adoptMirrorLocally(run *repairRun, key storeKey, candidate int)
 
 // startRehome re-copies a key whose mirror died from its (possibly
 // re-elected) primary holder to a fresh mirror node.
-func (e *Engine) startRehome(run *repairRun, initiator int, key storeKey) {
-	index := e.holder[key.cell]
-	next := pool.NearestAlive(e.layout, e.dead, e.grid.Center(key.cell), index)
+func (e *Engine) startRehome(run *repairRun, initiator int, key pool.Key) {
+	index := e.IndexNode(key.Cell)
+	next := e.Elect(key.Cell, index)
 	if next < 0 {
-		e.mirrors[key] = -1
+		e.SetMirror(key, -1)
 		delete(e.mirrorStore, key)
 		return
 	}
@@ -475,7 +433,7 @@ func (e *Engine) startRehome(run *repairRun, initiator int, key storeKey) {
 		// role split of a later failure will separate them): flip the
 		// assignment without radio traffic, as the synchronous re-home
 		// does for empty copies.
-		e.mirrors[key] = next
+		e.SetMirror(key, next)
 		e.mirrorStore[key] = live
 		return
 	}
@@ -486,7 +444,7 @@ func (e *Engine) startRehome(run *repairRun, initiator int, key storeKey) {
 // a repairMirror announce, then chunk rounds. The mirror assignment
 // flips only when the full copy has landed — a cell never claims
 // phantom replica data.
-func (e *Engine) startMirrorCopy(run *repairRun, key storeKey, source, dest int, events []event.Event) {
+func (e *Engine) startMirrorCopy(run *repairRun, key pool.Key, source, dest int, events []event.Event) {
 	x := &xferTask{
 		run: run, key: key, source: source, dest: dest,
 		toMirror: true, chunks: chunked(events),
@@ -519,7 +477,7 @@ func (e *Engine) shipChunk(t *xferTask) {
 // replayed frames) and events that fail validation are dropped.
 func (e *Engine) adoptChunk(t *xferTask, events []event.Event) {
 	for _, ev := range events {
-		if ev.Validate() != nil || ev.Dims() != e.dims {
+		if ev.Validate() != nil || ev.Dims() != e.Dims() {
 			continue
 		}
 		if t.toMirror {
@@ -545,7 +503,7 @@ func (e *Engine) xferDone(t *xferTask) {
 	delete(e.xfers, t.key)
 	if t.toMirror {
 		e.mirrorStore[t.key] = t.got
-		e.mirrors[t.key] = t.dest
+		e.SetMirror(t.key, t.dest)
 	} else {
 		delete(e.transferring, t.key)
 	}
@@ -563,7 +521,7 @@ func (e *Engine) xferAborted(t *xferTask) {
 	}
 	delete(e.xfers, t.key)
 	if t.toMirror {
-		e.mirrors[t.key] = -1
+		e.SetMirror(t.key, -1)
 		delete(e.mirrorStore, t.key)
 	} else {
 		delete(e.transferring, t.key)
@@ -584,20 +542,20 @@ func (e *Engine) electAborted(t *electTask) {
 		return
 	}
 	delete(e.elects, t.cell)
-	if e.dead[e.holder[t.cell]] && t.retries < electRetryBudget {
-		initiator := pool.NearestAlive(e.layout, e.dead, e.layout.Pos(t.victim), -1)
+	if e.Failed(e.IndexNode(t.cell)) && t.retries < electRetryBudget {
+		initiator := e.NearestAlive(e.layout.Pos(t.victim), -1)
 		if initiator >= 0 {
 			nt := &electTask{
 				run: t.run, victim: t.victim, cell: t.cell,
 				initiator: initiator,
-				candidate: pool.NearestAlive(e.layout, e.dead, e.grid.Center(t.cell), -1),
+				candidate: e.Elect(t.cell, -1),
 				retries:   t.retries + 1,
 				rehomes:   t.rehomes,
 			}
 			e.elects[t.cell] = nt
 			e.sendRepair(repairPacket{
 				kind: repairSuspect, from: nt.initiator, to: nt.candidate,
-				victim: nt.victim, key: storeKey{cell: nt.cell},
+				victim: nt.victim, key: pool.Key{Cell: nt.cell},
 			}, func() { e.electAborted(nt) })
 			// run.pending is untouched: the task was replaced, not retired.
 			return
@@ -647,10 +605,4 @@ func hasSeq(events []event.Event, seq uint64) bool {
 		}
 	}
 	return false
-}
-
-// cellInPool reports whether cell c lies inside Pool p's square.
-func cellInPool(p pool.Pool, c pool.CellID) bool {
-	return c.X >= p.Pivot.X && c.X < p.Pivot.X+p.Side &&
-		c.Y >= p.Pivot.Y && c.Y < p.Pivot.Y+p.Side
 }

@@ -2,7 +2,6 @@ package node
 
 import (
 	"maps"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
+	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
@@ -69,7 +69,11 @@ func (f *repairFixture) mostLoaded() int {
 // detection: routing, radio, then the message-driven repair.
 func (f *repairFixture) crash(t testing.TB, victim int) {
 	t.Helper()
-	checkSplitters(t, f.engine)
+	// Leaves the splitter memo warm, so the check after the next grant
+	// catches an invalidation that did not happen.
+	if err := f.engine.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 	f.router.Exclude(victim)
 	f.net.FailNode(victim)
 	if err := f.engine.FailNode(victim); err != nil {
@@ -83,29 +87,20 @@ func (f *repairFixture) recover(t testing.TB, id int) {
 	f.router.Restore(id)
 	f.net.RecoverNode(id)
 	f.engine.RecoverNode(id)
-	checkSplitters(t, f.engine)
+	if err := f.engine.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// checkSplitters holds the memoised splitterFor to the linear scan it
-// replaced, for every (Pool, sink). A call leaves the memo warm, so the
-// call after the next grant catches an invalidation that did not happen.
-func checkSplitters(t testing.TB, e *Engine) {
-	t.Helper()
-	for _, p := range e.pools {
-		cells := p.Cells()
-		for sink := 0; sink < e.layout.N(); sink++ {
-			want, bestD2 := -1, math.Inf(1)
-			for _, c := range cells {
-				h := e.holder[c]
-				if d2 := e.layout.Pos(h).Dist2(e.layout.Pos(sink)); d2 < bestD2 {
-					want, bestD2 = h, d2
-				}
-			}
-			if got := e.splitterFor(p, sink); got != want {
-				t.Fatalf("splitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
-			}
+// holders snapshots the engine's cell → index node table.
+func (f *repairFixture) holders() map[pool.CellID]int {
+	out := map[pool.CellID]int{}
+	for _, p := range f.engine.Pools() {
+		for _, c := range p.Cells() {
+			out[c] = f.engine.IndexNode(c)
 		}
 	}
+	return out
 }
 
 // drain runs the scheduler dry, checking the splitter memo after every
@@ -113,12 +108,14 @@ func checkSplitters(t testing.TB, e *Engine) {
 // how many did.
 func (f *repairFixture) drain(t testing.TB) (grants int) {
 	t.Helper()
-	before := maps.Clone(f.engine.holder)
+	before := f.holders()
 	for f.sched.Step() {
-		if !maps.Equal(before, f.engine.holder) {
+		if now := f.holders(); !maps.Equal(before, now) {
 			grants++
-			checkSplitters(t, f.engine)
-			before = maps.Clone(f.engine.holder)
+			if err := f.engine.CheckDirectory(); err != nil {
+				t.Fatal(err)
+			}
+			before = now
 		}
 	}
 	return grants
@@ -278,7 +275,7 @@ func TestRepairMessageDeterminism(t *testing.T) {
 		f.sched.Run()
 		h := f.engine.RepairLatency()
 		holders := map[string]int{}
-		for c, n := range f.engine.holder {
+		for c, n := range f.holders() {
 			holders[c.String()] = n
 		}
 		stores := map[int][]uint64{}
@@ -347,10 +344,8 @@ func TestRepairSurvivesCascade(t *testing.T) {
 		t.Errorf("queries degraded after cascade repair: %d/%d cells",
 			comp.CellsReached, comp.CellsTotal)
 	}
-	for c, h := range f.engine.holder {
-		if f.engine.Failed(h) {
-			t.Errorf("cell %v still held by dead node %d", c, h)
-		}
+	if cells := f.engine.Orphaned(); len(cells) > 0 {
+		t.Errorf("cells %v still held by dead nodes", cells)
 	}
 }
 
@@ -405,10 +400,8 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	if len(f.engine.transferring) != 0 {
 		t.Fatalf("%d cells still flagged transferring", len(f.engine.transferring))
 	}
-	for c, h := range f.engine.holder {
-		if f.engine.Failed(h) {
-			t.Errorf("cell %v still held by dead node %d", c, h)
-		}
+	if cells := f.engine.Orphaned(); len(cells) > 0 {
+		t.Errorf("cells %v still held by dead nodes", cells)
 	}
 	sink := f.alive(victim + 1)
 	results, comp := f.runQuery(t, sink, fullQuery())

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"slices"
 	"time"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/pool"
 )
 
 // EnableService switches the engine into service mode: every delivered
@@ -42,21 +44,13 @@ func (e *Engine) MaxQueueDepth() int { return e.svcMaxDepth }
 // issued from sink, in pool-dimension order. Empty when no pool is
 // relevant to q.
 func (e *Engine) SplittersFor(sink int, q event.Query) []int {
-	rq := q.Rewrite()
+	var plan pool.Plan
+	if e.Resolve(q, &plan) != nil {
+		return nil
+	}
 	var out []int
-	for _, p := range e.pools {
-		if cells := p.RelevantCells(rq); len(cells) == 0 {
-			continue
-		}
-		s := e.splitterFor(p, sink)
-		dup := false
-		for _, have := range out {
-			if have == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	for _, f := range plan.Fanouts {
+		if s := e.SplitterFor(f.Pool, sink); !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}

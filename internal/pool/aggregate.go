@@ -108,24 +108,19 @@ func (p partial) result(op AggOp) (float64, error) {
 // matching q, using the same splitter tree as Query but with constant-size
 // partial-aggregate replies. For AggCount, dim is ignored.
 func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, fmt.Errorf("pool: %w", err)
-	}
-	if q.Dims() != s.dims {
-		return 0, fmt.Errorf("pool: query has %d dims, system built for %d", q.Dims(), s.dims)
+	var plan Plan
+	if err := s.Resolve(q, &plan); err != nil {
+		return 0, err
 	}
 	if op != AggCount && (dim < 1 || dim > s.dims) {
 		return 0, fmt.Errorf("pool: aggregate dimension %d out of range 1..%d", dim, s.dims)
 	}
-	rq := q.Rewrite()
+	rq := plan.Query
 	qBytes := dcs.QueryBytes(s.dims)
 
 	total := newPartial()
-	for _, p := range s.pools {
-		cells := p.RelevantCells(rq)
-		if len(cells) == 0 {
-			continue
-		}
+	for _, f := range plan.Fanouts {
+		p, cells := f.Pool, f.Cells
 		splitter := s.SplitterFor(p, sink)
 		if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
 			return 0, fmt.Errorf("pool: aggregate to splitter: %w", err)
@@ -138,7 +133,7 @@ func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64,
 					return 0, fmt.Errorf("pool: aggregate to cell %v: %w", c, err)
 				}
 			}
-			matches := s.queryCell(storeKey{dim: p.Dim, cell: c}, index, rq, qBytes)
+			matches := s.queryCell(Key{Dim: p.Dim, Cell: c}, index, rq, qBytes)
 			if len(matches) == 0 {
 				continue
 			}

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"sort"
 
 	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
@@ -24,32 +23,14 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 	if !s.replicate {
 		return nil
 	}
-	keys := make([]storeKey, 0, len(s.mirrors))
-	for key := range s.mirrors {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.dim != b.dim {
-			return a.dim < b.dim
-		}
-		if a.cell.Y != b.cell.Y {
-			return a.cell.Y < b.cell.Y
-		}
-		return a.cell.X < b.cell.X
-	})
+	keys := s.MirrorKeys()
 	pairs := make([]antientropy.Pair, 0, len(keys))
 	for _, key := range keys {
-		mirror := s.mirrors[key]
-		if mirror < 0 || s.dead[mirror] {
-			continue
-		}
-		holder := s.holder[key.cell]
-		if s.dead[holder] {
+		if _, ok := s.MirrorFor(key, -1); !ok || s.dead[s.holder[key.Cell]] {
 			continue
 		}
 		pairs = append(pairs, antientropy.Pair{
-			Label:   fmt.Sprintf("pool P%d %v", key.dim, key.cell),
+			Label:   fmt.Sprintf("pool P%d %v", key.Dim, key.Cell),
 			Primary: cellPrimary{s: s, key: key},
 			Replica: cellMirror{s: s, key: key},
 		})
@@ -61,10 +42,10 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 // antientropy.Store.
 type cellPrimary struct {
 	s   *System
-	key storeKey
+	key Key
 }
 
-func (c cellPrimary) Node() int { return c.s.holder[c.key.cell] }
+func (c cellPrimary) Node() int { return c.s.holder[c.key.Cell] }
 
 func (c cellPrimary) AppendDigests(buf []uint64) []uint64 {
 	for _, seg := range c.s.store[c.key] {
@@ -92,7 +73,7 @@ func (c cellPrimary) Fetch(d uint64) (event.Event, bool) {
 func (c cellPrimary) Insert(e event.Event) {
 	segs := c.s.store[c.key]
 	if len(segs) == 0 {
-		segs = append(segs, segment{node: c.s.holder[c.key.cell]})
+		segs = append(segs, segment{node: c.s.holder[c.key.Cell]})
 	}
 	active := &segs[len(segs)-1]
 	active.events = append(active.events, e)
@@ -111,7 +92,7 @@ func (c cellPrimary) Len() int {
 // cellMirror adapts a cell's mirror copy to antientropy.Store.
 type cellMirror struct {
 	s   *System
-	key storeKey
+	key Key
 }
 
 func (c cellMirror) Node() int { return c.s.mirrors[c.key] }

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"pooldcs/internal/antientropy"
@@ -11,26 +10,6 @@ import (
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
-
-// sortedMirrorKeys returns the mirrored cells in deterministic order, so
-// tests pick the same victim every run.
-func sortedMirrorKeys(s *System) []storeKey {
-	keys := make([]storeKey, 0, len(s.mirrors))
-	for key := range s.mirrors {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.dim != b.dim {
-			return a.dim < b.dim
-		}
-		if a.cell.Y != b.cell.Y {
-			return a.cell.Y < b.cell.Y
-		}
-		return a.cell.X < b.cell.X
-	})
-	return keys
-}
 
 // TestMirrorDivergenceRepairedByReconciliation is the deterministic
 // regression for the known replication leak: an insert whose primary
@@ -48,9 +27,9 @@ func TestMirrorDivergenceRepairedByReconciliation(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("no replica pairs")
 	}
-	var victim storeKey
+	var victim Key
 	mirror := -1
-	for _, key := range sortedMirrorKeys(s) {
+	for _, key := range s.MirrorKeys() {
 		if m := s.mirrors[key]; m >= 0 && len(s.mirrorStore[key]) > 0 {
 			victim, mirror = key, m
 			break
@@ -120,9 +99,9 @@ func TestReconcilerPushesMirrorOnlyEventsBack(t *testing.T) {
 	s, net, router := newUniverse(t, 200, 610, WithReplication())
 	loadEvents(t, s, 100, 611)
 
-	var key storeKey
+	var key Key
 	found := false
-	for _, k := range sortedMirrorKeys(s) {
+	for _, k := range s.MirrorKeys() {
 		if s.mirrors[k] >= 0 && len(s.mirrorStore[k]) > 0 {
 			key, found = k, true
 			break
@@ -170,8 +149,8 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	loadEvents(t, s, 100, 621)
 
 	mirror := -1
-	var key storeKey
-	for _, k := range sortedMirrorKeys(s) {
+	var key Key
+	for _, k := range s.MirrorKeys() {
 		if m := s.mirrors[k]; m >= 0 && len(s.mirrorStore[k]) > 0 {
 			mirror, key = m, k
 			break

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"math"
 	"testing"
 
 	"pooldcs/internal/event"
@@ -48,35 +47,18 @@ func loadEvents(t testing.TB, s *System, n int, seed int64) []event.Event {
 // radio, then the storage protocol.
 func crash(t testing.TB, s *System, net *network.Network, router *gpsr.Router, id int) {
 	t.Helper()
-	checkSplitters(t, s)
+	// The check before the fault leaves the splitter memo warm, so the one
+	// after it catches a re-election that did not invalidate it.
+	if err := s.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 	router.Exclude(id)
 	net.FailNode(id)
 	if err := s.FailNode(id); err != nil {
 		t.Fatal(err)
 	}
-	checkSplitters(t, s)
-}
-
-// checkSplitters holds the memoised SplitterFor to the linear scan it
-// replaced, for every (Pool, sink). A call leaves the memo warm, so the
-// call after the next fault catches an invalidation that did not happen.
-func checkSplitters(t testing.TB, s *System) {
-	t.Helper()
-	layout := s.net.Layout()
-	for _, p := range s.pools {
-		cells := p.Cells()
-		for sink := 0; sink < layout.N(); sink++ {
-			want, bestD2 := -1, math.Inf(1)
-			for _, c := range cells {
-				h := s.holder[c]
-				if d2 := layout.Pos(h).Dist2(layout.Pos(sink)); d2 < bestD2 {
-					want, bestD2 = h, d2
-				}
-			}
-			if got := s.SplitterFor(p, sink); got != want {
-				t.Fatalf("SplitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
-			}
-		}
+	if err := s.CheckDirectory(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -85,7 +67,7 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 	all := loadEvents(t, s, 300, 521)
 
 	// Find a loaded cell and fail its mirror first, then its primary.
-	var key storeKey
+	var key Key
 	found := false
 	for k, segs := range s.store {
 		if len(segs) > 0 && len(segs[0].events) > 0 && s.mirrors[k] >= 0 {
@@ -97,7 +79,7 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 		t.Fatal("no mirrored cell with data")
 	}
 	mirror := s.mirrors[key]
-	primary := s.holder[key.cell]
+	primary := s.holder[key.Cell]
 	crash(t, s, net, router, mirror)
 	// The mirror's failure must re-home the copy so the cell survives the
 	// primary's failure too.
@@ -159,7 +141,9 @@ func TestFailRecoveredNodeAgain(t *testing.T) {
 	if s.Failed(victim) {
 		t.Fatal("recovered node still failed")
 	}
-	checkSplitters(t, s)
+	if err := s.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 	// Failing the recovered node again must be a real failure, not the
 	// double-fail no-op: it holds no cells anymore, so nothing changes.
 	crash(t, s, net, router, victim)
@@ -253,14 +237,14 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 	}
 	// Only fail the victim if it holds primaries (not a pure delegate or
 	// mirror): pick the holder of a loaded cell instead.
-	var key storeKey
+	var key Key
 	for k, segs := range s.store {
-		if len(segs) > 0 && len(segs[0].events) > 0 && s.holder[k.cell] == segs[0].node {
+		if len(segs) > 0 && len(segs[0].events) > 0 && s.holder[k.Cell] == segs[0].node {
 			key = k
 			break
 		}
 	}
-	victim = s.holder[key.cell]
+	victim = s.holder[key.Cell]
 	_ = max
 	// Mirrors are elected lazily at first insert, so the victim's *empty*
 	// cells have none and must stay unreached; every loaded cell answers
@@ -271,7 +255,7 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 			if s.holder[c] != victim {
 				continue
 			}
-			if _, ok := s.mirrorFor(storeKey{dim: p.Dim, cell: c}, victim); !ok {
+			if _, ok := s.MirrorFor(Key{Dim: p.Dim, Cell: c}, victim); !ok {
 				expectUnreached++
 			}
 		}

@@ -23,20 +23,18 @@ type Subscription struct {
 	// Query is the standing predicate (stored rewritten).
 	Query event.Query
 
-	keys []storeKey
+	keys []Key
 }
 
 // Subscribe registers a continuous query issued by sink. Registration
 // traffic follows the same splitter tree as a one-shot query; matching
 // events already stored are NOT reported (use Query for the history).
 func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("pool: %w", err)
+	var plan Plan
+	if err := s.Resolve(q, &plan); err != nil {
+		return nil, err
 	}
-	if q.Dims() != s.dims {
-		return nil, fmt.Errorf("pool: query has %d dims, system built for %d", q.Dims(), s.dims)
-	}
-	rq := q.Rewrite()
+	rq := plan.Query
 	s.subSeq++
 	sub := &Subscription{ID: s.subSeq, Sink: sink, Query: rq}
 	qBytes := dcs.QueryBytes(s.dims)
@@ -45,11 +43,8 @@ func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
 		s.tracer.Begin(trace.OpSubscribe, sink, "")
 		defer s.tracer.End()
 	}
-	for _, p := range s.pools {
-		cells := p.RelevantCells(rq)
-		if len(cells) == 0 {
-			continue
-		}
+	for _, f := range plan.Fanouts {
+		p, cells := f.Pool, f.Cells
 		splitter := s.SplitterFor(p, sink)
 		if s.tracer.Enabled() {
 			s.tracer.Record(trace.TypeFanout, splitter, len(cells), fmt.Sprintf("P%d", p.Dim))
@@ -64,10 +59,10 @@ func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
 					return nil, fmt.Errorf("pool: subscribe to cell %v: %w", c, err)
 				}
 			}
-			key := storeKey{dim: p.Dim, cell: c}
+			key := Key{Dim: p.Dim, Cell: c}
 			sub.keys = append(sub.keys, key)
 			if s.subs == nil {
-				s.subs = make(map[storeKey][]*Subscription)
+				s.subs = make(map[Key][]*Subscription)
 			}
 			s.subs[key] = append(s.subs[key], sub)
 		}
@@ -97,8 +92,8 @@ func (s *System) Unsubscribe(sub *Subscription) error {
 			removedAny = true
 			// One control message from the sink's side of the tree; we
 			// charge sink→index directly (the tree edges coincide).
-			if _, err := s.unicast(sub.Sink, s.holder[key.cell], network.KindControl, qBytes); err != nil {
-				return fmt.Errorf("pool: unsubscribe cell %v: %w", key.cell, err)
+			if _, err := s.unicast(sub.Sink, s.holder[key.Cell], network.KindControl, qBytes); err != nil {
+				return fmt.Errorf("pool: unsubscribe cell %v: %w", key.Cell, err)
 			}
 			break
 		}
@@ -129,7 +124,7 @@ func (s *System) Notifications() []Notification {
 // notifySubscribers pushes a freshly stored event to every standing query
 // registered at its cell. Called from storeEvent with the index node that
 // received the event.
-func (s *System) notifySubscribers(key storeKey, index int, e event.Event) error {
+func (s *System) notifySubscribers(key Key, index int, e event.Event) error {
 	for _, sub := range s.subs[key] {
 		if !sub.Query.Matches(e) {
 			continue

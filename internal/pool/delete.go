@@ -16,21 +16,16 @@ import (
 // Sensor-network deployments use this to retire stale readings and
 // reclaim the motes' scarce storage.
 func (s *System) Delete(sink int, q event.Query) (int, error) {
-	if err := q.Validate(); err != nil {
-		return 0, fmt.Errorf("pool: %w", err)
+	var plan Plan
+	if err := s.Resolve(q, &plan); err != nil {
+		return 0, err
 	}
-	if q.Dims() != s.dims {
-		return 0, fmt.Errorf("pool: query has %d dims, system built for %d", q.Dims(), s.dims)
-	}
-	rq := q.Rewrite()
+	rq := plan.Query
 	qBytes := dcs.QueryBytes(s.dims)
 
 	removed := 0
-	for _, p := range s.pools {
-		cells := p.RelevantCells(rq)
-		if len(cells) == 0 {
-			continue
-		}
+	for _, f := range plan.Fanouts {
+		p, cells := f.Pool, f.Cells
 		splitter := s.SplitterFor(p, sink)
 		if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
 			return removed, fmt.Errorf("pool: delete to splitter: %w", err)
@@ -42,7 +37,7 @@ func (s *System) Delete(sink int, q event.Query) (int, error) {
 					return removed, fmt.Errorf("pool: delete to cell %v: %w", c, err)
 				}
 			}
-			key := storeKey{dim: p.Dim, cell: c}
+			key := Key{Dim: p.Dim, Cell: c}
 			n, err := s.deleteFromCell(key, index, rq, qBytes)
 			if err != nil {
 				return removed, err
@@ -69,7 +64,7 @@ func (s *System) Delete(sink int, q event.Query) (int, error) {
 // deleteFromCell prunes matching events from every segment of a cell
 // (reaching delegated segments costs the usual extra exchange) and from
 // the cell's mirror.
-func (s *System) deleteFromCell(key storeKey, index int, rq event.Query, qBytes int) (int, error) {
+func (s *System) deleteFromCell(key Key, index int, rq event.Query, qBytes int) (int, error) {
 	removed := 0
 	segs := s.store[key]
 	for i := range segs {

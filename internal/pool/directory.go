@@ -1,0 +1,446 @@
+package pool
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"pooldcs/internal/event"
+	"pooldcs/internal/field"
+	"pooldcs/internal/geo"
+	"pooldcs/internal/rng"
+)
+
+// Key addresses one cell of one Pool: the unit events are stored,
+// mirrored and repaired under.
+type Key struct {
+	Dim  int // 1-based Pool dimension
+	Cell CellID
+}
+
+// less orders keys by (dimension, row, column), the order every
+// deterministic walk over mirrored cells uses.
+func (k Key) less(o Key) bool {
+	if k.Dim != o.Dim {
+		return k.Dim < o.Dim
+	}
+	return k.Cell.less(o.Cell)
+}
+
+// less orders cells row-major.
+func (c CellID) less(o CellID) bool {
+	if c.Y != o.Y {
+		return c.Y < o.Y
+	}
+	return c.X < o.X
+}
+
+// Directory is the knowledge the paper assumes every node of a
+// deployment shares ("predefined", §2–§4): the cell grid, the Pools and
+// their pivots, which node indexes which cell, who is believed alive, and
+// which node mirrors which cell. It is the one definition of the pure
+// rules over that state — Theorem 3.1 placement with the §4.1 tie rule,
+// Theorem 3.2 resolving, §3.2.3 splitter choice, mirror and index-node
+// election — and the only writer of it. The synchronous System and the
+// node actor engine each embed one; what they add is storage and the way
+// unicasts and repair transfers are carried out.
+type Directory struct {
+	layout *field.Layout
+	grid   *Grid
+	pools  []Pool
+	dims   int
+
+	// holder maps each Pool cell to its index node — the node closest to
+	// the cell centre (§2), which fields all traffic for the cell. Reelect
+	// is its only writer after construction.
+	holder map[CellID]int
+	// dead is the membership view: nodes marked failed and not recovered.
+	dead []bool
+
+	replicate bool
+	// mirrors maps each cell that ever stored an event to its mirror
+	// node, -1 while it has none; nil without replication.
+	mirrors map[Key]int
+
+	// memo[dim-1][sink] is the memoised splitter plus one, 0 unknown. The
+	// Pool index node closest to a sink depends only on node positions,
+	// which never change, and on holder, so Reelect clears it.
+	memo [][]int32
+}
+
+// NewDirectory lays out a deployment for events of the given
+// dimensionality: cells of side alpha over the layout's bounds, one Pool
+// of side×side cells per dimension, and the node closest to each Pool
+// cell's centre as its index node. Nil pivots are drawn at random from src
+// (non-overlapping where possible), as in the paper.
+func NewDirectory(layout *field.Layout, dims int, alpha float64, side int, pivots []CellID, src *rng.Source, replicate bool) (*Directory, error) {
+	if dims < 1 {
+		return nil, fmt.Errorf("pool: dimensionality must be ≥ 1, got %d", dims)
+	}
+	grid, err := NewGrid(layout.Bounds(), alpha)
+	if err != nil {
+		return nil, err
+	}
+	if grid.Cols < side || grid.Rows < side {
+		return nil, fmt.Errorf("pool: field of %d×%d cells cannot hold a Pool of side %d",
+			grid.Cols, grid.Rows, side)
+	}
+	if pivots == nil {
+		if src == nil {
+			return nil, fmt.Errorf("pool: random pivot placement requires a rng source")
+		}
+		pivots = placePivots(grid, dims, side, src)
+	}
+	if len(pivots) != dims {
+		return nil, fmt.Errorf("pool: %d pivots for %d dimensions", len(pivots), dims)
+	}
+	d := &Directory{
+		layout:    layout,
+		grid:      grid,
+		dims:      dims,
+		holder:    make(map[CellID]int),
+		dead:      make([]bool, layout.N()),
+		replicate: replicate,
+		memo:      make([][]int32, dims),
+	}
+	if replicate {
+		d.mirrors = make(map[Key]int)
+	}
+	for i, pc := range pivots {
+		if pc.X < 0 || pc.Y < 0 || pc.X+side > grid.Cols || pc.Y+side > grid.Rows {
+			return nil, fmt.Errorf("pool: pivot %v does not fit a Pool of side %d in a %d×%d grid",
+				pc, side, grid.Cols, grid.Rows)
+		}
+		d.pools = append(d.pools, Pool{Dim: i + 1, Pivot: pc, Side: side})
+		d.memo[i] = make([]int32, layout.N())
+	}
+	for _, p := range d.pools {
+		for _, c := range p.Cells() {
+			if _, ok := d.holder[c]; !ok {
+				d.holder[c] = layout.Nearest(grid.Center(c))
+			}
+		}
+	}
+	return d, nil
+}
+
+// placePivots draws random pivot cells, preferring a placement where the
+// Pools do not overlap (as in the paper's Figure 2); after 200 attempts it
+// accepts overlap.
+func placePivots(grid *Grid, dims, side int, src *rng.Source) []CellID {
+	maxX := grid.Cols - side
+	maxY := grid.Rows - side
+	var pivots []CellID
+	for attempt := 0; attempt < 200; attempt++ {
+		pivots = make([]CellID, dims)
+		ok := true
+		for i := range pivots {
+			pivots[i] = CellID{X: src.Intn(maxX + 1), Y: src.Intn(maxY + 1)}
+			for j := 0; j < i; j++ {
+				if overlaps(pivots[i], pivots[j], side) {
+					ok = false
+				}
+			}
+		}
+		if ok {
+			break
+		}
+	}
+	return pivots
+}
+
+func overlaps(a, b CellID, side int) bool {
+	return a.X < b.X+side && b.X < a.X+side && a.Y < b.Y+side && b.Y < a.Y+side
+}
+
+// Dims returns the event dimensionality.
+func (d *Directory) Dims() int { return d.dims }
+
+// Grid returns the cell grid.
+func (d *Directory) Grid() *Grid { return d.grid }
+
+// Pools returns the k Pools. The slice is owned by the directory.
+func (d *Directory) Pools() []Pool { return d.pools }
+
+// IndexNode returns the index node of a Pool cell, or -1 for cells outside
+// every Pool.
+func (d *Directory) IndexNode(c CellID) int {
+	if h, ok := d.holder[c]; ok {
+		return h
+	}
+	return -1
+}
+
+// checkEvent applies the insert preconditions.
+func (d *Directory) checkEvent(e event.Event) error {
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	if e.Dims() != d.dims {
+		return fmt.Errorf("event has %d dims, deployment built for %d", e.Dims(), d.dims)
+	}
+	return nil
+}
+
+// candidate returns the cell Theorem 3.1 assigns e when dimension dim
+// (1-based) is taken as its greatest.
+func (d *Directory) candidate(e event.Event, dim int) CellID {
+	return d.pools[dim-1].InsertCell(e.Values[dim-1], event.SecondGreatest(e, dim))
+}
+
+// Place validates e and returns the cell that stores it and that cell's
+// index node (Algorithm 1): the Pool of the event's greatest attribute,
+// the cell determined by its greatest and second-greatest values; with
+// tied maxima, the candidate cell closest to the detecting sensor's own
+// cell, so a single copy is stored (§4.1).
+func (d *Directory) Place(origin int, e event.Event) (Key, int, error) {
+	if err := d.checkEvent(e); err != nil {
+		return Key{}, -1, fmt.Errorf("pool: %w", err)
+	}
+	originCell := d.grid.CellOf(d.layout.Pos(origin))
+	best, bestDist := Key{}, math.Inf(1)
+	for _, dim := range event.GreatestDims(e) {
+		cell := d.candidate(e, dim)
+		if dist := CellDist(cell, originCell); dist < bestDist {
+			best, bestDist = Key{Dim: dim, Cell: cell}, dist
+		}
+	}
+	return best, d.holder[best.Cell], nil
+}
+
+// Fanout is one Pool's share of a resolved query: the cells that may hold
+// answers, all reached through that Pool's splitter.
+type Fanout struct {
+	Pool  Pool
+	Cells []CellID
+}
+
+// Plan is a resolved query. The zero value is ready to use, and a Plan
+// handed to Resolve again reuses its memory.
+type Plan struct {
+	// Query is the query after the §2 partial-match rewrite.
+	Query event.Query
+	// Fanouts lists, in Pool order, the Pools with at least one relevant
+	// cell.
+	Fanouts []Fanout
+	cells   []CellID
+}
+
+// NumCells returns the number of relevant cells over all Pools.
+func (pl *Plan) NumCells() int { return len(pl.cells) }
+
+// Resolve validates q, rewrites it, and fills plan with the cells whose
+// Equation-1 ranges intersect the Theorem-3.2 ranges of each Pool
+// (Algorithm 2) — the paper's Figures 4 and 5.
+func (d *Directory) Resolve(q event.Query, plan *Plan) error {
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("pool: %w", err)
+	}
+	if q.Dims() != d.dims {
+		return fmt.Errorf("pool: query has %d dims, deployment built for %d", q.Dims(), d.dims)
+	}
+	plan.Query = q.Rewrite()
+	plan.Fanouts, plan.cells = plan.Fanouts[:0], plan.cells[:0]
+	for _, p := range d.pools {
+		from := len(plan.cells)
+		plan.cells = p.AppendRelevantCells(plan.cells, plan.Query)
+		if to := len(plan.cells); to > from {
+			plan.Fanouts = append(plan.Fanouts, Fanout{Pool: p, Cells: plan.cells[from:to:to]})
+		}
+	}
+	return nil
+}
+
+// SplitterFor returns the Pool's splitter for a given sink: the Pool's
+// index node closest to the sink (§3.2.3), ties going to the earlier cell
+// in p.Cells() order, or -1 for a Pool without cells. Pools are
+// predefined, so the sink computes this locally. Answers are memoised per
+// (Pool, sink) until the next re-election, so a repeat call is a table
+// lookup that returns what the scan over the Pool's cells would; a Pool
+// the directory was not built with is scanned every time.
+func (d *Directory) SplitterFor(p Pool, sink int) int {
+	i := p.Dim - 1
+	if i < 0 || i >= len(d.pools) || d.pools[i] != p {
+		return d.AlternateSplitter(p, sink, -1)
+	}
+	slot := &d.memo[i][sink]
+	if *slot == 0 {
+		*slot = int32(d.AlternateSplitter(p, sink, -1) + 1)
+	}
+	return int(*slot) - 1
+}
+
+// AlternateSplitter returns the Pool's index node closest to the sink
+// among nodes other than avoid — where a query retries when its splitter
+// timed out — or -1 when the Pool has no other holder.
+func (d *Directory) AlternateSplitter(p Pool, sink, avoid int) int {
+	sinkPos := d.layout.Pos(sink)
+	best, bestD2 := -1, math.Inf(1)
+	for _, c := range p.Cells() {
+		h := d.holder[c]
+		if h == avoid {
+			continue
+		}
+		if d2 := d.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
+			best, bestD2 = h, d2
+		}
+	}
+	return best
+}
+
+// Failed reports whether a node is marked failed; ids outside the
+// deployment are not.
+func (d *Directory) Failed(id int) bool {
+	return id >= 0 && id < len(d.dead) && d.dead[id]
+}
+
+// MarkFailed marks a node failed and reports whether that changed
+// anything (a node already failed stays so). Ids outside the deployment
+// are an error.
+func (d *Directory) MarkFailed(id int) (bool, error) {
+	if id < 0 || id >= len(d.dead) {
+		return false, fmt.Errorf("pool: node %d out of range", id)
+	}
+	changed := !d.dead[id]
+	d.dead[id] = true
+	return changed, nil
+}
+
+// RecoverNode brings a previously failed node back: it resumes routing,
+// storing, and answering queries. Cells re-elected away from it are not
+// reclaimed (their state lives at the new index nodes), and any storage
+// the node held before failing is gone — a rebooted mote comes back
+// empty. Recovering a node that never failed is a no-op.
+func (d *Directory) RecoverNode(id int) {
+	if d.Failed(id) {
+		d.dead[id] = false
+	}
+}
+
+// NearestAlive returns the alive node closest to p, excluding one id
+// (pass -1 to exclude nobody), or -1 when every node is dead.
+func (d *Directory) NearestAlive(p geo.Point, exclude int) int {
+	best, bestD2 := -1, math.Inf(1)
+	for i := 0; i < d.layout.N(); i++ {
+		if i == exclude || d.dead[i] {
+			continue
+		}
+		if d2 := d.layout.Pos(i).Dist2(p); d2 < bestD2 {
+			best, bestD2 = i, d2
+		}
+	}
+	return best
+}
+
+// Elect returns the alive node closest to the centre of cell c other than
+// exclude, or -1 when there is none: with exclude -1 the node that takes
+// over a dead index node's cell, with exclude the cell's index node the
+// node that mirrors it. Both repairs apply this one rule, so the
+// message-driven one converges on the state the global-knowledge one
+// computes.
+func (d *Directory) Elect(c CellID, exclude int) int {
+	return d.NearestAlive(d.grid.Center(c), exclude)
+}
+
+// Orphaned returns the Pool cells whose index node is marked failed, in
+// row-major order.
+func (d *Directory) Orphaned() []CellID {
+	var out []CellID
+	for c, h := range d.holder {
+		if d.dead[h] {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
+}
+
+// Reelect hands cell c to a new index node. Every holder change after
+// construction goes through here, which is what keeps SplitterFor's memo
+// honest.
+func (d *Directory) Reelect(c CellID, to int) {
+	d.holder[c] = to
+	for _, row := range d.memo {
+		clear(row)
+	}
+}
+
+// Mirror returns the cell's mirror node as last assigned, dead or alive,
+// or -1 when it has none.
+func (d *Directory) Mirror(key Key) int {
+	if m, elected := d.mirrors[key]; elected {
+		return m
+	}
+	return -1
+}
+
+// MirrorFor returns the cell's mirror node when replication keeps an
+// alive copy on a node other than index.
+func (d *Directory) MirrorFor(key Key, index int) (int, bool) {
+	m, elected := d.mirrors[key]
+	if !elected || m < 0 || m == index || d.dead[m] {
+		return -1, false
+	}
+	return m, true
+}
+
+// ElectMirror returns the node that takes the copy of an event just
+// stored under key at index, electing the cell's mirror on first use
+// (Elect, excluding index), or -1 while the cell has no alive mirror —
+// always, without replication.
+func (d *Directory) ElectMirror(key Key, index int) int {
+	if !d.replicate {
+		return -1
+	}
+	m, elected := d.mirrors[key]
+	if !elected {
+		m = d.Elect(key.Cell, index)
+		d.mirrors[key] = m
+	}
+	if m < 0 || d.dead[m] {
+		return -1
+	}
+	return m
+}
+
+// SetMirror reassigns the cell's mirror; -1 records that it has none.
+func (d *Directory) SetMirror(key Key, node int) { d.mirrors[key] = node }
+
+// MirrorKeys returns every cell that has elected a mirror, in (dimension,
+// row, column) order.
+func (d *Directory) MirrorKeys() []Key {
+	keys := make([]Key, 0, len(d.mirrors))
+	for key := range d.mirrors {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	return keys
+}
+
+// CheckDirectory verifies the directory against itself and returns the
+// first violation found, or nil: every index node and mirror is a node of
+// the deployment, and the memoised splitter of every (Pool, sink) is what
+// the scan over the Pool's cells says. A call leaves the memo warm, so the
+// call after the next re-election catches an invalidation that did not
+// happen.
+func (d *Directory) CheckDirectory() error {
+	n := len(d.dead)
+	for c, h := range d.holder {
+		if h < 0 || h >= n {
+			return fmt.Errorf("pool: cell %v has invalid index node %d", c, h)
+		}
+	}
+	for key, m := range d.mirrors {
+		if m < -1 || m >= n {
+			return fmt.Errorf("pool: cell %v of P%d has invalid mirror %d", key.Cell, key.Dim, m)
+		}
+	}
+	for _, p := range d.pools {
+		for sink := 0; sink < n; sink++ {
+			if got, want := d.SplitterFor(p, sink), d.AlternateSplitter(p, sink, -1); got != want {
+				return fmt.Errorf("pool: SplitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
+			}
+		}
+	}
+	return nil
+}

@@ -11,6 +11,7 @@ import (
 // state-machine tests after every operation batch, and is cheap enough to
 // call from production diagnostics:
 //
+//  0. The directory is consistent with itself (CheckDirectory).
 //  1. Every Pool cell has an alive index node.
 //  2. Every storage segment is held by an alive node (post-repair).
 //  3. Per-node stored counters equal the sum of their segments.
@@ -22,14 +23,12 @@ import (
 //     briefly hold deleted leftovers only if deletion skipped them, which
 //     Delete prevents).
 func (s *System) CheckInvariants() error {
-	// 1. Holders alive and valid.
-	for cell, h := range s.holder {
-		if h < 0 || h >= len(s.dead) {
-			return fmt.Errorf("pool: cell %v has invalid index node %d", cell, h)
-		}
-		if s.dead[h] {
-			return fmt.Errorf("pool: cell %v held by dead node %d", cell, h)
-		}
+	if err := s.CheckDirectory(); err != nil {
+		return err
+	}
+	// 1. Holders alive.
+	if orphans := s.Orphaned(); len(orphans) > 0 {
+		return fmt.Errorf("pool: cell %v held by dead node %d", orphans[0], s.holder[orphans[0]])
 	}
 
 	// 2 + 3. Segment holders alive; counters consistent.
@@ -37,11 +36,11 @@ func (s *System) CheckInvariants() error {
 	for key, segs := range s.store {
 		for _, seg := range segs {
 			if seg.node < 0 || seg.node >= len(s.dead) {
-				return fmt.Errorf("pool: cell %v segment held by invalid node %d", key.cell, seg.node)
+				return fmt.Errorf("pool: cell %v segment held by invalid node %d", key.Cell, seg.node)
 			}
 			if s.dead[seg.node] && len(seg.events) > 0 {
 				return fmt.Errorf("pool: cell %v segment with %d events held by dead node %d",
-					key.cell, len(seg.events), seg.node)
+					key.Cell, len(seg.events), seg.node)
 			}
 			counted[seg.node] += len(seg.events)
 		}
@@ -59,19 +58,19 @@ func (s *System) CheckInvariants() error {
 
 	// 4. Theorem 3.1 placement consistency.
 	for key, segs := range s.store {
-		p := s.pools[key.dim-1]
+		p := s.pools[key.Dim-1]
 		for _, seg := range segs {
 			for _, e := range seg.events {
 				dims := greatestDimSet(e.Values)
-				if !dims[key.dim] {
+				if !dims[key.Dim] {
 					return fmt.Errorf("pool: event %d stored in P%d but its greatest value is elsewhere",
-						e.Seq, key.dim)
+						e.Seq, key.Dim)
 				}
-				vd1 := e.Values[key.dim-1]
-				vd2 := event.SecondGreatest(e, key.dim)
-				if got := p.InsertCell(vd1, vd2); got != key.cell {
+				vd1 := e.Values[key.Dim-1]
+				vd2 := event.SecondGreatest(e, key.Dim)
+				if got := p.InsertCell(vd1, vd2); got != key.Cell {
 					return fmt.Errorf("pool: event %d stored in %v of P%d, Theorem 3.1 places it in %v",
-						e.Seq, key.cell, key.dim, got)
+						e.Seq, key.Cell, key.Dim, got)
 				}
 			}
 		}
@@ -80,8 +79,7 @@ func (s *System) CheckInvariants() error {
 	// 5. Replication coverage.
 	if s.replicate {
 		for key, segs := range s.store {
-			mirror, ok := s.mirrors[key]
-			if !ok || mirror < 0 || s.dead[mirror] {
+			if _, ok := s.MirrorFor(key, -1); !ok {
 				continue // mirror never elected or currently dead
 			}
 			inMirror := make(map[uint64]bool, len(s.mirrorStore[key]))
@@ -91,7 +89,7 @@ func (s *System) CheckInvariants() error {
 			for _, seg := range segs {
 				for _, e := range seg.events {
 					if !inMirror[e.Seq] {
-						return fmt.Errorf("pool: event %d in cell %v missing from mirror", e.Seq, key.cell)
+						return fmt.Errorf("pool: event %d in cell %v missing from mirror", e.Seq, key.Cell)
 					}
 				}
 			}

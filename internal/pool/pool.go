@@ -187,19 +187,3 @@ func (p Pool) AppendRelevantCells(dst []CellID, q event.Query) []CellID {
 	}
 	return dst
 }
-
-// StorageCandidates returns, for each dimension holding the event's
-// greatest value, the Pool dimension and global cell that could store the
-// event. With distinct attribute values it returns exactly one candidate;
-// with ties it returns one per tied dimension (§4.1).
-func StorageCandidates(pools []Pool, e event.Event) []CellID {
-	dims := event.GreatestDims(e)
-	out := make([]CellID, 0, len(dims))
-	for _, d := range dims {
-		p := pools[d-1]
-		vd1 := e.Values[d-1]
-		vd2 := event.SecondGreatest(e, d)
-		out = append(out, p.InsertCell(vd1, vd2))
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -223,24 +224,34 @@ func sameCells(a, b []CellID) bool {
 }
 
 // TestStorageCandidatesTie reproduces §4.1: the tied event <0.4,0.4,0.2>
-// has two candidate cells, one in P1 and one in P2. (The paper's prose
-// lists C(12,13); with the Figure-2 pivots the P2 candidate is C(4,13) —
-// see DESIGN.md §2.)
+// has two candidate cells, one in P1 and one in P2, and wherever it is
+// detected Place stores it in one of them. (The paper's prose lists
+// C(12,13); with the Figure-2 pivots the P2 candidate is C(4,13) — see
+// DESIGN.md §2.)
 func TestStorageCandidatesTie(t *testing.T) {
-	pools := paperPools()
+	d := paperDirectory(t, false)
 	e := event.New(0.4, 0.4, 0.2)
-	cands := StorageCandidates(pools, e)
-	want := []CellID{{X: 3, Y: 5}, {X: 4, Y: 13}}
-	if !sameCells(append([]CellID(nil), cands...), want) {
-		t.Errorf("candidates = %v, want %v", cands, want)
+	seen := map[Key]bool{}
+	for origin := 0; origin < d.layout.N(); origin++ {
+		key, _, err := d.Place(origin, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[key] = true
+	}
+	want := map[Key]bool{{Dim: 1, Cell: CellID{X: 3, Y: 5}}: true, {Dim: 2, Cell: CellID{X: 4, Y: 13}}: true}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("candidates = %v, want %v", seen, want)
 	}
 }
 
 func TestStorageCandidatesDistinct(t *testing.T) {
-	pools := paperPools()
-	cands := StorageCandidates(pools, event.New(0.4, 0.3, 0.1))
-	if len(cands) != 1 || cands[0] != (CellID{X: 3, Y: 4}) {
-		t.Errorf("candidates = %v, want [C(3,4)]", cands)
+	d := paperDirectory(t, false)
+	for origin := 0; origin < d.layout.N(); origin++ {
+		key, _, err := d.Place(origin, event.New(0.4, 0.3, 0.1))
+		if err != nil || key != (Key{Dim: 1, Cell: CellID{X: 3, Y: 4}}) {
+			t.Fatalf("Place from %d = %v, %v; want P1 C(3,4)", origin, key, err)
+		}
 	}
 }
 

@@ -15,19 +15,19 @@ import (
 // coordinates are implied by Theorem 3.1, so only the events themselves
 // need to travel.
 func (s *System) Dump(w io.Writer) (int, error) {
-	keys := make([]storeKey, 0, len(s.store))
+	keys := make([]Key, 0, len(s.store))
 	for key := range s.store {
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		if a.dim != b.dim {
-			return a.dim < b.dim
+		if a.Dim != b.Dim {
+			return a.Dim < b.Dim
 		}
-		if a.cell.X != b.cell.X {
-			return a.cell.X < b.cell.X
+		if a.Cell.X != b.Cell.X {
+			return a.Cell.X < b.Cell.X
 		}
-		return a.cell.Y < b.cell.Y
+		return a.Cell.Y < b.Cell.Y
 	})
 	var events []event.Event
 	for _, key := range keys {
@@ -64,16 +64,12 @@ func (s *System) Load(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("pool: load: %d trailing bytes", len(rest))
 	}
 	for i, e := range events {
-		if err := e.Validate(); err != nil {
+		if err := s.checkEvent(e); err != nil {
 			return i, fmt.Errorf("pool: load event %d: %w", i, err)
 		}
-		if e.Dims() != s.dims {
-			return i, fmt.Errorf("pool: load event %d: has %d dims, system built for %d", i, e.Dims(), s.dims)
-		}
 		d1 := event.GreatestDims(e)[0]
-		cell := s.pools[d1-1].InsertCell(e.Values[d1-1], event.SecondGreatest(e, d1))
-		key := storeKey{dim: d1, cell: cell}
-		index := s.holder[cell]
+		key := Key{Dim: d1, Cell: s.candidate(e, d1)}
+		index := s.holder[key.Cell]
 		segs := s.store[key]
 		if len(segs) == 0 {
 			segs = append(segs, segment{node: index})
@@ -82,13 +78,8 @@ func (s *System) Load(r io.Reader) (int, error) {
 		active.events = append(active.events, e)
 		s.stored[active.node]++
 		s.store[key] = segs
-		if s.replicate {
-			if _, ok := s.mirrors[key]; !ok {
-				s.mirrors[key] = s.nearestAliveTo(s.grid.Center(cell), index)
-			}
-			if m := s.mirrors[key]; m >= 0 && !s.dead[m] {
-				s.mirrorStore[key] = append(s.mirrorStore[key], e)
-			}
+		if s.ElectMirror(key, index) >= 0 {
+			s.mirrorStore[key] = append(s.mirrorStore[key], e)
 		}
 	}
 	return len(events), nil

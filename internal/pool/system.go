@@ -2,11 +2,9 @@ package pool
 
 import (
 	"fmt"
-	"math"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
-	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
@@ -93,12 +91,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return optionFunc(func(c *config) { c.reg = reg })
 }
 
-// storeKey addresses the storage of one cell of one Pool.
-type storeKey struct {
-	dim  int // 1-based Pool dimension
-	cell CellID
-}
-
 // segment is one slab of a cell's storage, held by one node. The first
 // segment lives at the cell's index node; workload sharing appends
 // segments at delegate nodes.
@@ -109,21 +101,15 @@ type segment struct {
 
 // System is a Pool DCS instance over one network.
 type System struct {
+	// Directory is the deployment-shared Pool state and the rules over it:
+	// grid, Pools, index nodes, membership, mirrors (directory.go).
+	*Directory
+
 	net    *network.Network
 	router *gpsr.Router
-	grid   *Grid
-	pools  []Pool
-	dims   int
 
-	// holder maps each Pool cell to its index node — the node closest to
-	// the cell centre (§2), which fields all traffic for the cell.
-	holder map[CellID]int
-	// splitters memoises SplitterFor over holder; FailNode's re-election
-	// loop, the one place a holder changes after construction,
-	// invalidates it.
-	splitters *SplitterMemo
 	// store holds the storage segments of each (Pool, cell).
-	store map[storeKey][]segment
+	store map[Key][]segment
 	// stored counts events held per node, maintained incrementally.
 	stored []int
 
@@ -134,25 +120,23 @@ type System struct {
 	// arq is the per-hop retransmission budget for routed unicasts; its
 	// PathBuf points at pathBuf so route paths reuse one backing array.
 	arq dcs.TxOptions
-	// pathBuf, cellBuf, and servedBuf are query/insert hot-path scratch,
+	// pathBuf, plan, and servedBuf are query/insert hot-path scratch,
 	// reused across operations. A System is single-goroutine, so plain
 	// fields suffice.
 	pathBuf   []int
-	cellBuf   []CellID
+	plan      Plan
 	servedBuf []servedCell
 
 	// tracer records structured events; nil disables tracing.
 	tracer *trace.Tracer
 
-	// Replication and failure state (faults.go).
-	replicate    bool
-	mirrors      map[storeKey]int
-	mirrorStore  map[storeKey][]event.Event
-	dead         []bool
+	// Replication and failure state (faults.go): the mirror copies, keyed
+	// like the directory's mirror assignments.
+	mirrorStore  map[Key][]event.Event
 	recoveryMsgs uint64
 
 	// Continuous-query state (continuous.go).
-	subs    map[storeKey][]*Subscription
+	subs    map[Key][]*Subscription
 	subSeq  uint64
 	pending []Notification
 
@@ -172,70 +156,31 @@ var _ dcs.StorageReporter = (*System)(nil)
 // matching the paper's random pivot placement, unless WithPivots pins
 // them.
 func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, opts ...Option) (*System, error) {
-	if dims < 1 {
-		return nil, fmt.Errorf("pool: dimensionality must be ≥ 1, got %d", dims)
-	}
 	cfg := config{alpha: DefaultAlpha, side: DefaultSide}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
 	layout := net.Layout()
-	grid, err := NewGrid(layout.Bounds(), cfg.alpha)
+	dir, err := NewDirectory(layout, dims, cfg.alpha, cfg.side, cfg.pivots, src, cfg.replicate)
 	if err != nil {
 		return nil, err
 	}
-	if grid.Cols < cfg.side || grid.Rows < cfg.side {
-		return nil, fmt.Errorf("pool: field of %d×%d cells cannot hold a Pool of side %d",
-			grid.Cols, grid.Rows, cfg.side)
-	}
-
 	s := &System{
+		Directory: dir,
 		net:       net,
 		router:    router,
-		grid:      grid,
-		dims:      dims,
-		holder:    make(map[CellID]int),
-		store:     make(map[storeKey][]segment),
+		store:     make(map[Key][]segment),
 		stored:    make([]int, layout.N()),
 		quota:     cfg.quota,
 		tracer:    cfg.tracer,
-		replicate: cfg.replicate,
 		arq:       cfg.arq,
-		dead:      make([]bool, layout.N()),
+		// Sized here so the first query allocates no more than a later one.
+		plan: Plan{Fanouts: make([]Fanout, 0, dims)},
 	}
 	s.arq.PathBuf = &s.pathBuf
-	if s.replicate {
-		s.mirrors = make(map[storeKey]int)
-		s.mirrorStore = make(map[storeKey][]event.Event)
+	if cfg.replicate {
+		s.mirrorStore = make(map[Key][]event.Event)
 	}
-
-	pivots := cfg.pivots
-	if pivots == nil {
-		if src == nil {
-			return nil, fmt.Errorf("pool: random pivot placement requires a rng source")
-		}
-		pivots = placePivots(grid, dims, cfg.side, src)
-	}
-	if len(pivots) != dims {
-		return nil, fmt.Errorf("pool: %d pivots for %d dimensions", len(pivots), dims)
-	}
-	for i, pc := range pivots {
-		if pc.X < 0 || pc.Y < 0 || pc.X+cfg.side > grid.Cols || pc.Y+cfg.side > grid.Rows {
-			return nil, fmt.Errorf("pool: pivot %v does not fit a Pool of side %d in a %d×%d grid",
-				pc, cfg.side, grid.Cols, grid.Rows)
-		}
-		s.pools = append(s.pools, Pool{Dim: i + 1, Pivot: pc, Side: cfg.side})
-	}
-
-	// Designate index nodes: the node closest to each Pool cell's centre.
-	for _, p := range s.pools {
-		for _, c := range p.Cells() {
-			if _, ok := s.holder[c]; !ok {
-				s.holder[c] = layout.Nearest(grid.Center(c))
-			}
-		}
-	}
-	s.splitters = NewSplitterMemo(layout, s.pools, s.holder)
 	if cfg.reg != nil {
 		s.enableMetrics(cfg.reg)
 	}
@@ -258,35 +203,6 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(s.recoveryMsgs) })
 }
 
-// placePivots draws random pivot cells, preferring a placement where the
-// Pools do not overlap (as in the paper's Figure 2); after 200 attempts it
-// accepts overlap.
-func placePivots(grid *Grid, dims, side int, src *rng.Source) []CellID {
-	maxX := grid.Cols - side
-	maxY := grid.Rows - side
-	var pivots []CellID
-	for attempt := 0; attempt < 200; attempt++ {
-		pivots = make([]CellID, dims)
-		ok := true
-		for i := range pivots {
-			pivots[i] = CellID{X: src.Intn(maxX + 1), Y: src.Intn(maxY + 1)}
-			for j := 0; j < i; j++ {
-				if overlaps(pivots[i], pivots[j], side) {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			break
-		}
-	}
-	return pivots
-}
-
-func overlaps(a, b CellID, side int) bool {
-	return a.X < b.X+side && b.X < a.X+side && a.Y < b.Y+side && b.Y < a.Y+side
-}
-
 // unicast routes a payload between two nodes, applying the system's ARQ
 // retransmission budget. Every routed exchange in the package goes
 // through here.
@@ -297,24 +213,6 @@ func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int
 // Name implements dcs.System.
 func (s *System) Name() string { return "Pool" }
 
-// Dims returns the event dimensionality.
-func (s *System) Dims() int { return s.dims }
-
-// Grid returns the cell grid.
-func (s *System) Grid() *Grid { return s.grid }
-
-// Pools returns the k Pools. The slice is owned by the system.
-func (s *System) Pools() []Pool { return s.pools }
-
-// IndexNode returns the index node of a Pool cell, or -1 for cells outside
-// every Pool.
-func (s *System) IndexNode(c CellID) int {
-	if h, ok := s.holder[c]; ok {
-		return h
-	}
-	return -1
-}
-
 // Delegations returns how many workload-sharing storage segments have been
 // created beyond the index nodes' own.
 func (s *System) Delegations() int { return s.delegations }
@@ -324,42 +222,29 @@ func (s *System) Delegations() int { return s.delegations }
 // second-greatest attribute values; with tied maxima, the candidate cell
 // closest to the detecting sensor is chosen and a single copy stored.
 func (s *System) Insert(origin int, e event.Event) error {
-	if err := e.Validate(); err != nil {
-		return fmt.Errorf("pool: %w", err)
+	key, index, err := s.Place(origin, e)
+	if err != nil {
+		return err
 	}
-	if e.Dims() != s.dims {
-		return fmt.Errorf("pool: event has %d dims, system built for %d", e.Dims(), s.dims)
-	}
-	dims := event.GreatestDims(e)
-	originCell := s.grid.CellOf(s.net.Layout().Pos(origin))
-	bestDim, bestCell, bestDist := -1, CellID{}, math.Inf(1)
-	for _, d := range dims {
-		cell := s.pools[d-1].InsertCell(e.Values[d-1], event.SecondGreatest(e, d))
-		if dist := CellDist(cell, originCell); dist < bestDist {
-			bestDim, bestCell, bestDist = d, cell, dist
-		}
-	}
-
 	payload := dcs.EventBytes(s.dims)
 	// The event is routed geographically toward the cell; its index node
 	// consumes it on arrival (cell membership and the index role are
 	// cell-local knowledge, so no home-node probe is needed — §2).
-	index := s.holder[bestCell]
 	if s.tracer.Enabled() {
 		s.tracer.Begin(trace.OpInsert, origin, "")
 		defer s.tracer.End()
-		s.tracer.Record(trace.TypePlace, index, bestDim, fmt.Sprintf("P%d %v", bestDim, bestCell))
+		s.tracer.Record(trace.TypePlace, index, key.Dim, CellLabel(key.Dim, key.Cell))
 	}
 	if _, err := s.unicast(origin, index, network.KindInsert, payload); err != nil {
 		return fmt.Errorf("pool: insert: %w", err)
 	}
 	s.mInserts.Inc()
-	return s.storeEvent(storeKey{dim: bestDim, cell: bestCell}, index, e, payload)
+	return s.storeEvent(key, index, e, payload)
 }
 
 // storeEvent places the event into the cell's active storage segment,
 // opening a delegated segment first when workload sharing demands it.
-func (s *System) storeEvent(key storeKey, index int, e event.Event, payload int) error {
+func (s *System) storeEvent(key Key, index int, e event.Event, payload int) error {
 	segs := s.store[key]
 	if len(segs) == 0 {
 		segs = append(segs, segment{node: index})
@@ -393,13 +278,9 @@ func (s *System) storeEvent(key storeKey, index int, e event.Event, payload int)
 
 // mirrorEvent copies a freshly stored event to the cell's mirror node,
 // electing the mirror on first use.
-func (s *System) mirrorEvent(key storeKey, index int, e event.Event, payload int) error {
-	mirror, ok := s.mirrors[key]
-	if !ok {
-		mirror = s.nearestAliveTo(s.grid.Center(key.cell), index)
-		s.mirrors[key] = mirror
-	}
-	if mirror < 0 || s.dead[mirror] {
+func (s *System) mirrorEvent(key Key, index int, e event.Event, payload int) error {
+	mirror := s.ElectMirror(key, index)
+	if mirror < 0 {
 		return nil
 	}
 	if _, err := s.unicast(index, mirror, network.KindInsert, payload); err != nil {
@@ -431,80 +312,18 @@ func (s *System) pickDelegate(index, current int) int {
 }
 
 // RelevantCells returns, per Pool, the cells relevant to q after the §2
-// partial-match rewrite — the paper's Figures 4 and 5.
+// partial-match rewrite — the paper's Figures 4 and 5. A query the system
+// would reject has none.
 func (s *System) RelevantCells(q event.Query) map[int][]CellID {
-	rq := q.Rewrite()
-	out := make(map[int][]CellID, len(s.pools))
-	for _, p := range s.pools {
-		if cells := p.RelevantCells(rq); len(cells) > 0 {
-			out[p.Dim] = cells
-		}
+	var plan Plan
+	if err := s.Resolve(q, &plan); err != nil {
+		return nil
+	}
+	out := make(map[int][]CellID, len(plan.Fanouts))
+	for _, f := range plan.Fanouts {
+		out[f.Pool.Dim] = f.Cells
 	}
 	return out
-}
-
-// SplitterFor returns the Pool's splitter for a given sink: the Pool's
-// index node closest to the sink (§3.2.3). Pools are predefined, so the
-// sink computes this locally. Answers are memoised per (Pool, sink) until
-// the next re-election (SplitterMemo), so a repeat call is a table lookup
-// that returns what the scan over the Pool's cells would.
-func (s *System) SplitterFor(p Pool, sink int) int {
-	return s.splitters.For(p, sink)
-}
-
-// SplitterMemo memoises splitter choice for the synchronous system and
-// the node actor engine alike. The Pool index node closest to a sink is a
-// pure function of node positions and the owner's holder table: positions
-// never change, and the owner calls Invalidate wherever it writes a
-// holder.
-type SplitterMemo struct {
-	layout *field.Layout
-	pools  []Pool
-	holder map[CellID]int
-	// rows[dim-1][sink] is the memoised splitter plus one; 0 is unknown.
-	rows [][]int32
-}
-
-// NewSplitterMemo returns an empty memo over the owner's Pools and holder
-// table (shared, not copied).
-func NewSplitterMemo(layout *field.Layout, pools []Pool, holder map[CellID]int) *SplitterMemo {
-	m := &SplitterMemo{layout: layout, pools: pools, holder: holder, rows: make([][]int32, len(pools))}
-	for i := range m.rows {
-		m.rows[i] = make([]int32, layout.N())
-	}
-	return m
-}
-
-// For returns the index node of p closest to sink — ties go to the
-// earlier cell in p.Cells() order — or -1 for a Pool without cells. A
-// Pool the memo was not built for is scanned every time.
-func (m *SplitterMemo) For(p Pool, sink int) int {
-	var slot *int32
-	if i := p.Dim - 1; i >= 0 && i < len(m.pools) && m.pools[i] == p {
-		slot = &m.rows[i][sink]
-		if *slot != 0 {
-			return int(*slot) - 1
-		}
-	}
-	sinkPos := m.layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := m.holder[c]
-		if d2 := m.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	if slot != nil {
-		*slot = int32(best + 1)
-	}
-	return best
-}
-
-// Invalidate forgets every memoised splitter, in place.
-func (m *SplitterMemo) Invalidate() {
-	for _, row := range m.rows {
-		clear(row)
-	}
 }
 
 // Query implements dcs.System: the query is resolved with Theorem 3.2 and
@@ -525,13 +344,9 @@ func (s *System) Query(sink int, q event.Query) ([]event.Event, error) {
 // error return covers only malformed queries and programming faults.
 func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error) {
 	var comp dcs.Completeness
-	if err := q.Validate(); err != nil {
-		return nil, comp, fmt.Errorf("pool: %w", err)
+	if err := s.Resolve(q, &s.plan); err != nil {
+		return nil, comp, err
 	}
-	if q.Dims() != s.dims {
-		return nil, comp, fmt.Errorf("pool: query has %d dims, system built for %d", q.Dims(), s.dims)
-	}
-	rq := q.Rewrite()
 	qBytes := dcs.QueryBytes(s.dims)
 
 	if s.tracer.Enabled() {
@@ -539,8 +354,8 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		defer s.tracer.End()
 	}
 	var results []event.Event
-	for _, p := range s.pools {
-		poolResults, err := s.queryPool(p, sink, rq, qBytes, &comp)
+	for _, f := range s.plan.Fanouts {
+		poolResults, err := s.queryPool(f.Pool, f.Cells, sink, s.plan.Query, qBytes, &comp)
 		if err != nil {
 			return nil, comp, err
 		}
@@ -551,11 +366,6 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	s.mRetries.Add(uint64(comp.Retries))
 	return results, comp, nil
 }
-
-// degradable reports whether a unicast failure is one graceful
-// degradation absorbs; the shared predicate lives in dcs so pool, dim,
-// and ght stay in lockstep.
-func degradable(err error) bool { return dcs.IsDegradable(err) }
 
 // servedCell records one reached cell of a fan-out and how many matches
 // the splitter holds for it, so the final reply leg can demote served
@@ -570,11 +380,8 @@ type servedCell struct {
 // unreached cells identically to the synchronous spec.
 func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) }
 
-// cellLabel is the package-internal shorthand for CellLabel.
-func cellLabel(dim int, c CellID) string { return CellLabel(dim, c) }
-
-// queryPool resolves the (rewritten) query against one Pool: the query is
-// forwarded through the Pool's splitter to every relevant cell, and the
+// queryPool resolves the (rewritten) query against one Pool's relevant
+// cells: the query is forwarded through the Pool's splitter to each, and the
 // replies converge back through the splitter (§3.2.3). When tracing, the
 // whole exchange runs inside a fan-out sub-span of the query span.
 //
@@ -584,16 +391,11 @@ func cellLabel(dim int, c CellID) string { return CellLabel(dim, c) }
 // provides one; each reply leg is retransmitted once. Cells that stay
 // unreachable are recorded in comp and skipped. In a fault-free run the
 // traffic is identical, hop for hop, to the pre-degradation protocol.
-func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *dcs.Completeness) ([]event.Event, error) {
-	cells := p.AppendRelevantCells(s.cellBuf[:0], rq)
-	s.cellBuf = cells
-	if len(cells) == 0 {
-		return nil, nil
-	}
+func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBytes int, comp *dcs.Completeness) ([]event.Event, error) {
 	comp.CellsTotal += len(cells)
 	unreachedAll := func() {
 		for _, c := range cells {
-			comp.Unreached = append(comp.Unreached, cellLabel(p.Dim, c))
+			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
 		}
 	}
 	splitter := s.SplitterFor(p, sink)
@@ -603,19 +405,19 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 		s.tracer.Record(trace.TypeFanout, splitter, len(cells), fmt.Sprintf("P%d", p.Dim))
 	}
 	if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
-		if !degradable(err) {
+		if !dcs.IsDegradable(err) {
 			return nil, fmt.Errorf("pool: query to splitter: %w", err)
 		}
 		// The splitter timed out: retry once through the Pool's
 		// next-closest index node.
-		alt := s.alternateSplitter(p, sink, splitter)
+		alt := s.AlternateSplitter(p, sink, splitter)
 		if alt < 0 {
 			unreachedAll()
 			return nil, nil
 		}
 		comp.Retries++
 		if _, err := s.unicast(sink, alt, network.KindQuery, qBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, fmt.Errorf("pool: query to alternate splitter: %w", err)
 			}
 			unreachedAll()
@@ -631,13 +433,13 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 	// path never pays for them.
 	served := s.servedBuf[:0]
 	for _, c := range cells {
-		matches, ok, err := s.queryCellVia(p, storeKey{dim: p.Dim, cell: c}, splitter, rq, qBytes, comp)
+		matches, ok, err := s.queryCellVia(p, Key{Dim: p.Dim, Cell: c}, splitter, rq, qBytes, comp)
 		if err != nil {
 			s.servedBuf = served
 			return nil, err
 		}
 		if !ok {
-			comp.Unreached = append(comp.Unreached, cellLabel(p.Dim, c))
+			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
 			continue
 		}
 		served = append(served, servedCell{cell: c, matches: len(matches)})
@@ -650,12 +452,12 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 		}
 		replyBytes := dcs.ReplyBytes(s.dims, len(poolResults))
 		if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, fmt.Errorf("pool: reply to sink: %w", err)
 			}
 			comp.Retries++
 			if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
-				if !degradable(err) {
+				if !dcs.IsDegradable(err) {
 					return nil, fmt.Errorf("pool: reply to sink: %w", err)
 				}
 				// The aggregate reply never made it back: every cell whose
@@ -663,7 +465,7 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 				// still count as served, as in the fault-free protocol.
 				for _, sc := range served {
 					if sc.matches > 0 {
-						comp.Unreached = append(comp.Unreached, cellLabel(p.Dim, sc.cell))
+						comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, sc.cell))
 					} else {
 						comp.CellsReached++
 					}
@@ -679,22 +481,22 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 // queryCellVia queries one cell through the splitter and returns the
 // matches the splitter received, with ok=false when the cell stayed
 // unreachable through the retry policy.
-func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query, qBytes int, comp *dcs.Completeness) (matches []event.Event, ok bool, err error) {
-	index := s.holder[key.cell]
+func (s *System) queryCellVia(p Pool, key Key, splitter int, rq event.Query, qBytes int, comp *dcs.Completeness) (matches []event.Event, ok bool, err error) {
+	index := s.holder[key.Cell]
 	target, useMirror := index, false
 	if index != splitter {
 		if _, err := s.unicast(splitter, index, network.KindQuery, qBytes); err != nil {
-			if !degradable(err) {
-				return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.cell, err)
+			if !dcs.IsDegradable(err) {
+				return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err)
 			}
 			// The index node timed out: one retry, preferring the cell's
 			// mirror when replication provides an alive one.
 			comp.Retries++
-			if m, hasMirror := s.mirrorFor(key, index); hasMirror {
+			if m, hasMirror := s.MirrorFor(key, index); hasMirror {
 				if m != splitter {
 					if _, err2 := s.unicast(splitter, m, network.KindQuery, qBytes); err2 != nil {
-						if !degradable(err2) {
-							return nil, false, fmt.Errorf("pool: query to mirror of %v: %w", key.cell, err2)
+						if !dcs.IsDegradable(err2) {
+							return nil, false, fmt.Errorf("pool: query to mirror of %v: %w", key.Cell, err2)
 						}
 						return nil, false, nil
 					}
@@ -703,8 +505,8 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 			} else {
 				// No mirror: back off and re-attempt the primary once.
 				if _, err2 := s.unicast(splitter, index, network.KindQuery, qBytes); err2 != nil {
-					if !degradable(err2) {
-						return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.cell, err2)
+					if !dcs.IsDegradable(err2) {
+						return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err2)
 					}
 					return nil, false, nil
 				}
@@ -717,20 +519,20 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 		matches = s.queryCell(key, target, rq, qBytes)
 	}
 	if s.tracer.Enabled() {
-		s.tracer.Record(trace.TypeResolve, target, len(matches), key.cell.String())
+		s.tracer.Record(trace.TypeResolve, target, len(matches), key.Cell.String())
 	}
 	if len(matches) == 0 || target == splitter {
 		return matches, true, nil
 	}
 	replyBytes := dcs.ReplyBytes(s.dims, len(matches))
 	if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
-		if !degradable(err) {
-			return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.cell, err)
+		if !dcs.IsDegradable(err) {
+			return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
 		}
 		comp.Retries++
 		if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
-			if !degradable(err) {
-				return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.cell, err)
+			if !dcs.IsDegradable(err) {
+				return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
 			}
 			return nil, false, nil
 		}
@@ -738,42 +540,11 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 	return matches, true, nil
 }
 
-// mirrorFor returns the cell's mirror node when replication keeps an
-// alive copy distinct from the (unreachable) index node.
-func (s *System) mirrorFor(key storeKey, index int) (int, bool) {
-	if !s.replicate {
-		return -1, false
-	}
-	m, elected := s.mirrors[key]
-	if !elected || m < 0 || m == index || s.dead[m] {
-		return -1, false
-	}
-	return m, true
-}
-
-// alternateSplitter returns the Pool's index node closest to the sink
-// among nodes other than avoid, or -1 when the Pool has no other holder.
-func (s *System) alternateSplitter(p Pool, sink, avoid int) int {
-	layout := s.net.Layout()
-	sinkPos := layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := s.holder[c]
-		if h == avoid {
-			continue
-		}
-		if d2 := layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
-}
-
 // queryCell scans all storage segments of one cell. Delegated segments
 // cost an extra query/reply exchange between the index node and the
 // delegate; a delegate that became unreachable is skipped, losing its
 // slice of the answer (visible in recall, not in cell completeness).
-func (s *System) queryCell(key storeKey, index int, rq event.Query, qBytes int) []event.Event {
+func (s *System) queryCell(key Key, index int, rq event.Query, qBytes int) []event.Event {
 	var matches []event.Event
 	for _, seg := range s.store[key] {
 		if seg.node != index {

@@ -2,8 +2,6 @@ package systemtest
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"testing"
 
@@ -101,38 +99,25 @@ func TestConformanceActorEquivalence(t *testing.T) {
 	}
 }
 
-// checkSplitters holds both implementations' memoised splitter choice to
-// a linear scan of the spec's index-node table, for every sink: whatever
-// FailNode, RecoverNode and repair grants the scenario caused, a splitter
-// is still the Pool's index node closest to the sink.
+// checkSplitters holds both implementations' directories to their own
+// invariant (every memoised splitter is the Pool's index node closest to
+// the sink) and to each other: whatever FailNode, RecoverNode and repair
+// grants the scenario caused, the actor elects the splitters the spec
+// does.
 func checkSplitters(t *testing.T, actor, spec *Universe) {
 	t.Helper()
 	eng := actor.Sys.(*node.Sync).Engine()
 	sys := spec.Sys.(*pool.System)
-	layout := spec.Net.Layout()
-	full := make([]event.Range, confDims)
-	for i := range full {
-		full[i] = event.Span(0, 1)
-	}
-	for sink := 0; sink < layout.N(); sink++ {
-		var scan []int // distinct, in Pool order, as SplittersFor reports them
-		for _, p := range sys.Pools() {
-			want, bestD2 := -1, math.Inf(1)
-			for _, c := range p.Cells() {
-				h := sys.IndexNode(c)
-				if d2 := layout.Pos(h).Dist2(layout.Pos(sink)); d2 < bestD2 {
-					want, bestD2 = h, d2
-				}
-			}
-			if got := sys.SplitterFor(p, sink); got != want {
-				t.Fatalf("spec: SplitterFor(%v, %d) = %d, linear scan says %d", p, sink, got, want)
-			}
-			if !slices.Contains(scan, want) {
-				scan = append(scan, want)
-			}
+	for _, d := range []*pool.Directory{eng.Directory, sys.Directory} {
+		if err := d.CheckDirectory(); err != nil {
+			t.Fatal(err)
 		}
-		if got := eng.SplittersFor(sink, event.NewQuery(full...)); !slices.Equal(got, scan) {
-			t.Fatalf("actor: SplittersFor(%d) = %v, linear scan of the spec says %v", sink, got, scan)
+	}
+	for _, p := range sys.Pools() {
+		for sink := 0; sink < confNodes; sink++ {
+			if a, s := eng.SplitterFor(p, sink), sys.SplitterFor(p, sink); a != s {
+				t.Fatalf("SplitterFor(%v, %d): actor %d, spec %d", p, sink, a, s)
+			}
 		}
 	}
 }

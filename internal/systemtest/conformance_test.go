@@ -144,6 +144,23 @@ func scenarios() []scenario {
 				nil),
 		},
 		{
+			name: "out-of-range-id",
+			apply: func(t *testing.T, u *Universe) {
+				for _, id := range []int{-1, confNodes} {
+					if err := u.Sys.FailNode(id); err == nil {
+						t.Errorf("FailNode(%d) accepted", id)
+					}
+					u.Sys.RecoverNode(id)
+					if u.Sys.Failed(id) {
+						t.Errorf("Failed(%d) = true", id)
+					}
+				}
+			},
+			expect: everySystem(
+				expect{fullRecall: true, complete: true},
+				nil),
+		},
+		{
 			name: "insert-after-detected-crash",
 			apply: func(t *testing.T, u *Universe) {
 				victim := u.MostLoaded()
