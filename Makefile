@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench-build race race-parallel fuzz chaos conformance smoke-bench micro-bench loadtest check bench bench-compare bench-e2e golden
+.PHONY: build test vet bench-build race race-parallel fuzz chaos conformance smoke-bench micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
 
 build:
 	$(GO) build ./...
@@ -107,13 +107,18 @@ smoke-bench:
 # at stable iteration counts the deltas vanished — single-iteration
 # timings are startup noise, not signal. ns/op is only gated here, where
 # -benchtime is pinned and per-benchmark tolerances in
-# bench_micro_baseline.json absorb scheduler jitter.
+# bench_micro_baseline.json absorb scheduler jitter. The steady-state
+# range query rides along for its allocs/op alone (no ns tolerance in its
+# baseline rows): with warm reply buffers a query allocates its result and
+# nothing else, and a 20000x run takes two seconds.
 micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$' 2>&1 \
 		| tee /tmp/micro-bench.out
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test . -run=NONE -benchmem -benchtime=20000x -bench='^BenchmarkRangeQuerySteady$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 
@@ -160,6 +165,41 @@ bench-compare:
 bench-e2e:
 	$(GO) test -C bench -short ./...
 	$(GO) run -C bench . -all -repeat 2 -check
+
+# Before/after measurement of one benchmark workload by alternating
+# pairs: the BASE revision's benchmark, built from a `git worktree` under
+# .bench_build/, against the working tree's. Pair i runs both builds at
+# seed SEEDS[i mod len] with the order flipped every pair, so a slow phase
+# of the host hits both sides alike; run length is the benchmark's own.
+# `benchjson -pairs` then prints each end-to-end metric's quartiles per
+# side, the pairs the working tree won and whether that is a claimable
+# gain. Each build runs inside its own checkout because the benchmark
+# builds poolsim from the checkout it is started in.
+#   make bench-pair BASE=HEAD~1 W=sync_range PAIRS=10 SEEDS="42 43 44"
+BASE ?= HEAD
+W ?= sync_range
+PAIRS ?= 10
+SEEDS ?= 42 43 44
+bench-pair:
+	@mkdir -p .bench_build
+	@git worktree remove --force .bench_build/base 2>/dev/null || true
+	git worktree add --detach .bench_build/base $(BASE)
+	$(GO) build -C .bench_build/base/bench -o $(CURDIR)/.bench_build/bench_base .
+	$(GO) build -C bench -o $(CURDIR)/.bench_build/bench_new .
+	@set -e; : > .bench_build/pairs.out; set -- $(SEEDS); i=0; \
+	run() { \
+		(cd $$2 && $(CURDIR)/.bench_build/bench_$$1 --workload $(W) --seed $$seed --trace 0) \
+			| tail -n 1 | sed "s/^/$$1	/" | tee -a .bench_build/pairs.out; \
+	}; \
+	while [ $$i -lt $(PAIRS) ]; do \
+		eval "seed=\$${$$((i % $$# + 1))}"; \
+		echo "pair $$((i + 1))/$(PAIRS) seed $$seed"; \
+		if [ $$((i % 2)) -eq 0 ]; then run base .bench_build/base; run new .; \
+		else run new .; run base .bench_build/base; fi; \
+		i=$$((i + 1)); \
+	done
+	@git worktree remove --force .bench_build/base
+	@$(GO) run ./cmd/benchjson -pairs BENCHMARK.json < .bench_build/pairs.out
 
 # Regenerate golden files after an intentional behaviour change.
 golden:

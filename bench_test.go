@@ -222,6 +222,71 @@ func BenchmarkDIMQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeQuerySteady is the steady state of the Fig 6/7 query
+// path: N=900, three events per node, the four §5 query shapes cycling
+// over a fixed query list that has already run once, so reply buffers,
+// path buffers and the route memo are warm. What is left to allocate per
+// query is the caller's exact-size result (plus DIM's rewritten query);
+// `make micro-bench` gates that count.
+func BenchmarkRangeQuerySteady(b *testing.B) {
+	env := benchEnv(b, 900)
+	gen := workload.NewUniformEvents(rng.New(5), 3)
+	for i := 0; i < 3*900; i++ {
+		e := gen.Next()
+		if err := env.Pool.Insert(i%900, e); err != nil {
+			b.Fatal(err)
+		}
+		if err := env.DIM.Insert(i%900, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	qgen := workload.NewQueries(rng.New(7), 3)
+	sinks := rng.New(8)
+	type placed struct {
+		sink int
+		q    event.Query
+	}
+	queries := make([]placed, 1024)
+	for i := range queries {
+		var q event.Query
+		switch i % 4 {
+		case 0:
+			q = qgen.ExactMatch(workload.UniformSizes)
+		case 1:
+			q = qgen.ExactMatch(workload.ExponentialSizes)
+		default:
+			var err error
+			if q, err = qgen.MPartial(i%4 - 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		queries[i] = placed{sink: sinks.Intn(900), q: q}
+	}
+	for _, sys := range []struct {
+		name  string
+		query func(sink int, q event.Query) ([]event.Event, error)
+	}{
+		{"pool", env.Pool.Query},
+		{"dim", env.DIM.Query},
+	} {
+		b.Run(sys.name, func(b *testing.B) {
+			for _, pq := range queries {
+				if _, err := sys.query(pq.sink, pq.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pq := queries[i%len(queries)]
+				if _, err := sys.query(pq.sink, pq.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGPSRRoute(b *testing.B) {
 	layout, err := field.Generate(field.DefaultSpec(900), rng.New(9))
 	if err != nil {

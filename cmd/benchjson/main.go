@@ -8,6 +8,7 @@
 //	go test -bench=. -benchmem ./... | benchjson [-o report.json]
 //	benchjson -compare old.json new.json
 //	go test -bench=... -benchmem | benchjson -gate baseline.json [-tolerance 10]
+//	benchjson -pairs BENCHMARK.json < tagged-result-lines
 //
 // Reads the benchmark stream on stdin. Context lines (goos, goarch,
 // pkg, cpu) are folded into the enclosing benchmarks; custom
@@ -22,6 +23,12 @@
 // and the tolerance resolves per benchmark: a "ns_tolerance_pct" field
 // in the baseline entry wins, else the -ns-tolerance flag, else 0
 // (disabled).
+//
+// -pairs summarises alternating runs of the repository benchmark
+// (bench/) on two builds, as `make bench-pair` produces them: per
+// end-to-end metric of BENCHMARK.json, each side's quartiles, the median
+// change, the pairs the new build won, and whether that amounts to a
+// claimable gain (pairs.go).
 package main
 
 import (
@@ -81,6 +88,7 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 	gate := fs.String("gate", "", "baseline report; fail when stdin's allocs/op regress past -tolerance")
 	tolerance := fs.Float64("tolerance", 10, "allowed allocs/op regression in percent for -gate")
 	nsTolerance := fs.Float64("ns-tolerance", 0, "allowed ns/op regression in percent for -gate (0 disables; per-benchmark ns_tolerance_pct in the baseline overrides)")
+	pairs := fs.String("pairs", "", "BENCHMARK.json; summarise stdin's base/new result lines of the repository benchmark pair by pair")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -90,14 +98,14 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 		}
 		return compareReports(fs.Arg(0), fs.Arg(1), stdout)
 	}
-	if *gate != "" {
-		if fs.NArg() > 0 {
-			return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-		}
-		return gateReport(in, *gate, *tolerance, *nsTolerance, stdout)
-	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if *gate != "" {
+		return gateReport(in, *gate, *tolerance, *nsTolerance, stdout)
+	}
+	if *pairs != "" {
+		return pairsReport(in, *pairs, stdout)
 	}
 
 	rep, err := parse(in)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,5 +214,75 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := parse(strings.NewReader("BenchmarkBroken-8 10 12\n")); err == nil {
 		t.Error("odd value/unit tail accepted")
+	}
+}
+
+func TestPairsReport(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "BENCHMARK.json")
+	if err := os.WriteFile(spec, []byte(`{"end_to_end":[
+		{"name":"wall_s","unit":"s","better":"lower"},
+		{"name":"ops_per_s","unit":"1/s","better":"higher"},
+		{"name":"msgs","unit":"msgs","better":"lower"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	line := func(side string, wall, ops float64) string {
+		return side + "\t" + `{"correct":true,"attempted":100,"failed":0,"metrics":{` +
+			`"wall_s":{"value":` + fmt.Sprint(wall) + `,"unit":"s"},` +
+			`"ops_per_s":{"value":` + fmt.Sprint(ops) + `,"unit":"1/s"},` +
+			`"msgs":{"value":155.5,"unit":"msgs"}}}` + "\n"
+	}
+	// Ten pairs, order alternating as bench-pair writes them. wall_s: base
+	// 1.00..1.09, new 0.70..0.79 — every pair won, gap far beyond the
+	// base's quartile distance. ops_per_s: new is higher in 8 of 10 pairs
+	// only. msgs: always tied.
+	var in strings.Builder
+	for i := 0; i < 10; i++ {
+		ops := 120.0
+		if i >= 8 {
+			ops = 90
+		}
+		b, n := line("base", 1+float64(i)/100, 100), line("new", 0.7+float64(i)/100, ops)
+		if i%2 == 1 {
+			b, n = n, b
+		}
+		in.WriteString(b + n)
+	}
+	var out strings.Builder
+	if err := run([]string{"-pairs", spec}, strings.NewReader(in.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, l := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			rows[f[0]] = f
+		}
+	}
+	// metric unit bq1 bmed bq3 nq1 nmed nq3 delta won gain
+	if got := rows["wall_s"]; len(got) != 11 || got[2] != "1.022" || got[3] != "1.045" || got[4] != "1.068" ||
+		got[6] != "0.745" || got[8] != "-28.71%" || got[9] != "10/10" || got[10] != "yes" {
+		t.Errorf("wall_s row: %v", got)
+	}
+	if got := rows["ops_per_s"]; len(got) != 11 || got[9] != "8/10" || got[10] != "no" {
+		t.Errorf("ops_per_s row (8 of 10 pairs is not a gain): %v", got)
+	}
+	if got := strings.Join(rows["msgs"], " "); !strings.Contains(got, "0/10 (10 tied) no") || !strings.Contains(got, " ~ ") {
+		t.Errorf("msgs row (ties win nothing): %v", got)
+	}
+	if !strings.Contains(out.String(), "10 pairs; failed operations: base 0 of 1000, new 0 of 1000") {
+		t.Errorf("header: %q", out.String())
+	}
+
+	for name, bad := range map[string]string{
+		"unbalanced": line("base", 1, 1),
+		"untagged":   `{"metrics":{}}` + "\n",
+		"no metric":  "base\t{\"metrics\":{}}\nnew\t{\"metrics\":{}}\n",
+		"empty":      "",
+	} {
+		if err := run([]string{"-pairs", spec}, strings.NewReader(bad), &out); err == nil {
+			t.Errorf("%s input accepted", name)
+		}
+	}
+	if err := run([]string{"-pairs", filepath.Join(t.TempDir(), "missing.json")}, strings.NewReader(""), &out); err == nil {
+		t.Error("missing BENCHMARK.json accepted")
 	}
 }

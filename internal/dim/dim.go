@@ -114,12 +114,21 @@ type System struct {
 	// arq is the per-hop retransmission budget for routed unicasts; its
 	// PathBuf points at pathBuf so route paths reuse one backing array.
 	arq dcs.TxOptions
-	// pathBuf, zoneBuf, visitBuf, and answered are query/insert hot-path
-	// scratch, reused across operations. A System is single-goroutine.
+	// pathBuf, zoneBuf, visitBuf, answered, and replyBuf are query/insert
+	// hot-path scratch, reused across operations. A System is
+	// single-goroutine. zoneBuf and visitBuf carry indices into zones.
 	pathBuf  []int
-	zoneBuf  []Zone
+	zoneBuf  []int
 	visitBuf []zoneVisit
-	answered map[int]bool
+	// answered[n] == epoch marks node n as already scanned by the query in
+	// progress; bumping epoch forgets every mark at once.
+	answered []uint32
+	epoch    uint32
+	// replyBuf gathers the matches of the query in progress: each owner's
+	// scan appends into it, an owner whose reply is lost truncates it back
+	// to the mark taken before that scan, and the caller gets one
+	// exact-size copy. The buffer itself never leaves the System.
+	replyBuf []event.Event
 
 	// storage holds the events stored at each node.
 	storage [][]event.Event
@@ -151,6 +160,7 @@ func New(net *network.Network, router *gpsr.Router, dims int, opts ...Option) (*
 		dissemination: ChainDissemination,
 		storage:       make([][]event.Event, net.Layout().N()),
 		dead:          make([]bool, net.Layout().N()),
+		answered:      make([]uint32, net.Layout().N()),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -289,31 +299,45 @@ func (s *System) Insert(origin int, e event.Event) error {
 // RelevantZones returns the zones whose value regions overlap the
 // (rewritten) query — the zones DIM must visit.
 func (s *System) RelevantZones(q event.Query) []Zone {
-	return s.appendRelevantZones(nil, q.Rewrite())
+	idx := s.appendRelevantZones(nil, q.Rewrite())
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]Zone, len(idx))
+	for i, zi := range idx {
+		out[i] = s.zones[zi]
+	}
+	return out
 }
 
-// appendRelevantZones appends the zones overlapping the
-// already-rewritten query to dst and returns the extended slice — the
-// allocation-free form of RelevantZones for per-query hot paths. The
-// descent's region scratch stays on the stack for realistic k.
-func (s *System) appendRelevantZones(dst []Zone, rq event.Query) []Zone {
-	var regionArr [8]geo.Interval
+// unitRegion fills the descent's region scratch with [0, 1] per
+// dimension; arr keeps it on the caller's stack for realistic k.
+func (s *System) unitRegion(arr *[8]geo.Interval) []geo.Interval {
 	var region []geo.Interval
-	if s.dims <= len(regionArr) {
-		region = regionArr[:s.dims]
+	if s.dims <= len(arr) {
+		region = arr[:s.dims]
 	} else {
 		region = make([]geo.Interval, s.dims)
 	}
 	for j := range region {
 		region[j] = geo.Iv(0, 1)
 	}
-	s.collect(s.root, 0, region, rq, &dst)
+	return region
+}
+
+// appendRelevantZones appends the indices (into zones) of the zones
+// overlapping the already-rewritten query to dst and returns the extended
+// slice — the allocation-free form of RelevantZones for per-query hot
+// paths.
+func (s *System) appendRelevantZones(dst []int, rq event.Query) []int {
+	var regionArr [8]geo.Interval
+	s.collect(s.root, 0, s.unitRegion(&regionArr), rq, &dst)
 	return dst
 }
 
-func (s *System) collect(t *treeNode, depth int, region []geo.Interval, q event.Query, out *[]Zone) {
+func (s *System) collect(t *treeNode, depth int, region []geo.Interval, q event.Query, out *[]int) {
 	if t.zone >= 0 {
-		*out = append(*out, s.zones[t.zone])
+		*out = append(*out, t.zone)
 		return
 	}
 	j := depth % s.dims
@@ -344,10 +368,11 @@ func (s *System) Query(sink int, q event.Query) ([]event.Event, error) {
 	return results, err
 }
 
-// zoneVisit is one relevant zone the dissemination reached, in visit
-// order; ok is cleared when the owner's reply is later lost.
+// zoneVisit is one relevant zone (an index into zones) the dissemination
+// reached, in visit order; ok is cleared when the owner's reply is later
+// lost.
 type zoneVisit struct {
-	zone Zone
+	zone int
 	ok   bool
 }
 
@@ -390,30 +415,31 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		s.tracer.Record(trace.TypeFanout, sink, len(visits), s.dissemination.String())
 	}
 
-	var results []event.Event
 	// A node may own several relevant zones (backup ownership of empty
-	// zones); its storage is scanned and answered only once. The scratch
-	// map is reused across queries.
-	if s.answered == nil {
-		s.answered = make(map[int]bool, len(visits))
-	} else {
+	// zones); its storage is scanned and answered only once.
+	s.epoch++
+	if s.epoch == 0 {
+		// The stamp wrapped: marks of 2³² queries ago would read as fresh.
 		clear(s.answered)
+		s.epoch = 1
 	}
-	answered := s.answered
+	s.replyBuf = s.replyBuf[:0]
 	for _, v := range visits {
-		owner := v.zone.Owner
-		if answered[owner] {
+		owner := s.zones[v.zone].Owner
+		if s.answered[owner] == s.epoch {
 			continue
 		}
-		answered[owner] = true
-		matches := rq.Filter(s.storage[owner])
+		s.answered[owner] = s.epoch
+		mark := len(s.replyBuf)
+		s.replyBuf = rq.AppendMatches(s.replyBuf, s.storage[owner])
+		matches := len(s.replyBuf) - mark
 		if s.tracer.Enabled() {
-			s.tracer.Record(trace.TypeResolve, owner, len(matches), "")
+			s.tracer.Record(trace.TypeResolve, owner, matches, "")
 		}
-		if len(matches) == 0 {
+		if matches == 0 {
 			continue
 		}
-		replyBytes := dcs.ReplyBytes(s.dims, len(matches))
+		replyBytes := dcs.ReplyBytes(s.dims, matches)
 		if _, err := s.unicast(owner, sink, network.KindReply, replyBytes); err != nil {
 			if !degradable(err) {
 				return nil, comp, fmt.Errorf("dim: reply: %w", err)
@@ -423,29 +449,28 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 				if !degradable(err) {
 					return nil, comp, fmt.Errorf("dim: reply: %w", err)
 				}
-				// The reply never made it: every zone this owner serves
-				// goes unserved.
+				// The reply never made it: its matches are dropped and
+				// every zone this owner serves goes unserved.
+				s.replyBuf = s.replyBuf[:mark]
 				for i := range visits {
-					if visits[i].zone.Owner == owner {
+					if s.zones[visits[i].zone].Owner == owner {
 						visits[i].ok = false
 					}
 				}
-				continue
 			}
 		}
-		results = append(results, matches...)
 	}
 	for _, v := range visits {
 		if v.ok {
 			comp.CellsReached++
 		} else {
-			comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", v.zone.Code))
+			comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", s.zones[v.zone].Code))
 		}
 	}
 	s.mQueries.Inc()
 	s.mFanout.Observe(int64(comp.CellsTotal))
 	s.mRetries.Add(uint64(comp.Retries))
-	return results, comp, nil
+	return event.CloneEvents(s.replyBuf), comp, nil
 }
 
 // disseminateChain forwards the query through the relevant zones in code
@@ -458,7 +483,8 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 	comp.CellsTotal += len(zones)
 	visits := s.visitBuf[:0]
 	cur := sink
-	for _, z := range zones {
+	for _, zi := range zones {
+		z := &s.zones[zi]
 		if z.Owner != cur {
 			if _, err := s.unicast(cur, z.Owner, network.KindQuery, qBytes); err != nil {
 				if !degradable(err) {
@@ -476,7 +502,7 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 			}
 			cur = z.Owner
 		}
-		visits = append(visits, zoneVisit{zone: z, ok: true})
+		visits = append(visits, zoneVisit{zone: zi, ok: true})
 	}
 	s.visitBuf = visits
 	return visits, nil
@@ -488,16 +514,12 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 // sibling. Returns the visited zones; unreachable leaves are recorded in
 // comp and skipped (their sibling subqueries depart from the carrier).
 func (s *System) disseminateSplit(sink int, rq event.Query, qBytes int, comp *dcs.Completeness) ([]zoneVisit, error) {
-	region := make([]geo.Interval, s.dims)
-	for j := range region {
-		region[j] = geo.Iv(0, 1)
-	}
-	var visits []zoneVisit
-	_, err := s.splitWalk(sink, s.root, 0, region, rq, qBytes, &visits, comp)
-	if err != nil {
+	var regionArr [8]geo.Interval
+	s.visitBuf = s.visitBuf[:0]
+	if _, err := s.splitWalk(sink, s.root, 0, s.unitRegion(&regionArr), rq, qBytes, &s.visitBuf, comp); err != nil {
 		return nil, err
 	}
-	return visits, nil
+	return s.visitBuf, nil
 }
 
 // splitWalk recursively disseminates the query under t, returning the
@@ -505,7 +527,7 @@ func (s *System) disseminateSplit(sink int, rq event.Query, qBytes int, comp *dc
 // zone under t is relevant or its owner stayed unreachable.
 func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Interval, rq event.Query, qBytes int, visits *[]zoneVisit, comp *dcs.Completeness) (int, error) {
 	if t.zone >= 0 {
-		z := s.zones[t.zone]
+		z := &s.zones[t.zone]
 		comp.CellsTotal++
 		if z.Owner != carrier {
 			if _, err := s.unicast(carrier, z.Owner, network.KindQuery, qBytes); err != nil {
@@ -524,7 +546,7 @@ func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Int
 				}
 			}
 		}
-		*visits = append(*visits, zoneVisit{zone: z, ok: true})
+		*visits = append(*visits, zoneVisit{zone: t.zone, ok: true})
 		return z.Owner, nil
 	}
 
@@ -536,7 +558,8 @@ func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Int
 		iv     geo.Interval
 		center geo.Point
 	}
-	var children []child
+	var childArr [2]child
+	children := childArr[:0]
 	if r.L < mid {
 		children = append(children, child{node: t.children[0], iv: geo.Iv(region[j].Lo, mid)})
 	}

@@ -291,25 +291,35 @@ func (q Query) String() string {
 	return "<" + strings.Join(parts, ", ") + ">"
 }
 
-// Filter returns the subset of events matching q, preserving order.
-// The result is sized exactly in one pass over the candidates before a
-// second pass fills it — one allocation per non-empty result instead of
-// append-doubling, on the hottest path of every query resolution.
-func (q Query) Filter(events []Event) []Event {
-	n := 0
-	for _, e := range events {
-		if q.Matches(e) {
-			n++
+// AppendMatches appends the events matching q to dst, in order, and
+// returns the extended slice: one Matches pass, and no allocation while
+// dst has room. It is the matching kernel of every query path; the
+// caller owns dst and decides when its contents are copied out.
+func (q Query) AppendMatches(dst, events []Event) []Event {
+	for i := range events {
+		if q.Matches(events[i]) {
+			dst = append(dst, events[i])
 		}
 	}
-	if n == 0 {
+	return dst
+}
+
+// Filter returns the subset of events matching q, preserving order, in a
+// fresh slice (nil when nothing matches). It is the convenience form for
+// oracles and tools; query paths append into a buffer they own with
+// AppendMatches.
+func (q Query) Filter(events []Event) []Event {
+	return q.AppendMatches(nil, events)
+}
+
+// CloneEvents returns an exact-size copy of events that shares no backing
+// array with it, nil when events is empty — how a reply buffer's contents
+// are handed to a caller.
+func CloneEvents(events []Event) []Event {
+	if len(events) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, n)
-	for _, e := range events {
-		if q.Matches(e) {
-			out = append(out, e)
-		}
-	}
+	out := make([]Event, len(events))
+	copy(out, events)
 	return out
 }

@@ -317,3 +317,94 @@ func TestValuesNearOne(t *testing.T) {
 		t.Errorf("Validate(just below 1) = %v", err)
 	}
 }
+
+// refFilter is the two-pass Filter that AppendMatches replaced — count,
+// allocate exactly, fill — kept as the reference the kernel is compared
+// against.
+func refFilter(q Query, events []Event) []Event {
+	n := 0
+	for _, e := range events {
+		if q.Matches(e) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for _, e := range events {
+		if q.Matches(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func TestAppendMatchesEqualsReferenceFilter(t *testing.T) {
+	src := rng.New(14)
+	randomQuery := func(k int) Query {
+		rs := make([]Range, k)
+		for i := range rs {
+			switch src.Intn(4) {
+			case 0:
+				rs[i] = Unspecified()
+			case 1:
+				rs[i] = PointRange(float64(src.Intn(5)) / 4)
+			default:
+				lo := src.Float64()
+				rs[i] = Span(lo, lo+src.Float64()*(1-lo))
+			}
+		}
+		return NewQuery(rs...)
+	}
+	prefix := []Event{New(0.9, 0.9, 0.9), New(0.8)}
+	for trial := 0; trial < 500; trial++ {
+		q := randomQuery(3)
+		evs := make([]Event, src.Intn(40)) // length 0 included
+		for i := range evs {
+			k := 3
+			if src.Intn(8) == 0 {
+				k = 1 + src.Intn(4) // dimension mismatch: never matches
+			}
+			vals := make([]float64, k)
+			for j := range vals {
+				vals[j] = float64(src.Intn(5)) / 4 // coarse grid: bounds get hit exactly
+			}
+			evs[i] = Event{Values: vals, Seq: uint64(i + 1)}
+		}
+		want := refFilter(q, evs)
+		if got := q.AppendMatches(nil, evs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendMatches(nil) = %v, reference %v (q=%v)", got, want, q)
+		}
+		if got := q.Filter(evs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Filter = %v, reference %v (q=%v)", got, want, q)
+		}
+		// A non-empty dst keeps its prefix, in place.
+		dst := append(make([]Event, 0, len(prefix)+len(evs)), prefix...)
+		got := q.AppendMatches(dst, evs)
+		if !reflect.DeepEqual(got[:len(prefix)], prefix) || &got[0] != &dst[0] {
+			t.Fatalf("dst prefix disturbed: %v", got[:len(prefix)])
+		}
+		if rest := got[len(prefix):]; len(rest) != len(want) || (len(want) > 0 && !reflect.DeepEqual(rest, want)) {
+			t.Fatalf("after prefix: %v, reference %v (q=%v)", rest, want, q)
+		}
+	}
+	if got := NewQuery(Span(0, 1)).AppendMatches(nil, nil); got != nil {
+		t.Errorf("AppendMatches(nil, nil) = %v, want nil", got)
+	}
+}
+
+func TestCloneEvents(t *testing.T) {
+	if CloneEvents(nil) != nil || CloneEvents([]Event{}) != nil {
+		t.Error("CloneEvents of nothing should be nil")
+	}
+	buf := append(make([]Event, 0, 8), New(0.1), New(0.2))
+	c := CloneEvents(buf)
+	if !reflect.DeepEqual(c, buf[:2]) || cap(c) != 2 {
+		t.Errorf("CloneEvents = %v (cap %d)", c, cap(c))
+	}
+	buf[0] = New(0.9)
+	if c[0].Values[0] != 0.1 {
+		t.Error("clone shares the source's backing array")
+	}
+}

@@ -90,6 +90,11 @@ type System struct {
 	// system issues; a System serves one goroutine at a time.
 	arq     dcs.TxOptions
 	pathBuf []int
+	// replyBuf gathers the matches of the query in progress: each mirror's
+	// scan appends into it, a mirror whose reply is lost truncates it back
+	// to the mark taken before that scan, and the caller gets one
+	// exact-size copy. The buffer itself never leaves the System.
+	replyBuf []event.Event
 }
 
 var _ dcs.System = (*System)(nil)
@@ -255,7 +260,13 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	if q.Classify() != event.ExactPoint {
 		return nil, comp, fmt.Errorf("%w: got %v", ErrUnsupported, q.Classify())
 	}
-	key := make([]float64, q.Dims())
+	var keyArr [8]float64
+	var key []float64
+	if q.Dims() <= len(keyArr) {
+		key = keyArr[:q.Dims()]
+	} else {
+		key = make([]float64, q.Dims())
+	}
 	for i, r := range q.Ranges {
 		key[i] = r.L
 	}
@@ -266,7 +277,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	// replies.
 	mirrors := s.MirrorPoints(root)
 	comp.CellsTotal += len(mirrors)
-	var matches []event.Event
+	s.replyBuf = s.replyBuf[:0]
 	// After anti-entropy reconciliation sibling mirrors hold overlapping
 	// copies, so the mirror walk dedups matches by digest; pre-repair the
 	// shares are disjoint and this is a no-op.
@@ -276,13 +287,12 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	}
 	cur := sink
 	for mi, pt := range mirrors {
-		label := fmt.Sprintf("M%d %v", mi, pt)
 		home, err := s.home(cur, pt)
 		if err != nil {
 			if !dcs.IsDegradable(err) {
 				return nil, comp, fmt.Errorf("ght: query: %w", err)
 			}
-			comp.Unreached = append(comp.Unreached, label)
+			comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
 			continue
 		}
 		if _, err := dcs.UnicastOpts(s.net, s.router, cur, home, network.KindQuery, qBytes, s.arq); err != nil {
@@ -297,14 +307,16 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 				if !dcs.IsDegradable(err) {
 					return nil, comp, fmt.Errorf("ght: query: %w", err)
 				}
-				comp.Unreached = append(comp.Unreached, label)
+				comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
 				continue
 			}
 		}
 		cur = home
-		found := q.Filter(s.storage[home])
-		if len(found) > 0 || s.replDepth == 0 {
-			replyBytes := dcs.ReplyBytes(q.Dims(), len(found))
+		mark := len(s.replyBuf)
+		s.replyBuf = q.AppendMatches(s.replyBuf, s.storage[home])
+		found := len(s.replyBuf) - mark
+		if found > 0 || s.replDepth == 0 {
+			replyBytes := dcs.ReplyBytes(q.Dims(), found)
 			if _, err := dcs.UnicastOpts(s.net, s.router, home, sink, network.KindReply, replyBytes, s.arq); err != nil {
 				if !dcs.IsDegradable(err) {
 					return nil, comp, fmt.Errorf("ght: reply: %w", err)
@@ -316,19 +328,22 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 					}
 					// The reply never made it back: the mirror's matches are
 					// lost to the sink, so it goes unserved.
-					comp.Unreached = append(comp.Unreached, label)
+					s.replyBuf = s.replyBuf[:mark]
+					comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
 					continue
 				}
 			}
-			if seen == nil {
-				matches = append(matches, found...)
-			} else {
-				for _, e := range found {
+			if seen != nil {
+				// Compact this mirror's matches in place, keeping first
+				// sightings only.
+				kept := s.replyBuf[:mark]
+				for _, e := range s.replyBuf[mark:] {
 					if d := antientropy.Digest(e); !seen[d] {
 						seen[d] = true
-						matches = append(matches, e)
+						kept = append(kept, e)
 					}
 				}
+				s.replyBuf = kept
 			}
 		}
 		comp.CellsReached++
@@ -336,8 +351,12 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	s.mQueries.Inc()
 	s.mFanout.Observe(int64(comp.CellsTotal))
 	s.mRetries.Add(uint64(comp.Retries))
-	return matches, comp, nil
+	return event.CloneEvents(s.replyBuf), comp, nil
 }
+
+// mirrorLabel formats the completeness-report id of the mi-th mirror
+// image; built only when a mirror goes unreached.
+func mirrorLabel(mi int, pt geo.Point) string { return fmt.Sprintf("M%d %v", mi, pt) }
 
 // StorageLoad implements dcs.StorageReporter.
 func (s *System) StorageLoad() []int {

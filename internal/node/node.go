@@ -144,6 +144,11 @@ type Engine struct {
 	taskFree int32
 	hid      sim.HandlerID
 
+	// matchBuf is serveCell's matching scratch: a cell's matches land here
+	// in one pass and leave as an exact-size snapshot, because the reply
+	// outlives the serving event.
+	matchBuf []event.Event
+
 	// tracer, when non-nil, records causal spans for latency attribution
 	// (WithTracer).
 	tracer *trace.Tracer
@@ -723,14 +728,15 @@ func (e *Engine) queryCellVia(op *operation, g *gather, p pool.Pool, c pool.Cell
 // A cell whose restore transfer is still streaming serves its partial
 // slice but is reported unreached (degraded completeness).
 func (e *Engine) serveCell(op *operation, g *gather, p pool.Pool, c pool.CellID, key pool.Key, target int, useMirror bool, rq event.Query) {
-	var matches []event.Event
+	var held []event.Event
 	partial := false
 	if useMirror {
-		matches = rq.Filter(e.mirrorStore[key])
+		held = e.mirrorStore[key]
 	} else {
-		matches = rq.Filter(e.store[target][key])
-		partial = e.transferring[key]
+		held, partial = e.store[target][key], e.transferring[key]
 	}
+	e.matchBuf = rq.AppendMatches(e.matchBuf[:0], held)
+	matches := event.CloneEvents(e.matchBuf)
 	reply := dcs.ReplyBytes(e.Dims(), len(matches))
 	deliver := func() { e.cellServed(op, g, p, c, matches, partial) }
 	e.send(target, g.splitter, network.KindReply, reply, deliver, func(error) {

@@ -106,7 +106,9 @@ func (p partial) result(op AggOp) (float64, error) {
 
 // Aggregate evaluates op over attribute dim (1-based) of the events
 // matching q, using the same splitter tree as Query but with constant-size
-// partial-aggregate replies. For AggCount, dim is ignored.
+// partial-aggregate replies. For AggCount, dim is ignored. Each cell's
+// matches are folded where queryCell left them in the reply buffer and
+// dropped again; no result slice is built.
 func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64, error) {
 	var plan Plan
 	if err := s.Resolve(q, &plan); err != nil {
@@ -119,6 +121,7 @@ func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64,
 	qBytes := dcs.QueryBytes(s.dims)
 
 	total := newPartial()
+	s.replyBuf = s.replyBuf[:0]
 	for _, f := range plan.Fanouts {
 		p, cells := f.Pool, f.Cells
 		splitter := s.SplitterFor(p, sink)
@@ -133,18 +136,18 @@ func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64,
 					return 0, fmt.Errorf("pool: aggregate to cell %v: %w", c, err)
 				}
 			}
-			matches := s.queryCell(Key{Dim: p.Dim, Cell: c}, index, rq, qBytes)
-			if len(matches) == 0 {
+			if s.queryCell(Key{Dim: p.Dim, Cell: c}, index, rq, qBytes) == 0 {
 				continue
 			}
 			cellPartial := newPartial()
-			for _, e := range matches {
+			for _, e := range s.replyBuf {
 				v := 0.0
 				if op != AggCount {
 					v = e.Values[dim-1]
 				}
 				cellPartial.add(v)
 			}
+			s.replyBuf = s.replyBuf[:0]
 			poolPartial.merge(cellPartial)
 			if index != splitter {
 				if _, err := s.unicast(index, splitter, network.KindReply, aggPartialBytes); err != nil {

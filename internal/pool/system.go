@@ -120,12 +120,17 @@ type System struct {
 	// arq is the per-hop retransmission budget for routed unicasts; its
 	// PathBuf points at pathBuf so route paths reuse one backing array.
 	arq dcs.TxOptions
-	// pathBuf, plan, and servedBuf are query/insert hot-path scratch,
-	// reused across operations. A System is single-goroutine, so plain
-	// fields suffice.
+	// pathBuf, plan, servedBuf, and replyBuf are query/insert hot-path
+	// scratch, reused across operations. A System is single-goroutine, so
+	// plain fields suffice.
 	pathBuf   []int
 	plan      Plan
 	servedBuf []servedCell
+	// replyBuf gathers the matches of the query in progress: every leg
+	// appends into it and reports a count, a leg whose reply is lost
+	// truncates it back to the mark taken before that leg, and the caller
+	// gets one exact-size copy. The buffer itself never leaves the System.
+	replyBuf []event.Event
 
 	// tracer records structured events; nil disables tracing.
 	tracer *trace.Tracer
@@ -353,18 +358,16 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		s.tracer.Begin(trace.OpQuery, sink, "")
 		defer s.tracer.End()
 	}
-	var results []event.Event
+	s.replyBuf = s.replyBuf[:0]
 	for _, f := range s.plan.Fanouts {
-		poolResults, err := s.queryPool(f.Pool, f.Cells, sink, s.plan.Query, qBytes, &comp)
-		if err != nil {
+		if err := s.queryPool(f.Pool, f.Cells, sink, s.plan.Query, qBytes, &comp); err != nil {
 			return nil, comp, err
 		}
-		results = append(results, poolResults...)
 	}
 	s.mQueries.Inc()
 	s.mFanout.Observe(int64(comp.CellsTotal))
 	s.mRetries.Add(uint64(comp.Retries))
-	return results, comp, nil
+	return event.CloneEvents(s.replyBuf), comp, nil
 }
 
 // servedCell records one reached cell of a fan-out and how many matches
@@ -382,8 +385,9 @@ func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) 
 
 // queryPool resolves the (rewritten) query against one Pool's relevant
 // cells: the query is forwarded through the Pool's splitter to each, and the
-// replies converge back through the splitter (§3.2.3). When tracing, the
-// whole exchange runs inside a fan-out sub-span of the query span.
+// replies converge back through the splitter (§3.2.3). The matches that
+// reached the sink are appended to replyBuf. When tracing, the whole
+// exchange runs inside a fan-out sub-span of the query span.
 //
 // Failure policy (timeout + one retry, bounded backoff): an unreachable
 // splitter is retried once at the next-closest alive index node; an
@@ -391,7 +395,7 @@ func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) 
 // provides one; each reply leg is retransmitted once. Cells that stay
 // unreachable are recorded in comp and skipped. In a fault-free run the
 // traffic is identical, hop for hop, to the pre-degradation protocol.
-func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBytes int, comp *dcs.Completeness) ([]event.Event, error) {
+func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBytes int, comp *dcs.Completeness) error {
 	comp.CellsTotal += len(cells)
 	unreachedAll := func() {
 		for _, c := range cells {
@@ -406,27 +410,27 @@ func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBy
 	}
 	if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
 		if !dcs.IsDegradable(err) {
-			return nil, fmt.Errorf("pool: query to splitter: %w", err)
+			return fmt.Errorf("pool: query to splitter: %w", err)
 		}
 		// The splitter timed out: retry once through the Pool's
 		// next-closest index node.
 		alt := s.AlternateSplitter(p, sink, splitter)
 		if alt < 0 {
 			unreachedAll()
-			return nil, nil
+			return nil
 		}
 		comp.Retries++
 		if _, err := s.unicast(sink, alt, network.KindQuery, qBytes); err != nil {
 			if !dcs.IsDegradable(err) {
-				return nil, fmt.Errorf("pool: query to alternate splitter: %w", err)
+				return fmt.Errorf("pool: query to alternate splitter: %w", err)
 			}
 			unreachedAll()
-			return nil, nil
+			return nil
 		}
 		splitter = alt
 	}
 	s.mSplitter.Inc(splitter)
-	var poolResults []event.Event
+	mark := len(s.replyBuf)
 	// served tracks, per reached cell, the matches the splitter holds for
 	// it, so the final reply leg can demote them on failure. Labels are
 	// formatted only when a cell actually goes unreached — the fault-free
@@ -436,33 +440,34 @@ func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBy
 		matches, ok, err := s.queryCellVia(p, Key{Dim: p.Dim, Cell: c}, splitter, rq, qBytes, comp)
 		if err != nil {
 			s.servedBuf = served
-			return nil, err
+			return err
 		}
 		if !ok {
 			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
 			continue
 		}
-		served = append(served, servedCell{cell: c, matches: len(matches)})
-		poolResults = append(poolResults, matches...)
+		served = append(served, servedCell{cell: c, matches: matches})
 	}
 	s.servedBuf = served
-	if len(poolResults) > 0 {
+	gathered := len(s.replyBuf) - mark
+	if gathered > 0 {
 		if s.tracer.Enabled() {
-			s.tracer.Record(trace.TypeReply, splitter, len(poolResults), "")
+			s.tracer.Record(trace.TypeReply, splitter, gathered, "")
 		}
-		replyBytes := dcs.ReplyBytes(s.dims, len(poolResults))
+		replyBytes := dcs.ReplyBytes(s.dims, gathered)
 		if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
 			if !dcs.IsDegradable(err) {
-				return nil, fmt.Errorf("pool: reply to sink: %w", err)
+				return fmt.Errorf("pool: reply to sink: %w", err)
 			}
 			comp.Retries++
 			if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
 				if !dcs.IsDegradable(err) {
-					return nil, fmt.Errorf("pool: reply to sink: %w", err)
+					return fmt.Errorf("pool: reply to sink: %w", err)
 				}
 				// The aggregate reply never made it back: every cell whose
 				// matches it carried goes unserved; silent (empty) cells
 				// still count as served, as in the fault-free protocol.
+				s.replyBuf = s.replyBuf[:mark]
 				for _, sc := range served {
 					if sc.matches > 0 {
 						comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, sc.cell))
@@ -470,24 +475,25 @@ func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBy
 						comp.CellsReached++
 					}
 				}
-				return nil, nil
+				return nil
 			}
 		}
 	}
 	comp.CellsReached += len(served)
-	return poolResults, nil
+	return nil
 }
 
-// queryCellVia queries one cell through the splitter and returns the
-// matches the splitter received, with ok=false when the cell stayed
+// queryCellVia queries one cell through the splitter: the matches the
+// splitter received are appended to replyBuf and counted in the return
+// value, with ok=false (and nothing appended) when the cell stayed
 // unreachable through the retry policy.
-func (s *System) queryCellVia(p Pool, key Key, splitter int, rq event.Query, qBytes int, comp *dcs.Completeness) (matches []event.Event, ok bool, err error) {
+func (s *System) queryCellVia(p Pool, key Key, splitter int, rq event.Query, qBytes int, comp *dcs.Completeness) (matches int, ok bool, err error) {
 	index := s.holder[key.Cell]
 	target, useMirror := index, false
 	if index != splitter {
 		if _, err := s.unicast(splitter, index, network.KindQuery, qBytes); err != nil {
 			if !dcs.IsDegradable(err) {
-				return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err)
+				return 0, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err)
 			}
 			// The index node timed out: one retry, preferring the cell's
 			// mirror when replication provides an alive one.
@@ -496,9 +502,9 @@ func (s *System) queryCellVia(p Pool, key Key, splitter int, rq event.Query, qBy
 				if m != splitter {
 					if _, err2 := s.unicast(splitter, m, network.KindQuery, qBytes); err2 != nil {
 						if !dcs.IsDegradable(err2) {
-							return nil, false, fmt.Errorf("pool: query to mirror of %v: %w", key.Cell, err2)
+							return 0, false, fmt.Errorf("pool: query to mirror of %v: %w", key.Cell, err2)
 						}
-						return nil, false, nil
+						return 0, false, nil
 					}
 				}
 				target, useMirror = m, true
@@ -506,65 +512,71 @@ func (s *System) queryCellVia(p Pool, key Key, splitter int, rq event.Query, qBy
 				// No mirror: back off and re-attempt the primary once.
 				if _, err2 := s.unicast(splitter, index, network.KindQuery, qBytes); err2 != nil {
 					if !dcs.IsDegradable(err2) {
-						return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err2)
+						return 0, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err2)
 					}
-					return nil, false, nil
+					return 0, false, nil
 				}
 			}
 		}
 	}
+	mark := len(s.replyBuf)
 	if useMirror {
-		matches = rq.Filter(s.mirrorStore[key])
+		s.replyBuf = rq.AppendMatches(s.replyBuf, s.mirrorStore[key])
 	} else {
-		matches = s.queryCell(key, target, rq, qBytes)
+		s.queryCell(key, target, rq, qBytes)
 	}
+	matches = len(s.replyBuf) - mark
 	if s.tracer.Enabled() {
-		s.tracer.Record(trace.TypeResolve, target, len(matches), key.Cell.String())
+		s.tracer.Record(trace.TypeResolve, target, matches, key.Cell.String())
 	}
-	if len(matches) == 0 || target == splitter {
+	if matches == 0 || target == splitter {
 		return matches, true, nil
 	}
-	replyBytes := dcs.ReplyBytes(s.dims, len(matches))
+	replyBytes := dcs.ReplyBytes(s.dims, matches)
 	if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
 		if !dcs.IsDegradable(err) {
-			return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
+			return 0, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
 		}
 		comp.Retries++
 		if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
 			if !dcs.IsDegradable(err) {
-				return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
+				return 0, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
 			}
-			return nil, false, nil
+			// The cell's reply never reached the splitter.
+			s.replyBuf = s.replyBuf[:mark]
+			return 0, false, nil
 		}
 	}
 	return matches, true, nil
 }
 
-// queryCell scans all storage segments of one cell. Delegated segments
-// cost an extra query/reply exchange between the index node and the
-// delegate; a delegate that became unreachable is skipped, losing its
-// slice of the answer (visible in recall, not in cell completeness).
-func (s *System) queryCell(key Key, index int, rq event.Query, qBytes int) []event.Event {
-	var matches []event.Event
+// queryCell scans all storage segments of one cell, appending the matches
+// the index node ends up holding to replyBuf and returning their count.
+// Delegated segments cost an extra query/reply exchange between the index
+// node and the delegate; a delegate that became unreachable is skipped,
+// losing its slice of the answer (visible in recall, not in cell
+// completeness).
+func (s *System) queryCell(key Key, index int, rq event.Query, qBytes int) int {
+	start := len(s.replyBuf)
 	for _, seg := range s.store[key] {
 		if seg.node != index {
 			if _, err := s.unicast(index, seg.node, network.KindQuery, qBytes); err != nil {
 				continue
 			}
 		}
-		segMatches := rq.Filter(seg.events)
-		if len(segMatches) == 0 {
+		mark := len(s.replyBuf)
+		s.replyBuf = rq.AppendMatches(s.replyBuf, seg.events)
+		segMatches := len(s.replyBuf) - mark
+		if segMatches == 0 || seg.node == index {
 			continue
 		}
-		if seg.node != index {
-			if _, err := s.unicast(seg.node, index, network.KindReply,
-				dcs.ReplyBytes(s.dims, len(segMatches))); err != nil {
-				continue
-			}
+		if _, err := s.unicast(seg.node, index, network.KindReply,
+			dcs.ReplyBytes(s.dims, segMatches)); err != nil {
+			// The delegate's reply never reached the index node.
+			s.replyBuf = s.replyBuf[:mark]
 		}
-		matches = append(matches, segMatches...)
 	}
-	return matches
+	return len(s.replyBuf) - start
 }
 
 // StorageLoad implements dcs.StorageReporter: events currently held by

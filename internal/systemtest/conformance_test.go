@@ -161,6 +161,37 @@ func scenarios() []scenario {
 				nil),
 		},
 		{
+			// A reply buffer that escaped to the caller would be rewritten
+			// by the next query on the same system.
+			name: "result-ownership",
+			apply: func(t *testing.T, u *Universe) {
+				sink := u.PickAlive()
+				query := func(e event.Event) []event.Event {
+					got, _, err := u.Sys.QueryWithReport(sink, PointQueryFor(e))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return got
+				}
+				a := query(u.Events[0])
+				if len(a) == 0 {
+					t.Fatal("query A found nothing")
+				}
+				snapshot := make([]event.Event, len(a))
+				for i, e := range a {
+					snapshot[i] = event.Event{Values: append([]float64(nil), e.Values...), Seq: e.Seq}
+				}
+				query(u.Events[1])
+				query(u.Events[2])
+				if !reflect.DeepEqual(a, snapshot) {
+					t.Errorf("query A's result changed under later queries: %v, was %v", a, snapshot)
+				}
+			},
+			expect: everySystem(
+				expect{fullRecall: true, complete: true},
+				nil),
+		},
+		{
 			name: "insert-after-detected-crash",
 			apply: func(t *testing.T, u *Universe) {
 				victim := u.MostLoaded()
