@@ -35,7 +35,8 @@ race-parallel:
 # over-report completeness, the metrics exposition writer must stay
 # grammar-clean on arbitrary registries, and the rateless reconciliation
 # codec must never decode to a wrong difference; the router's greedy
-# memo must never change a route. go test accepts one -fuzz target per
+# memo must never change a route, and its indexed home lookup must never
+# leave the perimeter probe's answer. go test accepts one -fuzz target per
 # invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/chaos -run=NONE -fuzz=FuzzResolveUnderFaults -fuzztime=10s
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/attrib -run=NONE -fuzz=FuzzAutopsy -fuzztime=10s
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzSchedulerOrdering -fuzztime=10s
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzRouteMemo -fuzztime=10s
+	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzHomeNode -fuzztime=10s
 
 # Race-enabled sweep of the chaos seeds (fault injection, churn
 # experiment, pool/dim repair paths).
@@ -66,10 +68,14 @@ conformance:
 #   trace        the tolerant analyzer every autopsy rests on
 #   attrib       the critical-path sum-to-total invariant
 #   pool         the directory both Pool implementations execute
+#   field        the spatial index every nearest-node rule reads: 90%
+#   gpsr         home lookup and memo each claim to equal a probe: 90%
 #   sim          a wrong ladder-queue branch silently reorders simulations
 #                instead of crashing them, and the property/fuzz suite
 #                covers the kernel that deeply anyway: 90%
-COVER_PKGS := ght metrics antientropy node trace attrib pool sim
+COVER_PKGS := ght metrics antientropy node trace attrib pool field gpsr sim
+COVER_MIN_field := 90
+COVER_MIN_gpsr := 90
 COVER_MIN_sim := 90
 COVER_TARGETS := $(addprefix cover-,$(COVER_PKGS))
 .PHONY: $(COVER_TARGETS)
@@ -113,7 +119,7 @@ smoke-bench:
 # nothing else, and a 20000x run takes two seconds.
 micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
-		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$' 2>&1 \
+		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$' 2>&1 \
 		| tee /tmp/micro-bench.out
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \

@@ -479,6 +479,40 @@ func BenchmarkFieldNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkGPSRHomeNode is GHT's mapping step, the home of a hashed point:
+// one index lookup on an intact deployment, the same lookup filtered by
+// the source's alive component once nodes are excluded (5% here).
+func BenchmarkGPSRHomeNode(b *testing.B) {
+	layout, err := field.Generate(field.DefaultSpec(900), rng.New(16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(17)
+	points := make([]geo.Point, 4096)
+	for i := range points {
+		points[i] = geo.Pt(src.Uniform(0, layout.Side), src.Uniform(0, layout.Side))
+	}
+	for _, excluded := range []int{0, 45} {
+		name := "intact"
+		if excluded > 0 {
+			name = "excluded"
+		}
+		b.Run(name, func(b *testing.B) {
+			router := gpsr.New(layout)
+			// Node 0 is the source; the excluded ones come from the rest.
+			for _, id := range rng.New(18).Perm(layout.N() - 1)[:excluded] {
+				router.Exclude(id + 1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := router.HomeNode(0, points[i%len(points)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEnergyTable(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {

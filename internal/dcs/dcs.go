@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"pooldcs/internal/event"
-	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 )
@@ -159,40 +158,6 @@ func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadB
 				from, to, attempt, ErrHopExhausted)
 		}
 	}
-}
-
-// GeoUnicast routes a payload from a node toward a geographic target,
-// charging one transmission per hop, and returns the home node that
-// consumed the packet along with the hop count.
-func GeoUnicast(net *network.Network, router *gpsr.Router, from int, target geo.Point, kind network.Kind, payloadBytes int) (home, hops int, err error) {
-	return GeoUnicastOpts(net, router, from, target, kind, payloadBytes, TxOptions{})
-}
-
-// GeoUnicastOpts is GeoUnicast with an explicit retry budget; error
-// semantics match UnicastOpts.
-func GeoUnicastOpts(net *network.Network, router *gpsr.Router, from int, target geo.Point, kind network.Kind, payloadBytes int, opts TxOptions) (home, hops int, err error) {
-	var res gpsr.Result
-	if opts.PathBuf != nil {
-		res, err = router.RouteBuf(from, target, *opts.PathBuf)
-		*opts.PathBuf = res.Path
-	} else {
-		res, err = router.Route(from, target)
-	}
-	if err != nil {
-		if errors.Is(err, gpsr.ErrUnreachable) {
-			return -1, 0, fmt.Errorf("dcs: geounicast from %d to %v: %v: %w", from, target, err, ErrUnreachable)
-		}
-		return -1, 0, fmt.Errorf("dcs: geounicast from %d to %v: %w", from, target, err)
-	}
-	sent := 0
-	for i := 1; i < len(res.Path); i++ {
-		n, err := transmitARQ(net, res.Path[i-1], res.Path[i], kind, payloadBytes, opts)
-		sent += n
-		if err != nil {
-			return res.Home, sent, fmt.Errorf("dcs: geounicast from %d at hop %d: %w", from, i, err)
-		}
-	}
-	return res.Home, sent, nil
 }
 
 // IsDegradable reports whether a transmission failure is one graceful

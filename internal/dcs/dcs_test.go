@@ -147,63 +147,3 @@ func TestUnicastGivesUpAfterMaxRetries(t *testing.T) {
 		t.Fatal("expected failure on an always-lossy link")
 	}
 }
-
-func TestGeoUnicast(t *testing.T) {
-	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(30, 0), geo.Pt(60, 0), geo.Pt(90, 0)}
-	l, err := field.FromPositions(pts, 120, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := network.New(l)
-	router := gpsr.New(l)
-
-	home, hops, err := GeoUnicast(net, router, 0, geo.Pt(88, 0), network.KindInsert, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if home != 3 {
-		t.Errorf("home = %d, want 3", home)
-	}
-	// Greedy takes 3 hops; the home-node perimeter probe around the
-	// (node-free) target point adds more. Every transmission is counted.
-	if hops < 3 {
-		t.Errorf("hops = %d, want ≥ 3", hops)
-	}
-	if got := net.Snapshot().Messages[network.KindInsert]; got != uint64(hops) {
-		t.Errorf("messages = %d, want %d", got, hops)
-	}
-}
-
-func TestGeoUnicastSelfTarget(t *testing.T) {
-	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(30, 0)}
-	l, err := field.FromPositions(pts, 100, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := network.New(l)
-	home, hops, err := GeoUnicast(net, gpsr.New(l), 1, geo.Pt(30, 0), network.KindQuery, 8)
-	if err != nil || home != 1 || hops != 0 {
-		t.Errorf("self geo unicast: home %d hops %d err %v", home, hops, err)
-	}
-}
-
-func TestGeoUnicastLossyRetransmits(t *testing.T) {
-	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(30, 0), geo.Pt(60, 0)}
-	l, err := field.FromPositions(pts, 100, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := network.New(l, network.WithLossRate(0.4, rng.New(9)))
-	total := 0
-	for i := 0; i < 200; i++ {
-		_, sent, err := GeoUnicast(net, gpsr.New(l), 0, geo.Pt(60, 0), network.KindReply, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += sent
-	}
-	// 2 logical hops × 200 trials at 40% loss → well above 400 frames.
-	if total <= 450 {
-		t.Errorf("lossy geo unicast sent only %d frames", total)
-	}
-}

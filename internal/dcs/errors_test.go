@@ -94,18 +94,6 @@ func TestUnicastDeadRelayUnreachable(t *testing.T) {
 	}
 }
 
-func TestGeoUnicastPartitionUnreachable(t *testing.T) {
-	l := lineLayout(t, 4)
-	net := network.New(l)
-	router := gpsr.New(l)
-	// Excluding the source makes any route from it unreachable.
-	router.Exclude(0)
-	_, _, err := GeoUnicastOpts(net, router, 0, geo.Pt(90, 0), network.KindInsert, 8, TxOptions{})
-	if !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("geo unicast from excluded source: err = %v, want ErrUnreachable", err)
-	}
-}
-
 func TestCompleteness(t *testing.T) {
 	c := Completeness{CellsTotal: 4, CellsReached: 3, Unreached: []string{"c2"}}
 	if c.Complete() {

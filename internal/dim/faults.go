@@ -2,7 +2,6 @@ package dim
 
 import (
 	"fmt"
-	"math"
 
 	"pooldcs/internal/geo"
 	"pooldcs/internal/trace"
@@ -64,18 +63,9 @@ func (s *System) RecoverNode(id int) {
 	s.dead[id] = false
 }
 
-// nearestAlive returns the alive node closest to p, or -1 when every
-// node is dead.
+// nearestAlive returns the alive node closest to p, the lowest id on an
+// exact tie, or -1 when every node is dead.
 func (s *System) nearestAlive(p geo.Point) int {
-	layout := s.net.Layout()
-	best, bestD2 := -1, math.Inf(1)
-	for i := 0; i < layout.N(); i++ {
-		if s.dead[i] {
-			continue
-		}
-		if d2 := layout.Pos(i).Dist2(p); d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	return best
+	id, _ := s.net.Layout().NearestFunc(p, func(id int) bool { return !s.dead[id] })
+	return id
 }

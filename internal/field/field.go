@@ -65,7 +65,14 @@ type Layout struct {
 	Positions []geo.Point
 
 	neighbors [][]int
-	buckets   map[bucketKey][]int
+
+	// The bucket grid, row-major and in CSR form: cell (x, y) holds the
+	// nodes cellNodes[cellStart[y*gridW+x]:cellStart[y*gridW+x+1]] in
+	// ascending id order, so a run of cells along a row is one contiguous
+	// slice. Cells are bucketLen on a side and cover [0, Side]².
+	gridW     int
+	cellStart []int32
+	cellNodes []int32
 	bucketLen float64
 }
 
@@ -172,60 +179,88 @@ func FromPositions(positions []geo.Point, side, radioRange float64) (*Layout, er
 	return l, nil
 }
 
-// index builds the bucket grid and neighbour tables. Buckets have side
-// equal to the radio range, so neighbour scans only touch the 3×3 block of
+// maxGridCellsPerNode caps the bucket grid at about this many cells per
+// node, so a sparse deployment — a long field with a short radio range —
+// cannot allocate a grid far larger than the node set it indexes.
+const maxGridCellsPerNode = 4
+
+// index builds the bucket grid and neighbour tables. Buckets are at least
+// one radio range on a side, so neighbour scans only touch the 3×3 block of
 // buckets around a node.
 func (l *Layout) index() {
 	r := l.Spec.RadioRange
-	l.bucketLen = r
-	l.buckets = make(map[bucketKey][]int, len(l.Positions))
+	n := len(l.Positions)
+	maxW := int(math.Sqrt(float64(maxGridCellsPerNode*n))) + 1
+	l.bucketLen = math.Max(r, l.Side/float64(maxW))
+	l.gridW = 1
+	if l.bucketLen > 0 {
+		l.gridW = int(l.Side/l.bucketLen) + 1
+	}
+
+	// Counting sort of the nodes by cell; ids stay ascending within a cell.
+	cells := l.gridW * l.gridW
+	l.cellStart = make([]int32, cells+1)
+	cellOf := make([]int32, n)
 	for i, p := range l.Positions {
-		k := l.bucketOf(p)
-		l.buckets[k] = append(l.buckets[k], i)
+		c := int32(l.cellCoord(p.Y)*l.gridW + l.cellCoord(p.X))
+		cellOf[i] = c
+		l.cellStart[c+1]++
+	}
+	for c := 0; c < cells; c++ {
+		l.cellStart[c+1] += l.cellStart[c]
+	}
+	l.cellNodes = make([]int32, n)
+	fill := append([]int32(nil), l.cellStart[:cells]...)
+	for i, c := range cellOf {
+		l.cellNodes[fill[c]] = int32(i)
+		fill[c]++
 	}
 
 	// Adjacency is built in two passes into one flat backing array —
 	// count degrees, then fill — so a layout costs a constant number of
 	// allocations instead of per-node append-doubling.
 	r2 := r * r
-	n := len(l.Positions)
 	total := 0
 	for i, p := range l.Positions {
-		k := l.bucketOf(p)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range l.buckets[bucketKey{k.x + dx, k.y + dy}] {
-					if j != i && p.Dist2(l.Positions[j]) <= r2 {
-						total++
-					}
-				}
+		l.eachNear(p, func(j int) {
+			if j != i && p.Dist2(l.Positions[j]) <= r2 {
+				total++
 			}
-		}
+		})
 	}
 	flat := make([]int, 0, total)
 	l.neighbors = make([][]int, n)
 	for i, p := range l.Positions {
-		k := l.bucketOf(p)
 		from := len(flat)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range l.buckets[bucketKey{k.x + dx, k.y + dy}] {
-					if j != i && p.Dist2(l.Positions[j]) <= r2 {
-						flat = append(flat, j)
-					}
-				}
+		l.eachNear(p, func(j int) {
+			if j != i && p.Dist2(l.Positions[j]) <= r2 {
+				flat = append(flat, j)
 			}
-		}
+		})
 		nbrs := flat[from:len(flat):len(flat)]
 		sort.Ints(nbrs)
 		l.neighbors[i] = nbrs
 	}
 }
 
-type bucketKey struct{ x, y int }
+// cellCoord maps one coordinate to its grid column (or row), clamping
+// values outside the field onto the border cells.
+func (l *Layout) cellCoord(v float64) int {
+	if l.gridW == 1 {
+		return 0
+	}
+	return min(max(int(v/l.bucketLen), 0), l.gridW-1)
+}
 
-func (l *Layout) bucketOf(p geo.Point) bucketKey {
-	return bucketKey{int(p.X / l.bucketLen), int(p.Y / l.bucketLen)}
+// eachNear calls fn for every node in the 3×3 block of cells around p.
+func (l *Layout) eachNear(p geo.Point, fn func(j int)) {
+	cx, cy := l.cellCoord(p.X), l.cellCoord(p.Y)
+	x0, x1 := max(cx-1, 0), min(cx+1, l.gridW-1)
+	for y := max(cy-1, 0); y <= min(cy+1, l.gridW-1); y++ {
+		for _, j := range l.cellNodes[l.cellStart[y*l.gridW+x0]:l.cellStart[y*l.gridW+x1+1]] {
+			fn(int(j))
+		}
+	}
 }
 
 // N returns the number of nodes.
@@ -278,36 +313,76 @@ func (l *Layout) Connected() bool {
 }
 
 // Nearest returns the ID of the node closest to p (ties broken by lower
-// ID). It expands the bucket search ring until a candidate is found, then
-// one more ring to guarantee correctness near bucket borders.
+// ID). p may lie outside the field.
 func (l *Layout) Nearest(p geo.Point) int {
-	center := l.bucketOf(p)
+	id, _ := l.NearestFunc(p, nil)
+	return id
+}
+
+// NearestFunc returns the node closest to p among those ok accepts (a nil
+// ok accepts every node), the lowest ID on an exact distance tie, or -1
+// when ok accepts none. tied reports whether another accepted node lies at
+// exactly the winning distance. ok is consulted only for nodes that would
+// beat or tie the best so far, nearest cells first.
+//
+// The search expands square rings of cells around p's own cell (p clamped
+// into the field) and stops once every cell of the next ring is farther
+// than the best candidate: a node in ring k lies outside the block of
+// rings below k, so it is at least as far from p as that block's border.
+func (l *Layout) NearestFunc(p geo.Point, ok func(id int) bool) (id int, tied bool) {
+	cx, cy := l.cellCoord(p.X), l.cellCoord(p.Y)
+	w, b := l.gridW, l.bucketLen
 	best, bestD2 := -1, math.Inf(1)
-	scan := func(ring int) {
-		for dx := -ring; dx <= ring; dx++ {
-			for dy := -ring; dy <= ring; dy++ {
-				if maxAbs(dx, dy) != ring {
-					continue // only the ring's border cells
+	for ring := 0; ring <= max(cx, w-1-cx, cy, w-1-cy); ring++ {
+		if best >= 0 {
+			// Distance from p to the nearest side of the block of rings
+			// below this one; sides beyond the grid have no nodes behind
+			// them. Not positive while the clamped p is outside the block.
+			inner := math.Inf(1)
+			if cx-ring >= 0 {
+				inner = min(inner, p.X-float64(cx-ring+1)*b)
+			}
+			if cx+ring < w {
+				inner = min(inner, float64(cx+ring)*b-p.X)
+			}
+			if cy-ring >= 0 {
+				inner = min(inner, p.Y-float64(cy-ring+1)*b)
+			}
+			if cy+ring < w {
+				inner = min(inner, float64(cy+ring)*b-p.Y)
+			}
+			if inner > 0 && inner*inner > bestD2 {
+				break
+			}
+		}
+		for y := max(cy-ring, 0); y <= min(cy+ring, w-1); y++ {
+			// The ring's top and bottom rows are scanned in full, the rows
+			// between them only at their two end cells.
+			width, stride := 2*ring+1, 2*ring+1
+			if y != cy-ring && y != cy+ring {
+				width, stride = 1, 2*ring
+			}
+			for x0 := cx - ring; x0 <= cx+ring; x0 += stride {
+				lo, hi := max(x0, 0), min(x0+width-1, w-1)
+				if lo > hi {
+					continue
 				}
-				for _, j := range l.buckets[bucketKey{center.x + dx, center.y + dy}] {
-					if d2 := p.Dist2(l.Positions[j]); d2 < bestD2 {
-						best, bestD2 = j, d2
+				for _, j32 := range l.cellNodes[l.cellStart[y*w+lo]:l.cellStart[y*w+hi+1]] {
+					j := int(j32)
+					d2 := p.Dist2(l.Positions[j])
+					if d2 > bestD2 || (ok != nil && !ok(j)) {
+						continue
+					}
+					if d2 < bestD2 {
+						best, bestD2, tied = j, d2, false
+					} else {
+						best, tied = min(best, j), true
 					}
 				}
 			}
 		}
 	}
-	maxRing := int(l.Side/l.bucketLen) + 2
-	for ring := 0; ring <= maxRing; ring++ {
-		scan(ring)
-		if best >= 0 {
-			// A node in ring r may still be farther than one in ring r+1
-			// (diagonal effects), so scan one extra ring before deciding.
-			scan(ring + 1)
-			return best
-		}
-	}
-	return best
+	return best, tied
 }
 
 // NearestWithin returns the node closest to p among those within dist of
@@ -318,17 +393,4 @@ func (l *Layout) NearestWithin(p geo.Point, dist float64) int {
 		return -1
 	}
 	return id
-}
-
-func maxAbs(a, b int) int {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	if a > b {
-		return a
-	}
-	return b
 }

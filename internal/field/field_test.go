@@ -181,24 +181,85 @@ func TestDisconnectedDetected(t *testing.T) {
 	}
 }
 
-func TestNearestBruteForce(t *testing.T) {
-	l, err := Generate(DefaultSpec(600), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(5)
-	for trial := 0; trial < 200; trial++ {
-		p := geo.Pt(src.Uniform(0, l.Side), src.Uniform(0, l.Side))
-		got := l.Nearest(p)
-		best, bestD2 := -1, math.Inf(1)
-		for j := 0; j < l.N(); j++ {
-			if d2 := p.Dist2(l.Pos(j)); d2 < bestD2 {
-				best, bestD2 = j, d2
-			}
+// bruteNearest is the specification of NearestFunc: a linear scan, lowest
+// id on an exact tie, tied when a second accepted node shares the minimum.
+func bruteNearest(l *Layout, p geo.Point, ok func(int) bool) (best int, tied bool) {
+	best, bestD2 := -1, math.Inf(1)
+	for j := 0; j < l.N(); j++ {
+		if ok != nil && !ok(j) {
+			continue
 		}
-		if got != best {
-			t.Fatalf("Nearest(%v) = %d (d=%v), brute force %d (d=%v)",
-				p, got, p.Dist(l.Pos(got)), best, math.Sqrt(bestD2))
+		switch d2 := p.Dist2(l.Pos(j)); {
+		case d2 < bestD2:
+			best, bestD2, tied = j, d2, false
+		case d2 == bestD2:
+			tied = true
+		}
+	}
+	return best, tied
+}
+
+func TestNearestBruteForce(t *testing.T) {
+	mustLayout := func(l *Layout, err error) *Layout {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	scatter := func(n int, side float64, seed int64) []geo.Point {
+		src := rng.New(seed)
+		pts := make([]geo.Point, n)
+		for i := range pts {
+			pts[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
+		}
+		return pts
+	}
+	layouts := map[string]*Layout{
+		"dense":     mustLayout(Generate(DefaultSpec(600), rng.New(4))),
+		"clustered": mustLayout(GenerateClustered(DefaultSpec(400), 3, 0.05, rng.New(6))),
+		// Most buckets empty: the first hit is rings away from the point.
+		"sparse": mustLayout(FromPositions(scatter(40, 1000, 7), 1000, 25)),
+		// A radio range far below the node spacing: the grid is capped.
+		"capped": mustLayout(FromPositions(scatter(30, 5000, 8), 5000, 1)),
+		// The first hit (node 0, ring 1) is farther than node 1 in ring 2.
+		"two rings": mustLayout(FromPositions([]geo.Point{geo.Pt(10.1, 10.1), geo.Pt(30.2, 15)}, 100, 10)),
+		// Co-located and mirror-image nodes: exact ties.
+		"ties": mustLayout(FromPositions([]geo.Point{
+			geo.Pt(60, 50), geo.Pt(40, 50), geo.Pt(40, 50), geo.Pt(50, 60), geo.Pt(50, 40), geo.Pt(95, 95),
+		}, 100, 10)),
+		"single": mustLayout(FromPositions([]geo.Point{geo.Pt(0, 0)}, 0, 10)),
+	}
+	if got := layouts["two rings"].Nearest(geo.Pt(19.9, 15)); got != 1 {
+		t.Errorf("two rings: Nearest((19.9,15)) = %d, want 1", got)
+	}
+	if got, tied := layouts["ties"].NearestFunc(geo.Pt(50, 50), nil); got != 0 || !tied {
+		t.Errorf("ties: NearestFunc((50,50)) = %d tied=%v, want 0 tied", got, tied)
+	}
+	thirds := func(id int) bool { return id%3 != 0 }
+	none := func(int) bool { return false }
+	for name, l := range layouts {
+		src := rng.New(5)
+		points := []geo.Point{geo.Pt(0, 0), geo.Pt(l.Side, l.Side), geo.Pt(50, 50), geo.Pt(40, 50), geo.Pt(19.9, 15)}
+		for trial := 0; trial < 300; trial++ {
+			// A third of the points fall outside the field, some far out.
+			points = append(points, geo.Pt(src.Uniform(-l.Side, 2*l.Side), src.Uniform(-0.2*l.Side, 1.2*l.Side)))
+		}
+		for _, p := range points {
+			for pi, ok := range []func(int) bool{nil, thirds} {
+				want, wantTied := bruteNearest(l, p, ok)
+				got, tied := l.NearestFunc(p, ok)
+				if got != want || tied != wantTied {
+					t.Fatalf("%s: NearestFunc(%v, pred %d) = %d tied=%v, brute force %d tied=%v",
+						name, p, pi, got, tied, want, wantTied)
+				}
+			}
+			if want, _ := bruteNearest(l, p, nil); l.Nearest(p) != want {
+				t.Fatalf("%s: Nearest(%v) = %d, brute force %d", name, p, l.Nearest(p), want)
+			}
+			if got, tied := l.NearestFunc(p, none); got != -1 || tied {
+				t.Fatalf("%s: NearestFunc(%v, none) = %d tied=%v, want -1", name, p, got, tied)
+			}
 		}
 	}
 }

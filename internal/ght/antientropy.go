@@ -33,7 +33,7 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 		mirrors := s.MirrorPoints(root)
 		hub, hubSlot := -1, -1
 		for mi, pt := range mirrors {
-			anchor := s.nearestAliveTo(pt, -1)
+			anchor := s.nearestAliveTo(pt)
 			if anchor < 0 {
 				continue
 			}

@@ -2,7 +2,6 @@ package ght
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"pooldcs/internal/geo"
@@ -56,7 +55,7 @@ func (s *System) FailNode(id int) error {
 		return orphaned[i].Y < orphaned[j].Y
 	})
 	for _, pt := range orphaned {
-		next := s.nearestAliveTo(pt, -1)
+		next := s.nearestAliveTo(pt)
 		if next < 0 {
 			return fmt.Errorf("ght: no surviving node for hashed point %v", pt)
 		}
@@ -77,18 +76,9 @@ func (s *System) RecoverNode(id int) {
 	s.dead[id] = false
 }
 
-// nearestAliveTo returns the alive node closest to p, excluding one id,
-// or -1 when every node is dead.
-func (s *System) nearestAliveTo(p geo.Point, exclude int) int {
-	layout := s.net.Layout()
-	best, bestD2 := -1, math.Inf(1)
-	for i := 0; i < layout.N(); i++ {
-		if i == exclude || s.dead[i] {
-			continue
-		}
-		if d2 := layout.Pos(i).Dist2(p); d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	return best
+// nearestAliveTo returns the alive node closest to p, the lowest id on an
+// exact tie, or -1 when every node is dead.
+func (s *System) nearestAliveTo(p geo.Point) int {
+	id, _ := s.net.Layout().NearestFunc(p, func(id int) bool { return !s.dead[id] })
+	return id
 }

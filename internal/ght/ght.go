@@ -67,9 +67,9 @@ type System struct {
 
 	// storage holds the events owned by each node.
 	storage [][]event.Event
-	// homes caches hashed-point home nodes so repeated operations on the
-	// same key skip the perimeter probe, mirroring GHT's perimeter-refresh
-	// caching.
+	// homes maps each hashed point used so far to its home node, mirroring
+	// GHT's perimeter-refresh caching; FailNode rewrites the entries of a
+	// dead home (see home).
 	homes map[geo.Point]int
 	// dead marks failed nodes (faults.go).
 	dead []bool
@@ -95,6 +95,8 @@ type System struct {
 	// to the mark taken before that scan, and the caller gets one
 	// exact-size copy. The buffer itself never leaves the System.
 	replyBuf []event.Event
+	// mirrorBuf holds the mirror images of the operation in progress.
+	mirrorBuf []geo.Point
 }
 
 var _ dcs.System = (*System)(nil)
@@ -134,8 +136,13 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 // the point's position replicated into each of the 4^depth subsquares
 // (the root's own subsquare included).
 func (s *System) MirrorPoints(root geo.Point) []geo.Point {
+	return s.appendMirrors(nil, root)
+}
+
+// appendMirrors appends MirrorPoints(root) to dst.
+func (s *System) appendMirrors(dst []geo.Point, root geo.Point) []geo.Point {
 	if s.replDepth <= 0 {
-		return []geo.Point{root}
+		return append(dst, root)
 	}
 	side := s.net.Layout().Side
 	grid := 1 << uint(s.replDepth) // subsquares per axis
@@ -143,13 +150,12 @@ func (s *System) MirrorPoints(root geo.Point) []geo.Point {
 	// The root's offset within its own subsquare.
 	offX := math.Mod(root.X, sub)
 	offY := math.Mod(root.Y, sub)
-	out := make([]geo.Point, 0, grid*grid)
 	for gy := 0; gy < grid; gy++ {
 		for gx := 0; gx < grid; gx++ {
-			out = append(out, geo.Pt(float64(gx)*sub+offX, float64(gy)*sub+offY))
+			dst = append(dst, geo.Pt(float64(gx)*sub+offX, float64(gy)*sub+offY))
 		}
 	}
-	return out
+	return dst
 }
 
 // Name implements dcs.System.
@@ -175,10 +181,12 @@ func (s *System) HashPoint(values []float64) geo.Point {
 	return geo.Pt(x, y)
 }
 
-// home returns the home node for a hashed point, routing from the given
-// node on a cache miss and charging those hops as insert traffic is the
-// caller's job; home resolution itself is free because GPSR discovers the
-// home as a side effect of the first routed packet.
+// home returns the home node for a hashed point as seen from the given
+// node. The first operation on a point resolves it through the router —
+// an index lookup that charges nothing, as GPSR discovers the home as a
+// side effect of the first routed packet — and every later one reads the
+// homes map. The map is state, not only a cache: FailNode re-homes the
+// points of a dead node in it, and those re-homes outlive RecoverNode.
 func (s *System) home(from int, pt geo.Point) (int, error) {
 	if h, ok := s.homes[pt]; ok {
 		return h, nil
@@ -203,7 +211,8 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if s.replDepth > 0 {
 		pos := s.net.Layout().Pos(origin)
 		best, bestD2 := pt, math.Inf(1)
-		for _, m := range s.MirrorPoints(pt) {
+		s.mirrorBuf = s.appendMirrors(s.mirrorBuf[:0], pt)
+		for _, m := range s.mirrorBuf {
 			if d2 := pos.Dist2(m); d2 < bestD2 {
 				best, bestD2 = m, d2
 			}
@@ -275,7 +284,8 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	// With structured replication, matching events may sit at any mirror;
 	// the query walks all of them in a chain and each mirror with matches
 	// replies.
-	mirrors := s.MirrorPoints(root)
+	s.mirrorBuf = s.appendMirrors(s.mirrorBuf[:0], root)
+	mirrors := s.mirrorBuf
 	comp.CellsTotal += len(mirrors)
 	s.replyBuf = s.replyBuf[:0]
 	// After anti-entropy reconciliation sibling mirrors hold overlapping

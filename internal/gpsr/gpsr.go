@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
@@ -37,6 +38,10 @@ import (
 // a hit replays exactly the hop the scan would pick and every route is
 // hop-for-hop the one an un-memoised Router returns. Local minima,
 // perimeter mode and co-located positions always take the full step.
+//
+// HomeNode does not route at all: the home of a point is a property of the
+// deployment and the exclusion set, so it is read off the layout's spatial
+// index (see HomeNode).
 type Router struct {
 	layout *field.Layout
 	planar [][]int
@@ -45,6 +50,18 @@ type Router struct {
 	// whenever the exclusion set changes (ensurePlanar).
 	memoOnce sync.Once
 	memo     *routeMemo
+
+	// comp labels every alive node with its connected component of the
+	// alive radio graph (excluded nodes: -1). Only HomeNode reads it, and only
+	// while nodes are excluded: the first such call after an exclusion
+	// change builds it and ensurePlanar drops it. Concurrent builders store
+	// equal tables.
+	comp atomic.Pointer[[]int32]
+	// colocated marks a deployment in which two nodes share a position.
+	// The Gabriel test cannot order a node against its own twin, so the
+	// planar subgraph may be torn there and HomeNode leaves the answer to
+	// the probe.
+	colocated bool
 
 	// excluded marks nodes routes must avoid; the planarization is
 	// recomputed lazily over the alive subgraph when it changes.
@@ -71,6 +88,11 @@ type Router struct {
 func New(layout *field.Layout) *Router {
 	r := &Router{layout: layout, excluded: make([]bool, layout.N())}
 	r.planarize()
+	for u, pu := range layout.Positions {
+		for _, v := range layout.Neighbors(u) {
+			r.colocated = r.colocated || pu.Equal(layout.Pos(v))
+		}
+	}
 	return r
 }
 
@@ -147,6 +169,7 @@ func (r *Router) ensurePlanar() {
 		}
 	}
 	r.memo.reset()
+	r.comp.Store(nil)
 	r.pending = r.pending[:0]
 	r.pendingFull = false
 	r.dirty = false
@@ -274,15 +297,6 @@ func (r *Router) Route(src int, target geo.Point) (Result, error) {
 	return r.route(src, target, -1, nil)
 }
 
-// RouteBuf is Route with a caller-provided path buffer: the returned
-// Result.Path reuses buf's backing array, so steady-state routing
-// allocates only when the path outgrows the buffer. The caller owns the
-// buffer and must not issue another buffered route while the result's
-// path is still in use.
-func (r *Router) RouteBuf(src int, target geo.Point, buf []int) (Result, error) {
-	return r.route(src, target, -1, buf)
-}
-
 // route implements Route. When consumeAt is non-negative, the packet is
 // addressed to that specific node and is consumed on arrival there instead
 // of probing the perimeter around its location. buf, when non-nil, backs
@@ -290,11 +304,8 @@ func (r *Router) RouteBuf(src int, target geo.Point, buf []int) (Result, error) 
 func (r *Router) route(src int, target geo.Point, consumeAt int, buf []int) (Result, error) {
 	l := r.layout
 	r.ensurePlanar()
-	if !r.valid(src) {
-		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: source %d out of range: %w", src, ErrUnreachable)
-	}
-	if r.excluded[src] {
-		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: source %d is down: %w", src, ErrUnreachable)
+	if err := r.sourceErr(src); err != nil {
+		return Result{Path: append(buf[:0], src)}, err
 	}
 	var memo *routeMemo
 	if consumeAt >= 0 {
@@ -340,6 +351,18 @@ func (r *Router) route(src int, target geo.Point, consumeAt int, buf []int) (Res
 		cur = next
 		res.Path = append(res.Path, cur)
 	}
+}
+
+// sourceErr reports why no packet can start at src: it is not a node of the
+// deployment, or it is excluded.
+func (r *Router) sourceErr(src int) error {
+	if !r.valid(src) {
+		return fmt.Errorf("gpsr: source %d out of range: %w", src, ErrUnreachable)
+	}
+	if r.excluded[src] {
+		return fmt.Errorf("gpsr: source %d is down: %w", src, ErrUnreachable)
+	}
+	return nil
 }
 
 // step computes the forwarding decision at node cur, mutating the packet
@@ -469,8 +492,11 @@ func (r *Router) RouteToNode(src, dst int) (Result, error) {
 	return r.RouteToNodeBuf(src, dst, nil)
 }
 
-// RouteToNodeBuf is RouteToNode with a caller-provided path buffer; see
-// RouteBuf for the aliasing contract.
+// RouteToNodeBuf is RouteToNode with a caller-provided path buffer: the
+// returned Result.Path reuses buf's backing array, so steady-state routing
+// allocates only when the path outgrows the buffer. The caller owns the
+// buffer and must not issue another buffered route while the result's
+// path is still in use.
 func (r *Router) RouteToNodeBuf(src, dst int, buf []int) (Result, error) {
 	if !r.valid(dst) {
 		return Result{Path: append(buf[:0], src)}, fmt.Errorf("gpsr: node %d out of range: %w", dst, ErrUnreachable)
@@ -493,11 +519,75 @@ func (r *Router) RouteToNodeBuf(src, dst int, buf []int) (Result, error) {
 }
 
 // HomeNode returns the node that consumes packets addressed to target when
-// routed from src.
+// routed from src — Route(src, target).Home — without routing: it is the
+// alive node nearest to target within src's connected component, looked up
+// in the layout's bucket grid.
+//
+// The two agree because the planar subgraph is a Gabriel graph. Let v be
+// that nearest node. An edge (a, b) crossing the segment v→target would
+// have v strictly inside the disc with diameter ab (a and b are no closer
+// to target than v, so v sees the chord under more than a right angle) and
+// so would not be a Gabriel edge; hence v lies on the face that encloses
+// target. A perimeter tour of that face reverts to greedy at any node
+// closer than its entry point, so it can only complete, and deliver, at v.
+// When two nodes are exactly equidistant the probe's answer depends on the
+// side it arrives from, and the probe itself decides; so it does in a
+// deployment with co-located nodes, whose planar subgraph the argument
+// cannot rely on.
 func (r *Router) HomeNode(src int, target geo.Point) (int, error) {
+	r.ensurePlanar()
+	if err := r.sourceErr(src); err != nil {
+		return -1, err
+	}
+	if !r.colocated {
+		var sameComponent func(id int) bool
+		if r.nExcluded > 0 {
+			comp := r.components()
+			own := comp[src]
+			sameComponent = func(id int) bool { return comp[id] == own }
+		}
+		if home, tied := r.layout.NearestFunc(target, sameComponent); !tied {
+			return home, nil
+		}
+	}
 	res, err := r.Route(src, target)
 	if err != nil {
 		return -1, err
 	}
 	return res.Home, nil
+}
+
+// components returns the component labels, building them on first use
+// after an exclusion change.
+func (r *Router) components() []int32 {
+	if p := r.comp.Load(); p != nil {
+		return *p
+	}
+	l := r.layout
+	comp := make([]int32, l.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	var stack []int
+	next := int32(0)
+	for root := range comp {
+		if comp[root] >= 0 || r.excluded[root] {
+			continue
+		}
+		comp[root] = next
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range l.Neighbors(u) {
+				if comp[v] < 0 && !r.excluded[v] {
+					comp[v] = next
+					stack = append(stack, v)
+				}
+			}
+		}
+		next++
+	}
+	r.comp.Store(&comp)
+	return comp
 }

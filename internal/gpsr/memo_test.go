@@ -243,8 +243,10 @@ func FuzzRouteMemo(f *testing.F) {
 }
 
 // TestRouterConcurrentReaders routes overlapping (src, dst) sets from 8
-// goroutines on one Router with a static exclusion set; every result must
-// equal the sequential reference. Run under -race by make race-parallel.
+// goroutines on one Router with a static exclusion set, and resolves the
+// home of a point beside each route; every result must equal the
+// sequential reference. The readers race to build the component labels
+// HomeNode needs. Run under -race by make race-parallel.
 func TestRouterConcurrentReaders(t *testing.T) {
 	l := genLayout(t, 300, 31)
 	shared, ref := New(l), New(l)
@@ -257,9 +259,16 @@ func TestRouterConcurrentReaders(t *testing.T) {
 	pairs := make([]pair, 600)
 	want := make([]Result, len(pairs))
 	wantErr := make([]error, len(pairs))
+	points := make([]geo.Point, len(pairs))
+	wantHome := make([]int, len(pairs))
 	for i := range pairs {
 		pairs[i] = pair{src.Intn(l.N()), src.Intn(40)}
 		want[i], wantErr[i] = refRouteToNode(ref, pairs[i].src, pairs[i].dst)
+		points[i] = geo.Pt(src.Uniform(0, l.Side), src.Uniform(0, l.Side))
+		wantHome[i] = -1
+		if probe, err := ref.Route(pairs[i].src, points[i]); err == nil {
+			wantHome[i] = probe.Home
+		}
 	}
 	// The first route after a flip re-planarizes and needs the Router to
 	// itself; the readers start from a settled one.
@@ -278,6 +287,11 @@ func TestRouterConcurrentReaders(t *testing.T) {
 				if !sameResult(got, err, want[i], wantErr[i]) {
 					t.Errorf("worker %d: route %d→%d: got %+v, err %v; want %+v, err %v",
 						w, pairs[i].src, pairs[i].dst, got, err, want[i], wantErr[i])
+					return
+				}
+				if home, _ := shared.HomeNode(pairs[i].src, points[i]); home != wantHome[i] {
+					t.Errorf("worker %d: HomeNode(%d, %v) = %d, want %d",
+						w, pairs[i].src, points[i], home, wantHome[i])
 					return
 				}
 			}
@@ -305,7 +319,7 @@ func TestOutOfRangeIDs(t *testing.T) {
 		{"RouteToNode dst=N", func() error { _, err := r.RouteToNode(3, n); return err }},
 		{"RouteToNodeBuf dst=N", func() error { _, err := r.RouteToNodeBuf(3, n, make([]int, 0, 8)); return err }},
 		{"Route src<0", func() error { _, err := r.Route(-1, geo.Pt(10, 10)); return err }},
-		{"RouteBuf src=N", func() error { _, err := r.RouteBuf(n, geo.Pt(10, 10), nil); return err }},
+		{"Route src=N", func() error { _, err := r.Route(n, geo.Pt(10, 10)); return err }},
 		{"HomeNode src=N", func() error { _, err := r.HomeNode(n, geo.Pt(10, 10)); return err }},
 	}
 	for _, tc := range routes {

@@ -318,18 +318,11 @@ func (d *Directory) RecoverNode(id int) {
 }
 
 // NearestAlive returns the alive node closest to p, excluding one id
-// (pass -1 to exclude nobody), or -1 when every node is dead.
+// (pass -1 to exclude nobody) and taking the lowest id on an exact tie, or
+// -1 when every node is dead.
 func (d *Directory) NearestAlive(p geo.Point, exclude int) int {
-	best, bestD2 := -1, math.Inf(1)
-	for i := 0; i < d.layout.N(); i++ {
-		if i == exclude || d.dead[i] {
-			continue
-		}
-		if d2 := d.layout.Pos(i).Dist2(p); d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	return best
+	id, _ := d.layout.NearestFunc(p, func(id int) bool { return id != exclude && !d.dead[id] })
+	return id
 }
 
 // Elect returns the alive node closest to the centre of cell c other than

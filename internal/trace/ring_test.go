@@ -172,3 +172,39 @@ func TestRecordAtStampsExplicitTime(t *testing.T) {
 		t.Errorf("serve event = %+v", evs[2])
 	}
 }
+
+// TestRingSpansChunks fills and wraps a ring whose capacity is several
+// chunks and a partial one: the order, the count and the eviction tally
+// must not depend on where the chunk boundaries fall.
+func TestRingSpansChunks(t *testing.T) {
+	const capacity = 2*ringChunk + 5
+	tr := NewRing(nil, capacity)
+	check := func(emitted int) {
+		t.Helper()
+		kept := min(emitted, capacity)
+		if tr.Len() != kept || tr.Dropped() != uint64(emitted-kept) {
+			t.Fatalf("after %d events: len=%d dropped=%d, want %d and %d",
+				emitted, tr.Len(), tr.Dropped(), kept, emitted-kept)
+		}
+		evs := tr.Events()
+		if len(evs) != kept {
+			t.Fatalf("after %d events: Events len = %d, want %d", emitted, len(evs), kept)
+		}
+		for i, ev := range evs {
+			if want := emitted - kept + i; ev.From != want {
+				t.Fatalf("after %d events: event %d is hop %d, want %d", emitted, i, ev.From, want)
+			}
+		}
+	}
+	emitted := 0
+	for _, upTo := range []int{ringChunk - 1, ringChunk + 1, capacity, capacity + 1, 3*ringChunk + 7} {
+		for ; emitted < upTo; emitted++ {
+			tr.Hop(emitted, emitted+1, "query", 8, 1, false)
+		}
+		check(emitted)
+	}
+	tr.Reset()
+	emitted = 0
+	tr.Hop(0, 1, "query", 8, 1, false)
+	check(1)
+}

@@ -162,17 +162,29 @@ type Clock interface {
 // the nil pointer; construct enabled tracers with New.
 type Tracer struct {
 	clock  Clock
-	events []Event
+	events []Event // the unbounded tracer's store
 	stack  []uint64
 	nextID uint64
 
 	// limit > 0 makes the tracer a fixed-capacity flight recorder (see
-	// NewRing): once len(events) == limit, head is the ring's oldest
-	// slot and every append overwrites it.
+	// NewRing). Its n events live in chunks of ringChunk slots, allocated
+	// as the ring fills, so growing never copies what is already recorded
+	// and a ring that stays short never pays for its capacity. Once
+	// n == limit, head is the ring's oldest slot and every append
+	// overwrites it.
 	limit   int
+	chunks  [][]Event
+	n       int
 	head    int
 	dropped uint64
 }
+
+// ringChunk is the number of events per ring chunk (a power of two; about
+// 600 KB of events).
+const ringChunk = 1 << 12
+
+// slot returns ring slot i.
+func (t *Tracer) slot(i int) *Event { return &t.chunks[i/ringChunk][i%ringChunk] }
 
 // New returns an enabled Tracer stamping events from clock (nil clock:
 // all timestamps zero).
@@ -196,16 +208,23 @@ func NewRing(clock Clock, capacity int) *Tracer {
 // emit appends one event, evicting the oldest when the tracer is a full
 // ring.
 func (t *Tracer) emit(ev Event) {
-	if t.limit > 0 && len(t.events) == t.limit {
-		t.events[t.head] = ev
+	switch {
+	case t.limit == 0:
+		t.events = append(t.events, ev)
+	case t.n == t.limit:
+		*t.slot(t.head) = ev
 		t.head++
 		if t.head == t.limit {
 			t.head = 0
 		}
 		t.dropped++
-		return
+	default:
+		if t.n == len(t.chunks)*ringChunk {
+			t.chunks = append(t.chunks, make([]Event, min(ringChunk, t.limit-t.n)))
+		}
+		*t.slot(t.n) = ev
+		t.n++
 	}
-	t.events = append(t.events, ev)
 }
 
 // Capacity returns the ring capacity, or 0 for an unbounded tracer.
@@ -384,22 +403,23 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return len(t.events) + t.n
 }
 
 // Events returns the recorded events in append order. The slice is owned
-// by the tracer; callers must not mutate it. A wrapped ring allocates a
-// fresh ordered copy (oldest surviving event first).
+// by the tracer; callers must not mutate it. A ring allocates a fresh
+// ordered copy (oldest surviving event first).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if t.dropped == 0 {
+	if t.limit == 0 {
 		return t.events
 	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	out = append(out, t.events[:t.head]...)
+	out := make([]Event, 0, t.n)
+	for i := 0; i < t.n; i++ {
+		out = append(out, *t.slot((t.head + i) % t.n))
+	}
 	return out
 }
 
@@ -412,6 +432,7 @@ func (t *Tracer) Reset() {
 	t.events = t.events[:0]
 	t.stack = t.stack[:0]
 	t.nextID = 0
+	t.n = 0
 	t.head = 0
 	t.dropped = 0
 }
