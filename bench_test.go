@@ -12,6 +12,7 @@ package pooldcs
 import (
 	"strconv"
 	"testing"
+	"time"
 
 	"pooldcs/internal/dim"
 	"pooldcs/internal/event"
@@ -20,8 +21,10 @@ import (
 	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
+	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
+	"pooldcs/internal/sim"
 	"pooldcs/internal/trace"
 	"pooldcs/internal/wire"
 	"pooldcs/internal/workload"
@@ -284,6 +287,67 @@ func BenchmarkRangeQuerySteady(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkActorQuerySteady is the steady state of the actor engine's
+// query path: N=900, three preloaded events per node, and one iteration is
+// a wave of 64 concurrent exponential-size range queries drained to
+// completion. The wave has run often enough beforehand that every recycled
+// record has met its largest query, so what is left to allocate per wave
+// is each query's callback wrapper, its exact-size result and one snapshot
+// per cell that had a match; `make micro-bench` gates that count.
+func BenchmarkActorQuerySteady(b *testing.B) {
+	layout, err := field.Generate(field.DefaultSpec(900), rng.New(1234))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	eng, err := node.NewEngine(network.New(layout), gpsr.New(layout), sched, 3, rng.New(4), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewUniformEvents(rng.New(5), 3)
+	for i := 0; i < 3*900; i++ {
+		if err := eng.Preload(i%900, gen.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	qgen := workload.NewQueries(rng.New(7), 3)
+	sinks := rng.New(8)
+	type placed struct {
+		sink int
+		q    event.Query
+	}
+	queries := make([]placed, 64)
+	for i := range queries {
+		queries[i] = placed{sink: sinks.Intn(900), q: qgen.ExactMatch(workload.ExponentialSizes)}
+	}
+	answered := 0
+	onDone := func([]event.Event, time.Duration) { answered++ }
+	wave := func() {
+		for _, pq := range queries {
+			if err := eng.Query(pq.sink, pq.q, onDone); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sched.Run()
+	}
+	const warm = 128
+	for i := 0; i < warm; i++ {
+		wave()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+	b.StopTimer()
+	if want := (warm + b.N) * len(queries); answered != want {
+		b.Fatalf("%d of %d queries answered", answered, want)
+	}
+	if errs := eng.Errors(); len(errs) > 0 {
+		b.Fatal(errs[0])
 	}
 }
 

@@ -84,12 +84,7 @@ func Rank(e Event) []int {
 // event's maximum. The result has length 1 unless the event has tied
 // greatest values (§4.1).
 func GreatestDims(e Event) []int {
-	max := e.Values[0]
-	for _, v := range e.Values[1:] {
-		if v > max {
-			max = v
-		}
-	}
+	max := Greatest(e)
 	var dims []int
 	for i, v := range e.Values {
 		if v == max {
@@ -97,6 +92,20 @@ func GreatestDims(e Event) []int {
 		}
 	}
 	return dims
+}
+
+// Greatest returns the event's maximum attribute value. A dimension d
+// (1-based) is one of GreatestDims exactly when e.Values[d-1] equals it,
+// which is how a hot path walks the tied maxima without building the
+// slice.
+func Greatest(e Event) float64 {
+	max := e.Values[0]
+	for _, v := range e.Values[1:] {
+		if v > max {
+			max = v
+		}
+	}
+	return max
 }
 
 // SecondGreatest returns the second-greatest attribute value of e assuming
@@ -257,15 +266,21 @@ func (q Query) Unspecified() int {
 // range [0, 1], per §2: "the query can be rewritten by setting the range of
 // each unspecified attribute to [0, 1]". The receiver is not modified.
 func (q Query) Rewrite() Query {
-	out := Query{Ranges: make([]Range, len(q.Ranges))}
-	for i, r := range q.Ranges {
+	return Query{Ranges: q.AppendRewritten(make([]Range, 0, len(q.Ranges)))}
+}
+
+// AppendRewritten appends the ranges of q.Rewrite() to dst and returns the
+// extended slice: the rewrite without its allocation, for callers that
+// resolve many queries into memory they own. dst may be q's own ranges
+// truncated to length zero.
+func (q Query) AppendRewritten(dst []Range) []Range {
+	for _, r := range q.Ranges {
 		if r.Wild {
-			out.Ranges[i] = Range{L: 0, U: 1}
-		} else {
-			out.Ranges[i] = r
+			r = Range{L: 0, U: 1}
 		}
+		dst = append(dst, r)
 	}
-	return out
+	return dst
 }
 
 // Matches reports whether event e answers query q (the §2 answer

@@ -1,11 +1,131 @@
 package node
 
 import (
+	"slices"
 	"testing"
+	"time"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/pool"
+	"pooldcs/internal/rng"
+	"pooldcs/internal/workload"
 )
+
+// FuzzQueryUnderFaults runs waves of concurrent queries on a replicated
+// engine while nodes die under them — some silently at the radio, some
+// detected and repaired — inside a field-wide loss burst, and holds the
+// query path to the specification's degradation contract however its
+// recycled records are interleaved:
+//
+//   - every query completes, with 0 ≤ CellsReached ≤ CellsTotal and one
+//     Unreached label per cell not reached;
+//   - a result set holds stored events that answer the query, each once;
+//   - with every node alive, a complete answer is the whole answer, and
+//     on a clean radio every answer is complete;
+//   - once the scheduler has run dry every task, leg, gather, operation,
+//     write and repair packet is back in its arena, no repair is left in
+//     flight, the stores are consistent, and no non-degradable error
+//     surfaced.
+func FuzzQueryUnderFaults(f *testing.F) {
+	f.Add(int64(1), uint64(0), uint8(0), uint8(3))
+	f.Add(int64(2), uint64(0), uint8(200), uint8(5))
+	f.Add(int64(3), uint64(0x0000_0421_0000_1042), uint8(0), uint8(8))
+	f.Add(int64(4), uint64(0xffff_0000_0000_00ff), uint8(90), uint8(15))
+
+	f.Fuzz(func(t *testing.T, seed int64, crashMask uint64, lossBurst, concurrent uint8) {
+		const n = 40
+		fx := newRepairFixture(t, n, 300, 17, WithReplication())
+		src := rng.New(seed)
+		qgen := workload.NewQueries(src.Fork("queries"), 3)
+		if lossBurst > 0 {
+			fx.net.AddRegionLoss(fx.layout.Bounds(), float64(lossBurst)/255*0.9, src.Fork("loss"))
+		}
+
+		type issued struct {
+			q       event.Query
+			results []event.Event
+			comp    dcs.Completeness
+			done    bool
+		}
+		var queries []*issued
+		wave := func() {
+			for i := 0; i <= int(concurrent%16); i++ {
+				iq := &issued{q: fullQuery()}
+				if i%2 == 1 {
+					iq.q = qgen.ExactMatch(workload.ExponentialSizes)
+				}
+				queries = append(queries, iq)
+				err := fx.engine.QueryWithReport(src.Intn(n), iq.q, func(r []event.Event, c dcs.Completeness, _ time.Duration) {
+					iq.results, iq.comp, iq.done = r, c, true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		// The first wave is in flight when the faults strike; the second is
+		// issued into the faulted network, beside the repairs.
+		wave()
+		for i := src.Intn(400); i > 0 && fx.sched.Step(); i-- {
+		}
+		for id := 0; id < 32; id++ {
+			if crashMask&(1<<id) != 0 {
+				fx.net.FailNode(id) // dies silently: the engine is not told
+			}
+			if crashMask&(1<<(32+id)) != 0 {
+				fx.router.Exclude(id)
+				fx.net.FailNode(id)
+				if err := fx.engine.FailNode(id); err != nil {
+					t.Fatal(err) // nodes 32..39 never die, so a repairer survives
+				}
+			}
+		}
+		wave()
+		fx.sched.Run()
+
+		stored := make(map[uint64]bool, len(fx.events))
+		for _, ev := range fx.events {
+			stored[ev.Seq] = true
+		}
+		for i, iq := range queries {
+			if !iq.done {
+				t.Fatalf("query %d never completed", i)
+			}
+			c := iq.comp
+			if c.CellsReached < 0 || c.CellsReached > c.CellsTotal || c.CellsTotal-c.CellsReached != len(c.Unreached) {
+				t.Fatalf("query %d: reached %d of %d cells with %d unreached labels", i, c.CellsReached, c.CellsTotal, len(c.Unreached))
+			}
+			rq := iq.q.Rewrite()
+			seen := make(map[uint64]bool, len(iq.results))
+			for _, ev := range iq.results {
+				if !stored[ev.Seq] || !rq.Matches(ev) || seen[ev.Seq] {
+					t.Fatalf("query %d: event %d is unknown, no answer to %v, or returned twice", i, ev.Seq, iq.q)
+				}
+				seen[ev.Seq] = true
+			}
+			if crashMask == 0 && lossBurst == 0 && !c.Complete() {
+				t.Fatalf("query %d incomplete (%d/%d) on a fault-free network", i, c.CellsReached, c.CellsTotal)
+			}
+			if crashMask == 0 && c.Complete() && !slices.Equal(seqs(iq.results), seqs(rq.Filter(fx.events))) {
+				t.Fatalf("query %d reports complete with %d of %d answers", i, len(iq.results), len(rq.Filter(fx.events)))
+			}
+		}
+
+		fx.engine.idle(t)
+		if got := fx.sched.Pending(); got != 0 {
+			t.Errorf("%d events pending after the drain", got)
+		}
+		if got := fx.engine.RepairsInFlight(); got != 0 {
+			t.Errorf("%d repairs still in flight after the drain", got)
+		}
+		checkStoreInvariants(t, fx)
+		for _, err := range fx.engine.Errors() {
+			t.Errorf("non-degradable transport error: %v", err)
+		}
+	})
+}
 
 // FuzzRepairPackets throws arbitrary repair-protocol packets — forged,
 // duplicated, reordered, malformed — at an engine with a live repair in

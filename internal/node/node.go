@@ -129,25 +129,30 @@ type Engine struct {
 	repairMsgs   uint64
 	repairBytes  uint64
 
-	// In-flight operation state, keyed by operation id. Gather state
-	// conceptually lives at the gathering node; it is carried here in
-	// closures scheduled at that node's virtual position.
-	ops  map[uint64]*operation
-	seq  uint64
 	errs []error
 
-	// In-flight exchange state for the typed-event hot path: sendTask
-	// slots recycled through a free list, addressed by index in the
-	// scheduler's event arguments. hid is this engine's handler id on
-	// the scheduler.
-	tasks    []sendTask
-	taskFree int32
-	hid      sim.HandlerID
+	// In-flight state, all of it in engine-owned arenas addressed by slot
+	// index: tasks are the exchanges on the air, and every task names the
+	// record its outcome is handed to — a write (insert or mirror copy), a
+	// repair packet, or a query's gather or leg (query.go), which hang off
+	// the operation that issued them. State that conceptually lives at a
+	// gathering node is carried here and stepped at that node's virtual
+	// position. hid is this engine's handler id on the scheduler.
+	tasks      arena[sendTask]
+	writes     arena[write]
+	repairSent arena[repairSend]
+	ops        arena[operation]
+	gathers    arena[gather]
+	legs       arena[leg]
+	hid        sim.HandlerID
 
 	// matchBuf is serveCell's matching scratch: a cell's matches land here
 	// in one pass and leave as an exact-size snapshot, because the reply
-	// outlives the serving event.
-	matchBuf []event.Event
+	// outlives the serving event. splittersPlan and splittersBuf are
+	// SplittersFor's.
+	matchBuf      []event.Event
+	splittersPlan pool.Plan
+	splittersBuf  []int
 
 	// tracer, when non-nil, records causal spans for latency attribution
 	// (WithTracer).
@@ -160,67 +165,110 @@ type Engine struct {
 	mSendErrs *metrics.Counter
 }
 
-// operation tracks an in-flight query.
-type operation struct {
-	id   uint64
-	sink int
-	// span is the query's trace span (0 when tracing is off).
-	span uint64
-	// poolsLeft is how many pool replies the sink still awaits.
-	poolsLeft int
-	results   []event.Event
-	comp      dcs.Completeness
-	started   time.Duration
-	onDone    func(results []event.Event, comp dcs.Completeness, elapsed time.Duration)
+// arena holds value-typed records addressed by slot index and recycled
+// through a free stack: what lets the state of an exchange in flight be
+// named by an integer in a scheduler event or in another record instead
+// of being captured by a closure. It grows a chunk at a time and never
+// moves a record, so a pointer from at stays good while the slot is in
+// use, and a deployment's first wave pays for the slots it needs, not for
+// copying the ones it already has.
+type arena[T any] struct {
+	chunks []*[arenaChunk]T
+	used   int32 // slots ever handed out
+	free   []int32
 }
 
-// gather is the reply-collection state a splitter keeps for one query.
-type gather struct {
-	splitter  int
-	cellsLeft int
-	results   []event.Event
-	// served records each reached cell and its match count, so the final
-	// reply leg can demote served cells when the aggregate reply is lost
-	// — the same bookkeeping as the synchronous queryPool.
-	served []servedCell
+// arenaChunk is the number of records per chunk, a power of two.
+const arenaChunk = 128
+
+// at returns the record in slot i.
+func (a *arena[T]) at(i int32) *T {
+	u := uint32(i) // unsigned, so the split is a shift and a mask
+	return &a.chunks[u/arenaChunk][u%arenaChunk]
 }
 
-// servedCell records one reached cell of a fan-out and how many matches
-// the splitter holds for it.
-type servedCell struct {
-	cell    pool.CellID
-	matches int
+// alloc returns a slot holding whatever release left in it — the zero
+// record, the first time round.
+func (a *arena[T]) alloc() int32 {
+	if n := len(a.free); n > 0 {
+		i := a.free[n-1]
+		a.free = a.free[:n-1]
+		return i
+	}
+	if int(a.used) == len(a.chunks)*arenaChunk {
+		a.chunks = append(a.chunks, new([arenaChunk]T))
+	}
+	a.used++
+	return a.used - 1
 }
+
+// release recycles slot i, leaving left in it: the zero record, or one
+// that keeps nothing but the buffers worth reusing.
+func (a *arena[T]) release(i int32, left T) {
+	*a.at(i) = left
+	a.free = append(a.free, i)
+}
+
+// live returns the number of slots allocated and not released.
+func (a *arena[T]) live() int { return int(a.used) - len(a.free) }
 
 // sendTask is the in-flight state of one hop-by-hop exchange, held by
 // value in the engine's task arena so the per-hop scheduler events are
-// a handler id plus an index — no per-hop closures. The path slice is
-// kept across recycling as the route scratch buffer.
+// a handler id plus an index — no per-hop closures. Its outcome goes to
+// record rec of kind cont (settle). The path slice is kept across
+// recycling as the route scratch buffer.
 type sendTask struct {
 	path    []int
-	deliver func()
-	fail    func(error)
 	err     error
 	span    uint64
 	to      int32
 	hop     int32
 	attempt int32
 	size    int32
+	rec     int32
 	kind    network.Kind
-	next    int32 // free-list link, index+1 (0 terminates)
+	cont    recKind
+}
+
+// recKind says which arena holds the record a task's outcome is handed
+// to. It is the engine's one continuation mechanism: whoever starts an
+// exchange parks what it needs afterwards in a record and gives send the
+// (kind, slot) pair.
+type recKind uint8
+
+const (
+	recWrite recKind = iota + 1
+	recRepair
+	recGather
+	recLeg
+)
+
+// write is an event on its way to a node that will store it: Insert's
+// exchange from the detecting sensor to the index node, or storeEvent's
+// copy from there to the cell's mirror.
+type write struct {
+	key    pool.Key
+	ev     event.Event
+	index  int32  // the primary holder; unused by a mirror copy
+	mirror bool   // a mirror copy: lands in mirrorStore, acknowledges nobody
+	span   uint64 // the insert's span (0 untraced, and on mirror copies)
+	done   func()
 }
 
 // Typed-event op codes for Engine.HandleEvent. One exchange advances
 // through opArrive (frame lands after the hop latency), opResend (ARQ
 // retransmit timer), opServe (destination's serial service queue
 // reaches the packet); opLocal and opRouteFail are the zero-hop entry
-// points for self-sends and unroutable destinations.
+// points for self-sends and unroutable destinations. opFinish is not an
+// exchange's: it completes the operation in slot a, one scheduler turn
+// after a query that addressed no cell was issued.
 const (
 	opArrive uint8 = iota
 	opResend
 	opLocal
 	opRouteFail
 	opServe
+	opFinish
 )
 
 // NewEngine builds the actor network over a pool.Directory of the default
@@ -250,7 +298,6 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 		xfers:        make(map[pool.Key]*xferTask),
 		transferring: make(map[pool.Key]bool),
 		repairHist:   stats.NewIntHistogram(),
-		ops:          make(map[uint64]*operation),
 		tracer:       cfg.tracer,
 	}
 	e.hid = sched.Register(e)
@@ -278,7 +325,7 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 	e.mQueries = reg.Counter("node_queries_total", "queries injected into the actor engine")
 	e.mSendErrs = reg.Counter("node_send_errors_total", "sends aborted by transport errors")
 	reg.GaugeFunc("node_inflight_ops", "operations awaiting completion",
-		func() float64 { return float64(len(e.ops)) })
+		func() float64 { return float64(e.ops.live()) })
 	reg.GaugeFunc("node_repairs_inflight", "crashed nodes whose repair exchanges are still in flight",
 		func() float64 { return float64(len(e.repairs)) })
 	reg.HistogramOf("node_repair_latency_ms", "crash-to-convergence latency of message-driven repairs",
@@ -293,15 +340,22 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 		})
 }
 
-// within runs fn immediately with span as the ambient tracer span.
-func (e *Engine) within(span uint64, fn func()) {
+// enter makes span the ambient tracer span until the matching leave, and
+// reports whether it did: untraced and span 0 leave the ambient span
+// alone.
+func (e *Engine) enter(span uint64) bool {
 	if e.tracer == nil || span == 0 {
-		fn()
-		return
+		return false
 	}
 	e.tracer.PushSpan(span)
-	fn()
-	e.tracer.PopSpan()
+	return true
+}
+
+// leave undoes an enter that reported true.
+func (e *Engine) leave(entered bool) {
+	if entered {
+		e.tracer.PopSpan()
+	}
 }
 
 // Errors returns non-degradable transport errors recorded during the
@@ -313,23 +367,24 @@ func (e *Engine) Errors() []error { return e.errs }
 // send moves a packet from one node to another hop by hop; each hop is a
 // scheduled radio transmission with per-hop link-layer retransmission
 // (the same dcs.DefaultMaxRetransmissions budget the synchronous
-// unicast applies). Exactly one of deliver or fail runs: deliver at the
-// destination when the last hop lands, fail at the virtual time the
-// exchange is known lost — the route is unreachable, a dead radio
-// blocks a hop, or a hop exhausts its retry budget. A nil fail drops
-// degradable losses silently (the caller has no retry policy); a
-// non-degradable fault is always recorded in Errors.
-func (e *Engine) send(from, to int, kind network.Kind, size int, deliver func(), fail func(error)) {
+// unicast applies). The exchange settles exactly once, on record rec of
+// kind cont (settle): with a nil error at the destination when the last
+// hop lands, or with the loss at the virtual time the exchange is known
+// lost — the route is unreachable, a dead radio blocks a hop, or a hop
+// exhausts its retry budget. What a loss means is the record's business
+// (a mirror copy shrugs, a query leg retries); a non-degradable fault is
+// always recorded in Errors as well.
+func (e *Engine) send(from, to int, kind network.Kind, size int, cont recKind, rec int32) {
 	// The exchange belongs to whatever span is ambient at send time;
 	// every typed continuation re-enters it so per-hop records and
 	// downstream sends attribute correctly.
 	e.mMailbox.Add(to, 1)
-	ti := e.allocTask()
-	t := &e.tasks[ti]
+	ti := e.tasks.alloc()
+	t := e.tasks.at(ti)
 	t.span = e.tracer.CurrentSpan()
 	t.to = int32(to)
 	t.kind, t.size = kind, int32(size)
-	t.deliver, t.fail = deliver, fail
+	t.cont, t.rec = cont, rec
 	t.hop, t.attempt = 0, 1
 	if from == to {
 		e.sched.AfterEvent(0, e.hid, opLocal, uint64(ti), 0)
@@ -354,8 +409,12 @@ func (e *Engine) send(from, to int, kind network.Kind, size int, deliver func(),
 // with the exchange's span ambient, the bridge that carries span
 // identity across scheduler callbacks.
 func (e *Engine) HandleEvent(op uint8, a, _ uint64) {
+	if op == opFinish {
+		e.finish(int32(a))
+		return
+	}
 	ti := int32(a)
-	t := &e.tasks[ti]
+	t := e.tasks.at(ti)
 	traced := e.tracer != nil && t.span != 0
 	if traced {
 		e.tracer.PushSpan(t.span)
@@ -400,7 +459,7 @@ func (e *Engine) HandleEvent(op uint8, a, _ uint64) {
 // hopStep transmits the task's current hop and schedules its arrival,
 // its ARQ retransmission, or its failure.
 func (e *Engine) hopStep(ti int32) {
-	t := &e.tasks[ti]
+	t := e.tasks.at(ti)
 	if int(t.hop) >= len(t.path)-1 {
 		e.deliverTask(ti)
 		return
@@ -439,7 +498,7 @@ func (e *Engine) hopStep(ti int32) {
 // on the destination's serial service queue (service mode) or completes
 // the delivery immediately.
 func (e *Engine) deliverTask(ti int32) {
-	t := &e.tasks[ti]
+	t := e.tasks.at(ti)
 	if e.svcTime <= 0 {
 		e.finishDeliver(ti)
 		return
@@ -470,56 +529,52 @@ func (e *Engine) deliverTask(ti int32) {
 // before servicing it takes the queue down with its RAM: the exchange
 // is lost, and the sender's only signal is silence.
 func (e *Engine) finishDeliver(ti int32) {
-	t := &e.tasks[ti]
+	t := e.tasks.at(ti)
 	to := int(t.to)
 	if !e.net.Alive(to) {
 		e.failTask(ti, fmt.Errorf("node: %d died with the packet queued: %w", to, dcs.ErrUnreachable))
 		return
 	}
 	e.mMailbox.Add(to, -1)
-	deliver := t.deliver
+	cont, rec := t.cont, t.rec
 	e.freeTask(ti)
-	if deliver != nil {
-		deliver()
-	}
+	e.settle(cont, rec, nil)
 }
 
 // failTask settles an exchange as lost at the current virtual time,
-// recycling its task before the caller's fail policy runs so recursive
+// recycling its task before the record's loss policy runs so recursive
 // sends reuse the slot.
 func (e *Engine) failTask(ti int32, err error) {
-	t := &e.tasks[ti]
+	t := e.tasks.at(ti)
 	e.mMailbox.Add(int(t.to), -1)
 	e.mSendErrs.Inc()
 	if !dcs.IsDegradable(err) {
 		e.errs = append(e.errs, err)
 	}
-	fail := t.fail
+	cont, rec := t.cont, t.rec
 	e.freeTask(ti)
-	if fail != nil {
-		fail(err)
-	}
+	e.settle(cont, rec, err)
 }
 
-// allocTask takes a task slot off the free list, growing the arena when
-// none are free.
-func (e *Engine) allocTask() int32 {
-	if e.taskFree != 0 {
-		ti := e.taskFree - 1
-		e.taskFree = e.tasks[ti].next
-		return ti
-	}
-	e.tasks = append(e.tasks, sendTask{})
-	return int32(len(e.tasks) - 1)
-}
-
-// freeTask recycles a task slot, dropping callback and error references
-// but keeping the path buffer for route reuse.
+// freeTask recycles a task slot, keeping only the path buffer for route
+// reuse.
 func (e *Engine) freeTask(ti int32) {
-	t := &e.tasks[ti]
-	t.deliver, t.fail, t.err = nil, nil, nil
-	t.next = e.taskFree
-	e.taskFree = ti + 1
+	e.tasks.release(ti, sendTask{path: e.tasks.at(ti).path})
+}
+
+// settle hands a finished exchange — landed when err is nil, lost
+// otherwise — to the record that started it. The task is already
+// recycled; each record kind frees its own slot before anything that can
+// re-enter the engine runs.
+func (e *Engine) settle(cont recKind, rec int32, err error) {
+	switch cont {
+	case recWrite:
+		e.writeSettled(rec, err)
+	case recRepair:
+		e.repairSettled(rec, err)
+	case recGather, recLeg:
+		e.querySettled(cont, rec, err)
+	}
 }
 
 // Insert injects an event at its detecting sensor. done (optional) fires
@@ -534,20 +589,33 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 	}
 	e.mInserts.Inc()
 	span := e.tracer.BeginAt(e.tracer.CurrentSpan(), trace.OpInsert, origin, "")
-	var fail func(error)
-	if span != 0 {
-		fail = func(error) { e.tracer.EndSpan(span) }
-	}
-	e.within(span, func() {
-		e.send(origin, index, network.KindInsert, dcs.EventBytes(e.Dims()), func() {
-			e.storeEvent(key, index, ev, true)
-			e.tracer.EndSpan(span)
-			if done != nil {
-				done()
-			}
-		}, fail)
-	})
+	wi := e.writes.alloc()
+	*e.writes.at(wi) = write{key: key, ev: ev, index: int32(index), span: span, done: done}
+	entered := e.enter(span)
+	e.send(origin, index, network.KindInsert, dcs.EventBytes(e.Dims()), recWrite, wi)
+	e.leave(entered)
 	return nil
+}
+
+// writeSettled lands a write: an insert is stored (and mirrored) at its
+// index node, its span closed and its caller told; a mirror copy joins
+// the mirror store. A lost write loses the event — the insert's span
+// still closes.
+func (e *Engine) writeSettled(wi int32, err error) {
+	w := *e.writes.at(wi)
+	e.writes.release(wi, write{})
+	switch {
+	case err != nil:
+		e.tracer.EndSpan(w.span)
+	case w.mirror:
+		e.mirrorStore[w.key] = append(e.mirrorStore[w.key], w.ev)
+	default:
+		e.storeEvent(w.key, int(w.index), w.ev, true)
+		e.tracer.EndSpan(w.span)
+		if w.done != nil {
+			w.done()
+		}
+	}
 }
 
 // Preload stores an event synchronously through global knowledge — no
@@ -579,258 +647,9 @@ func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bo
 		e.mirrorStore[key] = append(e.mirrorStore[key], ev)
 		return
 	}
-	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.Dims()), func() {
-		e.mirrorStore[key] = append(e.mirrorStore[key], ev)
-	}, nil)
-}
-
-// Query issues a range query at the sink. onDone fires when the last pool
-// reply lands, with the gathered results and the elapsed virtual time.
-func (e *Engine) Query(sink int, q event.Query, onDone func(results []event.Event, elapsed time.Duration)) error {
-	var wrapped func([]event.Event, dcs.Completeness, time.Duration)
-	if onDone != nil {
-		wrapped = func(results []event.Event, _ dcs.Completeness, elapsed time.Duration) {
-			onDone(results, elapsed)
-		}
-	}
-	return e.QueryWithReport(sink, q, wrapped)
-}
-
-// QueryWithReport is Query plus a dcs.Completeness report, resolved
-// with the same splitter fan-out, retry, and graceful-degradation
-// policy as the synchronous pool.System.QueryWithReport — but
-// message-driven: an unreachable splitter is retried once through the
-// next-closest index node, an unreachable cell once through its mirror
-// (or re-attempted), each reply leg once, and a lost aggregate reply
-// demotes the cells whose matches it carried. A cell whose mirror
-// transfer is still in flight after a repair serves whatever slice has
-// arrived and is reported unreached — the measured completeness dips
-// until the transfer converges.
-func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []event.Event, comp dcs.Completeness, elapsed time.Duration)) error {
-	var plan pool.Plan
-	if err := e.Resolve(q, &plan); err != nil {
-		return err
-	}
-	rq := plan.Query
-	e.seq++
-	op := &operation{
-		id:      e.seq,
-		sink:    sink,
-		span:    e.tracer.BeginAt(e.tracer.CurrentSpan(), trace.OpQuery, sink, ""),
-		started: e.sched.Now(),
-		onDone:  onDone,
-	}
-	e.ops[op.id] = op
-
-	e.mQueries.Inc()
-	op.poolsLeft = len(plan.Fanouts)
-	op.comp.CellsTotal = plan.NumCells()
-	if len(plan.Fanouts) == 0 {
-		e.sched.After(0, func() { e.finish(op) })
-		return nil
-	}
-	for _, f := range plan.Fanouts {
-		f := f
-		e.within(op.span, func() { e.startPool(op, f.Pool, f.Cells, rq) })
-	}
-	return nil
-}
-
-// startPool launches one pool's fan-out: sink → splitter, with the
-// one-retry alternate-splitter policy on failure.
-func (e *Engine) startPool(op *operation, p pool.Pool, cells []pool.CellID, rq event.Query) {
-	qBytes := dcs.QueryBytes(e.Dims())
-	splitter := e.SplitterFor(p, op.sink)
-	e.send(op.sink, splitter, network.KindQuery, qBytes, func() {
-		e.runSplitter(op, p, splitter, cells, rq)
-	}, func(error) {
-		// The splitter timed out: retry once through the Pool's
-		// next-closest index node.
-		alt := e.AlternateSplitter(p, op.sink, splitter)
-		if alt < 0 {
-			e.poolUnreached(op, p, cells)
-			return
-		}
-		op.comp.Retries++
-		r := e.tracer.BeginAt(op.span, trace.OpRetry, op.sink, "alt-splitter")
-		e.within(r, func() {
-			e.send(op.sink, alt, network.KindQuery, qBytes, func() {
-				e.tracer.EndSpan(r)
-				e.within(op.span, func() { e.runSplitter(op, p, alt, cells, rq) })
-			}, func(error) {
-				e.tracer.EndSpan(r)
-				e.within(op.span, func() { e.poolUnreached(op, p, cells) })
-			})
-		})
-	})
-}
-
-// poolUnreached abandons a whole pool's fan-out: every relevant cell
-// goes unreached.
-func (e *Engine) poolUnreached(op *operation, p pool.Pool, cells []pool.CellID) {
-	for _, c := range cells {
-		op.comp.Unreached = append(op.comp.Unreached, pool.CellLabel(p.Dim, c))
-	}
-	e.poolDone(op)
-}
-
-// runSplitter executes the splitter role: fan the query out to every
-// relevant cell and gather one reply (possibly empty — the ack that makes
-// completion detectable) from each.
-func (e *Engine) runSplitter(op *operation, p pool.Pool, splitter int, cells []pool.CellID, rq event.Query) {
-	g := &gather{splitter: splitter, cellsLeft: len(cells)}
-	for _, c := range cells {
-		e.queryCellVia(op, g, p, c, rq)
-	}
-}
-
-// queryCellVia queries one cell through the splitter: one retry on
-// failure, preferring the cell's mirror when replication keeps an alive
-// copy, otherwise re-attempting the primary — the synchronous
-// queryCellVia policy, message by message.
-func (e *Engine) queryCellVia(op *operation, g *gather, p pool.Pool, c pool.CellID, rq event.Query) {
-	qBytes := dcs.QueryBytes(e.Dims())
-	key := pool.Key{Dim: p.Dim, Cell: c}
-	index := e.IndexNode(c)
-	e.send(g.splitter, index, network.KindQuery, qBytes, func() {
-		e.serveCell(op, g, p, c, key, index, false, rq)
-	}, func(error) {
-		op.comp.Retries++
-		if m, ok := e.MirrorFor(key, index); ok {
-			r := e.tracer.BeginAt(op.span, trace.OpRetry, g.splitter, "mirror")
-			e.within(r, func() {
-				e.send(g.splitter, m, network.KindQuery, qBytes, func() {
-					e.tracer.EndSpan(r)
-					e.within(op.span, func() { e.serveCell(op, g, p, c, key, m, true, rq) })
-				}, func(error) {
-					e.tracer.EndSpan(r)
-					e.within(op.span, func() { e.cellUnreached(op, g, p, c) })
-				})
-			})
-			return
-		}
-		// No mirror: back off and re-attempt the primary once.
-		r := e.tracer.BeginAt(op.span, trace.OpRetry, g.splitter, "primary")
-		e.within(r, func() {
-			e.send(g.splitter, index, network.KindQuery, qBytes, func() {
-				e.tracer.EndSpan(r)
-				e.within(op.span, func() { e.serveCell(op, g, p, c, key, index, false, rq) })
-			}, func(error) {
-				e.tracer.EndSpan(r)
-				e.within(op.span, func() { e.cellUnreached(op, g, p, c) })
-			})
-		})
-	})
-}
-
-// serveCell runs at the queried node: filter the store (or the mirror
-// copy), then return the reply to the splitter, retrying the leg once.
-// A cell whose restore transfer is still streaming serves its partial
-// slice but is reported unreached (degraded completeness).
-func (e *Engine) serveCell(op *operation, g *gather, p pool.Pool, c pool.CellID, key pool.Key, target int, useMirror bool, rq event.Query) {
-	var held []event.Event
-	partial := false
-	if useMirror {
-		held = e.mirrorStore[key]
-	} else {
-		held, partial = e.store[target][key], e.transferring[key]
-	}
-	e.matchBuf = rq.AppendMatches(e.matchBuf[:0], held)
-	matches := event.CloneEvents(e.matchBuf)
-	reply := dcs.ReplyBytes(e.Dims(), len(matches))
-	deliver := func() { e.cellServed(op, g, p, c, matches, partial) }
-	e.send(target, g.splitter, network.KindReply, reply, deliver, func(error) {
-		op.comp.Retries++
-		r := e.tracer.BeginAt(op.span, trace.OpRetry, target, "reply")
-		e.within(r, func() {
-			e.send(target, g.splitter, network.KindReply, reply, func() {
-				e.tracer.EndSpan(r)
-				e.within(op.span, deliver)
-			}, func(error) {
-				e.tracer.EndSpan(r)
-				e.within(op.span, func() { e.cellUnreached(op, g, p, c) })
-			})
-		})
-	})
-}
-
-// cellServed lands one cell's reply at the splitter.
-func (e *Engine) cellServed(op *operation, g *gather, p pool.Pool, c pool.CellID, matches []event.Event, partial bool) {
-	g.results = append(g.results, matches...)
-	if partial {
-		op.comp.Unreached = append(op.comp.Unreached, pool.CellLabel(p.Dim, c))
-	} else {
-		g.served = append(g.served, servedCell{cell: c, matches: len(matches)})
-	}
-	g.cellsLeft--
-	if g.cellsLeft == 0 {
-		e.finishPool(op, g, p)
-	}
-}
-
-// cellUnreached records one cell lost through the retry policy.
-func (e *Engine) cellUnreached(op *operation, g *gather, p pool.Pool, c pool.CellID) {
-	op.comp.Unreached = append(op.comp.Unreached, pool.CellLabel(p.Dim, c))
-	g.cellsLeft--
-	if g.cellsLeft == 0 {
-		e.finishPool(op, g, p)
-	}
-}
-
-// finishPool returns the splitter's aggregate reply to the sink,
-// retrying once; a double failure demotes the served cells whose
-// matches the lost reply carried (empty cells still count reached, as
-// in the fault-free protocol).
-func (e *Engine) finishPool(op *operation, g *gather, p pool.Pool) {
-	reply := dcs.ReplyBytes(e.Dims(), len(g.results))
-	success := func() {
-		// The merge marker: from here to span end the sink is folding
-		// pool replies together.
-		e.tracer.Record(trace.TypeReply, op.sink, len(g.results), "")
-		op.comp.CellsReached += len(g.served)
-		op.results = append(op.results, g.results...)
-		e.poolDone(op)
-	}
-	demote := func() {
-		for _, sc := range g.served {
-			if sc.matches > 0 {
-				op.comp.Unreached = append(op.comp.Unreached, pool.CellLabel(p.Dim, sc.cell))
-			} else {
-				op.comp.CellsReached++
-			}
-		}
-		e.poolDone(op)
-	}
-	e.send(g.splitter, op.sink, network.KindReply, reply, success, func(error) {
-		op.comp.Retries++
-		r := e.tracer.BeginAt(op.span, trace.OpRetry, g.splitter, "reply")
-		e.within(r, func() {
-			e.send(g.splitter, op.sink, network.KindReply, reply, func() {
-				e.tracer.EndSpan(r)
-				e.within(op.span, success)
-			}, func(error) {
-				e.tracer.EndSpan(r)
-				e.within(op.span, demote)
-			})
-		})
-	})
-}
-
-// poolDone retires one pool of the fan-out, finishing the operation
-// when it was the last.
-func (e *Engine) poolDone(op *operation) {
-	op.poolsLeft--
-	if op.poolsLeft == 0 {
-		e.finish(op)
-	}
-}
-
-func (e *Engine) finish(op *operation) {
-	e.tracer.EndSpan(op.span)
-	delete(e.ops, op.id)
-	if op.onDone != nil {
-		op.onDone(op.results, op.comp, e.sched.Now()-op.started)
-	}
+	wi := e.writes.alloc()
+	*e.writes.at(wi) = write{key: key, ev: ev, mirror: true}
+	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.Dims()), recWrite, wi)
 }
 
 // StorageLoad implements dcs.StorageReporter: events currently held by

@@ -73,8 +73,7 @@ const (
 	repairMirror                         // initiator → primary: re-home the cell's mirror
 )
 
-// repairPacket is one repair-protocol message. Unlike the data path,
-// whose packets are pure closures, repair packets are explicit values
+// repairPacket is one repair-protocol message: an explicit value
 // dispatched through handleRepair — so duplicated, reordered, and
 // malformed packets can be injected directly (see FuzzRepairPackets).
 type repairPacket struct {
@@ -87,6 +86,22 @@ type repairPacket struct {
 	last   bool          // final-chunk marker
 	events []event.Event // chunk payload
 }
+
+// repairSend is a repair packet on the air, and the task to abandon if it
+// is lost.
+type repairSend struct {
+	pkt  repairPacket
+	task repairTask
+}
+
+// repairTask is what a repair packet travels for: a cell's re-election or
+// a cell copy's transfer. A lost packet abandons its task.
+type repairTask interface {
+	aborted(e *Engine)
+}
+
+func (t *electTask) aborted(e *Engine) { e.electAborted(t) }
+func (t *xferTask) aborted(e *Engine)  { e.xferAborted(t) }
 
 // repairRun tracks one victim's repair from suspicion to convergence.
 type repairRun struct {
@@ -238,7 +253,7 @@ func (e *Engine) FailNode(victim int) error {
 		e.sendRepair(repairPacket{
 			kind: repairSuspect, from: t.initiator, to: t.candidate,
 			victim: victim, key: pool.Key{Cell: t.cell},
-		}, func() { e.electAborted(t) })
+		}, t)
 	}
 	for _, key := range rehomes {
 		if t := e.elects[key.Cell]; t != nil {
@@ -258,20 +273,30 @@ func (e *Engine) FailNode(victim int) error {
 	return nil
 }
 
-// sendRepair routes one repair packet as a KindControl exchange;
-// onAbort (optional) runs when the packet is known lost.
-func (e *Engine) sendRepair(pkt repairPacket, onAbort func()) {
+// sendRepair routes one repair packet as a KindControl exchange on
+// behalf of task, which is abandoned when the packet is known lost.
+func (e *Engine) sendRepair(pkt repairPacket, task repairTask) {
 	size := dcs.QueryBytes(e.Dims())
 	if len(pkt.events) > 0 {
 		size = dcs.ReplyBytes(e.Dims(), len(pkt.events))
 	}
 	e.repairMsgs++
 	e.repairBytes += uint64(size)
-	var fail func(error)
-	if onAbort != nil {
-		fail = func(error) { onAbort() }
+	ri := e.repairSent.alloc()
+	*e.repairSent.at(ri) = repairSend{pkt: pkt, task: task}
+	e.send(pkt.from, pkt.to, network.KindControl, size, recRepair, ri)
+}
+
+// repairSettled dispatches a repair packet that landed, or abandons the
+// task of one that was lost.
+func (e *Engine) repairSettled(ri int32, err error) {
+	r := *e.repairSent.at(ri)
+	e.repairSent.release(ri, repairSend{})
+	if err != nil {
+		r.task.aborted(e)
+		return
 	}
-	e.send(pkt.from, pkt.to, network.KindControl, size, func() { e.handleRepair(pkt) }, fail)
+	e.handleRepair(r.pkt)
 }
 
 // handleRepair dispatches one delivered (or injected) repair packet.
@@ -292,7 +317,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		e.sendRepair(repairPacket{
 			kind: repairClaim, from: t.candidate, to: t.initiator,
 			victim: t.victim, key: pkt.key,
-		}, func() { e.electAborted(t) })
+		}, t)
 
 	case repairClaim:
 		t := e.elects[pkt.key.Cell]
@@ -303,7 +328,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		e.sendRepair(repairPacket{
 			kind: repairGrant, from: t.initiator, to: t.candidate,
 			victim: t.victim, key: pkt.key,
-		}, func() { e.electAborted(t) })
+		}, t)
 
 	case repairGrant:
 		t := e.elects[pkt.key.Cell]
@@ -334,7 +359,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		e.sendRepair(repairPacket{
 			kind: repairChunkAck, from: t.dest, to: t.source,
 			victim: t.run.victim, key: t.key, seq: pkt.seq,
-		}, func() { e.xferAborted(t) })
+		}, t)
 
 	case repairChunkAck:
 		t := e.xfers[pkt.key]
@@ -384,7 +409,7 @@ func (e *Engine) electGranted(t *electTask) {
 		e.sendRepair(repairPacket{
 			kind: repairPull, from: x.dest, to: x.source,
 			victim: t.run.victim, key: key,
-		}, func() { e.xferAborted(x) })
+		}, x)
 	}
 	rehomes := t.rehomes
 	delete(e.elects, t.cell)
@@ -454,7 +479,7 @@ func (e *Engine) startMirrorCopy(run *repairRun, key pool.Key, source, dest int,
 	e.sendRepair(repairPacket{
 		kind: repairMirror, from: source, to: dest,
 		victim: run.victim, key: key,
-	}, func() { e.xferAborted(x) })
+	}, x)
 }
 
 // shipChunk emits the source's next chunk (stop-and-wait).
@@ -468,7 +493,7 @@ func (e *Engine) shipChunk(t *xferTask) {
 		kind: repairChunk, from: t.source, to: t.dest,
 		victim: t.run.victim, key: t.key,
 		seq: seq, last: seq == len(t.chunks)-1, events: t.chunks[seq],
-	}, func() { e.xferAborted(t) })
+	}, t)
 }
 
 // adoptChunk lands one chunk at the destination. Restored events append
@@ -556,7 +581,7 @@ func (e *Engine) electAborted(t *electTask) {
 			e.sendRepair(repairPacket{
 				kind: repairSuspect, from: nt.initiator, to: nt.candidate,
 				victim: nt.victim, key: pool.Key{Cell: nt.cell},
-			}, func() { e.electAborted(nt) })
+			}, nt)
 			// run.pending is untouched: the task was replaced, not retired.
 			return
 		}

@@ -1,12 +1,6 @@
 package node
 
-import (
-	"slices"
-	"time"
-
-	"pooldcs/internal/event"
-	"pooldcs/internal/pool"
-)
+import "time"
 
 // EnableService switches the engine into service mode: every delivered
 // packet occupies its destination node for perPacket of virtual time,
@@ -39,20 +33,3 @@ func (e *Engine) QueueDepth(node int) int {
 
 // MaxQueueDepth returns the deepest per-node service queue observed.
 func (e *Engine) MaxQueueDepth() int { return e.svcMaxDepth }
-
-// SplittersFor returns the distinct splitter nodes that would serve q
-// issued from sink, in pool-dimension order. Empty when no pool is
-// relevant to q.
-func (e *Engine) SplittersFor(sink int, q event.Query) []int {
-	var plan pool.Plan
-	if e.Resolve(q, &plan) != nil {
-		return nil
-	}
-	var out []int
-	for _, f := range plan.Fanouts {
-		if s := e.SplitterFor(f.Pool, sink); !slices.Contains(out, s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -115,7 +115,8 @@ func NewDirectory(layout *field.Layout, dims int, alpha float64, side int, pivot
 		d.memo[i] = make([]int32, layout.N())
 	}
 	for _, p := range d.pools {
-		for _, c := range p.Cells() {
+		for i := 0; i < p.numCells(); i++ {
+			c := p.cellAt(i)
 			if _, ok := d.holder[c]; !ok {
 				d.holder[c] = layout.Nearest(grid.Center(c))
 			}
@@ -199,10 +200,15 @@ func (d *Directory) Place(origin int, e event.Event) (Key, int, error) {
 	}
 	originCell := d.grid.CellOf(d.layout.Pos(origin))
 	best, bestDist := Key{}, math.Inf(1)
-	for _, dim := range event.GreatestDims(e) {
-		cell := d.candidate(e, dim)
+	// The tied maxima are walked in place, in event.GreatestDims order.
+	max := event.Greatest(e)
+	for i, v := range e.Values {
+		if v != max {
+			continue
+		}
+		cell := d.candidate(e, i+1)
 		if dist := CellDist(cell, originCell); dist < bestDist {
-			best, bestDist = Key{Dim: dim, Cell: cell}, dist
+			best, bestDist = Key{Dim: i + 1, Cell: cell}, dist
 		}
 	}
 	return best, d.holder[best.Cell], nil
@@ -216,7 +222,8 @@ type Fanout struct {
 }
 
 // Plan is a resolved query. The zero value is ready to use, and a Plan
-// handed to Resolve again reuses its memory.
+// handed to Resolve again reuses its memory — the rewritten ranges
+// included, so what an earlier Resolve left in it is overwritten.
 type Plan struct {
 	// Query is the query after the §2 partial-match rewrite.
 	Query event.Query
@@ -239,7 +246,7 @@ func (d *Directory) Resolve(q event.Query, plan *Plan) error {
 	if q.Dims() != d.dims {
 		return fmt.Errorf("pool: query has %d dims, deployment built for %d", q.Dims(), d.dims)
 	}
-	plan.Query = q.Rewrite()
+	plan.Query.Ranges = q.AppendRewritten(plan.Query.Ranges[:0])
 	plan.Fanouts, plan.cells = plan.Fanouts[:0], plan.cells[:0]
 	for _, p := range d.pools {
 		from := len(plan.cells)
@@ -276,8 +283,8 @@ func (d *Directory) SplitterFor(p Pool, sink int) int {
 func (d *Directory) AlternateSplitter(p Pool, sink, avoid int) int {
 	sinkPos := d.layout.Pos(sink)
 	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := d.holder[c]
+	for i := 0; i < p.numCells(); i++ {
+		h := d.holder[p.cellAt(i)]
 		if h == avoid {
 			continue
 		}

@@ -81,14 +81,20 @@ func (p Pool) InsertCell(vd1, vd2 float64) CellID {
 
 // Cells returns all l² cells of the Pool.
 func (p Pool) Cells() []CellID {
-	out := make([]CellID, 0, p.Side*p.Side)
-	for ho := 0; ho < p.Side; ho++ {
-		for vo := 0; vo < p.Side; vo++ {
-			out = append(out, p.Pivot.Add(ho, vo))
-		}
+	out := make([]CellID, p.numCells())
+	for i := range out {
+		out[i] = p.cellAt(i)
 	}
 	return out
 }
+
+// numCells returns l², the number of cells of the Pool.
+func (p Pool) numCells() int { return p.Side * p.Side }
+
+// cellAt returns the i-th cell of Cells() — horizontal offset major,
+// vertical offset minor — so a walk over the Pool that breaks ties by
+// that order need not build the slice.
+func (p Pool) cellAt(i int) CellID { return p.Pivot.Add(i/p.Side, i%p.Side) }
 
 // ContainsCell reports whether the global cell c belongs to the Pool.
 func (p Pool) ContainsCell(c CellID) bool {
