@@ -38,7 +38,9 @@ race-parallel:
 # memo must never change a route, and its indexed home lookup must never
 # leave the perimeter probe's answer; concurrent actor queries under
 # crashes and loss must degrade by the contract and leave every recycled
-# record back in its arena. go test accepts one -fuzz target per
+# record back in its arena; the autopsy must equal its reference on any
+# event stream, and packing events into the flight recorder's 64-byte
+# records must lose nothing. go test accepts one -fuzz target per
 # invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/chaos -run=NONE -fuzz=FuzzResolveUnderFaults -fuzztime=10s
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/node -run=NONE -fuzz=FuzzRepairPackets -fuzztime=10s
 	$(GO) test ./internal/node -run=NONE -fuzz=FuzzQueryUnderFaults -fuzztime=10s
 	$(GO) test ./internal/attrib -run=NONE -fuzz=FuzzAutopsy -fuzztime=10s
+	$(GO) test ./internal/trace -run=NONE -fuzz=FuzzLogRoundTrip -fuzztime=10s
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzSchedulerOrdering -fuzztime=10s
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzRouteMemo -fuzztime=10s
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzHomeNode -fuzztime=10s
@@ -122,10 +125,15 @@ smoke-bench:
 # nothing else, and a 20000x run takes two seconds. The actor engine's
 # steady 64-query wave is gated on both: its allocs/op is an exact count —
 # wrappers, results and per-cell snapshots, every record recycled — and
-# its ns/op moves with the allocator, so it carries a 60% tolerance.
+# its ns/op moves with the allocator, so it carries a 60% tolerance. The
+# flight recorder has a row for each side: recording into a full ring
+# (BenchmarkFlightRecorderEmit) is gated at exactly 0 allocs/op and 0 B/op,
+# and reading a wrapped 1<<18 ring in place (BenchmarkRingAttribute:
+# Events + Analyze + Attribute + RepairWindows) on B/op within 10% — a
+# copy of the ring would be 16 MB over — and ns/op within 60%.
 micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
-		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$' 2>&1 \
+		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$|^BenchmarkTransmitTracerEnabled$$|^BenchmarkFlightRecorderEmit$$' 2>&1 \
 		| tee /tmp/micro-bench.out
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
@@ -133,6 +141,8 @@ micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=20000x -bench='^BenchmarkRangeQuerySteady$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test . -run=NONE -benchmem -benchtime=2000x -bench='^BenchmarkActorQuerySteady$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test . -run=NONE -benchmem -benchtime=50x -bench='^BenchmarkRingAttribute$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 

@@ -14,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"pooldcs/internal/attrib"
+	"pooldcs/internal/chaos"
 	"pooldcs/internal/dim"
+	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
 	"pooldcs/internal/experiment"
 	"pooldcs/internal/field"
@@ -825,5 +828,103 @@ func BenchmarkPoolInsertTracerEnabled(b *testing.B) {
 		if tr.Len() >= 1<<16 {
 			tr.Reset()
 		}
+	}
+}
+
+// BenchmarkFlightRecorderEmit is the recording cost of the always-on
+// flight recorder once its ring is full, which is its steady state: one
+// iteration is what a served query leg leaves behind — a hop, a wait, a
+// serve stamped at an explicit time and a reply. Every record overwrites
+// a slot in place, so the iteration allocates nothing; `make micro-bench`
+// gates that.
+func BenchmarkFlightRecorderEmit(b *testing.B) {
+	tr := trace.NewRing(nil, 1<<12)
+	emit := func() {
+		tr.Hop(1, 2, "query", 16, 1, false)
+		tr.Record(trace.TypeWait, 2, 3, "")
+		tr.RecordAt(5*time.Millisecond, trace.TypeServe, 2, 0, "")
+		tr.Record(trace.TypeReply, 2, 9, "")
+	}
+	for tr.Dropped() == 0 {
+		emit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		emit()
+	}
+}
+
+// ringAttributeSink keeps BenchmarkRingAttribute's results alive.
+var ringAttributeSink int
+
+// BenchmarkRingAttribute is the read side of the flight recorder at the
+// size churn_repair analyses it: a 1<<18 ring filled (and wrapped) by a
+// seeded N=900 replicated actor run with a 2 ms service time, 1 s beacons
+// and 10 % churn, then one iteration is Events + Analyze + Attribute +
+// RepairWindows over it. The ring is read in place, so what an iteration
+// allocates is the analysis itself (spans, per-root index buckets), not a
+// copy of the records.
+func BenchmarkRingAttribute(b *testing.B) {
+	const n = 900
+	horizon := 150 * time.Second
+	layout, err := field.Generate(field.DefaultSpec(n), rng.New(1234))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	net, router := network.New(layout), gpsr.New(layout)
+	eng, err := node.NewEngine(net, router, sched, 3, rng.New(4), nil, node.WithReplication())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.EnableService(2 * time.Millisecond)
+	flight := trace.NewRing(sched, 1<<18)
+	eng.SetTracer(flight)
+	gen := workload.NewUniformEvents(rng.New(5), 3)
+	for i := 0; i < 3*n; i++ {
+		if err := eng.Preload(i%n, gen.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	disc := discovery.New(net, sched, rng.New(6), discovery.Config{Interval: time.Second})
+	faults := chaos.NewEngine(sched, net, router, []chaos.System{eng}, chaos.WithFailureDetection(disc))
+	if err := faults.Schedule(chaos.RandomChurn(rng.New(7), n, 0.10, 0.25, horizon)); err != nil {
+		b.Fatal(err)
+	}
+	qgen := workload.NewQueries(rng.New(8), 3)
+	sinks := rng.New(9)
+	for at := 125 * time.Millisecond; at < horizon; at += 250 * time.Millisecond {
+		sink, q := sinks.Intn(n), qgen.ExactMatch(workload.UniformSizes)
+		if err := sched.At(at, func() {
+			for faults.Down(sink) {
+				sink = (sink + 1) % n
+			}
+			if err := eng.Query(sink, q, func([]event.Event, time.Duration) {}); err != nil {
+				b.Error(err)
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	disc.Start()
+	if err := sched.At(horizon, disc.Stop); err != nil {
+		b.Fatal(err)
+	}
+	sched.Run()
+	if flight.Dropped() == 0 {
+		b.Fatalf("the run left %d events, not enough to wrap the ring", flight.Len())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events := flight.Events()
+		a, _ := trace.Analyze(events)
+		bds := attrib.Attribute(events, a, attrib.Options{})
+		ringAttributeSink += len(bds) + len(attrib.RepairWindows(events, a.Horizon))
+	}
+	b.StopTimer()
+	if ringAttributeSink == 0 {
+		b.Fatal("nothing attributed: no query span and no repair window in the ring")
 	}
 }

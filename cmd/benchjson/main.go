@@ -17,8 +17,10 @@
 // -compare prints a benchstat-style delta table (ns/op, B/op,
 // allocs/op) between two archived reports. -gate parses a fresh bench
 // stream from stdin and fails when any benchmark's allocs/op regresses
-// more than -tolerance percent over the baseline report, or its ns/op
-// regresses past its time tolerance. Time gating is opt-in — wall time
+// more than -tolerance percent over the baseline report, its B/op
+// regresses past the "bytes_tolerance_pct" of its baseline entry (entries
+// without one are not gated on bytes), or its ns/op regresses past its
+// time tolerance. Time gating is opt-in — wall time
 // is only meaningful at stable iteration counts (never -benchtime=1x) —
 // and the tolerance resolves per benchmark: a "ns_tolerance_pct" field
 // in the baseline entry wins, else the -ns-tolerance flag, else 0
@@ -61,6 +63,11 @@ type Benchmark struct {
 	// inherently noisy timing carry a wide tolerance (or none) while tight
 	// nanosecond-scale kernels gate strictly.
 	NsTolerancePct *float64 `json:"ns_tolerance_pct,omitempty"`
+	// BytesTolerancePct, set by hand in a baseline report, opts this
+	// benchmark's B/op into -gate: the current value may exceed the
+	// baseline's bytes_per_op by at most this percentage (so a baseline
+	// of 0 B/op gates exactly).
+	BytesTolerancePct *float64 `json:"bytes_tolerance_pct,omitempty"`
 }
 
 // Report is the top-level JSON document.
@@ -323,10 +330,11 @@ func compareReports(oldPath, newPath string, out io.Writer) error {
 }
 
 // gateReport parses a fresh bench stream and fails when any baseline
-// benchmark's allocs/op regressed more than tolerance percent, or its
-// ns/op regressed past that benchmark's effective time tolerance
-// (ns_tolerance_pct in the baseline, else the global nsTolerance, else
-// disabled). Baseline benchmarks missing from the stream fail too, so
+// benchmark's allocs/op regressed more than tolerance percent, its B/op
+// regressed past the bytes_tolerance_pct its baseline row carries (rows
+// without one are not gated on bytes), or its ns/op regressed past that
+// benchmark's effective time tolerance (ns_tolerance_pct in the baseline,
+// else the global nsTolerance, else disabled). Baseline benchmarks missing from the stream fail too, so
 // the gate cannot rot silently when a benchmark is renamed.
 func gateReport(in io.Reader, baselinePath string, tolerance, nsTolerance float64, out io.Writer) error {
 	base, err := loadReport(baselinePath)
@@ -350,11 +358,12 @@ func gateReport(in io.Reader, baselinePath string, tolerance, nsTolerance float6
 			nsTol = *bb.NsTolerancePct
 		}
 		gateNs := nsTol > 0 && bb.NsPerOp > 0
-		if bb.AllocsPerOp == nil && !gateNs {
+		gateBytes := bb.BytesTolerancePct != nil && bb.BytesPerOp != nil
+		if bb.AllocsPerOp == nil && !gateNs && !gateBytes {
 			continue
 		}
 		cb, ok := curBy[benchKey(bb)]
-		if !ok || (bb.AllocsPerOp != nil && cb.AllocsPerOp == nil) {
+		if !ok || (bb.AllocsPerOp != nil && cb.AllocsPerOp == nil) || (gateBytes && cb.BytesPerOp == nil) {
 			failures = append(failures, fmt.Sprintf("%s: missing from current run (or run without -benchmem)", bb.Name))
 			continue
 		}
@@ -369,6 +378,17 @@ func gateReport(in io.Reader, baselinePath string, tolerance, nsTolerance float6
 			}
 			fmt.Fprintf(out, "%-40s baseline %10g  current %10g  (%s)  %s allocs/op\n",
 				bb.Name, *bb.AllocsPerOp, *cb.AllocsPerOp, delta(*bb.AllocsPerOp, *cb.AllocsPerOp), status)
+		}
+		if gateBytes {
+			limit := *bb.BytesPerOp * (1 + *bb.BytesTolerancePct/100)
+			status := "ok"
+			if *cb.BytesPerOp > limit {
+				status = "FAIL"
+				failures = append(failures, fmt.Sprintf("%s: %g B/op exceeds baseline %g by more than %g%%",
+					bb.Name, *cb.BytesPerOp, *bb.BytesPerOp, *bb.BytesTolerancePct))
+			}
+			fmt.Fprintf(out, "%-40s baseline %10g  current %10g  (%s)  %s B/op (tol %g%%)\n",
+				bb.Name, *bb.BytesPerOp, *cb.BytesPerOp, delta(*bb.BytesPerOp, *cb.BytesPerOp), status, *bb.BytesTolerancePct)
 		}
 		if gateNs {
 			limit := bb.NsPerOp * (1 + nsTol/100)

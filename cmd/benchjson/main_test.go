@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -201,6 +202,34 @@ func TestGateNsPerOp(t *testing.T) {
 	stream = "pkg: pooldcs\nBenchmarkFig6a-8 1000 2000 ns/op\n"
 	if err := run([]string{"-gate", nsOnly}, strings.NewReader(stream), &out); err == nil {
 		t.Error("ns-only baseline did not gate")
+	}
+}
+
+func TestGateBytesPerOp(t *testing.T) {
+	baseline := writeReport(t, Report{Benchmarks: []Benchmark{
+		{Pkg: "pooldcs", Name: "BenchmarkEmit", NsPerOp: 60, BytesPerOp: f64(0), AllocsPerOp: f64(0), BytesTolerancePct: f64(10)},
+		{Pkg: "pooldcs", Name: "BenchmarkRead", NsPerOp: 1000, BytesPerOp: f64(7000), AllocsPerOp: f64(80), BytesTolerancePct: f64(10)},
+		{Pkg: "pooldcs", Name: "BenchmarkUngated", NsPerOp: 1000, BytesPerOp: f64(10), AllocsPerOp: f64(1)},
+	}})
+	stream := func(emit, read int) string {
+		return "pkg: pooldcs\n" +
+			"BenchmarkEmit-8 100 60 ns/op " + strconv.Itoa(emit) + " B/op 0 allocs/op\n" +
+			"BenchmarkRead-8 100 1000 ns/op " + strconv.Itoa(read) + " B/op 80 allocs/op\n" +
+			"BenchmarkUngated-8 100 1000 ns/op 5000 B/op 1 allocs/op\n"
+	}
+	var out strings.Builder
+	if err := run([]string{"-gate", baseline}, strings.NewReader(stream(0, 7600)), &out); err != nil {
+		t.Fatalf("within-tolerance B/op failed (rows without bytes_tolerance_pct must not gate bytes): %v", err)
+	}
+	if !strings.Contains(out.String(), "B/op (tol 10%)") {
+		t.Errorf("gate output has no B/op row:\n%s", out.String())
+	}
+	// A zero baseline gates exactly; 10 % over a non-zero one fails.
+	if err := run([]string{"-gate", baseline}, strings.NewReader(stream(1, 7000)), &out); err == nil || !strings.Contains(err.Error(), "BenchmarkEmit: 1 B/op") {
+		t.Errorf("1 B/op over a 0 B/op baseline not caught: %v", err)
+	}
+	if err := run([]string{"-gate", baseline}, strings.NewReader(stream(0, 7800)), &out); err == nil || !strings.Contains(err.Error(), "BenchmarkRead: 7800 B/op") {
+		t.Errorf("B/op regression past 10%% not caught: %v", err)
 	}
 }
 

@@ -253,9 +253,7 @@ const autopsyRing = 1 << 18
 // fraction (over the last six windows for fast, the whole run for slow)
 // is divided by a 5% error budget.
 func registerAutopsy(reg *metrics.Registry, flight *trace.Tracer, slo, window time.Duration) {
-	events := flight.Events()
-	a, _ := trace.Analyze(events)
-	bds := attrib.Attribute(events, a, attrib.Options{})
+	_, bds := attrib.Analyze(flight, attrib.Options{})
 
 	phases := make([]string, 0, int(attrib.NumPhases))
 	for _, p := range attrib.Phases() {

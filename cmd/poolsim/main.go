@@ -22,8 +22,9 @@
 //	             spec, default) or node (event-driven actor engine)
 //	-repair      with -backend=node: mirror every cell and restore crashed
 //	             state through message-driven repair exchanges
-//	-trace-ring N  flight-recorder capacity in events for the churn and
-//	             saturation attribution columns (0 = default 262144)
+//	-trace-ring N  flight-recorder capacity in events (64 bytes each) for the
+//	             churn and saturation attribution columns (0 = default
+//	             262144, 16 MB per recorder)
 //	-format F    text | csv | markdown (default text)
 //	-debug-addr A  serve net/http/pprof and Prometheus /metrics on A while running
 package main
@@ -119,7 +120,7 @@ func run(args []string, out io.Writer) error {
 	repairPeriod := fs.Duration("repair-period", 0, "anti-entropy reconciliation round interval for the churn experiment (0 = default 5s)")
 	backend := fs.String("backend", "pool", "storage backend for the resilience sweep: pool (synchronous spec) or node (actor engine)")
 	repair := fs.Bool("repair", false, "with -backend=node: mirror cells and restore crashes via message-driven repair")
-	traceRing := fs.Int("trace-ring", 0, "flight-recorder capacity in events for the attribution columns (0 = default 262144)")
+	traceRing := fs.Int("trace-ring", 0, "flight-recorder capacity in events, 64 bytes each, for the attribution columns (0 = default 262144 = 16 MB)")
 	format := fs.String("format", "text", "output format: text, csv, or markdown")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /metrics on this address while running")
 	if err := fs.Parse(args); err != nil {

@@ -108,7 +108,7 @@ func record(args []string, out io.Writer) error {
 		defer f.Close()
 		w = f
 	}
-	if err := trace.WriteJSONL(w, res.Events); err != nil {
+	if err := trace.WriteJSONL(w, trace.LogOf(res.Events)); err != nil {
 		return err
 	}
 	if *path != "-" {
@@ -138,7 +138,7 @@ func analyze(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	a, err := trace.Analyze(events)
+	a, err := trace.Analyze(trace.LogOf(events))
 	if err != nil {
 		return err
 	}
@@ -165,16 +165,17 @@ func autopsy(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	a, err := trace.Analyze(events)
+	log := trace.LogOf(events)
+	a, err := trace.Analyze(log)
 	if err != nil {
 		return err
 	}
-	return autopsyReport(out, events, a, *worst)
+	return autopsyReport(out, log, a, *worst)
 }
 
 // autopsyReport renders the attribution: header, blame table, and the
 // per-phase decomposition of the slowest queries.
-func autopsyReport(out io.Writer, events []trace.Event, a *trace.Analysis, worst int) error {
+func autopsyReport(out io.Writer, events trace.Log, a *trace.Analysis, worst int) error {
 	bds := attrib.Attribute(events, a, attrib.Options{})
 	repairs := attrib.RepairWindows(events, a.Horizon)
 	fmt.Fprintf(out, "autopsy: %d queries attributed, %d repair windows, horizon %v",

@@ -126,7 +126,7 @@ func TestRecordWritesValidJSONL(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("empty trace")
 	}
-	if _, err := trace.Analyze(events); err != nil {
+	if _, err := trace.Analyze(trace.LogOf(events)); err != nil {
 		t.Fatal(err)
 	}
 }

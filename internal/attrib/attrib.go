@@ -16,7 +16,10 @@
 package attrib
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -122,23 +125,31 @@ type Window struct {
 	Start, End time.Duration
 }
 
-// RepairWindows extracts the repair-interference windows from a raw
-// event stream. horizon closes windows still open at the end of the
-// trace.
-func RepairWindows(events []trace.Event, horizon time.Duration) []Window {
-	open := map[int]int{} // node -> index into out
+// RepairWindows extracts the repair-interference windows from a log.
+// horizon closes windows still open at the end of the trace.
+func RepairWindows(events trace.Log, horizon time.Duration) []Window {
+	// The three markers are compared by table id; one the log cannot hold
+	// gets an id no record carries.
+	id := func(s string) uint32 {
+		if id, ok := events.DetailID(s); ok {
+			return id
+		}
+		return math.MaxUint32
+	}
+	crash, recovered, done := id("crash"), id("recover"), id("done")
+	open := map[int32]int{} // node -> index into out
 	var out []Window
-	for i := range events {
-		ev := &events[i]
-		switch {
-		case ev.Type == trace.TypeFault && ev.Detail == "crash":
+	for i, n := 0, events.Len(); i < n; i++ {
+		ev := events.At(i)
+		switch { // every case tests Type first: other records cost one compare
+		case ev.Type == trace.TypeFault && ev.Detail == crash:
 			if _, dup := open[ev.Node]; dup {
 				continue // crash of an already-crashed node
 			}
 			open[ev.Node] = len(out)
-			out = append(out, Window{Node: ev.Node, Start: ev.T, End: -1})
-		case ev.Type == trace.TypeRepair && ev.Detail == "done",
-			ev.Type == trace.TypeFault && ev.Detail == "recover":
+			out = append(out, Window{Node: int(ev.Node), Start: ev.T, End: -1})
+		case ev.Type == trace.TypeRepair && ev.Detail == done,
+			ev.Type == trace.TypeFault && ev.Detail == recovered:
 			if j, ok := open[ev.Node]; ok {
 				out[j].End = ev.T
 				delete(open, ev.Node)
@@ -210,73 +221,161 @@ type interval struct {
 	t0, t1 time.Duration
 }
 
+// Analyze is the whole read of a tracer: its records are analyzed and
+// attributed where they lie, and nothing of the ring is copied. Both
+// results alias the tracer's storage, so read them before it records
+// again (see trace.Tracer.Events).
+func Analyze(tr *trace.Tracer, opts Options) (*trace.Analysis, []Breakdown) {
+	events := tr.Events()
+	a, _ := trace.Analyze(events) // its error is always nil
+	return a, Attribute(events, a, opts)
+}
+
+// spanInfo is what Attribute needs to know of a span: the root it hangs
+// under (0 when the span is unknown), whether it sits inside an OpRetry
+// detour, and — on a selected root — the indices of the records of its
+// subtree in stream order, with whether that is also time order.
+type spanInfo struct {
+	root     uint64
+	inRetry  bool
+	idx      []int32
+	lastT    time.Duration
+	unsorted bool
+}
+
+// add appends record i, stamped t, to a root's bucket.
+func (si *spanInfo) add(i int32, t time.Duration) {
+	if t < si.lastT {
+		si.unsorted = true
+	}
+	si.lastT = t
+	si.idx = append(si.idx, i)
+}
+
+// timeKey is a bucket entry with its timestamp beside it, so that sorting
+// a bucket does not chase every comparison into the ring.
+type timeKey struct {
+	t time.Duration
+	i int32
+}
+
+func (x timeKey) compare(y timeKey) int {
+	return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.i, y.i))
+}
+
+// timeOrder restores the timeline of a bucket, reusing its scratch from
+// one bucket to the next.
+type timeOrder struct {
+	keys, ahead []timeKey
+}
+
+// sort reorders idx, which is in stream order, by timestamp; records
+// with equal stamps keep their stream order, so the result is the stable
+// sort. Only RecordAt stamps a record out of stream order, and it stamps
+// ahead (a service start at the busy-until watermark): scanning backwards,
+// such a record is one stamped later than something recorded after it.
+// Those few are pulled out, sorted among themselves and merged back into
+// the rest, which is already in order — O(n + k log k) for k records
+// ahead, and an ordinary sort when every record is.
+func (o *timeOrder) sort(events trace.Log, idx []int32) {
+	keys := o.keys[:0]
+	for _, i := range idx {
+		keys = append(keys, timeKey{events.At(int(i)).T, i})
+	}
+	ahead := o.ahead[:0]
+	w := len(keys)
+	least := time.Duration(math.MaxInt64)
+	for j := len(keys) - 1; j >= 0; j-- {
+		if k := keys[j]; k.t <= least {
+			least = k.t
+			w--
+			keys[w] = k
+		} else {
+			ahead = append(ahead, k)
+		}
+	}
+	o.keys, o.ahead = keys, ahead
+	slices.SortFunc(ahead, timeKey.compare)
+	rest := keys[w:]
+	for n := range idx {
+		if len(ahead) == 0 || (len(rest) > 0 && rest[0].compare(ahead[0]) < 0) {
+			idx[n], rest = rest[0].i, rest[1:]
+		} else {
+			idx[n], ahead = ahead[0].i, ahead[1:]
+		}
+	}
+}
+
 // Attribute decomposes every selected root span of the trace into a
-// Breakdown. events is the raw stream the Analysis was built from;
-// passing the pair keeps hop-level evidence (which Analysis aggregates
-// away) available without re-analyzing. Breakdowns come back in root
-// start order. Works on truncated analyses: evicted evidence simply
-// leaves more time in the "other" phase.
-func Attribute(events []trace.Event, a *trace.Analysis, opts Options) []Breakdown {
+// Breakdown. events is the log the Analysis was built from; passing the
+// pair keeps hop-level evidence (which Analysis aggregates away)
+// available without re-analyzing. Breakdowns come back in root start
+// order. Works on truncated analyses: evicted evidence simply leaves
+// more time in the "other" phase.
+func Attribute(events trace.Log, a *trace.Analysis, opts Options) []Breakdown {
 	ops := opts.Ops
 	if len(ops) == 0 {
 		ops = []trace.Op{trace.OpQuery}
 	}
-	opset := map[trace.Op]bool{}
-	for _, op := range ops {
-		opset[op] = true
-	}
+	selected := func(op trace.Op) bool { return slices.Contains(ops, op) }
 
 	// Resolve each span to its root and whether it sits inside an
 	// OpRetry detour, memoized over the span tree.
-	roots := map[uint64]uint64{}
-	inRetry := map[uint64]bool{}
-	var resolve func(id uint64) (uint64, bool)
-	resolve = func(id uint64) (uint64, bool) {
-		if r, ok := roots[id]; ok {
-			return r, inRetry[id]
+	spans := make(map[uint64]*spanInfo, len(a.ByID))
+	var resolve func(id uint64) *spanInfo
+	resolve = func(id uint64) *spanInfo {
+		if si, ok := spans[id]; ok {
+			return si
 		}
+		si := &spanInfo{}
+		spans[id] = si
 		s := a.ByID[id]
 		if s == nil {
-			roots[id] = 0
-			return 0, false
+			return si
 		}
 		// Provisional self-root entry breaks parent cycles in corrupt
 		// streams (a span claiming itself as ancestor).
-		roots[id] = id
+		si.root = id
 		retry := s.Op == trace.OpRetry
-		root := id
 		if s.Parent != 0 && s.Parent != id && a.ByID[s.Parent] != nil {
-			pr, pRetry := resolve(s.Parent)
-			root = pr
-			retry = retry || pRetry
+			parent := resolve(s.Parent)
+			si.root = parent.root
+			retry = retry || parent.inRetry
 		}
-		roots[id] = root
-		inRetry[id] = retry
-		return root, retry
+		si.inRetry = retry
+		return si
 	}
 
-	// Bucket event indices per selected root, preserving stream order.
-	buckets := map[uint64][]int{}
-	for i := range events {
-		ev := &events[i]
+	// Bucket record indices per selected root, preserving stream order.
+	// Consecutive records nearly always share a span, so the last answer
+	// is kept.
+	var lastID uint64
+	var bucket *spanInfo
+	for i, n := 0, events.Len(); i < n; i++ {
+		ev := events.At(i)
 		if ev.Span == 0 {
 			continue
 		}
-		root, _ := resolve(ev.Span)
-		if root == 0 {
-			continue
+		if ev.Span != lastID {
+			lastID, bucket = ev.Span, nil
+			if root := resolve(ev.Span).root; root != 0 {
+				if rs := a.ByID[root]; rs != nil && selected(rs.Op) {
+					bucket = spans[root]
+				}
+			}
 		}
-		if rs := a.ByID[root]; rs == nil || !opset[rs.Op] {
-			continue
+		if bucket != nil {
+			bucket.add(int32(i), ev.T)
 		}
-		buckets[root] = append(buckets[root], i)
 	}
 
 	union := mergeWindows(RepairWindows(events, a.Horizon))
 
 	var out []Breakdown
+	var intervals []interval
+	var order timeOrder
 	for _, rs := range a.Roots {
-		if !opset[rs.Op] {
+		if !selected(rs.Op) {
 			continue
 		}
 		b := Breakdown{
@@ -287,12 +386,18 @@ func Attribute(events []trace.Event, a *trace.Analysis, opts Options) []Breakdow
 			b.Total = 0
 			b.End = b.Start
 		}
-		idx := buckets[rs.ID]
-		// RecordAt stamps events out of append order; restore the
-		// timeline. Stable so simultaneous events keep causal order.
-		sort.SliceStable(idx, func(x, y int) bool { return events[idx[x]].T < events[idx[y]].T })
+		var idx []int32
+		if si := spans[rs.ID]; si != nil {
+			idx = si.idx
+			// Only RecordAt stamps records out of append order; when it
+			// did, restore the timeline. Simultaneous events keep their
+			// causal (stream) order: the index breaks ties.
+			if si.unsorted {
+				order.sort(events, idx)
+			}
+		}
 
-		intervals := sweep(events, idx, &b, inRetry)
+		intervals = sweep(intervals[:0], events, idx, &b, spans)
 		for _, iv := range intervals {
 			d := iv.t1 - iv.t0
 			phase := iv.phase
@@ -311,9 +416,9 @@ func Attribute(events []trace.Event, a *trace.Analysis, opts Options) []Breakdow
 
 // sweep classifies the query's lifetime chronologically: each event
 // closes the interval since the previous one under the current phase,
-// then selects the phase the query enters.
-func sweep(events []trace.Event, idx []int, b *Breakdown, inRetry map[uint64]bool) []interval {
-	var out []interval
+// then selects the phase the query enters. The intervals are appended to
+// out.
+func sweep(out []interval, events trace.Log, idx []int32, b *Breakdown, spans map[uint64]*spanInfo) []interval {
 	cur := PhaseOther
 	last := b.Start
 	emit := func(t time.Duration) {
@@ -331,12 +436,12 @@ func sweep(events []trace.Event, idx []int, b *Breakdown, inRetry map[uint64]boo
 		}
 	}
 	for _, i := range idx {
-		ev := &events[i]
+		ev := events.At(int(i))
 		emit(ev.T)
 		switch ev.Type {
 		case trace.TypeHop, trace.TypeBroadcast:
 			switch {
-			case inRetry[ev.Span]:
+			case spans[ev.Span].inRetry:
 				cur = PhaseRetry
 			case ev.Lost:
 				cur = PhaseARQ
@@ -350,7 +455,7 @@ func sweep(events []trace.Event, idx []int, b *Breakdown, inRetry map[uint64]boo
 		case trace.TypeReply:
 			cur = PhaseMerge
 		case trace.TypeSpanStart:
-			if ev.Op == trace.OpRetry {
+			if events.Op(ev) == trace.OpRetry {
 				cur = PhaseRetry
 			}
 			// Other span starts are transparent bookkeeping.

@@ -36,7 +36,7 @@ func checkSums(t *testing.T, bds []Breakdown) {
 	}
 }
 
-func attribute(t *testing.T, events []trace.Event, opts Options) []Breakdown {
+func attribute(t *testing.T, events trace.Log, opts Options) []Breakdown {
 	t.Helper()
 	a, err := trace.Analyze(events)
 	if err != nil {
@@ -169,13 +169,13 @@ func TestAttributeRepairWindowSplit(t *testing.T) {
 }
 
 func TestRepairWindows(t *testing.T) {
-	events := []trace.Event{
+	events := trace.LogOf([]trace.Event{
 		{T: ms(1), Type: trace.TypeFault, Node: 3, Detail: "crash"},
 		{T: ms(2), Type: trace.TypeFault, Node: 3, Detail: "crash"}, // dup ignored
 		{T: ms(4), Type: trace.TypeRepair, Node: 3, Detail: "done"},
 		{T: ms(6), Type: trace.TypeFault, Node: 9, Detail: "crash"},
 		// node 9 never closes: extends to horizon
-	}
+	})
 	ws := RepairWindows(events, ms(10))
 	if len(ws) != 2 {
 		t.Fatalf("windows = %+v, want 2", ws)

@@ -49,20 +49,23 @@ func fuzzEvents(data []byte) []trace.Event {
 // FuzzAutopsy feeds adversarial event streams through the whole autopsy
 // pipeline: Analyze must never fail, Attribute must never panic, and
 // every breakdown must satisfy the exactness invariant — non-negative
-// phases that sum to the span's wall-clock extent.
+// phases that sum to the span's wall-clock extent — and every result must
+// equal what the reference implementation (ref_test.go) gives.
 func FuzzAutopsy(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{2, 1, 1, 250, 2, 1, 2, 10, 9, 3, 0, 1, 12, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events := fuzzEvents(data)
+		events := trace.LogOf(fuzzEvents(data))
 		a, err := trace.Analyze(events)
 		if err != nil {
 			t.Fatalf("Analyze errored on adversarial stream: %v", err)
 		}
-		bds := Attribute(events, a, Options{Ops: []trace.Op{
+		opts := Options{Ops: []trace.Op{
 			trace.OpQuery, trace.OpInsert, trace.OpRetry, trace.OpFanout,
-		}})
+		}}
+		bds := Attribute(events, a, opts)
+		checkAgainstRef(t, events, a, opts)
 		for i := range bds {
 			b := &bds[i]
 			var sum time.Duration

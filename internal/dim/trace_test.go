@@ -49,7 +49,7 @@ func TestDIMTraceSpansAndCounters(t *testing.T) {
 	var resolved int
 	for _, it := range queries[0].Items {
 		if it.Record != nil && it.Record.Type == trace.TypeResolve {
-			resolved += it.Record.N
+			resolved += int(it.Record.N)
 		}
 	}
 	if resolved != len(matches) {

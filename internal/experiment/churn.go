@@ -486,9 +486,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 // six columns sum to 100 because the sweep partitions each span's wall
 // clock; all zeros when eviction left no spans.
 func attributionShares(tr *trace.Tracer) []string {
-	events := tr.Events()
-	a, _ := trace.Analyze(events)
-	bds := attrib.Attribute(events, a, attrib.Options{})
+	_, bds := attrib.Analyze(tr, attrib.Options{})
 	var mass [attrib.NumPhases]time.Duration
 	var total time.Duration
 	for _, bd := range bds {

@@ -113,10 +113,9 @@ func Saturation(cfg Config, rates []float64) (*Result, error) {
 // query's wall clock, so the pair sums to ~100 and the queue share
 // rising toward 100 is the knee forming.
 func queueServiceShares(tr *trace.Tracer) (queuePct, svcPct float64) {
-	events := tr.Events()
-	a, _ := trace.Analyze(events)
+	_, bds := attrib.Analyze(tr, attrib.Options{})
 	var queue, svc, total time.Duration
-	for _, bd := range attrib.Attribute(events, a, attrib.Options{}) {
+	for _, bd := range bds {
 		queue += bd.Phases[attrib.PhaseQueue]
 		svc += bd.Phases[attrib.PhaseService]
 		total += bd.Total

@@ -65,7 +65,7 @@ func DefaultTraceOptions() TraceOptions {
 
 // TraceResult is one traced replay.
 type TraceResult struct {
-	// Events is the recorded trace.
+	// Events is the recorded trace, copied out of the tracer.
 	Events []trace.Event
 	// Counters is the radio layer's final accounting, for consistency
 	// checks against the trace.
@@ -174,7 +174,7 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 		res.Matches += len(matches)
 	}
 
-	res.Events = tr.Events()
+	res.Events = tr.Events().Slice()
 	res.Counters = net.Snapshot()
 	return res, nil
 }
@@ -247,7 +247,7 @@ func traceNodeRun(o TraceOptions, src *rng.Source, layout *field.Layout, router 
 		return nil, fmt.Errorf("experiment: trace node engine: %w", err)
 	}
 
-	res.Events = tr.Events()
+	res.Events = tr.Events().Slice()
 	res.Counters = net.Snapshot()
 	return res, nil
 }

@@ -91,7 +91,7 @@ func TestTraceRunCountersConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := trace.Analyze(res.Events)
+			a, err := trace.Analyze(trace.LogOf(res.Events))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestTraceRunSubscriptionsNotify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := trace.Analyze(res.Events)
+	a, err := trace.Analyze(trace.LogOf(res.Events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTraceRunFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := trace.Analyze(res.Events)
+	a, err := trace.Analyze(trace.LogOf(res.Events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,8 @@ func TestTraceRunNodeDurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := trace.Analyze(res.Events)
+	log := trace.LogOf(res.Events)
+	a, err := trace.Analyze(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestTraceRunNodeDurations(t *testing.T) {
 	if len(roots) != o.Queries {
 		t.Fatalf("query spans = %d, want %d", len(roots), o.Queries)
 	}
-	bds := attrib.Attribute(res.Events, a, attrib.Options{})
+	bds := attrib.Attribute(log, a, attrib.Options{})
 	if len(bds) != o.Queries {
 		t.Fatalf("breakdowns = %d, want %d", len(bds), o.Queries)
 	}
@@ -204,7 +205,8 @@ func TestTraceRunNodeDurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, err := trace.Analyze(fres.Events)
+	flog := trace.LogOf(fres.Events)
+	fa, err := trace.Analyze(flog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +216,11 @@ func TestTraceRunNodeDurations(t *testing.T) {
 			horizon = ev.T
 		}
 	}
-	if got := len(attrib.RepairWindows(fres.Events, horizon)); got == 0 {
+	if got := len(attrib.RepairWindows(flog, horizon)); got == 0 {
 		t.Error("failure run produced no repair windows")
 	}
 	var repair int64
-	for _, bd := range attrib.Attribute(fres.Events, fa, attrib.Options{}) {
+	for _, bd := range attrib.Attribute(flog, fa, attrib.Options{}) {
 		repair += int64(bd.Phases[attrib.PhaseRepair])
 	}
 	if repair == 0 {

@@ -564,10 +564,15 @@ func (e *Engine) captureWindow(idx int64) {
 	if len(cands) > exemplarsPerWindow {
 		cands = cands[:exemplarsPerWindow]
 	}
-	events := e.tracer.Events()
-	for _, c := range cands {
+	// One pair of passes over the recorder extracts every offender's span.
+	roots := make([]uint64, len(cands))
+	for i, c := range cands {
+		roots[i] = c.span
+	}
+	subs := trace.ExtractSpans(e.tracer.Events(), roots...)
+	for i, c := range cands {
 		ex := Exemplar{Window: idx, Node: c.node, Latency: c.lat}
-		if sub := trace.ExtractSpan(events, c.span); len(sub) == 0 {
+		if sub := subs[i]; sub.Len() == 0 {
 			// The ring evicted the whole span; record the offender's
 			// identity and latency anyway.
 			ex.Truncated = true

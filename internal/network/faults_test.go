@@ -78,7 +78,7 @@ func TestBroadcastLossyPerReceiver(t *testing.T) {
 		t.Errorf("mean broadcast reach = %.2f of %d, want ≈ %d", mean, k, k/2)
 	}
 	// Trace accounting: reached + lost must equal k on every record.
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.Events().Slice() {
 		if ev.Type != trace.TypeBroadcast {
 			continue
 		}

@@ -379,7 +379,7 @@ func TestTransmitRecordsTraceHops(t *testing.T) {
 	if err := n.Transmit(1, 2, KindQuery, 8); err != nil {
 		t.Fatal(err)
 	}
-	evs := tr.Events()
+	evs := tr.Events().Slice()
 	if len(evs) != 2 {
 		t.Fatalf("got %d trace events, want 2", len(evs))
 	}
@@ -405,7 +405,7 @@ func TestTransmitRecordsLostFrames(t *testing.T) {
 		}
 	}
 	var traceLost int
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.Events().Slice() {
 		if ev.Lost {
 			traceLost++
 		}
@@ -425,7 +425,7 @@ func TestBroadcastRecordsTrace(t *testing.T) {
 	tr := trace.New(nil)
 	n := New(chainLayout(t), WithTracer(tr))
 	nbrs := n.Broadcast(1, KindControl, 8)
-	evs := tr.Events()
+	evs := tr.Events().Slice()
 	if len(evs) != 1 || evs[0].Type != trace.TypeBroadcast {
 		t.Fatalf("events = %+v", evs)
 	}

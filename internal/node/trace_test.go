@@ -64,7 +64,7 @@ func (f *tracedFixture) analyze(t testing.TB) *trace.Analysis {
 
 // checkBreakdowns asserts the attrib sum-to-total invariant for every
 // breakdown and returns them.
-func checkBreakdowns(t testing.TB, events []trace.Event, a *trace.Analysis, opts attrib.Options) []attrib.Breakdown {
+func checkBreakdowns(t testing.TB, events trace.Log, a *trace.Analysis, opts attrib.Options) []attrib.Breakdown {
 	t.Helper()
 	bds := attrib.Attribute(events, a, opts)
 	for _, bd := range bds {
@@ -210,7 +210,7 @@ func TestTracedFailoverChargesRetryAndRepair(t *testing.T) {
 
 	events := f.tracer.Events()
 	crash, repaired := false, false
-	for _, ev := range events {
+	for _, ev := range events.Slice() {
 		switch {
 		case ev.Type == trace.TypeFault && ev.Detail == "crash":
 			crash = true
@@ -329,8 +329,8 @@ func TestTracedRingPartialAnalysis(t *testing.T) {
 		t.Fatal("64-event ring dropped nothing under a 10-query load")
 	}
 	events := tr.Events()
-	if len(events) != 64 {
-		t.Fatalf("ring retained %d events, want 64", len(events))
+	if events.Len() != 64 {
+		t.Fatalf("ring retained %d events, want 64", events.Len())
 	}
 	a, err := trace.Analyze(events)
 	if err != nil {

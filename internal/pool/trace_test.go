@@ -45,7 +45,7 @@ func TestInsertTracesPlacement(t *testing.T) {
 	if span.Node != 0 {
 		t.Errorf("insert span origin = %d, want 0", span.Node)
 	}
-	var place *trace.Event
+	var place *trace.Record
 	for _, it := range span.Items {
 		if it.Record != nil && it.Record.Type == trace.TypePlace {
 			place = it.Record
@@ -59,7 +59,7 @@ func TestInsertTracesPlacement(t *testing.T) {
 		t.Errorf("placement pool = %d, want 1", place.N)
 	}
 	cell := s.Pools()[0].InsertCell(0.9, 0.2)
-	if place.Node != s.IndexNode(cell) {
+	if int(place.Node) != s.IndexNode(cell) {
 		t.Errorf("placement index node = %d, want %d", place.Node, s.IndexNode(cell))
 	}
 	if span.Hops() == 0 {
@@ -112,7 +112,7 @@ func TestQueryTracesFanoutAndResolve(t *testing.T) {
 			switch it.Record.Type {
 			case trace.TypeResolve:
 				resolves++
-				resolved += it.Record.N
+				resolved += int(it.Record.N)
 			case trace.TypeReply:
 				replies++
 			}

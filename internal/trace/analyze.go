@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -31,9 +32,10 @@ type NodeTotals struct {
 func (n NodeTotals) Total() uint64 { return n.Tx + n.Rx }
 
 // Item is one chronological entry of a span: either a semantic record or
-// a child span.
+// a child span. Record points into the analyzed Log's storage, so an
+// Analysis is valid for as long as its Log is.
 type Item struct {
-	Record *Event
+	Record *Record
 	Child  *Span
 }
 
@@ -55,6 +57,8 @@ type Span struct {
 	LostOwn  uint64
 
 	children []*Span
+	closed   bool
+	log      Log // resolves the string ids of Items' records
 }
 
 // Duration returns the span's virtual-time extent (zero in traces
@@ -103,42 +107,70 @@ type Analysis struct {
 	Truncated bool
 }
 
-// Analyze reconstructs spans and aggregates from a flat event stream.
-// Unbalanced streams — ring-evicted flight-recorder contents, JSONL cut
-// off mid-drain, spans still open at the horizon — never fail: the
-// partial structure is reconstructed and Truncated is set. The error
-// return is always nil and kept only for call-site stability.
-func Analyze(events []Event) (*Analysis, error) {
+// denseNodes bounds the node ids Analyze tallies through a slice instead
+// of the Nodes map.
+const denseNodes = 1 << 16
+
+// Analyze reconstructs spans and aggregates from a log, reading the
+// records in place. Unbalanced streams — ring-evicted flight-recorder
+// contents, JSONL cut off mid-drain, spans still open at the horizon —
+// never fail: the partial structure is reconstructed and Truncated is
+// set. The error return is always nil and kept only for call-site
+// stability.
+func Analyze(log Log) (*Analysis, error) {
 	a := &Analysis{
-		Events: len(events),
+		Events: log.Len(),
 		ByID:   make(map[uint64]*Span),
 		ByKind: make(map[string]KindTotals),
 		Nodes:  make(map[int]*NodeTotals),
 	}
 	// span resolves a span reference; an unknown id marks the stream
-	// truncated and demotes the event to background.
+	// truncated and demotes the event to background. Consecutive records
+	// nearly always share a span, so the last hit is kept.
+	var last *Span
 	span := func(id uint64) *Span {
 		if id == 0 {
 			return nil
+		}
+		if last != nil && last.ID == id {
+			return last
 		}
 		s, ok := a.ByID[id]
 		if !ok {
 			a.Truncated = true
 			return nil
 		}
+		last = s
 		return s
 	}
-	node := func(id int) *NodeTotals {
-		n, ok := a.Nodes[id]
+	// node finds a node's totals: through dense for the small non-negative
+	// ids a deployment has, through the map for anything else.
+	var dense []*NodeTotals
+	node := func(id int32) *NodeTotals {
+		if uint32(id) < uint32(len(dense)) && dense[id] != nil {
+			return dense[id]
+		}
+		n, ok := a.Nodes[int(id)]
 		if !ok {
-			n = &NodeTotals{Node: id}
-			a.Nodes[id] = n
+			n = &NodeTotals{Node: int(id)}
+			a.Nodes[int(id)] = n
+		}
+		if id >= 0 && id < denseNodes {
+			for len(dense) <= int(id) {
+				dense = append(dense, nil)
+			}
+			dense[id] = n
 		}
 		return n
 	}
-	closed := make(map[uint64]bool)
-	for i := range events {
-		ev := &events[i]
+	// Traffic is tallied per kind id; the exported map is built once at
+	// the end.
+	var kinds [maxByteIDs]struct {
+		KindTotals
+		seen bool
+	}
+	for i, n := 0, log.Len(); i < n; i++ {
+		ev := log.At(i)
 		if ev.T > a.Horizon {
 			a.Horizon = ev.T
 		}
@@ -151,8 +183,8 @@ func Analyze(events []Event) (*Analysis, error) {
 				continue
 			}
 			s := &Span{
-				ID: ev.Span, Op: ev.Op, Node: ev.Node, Detail: ev.Detail,
-				Parent: ev.Parent, Start: ev.T, End: ev.T,
+				ID: ev.Span, Op: log.Op(ev), Node: int(ev.Node), Detail: log.Detail(ev),
+				Parent: ev.Parent, Start: ev.T, End: ev.T, log: log,
 			}
 			a.ByID[ev.Span] = s
 			if ev.Parent == ev.Span {
@@ -171,7 +203,7 @@ func Analyze(events []Event) (*Analysis, error) {
 		case TypeSpanEnd:
 			if s := span(ev.Span); s != nil {
 				s.End = ev.T
-				closed[s.ID] = true
+				s.closed = true
 			}
 		case TypeHop, TypeBroadcast:
 			s := span(ev.Span)
@@ -184,11 +216,11 @@ func Analyze(events []Event) (*Analysis, error) {
 				// Per-receiver drops: each missed reception counts once.
 				lost += frames * uint64(ev.NLost)
 			}
-			kt := a.ByKind[ev.Kind]
+			kt := &kinds[ev.Kind]
+			kt.seen = true
 			kt.Frames += frames
 			kt.Bytes += uint64(ev.Bytes)
 			kt.Lost += lost
-			a.ByKind[ev.Kind] = kt
 			node(ev.From).Tx += frames
 			if ev.Type == TypeHop && !ev.Lost {
 				node(ev.To).Rx += frames
@@ -206,10 +238,15 @@ func Analyze(events []Event) (*Analysis, error) {
 			}
 		}
 	}
+	for id := range kinds {
+		if kinds[id].seen {
+			a.ByKind[log.tab.kinds[id]] = kinds[id].KindTotals
+		}
+	}
 	// Spans whose end was evicted or never reached extend to the horizon
 	// so their duration still bounds the work they cover.
-	for id, s := range a.ByID {
-		if !closed[id] && a.Horizon > s.End {
+	for _, s := range a.ByID {
+		if !s.closed && a.Horizon > s.End {
 			s.End = a.Horizon
 			a.Truncated = true
 		}
@@ -217,26 +254,53 @@ func Analyze(events []Event) (*Analysis, error) {
 	return a, nil
 }
 
-// ExtractSpan returns the events belonging to root's subtree — the span
-// boundaries of root and every descendant plus all events recorded under
-// them — preserving stream order. It is the exemplar-capture primitive:
-// a worst-offender query's full causal trace snapshotted out of a flight
-// recorder before eviction claims it.
-func ExtractSpan(events []Event, root uint64) []Event {
-	if root == 0 {
-		return nil
-	}
-	member := map[uint64]bool{root: true}
-	for i := range events {
-		ev := &events[i]
-		if ev.Type == TypeSpanStart && member[ev.Parent] {
-			member[ev.Span] = true
+// ExtractSpan returns the records belonging to root's subtree — the span
+// boundaries of root and every descendant plus all records under them —
+// preserving stream order. It is the exemplar-capture primitive: a
+// worst-offender query's full causal trace snapshotted out of a flight
+// recorder before eviction claims it. The result owns its records, so it
+// stays valid whatever the source tracer records next.
+func ExtractSpan(log Log, root uint64) Log {
+	return ExtractSpans(log, root)[0]
+}
+
+// ExtractSpans is ExtractSpan for several roots in one pair of passes
+// over the log; result i is the subtree of roots[i]. A root of 0 or one
+// the log does not hold gives an empty Log.
+func ExtractSpans(log Log, roots ...uint64) []Log {
+	out := make([]Log, len(roots))
+	// member maps a span to the set of roots whose subtree holds it, one
+	// bit per root, so nested or repeated roots each get their full
+	// subtree; more than 64 roots go in batches.
+	for base := 0; base < len(roots); base += 64 {
+		batch := roots[base:min(base+64, len(roots))]
+		member := make(map[uint64]uint64, len(batch))
+		for i, root := range batch {
+			if root != 0 {
+				member[root] |= 1 << i
+			}
 		}
-	}
-	var out []Event
-	for i := range events {
-		if member[events[i].Span] {
-			out = append(out, events[i])
+		for i, n := 0, log.Len(); i < n; i++ {
+			if ev := log.At(i); ev.Type == TypeSpanStart {
+				if m := member[ev.Parent]; m != 0 {
+					member[ev.Span] |= m
+				}
+			}
+		}
+		subs := make([][]Record, len(batch))
+		var lastSpan, lastMask uint64
+		for i, n := 0, log.Len(); i < n; i++ {
+			ev := log.At(i)
+			if ev.Span != lastSpan {
+				lastSpan, lastMask = ev.Span, member[ev.Span]
+			}
+			for m := lastMask; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m)
+				subs[j] = append(subs[j], *ev)
+			}
+		}
+		for j, recs := range subs {
+			out[base+j] = logOf(log.tab, recs)
 		}
 	}
 	return out
@@ -337,7 +401,7 @@ func (s *Span) writeTree(w io.Writer, indent string) error {
 			}
 			continue
 		}
-		if _, err := fmt.Fprintln(w, indent+"  "+formatRecord(it.Record)); err != nil {
+		if _, err := fmt.Fprintln(w, indent+"  "+formatRecord(it.Record, s.log.Detail(it.Record))); err != nil {
 			return err
 		}
 	}
@@ -345,11 +409,11 @@ func (s *Span) writeTree(w io.Writer, indent string) error {
 }
 
 // formatRecord renders one semantic record for the tree view.
-func formatRecord(ev *Event) string {
+func formatRecord(ev *Record, detail string) string {
 	withDetail := func(verb, counted string) string {
 		line := verb
-		if ev.Detail != "" {
-			line += " " + ev.Detail
+		if detail != "" {
+			line += " " + detail
 		}
 		line += fmt.Sprintf(" node=%d", ev.Node)
 		if counted != "" {

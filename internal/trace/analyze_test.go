@@ -8,7 +8,7 @@ import (
 
 // sampleTrace builds a small trace by hand: one insert span, one query
 // span with a nested fan-out, and one background hop.
-func sampleTrace() []Event {
+func sampleTrace() Log {
 	clock := &fakeClock{}
 	tr := New(clock)
 
@@ -126,9 +126,9 @@ func TestAnalyzeNodeRanking(t *testing.T) {
 func TestAnalyzeToleratesMalformedSpans(t *testing.T) {
 	// An orphaned hop (its span_start was evicted or cut off) demotes to
 	// background traffic and flags the analysis truncated.
-	a, err := Analyze([]Event{
+	a, err := Analyze(LogOf([]Event{
 		{Type: TypeHop, Span: 99, From: 0, To: 1, Kind: "query", Frames: 1},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestAnalyzeToleratesMalformedSpans(t *testing.T) {
 	}
 
 	// A re-used span id keeps the first definition.
-	a, err = Analyze([]Event{
+	a, err = Analyze(LogOf([]Event{
 		{Type: TypeSpanStart, Span: 1, Op: OpQuery, Node: 0},
 		{Type: TypeSpanStart, Span: 1, Op: OpInsert, Node: 7},
 		{Type: TypeSpanEnd, Span: 1},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,10 @@ func TestAnalyzeToleratesMalformedSpans(t *testing.T) {
 }
 
 func TestAnalyzeUnclosedSpanEndsAtHorizon(t *testing.T) {
-	a, err := Analyze([]Event{
+	a, err := Analyze(LogOf([]Event{
 		{T: 1 * time.Millisecond, Type: TypeSpanStart, Span: 1, Op: OpQuery, Node: 0},
 		{T: 9 * time.Millisecond, Type: TypeHop, Span: 1, From: 0, To: 1, Kind: "query", Frames: 1},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestAnalyzeUnclosedSpanEndsAtHorizon(t *testing.T) {
 func TestExtractSpan(t *testing.T) {
 	events := sampleTrace()
 	sub := ExtractSpan(events, 2)
-	if len(sub) == 0 {
+	if sub.Len() == 0 {
 		t.Fatal("empty extraction")
 	}
 	ids := map[uint64]bool{}
-	for _, ev := range sub {
+	for _, ev := range sub.Slice() {
 		ids[ev.Span] = true
 	}
 	if !ids[2] || !ids[3] {
@@ -195,7 +195,7 @@ func TestExtractSpan(t *testing.T) {
 	if len(a.Roots) != 1 || a.Roots[0].ID != 2 {
 		t.Errorf("extracted trace roots = %+v, want span 2 only", a.Roots)
 	}
-	if ExtractSpan(events, 0) != nil {
+	if ExtractSpan(events, 0).Len() != 0 {
 		t.Error("ExtractSpan(0) returned events")
 	}
 }

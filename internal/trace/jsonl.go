@@ -30,12 +30,13 @@ func (t *Type) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WriteJSONL writes events to w, one JSON object per line.
-func WriteJSONL(w io.Writer, events []Event) error {
+// WriteJSONL writes the log to w in wire form, one JSON object per line.
+func WriteJSONL(w io.Writer, log Log) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw) // Encode appends the newline
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
+	for i, n := 0, log.Len(); i < n; i++ {
+		ev := log.Unpack(log.At(i))
+		if err := enc.Encode(&ev); err != nil {
 			return fmt.Errorf("trace: write event %d: %w", i, err)
 		}
 	}
@@ -43,7 +44,7 @@ func WriteJSONL(w io.Writer, events []Event) error {
 }
 
 // ReadJSONL reads a JSONL stream produced by WriteJSONL. Blank lines are
-// skipped.
+// skipped. Analyze what it returns through LogOf.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)

@@ -21,7 +21,7 @@ func TestRingEvictsOldest(t *testing.T) {
 	if tr.Dropped() != 3 {
 		t.Fatalf("Dropped = %d, want 3", tr.Dropped())
 	}
-	evs := tr.Events()
+	evs := tr.Events().Slice()
 	if len(evs) != 4 {
 		t.Fatalf("Events len = %d, want 4", len(evs))
 	}
@@ -90,7 +90,7 @@ func TestRingReset(t *testing.T) {
 		t.Fatalf("after reset: len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
 	tr.Hop(4, 5, "query", 8, 1, false)
-	if evs := tr.Events(); len(evs) != 1 || evs[0].From != 4 {
+	if evs := tr.Events().Slice(); len(evs) != 1 || evs[0].From != 4 {
 		t.Errorf("post-reset events = %+v", evs)
 	}
 	if NewRing(nil, -3).Capacity() != 1 {
@@ -164,7 +164,7 @@ func TestRecordAtStampsExplicitTime(t *testing.T) {
 	tr.Record(TypeWait, 2, 3, "")
 	tr.RecordAt(9*time.Millisecond, TypeServe, 2, 0, "")
 	tr.End()
-	evs := tr.Events()
+	evs := tr.Events().Slice()
 	if evs[1].T != 5*time.Millisecond || evs[1].Type != TypeWait {
 		t.Errorf("wait event = %+v", evs[1])
 	}
@@ -186,7 +186,7 @@ func TestRingSpansChunks(t *testing.T) {
 			t.Fatalf("after %d events: len=%d dropped=%d, want %d and %d",
 				emitted, tr.Len(), tr.Dropped(), kept, emitted-kept)
 		}
-		evs := tr.Events()
+		evs := tr.Events().Slice()
 		if len(evs) != kept {
 			t.Fatalf("after %d events: Events len = %d, want %d", emitted, len(evs), kept)
 		}

@@ -19,8 +19,9 @@ import (
 	"time"
 )
 
-// Type classifies trace events.
-type Type int
+// Type classifies trace events. It is one byte wide because the stored
+// record keeps it in one.
+type Type uint8
 
 // Event types.
 const (
@@ -116,8 +117,10 @@ const (
 	OpRetry Op = "retry"
 )
 
-// Event is one trace record. Node fields not applicable to the event type
-// hold -1.
+// Event is one trace record in its wire form: what WriteJSONL writes,
+// ReadJSONL reads and Log.Slice returns. A Tracer does not store Events;
+// it stores Records (record.go). Node fields not applicable to the event
+// type hold -1.
 type Event struct {
 	// T is the virtual timestamp (zero when the run has no scheduler).
 	T time.Duration `json:"t"`
@@ -158,61 +161,63 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Tracer accumulates events in memory. The zero-cost disabled tracer is
+// Tracer accumulates records in memory. The zero-cost disabled tracer is
 // the nil pointer; construct enabled tracers with New.
 type Tracer struct {
 	clock  Clock
-	events []Event // the unbounded tracer's store
+	tab    *strtab
+	recs   []Record // the unbounded tracer's store
 	stack  []uint64
 	nextID uint64
 
 	// limit > 0 makes the tracer a fixed-capacity flight recorder (see
-	// NewRing). Its n events live in chunks of ringChunk slots, allocated
+	// NewRing). Its n records live in chunks of ringChunk slots, allocated
 	// as the ring fills, so growing never copies what is already recorded
 	// and a ring that stays short never pays for its capacity. Once
 	// n == limit, head is the ring's oldest slot and every append
 	// overwrites it.
 	limit   int
-	chunks  [][]Event
+	chunks  [][]Record
 	n       int
 	head    int
 	dropped uint64
 }
 
-// ringChunk is the number of events per ring chunk (a power of two; about
-// 600 KB of events).
+// ringChunk is the number of records per ring chunk (a power of two;
+// 256 KB of pointer-free records, which the collector never scans).
 const ringChunk = 1 << 12
-
-// slot returns ring slot i.
-func (t *Tracer) slot(i int) *Event { return &t.chunks[i/ringChunk][i%ringChunk] }
 
 // New returns an enabled Tracer stamping events from clock (nil clock:
 // all timestamps zero).
 func New(clock Clock) *Tracer {
-	return &Tracer{clock: clock}
+	return &Tracer{clock: clock, tab: newStrtab()}
 }
 
 // NewRing returns an enabled Tracer that keeps only the most recent
 // capacity events — an always-on flight recorder whose memory is bounded
-// regardless of run length. Once full, each append evicts the oldest
-// event and increments Dropped. Evicted traces analyze fine: Analyze
-// tolerates the resulting unbalanced streams and flags them Truncated.
-// capacity < 1 is treated as 1.
+// regardless of run length (64 bytes per event plus the string table).
+// Once full, each append evicts the oldest event and increments Dropped.
+// Evicted traces analyze fine: Analyze tolerates the resulting unbalanced
+// streams and flags them Truncated. capacity < 1 is treated as 1.
 func NewRing(clock Clock, capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{clock: clock, limit: capacity}
+	return &Tracer{clock: clock, tab: newStrtab(), limit: capacity}
 }
 
-// emit appends one event, evicting the oldest when the tracer is a full
-// ring.
-func (t *Tracer) emit(ev Event) {
+// put claims the slot of the next record — evicting the oldest when the
+// tracer is a full ring — and fills in what every record has; the caller
+// writes the remaining fields through the returned pointer, so no record
+// is built elsewhere and copied in.
+func (t *Tracer) put(at time.Duration, typ Type, span uint64) *Record {
+	var r *Record
 	switch {
 	case t.limit == 0:
-		t.events = append(t.events, ev)
+		t.recs = append(t.recs, Record{})
+		r = &t.recs[len(t.recs)-1]
 	case t.n == t.limit:
-		*t.slot(t.head) = ev
+		r = &t.chunks[t.head/ringChunk][t.head%ringChunk]
 		t.head++
 		if t.head == t.limit {
 			t.head = 0
@@ -220,11 +225,13 @@ func (t *Tracer) emit(ev Event) {
 		t.dropped++
 	default:
 		if t.n == len(t.chunks)*ringChunk {
-			t.chunks = append(t.chunks, make([]Event, min(ringChunk, t.limit-t.n)))
+			t.chunks = append(t.chunks, make([]Record, min(ringChunk, t.limit-t.n)))
 		}
-		*t.slot(t.n) = ev
+		r = &t.chunks[t.n/ringChunk][t.n%ringChunk]
 		t.n++
 	}
+	*r = Record{T: at, Span: span, Type: typ, From: -1, To: -1, Node: -1}
+	return r
 }
 
 // Capacity returns the ring capacity, or 0 for an unbounded tracer.
@@ -261,18 +268,25 @@ func (t *Tracer) current() uint64 {
 	return t.stack[len(t.stack)-1]
 }
 
+// begin records the start of a new span under parent and returns its id.
+func (t *Tracer) begin(parent uint64, op Op, node int, detail string) uint64 {
+	t.nextID++
+	id := t.nextID
+	r := t.put(t.now(), TypeSpanStart, id)
+	r.Op = t.tab.op(op)
+	r.Parent = parent
+	r.Node = t.tab.i32(node)
+	r.Detail = t.tab.detail(detail)
+	return id
+}
+
 // Begin opens a span for op at node (detail optional) nested under the
 // currently open span, and returns its id. On the nil tracer it returns 0.
 func (t *Tracer) Begin(op Op, node int, detail string) uint64 {
 	if t == nil {
 		return 0
 	}
-	t.nextID++
-	id := t.nextID
-	t.emit(Event{
-		T: t.now(), Span: id, Type: TypeSpanStart, Op: op,
-		Parent: t.current(), From: -1, To: -1, Node: node, Detail: detail,
-	})
+	id := t.begin(t.current(), op, node, detail)
 	t.stack = append(t.stack, id)
 	return id
 }
@@ -287,13 +301,7 @@ func (t *Tracer) BeginAt(parent uint64, op Op, node int, detail string) uint64 {
 	if t == nil {
 		return 0
 	}
-	t.nextID++
-	id := t.nextID
-	t.emit(Event{
-		T: t.now(), Span: id, Type: TypeSpanStart, Op: op,
-		Parent: parent, From: -1, To: -1, Node: node, Detail: detail,
-	})
-	return id
+	return t.begin(parent, op, node, detail)
 }
 
 // EndSpan closes span id at the current clock, regardless of the span
@@ -302,9 +310,7 @@ func (t *Tracer) EndSpan(id uint64) {
 	if t == nil || id == 0 {
 		return
 	}
-	t.emit(Event{
-		T: t.now(), Span: id, Type: TypeSpanEnd, From: -1, To: -1, Node: -1,
-	})
+	t.put(t.now(), TypeSpanEnd, id)
 }
 
 // PushSpan makes id the ambient span for subsequently recorded events.
@@ -340,9 +346,7 @@ func (t *Tracer) End() {
 	}
 	id := t.stack[len(t.stack)-1]
 	t.stack = t.stack[:len(t.stack)-1]
-	t.emit(Event{
-		T: t.now(), Span: id, Type: TypeSpanEnd, From: -1, To: -1, Node: -1,
-	})
+	t.put(t.now(), TypeSpanEnd, id)
 }
 
 // Hop records one per-hop transmission under the current span.
@@ -350,11 +354,11 @@ func (t *Tracer) Hop(from, to int, kind string, bytes, frames int, lost bool) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{
-		T: t.now(), Span: t.current(), Type: TypeHop,
-		From: from, To: to, Kind: kind, Bytes: bytes, Frames: frames,
-		Lost: lost, Node: -1,
-	})
+	r := t.put(t.now(), TypeHop, t.current())
+	r.From, r.To = t.tab.i32(from), t.tab.i32(to)
+	r.Kind = t.tab.kind(kind)
+	r.Bytes, r.Frames = t.tab.i32(bytes), t.tab.i32(frames)
+	r.Lost = lost
 }
 
 // Broadcast records one local broadcast reaching n neighbours; lost
@@ -363,11 +367,11 @@ func (t *Tracer) Broadcast(from int, kind string, bytes, frames, n, lost int) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{
-		T: t.now(), Span: t.current(), Type: TypeBroadcast,
-		From: from, To: -1, Kind: kind, Bytes: bytes, Frames: frames,
-		Node: -1, N: n, NLost: lost,
-	})
+	r := t.put(t.now(), TypeBroadcast, t.current())
+	r.From = t.tab.i32(from)
+	r.Kind = t.tab.kind(kind)
+	r.Bytes, r.Frames = t.tab.i32(bytes), t.tab.i32(frames)
+	r.N, r.NLost = t.tab.i32(n), t.tab.i32(lost)
 }
 
 // Record appends a semantic event (placement, fan-out, resolve, reply,
@@ -376,10 +380,7 @@ func (t *Tracer) Record(typ Type, node, n int, detail string) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{
-		T: t.now(), Span: t.current(), Type: typ,
-		From: -1, To: -1, Node: node, N: n, Detail: detail,
-	})
+	t.RecordAt(t.now(), typ, node, n, detail)
 }
 
 // RecordAt is Record with an explicit timestamp. It lets an
@@ -387,15 +388,14 @@ func (t *Tracer) Record(typ Type, node, n int, detail string) {
 // start computed from a busy-until watermark) without scheduling a
 // callback for the sole purpose of recording it — keeping traced and
 // untraced runs byte-identical in event order. Consumers must not assume
-// the event slice is sorted by T.
+// the log is sorted by T.
 func (t *Tracer) RecordAt(at time.Duration, typ Type, node, n int, detail string) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{
-		T: at, Span: t.current(), Type: typ,
-		From: -1, To: -1, Node: node, N: n, Detail: detail,
-	})
+	r := t.put(at, typ, t.current())
+	r.Node, r.N = t.tab.i32(node), t.tab.i32(n)
+	r.Detail = t.tab.detail(detail)
 }
 
 // Len returns the number of recorded events.
@@ -403,33 +403,32 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events) + t.n
+	return len(t.recs) + t.n
 }
 
-// Events returns the recorded events in append order. The slice is owned
-// by the tracer; callers must not mutate it. A ring allocates a fresh
-// ordered copy (oldest surviving event first).
-func (t *Tracer) Events() []Event {
+// Events returns a read-only view of the recorded events in append order
+// (a ring's oldest surviving event first). The view aliases the tracer's
+// storage — nothing is copied, not even a ring — so it is valid only
+// until the tracer records again or is Reset; call Slice on it for
+// events that must outlive that. The nil tracer returns the empty Log.
+func (t *Tracer) Events() Log {
 	if t == nil {
-		return nil
+		return Log{}
 	}
 	if t.limit == 0 {
-		return t.events
+		return logOf(t.tab, t.recs)
 	}
-	out := make([]Event, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, *t.slot((t.head + i) % t.n))
-	}
-	return out
+	return Log{tab: t.tab, chunks: t.chunks, head: t.head, n: t.n}
 }
 
-// Reset drops all recorded events and open spans, keeping the clock and
-// ring capacity.
+// Reset drops all recorded events, open spans and the string table,
+// keeping the clock and ring capacity. Views taken before are invalid.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.events = t.events[:0]
+	t.tab = newStrtab()
+	t.recs = t.recs[:0]
 	t.stack = t.stack[:0]
 	t.nextID = 0
 	t.n = 0

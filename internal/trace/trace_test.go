@@ -26,7 +26,7 @@ func TestNilTracerIsDisabledNoOp(t *testing.T) {
 	tr.Broadcast(0, "control", 8, 1, 4, 0)
 	tr.End()
 	tr.Reset()
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Events().Len() != 0 {
 		t.Error("nil tracer recorded events")
 	}
 }
@@ -46,7 +46,7 @@ func TestSpanNestingAndTimestamps(t *testing.T) {
 	tr.End()
 	tr.End()
 
-	evs := tr.Events()
+	evs := tr.Events().Slice()
 	if len(evs) != 6 {
 		t.Fatalf("got %d events, want 6", len(evs))
 	}
@@ -105,7 +105,7 @@ func TestResetClearsState(t *testing.T) {
 	if id := tr.Begin(OpQuery, 0, ""); id != 1 {
 		t.Errorf("first span after reset = %d, want 1", id)
 	}
-	if tr.Events()[0].Parent != 0 {
+	if tr.Events().At(0).Parent != 0 {
 		t.Error("span after reset inherited a stale parent")
 	}
 }
@@ -130,7 +130,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if len(got) != tr.Len() {
 		t.Fatalf("round trip: %d events, want %d", len(got), tr.Len())
 	}
-	for i, ev := range tr.Events() {
+	for i, ev := range tr.Events().Slice() {
 		if got[i] != ev {
 			t.Errorf("event %d: got %+v, want %+v", i, got[i], ev)
 		}
