@@ -74,12 +74,15 @@ conformance:
 #   trace        the tolerant analyzer every autopsy rests on
 #   attrib       the critical-path sum-to-total invariant
 #   pool         the directory both Pool implementations execute
+#   dim          the zone walk Pool is measured against, degraded included
+#   dcs          the one failure policy all three schemes run under: 90%
 #   field        the spatial index every nearest-node rule reads: 90%
 #   gpsr         home lookup and memo each claim to equal a probe: 90%
 #   sim          a wrong ladder-queue branch silently reorders simulations
 #                instead of crashing them, and the property/fuzz suite
 #                covers the kernel that deeply anyway: 90%
-COVER_PKGS := ght metrics antientropy node trace attrib pool field gpsr sim
+COVER_PKGS := ght metrics antientropy node trace attrib pool dim dcs field gpsr sim
+COVER_MIN_dcs := 90
 COVER_MIN_field := 90
 COVER_MIN_gpsr := 90
 COVER_MIN_sim := 90

@@ -1,13 +1,11 @@
 package pooldcs
 
-// Benchmark harness: one benchmark per evaluation artifact of the paper
-// (Figures 6(a), 6(b), 7(a), 7(b)) and per ablation in DESIGN.md, plus
-// micro-benchmarks of the hot paths. Each figure benchmark regenerates the
-// figure end to end and reports its headline metric via ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// doubles as the reproduction run.
+// Benchmark harness: the headline figure (Figure 6(a)) regenerated end to
+// end with its metric reported via ReportMetric, and micro-benchmarks of
+// the hot paths, several of them gated (bench_baseline.json,
+// bench_micro_baseline.json). The other figures and the ablation tables
+// are timed per table by the repository benchmark's tables_all workload
+// (bench/), not here.
 
 import (
 	"strconv"
@@ -64,96 +62,6 @@ func BenchmarkFig6a(b *testing.B) {
 		}
 		b.ReportMetric(lastRowMetric(b, res, 1), "dim-msgs/query")
 		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/query")
-	}
-}
-
-func BenchmarkFig6b(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig6(cfg, workload.ExponentialSizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 1), "dim-msgs/query")
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/query")
-	}
-}
-
-func BenchmarkFig7a(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig7a(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 1), "dim-msgs/query")
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/query")
-	}
-}
-
-func BenchmarkFig7b(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig7b(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 1), "dim-msgs/query")
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/query")
-	}
-}
-
-func BenchmarkInsertCostTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.InsertCost(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 1), "dim-msgs/event")
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/event")
-	}
-}
-
-func BenchmarkHotspotTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Hotspot(cfg, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 1), "shared-max-load")
-	}
-}
-
-func BenchmarkPoolSizeTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.PoolSize(cfg, []int{5, 10, 15, 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/query")
-	}
-}
-
-func BenchmarkPointQueryTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.PointQuery(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-msgs/query")
-	}
-}
-
-func BenchmarkAggregatesTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Aggregates(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -580,48 +488,6 @@ func BenchmarkGPSRHomeNode(b *testing.B) {
 	}
 }
 
-func BenchmarkEnergyTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Energy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 3), "pool-energy-gini")
-	}
-}
-
-func BenchmarkFragmentationTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fragmentation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDisseminationTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Dissemination(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 3), "pool-msgs/query")
-	}
-}
-
-func BenchmarkResilienceTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Resilience(cfg, []int{10, 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 2), "replicated-recall")
-	}
-}
-
 func BenchmarkPoolNearest(b *testing.B) {
 	env := benchEnv(b, 900)
 	gen := workload.NewUniformEvents(rng.New(20), 3)
@@ -667,62 +533,6 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkDimSweepTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.DimSweep(cfg, []int{2, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 4), "pool-1partial-msgs")
-	}
-}
-
-func BenchmarkVarianceTable(b *testing.B) {
-	cfg := benchConfig()
-	cfg.NetworkSizes = []int{300, 600}
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Variance(cfg, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 3), "pool-msgs/query")
-	}
-}
-
-func BenchmarkPlacementTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Placement(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-clustered-msgs")
-	}
-}
-
-func BenchmarkEventLoadTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.EventLoad(cfg, []int{1, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 4), "pool-reply-msgs")
-	}
-}
-
-func BenchmarkLatencyTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Latency(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 3), "pool-latency-hops")
-	}
-}
-
 func BenchmarkSimulationFacade(b *testing.B) {
 	sim, err := NewSimulation(Config{Nodes: 300, Seed: 99})
 	if err != nil {
@@ -734,28 +544,6 @@ func BenchmarkSimulationFacade(b *testing.B) {
 		if _, err := sim.Insert(src.Intn(300), src.Float64(), src.Float64(), src.Float64()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAsyncLatencyTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.AsyncLatency(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 1), "pool-2partial-ms")
-	}
-}
-
-func BenchmarkLossyTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Lossy(cfg, []float64{0, 0.2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastRowMetric(b, res, 2), "pool-frames/query")
 	}
 }
 

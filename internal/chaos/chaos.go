@@ -207,12 +207,6 @@ func WithTracer(t *trace.Tracer) EngineOption {
 	return engineOption(func(e *Engine) { e.tracer = t })
 }
 
-// WithBurstSource sets the random source burst frame drops draw from
-// (default a fixed-seed source, so plans stay deterministic without it).
-func WithBurstSource(src *rng.Source) EngineOption {
-	return engineOption(func(e *Engine) { e.burstSrc = src })
-}
-
 // WithMetrics registers the engine's live metrics on reg:
 // function-backed counters over crashes, recoveries, bursts, and repair
 // errors, a nodes-down gauge, and the detection-latency histogram shared
@@ -279,15 +273,14 @@ func NewEngine(sched *sim.Scheduler, net *network.Network, router *gpsr.Router, 
 		down:       make([]bool, net.Layout().N()),
 		crashedAt:  make([]time.Duration, net.Layout().N()),
 		detectHist: stats.NewIntHistogram(),
+		// A fixed seed, so a plan's burst drops are the same every run.
+		burstSrc: rng.New(0x0C5A05),
 	}
 	for i := range e.crashedAt {
 		e.crashedAt[i] = detectSentinel
 	}
 	for _, o := range opts {
 		o.apply(e)
-	}
-	if e.burstSrc == nil {
-		e.burstSrc = rng.New(0x0C5A05)
 	}
 	if e.detector != nil {
 		e.detector.OnSuspect(func(id int) { e.onSuspect(id) })

@@ -94,18 +94,14 @@ func (o TxOptions) retries() int {
 	return DefaultMaxRetransmissions
 }
 
-// Unicast routes a payload from one node to another with GPSR, charging
-// one transmission per hop to the network counters. On lossy links each
-// hop retransmits until the frame gets through (ARQ), so every attempt is
-// paid for. It returns the number of transmissions performed.
-func Unicast(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int) (int, error) {
-	return UnicastOpts(net, router, from, to, kind, payloadBytes, TxOptions{})
-}
-
-// UnicastOpts is Unicast with an explicit retry budget. Errors wrap
-// ErrUnreachable when a dead node or partition blocks the route (retrying
-// is futile) and ErrHopExhausted when a hop stayed lossy through the whole
-// ARQ budget (a retry at a higher layer may succeed).
+// UnicastOpts routes a payload from one node to another with GPSR,
+// charging one transmission per hop to the network counters. On lossy
+// links each hop retransmits until the frame gets through (ARQ) or the
+// retry budget in opts runs out, so every attempt is paid for. It returns
+// the number of transmissions performed. Errors wrap ErrUnreachable when a
+// dead node or partition blocks the route (retrying is futile) and
+// ErrHopExhausted when a hop stayed lossy through the whole ARQ budget (a
+// retry at a higher layer may succeed).
 func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
 	if from == to {
 		return 0, nil
@@ -168,6 +164,36 @@ func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadB
 // semantics cannot drift.
 func IsDegradable(err error) bool {
 	return errors.Is(err, ErrUnreachable) || errors.Is(err, ErrHopExhausted)
+}
+
+// Exchange performs one routed exchange under the failure policy every
+// synchronous scheme shares — timeout plus one retry. A first loss that
+// IsDegradable is re-sent once, counted in comp.Retries, to the node
+// retarget names for the node that timed out: the same node when retarget
+// is nil, and nowhere — the exchange is given up, no retry counted — when
+// it answers negative. A second loss gives the exchange up. Exchange
+// returns the node the payload landed at, or -1 when it was given up; any
+// failure that is not degradable is returned as the error. The node actor
+// engine applies the same rule message by message (node's querySettled).
+func Exchange(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int,
+	opts TxOptions, comp *Completeness, retarget func(lost int) int) (int, error) {
+	for retry := false; ; retry = true {
+		_, err := UnicastOpts(net, router, from, to, kind, payloadBytes, opts)
+		switch {
+		case err == nil:
+			return to, nil
+		case !IsDegradable(err):
+			return -1, err
+		case retry:
+			return -1, nil
+		}
+		if retarget != nil {
+			if to = retarget(to); to < 0 {
+				return -1, nil
+			}
+		}
+		comp.Retries++
+	}
 }
 
 // Degradable is the fault surface every storage system exposes: mark a

@@ -37,7 +37,7 @@ func TestUnicastChargesPerHop(t *testing.T) {
 	net := network.New(l)
 	router := gpsr.New(l)
 
-	hops, err := Unicast(net, router, 0, 3, network.KindQuery, 10)
+	hops, err := UnicastOpts(net, router, 0, 3, network.KindQuery, 10, TxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestUnicastSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := network.New(l)
-	hops, err := Unicast(net, gpsr.New(l), 1, 1, network.KindReply, 10)
+	hops, err := UnicastOpts(net, gpsr.New(l), 1, 1, network.KindReply, 10, TxOptions{})
 	if err != nil || hops != 0 {
 		t.Errorf("self unicast = %d hops, err %v", hops, err)
 	}
@@ -96,7 +96,7 @@ func TestUnicastRetransmitsOnLoss(t *testing.T) {
 	net := network.New(l, network.WithLossRate(0.3, rng.New(1)))
 	router := gpsr.New(l)
 
-	sent, err := Unicast(net, router, 0, 2, network.KindQuery, 10)
+	sent, err := UnicastOpts(net, router, 0, 2, network.KindQuery, 10, TxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestUnicastLossyExpectedOverhead(t *testing.T) {
 	total := 0
 	const trials = 5000
 	for i := 0; i < trials; i++ {
-		n, err := Unicast(net, router, 0, 1, network.KindControl, 4)
+		n, err := UnicastOpts(net, router, 0, 1, network.KindControl, 4, TxOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestUnicastGivesUpAfterMaxRetries(t *testing.T) {
 	// Loss rate ~1: every frame drops.
 	net := network.New(l, network.WithLossRate(0.999999999, rng.New(3)))
 	router := gpsr.New(l)
-	if _, err := Unicast(net, router, 0, 1, network.KindQuery, 4); err == nil {
+	if _, err := UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{}); err == nil {
 		t.Fatal("expected failure on an always-lossy link")
 	}
 }

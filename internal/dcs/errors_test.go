@@ -28,7 +28,7 @@ func TestHopExhaustedIsTyped(t *testing.T) {
 	l := lineLayout(t, 2)
 	net := network.New(l, network.WithLossRate(0.999999999, rng.New(3)))
 	router := gpsr.New(l)
-	_, err := Unicast(net, router, 0, 1, network.KindQuery, 4)
+	_, err := UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{})
 	if !errors.Is(err, ErrHopExhausted) {
 		t.Fatalf("always-lossy unicast: err = %v, want ErrHopExhausted", err)
 	}
@@ -68,7 +68,7 @@ func TestUnicastDeadDestinationUnreachable(t *testing.T) {
 	router := gpsr.New(l)
 	net.FailNode(3)
 	router.Exclude(3)
-	_, err := Unicast(net, router, 0, 3, network.KindQuery, 8)
+	_, err := UnicastOpts(net, router, 0, 3, network.KindQuery, 8, TxOptions{})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unicast to dead node: err = %v, want ErrUnreachable", err)
 	}
@@ -85,7 +85,7 @@ func TestUnicastDeadRelayUnreachable(t *testing.T) {
 	net := network.New(l)
 	router := gpsr.New(l)
 	net.FailNode(1)
-	sent, err := Unicast(net, router, 0, 2, network.KindQuery, 8)
+	sent, err := UnicastOpts(net, router, 0, 2, network.KindQuery, 8, TxOptions{})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unicast through dead relay: err = %v, want ErrUnreachable", err)
 	}

@@ -82,13 +82,6 @@ func WithTracer(t *trace.Tracer) Option {
 	return optionFunc(func(s *System) { s.tracer = t })
 }
 
-// WithARQBudget overrides the per-hop link-layer retransmission budget
-// for every routed unicast the system issues (default
-// dcs.DefaultMaxRetransmissions).
-func WithARQBudget(n int) Option {
-	return optionFunc(func(s *System) { s.arq = dcs.TxOptions{MaxRetransmissions: n} })
-}
-
 // WithMetrics registers DIM's live metrics on reg: insert/query
 // counters, the per-query zone fan-out histogram, and a function-backed
 // per-node stored-events gauge. A nil registry attaches nothing.
@@ -188,9 +181,17 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 
 // unicast routes a payload between two nodes, applying the system's ARQ
 // retransmission budget. Every routed exchange in the package goes
-// through here.
+// through here or through exchange.
 func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int, error) {
 	return dcs.UnicastOpts(s.net, s.router, from, to, kind, payloadBytes, s.arq)
+}
+
+// exchange is unicast under the failure policy of dcs.Exchange — a zone
+// has one owner, so the retry goes to the same node — and reports whether
+// the payload landed.
+func (s *System) exchange(from, to int, kind network.Kind, payloadBytes int, comp *dcs.Completeness) (bool, error) {
+	landed, err := dcs.Exchange(s.net, s.router, from, to, kind, payloadBytes, s.arq, comp, nil)
+	return landed >= 0, err
 }
 
 // Name implements dcs.System.
@@ -376,11 +377,6 @@ type zoneVisit struct {
 	ok   bool
 }
 
-// degradable reports whether a unicast failure is one graceful
-// degradation absorbs; the shared predicate lives in dcs so pool, dim,
-// and ght stay in lockstep.
-func degradable(err error) bool { return dcs.IsDegradable(err) }
-
 // QueryWithReport is Query plus a Completeness report over the relevant
 // zones: how many the dissemination addressed, how many were served
 // (visited and, when they held matches, replied), and which were left
@@ -439,23 +435,17 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		if matches == 0 {
 			continue
 		}
-		replyBytes := dcs.ReplyBytes(s.dims, matches)
-		if _, err := s.unicast(owner, sink, network.KindReply, replyBytes); err != nil {
-			if !degradable(err) {
-				return nil, comp, fmt.Errorf("dim: reply: %w", err)
-			}
-			comp.Retries++
-			if _, err := s.unicast(owner, sink, network.KindReply, replyBytes); err != nil {
-				if !degradable(err) {
-					return nil, comp, fmt.Errorf("dim: reply: %w", err)
-				}
-				// The reply never made it: its matches are dropped and
-				// every zone this owner serves goes unserved.
-				s.replyBuf = s.replyBuf[:mark]
-				for i := range visits {
-					if s.zones[visits[i].zone].Owner == owner {
-						visits[i].ok = false
-					}
+		landed, err := s.exchange(owner, sink, network.KindReply, dcs.ReplyBytes(s.dims, matches), &comp)
+		if err != nil {
+			return nil, comp, fmt.Errorf("dim: reply: %w", err)
+		}
+		if !landed {
+			// The reply never made it: its matches are dropped and every
+			// zone this owner serves goes unserved.
+			s.replyBuf = s.replyBuf[:mark]
+			for i := range visits {
+				if s.zones[visits[i].zone].Owner == owner {
+					visits[i].ok = false
 				}
 			}
 		}
@@ -485,23 +475,15 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 	cur := sink
 	for _, zi := range zones {
 		z := &s.zones[zi]
-		if z.Owner != cur {
-			if _, err := s.unicast(cur, z.Owner, network.KindQuery, qBytes); err != nil {
-				if !degradable(err) {
-					return nil, fmt.Errorf("dim: query forward: %w", err)
-				}
-				// One retry after a backoff, then give the zone up.
-				comp.Retries++
-				if _, err := s.unicast(cur, z.Owner, network.KindQuery, qBytes); err != nil {
-					if !degradable(err) {
-						return nil, fmt.Errorf("dim: query forward: %w", err)
-					}
-					comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))
-					continue
-				}
-			}
-			cur = z.Owner
+		landed, err := s.exchange(cur, z.Owner, network.KindQuery, qBytes, comp)
+		if err != nil {
+			return nil, fmt.Errorf("dim: query forward: %w", err)
 		}
+		if !landed {
+			comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))
+			continue
+		}
+		cur = z.Owner
 		visits = append(visits, zoneVisit{zone: zi, ok: true})
 	}
 	s.visitBuf = visits
@@ -529,22 +511,15 @@ func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Int
 	if t.zone >= 0 {
 		z := &s.zones[t.zone]
 		comp.CellsTotal++
-		if z.Owner != carrier {
-			if _, err := s.unicast(carrier, z.Owner, network.KindQuery, qBytes); err != nil {
-				if !degradable(err) {
-					return -1, fmt.Errorf("dim: split forward: %w", err)
-				}
-				// One retry, then give the zone up; the sibling subquery
-				// departs from the carrier instead.
-				comp.Retries++
-				if _, err := s.unicast(carrier, z.Owner, network.KindQuery, qBytes); err != nil {
-					if !degradable(err) {
-						return -1, fmt.Errorf("dim: split forward: %w", err)
-					}
-					comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))
-					return -1, nil
-				}
-			}
+		// A zone given up leaves its sibling's subquery to depart from the
+		// carrier instead.
+		landed, err := s.exchange(carrier, z.Owner, network.KindQuery, qBytes, comp)
+		if err != nil {
+			return -1, fmt.Errorf("dim: split forward: %w", err)
+		}
+		if !landed {
+			comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))
+			return -1, nil
 		}
 		*visits = append(*visits, zoneVisit{zone: t.zone, ok: true})
 		return z.Owner, nil

@@ -253,14 +253,10 @@ func (s *System) Query(sink int, q event.Query) ([]event.Event, error) {
 // error — the error return covers only malformed or unsupported queries
 // and programming faults.
 //
-// Failure policy (timeout + one retry, matching pool and dim): an
-// unreachable home is retried once — GHT keeps no per-key replica of a
-// single home, so the retry re-attempts the same node; a mirror that
-// stays unreachable is recorded in comp and skipped, and the chain
-// continues from the last node actually reached. A reply leg that fails
-// twice demotes the mirror to unreached (its matches never arrived). In
-// a fault-free run the traffic is identical, hop for hop, to the
-// pre-degradation protocol.
+// The failure policy is dcs.Exchange's: a mirror whose home stays
+// unreachable, or whose reply is lost, through the one retry is recorded
+// in comp and skipped, and the chain continues from the last node
+// actually reached.
 func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error) {
 	var comp dcs.Completeness
 	if err := q.Validate(); err != nil {
@@ -305,43 +301,32 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 			comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
 			continue
 		}
-		if _, err := dcs.UnicastOpts(s.net, s.router, cur, home, network.KindQuery, qBytes, s.arq); err != nil {
-			if !dcs.IsDegradable(err) {
-				return nil, comp, fmt.Errorf("ght: query: %w", err)
-			}
-			// The home timed out. GHT has no alternate holder for a hashed
-			// point — the hash names exactly one home — so back off and
-			// re-attempt the same node once.
-			comp.Retries++
-			if _, err := dcs.UnicastOpts(s.net, s.router, cur, home, network.KindQuery, qBytes, s.arq); err != nil {
-				if !dcs.IsDegradable(err) {
-					return nil, comp, fmt.Errorf("ght: query: %w", err)
-				}
-				comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
-				continue
-			}
+		// GHT has no alternate holder for a hashed point — the hash names
+		// exactly one home — so the retry re-attempts the same node.
+		landed, err := dcs.Exchange(s.net, s.router, cur, home, network.KindQuery, qBytes, s.arq, &comp, nil)
+		if err != nil {
+			return nil, comp, fmt.Errorf("ght: query: %w", err)
+		}
+		if landed < 0 {
+			comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
+			continue
 		}
 		cur = home
 		mark := len(s.replyBuf)
 		s.replyBuf = q.AppendMatches(s.replyBuf, s.storage[home])
 		found := len(s.replyBuf) - mark
 		if found > 0 || s.replDepth == 0 {
-			replyBytes := dcs.ReplyBytes(q.Dims(), found)
-			if _, err := dcs.UnicastOpts(s.net, s.router, home, sink, network.KindReply, replyBytes, s.arq); err != nil {
-				if !dcs.IsDegradable(err) {
-					return nil, comp, fmt.Errorf("ght: reply: %w", err)
-				}
-				comp.Retries++
-				if _, err := dcs.UnicastOpts(s.net, s.router, home, sink, network.KindReply, replyBytes, s.arq); err != nil {
-					if !dcs.IsDegradable(err) {
-						return nil, comp, fmt.Errorf("ght: reply: %w", err)
-					}
-					// The reply never made it back: the mirror's matches are
-					// lost to the sink, so it goes unserved.
-					s.replyBuf = s.replyBuf[:mark]
-					comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
-					continue
-				}
+			landed, err := dcs.Exchange(s.net, s.router, home, sink, network.KindReply,
+				dcs.ReplyBytes(q.Dims(), found), s.arq, &comp, nil)
+			if err != nil {
+				return nil, comp, fmt.Errorf("ght: reply: %w", err)
+			}
+			if landed < 0 {
+				// The reply never made it back: the mirror's matches are
+				// lost to the sink, so it goes unserved.
+				s.replyBuf = s.replyBuf[:mark]
+				comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
+				continue
 			}
 			if seen != nil {
 				// Compact this mirror's matches in place, keeping first

@@ -14,13 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/rng"
-	"pooldcs/internal/sim"
 	"pooldcs/internal/trace"
 )
 
@@ -160,9 +158,6 @@ type Network struct {
 	depleted  []bool
 	onDeplete func(id int)
 
-	sched      *sim.Scheduler
-	hopLatency time.Duration
-
 	// reachedBuf backs the slice Broadcast returns; beaconing protocols
 	// broadcast once per node per round, so reusing one buffer removes an
 	// allocation per beacon.
@@ -249,15 +244,6 @@ func WithLossRate(p float64, src *rng.Source) Option {
 	return optionFunc(func(n *Network) {
 		n.lossRate = p
 		n.lossSrc = src
-	})
-}
-
-// WithScheduler attaches a discrete-event scheduler so Send can deliver
-// messages asynchronously with per-hop latency.
-func WithScheduler(s *sim.Scheduler, hopLatency time.Duration) Option {
-	return optionFunc(func(n *Network) {
-		n.sched = s
-		n.hopLatency = hopLatency
 	})
 }
 
@@ -577,40 +563,6 @@ func (n *Network) NodeEnergies() []float64 {
 	out := make([]float64, len(n.nodeEnergy))
 	copy(out, n.nodeEnergy)
 	return out
-}
-
-// Send transmits one hop and then invokes deliver — immediately when no
-// scheduler is attached, or after the hop latency on the attached
-// scheduler. The transmission is accounted either way.
-func (n *Network) Send(from, to int, kind Kind, payloadBytes int, deliver func()) error {
-	if err := n.Transmit(from, to, kind, payloadBytes); err != nil {
-		return err
-	}
-	if deliver == nil {
-		return nil
-	}
-	if n.sched != nil {
-		n.sched.After(n.hopLatency, deliver)
-		return nil
-	}
-	deliver()
-	return nil
-}
-
-// SendEvent is Send on the scheduler's typed-event path: one hop
-// transmission, then a typed arrival event for a registered handler
-// after the hop latency — no delivery closure, no per-hop allocation.
-// It requires an attached scheduler (WithScheduler); protocols that
-// need synchronous fallback keep using Send.
-func (n *Network) SendEvent(from, to int, kind Kind, payloadBytes int, h sim.HandlerID, op uint8, a, b uint64) error {
-	if n.sched == nil {
-		return fmt.Errorf("network: SendEvent needs an attached scheduler")
-	}
-	if err := n.Transmit(from, to, kind, payloadBytes); err != nil {
-		return err
-	}
-	n.sched.AfterEvent(n.hopLatency, h, op, a, b)
-	return nil
 }
 
 // Messages returns the running transmission count for one traffic kind.

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
 	"pooldcs/internal/rng"
-	"pooldcs/internal/sim"
 	"pooldcs/internal/trace"
 )
 
@@ -164,44 +162,6 @@ func TestReset(t *testing.T) {
 	}
 	if _, load := n.MaxNodeLoad(); load != 0 {
 		t.Error("node loads not reset")
-	}
-}
-
-func TestSendSynchronousDelivery(t *testing.T) {
-	n := New(chainLayout(t))
-	delivered := false
-	if err := n.Send(0, 1, KindQuery, 8, func() { delivered = true }); err != nil {
-		t.Fatal(err)
-	}
-	if !delivered {
-		t.Error("synchronous Send did not deliver")
-	}
-}
-
-func TestSendScheduledDelivery(t *testing.T) {
-	s := sim.NewScheduler()
-	n := New(chainLayout(t), WithScheduler(s, 5*time.Millisecond))
-	delivered := time.Duration(-1)
-	if err := n.Send(0, 1, KindQuery, 8, func() { delivered = s.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != -1 {
-		t.Fatal("delivery ran before scheduler")
-	}
-	s.Run()
-	if delivered != 5*time.Millisecond {
-		t.Errorf("delivered at %v, want 5ms", delivered)
-	}
-}
-
-func TestSendFailureDoesNotDeliver(t *testing.T) {
-	n := New(chainLayout(t))
-	delivered := false
-	if err := n.Send(0, 3, KindQuery, 8, func() { delivered = true }); err == nil {
-		t.Fatal("expected link error")
-	}
-	if delivered {
-		t.Error("failed Send must not deliver")
 	}
 }
 

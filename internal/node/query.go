@@ -119,17 +119,14 @@ func (e *Engine) Query(sink int, q event.Query, onDone func(results []event.Even
 	return e.QueryWithReport(sink, q, wrapped)
 }
 
-// QueryWithReport is Query plus a dcs.Completeness report, resolved
-// with the same splitter fan-out, retry, and graceful-degradation
-// policy as the synchronous pool.System.QueryWithReport — but
-// message-driven: an unreachable splitter is retried once through the
-// next-closest index node, an unreachable cell once through its mirror
-// (or re-attempted), each reply leg once, and a lost aggregate reply
-// demotes the cells whose matches it carried. A cell whose mirror
-// transfer is still in flight after a repair serves whatever slice has
-// arrived and is reported unreached — the measured completeness dips
-// until the transfer converges. The results slice is the caller's: a
-// fresh copy of exactly the result's size.
+// QueryWithReport is Query plus a dcs.Completeness report, resolved with
+// the splitter fan-out and under the failure policy of the synchronous
+// pool.System.QueryWithReport (dcs.Exchange, pool.Directory.Retarget,
+// pool.Demote) — but message-driven. A cell whose mirror transfer is still
+// in flight after a repair serves whatever slice has arrived and is
+// reported unreached — the measured completeness dips until the transfer
+// converges. The results slice is the caller's: a fresh copy of exactly
+// the result's size.
 func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []event.Event, comp dcs.Completeness, elapsed time.Duration)) error {
 	oi := e.ops.alloc()
 	op := e.ops.at(oi)
@@ -241,34 +238,29 @@ func (e *Engine) querySettled(kind recKind, rec int32, err error) {
 	}
 }
 
-// retarget points a record's lost exchange at where its retry goes and
-// names the retry for the trace; false when there is nowhere to retry.
+// retarget points a record's lost exchange at where pool.Directory.Retarget
+// sends its retry and names the retry for the trace; false when there is
+// nowhere to retry.
 func (e *Engine) retarget(st stage, rec int32) (label string, ok bool) {
 	switch st {
 	case stageSplitter:
-		// The splitter timed out: retry through the Pool's next-closest
-		// index node.
 		g := e.gathers.at(rec)
 		op := e.ops.at(g.op)
-		alt := e.AlternateSplitter(op.plan.Fanouts[g.fanout].Pool, op.sink, int(g.splitter))
+		key := pool.Key{Dim: op.plan.Fanouts[g.fanout].Pool.Dim}
+		alt, label := e.Retarget(pool.StageSplitter, key, op.sink, int(g.splitter))
 		if alt < 0 {
 			return "", false
 		}
 		g.splitter = int32(alt)
-		return "alt-splitter", true
+		return label, true
 	case stageCell:
-		// Prefer the cell's mirror when replication keeps an alive copy;
-		// otherwise back off and re-attempt the primary — the synchronous
-		// queryCellVia policy, message by message.
 		l := e.legs.at(rec)
-		if m, ok := e.MirrorFor(l.key, int(l.index)); ok {
-			l.target = int32(m)
-			return "mirror", true
-		}
-		return "primary", true
+		to, label := e.Retarget(pool.StageCell, l.key, e.ops.at(l.op).sink, int(l.index))
+		l.target = int32(to)
+		return label, true
 	default:
-		// A reply is re-sent as it is.
-		return "reply", true
+		_, label := e.Retarget(pool.StageReply, pool.Key{}, -1, -1)
+		return label, true
 	}
 }
 
@@ -390,19 +382,15 @@ func (e *Engine) poolLanded(gi int32) {
 	e.poolDone(gi)
 }
 
-// poolDemoted gives up on a pool's aggregate reply: the served cells whose
-// matches it carried go unreached (empty cells still count reached, as in
-// the fault-free protocol).
+// poolDemoted gives up on a pool's aggregate reply: pool.Demote settles
+// every served cell that has not been reported unreached already.
 func (e *Engine) poolDemoted(gi int32) {
 	g := e.gathers.at(gi)
-	dim := e.ops.at(g.op).plan.Fanouts[g.fanout].Pool.Dim
+	op := e.ops.at(g.op)
+	dim := op.plan.Fanouts[g.fanout].Pool.Dim
 	for _, sc := range g.served {
-		switch {
-		case sc.partial:
-		case len(sc.matches) > 0:
-			e.unreached(g.op, dim, sc.cell)
-		default:
-			e.ops.at(g.op).comp.CellsReached++
+		if !sc.partial {
+			pool.Demote(&op.comp, dim, sc.cell, len(sc.matches))
 		}
 	}
 	e.poolDone(gi)

@@ -105,64 +105,60 @@ func (p partial) result(op AggOp) (float64, error) {
 }
 
 // Aggregate evaluates op over attribute dim (1-based) of the events
-// matching q, using the same splitter tree as Query but with constant-size
-// partial-aggregate replies. For AggCount, dim is ignored. Each cell's
-// matches are folded where queryCell left them in the reply buffer and
-// dropped again; no result slice is built.
+// matching q, over the same forwarding tree as Query but with
+// constant-size partial-aggregate replies. For AggCount, dim is ignored.
+// A cell left unreached is an error: a partial aggregate is never
+// returned as the whole one.
 func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64, error) {
-	var plan Plan
-	if err := s.Resolve(q, &plan); err != nil {
-		return 0, err
+	if op < AggCount || op > AggMax {
+		return 0, fmt.Errorf("pool: unknown aggregate %v", op)
 	}
 	if op != AggCount && (dim < 1 || dim > s.dims) {
 		return 0, fmt.Errorf("pool: aggregate dimension %d out of range 1..%d", dim, s.dims)
 	}
-	rq := plan.Query
-	qBytes := dcs.QueryBytes(s.dims)
-
-	total := newPartial()
-	s.replyBuf = s.replyBuf[:0]
-	for _, f := range plan.Fanouts {
-		p, cells := f.Pool, f.Cells
-		splitter := s.SplitterFor(p, sink)
-		if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
-			return 0, fmt.Errorf("pool: aggregate to splitter: %w", err)
-		}
-		poolPartial := newPartial()
-		for _, c := range cells {
-			index := s.holder[c]
-			if index != splitter {
-				if _, err := s.unicast(splitter, index, network.KindQuery, qBytes); err != nil {
-					return 0, fmt.Errorf("pool: aggregate to cell %v: %w", c, err)
+	if err := s.Resolve(q, &s.plan); err != nil {
+		return 0, err
+	}
+	// Folding happens on the way up (§3.2.3): a cell with matches answers
+	// with one constant-size partial and drops the matches, a splitter
+	// that was sent any merges them into one partial for the sink. It is
+	// done as if every frame arrives — the total is discarded when one
+	// did not.
+	pool, total := newPartial(), newPartial()
+	var comp dcs.Completeness
+	err := s.walk(sink, visitor{
+		kind: network.KindQuery,
+		cell: func(key Key, node int, mirror bool) (int, int, error) {
+			mark := len(s.replyBuf)
+			if s.gather(key, node, mirror) == 0 {
+				return 0, 0, nil
+			}
+			cell := newPartial()
+			for _, e := range s.replyBuf[mark:] {
+				if op == AggCount {
+					cell.add(0)
+				} else {
+					cell.add(e.Values[dim-1])
 				}
 			}
-			if s.queryCell(Key{Dim: p.Dim, Cell: c}, index, rq, qBytes) == 0 {
-				continue
+			s.replyBuf = s.replyBuf[:mark]
+			pool.merge(cell)
+			return cell.count, aggPartialBytes, nil
+		},
+		sink: func(n int) int {
+			if n == 0 {
+				return 0
 			}
-			cellPartial := newPartial()
-			for _, e := range s.replyBuf {
-				v := 0.0
-				if op != AggCount {
-					v = e.Values[dim-1]
-				}
-				cellPartial.add(v)
-			}
-			s.replyBuf = s.replyBuf[:0]
-			poolPartial.merge(cellPartial)
-			if index != splitter {
-				if _, err := s.unicast(index, splitter, network.KindReply, aggPartialBytes); err != nil {
-					return 0, fmt.Errorf("pool: aggregate reply from cell %v: %w", c, err)
-				}
-			}
-		}
-		if poolPartial.count > 0 {
-			// The splitter merges its Pool's partials and sends one
-			// constant-size partial to the sink.
-			if _, err := s.unicast(splitter, sink, network.KindReply, aggPartialBytes); err != nil {
-				return 0, fmt.Errorf("pool: aggregate reply to sink: %w", err)
-			}
-			total.merge(poolPartial)
-		}
+			total.merge(pool)
+			pool = newPartial()
+			return aggPartialBytes
+		},
+	}, &comp)
+	if err == nil {
+		err = incomplete("aggregate", comp)
+	}
+	if err != nil {
+		return 0, err
 	}
 	return total.result(op)
 }

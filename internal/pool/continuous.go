@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -27,47 +28,41 @@ type Subscription struct {
 }
 
 // Subscribe registers a continuous query issued by sink. Registration
-// traffic follows the same splitter tree as a one-shot query; matching
-// events already stored are NOT reported (use Query for the history).
+// traffic follows the same forwarding tree as a one-shot query; matching
+// events already stored are NOT reported (use Query for the history). When
+// cells stay unreachable the subscription is returned together with an
+// error naming them: it stands at the cells that were reached, for the
+// caller to keep or to Unsubscribe.
 func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
-	var plan Plan
-	if err := s.Resolve(q, &plan); err != nil {
+	if err := s.Resolve(q, &s.plan); err != nil {
 		return nil, err
 	}
-	rq := plan.Query
 	s.subSeq++
+	// The plan's ranges are overwritten by the next Resolve.
+	rq := event.Query{Ranges: slices.Clone(s.plan.Query.Ranges)}
 	sub := &Subscription{ID: s.subSeq, Sink: sink, Query: rq}
-	qBytes := dcs.QueryBytes(s.dims)
-
 	if s.tracer.Enabled() {
 		s.tracer.Begin(trace.OpSubscribe, sink, "")
 		defer s.tracer.End()
 	}
-	for _, f := range plan.Fanouts {
-		p, cells := f.Pool, f.Cells
-		splitter := s.SplitterFor(p, sink)
-		if s.tracer.Enabled() {
-			s.tracer.Record(trace.TypeFanout, splitter, len(cells), fmt.Sprintf("P%d", p.Dim))
-		}
-		if _, err := s.unicast(sink, splitter, network.KindControl, qBytes); err != nil {
-			return nil, fmt.Errorf("pool: subscribe to splitter: %w", err)
-		}
-		for _, c := range cells {
-			index := s.holder[c]
-			if index != splitter {
-				if _, err := s.unicast(splitter, index, network.KindControl, qBytes); err != nil {
-					return nil, fmt.Errorf("pool: subscribe to cell %v: %w", c, err)
-				}
-			}
-			key := Key{Dim: p.Dim, Cell: c}
+	// Registration rides control frames and is answered by nobody.
+	var comp dcs.Completeness
+	err := s.walk(sink, visitor{
+		kind: network.KindControl, traced: traceFanout,
+		cell: func(key Key, _ int, _ bool) (int, int, error) {
 			sub.keys = append(sub.keys, key)
 			if s.subs == nil {
 				s.subs = make(map[Key][]*Subscription)
 			}
 			s.subs[key] = append(s.subs[key], sub)
-		}
+			return 0, 0, nil
+		},
+		sink: func(int) int { return 0 },
+	}, &comp)
+	if err != nil {
+		return nil, err
 	}
-	return sub, nil
+	return sub, incomplete("subscribe", comp)
 }
 
 // Unsubscribe removes a standing query. Deregistration traffic follows

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -14,102 +15,74 @@ import (
 // matching event's cell is visited); each affected index node prunes its
 // segments and mirrors, acknowledging with a constant-size reply.
 // Sensor-network deployments use this to retire stale readings and
-// reclaim the motes' scarce storage.
+// reclaim the motes' scarce storage. Every reachable cell is pruned and
+// counted; cells left unreached are named in the error.
 func (s *System) Delete(sink int, q event.Query) (int, error) {
-	var plan Plan
-	if err := s.Resolve(q, &plan); err != nil {
+	if err := s.Resolve(q, &s.plan); err != nil {
 		return 0, err
 	}
-	rq := plan.Query
-	qBytes := dcs.QueryBytes(s.dims)
-
-	removed := 0
-	for _, f := range plan.Fanouts {
-		p, cells := f.Pool, f.Cells
-		splitter := s.SplitterFor(p, sink)
-		if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
-			return removed, fmt.Errorf("pool: delete to splitter: %w", err)
-		}
-		for _, c := range cells {
-			index := s.holder[c]
-			if index != splitter {
-				if _, err := s.unicast(splitter, index, network.KindQuery, qBytes); err != nil {
-					return removed, fmt.Errorf("pool: delete to cell %v: %w", c, err)
-				}
-			}
-			key := Key{Dim: p.Dim, Cell: c}
-			n, err := s.deleteFromCell(key, index, rq, qBytes)
-			if err != nil {
-				return removed, err
-			}
-			if n == 0 {
-				continue
-			}
+	// A cell that removed anything acknowledges to its splitter, and every
+	// splitter acknowledges to the sink.
+	removed, ack := 0, dcs.ReplyBytes(s.dims, 0)
+	var comp dcs.Completeness
+	err := s.walk(sink, visitor{
+		kind: network.KindQuery,
+		cell: func(key Key, node int, mirror bool) (int, int, error) {
+			n, err := s.deleteFromCell(key, node, mirror)
 			removed += n
-			if index != splitter {
-				if _, err := s.unicast(index, splitter, network.KindReply,
-					dcs.ReplyBytes(s.dims, 0)); err != nil {
-					return removed, fmt.Errorf("pool: delete ack from cell %v: %w", c, err)
-				}
+			if n == 0 {
+				return 0, 0, err
 			}
-		}
-		if _, err := s.unicast(splitter, sink, network.KindReply,
-			dcs.ReplyBytes(s.dims, 0)); err != nil {
-			return removed, fmt.Errorf("pool: delete ack to sink: %w", err)
-		}
+			return n, ack, err
+		},
+		sink: func(int) int { return ack },
+	}, &comp)
+	if err == nil {
+		err = incomplete("delete", comp)
 	}
-	return removed, nil
+	return removed, err
 }
 
 // deleteFromCell prunes matching events from every segment of a cell
 // (reaching delegated segments costs the usual extra exchange) and from
-// the cell's mirror.
-func (s *System) deleteFromCell(key Key, index int, rq event.Query, qBytes int) (int, error) {
+// the cell's mirror. Served at the mirror, it prunes the mirror's copy
+// alone: the index node that could not be reached keeps its own until its
+// failure is detected, and the restore that follows takes only what the
+// mirror still holds.
+func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
+	rq, qBytes := s.plan.Query, dcs.QueryBytes(s.dims)
+	if mirror {
+		held := len(s.mirrorStore[key])
+		s.mirrorStore[key] = slices.DeleteFunc(s.mirrorStore[key], rq.Matches)
+		return held - len(s.mirrorStore[key]), nil
+	}
 	removed := 0
 	segs := s.store[key]
 	for i := range segs {
-		kept := segs[i].events[:0]
-		dropped := 0
-		for _, e := range segs[i].events {
-			if rq.Matches(e) {
-				dropped++
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if dropped == 0 {
+		seg := &segs[i]
+		if !slices.ContainsFunc(seg.events, rq.Matches) {
 			continue
 		}
-		if segs[i].node != index {
+		if seg.node != node {
 			// Reach the delegate and hear its ack.
-			if _, err := s.unicast(index, segs[i].node, network.KindQuery, qBytes); err != nil {
+			if _, err := s.unicast(node, seg.node, network.KindQuery, qBytes); err != nil {
 				return removed, fmt.Errorf("pool: delete to delegate: %w", err)
 			}
-			if _, err := s.unicast(segs[i].node, index, network.KindReply,
+			if _, err := s.unicast(seg.node, node, network.KindReply,
 				dcs.ReplyBytes(s.dims, 0)); err != nil {
 				return removed, fmt.Errorf("pool: delete delegate ack: %w", err)
 			}
 		}
-		segs[i].events = kept
-		s.stored[segs[i].node] -= dropped
-		removed += dropped
+		held := len(seg.events)
+		seg.events = slices.DeleteFunc(seg.events, rq.Matches)
+		s.stored[seg.node] -= held - len(seg.events)
+		removed += held - len(seg.events)
 	}
-	if removed > 0 {
-		s.store[key] = segs
-	}
-	if s.replicate && removed > 0 {
-		if mirror, ok := s.mirrors[key]; ok && mirror >= 0 {
-			kept := s.mirrorStore[key][:0]
-			for _, e := range s.mirrorStore[key] {
-				if !rq.Matches(e) {
-					kept = append(kept, e)
-				}
-			}
-			s.mirrorStore[key] = kept
-			if mirror != index && !s.dead[mirror] {
-				if _, err := s.unicast(index, mirror, network.KindControl, qBytes); err != nil {
-					return removed, fmt.Errorf("pool: delete mirror: %w", err)
-				}
+	if m := s.Mirror(key); removed > 0 && m >= 0 {
+		s.mirrorStore[key] = slices.DeleteFunc(s.mirrorStore[key], rq.Matches)
+		if m != node && !s.dead[m] {
+			if _, err := s.unicast(node, m, network.KindControl, qBytes); err != nil {
+				return removed, fmt.Errorf("pool: delete mirror: %w", err)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
@@ -293,6 +294,49 @@ func (d *Directory) AlternateSplitter(p Pool, sink, avoid int) int {
 		}
 	}
 	return best
+}
+
+// Stage names an exchange of the §3.2.3 forwarding tree that the failure
+// policy (dcs.Exchange; node's querySettled) may have to aim again.
+type Stage uint8
+
+const (
+	StageSplitter Stage = iota // sink → splitter
+	StageCell                  // splitter → the cell's index node
+	StageReply                 // an answer on its way back up the tree
+)
+
+// Retarget returns where the one retry of an exchange goes after the node
+// it was first sent to timed out, and what the trace calls that retry: a
+// query that lost its splitter goes to the next-closest index node of Pool
+// key.Dim (-1 when the Pool has no other holder); a query that lost a
+// cell's index node goes to the cell's mirror when replication keeps an
+// alive one and to the index node again otherwise; a reply is re-sent as
+// it is.
+func (d *Directory) Retarget(st Stage, key Key, sink, lost int) (to int, label string) {
+	switch st {
+	case StageSplitter:
+		return d.AlternateSplitter(d.pools[key.Dim-1], sink, lost), "alt-splitter"
+	case StageCell:
+		if m, ok := d.MirrorFor(key, lost); ok {
+			return m, "mirror"
+		}
+		return lost, "primary"
+	default:
+		return lost, "reply"
+	}
+}
+
+// Demote settles one cell a splitter had served when the splitter's
+// aggregate reply is lost for good: a cell whose matches that reply
+// carried goes unreached, a silent cell still counts as reached, as in the
+// fault-free protocol where it sends nothing.
+func Demote(comp *dcs.Completeness, dim int, c CellID, matches int) {
+	if matches > 0 {
+		comp.Unreached = append(comp.Unreached, CellLabel(dim, c))
+	} else {
+		comp.CellsReached++
+	}
 }
 
 // Failed reports whether a node is marked failed; ids outside the

@@ -100,72 +100,47 @@ func (s *System) FailNode(id int) error {
 		}
 	}
 
-	// Mirrors held by the failed node are re-homed (their content was a
-	// copy; re-copy from the primary segments).
-	if s.replicate {
-		for key, mirror := range s.mirrors {
-			if mirror != id {
-				continue
-			}
-			index := s.holder[key.Cell]
-			next := s.Elect(key.Cell, index)
-			s.SetMirror(key, next)
-			if next >= 0 {
-				var live []event.Event
-				for _, seg := range s.store[key] {
-					live = append(live, seg.events...)
-				}
-				if len(live) > 0 && index != next {
-					if _, err := s.unicast(index, next,
-						network.KindControl, dcs.ReplyBytes(s.dims, len(live))); err != nil {
-						if !dcs.IsDegradable(err) {
-							return fmt.Errorf("pool: mirror re-home: %w", err)
-						}
-						// The copy never arrived: the cell has no mirror
-						// until the next failure re-elects one. Never
-						// claim phantom data.
-						s.SetMirror(key, -1)
-						delete(s.mirrorStore, key)
-						continue
-					}
-					s.recoveryMsgs++
-				}
-				s.mirrorStore[key] = append([]event.Event(nil), live...)
-			}
+	// A mirror the failed node held is re-homed, and so is one that
+	// re-election left on its own cell's new index node — one copy of the
+	// data where there should be two: either way the next-closest alive
+	// node takes a fresh copy of the primary segments.
+	for key, mirror := range s.mirrors {
+		index := s.holder[key.Cell]
+		if mirror != id && mirror != index {
+			continue
 		}
+		if err := s.recopyMirror(key, index, s.Elect(key.Cell, index)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-		// Re-election can land a cell's index role on its own mirror
-		// node, leaving one copy of the data: split the roles again by
-		// moving the mirror copy to the next-closest alive node.
-		for key, mirror := range s.mirrors {
-			if mirror < 0 || mirror != s.holder[key.Cell] {
-				continue
-			}
-			next := s.Elect(key.Cell, mirror)
-			if next < 0 {
-				s.SetMirror(key, -1)
-				delete(s.mirrorStore, key)
-				continue
-			}
-			var live []event.Event
-			for _, seg := range s.store[key] {
-				live = append(live, seg.events...)
-			}
-			if len(live) > 0 {
-				if _, err := s.unicast(mirror, next,
-					network.KindControl, dcs.ReplyBytes(s.dims, len(live))); err != nil {
-					if !dcs.IsDegradable(err) {
-						return fmt.Errorf("pool: mirror split: %w", err)
-					}
-					s.SetMirror(key, -1)
-					delete(s.mirrorStore, key)
-					continue
-				}
-				s.recoveryMsgs++
-			}
-			s.SetMirror(key, next)
-			s.mirrorStore[key] = append([]event.Event(nil), live...)
+// recopyMirror makes node to the cell's mirror by shipping it the live
+// copy from node from, charged as recovery traffic. With no node to take
+// it (to < 0), or when the copy never arrives, the cell has no mirror
+// until the next failure re-elects one: never claim phantom data.
+func (s *System) recopyMirror(key Key, from, to int) error {
+	var live []event.Event
+	for _, seg := range s.store[key] {
+		live = append(live, seg.events...)
+	}
+	if to >= 0 && len(live) > 0 {
+		_, err := s.unicast(from, to, network.KindControl, dcs.ReplyBytes(s.dims, len(live)))
+		switch {
+		case err == nil:
+			s.recoveryMsgs++
+		case dcs.IsDegradable(err):
+			to = -1
+		default:
+			return fmt.Errorf("pool: mirror re-home: %w", err)
 		}
+	}
+	s.SetMirror(key, to)
+	if to < 0 {
+		delete(s.mirrorStore, key)
+	} else {
+		s.mirrorStore[key] = live
 	}
 	return nil
 }

@@ -120,16 +120,17 @@ type System struct {
 	// arq is the per-hop retransmission budget for routed unicasts; its
 	// PathBuf points at pathBuf so route paths reuse one backing array.
 	arq dcs.TxOptions
-	// pathBuf, plan, servedBuf, and replyBuf are query/insert hot-path
-	// scratch, reused across operations. A System is single-goroutine, so
-	// plain fields suffice.
+	// pathBuf, plan, servedBuf, and replyBuf are the scratch of the
+	// operation in progress — plan is what walk walks — reused across
+	// operations. A System is single-goroutine, so plain fields suffice.
 	pathBuf   []int
 	plan      Plan
 	servedBuf []servedCell
-	// replyBuf gathers the matches of the query in progress: every leg
+	// replyBuf gathers the matches of the operation in progress: every leg
 	// appends into it and reports a count, a leg whose reply is lost
-	// truncates it back to the mark taken before that leg, and the caller
-	// gets one exact-size copy. The buffer itself never leaves the System.
+	// truncates it back to the mark taken before that leg, and a query's
+	// caller gets one exact-size copy. The buffer itself never leaves the
+	// System.
 	replyBuf []event.Event
 
 	// tracer records structured events; nil disables tracing.
@@ -210,9 +211,14 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 
 // unicast routes a payload between two nodes, applying the system's ARQ
 // retransmission budget. Every routed exchange in the package goes
-// through here.
+// through here or through exchange.
 func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int, error) {
 	return dcs.UnicastOpts(s.net, s.router, from, to, kind, payloadBytes, s.arq)
+}
+
+// exchange is unicast under the failure policy of dcs.Exchange.
+func (s *System) exchange(from, to int, kind network.Kind, payloadBytes int, comp *dcs.Completeness, retarget func(int) int) (int, error) {
+	return dcs.Exchange(s.net, s.router, from, to, kind, payloadBytes, s.arq, comp, retarget)
 }
 
 // Name implements dcs.System.
@@ -352,17 +358,23 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	if err := s.Resolve(q, &s.plan); err != nil {
 		return nil, comp, err
 	}
-	qBytes := dcs.QueryBytes(s.dims)
-
 	if s.tracer.Enabled() {
 		s.tracer.Begin(trace.OpQuery, sink, "")
 		defer s.tracer.End()
 	}
-	s.replyBuf = s.replyBuf[:0]
-	for _, f := range s.plan.Fanouts {
-		if err := s.queryPool(f.Pool, f.Cells, sink, s.plan.Query, qBytes, &comp); err != nil {
-			return nil, comp, err
-		}
+	// Every cell with matches sends them to its splitter, every splitter
+	// that was sent any forwards them to the sink, and what arrives stays
+	// in replyBuf.
+	err := s.walk(sink, visitor{
+		kind: network.KindQuery, traced: traceFull,
+		cell: func(key Key, node int, mirror bool) (int, int, error) {
+			n := s.gather(key, node, mirror)
+			return n, s.eventsBytes(n), nil
+		},
+		sink: s.eventsBytes,
+	}, &comp)
+	if err != nil {
+		return nil, comp, err
 	}
 	s.mQueries.Inc()
 	s.mFanout.Observe(int64(comp.CellsTotal))
@@ -370,207 +382,37 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	return event.CloneEvents(s.replyBuf), comp, nil
 }
 
-// servedCell records one reached cell of a fan-out and how many matches
-// the splitter holds for it, so the final reply leg can demote served
-// cells when the aggregate reply is lost.
-type servedCell struct {
-	cell    CellID
-	matches int
-}
-
 // CellLabel formats the human-readable id of one Pool cell for
 // completeness reports. Exported so the node actor engine labels
 // unreached cells identically to the synchronous spec.
 func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) }
 
-// queryPool resolves the (rewritten) query against one Pool's relevant
-// cells: the query is forwarded through the Pool's splitter to each, and the
-// replies converge back through the splitter (§3.2.3). The matches that
-// reached the sink are appended to replyBuf. When tracing, the whole
-// exchange runs inside a fan-out sub-span of the query span.
-//
-// Failure policy (timeout + one retry, bounded backoff): an unreachable
-// splitter is retried once at the next-closest alive index node; an
-// unreachable cell is retried once, at the cell's mirror when replication
-// provides one; each reply leg is retransmitted once. Cells that stay
-// unreachable are recorded in comp and skipped. In a fault-free run the
-// traffic is identical, hop for hop, to the pre-degradation protocol.
-func (s *System) queryPool(p Pool, cells []CellID, sink int, rq event.Query, qBytes int, comp *dcs.Completeness) error {
-	comp.CellsTotal += len(cells)
-	unreachedAll := func() {
-		for _, c := range cells {
-			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
-		}
-	}
-	splitter := s.SplitterFor(p, sink)
-	if s.tracer.Enabled() {
-		s.tracer.Begin(trace.OpFanout, splitter, fmt.Sprintf("P%d", p.Dim))
-		defer s.tracer.End()
-		s.tracer.Record(trace.TypeFanout, splitter, len(cells), fmt.Sprintf("P%d", p.Dim))
-	}
-	if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
-		if !dcs.IsDegradable(err) {
-			return fmt.Errorf("pool: query to splitter: %w", err)
-		}
-		// The splitter timed out: retry once through the Pool's
-		// next-closest index node.
-		alt := s.AlternateSplitter(p, sink, splitter)
-		if alt < 0 {
-			unreachedAll()
-			return nil
-		}
-		comp.Retries++
-		if _, err := s.unicast(sink, alt, network.KindQuery, qBytes); err != nil {
-			if !dcs.IsDegradable(err) {
-				return fmt.Errorf("pool: query to alternate splitter: %w", err)
-			}
-			unreachedAll()
-			return nil
-		}
-		splitter = alt
-	}
-	s.mSplitter.Inc(splitter)
-	mark := len(s.replyBuf)
-	// served tracks, per reached cell, the matches the splitter holds for
-	// it, so the final reply leg can demote them on failure. Labels are
-	// formatted only when a cell actually goes unreached — the fault-free
-	// path never pays for them.
-	served := s.servedBuf[:0]
-	for _, c := range cells {
-		matches, ok, err := s.queryCellVia(p, Key{Dim: p.Dim, Cell: c}, splitter, rq, qBytes, comp)
-		if err != nil {
-			s.servedBuf = served
-			return err
-		}
-		if !ok {
-			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
-			continue
-		}
-		served = append(served, servedCell{cell: c, matches: matches})
-	}
-	s.servedBuf = served
-	gathered := len(s.replyBuf) - mark
-	if gathered > 0 {
-		if s.tracer.Enabled() {
-			s.tracer.Record(trace.TypeReply, splitter, gathered, "")
-		}
-		replyBytes := dcs.ReplyBytes(s.dims, gathered)
-		if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
-			if !dcs.IsDegradable(err) {
-				return fmt.Errorf("pool: reply to sink: %w", err)
-			}
-			comp.Retries++
-			if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
-				if !dcs.IsDegradable(err) {
-					return fmt.Errorf("pool: reply to sink: %w", err)
-				}
-				// The aggregate reply never made it back: every cell whose
-				// matches it carried goes unserved; silent (empty) cells
-				// still count as served, as in the fault-free protocol.
-				s.replyBuf = s.replyBuf[:mark]
-				for _, sc := range served {
-					if sc.matches > 0 {
-						comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, sc.cell))
-					} else {
-						comp.CellsReached++
-					}
-				}
-				return nil
-			}
-		}
-	}
-	comp.CellsReached += len(served)
-	return nil
-}
-
-// queryCellVia queries one cell through the splitter: the matches the
-// splitter received are appended to replyBuf and counted in the return
-// value, with ok=false (and nothing appended) when the cell stayed
-// unreachable through the retry policy.
-func (s *System) queryCellVia(p Pool, key Key, splitter int, rq event.Query, qBytes int, comp *dcs.Completeness) (matches int, ok bool, err error) {
-	index := s.holder[key.Cell]
-	target, useMirror := index, false
-	if index != splitter {
-		if _, err := s.unicast(splitter, index, network.KindQuery, qBytes); err != nil {
-			if !dcs.IsDegradable(err) {
-				return 0, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err)
-			}
-			// The index node timed out: one retry, preferring the cell's
-			// mirror when replication provides an alive one.
-			comp.Retries++
-			if m, hasMirror := s.MirrorFor(key, index); hasMirror {
-				if m != splitter {
-					if _, err2 := s.unicast(splitter, m, network.KindQuery, qBytes); err2 != nil {
-						if !dcs.IsDegradable(err2) {
-							return 0, false, fmt.Errorf("pool: query to mirror of %v: %w", key.Cell, err2)
-						}
-						return 0, false, nil
-					}
-				}
-				target, useMirror = m, true
-			} else {
-				// No mirror: back off and re-attempt the primary once.
-				if _, err2 := s.unicast(splitter, index, network.KindQuery, qBytes); err2 != nil {
-					if !dcs.IsDegradable(err2) {
-						return 0, false, fmt.Errorf("pool: query to cell %v: %w", key.Cell, err2)
-					}
-					return 0, false, nil
-				}
-			}
-		}
-	}
-	mark := len(s.replyBuf)
-	if useMirror {
-		s.replyBuf = rq.AppendMatches(s.replyBuf, s.mirrorStore[key])
-	} else {
-		s.queryCell(key, target, rq, qBytes)
-	}
-	matches = len(s.replyBuf) - mark
-	if s.tracer.Enabled() {
-		s.tracer.Record(trace.TypeResolve, target, matches, key.Cell.String())
-	}
-	if matches == 0 || target == splitter {
-		return matches, true, nil
-	}
-	replyBytes := dcs.ReplyBytes(s.dims, matches)
-	if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
-		if !dcs.IsDegradable(err) {
-			return 0, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
-		}
-		comp.Retries++
-		if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
-			if !dcs.IsDegradable(err) {
-				return 0, false, fmt.Errorf("pool: reply from cell %v: %w", key.Cell, err)
-			}
-			// The cell's reply never reached the splitter.
-			s.replyBuf = s.replyBuf[:mark]
-			return 0, false, nil
-		}
-	}
-	return matches, true, nil
-}
-
-// queryCell scans all storage segments of one cell, appending the matches
-// the index node ends up holding to replyBuf and returning their count.
+// gather is what a queried node does for a cell: it appends the matches it
+// ends up holding to replyBuf and returns their count. A mirror answers
+// from its copy; an index node scans every storage segment of the cell.
 // Delegated segments cost an extra query/reply exchange between the index
 // node and the delegate; a delegate that became unreachable is skipped,
 // losing its slice of the answer (visible in recall, not in cell
 // completeness).
-func (s *System) queryCell(key Key, index int, rq event.Query, qBytes int) int {
-	start := len(s.replyBuf)
+func (s *System) gather(key Key, node int, mirror bool) int {
+	rq, start := s.plan.Query, len(s.replyBuf)
+	if mirror {
+		s.replyBuf = rq.AppendMatches(s.replyBuf, s.mirrorStore[key])
+		return len(s.replyBuf) - start
+	}
 	for _, seg := range s.store[key] {
-		if seg.node != index {
-			if _, err := s.unicast(index, seg.node, network.KindQuery, qBytes); err != nil {
+		if seg.node != node {
+			if _, err := s.unicast(node, seg.node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
 				continue
 			}
 		}
 		mark := len(s.replyBuf)
 		s.replyBuf = rq.AppendMatches(s.replyBuf, seg.events)
 		segMatches := len(s.replyBuf) - mark
-		if segMatches == 0 || seg.node == index {
+		if segMatches == 0 || seg.node == node {
 			continue
 		}
-		if _, err := s.unicast(seg.node, index, network.KindReply,
+		if _, err := s.unicast(seg.node, node, network.KindReply,
 			dcs.ReplyBytes(s.dims, segMatches)); err != nil {
 			// The delegate's reply never reached the index node.
 			s.replyBuf = s.replyBuf[:mark]
