@@ -67,13 +67,20 @@ func BenchmarkFig6a(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-func benchEnv(b *testing.B, n int) *experiment.Env {
+// benchPair is the two systems of the paper's comparison, built as the
+// experiment tables build them.
+type benchPair struct {
+	Pool *pool.System
+	DIM  *dim.System
+}
+
+func benchEnv(b *testing.B, n int) benchPair {
 	b.Helper()
-	env, err := experiment.NewEnv(n, 3, rng.New(1234))
+	_, p, d, err := experiment.NewEnv(n, 3, rng.New(1234))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return env
+	return benchPair{Pool: p, DIM: d}
 }
 
 func BenchmarkPoolInsert(b *testing.B) {

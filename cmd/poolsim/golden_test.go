@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pooldcs/internal/experiment"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -16,19 +18,18 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //
 //	go test ./cmd/poolsim -run Golden -update
 func TestGolden(t *testing.T) {
-	cases := []struct {
+	type golden struct {
 		name string
 		args []string
-	}{
-		{"fig6b", []string{"-quick", "fig6b"}},
-		{"fig7b", []string{"-quick", "fig7b"}},
-		{"insert", []string{"-quick", "insert"}},
-		{"pointquery", []string{"-quick", "pointquery"}},
-		{"churn", []string{"-quick", "churn"}},
+	}
+	// Every table at -quick, plus the two actor-backend flavours of the
+	// resilience sweep the table list cannot name.
+	cases := []golden{
 		{"resilience-node", []string{"-quick", "-backend=node", "-repair", "resilience"}},
-		{"loadbalance", []string{"-quick", "loadbalance"}},
-		{"asyncscale", []string{"-quick", "asyncscale"}},
-		{"saturation", []string{"-quick", "saturation"}},
+		{"resilience-node-norepair", []string{"-quick", "-backend=node", "resilience"}},
+	}
+	for _, tbl := range experiment.Tables() {
+		cases = append(cases, golden{tbl.Name, []string{"-quick", tbl.Name}})
 	}
 	for _, tc := range cases {
 		tc := tc

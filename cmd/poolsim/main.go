@@ -5,15 +5,14 @@
 //
 //	poolsim [flags] <experiment>...
 //
-// Experiments: fig6a, fig6b, fig7a, fig7b, insert, hotspot, poolsize,
-// pointquery, aggregate, energy, loadbalance, fragmentation,
-// dissemination, resilience, churn, dimsweep, variance, placement,
-// eventload, latency, asynclatency, asyncscale, lossy, saturation, all.
+// Experiments are the tables registered in internal/experiment (DESIGN.md
+// §5 indexes them), or "all" for every one in report order; poolsim -h
+// lists the names.
 //
 // Flags:
 //
 //	-seed N      random seed (default 42)
-//	-queries N   queries per data point (default 100)
+//	-queries N   queries per data point (default 100; 30 with -quick)
 //	-sizes LIST  comma-separated network sizes for the fig6 sweeps
 //	-quick       fewer queries, smaller sweep (smoke run)
 //	-parallel N  worker goroutines per experiment (0 = GOMAXPROCS, 1 = sequential)
@@ -39,7 +38,6 @@ import (
 	"time"
 
 	"pooldcs/internal/experiment"
-	"pooldcs/internal/workload"
 )
 
 func main() {
@@ -49,65 +47,13 @@ func main() {
 	}
 }
 
-// runner executes one named experiment under a config.
-type runner func(cfg experiment.Config) (*experiment.Result, error)
-
-var experiments = map[string]runner{
-	"fig6a": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Fig6(cfg, workload.UniformSizes)
-	},
-	"fig6b": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Fig6(cfg, workload.ExponentialSizes)
-	},
-	"fig7a":  experiment.Fig7a,
-	"fig7b":  experiment.Fig7b,
-	"insert": experiment.InsertCost,
-	"hotspot": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Hotspot(cfg, 20)
-	},
-	"poolsize": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.PoolSize(cfg, []int{5, 10, 15, 20})
-	},
-	"pointquery":    experiment.PointQuery,
-	"aggregate":     experiment.Aggregates,
-	"energy":        experiment.Energy,
-	"loadbalance":   experiment.LoadBalance,
-	"dissemination": experiment.Dissemination,
-	"dimsweep": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.DimSweep(cfg, []int{2, 3, 4, 5})
-	},
-	"variance": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Variance(cfg, 5)
-	},
-	"placement": experiment.Placement,
-	"eventload": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.EventLoad(cfg, []int{1, 3, 6, 10})
-	},
-	"latency":      experiment.Latency,
-	"asynclatency": experiment.AsyncLatency,
-	"asyncscale": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.AsyncScale(cfg, []int{900, 1800, 3600})
-	},
-	"lossy": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Lossy(cfg, []float64{0, 0.1, 0.2, 0.3})
-	},
-	"resilience": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Resilience(cfg, []int{5, 10, 20, 30})
-	},
-	"churn": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Churn(cfg, []int{0, 5, 10, 20})
-	},
-	"fragmentation": experiment.Fragmentation,
-	"saturation": func(cfg experiment.Config) (*experiment.Result, error) {
-		return experiment.Saturation(cfg, []float64{25, 50, 100, 200, 400})
-	},
-}
-
-// order lists the experiments in report order for "all".
-var order = []string{
-	"fig6a", "fig6b", "fig7a", "fig7b",
-	"insert", "hotspot", "poolsize", "pointquery", "aggregate",
-	"energy", "loadbalance", "fragmentation", "dissemination", "resilience", "churn", "dimsweep", "variance", "placement", "eventload", "latency", "asynclatency", "asyncscale", "lossy", "saturation",
+// tableNames lists the registry's command-line names in report order.
+func tableNames() string {
+	var names []string
+	for _, t := range experiment.Tables() {
+		names = append(names, t.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 func run(args []string, out io.Writer) error {
@@ -123,16 +69,41 @@ func run(args []string, out io.Writer) error {
 	traceRing := fs.Int("trace-ring", 0, "flight-recorder capacity in events, 64 bytes each, for the attribution columns (0 = default 262144 = 16 MB)")
 	format := fs.String("format", "text", "output format: text, csv, or markdown")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /metrics on this address while running")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: poolsim [flags] <experiment>...\nexperiments: %s, all\n", tableNames())
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	names := fs.Args()
-	if len(names) == 0 {
-		return fmt.Errorf("no experiment given; choose from: %s, all", strings.Join(order, ", "))
+	var tables []experiment.Table
+	switch names := fs.Args(); {
+	case len(names) == 0:
+		return fmt.Errorf("no experiment given; choose from: %s, all", tableNames())
+	case len(names) == 1 && names[0] == "all":
+		tables = experiment.Tables()
+	default:
+		for _, name := range names {
+			t, ok := experiment.Lookup(name)
+			if !ok {
+				return fmt.Errorf("unknown experiment %q; choose from: %s, all", name, tableNames())
+			}
+			tables = append(tables, t)
+		}
 	}
-	if len(names) == 1 && names[0] == "all" {
-		names = order
+	var render func(res *experiment.Result) string
+	switch *format {
+	case "text":
+		render = func(res *experiment.Result) string { return res.Table.String() + "\n" }
+	case "csv":
+		render = func(res *experiment.Result) string { return fmt.Sprintf("# %s\n%s\n", res.Title, res.Table.CSV()) }
+	case "markdown":
+		render = func(res *experiment.Result) string {
+			return fmt.Sprintf("### %s\n\n%s\n", res.Title, res.Table.Markdown())
+		}
+	default:
+		return fmt.Errorf("unknown format %q; choose text, csv or markdown", *format)
 	}
 
 	cfg := experiment.Default()
@@ -140,7 +111,10 @@ func run(args []string, out io.Writer) error {
 		cfg = experiment.Quick()
 	}
 	cfg.Seed = *seed
-	if !*quick {
+	// -quick brings its own query count unless -queries was given too.
+	queriesSet := false
+	fs.Visit(func(f *flag.Flag) { queriesSet = queriesSet || f.Name == "queries" })
+	if !*quick || queriesSet {
 		cfg.Queries = *queries
 	}
 	if *sizes != "" {
@@ -183,27 +157,17 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "poolsim: debug server on http://%s (/metrics, /debug/pprof/)\n", dbg.addr())
 	}
 
-	for _, name := range names {
-		r, ok := experiments[name]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q; choose from: %s, all", name, strings.Join(order, ", "))
-		}
+	for _, t := range tables {
 		start := time.Now()
-		res, err := r(cfg)
+		res, err := t.Run(cfg)
 		dbg.record(time.Since(start), err != nil)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", t.Name, err)
 		}
-		switch *format {
-		case "text":
-			fmt.Fprintln(out, res.Table.String())
-		case "csv":
-			fmt.Fprintf(out, "# %s\n%s\n", res.Title, res.Table.CSV())
-		case "markdown":
-			fmt.Fprintf(out, "### %s\n\n%s\n", res.Title, res.Table.Markdown())
-		default:
-			return fmt.Errorf("unknown format %q", *format)
+		if res.ID != t.ID {
+			return fmt.Errorf("%s: registered as result %q but produced %q", t.Name, t.ID, res.ID)
 		}
+		fmt.Fprint(out, render(res))
 	}
 	return nil
 }

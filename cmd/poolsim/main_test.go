@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"pooldcs/internal/experiment"
 )
 
 func TestRunSingleExperimentText(t *testing.T) {
@@ -65,8 +67,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"bogus"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := run([]string{"-format", "xml", "fig6a"}, &out); err == nil {
-		t.Error("unknown format accepted")
+	// A bad -format or table name is reported before any table runs: the
+	// two-node deployment would fail first if fig6a were attempted, and
+	// insert would print a table.
+	if err := run([]string{"-format", "xml", "-sizes", "2", "fig6a"}, &out); err == nil || !strings.Contains(err.Error(), "unknown format") {
+		t.Errorf("unknown format not reported first: %v", err)
+	}
+	out.Reset()
+	if err := run([]string{"-quick", "insert", "bogus"}, &out); err == nil || out.Len() > 0 {
+		t.Errorf("unknown experiment after a known one: err %v, output %q", err, out.String())
 	}
 	if err := run([]string{"-nosuchflag"}, &out); err == nil {
 		t.Error("unknown flag accepted")
@@ -89,14 +98,47 @@ func TestRunTraceRing(t *testing.T) {
 	}
 }
 
+// TestAllCoversEveryExperiment: "all" and the by-name lookup are two views
+// of the one registry, so every table is reachable both ways, once, and the
+// error text lists exactly the registry. (That each table's Result carries
+// its registered ID is checked by run itself, hence by TestGolden.)
 func TestAllCoversEveryExperiment(t *testing.T) {
-	if len(order) != len(experiments) {
-		t.Fatalf("order lists %d experiments, map has %d", len(order), len(experiments))
-	}
-	for _, name := range order {
-		if _, ok := experiments[name]; !ok {
-			t.Errorf("ordered name %q missing from the experiment map", name)
+	seen := make(map[string]bool)
+	for _, tbl := range experiment.Tables() {
+		if tbl.Name == "" || tbl.ID == "" || tbl.Run == nil || tbl.Name == "all" {
+			t.Errorf("malformed registry entry %+v", tbl)
 		}
+		if seen[tbl.Name] || seen[tbl.ID] {
+			t.Errorf("registry lists %q (%s) twice", tbl.Name, tbl.ID)
+		}
+		seen[tbl.Name], seen[tbl.ID] = true, true
+		if got, ok := experiment.Lookup(tbl.Name); !ok || got.ID != tbl.ID {
+			t.Errorf("Lookup(%q) = %+v, %v", tbl.Name, got, ok)
+		}
+	}
+	var out strings.Builder
+	err := run(nil, &out)
+	if err == nil || !strings.HasSuffix(err.Error(), tableNames()+", all") {
+		t.Errorf("no-argument error does not list the registry: %v", err)
+	}
+}
+
+// TestQuickHonoursQueries: -quick supplies a query count only when
+// -queries is absent.
+func TestQuickHonoursQueries(t *testing.T) {
+	render := func(args ...string) string {
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	quick := render("-quick", "energy")
+	if got := render("-quick", "-queries", "30", "energy"); got != quick {
+		t.Errorf("-quick -queries 30 differs from -quick:\n%s%s", got, quick)
+	}
+	if got := render("-quick", "-queries", "7", "energy"); got == quick || !strings.Contains(got, "insert + 7 queries") {
+		t.Errorf("-quick discarded -queries 7:\n%s", got)
 	}
 }
 

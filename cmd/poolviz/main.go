@@ -182,12 +182,12 @@ func runLayout(args []string, out io.Writer) error {
 	}
 
 	src := rng.New(*seed)
-	env, err := experiment.NewEnv(*n, 3, src)
+	env, p, _, err := experiment.NewEnv(*n, 3, src)
 	if err != nil {
 		return err
 	}
 	layout := env.Layout
-	g := env.Pool.Grid()
+	g := p.Grid()
 
 	// Character grid: 2 cells per character column to keep aspect ratio.
 	const maxWidth = 100
@@ -200,9 +200,9 @@ func runLayout(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "digits = Pool cells (pool number), * = node present, . = empty")
 
 	poolOf := make(map[pool.CellID]int)
-	for _, p := range env.Pool.Pools() {
-		for _, c := range p.Cells() {
-			poolOf[c] = p.Dim
+	for _, pl := range p.Pools() {
+		for _, c := range pl.Cells() {
+			poolOf[c] = pl.Dim
 		}
 	}
 	occupied := make(map[pool.CellID]bool)

@@ -29,28 +29,24 @@ func run() error {
 	const quota = 15 // events a node stores before delegating
 
 	src := rng.New(99)
-	env, err := experiment.NewEnv(nodes, 3, src)
+	env, plain, _, err := experiment.NewEnv(nodes, 3, src)
 	if err != nil {
 		return err
 	}
-	sharedNet := network.New(env.Layout)
-	shared, err := pool.New(sharedNet, env.Router, 3, src.Fork("pivots2"),
+	// A third arm on the same deployment: Pool with workload sharing.
+	shared, err := env.AddPool(fmt.Sprintf("Pool+sharing(q=%d)", quota), src.Fork("pivots2"), nil,
 		pool.WithWorkloadSharing(quota))
 	if err != nil {
 		return err
 	}
+	sharedArm := env.Arms[2]
 
 	// A wildfire scenario: nearly every sensor reports the same extreme
 	// reading — high temperature, low humidity.
 	gen := workload.NewHotspotEvents(src.Fork("events"), []float64{0.92, 0.15, 0.4}, 0.015)
-	events := experiment.GenerateEvents(env.Layout, 3, gen)
-	for _, pe := range events {
-		if err := env.Pool.Insert(pe.Origin, pe.Event); err != nil {
-			return err
-		}
-		if err := shared.Insert(pe.Origin, pe.Event); err != nil {
-			return err
-		}
+	events, err := env.Populate(3, gen)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%d skewed events inserted (plain Pool vs Pool with workload sharing)\n\n", len(events))
 
@@ -73,28 +69,19 @@ func run() error {
 
 	table := texttable.New("Per-node stored events under skew",
 		"System", "Max", "3rd-max", "NodesUsed", "SharingMsgs")
-	table.AddRow(describe("Pool", env.Pool.StorageLoad(), 0)...)
-	table.AddRow(describe(fmt.Sprintf("Pool+sharing(q=%d)", quota), shared.StorageLoad(),
-		sharedNet.Snapshot().Messages[network.KindControl])...)
+	table.AddRow(describe("Pool", plain.StorageLoad(), 0)...)
+	table.AddRow(describe(sharedArm.Name, shared.StorageLoad(), sharedArm.Net.Messages(network.KindControl))...)
 	fmt.Println(table)
 	fmt.Printf("delegations performed: %d\n\n", shared.Delegations())
 
-	// Queries remain correct and complete across delegated segments.
+	// Queries remain correct and complete across delegated segments: Cost
+	// refuses result sets that differ between arms.
 	q := event.NewQuery(event.Span(0.85, 1), event.Span(0, 0.3), event.Unspecified())
-	plainRes, err := env.Pool.Query(0, q)
+	costs, err := env.Cost(1, []experiment.PlacedQuery{{Sink: 0, Query: q}})
 	if err != nil {
 		return err
 	}
-	before := sharedNet.Snapshot()
-	sharedRes, err := shared.Query(0, q)
-	if err != nil {
-		return err
-	}
-	d := sharedNet.Diff(before)
-	fmt.Printf("fire-zone query: plain found %d, shared found %d (must match), %d messages with sharing\n",
-		len(plainRes), len(sharedRes), d.Messages[network.KindQuery]+d.Messages[network.KindReply])
-	if len(plainRes) != len(sharedRes) {
-		return fmt.Errorf("result sets diverge: %d vs %d", len(plainRes), len(sharedRes))
-	}
+	fmt.Printf("fire-zone query: plain found %d, shared found %d (must match), %.0f messages with sharing\n",
+		costs[0].Matches, costs[2].Matches, costs[2].PerQuery())
 	return nil
 }

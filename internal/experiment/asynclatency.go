@@ -2,15 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"pooldcs/internal/event"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/rng"
-	"pooldcs/internal/sim"
 	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -29,65 +24,32 @@ func AsyncLatency(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Workload", "mean", "p50", "p95", "max")
 
 	src := rng.New(cfg.Seed + 9995)
-	layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+	env, err := Deploy(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
 	}
-	router := gpsr.New(layout)
-	sched := sim.NewScheduler()
-	net := network.New(layout)
-	eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil)
-	if err != nil {
+	if _, err := env.AddActor("node", src.Fork("pivots"), nil); err != nil {
 		return nil, err
 	}
-
-	gen := workload.NewUniformEvents(src.Fork("events"), cfg.Dims)
-	for n := 0; n < layout.N(); n++ {
-		for i := 0; i < cfg.EventsPerNode; i++ {
-			if err := eng.Insert(n, gen.Next(), nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sched.Run()
-	if errs := eng.Errors(); len(errs) > 0 {
-		return nil, fmt.Errorf("async inserts: %v", errs[0])
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
+		return nil, err
 	}
 
 	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
 	sinkSrc := src.Fork("sinks")
-	kinds := []struct {
-		name string
-		gen  func() (event.Query, error)
-	}{
-		{"exact (exp sizes)", func() (event.Query, error) { return qgen.ExactMatch(workload.ExponentialSizes), nil }},
-		{"1-partial", func() (event.Query, error) { return qgen.MPartial(1) }},
-		{"2-partial", func() (event.Query, error) { return qgen.MPartial(2) }},
-	}
-	for _, kind := range kinds {
-		lat := make([]float64, 0, cfg.Queries)
-		for i := 0; i < cfg.Queries; i++ {
-			q, err := kind.gen()
-			if err != nil {
-				return nil, err
-			}
-			if err := eng.Query(sinkSrc.Intn(layout.N()), q, func(_ []event.Event, elapsed time.Duration) {
-				lat = append(lat, float64(elapsed.Milliseconds()))
-			}); err != nil {
+	for _, kind := range queryKinds(qgen) {
+		population := make([]event.Query, cfg.Queries)
+		for i := range population {
+			if population[i], err = kind.gen(); err != nil {
 				return nil, err
 			}
 		}
-		sched.Run()
-		if errs := eng.Errors(); len(errs) > 0 {
-			return nil, fmt.Errorf("async queries (%s): %v", kind.name, errs[0])
+		costs, err := env.Cost(1, env.Place(sinkSrc, population))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", kind.name, err)
 		}
-		if len(lat) != cfg.Queries {
-			return nil, fmt.Errorf("%s: %d of %d queries completed", kind.name, len(lat), cfg.Queries)
-		}
-		var sum stats.Summary
-		for _, v := range lat {
-			sum.Add(v)
-		}
+		lat := costs[0].LatencyMs
+		sum := summary(lat)
 		table.AddRow(kind.name,
 			texttable.Float(sum.Mean(), 1),
 			texttable.Float(stats.Percentile(lat, 50), 0),

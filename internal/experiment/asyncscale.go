@@ -2,15 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
-	"pooldcs/internal/event"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/rng"
-	"pooldcs/internal/sim"
 	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -31,79 +25,43 @@ func AsyncScale(cfg Config, sizes []int) (*Result, error) {
 	title := fmt.Sprintf("Actor-engine scale sweep (%v/hop, %d queries/point)", node.DefaultHopLatency, cfg.Queries)
 	table := texttable.New(title, "N", "events", "drain-ms", "p50-ms", "p95-ms", "msgs/query")
 
-	type row struct {
-		events   uint64
-		drainMs  float64
-		p50, p95 float64
-		msgs     float64
-	}
-	rows, err := forEach(cfg.parallel(), len(sizes), func(i int) (row, error) {
+	return sweep(cfg, "ablation-asyncscale", table, len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		src := rng.New(cfg.Seed + 9996 + int64(n))
-		layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+		env, err := Deploy(n, cfg.Dims, src)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		router := gpsr.New(layout)
-		sched := sim.NewScheduler()
-		net := network.New(layout)
-		eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil)
+		eng, err := env.AddActor("node", src.Fork("pivots"), nil)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 
-		gen := workload.NewUniformEvents(src.Fork("events"), cfg.Dims)
-		for nd := 0; nd < layout.N(); nd++ {
-			for k := 0; k < cfg.EventsPerNode; k++ {
-				if err := eng.Insert(nd, gen.Next(), nil); err != nil {
-					return row{}, err
-				}
+		// The insert wave is part of what the row measures, so it goes
+		// over the radio instead of through Populate's preload.
+		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
+		for _, pe := range events {
+			if err := eng.Insert(pe.Origin, pe.Event, nil); err != nil {
+				return nil, err
 			}
 		}
-		sched.Run()
+		env.Sched.Run()
 		if errs := eng.Errors(); len(errs) > 0 {
-			return row{}, fmt.Errorf("n=%d inserts: %v", n, errs[0])
+			return nil, fmt.Errorf("n=%d inserts: %v", n, errs[0])
 		}
-		r := row{drainMs: float64(sched.Now().Milliseconds())}
+		drainMs := float64(env.Sched.Now().Milliseconds())
 
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		qmsgs := net.Messages(network.KindQuery) + net.Messages(network.KindReply)
-		lat := make([]float64, 0, cfg.Queries)
-		for q := 0; q < cfg.Queries; q++ {
-			query := qgen.ExactMatch(workload.ExponentialSizes)
-			err := eng.Query(sinkSrc.Intn(layout.N()), query, func(_ []event.Event, elapsed time.Duration) {
-				lat = append(lat, float64(elapsed.Milliseconds()))
-			})
-			if err != nil {
-				return row{}, err
-			}
+		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		costs, err := env.Cost(1, env.Place(src.Fork("sinks"), population))
+		if err != nil {
+			return nil, fmt.Errorf("n=%d: %w", n, err)
 		}
-		sched.Run()
-		if errs := eng.Errors(); len(errs) > 0 {
-			return row{}, fmt.Errorf("n=%d queries: %v", n, errs[0])
-		}
-		if len(lat) != cfg.Queries {
-			return row{}, fmt.Errorf("n=%d: %d of %d queries completed", n, len(lat), cfg.Queries)
-		}
-		r.events = sched.Executed()
-		r.p50 = stats.Percentile(lat, 50)
-		r.p95 = stats.Percentile(lat, 95)
-		qmsgs = net.Messages(network.KindQuery) + net.Messages(network.KindReply) - qmsgs
-		r.msgs = float64(qmsgs) / float64(cfg.Queries)
-		return r, nil
+		lat := costs[0].LatencyMs
+		return []string{texttable.Int(n),
+			texttable.Int(int(env.Sched.Executed())),
+			texttable.Float(drainMs, 0),
+			texttable.Float(stats.Percentile(lat, 50), 0),
+			texttable.Float(stats.Percentile(lat, 95), 0),
+			texttable.Float(costs[0].PerQuery(), 1)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range sizes {
-		r := rows[i]
-		table.AddRow(texttable.Int(n),
-			texttable.Int(int(r.events)),
-			texttable.Float(r.drainMs, 0),
-			texttable.Float(r.p50, 0),
-			texttable.Float(r.p95, 0),
-			texttable.Float(r.msgs, 1))
-	}
-	return &Result{ID: "ablation-asyncscale", Title: title, Table: table}, nil
 }

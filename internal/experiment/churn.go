@@ -8,15 +8,9 @@ import (
 	"pooldcs/internal/attrib"
 	"pooldcs/internal/chaos"
 	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
-	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
-	"pooldcs/internal/ght"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/metrics"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -55,18 +49,13 @@ const churnServiceTime = 2 * time.Millisecond
 // need a probe stream dense enough to land queries inside them.
 const churnProbePeriod = 250 * time.Millisecond
 
-// churnUniverse is one system under churn: its own radio, router, and
-// beacon protocol (so per-system traffic stays separable) plus the
-// per-query accumulators.
+// churnUniverse is one arm under churn — its own radio and router, so
+// per-system traffic and fault detection stay separable — with the beacon
+// protocol and chaos engine driving it and the per-query accumulators.
 type churnUniverse struct {
-	net    *network.Network
-	router *gpsr.Router
-	sys    interface {
-		QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
-	}
+	*Arm
 	disc   *discovery.Protocol
 	engine *chaos.Engine
-	reg    *metrics.Registry
 
 	// kick, when set, is invoked by the chaos engine's recovery hook so a
 	// rejoining node triggers an immediate anti-entropy round.
@@ -124,98 +113,70 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		"Xmit %", "ARQ %", "Queue %", "Retry %", "Repair %", "Other %")
 
 	// Each churn rate is a self-contained simulation — its own scheduler,
-	// layout, and four universes — so the rates fan out across workers.
-	renderedRows, err := forEach(cfg.parallel(), len(churnPcts), func(pcti int) ([]string, error) {
+	// layout, and six universes — so the rates fan out across workers.
+	return sweep(cfg, "ablation-churn", table, len(churnPcts), func(pcti int) ([]string, error) {
 		pct := churnPcts[pcti]
 		n := cfg.PartialSize
 		src := rng.New(cfg.Seed + 9900 + int64(pct))
-		layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+		env, err := Deploy(n, cfg.Dims, src)
 		if err != nil {
 			return nil, err
 		}
-		sched := sim.NewScheduler()
+		env.Sched, env.ownRouters, env.metered = sim.NewScheduler(), true, true
+		sched := env.Sched
 
-		build := func(name string, bsrc *rng.Source, mk func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error)) (*churnUniverse, error) {
-			reg := metrics.New()
-			net := network.New(layout, network.WithMetrics(reg))
-			router := gpsr.New(layout)
-			sys, err := mk(net, router, reg)
-			if err != nil {
-				return nil, err
-			}
-			u := &churnUniverse{net: net, router: router, reg: reg}
-			// The actor engine answers asynchronously and is queried
-			// through its own callback path below; every synchronous
-			// system exposes the blocking surface.
-			if qs, ok := sys.(interface {
-				QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
-			}); ok {
-				u.sys = qs
-			}
-			u.disc = discovery.New(net, sched, bsrc.Fork("beacons-"+name),
+		// attach puts the arm just added under churn: beacons drawn from
+		// bsrc detect its crashes, its chaos engine tears sys down when
+		// they do, and the arm's registry collects both.
+		attach := func(bsrc *rng.Source, sys chaos.System) *churnUniverse {
+			u := &churnUniverse{Arm: env.Arms[len(env.Arms)-1]}
+			u.disc = discovery.New(u.Net, sched, bsrc.Fork("beacons-"+u.Name),
 				discovery.Config{Interval: churnBeaconInterval})
-			u.disc.EnableMetrics(reg)
-			u.engine = chaos.NewEngine(sched, net, router, []chaos.System{sys},
-				chaos.WithFailureDetection(u.disc), chaos.WithMetrics(reg),
+			u.disc.EnableMetrics(u.Reg)
+			u.engine = chaos.NewEngine(sched, u.Net, u.Router, []chaos.System{sys},
+				chaos.WithFailureDetection(u.disc), chaos.WithMetrics(u.Reg),
 				chaos.WithRecoveryHook(func(int) {
 					if u.kick != nil {
 						u.kick()
 					}
 				}))
-			return u, nil
+			return u
 		}
-		plain, err := build("plain", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return pool.New(net, router, cfg.Dims, src.Fork("pivots-plain"), pool.WithMetrics(reg))
-		})
+		plainSys, err := env.AddPool("plain", src.Fork("pivots-plain"), nil)
 		if err != nil {
 			return nil, err
 		}
-		repl, err := build("repl", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return pool.New(net, router, cfg.Dims, src.Fork("pivots-repl"), pool.WithReplication(), pool.WithMetrics(reg))
-		})
+		plain := attach(src, plainSys)
+		replSys, err := env.AddPool("repl", src.Fork("pivots-repl"), nil, pool.WithReplication())
 		if err != nil {
 			return nil, err
 		}
-		dimU, err := build("dim", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return dim.New(net, router, cfg.Dims, dim.WithMetrics(reg))
-		})
+		repl := attach(src, replSys)
+		dimSys, err := env.AddDIM("dim", nil)
 		if err != nil {
 			return nil, err
 		}
-		ghtU, err := build("ght", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return ght.New(net, router, ght.WithMetrics(reg)), nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		dimU := attach(src, dimSys)
+		ghtU := attach(src, env.AddGHT("ght", nil))
 		// The snapshot-baseline universe draws from its own root source so
 		// the four established universes reproduce their exact pre-existing
 		// streams (Fork consumes from the parent sequence).
 		snapSrc := rng.New(cfg.Seed + 99_000 + int64(pct))
-		snap, err := build("snap", snapSrc, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return pool.New(net, router, cfg.Dims, snapSrc.Fork("pivots-snap"), pool.WithReplication(), pool.WithMetrics(reg))
-		})
+		snapSys, err := env.AddPool("snap", snapSrc.Fork("pivots-snap"), nil, pool.WithReplication())
 		if err != nil {
 			return nil, err
 		}
+		snap := attach(snapSrc, snapSys)
 		// The actor universe likewise draws from its own root source.
 		// Message-driven repair plus a per-packet service time: restore
 		// transfers queue behind (and ahead of) live query traffic.
 		nodeSrc := rng.New(cfg.Seed + 995_000 + int64(pct))
-		var nodeEng *node.Engine
-		nodeU, err := build("node", nodeSrc, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			eng, err := node.NewEngine(net, router, sched, cfg.Dims, nodeSrc.Fork("pivots-node"), nil, node.WithReplication())
-			if err != nil {
-				return nil, err
-			}
-			eng.EnableService(churnServiceTime)
-			eng.EnableMetrics(reg)
-			nodeEng = eng
-			return eng, nil
-		})
+		nodeEng, err := env.AddActor("node", nodeSrc.Fork("pivots-node"), nil, node.WithReplication())
 		if err != nil {
 			return nil, err
 		}
+		nodeEng.EnableService(churnServiceTime)
+		nodeU := attach(nodeSrc, nodeEng)
 		// Flight recorder: a bounded event ring over the actor universe's
 		// spans and hop records. The attribution columns decompose the
 		// probe latencies recorded here; the ring caps trace memory no
@@ -228,38 +189,23 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// Background anti-entropy: rateless sessions repair the queried
 		// replicated universe; the unqueried snapshot universe pays the
 		// naive full-transfer cost for the same fault plan.
-		recAE := antientropy.New(sched, repl.net, repl.router,
-			antientropy.Config{Period: cfg.RepairPeriod}, repl.sys.(*pool.System))
-		recAE.EnableMetrics(repl.reg)
+		recAE := antientropy.New(sched, repl.Net, repl.Router,
+			antientropy.Config{Period: cfg.RepairPeriod}, replSys)
+		recAE.EnableMetrics(repl.Reg)
 		repl.kick = recAE.Kick
-		recSnap := antientropy.New(sched, snap.net, snap.router,
-			antientropy.Config{Period: cfg.RepairPeriod, Snapshot: true}, snap.sys.(*pool.System))
-		recSnap.EnableMetrics(snap.reg)
+		recSnap := antientropy.New(sched, snap.Net, snap.Router,
+			antientropy.Config{Period: cfg.RepairPeriod, Snapshot: true}, snapSys)
+		recSnap.EnableMetrics(snap.Reg)
 		snap.kick = recSnap.Kick
 
-		// Load every universe identically, then forget the insert traffic.
-		placed := GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
+		// Load every universe identically; the actor arm preloads.
+		placed, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
+		if err != nil {
+			return nil, err
+		}
 		all := make([]event.Event, len(placed))
 		for i, pe := range placed {
 			all[i] = pe.Event
-			if err := plain.sys.(*pool.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := repl.sys.(*pool.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := dimU.sys.(*dim.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := ghtU.sys.(*ght.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := snap.sys.(*pool.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := nodeEng.Preload(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
 		}
 
 		// The same fault plan hits every universe. Loss bursts ride on the
@@ -282,8 +228,8 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		bsrc := src.Fork("bursts")
 		for b := 0; b < pct/5; b++ {
 			at := time.Duration(bsrc.Float64() * 0.8 * float64(churnHorizon))
-			cx, cy := bsrc.Uniform(0, layout.Side), bsrc.Uniform(0, layout.Side)
-			r := layout.Side * 0.1
+			cx, cy := bsrc.Uniform(0, env.Layout.Side), bsrc.Uniform(0, env.Layout.Side)
+			r := env.Layout.Side * 0.1
 			plan.Burst(at, geo.RectFromCorners(geo.Pt(cx-r, cy-r), geo.Pt(cx+r, cy+r)), burstLossRate, churnHorizon/10)
 		}
 		for _, u := range all6 {
@@ -316,14 +262,13 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 						uq = pq
 						uOracle = pq.Rewrite().Filter(all)
 					}
-					before := u.net.Snapshot()
-					got, comp, err := u.sys.QueryWithReport(sink, uq)
+					before := u.queryFrames()
+					got, comp, err := u.Sys.QueryWithReport(sink, uq)
 					if err != nil && queryErr == nil {
 						queryErr = fmt.Errorf("churn %d%% query at %v: %w", pct, at, err)
 						return
 					}
-					d := u.net.Diff(before)
-					u.msgs += d.Messages[network.KindQuery] + d.Messages[network.KindReply]
+					u.msgs += u.queryFrames() - before
 					u.sumRecall += recallOf(got, uOracle)
 					u.sumComp += comp.Fraction()
 				}
@@ -434,7 +379,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// the exposition endpoint serves).
 		var drops float64
 		for _, u := range universes {
-			drops += u.reg.Value("net_dropped_frames_total")
+			drops += u.Reg.Value("net_dropped_frames_total")
 		}
 		row = append(row,
 			texttable.Int(int(detect.Quantile(50))),
@@ -470,13 +415,6 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		row = append(row, attributionShares(flight)...)
 		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range renderedRows {
-		table.AddRow(row...)
-	}
-	return &Result{ID: "ablation-churn", Title: title, Table: table}, nil
 }
 
 // attributionShares renders each phase's share (percent) of the total
@@ -513,15 +451,6 @@ func attributionShares(tr *trace.Tracer) []string {
 		pct(attrib.PhaseRepair),
 		pct(attrib.PhaseMerge, attrib.PhaseOther),
 	}
-}
-
-// pointQueryFor builds the exact-match query addressing one event's key.
-func pointQueryFor(e event.Event) event.Query {
-	rs := make([]event.Range, len(e.Values))
-	for i, v := range e.Values {
-		rs[i] = event.PointRange(v)
-	}
-	return event.NewQuery(rs...)
 }
 
 // recallOf returns |got ∩ oracle| / |oracle|, 1.0 when the oracle is

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/event"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -19,48 +20,39 @@ func DimSweep(cfg Config, dims []int) (*Result, error) {
 	table := texttable.New(title, "k",
 		"DIM exact", "Pool exact", "DIM 1-partial", "Pool 1-partial")
 
-	rows, err := forEach(cfg.parallel(), len(dims), func(ki int) ([4]float64, error) {
+	return sweep(cfg, "ablation-dimsweep", table, len(dims), func(ki int) ([]string, error) {
 		k := dims[ki]
 		src := rng.New(cfg.Seed + 9900 + int64(k))
-		env, err := NewEnv(cfg.PartialSize, k, src)
+		env, _, _, err := NewEnv(cfg.PartialSize, k, src)
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), k))
-		if err := env.InsertAll(events); err != nil {
-			return [4]float64{}, err
+		if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), k)); err != nil {
+			return nil, err
 		}
 
+		// The exact and the 1-partial population are drawn alternately
+		// from one generator and issued from the same sinks.
 		qgen := workload.NewQueries(src.Fork("queries"), k)
-		sinkSrc := src.Fork("sinks")
-		exact := make([]PlacedQuery, cfg.Queries)
-		partial := make([]PlacedQuery, cfg.Queries)
+		exact := make([]event.Query, cfg.Queries)
+		partial := make([]event.Query, cfg.Queries)
 		for i := range exact {
-			sink := sinkSrc.Intn(cfg.PartialSize)
-			exact[i] = PlacedQuery{Sink: sink, Query: qgen.ExactMatch(workload.ExponentialSizes)}
-			pq, err := qgen.MPartial(1)
-			if err != nil {
-				return [4]float64{}, err
+			exact[i] = qgen.ExactMatch(workload.ExponentialSizes)
+			if partial[i], err = qgen.MPartial(1); err != nil {
+				return nil, err
 			}
-			partial[i] = PlacedQuery{Sink: sink, Query: pq}
 		}
-		poolExact, dimExact, err := env.QueryCosts(exact)
+		placed := env.Place(src.Fork("sinks"), exact)
+		exactCost, err := env.Cost(cfg.parallel(), placed)
 		if err != nil {
-			return [4]float64{}, fmt.Errorf("k=%d exact: %w", k, err)
+			return nil, fmt.Errorf("k=%d exact: %w", k, err)
 		}
-		poolPartial, dimPartial, err := env.QueryCosts(partial)
+		partialCost, err := env.Cost(cfg.parallel(), requery(placed, func(i int, _ event.Query) event.Query { return partial[i] }))
 		if err != nil {
-			return [4]float64{}, fmt.Errorf("k=%d partial: %w", k, err)
+			return nil, fmt.Errorf("k=%d partial: %w", k, err)
 		}
-		return [4]float64{dimExact, poolExact, dimPartial, poolPartial}, nil
+		return []string{texttable.Int(k),
+			texttable.Float(exactCost[1].PerQuery(), 1), texttable.Float(exactCost[0].PerQuery(), 1),
+			texttable.Float(partialCost[1].PerQuery(), 1), texttable.Float(partialCost[0].PerQuery(), 1)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range dims {
-		table.AddRow(texttable.Int(k),
-			texttable.Float(rows[i][0], 1), texttable.Float(rows[i][1], 1),
-			texttable.Float(rows[i][2], 1), texttable.Float(rows[i][3], 1))
-	}
-	return &Result{ID: "ablation-dimsweep", Title: title, Table: table}, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"pooldcs/internal/dim"
-	"pooldcs/internal/event"
-	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -21,61 +19,32 @@ func Dissemination(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Query", "DIM(chain)", "DIM(split)", "Pool")
 
 	src := rng.New(cfg.Seed + 9700)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, _, _, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
 	}
-	splitNet := network.New(env.Layout)
-	splitDIM, err := dim.New(splitNet, env.Router, cfg.Dims, dim.WithDissemination(dim.SplitDissemination))
+	if _, err := env.AddDIM("DIM(split)", nil, dim.WithDissemination(dim.SplitDissemination)); err != nil {
+		return nil, err
+	}
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
+		return nil, err
+	}
+
+	bases, err := partialMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
-		return nil, err
-	}
-	for _, pe := range events {
-		if err := splitDIM.Insert(pe.Origin, pe.Event); err != nil {
-			return nil, err
-		}
-	}
-
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	bases := make([]event.Query, cfg.Queries)
-	sinks := make([]int, cfg.Queries)
-	for i := range bases {
-		q, err := qgen.MPartial(0)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = q
-		sinks[i] = sinkSrc.Intn(cfg.PartialSize)
-	}
+	placed := env.Place(src.Fork("sinks"), bases)
 
 	for n := 1; n <= cfg.Dims; n++ {
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinks[i], Query: blankOut(bases[i], []int{n - 1})}
-		}
-		poolAvg, chainAvg, err := env.QueryCosts(queries)
+		costs, err := env.Cost(cfg.parallel(), oneAtN(placed, n))
 		if err != nil {
 			return nil, fmt.Errorf("1@%d: %w", n, err)
 		}
-		var splitTotal uint64
-		for _, pq := range queries {
-			before := splitNet.Snapshot()
-			if _, err := splitDIM.Query(pq.Sink, pq.Query); err != nil {
-				return nil, fmt.Errorf("1@%d split: %w", n, err)
-			}
-			d := splitNet.Diff(before)
-			splitTotal += d.Messages[network.KindQuery] + d.Messages[network.KindReply]
-		}
 		table.AddRow(fmt.Sprintf("1@%d-Partial", n),
-			texttable.Float(chainAvg, 1),
-			texttable.Float(float64(splitTotal)/float64(cfg.Queries), 1),
-			texttable.Float(poolAvg, 1))
+			texttable.Float(costs[1].PerQuery(), 1),
+			texttable.Float(costs[2].PerQuery(), 1),
+			texttable.Float(costs[0].PerQuery(), 1))
 	}
 	return &Result{ID: "ablation-dissemination", Title: title, Table: table}, nil
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/event"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -17,7 +16,7 @@ import (
 // the Gini coefficient of the per-node energy distribution. Energy
 // hotspots are what ultimately kill a sensor network (§1's fourth design
 // issue), so this quantifies the claim behind the workload-sharing
-// machinery. The per-node vectors are read back through each system's
+// machinery. The per-node vectors are read back through each arm's
 // metrics registry — the same net_node_energy_joules family poolmon
 // exports — rather than from the network directly.
 func Energy(cfg Config) (*Result, error) {
@@ -25,37 +24,32 @@ func Energy(cfg Config) (*Result, error) {
 	table := texttable.New(title, "System", "TotalJ", "MaxNode mJ", "Gini")
 
 	src := rng.New(cfg.Seed + 9500)
-	poolReg, dimReg := metrics.New(), metrics.New()
-	env, err := NewInstrumentedEnv(cfg.PartialSize, cfg.Dims, src, poolReg, dimReg)
+	env, err := Deploy(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
 	}
-	// One deployment, so parallelism comes from the concurrent pool/dim
-	// query passes; each pass writes only its own registry.
-	env.Workers = cfg.parallel()
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
+	env.metered = true
+	if _, err := env.AddPool("Pool", src.Fork("pivots"), nil); err != nil {
 		return nil, err
 	}
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	queries := make([]PlacedQuery, cfg.Queries)
-	for i := range queries {
-		queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
+	if _, err := env.AddDIM("DIM", nil); err != nil {
+		return nil, err
 	}
-	if _, _, err := env.QueryCosts(queries); err != nil {
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
+		return nil, err
+	}
+	population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+	if _, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population)); err != nil {
 		return nil, err
 	}
 
-	addRow := func(name string, reg *metrics.Registry) {
-		b := metrics.Analyze(reg.NodeValues("net_node_energy_joules"))
-		table.AddRow(name,
-			texttable.Float(reg.Value("net_energy_joules"), 3),
+	for _, a := range []*Arm{env.Arms[1], env.Arms[0]} { // DIM, Pool
+		b := metrics.Analyze(a.Reg.NodeValues("net_node_energy_joules"))
+		table.AddRow(a.Name,
+			texttable.Float(a.Reg.Value("net_energy_joules"), 3),
 			texttable.Float(b.Max*1e3, 2),
 			texttable.Float(b.Gini, 3))
 	}
-	addRow("DIM", dimReg)
-	addRow("Pool", poolReg)
 	return &Result{ID: "ablation-energy", Title: title, Table: table}, nil
 }
 
@@ -68,45 +62,28 @@ func Fragmentation(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Operation", "Frames", "ReplyBytes")
 
 	src := rng.New(cfg.Seed + 9600)
-	layoutSrc := src.Fork("layout")
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, layoutSrc)
+	// The layout is drawn from a fork of its own, which is part of this
+	// table's identity: the deployment must not move.
+	env, p, err := poolOnly(cfg, src, src.Fork("layout"), network.WithMTU(mtu))
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the Pool system over an MTU-limited network on the same
-	// deployment.
-	net := network.New(env.Layout, network.WithMTU(mtu))
-	sys, err := pool.New(net, env.Router, cfg.Dims, src.Fork("pivots"))
-	if err != nil {
-		return nil, err
-	}
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	for _, pe := range events {
-		if err := sys.Insert(pe.Origin, pe.Event); err != nil {
-			return nil, err
-		}
-	}
-
-	q := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
+	q := fullSpan(cfg.Dims)
 	sink := src.Fork("sinks").Intn(cfg.PartialSize)
 
-	before := net.Snapshot()
-	if _, err := sys.Query(sink, q); err != nil {
-		return nil, err
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"SELECT *", func() error { _, err := p.Query(sink, q); return err }},
+		{"COUNT", func() error { _, err := p.Aggregate(sink, q, pool.AggCount, 0); return err }},
 	}
-	diff := net.Diff(before)
-	table.AddRow("SELECT *",
-		texttable.Int(int(diff.Messages[network.KindQuery]+diff.Messages[network.KindReply])),
-		texttable.Int(int(diff.Bytes[network.KindReply])))
-
-	before = net.Snapshot()
-	if _, err := sys.Aggregate(sink, q, pool.AggCount, 0); err != nil {
-		return nil, err
+	for _, op := range ops {
+		frames, replyBytes, err := env.Arms[0].measure(op.run)
+		if err != nil {
+			return nil, err
+		}
+		table.AddRow(op.name, texttable.Int(int(frames)), texttable.Int(int(replyBytes)))
 	}
-	diff = net.Diff(before)
-	table.AddRow("COUNT",
-		texttable.Int(int(diff.Messages[network.KindQuery]+diff.Messages[network.KindReply])),
-		texttable.Int(int(diff.Bytes[network.KindReply])))
-
 	return &Result{ID: "ablation-fragmentation", Title: title, Table: table}, nil
 }

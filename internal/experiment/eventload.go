@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -21,48 +20,29 @@ func EventLoad(cfg Config, perNode []int) (*Result, error) {
 	table := texttable.New(title, "Events/node",
 		"DIM query", "DIM reply", "Pool query", "Pool reply")
 
-	rows, err := forEach(cfg.parallel(), len(perNode), func(pi int) ([4]float64, error) {
+	return sweep(cfg, "ablation-eventload", table, len(perNode), func(pi int) ([]string, error) {
 		per := perNode[pi]
 		src := rng.New(cfg.Seed + 9960 + int64(per))
-		env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+		env, _, _, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
 		if err != nil {
-			return [4]float64{}, err
+			return nil, err
 		}
-		events := GenerateEvents(env.Layout, per, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [4]float64{}, err
+		if _, err := env.Populate(per, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
+			return nil, err
 		}
 
 		// Fixed query population across rows (same generator seed).
-		qsrc := workload.NewQueries(rng.New(cfg.Seed+557), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qsrc.ExactMatch(workload.UniformSizes)}
+		population := exactMatches(workload.NewQueries(rng.New(cfg.Seed+557), cfg.Dims), cfg.Queries, workload.UniformSizes)
+		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+		if err != nil {
+			return nil, fmt.Errorf("per=%d: %w", per, err)
 		}
-
-		dimQBefore, dimRBefore := env.DIMNet.Messages(network.KindQuery), env.DIMNet.Messages(network.KindReply)
-		poolQBefore, poolRBefore := env.PoolNet.Messages(network.KindQuery), env.PoolNet.Messages(network.KindReply)
-		if _, _, err := env.QueryCosts(queries); err != nil {
-			return [4]float64{}, fmt.Errorf("per=%d: %w", per, err)
+		row := []string{texttable.Int(per)}
+		for _, c := range []Traffic{costs[1], costs[0]} { // DIM, Pool
+			row = append(row,
+				texttable.Float(float64(c.Forward)/float64(c.Queries), 1),
+				texttable.Float(float64(c.Reply)/float64(c.Queries), 1))
 		}
-		nq := float64(cfg.Queries)
-		return [4]float64{
-			float64(env.DIMNet.Messages(network.KindQuery)-dimQBefore) / nq,
-			float64(env.DIMNet.Messages(network.KindReply)-dimRBefore) / nq,
-			float64(env.PoolNet.Messages(network.KindQuery)-poolQBefore) / nq,
-			float64(env.PoolNet.Messages(network.KindReply)-poolRBefore) / nq,
-		}, nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, per := range perNode {
-		table.AddRow(texttable.Int(per),
-			texttable.Float(rows[i][0], 1),
-			texttable.Float(rows[i][1], 1),
-			texttable.Float(rows[i][2], 1),
-			texttable.Float(rows[i][3], 1))
-	}
-	return &Result{ID: "ablation-eventload", Title: title, Table: table}, nil
 }

@@ -1,25 +1,15 @@
 // Package experiment contains one runner per figure of the paper's
-// evaluation (§5) plus the ablations DESIGN.md calls out. Every runner
-// builds fresh deployments, replays identical event and query populations
-// against Pool and DIM (each over its own traffic-counting network), and
-// reports the paper's metric: the average number of messages exchanged per
-// query.
+// evaluation (§5) plus the ablations DESIGN.md calls out, listed in report
+// order by Tables. Every runner is the paper's one experimental design:
+// build a deployment (Env), store the same events in every system under
+// comparison (its arms, each over its own traffic-counting network), send
+// every arm the same queries from the same sinks, and report the paper's
+// metric: the average number of messages exchanged per query.
 package experiment
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
-	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
-	"pooldcs/internal/event"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/metrics"
-	"pooldcs/internal/network"
-	"pooldcs/internal/pool"
-	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
 )
@@ -113,186 +103,4 @@ type Result struct {
 // String renders the result for the CLI.
 func (r *Result) String() string {
 	return r.Table.String()
-}
-
-// Env is one instantiated deployment carrying a Pool system and a DIM
-// system over separate traffic counters.
-type Env struct {
-	Layout  *field.Layout
-	Router  *gpsr.Router
-	PoolNet *network.Network
-	DIMNet  *network.Network
-	Pool    *pool.System
-	DIM     *dim.System
-
-	// Workers, when > 1, lets QueryCosts run its pool pass and dim pass
-	// concurrently. The two passes share only the router, which is
-	// planarized up front and then read-only.
-	Workers int
-
-	// seqBuf is the reusable scratch map of sameEvents.
-	seqBuf map[uint64]int
-}
-
-// NewEnv builds a connected deployment of n nodes and both systems.
-func NewEnv(n, dims int, src *rng.Source, poolOpts ...pool.Option) (*Env, error) {
-	return NewInstrumentedEnv(n, dims, src, nil, nil, poolOpts...)
-}
-
-// NewInstrumentedEnv is NewEnv with a metrics registry attached to each
-// system and its network (nil registries attach nothing). Experiments
-// that report per-node aggregates read them back through the same
-// registry families the monitoring surface exports, so the tables and
-// the exports cannot drift apart.
-func NewInstrumentedEnv(n, dims int, src *rng.Source, poolReg, dimReg *metrics.Registry, poolOpts ...pool.Option) (*Env, error) {
-	layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	router := gpsr.New(layout)
-	poolNet := network.New(layout, network.WithMetrics(poolReg))
-	dimNet := network.New(layout, network.WithMetrics(dimReg))
-	popts := append([]pool.Option{pool.WithMetrics(poolReg)}, poolOpts...)
-	p, err := pool.New(poolNet, router, dims, src.Fork("pivots"), popts...)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	d, err := dim.New(dimNet, router, dims, dim.WithMetrics(dimReg))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	return &Env{Layout: layout, Router: router, PoolNet: poolNet, DIMNet: dimNet, Pool: p, DIM: d}, nil
-}
-
-// PlacedEvent is an event with its detecting sensor.
-type PlacedEvent struct {
-	Origin int
-	Event  event.Event
-}
-
-// GenerateEvents draws perNode events per sensor from gen, each detected
-// at its own sensor (§5.1: every sensor generates three events).
-func GenerateEvents(layout *field.Layout, perNode int, gen *workload.Events) []PlacedEvent {
-	out := make([]PlacedEvent, 0, layout.N()*perNode)
-	for node := 0; node < layout.N(); node++ {
-		for i := 0; i < perNode; i++ {
-			out = append(out, PlacedEvent{Origin: node, Event: gen.Next()})
-		}
-	}
-	return out
-}
-
-// InsertAll replays the events into both systems.
-func (e *Env) InsertAll(events []PlacedEvent) error {
-	for _, pe := range events {
-		if err := e.Pool.Insert(pe.Origin, pe.Event); err != nil {
-			return fmt.Errorf("pool insert: %w", err)
-		}
-		if err := e.DIM.Insert(pe.Origin, pe.Event); err != nil {
-			return fmt.Errorf("dim insert: %w", err)
-		}
-	}
-	return nil
-}
-
-// PlacedQuery is a query with the sink issuing it.
-type PlacedQuery struct {
-	Sink  int
-	Query event.Query
-}
-
-// queryPass sends every query through one system and returns the total
-// query-processing traffic (query forwarding plus reply messages) the
-// pass cost, storing each result set into res. Only this system's
-// queries move this network's counters, so the whole-pass counter delta
-// equals the sum of the per-query deltas the sequential accounting took.
-func queryPass(name string, net *network.Network, sys dcs.System, queries []PlacedQuery, res [][]event.Event) (uint64, error) {
-	before := net.Messages(network.KindQuery) + net.Messages(network.KindReply)
-	for qi, pq := range queries {
-		r, err := sys.Query(pq.Sink, pq.Query)
-		if err != nil {
-			return 0, fmt.Errorf("%s query %d: %w", name, qi, err)
-		}
-		res[qi] = r
-	}
-	return net.Messages(network.KindQuery) + net.Messages(network.KindReply) - before, nil
-}
-
-// QueryCosts runs the same queries through both systems and returns the
-// average query-processing cost per query (query forwarding plus reply
-// messages, the paper's metric). Both systems must return identical result
-// sets; a mismatch is reported as an error since it indicates a
-// correctness bug.
-//
-// With Workers > 1 the pool pass and the dim pass run concurrently: each
-// pass touches only its own system, network, and result slice, and the
-// shared router is planarized up front so routing stays read-only. The
-// traffic totals and the per-query result comparison are identical either
-// way.
-func (e *Env) QueryCosts(queries []PlacedQuery) (poolAvg, dimAvg float64, err error) {
-	poolRes := make([][]event.Event, len(queries))
-	dimRes := make([][]event.Event, len(queries))
-	var poolTotal, dimTotal uint64
-	if e.Workers > 1 && len(queries) > 0 {
-		if e.Layout.N() > 0 {
-			e.Router.PlanarNeighbors(0) // planarize before sharing
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		var dimErr error
-		go func() {
-			defer wg.Done()
-			dimTotal, dimErr = queryPass("dim", e.DIMNet, e.DIM, queries, dimRes)
-		}()
-		poolTotal, err = queryPass("pool", e.PoolNet, e.Pool, queries, poolRes)
-		wg.Wait()
-		if err == nil {
-			err = dimErr
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		if poolTotal, err = queryPass("pool", e.PoolNet, e.Pool, queries, poolRes); err != nil {
-			return 0, 0, err
-		}
-		if dimTotal, err = queryPass("dim", e.DIMNet, e.DIM, queries, dimRes); err != nil {
-			return 0, 0, err
-		}
-	}
-	if e.seqBuf == nil {
-		e.seqBuf = make(map[uint64]int)
-	}
-	for qi := range queries {
-		if !sameEventsBuf(e.seqBuf, poolRes[qi], dimRes[qi]) {
-			return 0, 0, fmt.Errorf("query %d (%v): pool returned %d events, dim %d — result sets differ",
-				qi, queries[qi].Query, len(poolRes[qi]), len(dimRes[qi]))
-		}
-	}
-	n := float64(len(queries))
-	return float64(poolTotal) / n, float64(dimTotal) / n, nil
-}
-
-// sameEvents compares result sets by sequence number.
-func sameEvents(a, b []event.Event) bool {
-	return sameEventsBuf(make(map[uint64]int, len(a)), a, b)
-}
-
-// sameEventsBuf is sameEvents with a caller-owned scratch map, cleared on
-// entry, so per-query comparisons in hot loops allocate nothing.
-func sameEventsBuf(seen map[uint64]int, a, b []event.Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	clear(seen)
-	for _, e := range a {
-		seen[e.Seq]++
-	}
-	for _, e := range b {
-		seen[e.Seq]--
-		if seen[e.Seq] < 0 {
-			return false
-		}
-	}
-	return true
 }

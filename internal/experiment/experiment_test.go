@@ -27,42 +27,52 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 
 func TestEnvInsertAndQueryConsistency(t *testing.T) {
 	src := rng.New(100)
-	env, err := NewEnv(300, 3, src)
+	env, _, _, err := NewEnv(300, 3, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := GenerateEvents(env.Layout, 3, workload.NewUniformEvents(src.Fork("events"), 3))
+	events, err := env.Populate(3, workload.NewUniformEvents(src.Fork("events"), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(events) != 900 {
 		t.Fatalf("generated %d events, want 900", len(events))
 	}
-	if err := env.InsertAll(events); err != nil {
-		t.Fatal(err)
-	}
 
 	qgen := workload.NewQueries(src.Fork("queries"), 3)
-	sinkSrc := src.Fork("sinks")
-	var queries []PlacedQuery
-	for i := 0; i < 15; i++ {
-		queries = append(queries, PlacedQuery{Sink: sinkSrc.Intn(300), Query: qgen.ExactMatch(workload.ExponentialSizes)})
-	}
+	population := exactMatches(qgen, 15, workload.ExponentialSizes)
 	for m := 1; m <= 2; m++ {
-		for i := 0; i < 10; i++ {
-			q, err := qgen.MPartial(m)
-			if err != nil {
-				t.Fatal(err)
+		partial, err := partialMatches(qgen, 10, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		population = append(population, partial...)
+	}
+	queries := env.Place(src.Fork("sinks"), population)
+
+	// Cost verifies that Pool and DIM return identical result sets; any
+	// divergence fails here, at every worker count.
+	for _, workers := range []int{1, 4} {
+		costs, err := env.Cost(workers, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range costs {
+			if c.PerQuery() <= 0 || c.Queries != len(queries) {
+				t.Errorf("workers=%d: %s cost %+v", workers, env.Arms[i].Name, c)
 			}
-			queries = append(queries, PlacedQuery{Sink: sinkSrc.Intn(300), Query: q})
+		}
+		if costs[0].Matches != costs[1].Matches {
+			t.Errorf("workers=%d: pool matched %d events, dim %d", workers, costs[0].Matches, costs[1].Matches)
 		}
 	}
 
-	// QueryCosts verifies that Pool and DIM return identical result sets;
-	// any divergence fails here.
-	poolAvg, dimAvg, err := env.QueryCosts(queries)
-	if err != nil {
+	// A third arm that has stored nothing must trip the cross-check.
+	if _, err := env.AddDIM("empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	if poolAvg <= 0 || dimAvg <= 0 {
-		t.Errorf("zero query cost: pool %v dim %v", poolAvg, dimAvg)
+	if _, err := env.Cost(1, queries); err == nil || !strings.Contains(err.Error(), "result sets differ") {
+		t.Errorf("diverging result sets passed the cross-check: %v", err)
 	}
 }
 
@@ -76,6 +86,20 @@ func parseRows(t *testing.T, res *Result) [][]string {
 		t.Fatalf("%s produced no rows", res.ID)
 	}
 	return rows
+}
+
+// otherDims re-runs a table whose query spans every attribute at the
+// dimensionalities around the paper's k=3, on a small deployment: the span
+// must be built for the deployment's k.
+func otherDims(t *testing.T, cfg Config, run func(Config) (*Result, error)) {
+	t.Helper()
+	cfg.PartialSize = 300
+	for _, k := range []int{2, 4} {
+		cfg.Dims = k
+		if _, err := run(cfg); err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
+	}
 }
 
 func cellFloat(t *testing.T, s string) float64 {
@@ -270,6 +294,7 @@ func TestAggregatesQuick(t *testing.T) {
 	if !strings.Contains(rows[0][3], "events") {
 		t.Errorf("SELECT * row = %v", rows[0])
 	}
+	otherDims(t, cfg, func(cfg Config) (*Result, error) { return Aggregates(cfg) })
 }
 
 func TestResultString(t *testing.T) {
@@ -324,6 +349,7 @@ func TestFragmentationQuick(t *testing.T) {
 	if agg*2 > full {
 		t.Errorf("fragmentation effect too weak: %v vs %v", agg, full)
 	}
+	otherDims(t, cfg, func(cfg Config) (*Result, error) { return Fragmentation(cfg) })
 }
 
 func TestDisseminationQuick(t *testing.T) {
@@ -372,6 +398,9 @@ func TestResilienceQuick(t *testing.T) {
 	if cellFloat(t, rows[1][1]) > cellFloat(t, rows[0][1])+0.02 {
 		t.Errorf("plain recall rose with more failures: %v", rows)
 	}
+	otherDims(t, cfg, func(cfg Config) (*Result, error) { return Resilience(cfg, []int{10}) })
+	cfg.Backend, cfg.Repair = "node", true
+	otherDims(t, cfg, func(cfg Config) (*Result, error) { return Resilience(cfg, []int{10}) })
 }
 
 func TestDimSweepQuick(t *testing.T) {

@@ -9,6 +9,25 @@ import (
 	"pooldcs/internal/workload"
 )
 
+// pairCost populates the paper's Pool+DIM comparison with uniform events,
+// places the population at sinks drawn from src's "sinks" fork and returns
+// the per-query cost of both arms: the body Figure 6 and its variance
+// re-run share.
+func pairCost(cfg Config, n int, src *rng.Source, population []event.Query) (poolAvg, dimAvg float64, err error) {
+	env, _, _, err := NewEnv(n, cfg.Dims, src)
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
+		return 0, 0, err
+	}
+	costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+	if err != nil {
+		return 0, 0, err
+	}
+	return costs[0].PerQuery(), costs[1].PerQuery(), nil
+}
+
 // Fig6 regenerates Figure 6: the cost of exact-match range queries as the
 // network grows, under the given range-size distribution. Figure 6(a) uses
 // workload.UniformSizes, Figure 6(b) workload.ExponentialSizes.
@@ -22,45 +41,18 @@ func Fig6(cfg Config, dist workload.RangeSizeDist) (*Result, error) {
 
 	// One query population shared by every network size (common random
 	// numbers), so the series reflects scaling rather than draw noise.
-	qgen := workload.NewQueries(rng.New(cfg.Seed+555), cfg.Dims)
-	population := make([]event.Query, cfg.Queries)
-	for i := range population {
-		population[i] = qgen.ExactMatch(dist)
-	}
+	population := exactMatches(workload.NewQueries(rng.New(cfg.Seed+555), cfg.Dims), cfg.Queries, dist)
 
 	// Each network size is an independent trial with its own seed, so the
 	// sizes fan out across workers and the rows land in sweep order.
-	rows, err := forEach(cfg.parallel(), len(cfg.NetworkSizes), func(i int) ([2]float64, error) {
+	return sweep(cfg, id, table, len(cfg.NetworkSizes), func(i int) ([]string, error) {
 		n := cfg.NetworkSizes[i]
-		src := rng.New(cfg.Seed + int64(n))
-		env, err := NewEnv(n, cfg.Dims, src)
+		poolAvg, dimAvg, err := pairCost(cfg, n, rng.New(cfg.Seed+int64(n)), population)
 		if err != nil {
-			return [2]float64{}, err
+			return nil, fmt.Errorf("n=%d: %w", n, err)
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [2]float64{}, err
-		}
-
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(n), Query: population[i]}
-		}
-
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
-		if err != nil {
-			return [2]float64{}, fmt.Errorf("n=%d: %w", n, err)
-		}
-		return [2]float64{poolAvg, dimAvg}, nil
+		return []string{texttable.Int(n), texttable.Float(dimAvg, 1), texttable.Float(poolAvg, 1)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range cfg.NetworkSizes {
-		table.AddRow(texttable.Int(n), texttable.Float(rows[i][1], 1), texttable.Float(rows[i][0], 1))
-	}
-	return &Result{ID: id, Title: title, Table: table}, nil
 }
 
 // Fig7a regenerates Figure 7(a): partial-match query cost by the number of
@@ -70,15 +62,11 @@ func Fig7a(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Query", "DIM", "Pool")
 
 	src := rng.New(cfg.Seed + 7001)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, _, _, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
 	}
-	// The rows share one deployment, so parallelism comes from running
-	// the pool and dim passes of each row concurrently.
-	env.Workers = cfg.parallel()
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
 		return nil, err
 	}
 
@@ -86,30 +74,24 @@ func Fig7a(cfg Config) (*Result, error) {
 	// fully specified base queries, so rows differ only in m.
 	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
 	wildSrc := src.Fork("wild")
-	sinkSrc := src.Fork("sinks")
-	bases := make([]event.Query, cfg.Queries)
-	sinks := make([]int, cfg.Queries)
+	bases, err := partialMatches(qgen, cfg.Queries, 0)
+	if err != nil {
+		return nil, err
+	}
+	placed := env.Place(src.Fork("sinks"), bases)
 	wildOrder := make([][]int, cfg.Queries)
-	for i := range bases {
-		q, err := qgen.MPartial(0)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = q
-		sinks[i] = sinkSrc.Intn(cfg.PartialSize)
+	for i := range wildOrder {
 		wildOrder[i] = wildSrc.Perm(cfg.Dims)
 	}
 
 	for m := 1; m < cfg.Dims; m++ {
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinks[i], Query: blankOut(bases[i], wildOrder[i][:m])}
-		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		costs, err := env.Cost(cfg.parallel(), requery(placed, func(i int, q event.Query) event.Query {
+			return blankOut(q, wildOrder[i][:m])
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("m=%d: %w", m, err)
 		}
-		table.AddRow(fmt.Sprintf("%d-Partial", m), texttable.Float(dimAvg, 1), texttable.Float(poolAvg, 1))
+		table.AddRow(fmt.Sprintf("%d-Partial", m), texttable.Float(costs[1].PerQuery(), 1), texttable.Float(costs[0].PerQuery(), 1))
 	}
 	return &Result{ID: "fig7a", Title: title, Table: table}, nil
 }
@@ -124,6 +106,13 @@ func blankOut(q event.Query, dims []int) event.Query {
 	return event.NewQuery(ranges...)
 }
 
+// oneAtN returns the placed base queries with attribute n (1-based) made
+// unspecified: the 1@n-partial rows of Figure 7(b) and of the
+// dissemination ablation.
+func oneAtN(placed []PlacedQuery, n int) []PlacedQuery {
+	return requery(placed, func(_ int, q event.Query) event.Query { return blankOut(q, []int{n - 1}) })
+}
+
 // Fig7b regenerates Figure 7(b): 1@n-partial match query cost by which
 // dimension carries the unspecified range.
 func Fig7b(cfg Config) (*Result, error) {
@@ -133,49 +122,38 @@ func Fig7b(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Query", "DIM", "Pool", "DIMZones", "PoolCells")
 
 	src := rng.New(cfg.Seed + 7002)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, p, d, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
 	}
-	env.Workers = cfg.parallel()
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
 		return nil, err
 	}
 
 	// Paired design: the three 1@n rows share the same base queries and
 	// sinks, differing only in which attribute is blanked out.
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	bases := make([]event.Query, cfg.Queries)
-	sinks := make([]int, cfg.Queries)
-	for i := range bases {
-		q, err := qgen.MPartial(0)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = q
-		sinks[i] = sinkSrc.Intn(cfg.PartialSize)
+	bases, err := partialMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, 0)
+	if err != nil {
+		return nil, err
 	}
+	placed := env.Place(src.Fork("sinks"), bases)
 
 	for n := 1; n <= cfg.Dims; n++ {
-		queries := make([]PlacedQuery, cfg.Queries)
+		queries := oneAtN(placed, n)
 		var zoneCount, cellCount int
-		for i := range queries {
-			q := blankOut(bases[i], []int{n - 1})
-			queries[i] = PlacedQuery{Sink: sinks[i], Query: q}
-			zoneCount += len(env.DIM.RelevantZones(q))
-			for _, cells := range env.Pool.RelevantCells(q) {
+		for _, pq := range queries {
+			zoneCount += len(d.RelevantZones(pq.Query))
+			for _, cells := range p.RelevantCells(pq.Query) {
 				cellCount += len(cells)
 			}
 		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		costs, err := env.Cost(cfg.parallel(), queries)
 		if err != nil {
 			return nil, fmt.Errorf("1@%d: %w", n, err)
 		}
 		nq := float64(cfg.Queries)
 		table.AddRow(fmt.Sprintf("1@%d-Partial", n),
-			texttable.Float(dimAvg, 1), texttable.Float(poolAvg, 1),
+			texttable.Float(costs[1].PerQuery(), 1), texttable.Float(costs[0].PerQuery(), 1),
 			texttable.Float(float64(zoneCount)/nq, 1), texttable.Float(float64(cellCount)/nq, 1))
 	}
 	return &Result{ID: "fig7b", Title: title, Table: table}, nil

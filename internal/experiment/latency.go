@@ -3,7 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/dim"
 	"pooldcs/internal/event"
+	"pooldcs/internal/gpsr"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/stats"
@@ -22,25 +24,17 @@ func Latency(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Workload", "DIM mean", "DIM p95", "Pool mean", "Pool p95")
 
 	src := rng.New(cfg.Seed + 9990)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, p, d, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
 	}
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
 		return nil, err
 	}
 
 	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
 	sinkSrc := src.Fork("sinks")
-	kinds := []struct {
-		name string
-		gen  func() (event.Query, error)
-	}{
-		{"exact (exp sizes)", func() (event.Query, error) { return qgen.ExactMatch(workload.ExponentialSizes), nil }},
-		{"1-partial", func() (event.Query, error) { return qgen.MPartial(1) }},
-	}
-	for _, kind := range kinds {
+	for _, kind := range queryKinds(qgen)[:2] {
 		var dimLat, poolLat []float64
 		for i := 0; i < cfg.Queries; i++ {
 			q, err := kind.gen()
@@ -48,11 +42,11 @@ func Latency(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			sink := sinkSrc.Intn(cfg.PartialSize)
-			dl, err := dimLatency(env, sink, q)
+			dl, err := dimLatency(env.Router, d, sink, q)
 			if err != nil {
 				return nil, err
 			}
-			pl, err := poolLatency(env, sink, q)
+			pl, err := poolLatency(env.Router, p, sink, q)
 			if err != nil {
 				return nil, err
 			}
@@ -60,24 +54,41 @@ func Latency(cfg Config) (*Result, error) {
 			poolLat = append(poolLat, pl)
 		}
 		table.AddRow(kind.name,
-			texttable.Float(mean(dimLat), 1), texttable.Float(stats.Percentile(dimLat, 95), 1),
-			texttable.Float(mean(poolLat), 1), texttable.Float(stats.Percentile(poolLat, 95), 1))
+			texttable.Float(summary(dimLat).Mean(), 1), texttable.Float(stats.Percentile(dimLat, 95), 1),
+			texttable.Float(summary(poolLat).Mean(), 1), texttable.Float(stats.Percentile(poolLat, 95), 1))
 	}
 	return &Result{ID: "ablation-latency", Title: title, Table: table}, nil
 }
 
-func mean(v []float64) float64 {
-	var s stats.Summary
-	for _, x := range v {
-		s.Add(x)
+// summary folds the values, in order, into a running summary.
+func summary(values []float64) *stats.Summary {
+	s := new(stats.Summary)
+	for _, v := range values {
+		s.Add(v)
 	}
-	return s.Mean()
+	return s
+}
+
+// queryKind is one row of the latency tables: a named query generator.
+type queryKind struct {
+	name string
+	gen  func() (event.Query, error)
+}
+
+// queryKinds lists the workloads the latency tables report, in row order,
+// all drawing from qgen.
+func queryKinds(qgen *workload.Queries) []queryKind {
+	return []queryKind{
+		{"exact (exp sizes)", func() (event.Query, error) { return qgen.ExactMatch(workload.ExponentialSizes), nil }},
+		{"1-partial", func() (event.Query, error) { return qgen.MPartial(1) }},
+		{"2-partial", func() (event.Query, error) { return qgen.MPartial(2) }},
+	}
 }
 
 // dimLatency walks the relevant zones sequentially (chain dissemination):
 // response time = hops to reach the last zone + its reply hops back.
-func dimLatency(env *Env, sink int, q event.Query) (float64, error) {
-	zones := env.DIM.RelevantZones(q)
+func dimLatency(router *gpsr.Router, d *dim.System, sink int, q event.Query) (float64, error) {
+	zones := d.RelevantZones(q)
 	if len(zones) == 0 {
 		return 0, nil
 	}
@@ -86,7 +97,7 @@ func dimLatency(env *Env, sink int, q event.Query) (float64, error) {
 	worst := 0.0
 	for _, z := range zones {
 		if z.Owner != cur {
-			res, err := env.Router.RouteToNode(cur, z.Owner)
+			res, err := router.RouteToNode(cur, z.Owner)
 			if err != nil {
 				return 0, err
 			}
@@ -95,7 +106,7 @@ func dimLatency(env *Env, sink int, q event.Query) (float64, error) {
 		}
 		// This zone's answer arrives after the chain reaches it plus its
 		// direct reply path; the last one to land bounds the response.
-		back, err := env.Router.RouteToNode(z.Owner, sink)
+		back, err := router.RouteToNode(z.Owner, sink)
 		if err != nil {
 			return 0, err
 		}
@@ -108,34 +119,34 @@ func dimLatency(env *Env, sink int, q event.Query) (float64, error) {
 
 // poolLatency takes the deepest branch of the splitter tree: all Pools
 // and all cells proceed in parallel.
-func poolLatency(env *Env, sink int, q event.Query) (float64, error) {
+func poolLatency(router *gpsr.Router, p *pool.System, sink int, q event.Query) (float64, error) {
 	var plan pool.Plan
-	if err := env.Pool.Resolve(q, &plan); err != nil {
+	if err := p.Resolve(q, &plan); err != nil {
 		return 0, err
 	}
 	worst := 0.0
 	for _, f := range plan.Fanouts {
-		splitter := env.Pool.SplitterFor(f.Pool, sink)
-		toSplitter, err := env.Router.RouteToNode(sink, splitter)
+		splitter := p.SplitterFor(f.Pool, sink)
+		toSplitter, err := router.RouteToNode(sink, splitter)
 		if err != nil {
 			return 0, err
 		}
-		back, err := env.Router.RouteToNode(splitter, sink)
+		back, err := router.RouteToNode(splitter, sink)
 		if err != nil {
 			return 0, err
 		}
 		base := float64(toSplitter.Hops() + back.Hops())
 		deepest := 0.0
 		for _, c := range f.Cells {
-			index := env.Pool.IndexNode(c)
+			index := p.IndexNode(c)
 			if index == splitter {
 				continue
 			}
-			out, err := env.Router.RouteToNode(splitter, index)
+			out, err := router.RouteToNode(splitter, index)
 			if err != nil {
 				return 0, err
 			}
-			ret, err := env.Router.RouteToNode(index, splitter)
+			ret, err := router.RouteToNode(index, splitter)
 			if err != nil {
 				return 0, err
 			}

@@ -3,12 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
-	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
@@ -40,89 +35,43 @@ func LoadBalance(cfg Config) (*Result, error) {
 		"Tx Gini", "Tx CoV", "Tx max")
 
 	src := rng.New(cfg.Seed + 9700)
-	layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+	env, err := Deploy(cfg.PartialSize, cfg.Dims, src)
 	if err != nil {
 		return nil, err
-	}
-	router := gpsr.New(layout)
-
-	// One universe per system: its own radio and registry so the vectors
-	// stay separable, all over the same deployment.
-	type universe struct {
-		name  string
-		reg   *metrics.Registry
-		sys   dcs.System
-		store string // registry family holding the per-node stored events
-	}
-	build := func(name, store string, mk func(net *network.Network, reg *metrics.Registry) (dcs.System, error)) (*universe, error) {
-		reg := metrics.New()
-		net := network.New(layout, network.WithMetrics(reg))
-		sys, err := mk(net, reg)
-		if err != nil {
-			return nil, err
-		}
-		return &universe{name: name, reg: reg, sys: sys, store: store}, nil
 	}
 
-	dimU, err := build("DIM", "dim_stored_events", func(net *network.Network, reg *metrics.Registry) (dcs.System, error) {
-		return dim.New(net, router, cfg.Dims, dim.WithMetrics(reg))
-	})
-	if err != nil {
+	// One arm per system, each with a registry on its radio and its
+	// system so the per-node vectors stay separable; stores names the
+	// family holding each arm's per-node stored events.
+	env.metered = true
+	stores := []string{"dim_stored_events", "pool_stored_events", "pool_stored_events"}
+	if _, err := env.AddDIM("DIM", nil); err != nil {
 		return nil, err
 	}
-	plainU, err := build("Pool", "pool_stored_events", func(net *network.Network, reg *metrics.Registry) (dcs.System, error) {
-		return pool.New(net, router, cfg.Dims, src.Fork("pivots-plain"), pool.WithMetrics(reg))
-	})
-	if err != nil {
+	if _, err := env.AddPool("Pool", src.Fork("pivots-plain"), nil); err != nil {
 		return nil, err
 	}
-	sharedU, err := build(fmt.Sprintf("Pool+sharing(q=%d)", LoadBalanceQuota), "pool_stored_events",
-		func(net *network.Network, reg *metrics.Registry) (dcs.System, error) {
-			return pool.New(net, router, cfg.Dims, src.Fork("pivots-shared"),
-				pool.WithMetrics(reg), pool.WithWorkloadSharing(LoadBalanceQuota))
-		})
-	if err != nil {
+	if _, err := env.AddPool(fmt.Sprintf("Pool+sharing(q=%d)", LoadBalanceQuota), src.Fork("pivots-shared"), nil,
+		pool.WithWorkloadSharing(LoadBalanceQuota)); err != nil {
 		return nil, err
 	}
-	universes := []*universe{dimU, plainU, sharedU}
 
 	// The skewed workload of the hotspot ablation: events cluster around
 	// one value region, queries follow the paper's exponential range-size
-	// distribution. The population is drawn once (keeping the fork order
-	// of the sequential engine) and then replayed into each universe;
-	// every universe sees the identical call sequence, so its counters
-	// cannot depend on whether the replays are interleaved or fanned out
-	// over workers through the shared, planarized read-only router.
+	// distribution.
 	gen := workload.NewHotspotEvents(src.Fork("events"), hotspotCenter(cfg.Dims), 0.02)
-	events := GenerateEvents(layout, cfg.EventsPerNode, gen)
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	queries := make([]PlacedQuery, cfg.Queries)
-	for qi := range queries {
-		queries[qi] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
+	if _, err := env.Populate(cfg.EventsPerNode, gen); err != nil {
+		return nil, fmt.Errorf("loadbalance: %w", err)
 	}
-	router.PlanarNeighbors(0)
-	if _, err := forEach(cfg.parallel(), len(universes), func(ui int) (struct{}, error) {
-		u := universes[ui]
-		for _, pe := range events {
-			if err := u.sys.Insert(pe.Origin, pe.Event); err != nil {
-				return struct{}{}, fmt.Errorf("loadbalance: %s insert: %w", u.name, err)
-			}
-		}
-		for qi, pq := range queries {
-			if _, err := u.sys.Query(pq.Sink, pq.Query); err != nil {
-				return struct{}{}, fmt.Errorf("loadbalance: %s query %d: %w", u.name, qi, err)
-			}
-		}
-		return struct{}{}, nil
-	}); err != nil {
-		return nil, err
+	population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+	if _, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population)); err != nil {
+		return nil, fmt.Errorf("loadbalance: %w", err)
 	}
 
-	for _, u := range universes {
-		store := metrics.Analyze(u.reg.NodeValues(u.store))
-		tx := metrics.Analyze(u.reg.NodeValues("net_tx_frames_total"))
-		table.AddRow(u.name,
+	for i, a := range env.Arms {
+		store := metrics.Analyze(a.Reg.NodeValues(stores[i]))
+		tx := metrics.Analyze(a.Reg.NodeValues("net_tx_frames_total"))
+		table.AddRow(a.Name,
 			texttable.Float(store.Gini, 3),
 			texttable.Float(store.CoV, 2),
 			texttable.Float(store.TopShare*100, 1),

@@ -3,11 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/dim"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
-	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -28,47 +24,30 @@ func Lossy(cfg Config, rates []float64) (*Result, error) {
 	rows, err := forEach(cfg.parallel(), len(rates), func(i int) ([2]float64, error) {
 		p := rates[i]
 		src := rng.New(cfg.Seed + 9970) // same deployment for every rate
-		layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+		env, err := Deploy(cfg.PartialSize, cfg.Dims, src)
 		if err != nil {
 			return [2]float64{}, err
 		}
-		router := gpsr.New(layout)
-		// Fork unconditionally: rng.Fork advances the parent stream, so a
-		// conditional fork would shift every later seed and make the rows
-		// incomparable.
-		poolLoss := src.Fork("loss-pool")
-		dimLoss := src.Fork("loss-dim")
-		var poolOpts, dimOpts []network.Option
-		if p > 0 {
-			poolOpts = append(poolOpts, network.WithLossRate(p, poolLoss))
-			dimOpts = append(dimOpts, network.WithLossRate(p, dimLoss))
-		}
-		poolNet := network.New(layout, poolOpts...)
-		dimNet := network.New(layout, dimOpts...)
-		ps, err := pool.New(poolNet, router, cfg.Dims, src.Fork("pivots"))
-		if err != nil {
+		// A zero rate is a lossless radio; both loss sources are forked at
+		// every rate, so the later forks see the same stream and the rows
+		// stay comparable.
+		poolNet := []network.Option{network.WithLossRate(p, src.Fork("loss-pool"))}
+		dimNet := []network.Option{network.WithLossRate(p, src.Fork("loss-dim"))}
+		if _, err := env.AddPool("Pool", src.Fork("pivots"), poolNet); err != nil {
 			return [2]float64{}, err
 		}
-		ds, err := dim.New(dimNet, router, cfg.Dims)
-		if err != nil {
+		if _, err := env.AddDIM("DIM", dimNet); err != nil {
 			return [2]float64{}, err
 		}
-		env := &Env{Layout: layout, Router: router, PoolNet: poolNet, DIMNet: dimNet, Pool: ps, DIM: ds}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
+		if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
 			return [2]float64{}, err
 		}
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for qi := range queries {
-			queries[qi] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
-		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("p=%v: %w", p, err)
 		}
-		return [2]float64{poolAvg, dimAvg}, nil
+		return [2]float64{costs[0].PerQuery(), costs[1].PerQuery()}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,11 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/dim"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/network"
-	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -36,52 +32,32 @@ func Placement(cfg Config) (*Result, error) {
 		}},
 	}
 
-	rows, err := forEach(cfg.parallel(), len(variants), func(vi int) ([4]float64, error) {
+	return sweep(cfg, "ablation-placement", table, len(variants), func(vi int) ([]string, error) {
 		v := variants[vi]
 		src := rng.New(cfg.Seed + 9950)
 		layout, err := v.gen(src.Fork("layout"))
 		if err != nil {
-			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
+			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		router := gpsr.New(layout)
-		poolNet := network.New(layout)
-		dimNet := network.New(layout)
-		p, err := pool.New(poolNet, router, cfg.Dims, src.Fork("pivots"))
+		env := deployOn(layout, cfg.Dims)
+		if _, err := env.AddPool("Pool", src.Fork("pivots"), nil); err != nil {
+			return nil, err
+		}
+		if _, err := env.AddDIM("DIM", nil); err != nil {
+			return nil, err
+		}
+		events, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
 		if err != nil {
-			return [4]float64{}, err
+			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		d, err := dim.New(dimNet, router, cfg.Dims)
+		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 		if err != nil {
-			return [4]float64{}, err
+			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		env := &Env{Layout: layout, Router: router, PoolNet: poolNet, DIMNet: dimNet, Pool: p, DIM: d}
-
-		events := GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
-		}
-		dimIns := float64(dimNet.Messages(network.KindInsert)) / float64(len(events))
-		poolIns := float64(poolNet.Messages(network.KindInsert)) / float64(len(events))
-
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
-		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
-		if err != nil {
-			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
-		}
-		return [4]float64{dimAvg, poolAvg, dimIns, poolIns}, nil
+		poolArm, dimArm := env.Arms[0], env.Arms[1]
+		return []string{v.name,
+			texttable.Float(costs[1].PerQuery(), 1), texttable.Float(costs[0].PerQuery(), 1),
+			texttable.Float(dimArm.InsertCost(events), 1), texttable.Float(poolArm.InsertCost(events), 1)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		table.AddRow(v.name,
-			texttable.Float(rows[i][0], 1), texttable.Float(rows[i][1], 1),
-			texttable.Float(rows[i][2], 1), texttable.Float(rows[i][3], 1))
-	}
-	return &Result{ID: "ablation-placement", Title: title, Table: table}, nil
 }

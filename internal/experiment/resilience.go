@@ -3,14 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/event"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
-	"pooldcs/internal/sim"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
 )
@@ -31,81 +26,47 @@ func Resilience(cfg Config, failPcts []int) (*Result, error) {
 	title := fmt.Sprintf("Query recall under node failures, N=%d", cfg.PartialSize)
 	table := texttable.New(title, "Failed%", "Pool recall", "Pool+replica recall", "RecoveryMsgs")
 
-	type row struct {
-		plain, repl  float64
-		recoveryMsgs int
-	}
-	rows, err := forEach(cfg.parallel(), len(failPcts), func(i int) (row, error) {
+	return sweep(cfg, "ablation-resilience", table, len(failPcts), func(i int) ([]string, error) {
 		pct := failPcts[i]
 		src := rng.New(cfg.Seed + 9800 + int64(pct))
-		env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+		env, err := Deploy(cfg.PartialSize, cfg.Dims, src)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		replNet := network.New(env.Layout)
-		repl, err := pool.New(replNet, env.Router, cfg.Dims, src.Fork("pivots-repl"), pool.WithReplication())
+		plain, err := env.AddPool("Pool", src.Fork("pivots"), nil)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		for _, pe := range events {
-			if err := env.Pool.Insert(pe.Origin, pe.Event); err != nil {
-				return row{}, err
-			}
-			if err := repl.Insert(pe.Origin, pe.Event); err != nil {
-				return row{}, err
-			}
+		repl, err := env.AddPool("Pool+replica", src.Fork("pivots-repl"), nil, pool.WithReplication())
+		if err != nil {
+			return nil, err
+		}
+		events, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
+		if err != nil {
+			return nil, err
 		}
 
 		// Kill the same random nodes in both systems.
-		killSrc := src.Fork("kills")
-		toKill := cfg.PartialSize * pct / 100
-		killed := make(map[int]bool, toKill)
-		for len(killed) < toKill {
-			v := killSrc.Intn(cfg.PartialSize)
-			if killed[v] {
-				continue
-			}
-			killed[v] = true
-			if err := env.Pool.FailNode(v); err != nil {
-				return row{}, err
-			}
-			if err := repl.FailNode(v); err != nil {
-				return row{}, err
-			}
+		dead, err := env.failRandom(cfg.PartialSize*pct/100, src.Fork("kills"))
+		if err != nil {
+			return nil, err
 		}
-		sink := 0
-		for killed[sink] {
-			sink++
-		}
+		sink := liveSink(dead, 0, cfg.PartialSize)
 
-		full := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
-		plainGot, err := env.Pool.Query(sink, full)
+		plainGot, err := plain.Query(sink, fullSpan(cfg.Dims))
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		replGot, err := repl.Query(sink, full)
+		replGot, err := repl.Query(sink, fullSpan(cfg.Dims))
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		total := float64(len(events))
-		return row{
-			plain:        float64(len(plainGot)) / total,
-			repl:         float64(len(replGot)) / total,
-			recoveryMsgs: int(repl.RecoveryMessages()),
-		}, nil
+		return []string{texttable.Int(pct),
+			texttable.Float(float64(len(plainGot))/total, 3),
+			texttable.Float(float64(len(replGot))/total, 3),
+			texttable.Int(int(repl.RecoveryMessages()))}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pct := range failPcts {
-		table.AddRow(texttable.Int(pct),
-			texttable.Float(rows[i].plain, 3),
-			texttable.Float(rows[i].repl, 3),
-			texttable.Int(rows[i].recoveryMsgs))
-	}
-	return &Result{ID: "ablation-resilience", Title: title, Table: table}, nil
 }
 
 // resilienceNode is the actor-engine flavour of the resilience sweep
@@ -124,83 +85,42 @@ func resilienceNode(cfg Config, failPcts []int) (*Result, error) {
 	title := fmt.Sprintf("Query recall under node failures, N=%d (actor backend, %s)", cfg.PartialSize, mode)
 	table := texttable.New(title, "Failed%", "Recall", "Compl", "Repair msgs", "Rep p95 ms")
 
-	type row struct {
-		recall, compl float64
-		msgs          uint64
-		p95           int64
-	}
-	rows, err := forEach(cfg.parallel(), len(failPcts), func(i int) (row, error) {
+	return sweep(cfg, "ablation-resilience", table, len(failPcts), func(i int) ([]string, error) {
 		pct := failPcts[i]
 		src := rng.New(cfg.Seed + 9800 + int64(pct))
-		layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+		env, err := Deploy(cfg.PartialSize, cfg.Dims, src)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		sched := sim.NewScheduler()
-		net := network.New(layout)
-		router := gpsr.New(layout)
 		var opts []node.Option
 		if cfg.Repair {
 			opts = append(opts, node.WithReplication())
 		}
-		eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil, opts...)
+		eng, err := env.AddActor("node", src.Fork("pivots"), nil, opts...)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		sys := node.NewSync("node", eng, sched)
-
-		events := GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		for _, pe := range events {
-			if err := sys.Insert(pe.Origin, pe.Event); err != nil {
-				return row{}, err
-			}
-		}
-
-		killSrc := src.Fork("kills")
-		toKill := cfg.PartialSize * pct / 100
-		killed := make(map[int]bool, toKill)
-		for len(killed) < toKill {
-			v := killSrc.Intn(cfg.PartialSize)
-			if killed[v] {
-				continue
-			}
-			killed[v] = true
-			router.Exclude(v)
-			net.FailNode(v)
-			if err := sys.FailNode(v); err != nil {
-				return row{}, err
-			}
-		}
-		sink := 0
-		for killed[sink] {
-			sink++
-		}
-
-		full := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
-		got, comp, err := sys.QueryWithReport(sink, full)
+		events, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
 		if err != nil {
-			return row{}, err
+			return nil, err
+		}
+
+		dead, err := env.failRandom(cfg.PartialSize*pct/100, src.Fork("kills"))
+		if err != nil {
+			return nil, err
+		}
+		got, comp, err := env.Arms[0].Sys.QueryWithReport(liveSink(dead, 0, cfg.PartialSize), fullSpan(cfg.Dims))
+		if err != nil {
+			return nil, err
 		}
 		if errs := eng.Errors(); len(errs) > 0 {
-			return row{}, fmt.Errorf("resilience %d%%: %w", pct, errs[0])
+			return nil, fmt.Errorf("resilience %d%%: %w", pct, errs[0])
 		}
 		msgs, _ := eng.RepairTraffic()
-		return row{
-			recall: float64(len(got)) / float64(len(events)),
-			compl:  comp.Fraction(),
-			msgs:   msgs,
-			p95:    eng.RepairLatency().Quantile(95),
-		}, nil
+		return []string{texttable.Int(pct),
+			texttable.Float(float64(len(got))/float64(len(events)), 3),
+			texttable.Float(comp.Fraction(), 3),
+			texttable.Int(int(msgs)),
+			texttable.Int(int(eng.RepairLatency().Quantile(95)))}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pct := range failPcts {
-		table.AddRow(texttable.Int(pct),
-			texttable.Float(rows[i].recall, 3),
-			texttable.Float(rows[i].compl, 3),
-			texttable.Int(int(rows[i].msgs)),
-			texttable.Int(int(rows[i].p95)))
-	}
-	return &Result{ID: "ablation-resilience", Title: title, Table: table}, nil
 }

@@ -20,6 +20,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"pooldcs/internal/texttable"
 )
 
 // parallel resolves the configured worker count: Parallel itself when
@@ -81,4 +83,18 @@ func forEach[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// sweep runs a table whose rows are independent trials: trial i renders
+// row i, the trials fan out over the worker pool, and the rows land in
+// index order.
+func sweep(cfg Config, id string, table *texttable.Table, n int, trial func(i int) ([]string, error)) (*Result, error) {
+	rows, err := forEach(cfg.parallel(), n, trial)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		table.AddRow(row...)
+	}
+	return &Result{ID: id, Title: table.Title, Table: table}, nil
 }

@@ -49,7 +49,10 @@ func Saturation(cfg Config, rates []float64) (*Result, error) {
 		}
 	}
 
-	rows, err := forEach(cfg.parallel(), len(points), func(i int) ([]string, error) {
+	tbl := texttable.New("Saturation: offered load vs delivered throughput and tail latency (open loop)",
+		"system", "admission", "offered/s", "served/s", "shed%", "p50ms", "p99ms", "slo%", "maxdepth",
+		"queue%", "svc%")
+	return sweep(cfg, "saturation", tbl, len(points), func(i int) ([]string, error) {
 		pt := points[i]
 		sched := sim.NewScheduler()
 		// Same seed at every point: each trial sees the same deployment and
@@ -94,17 +97,6 @@ func Saturation(cfg Config, rates []float64) (*Result, error) {
 			texttable.Float(svcPct, 1),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	tbl := texttable.New("Saturation: offered load vs delivered throughput and tail latency (open loop)",
-		"system", "admission", "offered/s", "served/s", "shed%", "p50ms", "p99ms", "slo%", "maxdepth",
-		"queue%", "svc%")
-	for _, row := range rows {
-		tbl.AddRow(row...)
-	}
-	return &Result{ID: "saturation", Title: tbl.Title, Table: tbl}, nil
 }
 
 // queueServiceShares attributes the query spans in the flight recorder

@@ -2,13 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
-	"pooldcs/internal/dcs"
 	"pooldcs/internal/dim"
 	"pooldcs/internal/event"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
@@ -88,41 +84,39 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 		return nil, fmt.Errorf("experiment: subscriptions are Pool-only")
 	}
 	src := rng.New(o.Seed)
-	layout, err := field.Generate(field.DefaultSpec(o.Nodes), src.Fork("layout"))
+	env, err := Deploy(o.Nodes, o.Dims, src)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
+		return nil, err
 	}
-	router := gpsr.New(layout)
 	// The scheduler is the trace clock; synchronous replays never run it,
 	// so span order and hop counts carry the causality instead, while the
 	// node mode advances it for real and stamps durations.
-	sched := sim.NewScheduler()
-	tr := trace.New(sched)
-	net := network.New(layout, network.WithTracer(tr))
-	if o.System == "node" {
-		return traceNodeRun(o, src, layout, router, tr, net, sched)
-	}
-
-	var sys dcs.System
+	env.Sched = sim.NewScheduler()
+	tr := trace.New(env.Sched)
+	net := []network.Option{network.WithTracer(tr)}
 	var poolSys *pool.System
 	switch o.System {
 	case "pool":
-		poolSys, err = pool.New(net, router, o.Dims, src.Fork("pivots"), pool.WithTracer(tr))
-		sys = poolSys
+		poolSys, err = env.AddPool("pool", src.Fork("pivots"), net, pool.WithTracer(tr))
 	case "dim":
-		sys, err = dim.New(net, router, o.Dims, dim.WithTracer(tr))
+		_, err = env.AddDIM("dim", net, dim.WithTracer(tr))
+	case "node":
+		// Message-driven repair plus the churn table's service model, so
+		// the trace carries real durations — transmit, ARQ stalls,
+		// queueing, retry detours, repair interference — which is what
+		// the autopsy subcommand decomposes.
+		var eng *node.Engine
+		if eng, err = env.AddActor("node", src.Fork("pivots"), net, node.WithReplication(), node.WithTracer(tr)); err == nil {
+			eng.EnableService(churnServiceTime)
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
+		return nil, err
 	}
 
 	gen := workload.NewUniformEvents(src.Fork("events"), o.Dims)
-	for n := 0; n < layout.N(); n++ {
-		for i := 0; i < o.EventsPerNode; i++ {
-			if err := sys.Insert(n, gen.Next()); err != nil {
-				return nil, fmt.Errorf("experiment: trace insert: %w", err)
-			}
-		}
+	if _, err := env.Populate(o.EventsPerNode, gen); err != nil {
+		return nil, fmt.Errorf("experiment: trace %w", err)
 	}
 
 	res := &TraceResult{}
@@ -131,13 +125,13 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 		subSinks := src.Fork("subsinks")
 		for i := 0; i < o.Subscriptions; i++ {
 			q := subGen.ExactMatch(workload.UniformSizes)
-			if _, err := poolSys.Subscribe(subSinks.Intn(layout.N()), q); err != nil {
+			if _, err := poolSys.Subscribe(subSinks.Intn(o.Nodes), q); err != nil {
 				return nil, fmt.Errorf("experiment: trace subscribe: %w", err)
 			}
 		}
 		extra := src.Fork("extra")
 		for i := 0; i < 5*o.Subscriptions; i++ {
-			if err := poolSys.Insert(extra.Intn(layout.N()), gen.Next()); err != nil {
+			if err := poolSys.Insert(extra.Intn(o.Nodes), gen.Next()); err != nil {
 				return nil, fmt.Errorf("experiment: trace extra insert: %w", err)
 			}
 		}
@@ -145,109 +139,32 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 	}
 
 	if o.Failures > 0 {
-		failSrc := src.Fork("failures")
-		for killed := 0; killed < o.Failures; {
-			id := failSrc.Intn(layout.N())
-			if poolSys.Failed(id) {
-				continue
-			}
-			if err := poolSys.FailNode(id); err != nil {
-				return nil, fmt.Errorf("experiment: trace failure: %w", err)
-			}
-			killed++
+		if _, err := env.failRandom(o.Failures, src.Fork("failures")); err != nil {
+			return nil, fmt.Errorf("experiment: trace failure: %w", err)
 		}
 	}
 
+	// Exact-match and 1-partial queries alternate. The synchronous
+	// replays answer them one by one; the node mode launches them
+	// concurrently, so they contend with the repair traffic on the
+	// virtual clock.
 	qgen := workload.NewQueries(src.Fork("queries"), o.Dims)
-	sinks := src.Fork("sinks")
-	for i := 0; i < o.Queries; i++ {
-		q := qgen.ExactMatch(workload.ExponentialSizes)
+	population := make([]event.Query, o.Queries)
+	for i := range population {
+		population[i] = qgen.ExactMatch(workload.ExponentialSizes)
 		if i%2 == 1 && o.Dims >= 2 {
 			if pq, err := qgen.MPartial(1); err == nil {
-				q = pq
+				population[i] = pq
 			}
 		}
-		matches, err := sys.Query(sinks.Intn(layout.N()), q)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: trace query %d: %w", i, err)
-		}
-		res.Matches += len(matches)
 	}
-
-	res.Events = tr.Events().Slice()
-	res.Counters = net.Snapshot()
-	return res, nil
-}
-
-// traceNodeRun replays the workload on the message-driven actor engine:
-// the bulk load is preloaded synchronously, failures (if any) crash
-// nodes the way the chaos engine does, and the queries then launch
-// concurrently so they contend with the repair traffic on the virtual
-// clock. The resulting trace carries real durations — transmit, ARQ
-// stalls, queueing, retry detours, repair interference — which is what
-// the autopsy subcommand decomposes.
-func traceNodeRun(o TraceOptions, src *rng.Source, layout *field.Layout, router *gpsr.Router,
-	tr *trace.Tracer, net *network.Network, sched *sim.Scheduler) (*TraceResult, error) {
-	eng, err := node.NewEngine(net, router, sched, o.Dims, src.Fork("pivots"), nil,
-		node.WithReplication(), node.WithTracer(tr))
+	costs, err := env.Cost(1, env.Place(src.Fork("sinks"), population))
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	eng.EnableService(churnServiceTime)
-
-	gen := workload.NewUniformEvents(src.Fork("events"), o.Dims)
-	for n := 0; n < layout.N(); n++ {
-		for i := 0; i < o.EventsPerNode; i++ {
-			if err := eng.Preload(n, gen.Next()); err != nil {
-				return nil, fmt.Errorf("experiment: trace preload: %w", err)
-			}
-		}
+		return nil, fmt.Errorf("experiment: trace %w", err)
 	}
 
-	res := &TraceResult{}
-	dead := make(map[int]bool)
-	if o.Failures > 0 {
-		failSrc := src.Fork("failures")
-		for killed := 0; killed < o.Failures; {
-			id := failSrc.Intn(layout.N())
-			if dead[id] {
-				continue
-			}
-			dead[id] = true
-			router.Exclude(id)
-			net.FailNode(id)
-			if err := eng.FailNode(id); err != nil {
-				return nil, fmt.Errorf("experiment: trace failure: %w", err)
-			}
-			killed++
-		}
-	}
-
-	qgen := workload.NewQueries(src.Fork("queries"), o.Dims)
-	sinks := src.Fork("sinks")
-	for i := 0; i < o.Queries; i++ {
-		q := qgen.ExactMatch(workload.ExponentialSizes)
-		if i%2 == 1 && o.Dims >= 2 {
-			if pq, err := qgen.MPartial(1); err == nil {
-				q = pq
-			}
-		}
-		sink := sinks.Intn(layout.N())
-		for dead[sink] {
-			sink = (sink + 1) % layout.N()
-		}
-		if err := eng.Query(sink, q, func(results []event.Event, _ time.Duration) {
-			res.Matches += len(results)
-		}); err != nil {
-			return nil, fmt.Errorf("experiment: trace query %d: %w", i, err)
-		}
-	}
-	sched.Run()
-	for _, err := range eng.Errors() {
-		return nil, fmt.Errorf("experiment: trace node engine: %w", err)
-	}
-
+	res.Matches = costs[0].Matches
 	res.Events = tr.Events().Slice()
-	res.Counters = net.Snapshot()
+	res.Counters = env.Arms[0].Net.Snapshot()
 	return res, nil
 }

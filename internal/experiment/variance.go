@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/event"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
@@ -22,11 +21,7 @@ func Variance(cfg Config, trials int) (*Result, error) {
 	table := texttable.New(title, "NetworkSize", "DIM", "DIM ±", "Pool", "Pool ±")
 
 	// One query population shared across every size and trial.
-	qgen := workload.NewQueries(rng.New(cfg.Seed+556), cfg.Dims)
-	population := make([]event.Query, cfg.Queries)
-	for i := range population {
-		population[i] = qgen.ExactMatch(workload.ExponentialSizes)
-	}
+	population := exactMatches(workload.NewQueries(rng.New(cfg.Seed+556), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
 
 	// Every (size, trial) pair is an independent deployment, so the whole
 	// grid fans out flat; the per-trial averages come back in grid order
@@ -36,22 +31,7 @@ func Variance(cfg Config, trials int) (*Result, error) {
 	sizes := cfg.NetworkSizes
 	grid, err := forEach(cfg.parallel(), len(sizes)*trials, func(i int) ([2]float64, error) {
 		n, trial := sizes[i/trials], i%trials
-		src := rng.New(cfg.Seed + int64(n)*100 + int64(trial))
-		env, err := NewEnv(n, cfg.Dims, src)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode,
-			workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [2]float64{}, err
-		}
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(n), Query: population[i]}
-		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		poolAvg, dimAvg, err := pairCost(cfg, n, rng.New(cfg.Seed+int64(n)*100+int64(trial)), population)
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("n=%d trial %d: %w", n, trial, err)
 		}
