@@ -2,6 +2,7 @@ package antientropy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -22,25 +23,47 @@ type Store interface {
 	// AppendDigests appends the digest of every held event to buf.
 	// Duplicates are allowed; the codec collapses them.
 	AppendDigests(buf []uint64) []uint64
-	// Fetch returns the event behind a digest.
-	Fetch(digest uint64) (event.Event, bool)
+	// Fetch appends to buf the event behind each digest, in the order
+	// asked, skipping digests the store does not hold. Of several events
+	// with one digest the first in AppendDigests order answers.
+	Fetch(digests []uint64, buf []event.Event) []event.Event
 	// Insert adds a missing event to this side.
 	Insert(e event.Event)
 	// Len returns the number of held events.
 	Len() int
 }
 
-// Pair is one replicated unit to keep in sync. Label must be stable
-// across rounds (it keys the divergence-window bookkeeping) and name the
-// *role*, not the node, so re-homed replicas keep their history.
+// Summarizer is the optional half of a Store: a copy that memoises its
+// own Summary, so a session learns that two copies agree without
+// touching an event. A store without it pays one Summarize over
+// AppendDigests per session.
+type Summarizer interface {
+	// Summary returns the copy's summary, computed on first use after a
+	// mutation and valid until the next one.
+	Summary() *Summary
+}
+
+// PairID names a replicated unit by *role*, not by node, so re-homed
+// replicas keep their history. It is comparable — it keys the
+// divergence-window bookkeeping across rounds — and is rendered only
+// when a session fails: Format is a constant printf format over A, B, C.
+type PairID struct {
+	Format  string
+	A, B, C int
+}
+
+func (id PairID) String() string { return fmt.Sprintf(id.Format, id.A, id.B, id.C) }
+
+// Pair is one replicated unit to keep in sync.
 type Pair struct {
-	Label   string
+	ID      PairID
 	Primary Store
 	Replica Store
 }
 
 // PairSource enumerates a backend's replica pairs. The enumeration must
-// be deterministic: same system state, same order.
+// be deterministic: same system state, same order. The slice is the
+// source's own and holds until its replica layout next changes.
 type PairSource interface {
 	ReplicaPairs() []Pair
 }
@@ -122,12 +145,20 @@ type Reconciler struct {
 	cfg    Config
 	srcs   []PairSource
 
-	state map[string]*pairState
+	state map[PairID]*pairState
 
-	pathBuf  []int
-	bufA     []uint64
-	bufB     []uint64
-	eventBuf []event.Event
+	// Session scratch, reused across sessions: the routed path, the
+	// summaries and digest column of stores that keep none, the codec of a
+	// diverged pair, and the digests, positions and events of a transfer.
+	pathBuf    []int
+	sumA, sumB Summary
+	digests    []uint64
+	enc        Encoder
+	dec        Decoder
+	wantA      []uint64
+	wantB      []uint64
+	order      []uint64
+	eventBuf   []event.Event
 
 	sessions  uint64
 	aborted   uint64
@@ -138,21 +169,35 @@ type Reconciler struct {
 	conv      *stats.IntHistogram
 	errs      []error
 
+	// hid addresses the reconciler's typed scheduler events (op, epoch).
+	hid     sim.HandlerID
 	running bool
+	// epoch invalidates a stale tick chain: Start bumps it, and a pending
+	// tick whose epoch no longer matches is a no-op, so Stop followed by
+	// Start never leaves two chains running.
+	epoch uint64
 }
+
+// Scheduler event ops.
+const (
+	opTick uint8 = iota // a background round is due; a is the chain's epoch
+	opKick              // an extra round asked for by Kick
+)
 
 // New builds a reconciler over the given pair sources. Call Start to
 // begin background rounds, or RunRound to drive it manually.
 func New(sched *sim.Scheduler, net *network.Network, router *gpsr.Router, cfg Config, srcs ...PairSource) *Reconciler {
-	return &Reconciler{
+	r := &Reconciler{
 		sched:  sched,
 		net:    net,
 		router: router,
 		cfg:    cfg,
 		srcs:   srcs,
-		state:  make(map[string]*pairState),
+		state:  make(map[PairID]*pairState),
 		conv:   stats.NewIntHistogram(),
 	}
+	r.hid = sched.Register(r)
+	return r
 }
 
 // EnableMetrics registers the repair metric families on reg.
@@ -181,7 +226,8 @@ func (r *Reconciler) Start() {
 		return
 	}
 	r.running = true
-	r.sched.After(r.cfg.period(), r.tick)
+	r.epoch++
+	r.sched.AfterEvent(r.cfg.period(), r.hid, opTick, r.epoch, 0)
 }
 
 // Stop halts background rounds; pending ticks become no-ops.
@@ -193,19 +239,19 @@ func (r *Reconciler) Kick() {
 	if !r.running {
 		return
 	}
-	r.sched.After(0, func() {
-		if r.running {
-			r.RunRound()
-		}
-	})
+	r.sched.AfterEvent(0, r.hid, opKick, 0, 0)
 }
 
-func (r *Reconciler) tick() {
-	if !r.running {
+// HandleEvent implements sim.Handler: a tick of the chain started at
+// epoch a runs a round and schedules its successor; a kick runs a round.
+func (r *Reconciler) HandleEvent(op uint8, a, _ uint64) {
+	if !r.running || (op == opTick && a != r.epoch) {
 		return
 	}
 	r.RunRound()
-	r.sched.After(r.cfg.period(), r.tick)
+	if op == opTick {
+		r.sched.AfterEvent(r.cfg.period(), r.hid, opTick, a, 0)
+	}
 }
 
 // RunRound reconciles every pair of every source once and returns the
@@ -213,8 +259,9 @@ func (r *Reconciler) tick() {
 func (r *Reconciler) RunRound() int {
 	total := 0
 	for _, src := range r.srcs {
-		for _, p := range src.ReplicaPairs() {
-			total += r.reconcile(p)
+		pairs := src.ReplicaPairs()
+		for i := range pairs {
+			total += r.reconcile(&pairs[i])
 		}
 	}
 	return total
@@ -247,11 +294,11 @@ func (r *Reconciler) Convergence() *stats.IntHistogram { return r.conv }
 // never produces any.
 func (r *Reconciler) Errs() []error { return r.errs }
 
-func (r *Reconciler) stateOf(label string) *pairState {
-	st, ok := r.state[label]
+func (r *Reconciler) stateOf(id PairID) *pairState {
+	st, ok := r.state[id]
 	if !ok {
 		st = &pairState{}
-		r.state[label] = st
+		r.state[id] = st
 	}
 	return st
 }
@@ -260,19 +307,20 @@ func (r *Reconciler) stateOf(label string) *pairState {
 // a session that moved events (or aborted) opens the window at the last
 // provably-in-sync instant; a session that completed closes it and
 // observes its length in the convergence histogram.
-func (r *Reconciler) reconcile(p Pair) int {
-	st := r.stateOf(p.Label)
+func (r *Reconciler) reconcile(p *Pair) int {
+	st := r.stateOf(p.ID)
+	a, b := summaryOf(p.Primary, &r.sumA, &r.digests), summaryOf(p.Replica, &r.sumB, &r.digests)
 	var moved int
 	var err error
 	if r.cfg.Snapshot {
-		moved, err = r.snapshotSession(p)
+		moved, err = r.snapshotSession(p, a, b)
 	} else {
-		moved, err = r.ratelessSession(p)
+		moved, err = r.ratelessSession(p, a, b)
 	}
 	r.moved += uint64(moved)
 	if err != nil {
 		if !dcs.IsDegradable(err) {
-			r.errs = append(r.errs, fmt.Errorf("antientropy %s: %w", p.Label, err))
+			r.errs = append(r.errs, fmt.Errorf("antientropy %s: %w", p.ID, err))
 			return moved
 		}
 		r.aborted++
@@ -294,6 +342,17 @@ func (r *Reconciler) reconcile(p Pair) int {
 	return moved
 }
 
+// summaryOf returns a store's summary: its own when it keeps one,
+// otherwise one computed into scratch from its digests.
+func summaryOf(st Store, scratch *Summary, digests *[]uint64) *Summary {
+	if m, ok := st.(Summarizer); ok {
+		return m.Summary()
+	}
+	*digests = st.AppendDigests((*digests)[:0])
+	Summarize(scratch, *digests)
+	return scratch
+}
+
 // unicast sends one session frame, charging the cost model on success.
 func (r *Reconciler) unicast(from, to int, payload int) error {
 	_, err := dcs.UnicastOpts(r.net, r.router, from, to, network.KindControl, payload, dcs.TxOptions{PathBuf: &r.pathBuf})
@@ -307,48 +366,47 @@ func (r *Reconciler) unicast(from, to int, payload int) error {
 // batches until the replica peel-decodes the symmetric difference, then
 // transfers exactly the missing events in both directions. Cost is
 // ~O(|Δ|) symbols however large the stores are; an undecodable stream
-// (past MaxSymbols) falls back to the snapshot exchange.
-func (r *Reconciler) ratelessSession(p Pair) (int, error) {
-	r.bufA = p.Primary.AppendDigests(r.bufA[:0])
-	r.bufB = p.Replica.AppendDigests(r.bufB[:0])
-	enc := NewEncoder(r.bufA)
-	dec := NewDecoder(r.bufB)
+// (past MaxSymbols) falls back to the snapshot exchange. On the host a
+// pair whose summaries agree costs its one frame and three compared
+// words: the replica's residual symbol 0 is zero, which is the whole
+// decode of an empty difference, so no encoder is started.
+func (r *Reconciler) ratelessSession(p *Pair, a, b *Summary) (int, error) {
+	maxSymbols, maxBatch := r.cfg.maxSymbols(), r.cfg.maxBatch()
 	batch := r.cfg.firstBatch()
-	var diff Diff
-	for {
-		n := batch
-		if rem := r.cfg.maxSymbols() - dec.Received(); n > rem {
-			n = rem
+	if a.Zero == b.Zero {
+		n := min(batch, maxSymbols)
+		if err := r.unicast(p.Primary.Node(), p.Replica.Node(), frameBytes(n)); err != nil {
+			return 0, err
 		}
+		r.symbols += uint64(n)
+		return 0, nil
+	}
+	r.enc.reset(a.Keys, a.Zero)
+	r.dec.reset(b.Keys, b.Zero)
+	for {
+		n := min(batch, maxSymbols-r.dec.Received())
 		for i := 0; i < n; i++ {
-			dec.Add(enc.Next())
+			r.dec.Add(r.enc.Next())
 		}
 		if err := r.unicast(p.Primary.Node(), p.Replica.Node(), frameBytes(n)); err != nil {
 			return 0, err
 		}
 		r.symbols += uint64(n)
-		if d, ok := dec.Decode(); ok {
-			diff = d
-			break
+		if diff, ok := r.dec.Decode(); ok {
+			return r.transfer(p, diff)
 		}
-		if dec.Received() >= r.cfg.maxSymbols() {
+		if r.dec.Received() >= maxSymbols {
 			r.fallbacks++
-			return r.snapshotSession(p)
+			return r.snapshotSession(p, a, b)
 		}
-		if batch < r.cfg.maxBatch() {
-			batch *= 2
-			if batch > r.cfg.maxBatch() {
-				batch = r.cfg.maxBatch()
-			}
-		}
+		batch = min(2*batch, max(batch, maxBatch))
 	}
-	return r.transfer(p, diff)
 }
 
 // transfer moves a decoded symmetric difference: the replica requests
 // its missing events by digest and the primary ships them, then the
 // replica pushes its primary-missing events back.
-func (r *Reconciler) transfer(p Pair, diff Diff) (int, error) {
+func (r *Reconciler) transfer(p *Pair, diff Diff) (int, error) {
 	moved := 0
 	if len(diff.Remote) > 0 {
 		if err := r.unicast(p.Replica.Node(), p.Primary.Node(), digestBytes(len(diff.Remote))); err != nil {
@@ -373,12 +431,7 @@ func (r *Reconciler) transfer(p Pair, diff Diff) (int, error) {
 // ship fetches the events behind digests from one side, pays for their
 // transfer, and inserts them on the other.
 func (r *Reconciler) ship(from, to Store, digests []uint64) (int, error) {
-	evs := r.eventBuf[:0]
-	for _, d := range digests {
-		if e, ok := from.Fetch(d); ok {
-			evs = append(evs, e)
-		}
-	}
+	evs := from.Fetch(digests, r.eventBuf[:0])
 	r.eventBuf = evs
 	if len(evs) == 0 {
 		return 0, nil
@@ -396,64 +449,59 @@ func (r *Reconciler) ship(from, to Store, digests []uint64) (int, error) {
 // snapshotSession is the naive baseline: the primary ships its entire
 // store to the replica, which applies what it lacks and pushes its own
 // surplus back. Cost grows with store size regardless of how little
-// actually differs.
-func (r *Reconciler) snapshotSession(p Pair) (int, error) {
-	r.bufA = p.Primary.AppendDigests(r.bufA[:0])
-	r.bufB = p.Replica.AppendDigests(r.bufB[:0])
-	aSet := make(map[uint64]bool, len(r.bufA))
-	aUniq := r.bufA[:0]
-	for _, d := range r.bufA {
-		if !aSet[d] {
-			aSet[d] = true
-			aUniq = append(aUniq, d)
-		}
-	}
-	bSet := make(map[uint64]bool, len(r.bufB))
-	for _, d := range r.bufB {
-		bSet[d] = true
-	}
+// actually differs. Which events differ is a merge over the two
+// summaries' sorted keys, decided before either side is written to —
+// an Insert ends the life of the summary it lands on.
+func (r *Reconciler) snapshotSession(p *Pair, a, b *Summary) (int, error) {
+	r.wantB = r.onlyIn(r.wantB[:0], a, b)
+	r.wantA = r.onlyIn(r.wantA[:0], b, a)
 
-	// The full primary store travels even when nothing differs. The
-	// deduped slice, not the set, drives enumeration so apply order stays
-	// deterministic.
-	evs := r.eventBuf[:0]
-	for _, d := range aUniq {
-		if e, ok := p.Primary.Fetch(d); ok {
-			evs = append(evs, e)
-		}
-	}
-	r.eventBuf = evs
+	// The full primary store travels even when nothing differs: every
+	// distinct event once.
 	k := 0
-	if len(evs) > 0 {
-		k = len(evs[0].Values)
+	if len(a.Keys) > 0 {
+		r.eventBuf = p.Primary.Fetch(a.Keys[:1], r.eventBuf[:0])
+		k = len(r.eventBuf[0].Values)
 	}
-	if err := r.unicast(p.Primary.Node(), p.Replica.Node(), dcs.ReplyBytes(k, len(evs))); err != nil {
+	if err := r.unicast(p.Primary.Node(), p.Replica.Node(), dcs.ReplyBytes(k, len(a.Keys))); err != nil {
 		return 0, err
 	}
-	moved := 0
-	for _, e := range evs {
-		if !bSet[Digest(e)] {
-			p.Replica.Insert(e)
-			moved++
-		}
+	r.eventBuf = p.Primary.Fetch(r.wantB, r.eventBuf[:0])
+	moved := len(r.eventBuf)
+	for _, e := range r.eventBuf {
+		p.Replica.Insert(e)
 	}
 
 	// Replica-only surplus goes back.
-	var back []uint64
-	for _, d := range r.bufB {
-		if !aSet[d] {
-			aSet[d] = true // dedup duplicates in bufB
-			back = append(back, d)
-		}
-	}
-	if len(back) > 0 {
-		n, err := r.ship(p.Replica, p.Primary, back)
+	if len(r.wantA) > 0 {
+		n, err := r.ship(p.Replica, p.Primary, r.wantA)
 		moved += n
 		if err != nil {
 			return moved, err
 		}
 	}
 	return moved, nil
+}
+
+// onlyIn appends to out the digests a holds and b lacks, in a's store
+// order, so a transfer applies events in the order their holder keeps
+// them.
+func (r *Reconciler) onlyIn(out []uint64, a, b *Summary) []uint64 {
+	ord, j := r.order[:0], 0
+	for i, k := range a.Keys {
+		for j < len(b.Keys) && b.Keys[j] < k {
+			j++
+		}
+		if j == len(b.Keys) || b.Keys[j] != k {
+			ord = append(ord, uint64(a.First[i])<<32|uint64(i))
+		}
+	}
+	slices.Sort(ord)
+	for _, o := range ord {
+		out = append(out, a.Keys[uint32(o)])
+	}
+	r.order = ord
+	return out
 }
 
 // PairInSync reports whether both sides of a pair hold identical event
@@ -463,26 +511,21 @@ func PairInSync(p Pair) bool {
 }
 
 func pairDivergence(p Pair) int {
-	a := map[uint64]bool{}
-	for _, d := range p.Primary.AppendDigests(nil) {
-		a[d] = true
-	}
-	b := map[uint64]bool{}
-	for _, d := range p.Replica.AppendDigests(nil) {
-		b[d] = true
-	}
-	diff := 0
-	for d := range a {
-		if !b[d] {
-			diff++
+	var sa, sb Summary
+	var digests []uint64
+	a, b := summaryOf(p.Primary, &sa, &digests).Keys, summaryOf(p.Replica, &sb, &digests).Keys
+	common := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			common, i, j = common+1, i+1, j+1
 		}
 	}
-	for d := range b {
-		if !a[d] {
-			diff++
-		}
-	}
-	return diff
+	return len(a) + len(b) - 2*common
 }
 
 // Divergence sums the symmetric-difference sizes across every pair of

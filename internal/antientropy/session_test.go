@@ -30,18 +30,45 @@ func (m *memStore) AppendDigests(buf []uint64) []uint64 {
 	return buf
 }
 
-func (m *memStore) Fetch(d uint64) (event.Event, bool) {
-	for _, e := range m.evs {
-		if Digest(e) == d {
-			return e, true
+func (m *memStore) Fetch(digests []uint64, buf []event.Event) []event.Event {
+	for _, d := range digests {
+		for _, e := range m.evs {
+			if Digest(e) == d {
+				buf = append(buf, e)
+				break
+			}
 		}
 	}
-	return event.Event{}, false
+	return buf
 }
 
 func (m *memStore) Insert(e event.Event) { m.evs = append(m.evs, e) }
 
 func (m *memStore) Len() int { return len(m.evs) }
+
+// memoStore is a memStore that keeps its own Summary, as a pool cell
+// copy does.
+type memoStore struct {
+	memStore
+	sum   Summary
+	valid bool
+}
+
+func (m *memoStore) Insert(e event.Event) {
+	m.memStore.Insert(e)
+	m.valid = false
+}
+
+func (m *memoStore) Summary() *Summary {
+	if !m.valid {
+		Summarize(&m.sum, m.AppendDigests(nil))
+		m.valid = true
+	}
+	return &m.sum
+}
+
+// memID names a test pair.
+func memID(label string) PairID { return PairID{Format: label + " %d.%d.%d"} }
 
 type memSource struct{ pairs []Pair }
 
@@ -82,7 +109,7 @@ func divergedPair(label string, pNode, rNode, n, miss, extra int) (*memStore, *m
 	for i := 0; i < extra; i++ {
 		r.evs = append(r.evs, mkEvent(10_000+i))
 	}
-	return p, r, Pair{Label: label, Primary: p, Replica: r}
+	return p, r, Pair{ID: memID(label), Primary: p, Replica: r}
 }
 
 func TestBackgroundRoundsConvergeAndExportMetrics(t *testing.T) {
@@ -143,6 +170,39 @@ func TestBackgroundRoundsConvergeAndExportMetrics(t *testing.T) {
 	}
 	if rec.Sessions() != before {
 		t.Fatalf("sessions advanced from %d to %d after Stop", before, rec.Sessions())
+	}
+}
+
+// Stop followed by Start before the pending tick fires must leave one
+// tick chain, not two: the stale tick belongs to an older epoch.
+func TestStopStartKeepsOneTickChain(t *testing.T) {
+	sched, net, router := sessionUniverse(t)
+	_, _, pair := divergedPair("mem chain", 0, 5, 4, 0, 0)
+	rec := New(sched, net, router, Config{Period: time.Second}, &memSource{pairs: []Pair{pair}})
+	rec.Start()
+	if err := sched.RunUntil(500*time.Millisecond, 1000); err != nil {
+		t.Fatal(err)
+	}
+	rec.Stop()
+	rec.Start()
+	if err := sched.RunUntil(10600*time.Millisecond, 1000); err != nil {
+		t.Fatal(err)
+	}
+	// Rounds at 1.5 s, 2.5 s, …, 10.5 s, one session each.
+	if got := rec.Sessions(); got != 10 {
+		t.Fatalf("%d rounds ran, want 10: a stale tick chain survived Stop/Start", got)
+	}
+	// A kick is a one-shot, not a chain: it fires once and schedules nothing.
+	rec.Kick()
+	if err := sched.RunUntil(10700*time.Millisecond, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Sessions(); got != 11 {
+		t.Fatalf("%d rounds after one kick, want 11", got)
+	}
+	rec.Stop()
+	if pending := sched.Pending(); pending != 1 {
+		t.Fatalf("%d events pending after Stop, want the one dead tick", pending)
 	}
 }
 
@@ -262,5 +322,17 @@ func TestNilRegistryMetricsAreNoOp(t *testing.T) {
 	rec.EnableMetrics(nil) // must not panic
 	if rec.RunRound() != 0 {
 		t.Fatal("empty source moved events")
+	}
+}
+
+// A pair id is a value to compare and key maps by; its text is made
+// only when asked for.
+func TestPairIDRendersOnDemand(t *testing.T) {
+	a := PairID{Format: "pool P%d C(%d,%d)", A: 2, B: 3, C: 4}
+	if b := (PairID{Format: "pool P%d C(%d,%d)", A: 2, B: 3, C: 4}); a != b {
+		t.Fatal("equal ids compare unequal")
+	}
+	if got := a.String(); got != "pool P2 C(3,4)" {
+		t.Fatalf("String() = %q", got)
 	}
 }

@@ -93,8 +93,18 @@ func TestChaosDivergenceConvergesUnderRepair(t *testing.T) {
 		}
 	})
 
-	if err := u.sched.RunUntil(60*time.Second, 2_000_000); err != nil {
-		t.Fatal(err)
+	// In steps, so that the memoised set summaries are checked — and left
+	// warm — between any two of the writes above: the inserts, the crash
+	// repairs and the sessions' own inserts must each invalidate what they
+	// change.
+	for at := time.Duration(0); at <= 60*time.Second; at += 125 * time.Millisecond {
+		if err := u.sched.RunUntil(at, 2_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.pool.CheckSummaries(); err != nil {
+			t.Fatalf("at %v: %v", at, err)
+		}
+		antientropy.Divergence(u.pool)
 	}
 	rec.Stop()
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"testing"
 
+	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -11,8 +12,11 @@ import (
 // FuzzResolveUnderFaults interprets the fuzz input as an op script —
 // crash, recover, query — against a small replicated Pool universe and
 // checks the degradation invariants: resolution never panics or errors,
-// the completeness report is internally consistent, and every returned
-// event actually matches the query.
+// the completeness report is internally consistent, every returned
+// event actually matches the query, and after every step the store's
+// invariants hold — the memoised set summaries among them: each step
+// warms every copy's summary, so a crash, restore or re-homing that
+// forgot to invalidate one fails the step after.
 func FuzzResolveUnderFaults(f *testing.F) {
 	f.Add([]byte{0x00, 0x03, 0x80})             // crash, crash, query
 	f.Add([]byte{0x00, 0x40, 0x80, 0x01, 0x90}) // crash, recover, query, crash, query
@@ -76,6 +80,10 @@ func FuzzResolveUnderFaults(f *testing.F) {
 						t.Fatalf("returned event with unknown seq %d", e.Seq)
 					}
 				}
+			}
+			antientropy.Divergence(u.pool)
+			if err := u.pool.CheckInvariants(); err != nil {
+				t.Fatalf("after op %#x: %v", op, err)
 			}
 		}
 		// Any interleaving must leave the universe queryable.

@@ -3,11 +3,14 @@ package experiment
 import (
 	"strconv"
 	"testing"
+	"time"
 
+	"pooldcs/internal/antientropy"
 	"pooldcs/internal/chaos"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
+	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -264,6 +267,67 @@ func TestChurnDegradesGracefully(t *testing.T) {
 	}
 	if v := cell(last, ghtRecall); v >= 1 {
 		t.Errorf("GHT recall %v at heaviest churn, expected degradation", v)
+	}
+}
+
+// TestChurnKeepsInvariants runs the churn table's replicated arm at the
+// quick size — beacons, late crash detection, recoveries, loss bursts and
+// background rateless repair — in steps of a quarter virtual second, and
+// after every step asks the store for its invariants. Each step leaves
+// every copy's memoised set summary warm, so a restore, truncation,
+// mirror re-homing or repair insert that forgot to invalidate one fails
+// the step after it instead of silently skipping a repair.
+func TestChurnKeepsInvariants(t *testing.T) {
+	cfg := Quick()
+	const pct = 20
+	n := cfg.PartialSize
+	src := rng.New(cfg.Seed + 9900 + pct)
+	env, err := Deploy(n, cfg.Dims, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Sched, env.ownRouters = sim.NewScheduler(), true
+	sys, err := env.AddPool("repl", src.Fork("pivots-repl"), nil, pool.WithReplication())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm := env.Arms[0]
+	rec := antientropy.New(env.Sched, arm.Net, arm.Router, antientropy.Config{Period: cfg.RepairPeriod}, sys)
+	disc := discovery.New(arm.Net, env.Sched, src.Fork("beacons"), discovery.Config{Interval: churnBeaconInterval})
+	engine := chaos.NewEngine(env.Sched, arm.Net, arm.Router, []chaos.System{sys},
+		chaos.WithFailureDetection(disc), chaos.WithRecoveryHook(func(int) { rec.Kick() }))
+	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
+		t.Fatal(err)
+	}
+	plan := chaos.RandomChurn(src.Fork("churn"), n, pct/100.0, 0.25, churnHorizon)
+	side := env.Layout.Side
+	plan.Burst(churnHorizon/4, geo.RectFromCorners(geo.Pt(0.3*side, 0.3*side), geo.Pt(0.6*side, 0.6*side)), burstLossRate, churnHorizon/5)
+	if err := engine.Schedule(plan); err != nil {
+		t.Fatal(err)
+	}
+	disc.Start()
+	rec.Start()
+	for at := time.Duration(0); at <= churnHorizon; at += 250 * time.Millisecond {
+		if err := env.Sched.RunUntil(at, 0); err != nil {
+			t.Fatal(err)
+		}
+		// The summaries every step; the whole list, whose directory scan is
+		// the dear part, every virtual second.
+		check := sys.CheckSummaries
+		if at%time.Second == 0 {
+			check = sys.CheckInvariants
+		}
+		if err := check(); err != nil {
+			t.Fatalf("at %v: %v", at, err)
+		}
+		antientropy.Divergence(sys)
+	}
+	if rec.Sessions() == 0 || rec.Aborted() == 0 || sys.RecoveryMessages() == 0 {
+		t.Fatalf("sessions=%d aborted=%d recovery msgs=%d: the run exercised no repair",
+			rec.Sessions(), rec.Aborted(), sys.RecoveryMessages())
+	}
+	for _, err := range append(engine.Errs(), rec.Errs()...) {
+		t.Error(err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package ght
 
 import (
-	"fmt"
-
 	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/geo"
@@ -49,7 +47,7 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 				continue
 			}
 			pairs = append(pairs, antientropy.Pair{
-				Label:   fmt.Sprintf("ght r%d M%d-M%d", ri, hubSlot, mi),
+				ID:      antientropy.PairID{Format: "ght r%d M%d-M%d", A: ri, B: hubSlot, C: mi},
 				Primary: shareStore{s: s, root: root, node: hub},
 				Replica: shareStore{s: s, root: root, node: home},
 			})
@@ -91,13 +89,34 @@ func (st shareStore) AppendDigests(buf []uint64) []uint64 {
 	return buf
 }
 
-func (st shareStore) Fetch(d uint64) (event.Event, bool) {
+// Fetch resolves a session's requested digests in one pass over the
+// node's storage: each stored event of the share is hashed once, however
+// many digests are asked for.
+func (st shareStore) Fetch(digests []uint64, buf []event.Event) []event.Event {
+	slot := make(map[uint64]int, len(digests))
+	for i, d := range digests {
+		slot[d] = i
+	}
+	found := make([]event.Event, len(digests))
 	for _, e := range st.s.storage[st.node] {
-		if st.s.HashPoint(e.Values) == st.root && antientropy.Digest(e) == d {
-			return e, true
+		if len(slot) == 0 {
+			break
+		}
+		if st.s.HashPoint(e.Values) != st.root {
+			continue
+		}
+		d := antientropy.Digest(e)
+		if i, ok := slot[d]; ok {
+			found[i] = e
+			delete(slot, d)
 		}
 	}
-	return event.Event{}, false
+	for _, e := range found {
+		if e.Values != nil {
+			buf = append(buf, e)
+		}
+	}
+	return buf
 }
 
 func (st shareStore) Insert(e event.Event) {

@@ -1,7 +1,9 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"pooldcs/internal/antientropy"
@@ -189,5 +191,129 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	rec.RunRound()
 	if !antientropy.Converged(s) {
 		t.Fatal("pairs not converged after recovery round")
+	}
+}
+
+// A copy that holds an event twice summarises — and so reconciles — as
+// holding it once, as the codec promises; the duplicate is invisible to
+// the set summary but not to its position index.
+func TestSummaryIgnoresDuplicates(t *testing.T) {
+	s, net, router := newUniverse(t, 300, 77, WithReplication())
+	loadEvents(t, s, 200, 78)
+	pairs := s.ReplicaPairs()
+	loaded := -1
+	for i, p := range pairs {
+		if p.Primary.Len() > 1 {
+			loaded = i
+			break
+		}
+	}
+	if loaded < 0 {
+		t.Fatal("no cell holds two events")
+	}
+	p := pairs[loaded]
+	before := *p.Primary.(antientropy.Summarizer).Summary()
+	before.Keys, before.First = slices.Clone(before.Keys), slices.Clone(before.First)
+
+	// The primary takes a second copy of its first event.
+	dup := p.Primary.Fetch(before.Keys[:1], nil)
+	if len(dup) != 1 {
+		t.Fatalf("fetched %d events for one held digest", len(dup))
+	}
+	p.Primary.Insert(dup[0])
+	if got := p.Primary.Len(); got != len(before.Keys)+1 {
+		t.Fatalf("primary holds %d events, want %d", got, len(before.Keys)+1)
+	}
+	after := p.Primary.(antientropy.Summarizer).Summary()
+	if !after.Equal(&before) {
+		t.Fatalf("summary moved with a duplicate: %+v, was %+v", after.Zero, before.Zero)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// So the pair is still in sync, one symbol confirms it, and nothing moves.
+	rec := antientropy.New(sim.NewScheduler(), net, router, antientropy.Config{}, s)
+	if moved := rec.RunRound(); moved != 0 {
+		t.Fatalf("round moved %d events for a duplicate", moved)
+	}
+	if rec.Symbols() != rec.Sessions() || rec.Sessions() != uint64(len(pairs)) {
+		t.Fatalf("%d sessions cost %d symbols over %d pairs, want one each", rec.Sessions(), rec.Symbols(), len(pairs))
+	}
+	if got := p.Replica.Len(); got != len(before.Keys) {
+		t.Fatalf("mirror holds %d events, want %d", got, len(before.Keys))
+	}
+}
+
+// The fault repairs and Load write a whole copy at once — a mirror
+// re-homed onto a fresh node, a primary dropped for want of a replica, a
+// dump restored over live cells — and each must end the life of the
+// summary it overwrites, also when the new contents differ from the old.
+func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
+	s, net, router := newUniverse(t, 300, 610, WithReplication())
+	loadEvents(t, s, 200, 611)
+	honest := func(after string) {
+		t.Helper()
+		if err := s.CheckSummaries(); err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		antientropy.Divergence(s)
+	}
+	honest("load")
+
+	// Two loaded cells that share no node.
+	var cells []Key
+	used := map[int]bool{}
+	for _, p := range s.ReplicaPairs() {
+		key := p.Primary.(cellPrimary).key
+		if p.Primary.Len() == 0 || used[p.Primary.Node()] || used[p.Replica.Node()] {
+			continue
+		}
+		used[p.Primary.Node()], used[p.Replica.Node()] = true, true
+		if cells = append(cells, key); len(cells) == 2 {
+			break
+		}
+	}
+	if len(cells) < 2 {
+		t.Fatal("no two loaded cells on distinct nodes")
+	}
+
+	// A mirror re-homed takes the primary's copy, which here holds an event
+	// the old mirror never saw.
+	a := cells[0]
+	extra := event.New(0.5, 0.5, 0.5)
+	extra.Seq = 90_000
+	cellPrimary{s: s, key: a}.Insert(extra)
+	honest("primary-only insert")
+	crash(t, s, net, router, s.mirrors[a])
+	honest("mirror re-homing")
+	if d := antientropy.Divergence(s); d != 0 {
+		t.Fatalf("divergence %d after the mirror took a fresh copy", d)
+	}
+
+	// A cell that has no mirror when its index node dies loses its events.
+	b := cells[1]
+	s.SetMirror(b, -1)
+	honest("mirror dropped")
+	crash(t, s, net, router, s.holder[b.Cell])
+	honest("unreplicated loss")
+	if n := (cellPrimary{s: s, key: b}).Len(); n != 0 {
+		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
+	}
+
+	// A dump loaded over live cells.
+	other, _, _ := newUniverse(t, 300, 612)
+	loadEvents(t, other, 50, 613)
+	var buf bytes.Buffer
+	if _, err := other.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	before := antientropy.Divergence(s)
+	if n, err := s.Load(&buf); err != nil || n != 50 {
+		t.Fatalf("Load = %d, %v", n, err)
+	}
+	honest("load over live cells")
+	if after := antientropy.Divergence(s); after != before {
+		t.Fatalf("divergence %d after Load, was %d: Load fills primary and mirror alike", after, before)
 	}
 }

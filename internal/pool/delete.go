@@ -53,7 +53,7 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 	rq, qBytes := s.plan.Query, dcs.QueryBytes(s.dims)
 	if mirror {
 		held := len(s.mirrorStore[key])
-		s.mirrorStore[key] = slices.DeleteFunc(s.mirrorStore[key], rq.Matches)
+		s.putMirror(key, slices.DeleteFunc(s.mirrorStore[key], rq.Matches))
 		return held - len(s.mirrorStore[key]), nil
 	}
 	removed := 0
@@ -77,9 +77,10 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 		seg.events = slices.DeleteFunc(seg.events, rq.Matches)
 		s.stored[seg.node] -= held - len(seg.events)
 		removed += held - len(seg.events)
+		s.putSegments(key, segs)
 	}
 	if m := s.Mirror(key); removed > 0 && m >= 0 {
-		s.mirrorStore[key] = slices.DeleteFunc(s.mirrorStore[key], rq.Matches)
+		s.putMirror(key, slices.DeleteFunc(s.mirrorStore[key], rq.Matches))
 		if m != node && !s.dead[m] {
 			if _, err := s.unicast(node, m, network.KindControl, qBytes); err != nil {
 				return removed, fmt.Errorf("pool: delete mirror: %w", err)

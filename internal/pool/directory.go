@@ -67,6 +67,12 @@ type Directory struct {
 	// Pool index node closest to a sink depends only on node positions,
 	// which never change, and on holder, so Reelect clears it.
 	memo [][]int32
+
+	// version counts the changes to holder, dead and mirrors, so what is
+	// derived from them alone (System.ReplicaPairs) is rebuilt only after
+	// one. Their writers — Reelect, MarkFailed, RecoverNode, ElectMirror,
+	// SetMirror — bump it.
+	version uint64
 }
 
 // NewDirectory lays out a deployment for events of the given
@@ -354,6 +360,9 @@ func (d *Directory) MarkFailed(id int) (bool, error) {
 	}
 	changed := !d.dead[id]
 	d.dead[id] = true
+	if changed {
+		d.version++
+	}
 	return changed, nil
 }
 
@@ -365,6 +374,7 @@ func (d *Directory) MarkFailed(id int) (bool, error) {
 func (d *Directory) RecoverNode(id int) {
 	if d.Failed(id) {
 		d.dead[id] = false
+		d.version++
 	}
 }
 
@@ -404,6 +414,7 @@ func (d *Directory) Orphaned() []CellID {
 // honest.
 func (d *Directory) Reelect(c CellID, to int) {
 	d.holder[c] = to
+	d.version++
 	for _, row := range d.memo {
 		clear(row)
 	}
@@ -439,7 +450,7 @@ func (d *Directory) ElectMirror(key Key, index int) int {
 	m, elected := d.mirrors[key]
 	if !elected {
 		m = d.Elect(key.Cell, index)
-		d.mirrors[key] = m
+		d.SetMirror(key, m)
 	}
 	if m < 0 || d.dead[m] {
 		return -1
@@ -448,7 +459,10 @@ func (d *Directory) ElectMirror(key Key, index int) int {
 }
 
 // SetMirror reassigns the cell's mirror; -1 records that it has none.
-func (d *Directory) SetMirror(key Key, node int) { d.mirrors[key] = node }
+func (d *Directory) SetMirror(key Key, node int) {
+	d.mirrors[key] = node
+	d.version++
+}
 
 // MirrorKeys returns every cell that has elected a mirror, in (dimension,
 // row, column) order.

@@ -56,7 +56,6 @@ func (s *System) FailNode(id int) error {
 
 	// Repair or drop storage segments held by the failed node.
 	for key, segs := range s.store {
-		changed := false
 		for i := range segs {
 			if segs[i].node != id {
 				continue
@@ -86,17 +85,14 @@ func (s *System) FailNode(id int) error {
 						segs[i] = segment{node: target, events: recovered}
 						s.stored[target] += len(recovered)
 						s.recoveryMsgs++
-						changed = true
+						s.putSegments(key, segs)
 						continue
 					}
 				}
 			}
 			// No replica: the segment's events are lost.
 			segs[i] = segment{node: s.holder[key.Cell]}
-			changed = true
-		}
-		if changed {
-			s.store[key] = segs
+			s.putSegments(key, segs)
 		}
 	}
 
@@ -138,10 +134,9 @@ func (s *System) recopyMirror(key Key, from, to int) error {
 	}
 	s.SetMirror(key, to)
 	if to < 0 {
-		delete(s.mirrorStore, key)
-	} else {
-		s.mirrorStore[key] = live
+		live = nil
 	}
+	s.putMirror(key, live)
 	return nil
 }
 

@@ -22,6 +22,8 @@ import (
 //     primary event also exists in the cell's mirror copy (mirrors may
 //     briefly hold deleted leftovers only if deletion skipped them, which
 //     Delete prevents).
+//  6. Every memoised set summary still valid equals the one recomputed
+//     from the copy's events (CheckSummaries).
 func (s *System) CheckInvariants() error {
 	if err := s.CheckDirectory(); err != nil {
 		return err
@@ -95,7 +97,7 @@ func (s *System) CheckInvariants() error {
 			}
 		}
 	}
-	return nil
+	return s.CheckSummaries()
 }
 
 // greatestDimSet returns the set of 1-based dimensions holding the

@@ -77,9 +77,9 @@ func (s *System) Load(r io.Reader) (int, error) {
 		active := &segs[len(segs)-1]
 		active.events = append(active.events, e)
 		s.stored[active.node]++
-		s.store[key] = segs
+		s.putSegments(key, segs)
 		if s.ElectMirror(key, index) >= 0 {
-			s.mirrorStore[key] = append(s.mirrorStore[key], e)
+			s.putMirror(key, append(s.mirrorStore[key], e))
 		}
 	}
 	return len(events), nil

@@ -3,6 +3,7 @@ package pool
 import (
 	"testing"
 
+	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/rng"
 )
@@ -69,8 +70,9 @@ func randomQuery(src *rng.Source) event.Query {
 // TestStateMachineAgainstOracle drives a replicated, workload-sharing
 // Pool system with a random operation sequence — inserts, queries,
 // deletes, node failures — comparing every query result against the
-// oracle and checking the internal invariants as it goes. This is the
-// repository's main randomized correctness harness.
+// oracle and checking the internal invariants as it goes, the memoised
+// set summaries after every single operation. This is the repository's
+// main randomized correctness harness.
 func TestStateMachineAgainstOracle(t *testing.T) {
 	const (
 		seeds      = 6
@@ -156,6 +158,13 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 					// the oracle never saw).
 					syncOracleAfterFailure(t, sys, o)
 				}
+
+				// Every copy's set summary was warm going into the op; whatever
+				// the op changed must have been invalidated.
+				if err := sys.CheckSummaries(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+				antientropy.Divergence(sys)
 
 				if op%25 == 0 {
 					if err := sys.CheckInvariants(); err != nil {

@@ -3,6 +3,7 @@ package pool
 import (
 	"fmt"
 
+	"pooldcs/internal/antientropy"
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/gpsr"
@@ -141,6 +142,15 @@ type System struct {
 	mirrorStore  map[Key][]event.Event
 	recoveryMsgs uint64
 
+	// Anti-entropy state (antientropy.go), replication only: the set
+	// summaries of the mirrored cells' copies with the scratch they are
+	// built in, and the replica pair list as of directory version pairsAt-1
+	// (0: never built).
+	summaries map[Key]*cellSummaries
+	digestBuf []uint64
+	pairs     []antientropy.Pair
+	pairsAt   uint64
+
 	// Continuous-query state (continuous.go).
 	subs    map[Key][]*Subscription
 	subSeq  uint64
@@ -186,6 +196,7 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 	s.arq.PathBuf = &s.pathBuf
 	if cfg.replicate {
 		s.mirrorStore = make(map[Key][]event.Event)
+		s.summaries = make(map[Key]*cellSummaries)
 	}
 	if cfg.reg != nil {
 		s.enableMetrics(cfg.reg)
@@ -278,7 +289,7 @@ func (s *System) storeEvent(key Key, index int, e event.Event, payload int) erro
 	}
 	active.events = append(active.events, e)
 	s.stored[active.node]++
-	s.store[key] = segs
+	s.putSegments(key, segs)
 	if s.replicate {
 		if err := s.mirrorEvent(key, index, e, payload); err != nil {
 			return err
@@ -297,7 +308,7 @@ func (s *System) mirrorEvent(key Key, index int, e event.Event, payload int) err
 	if _, err := s.unicast(index, mirror, network.KindInsert, payload); err != nil {
 		return fmt.Errorf("pool: mirror copy: %w", err)
 	}
-	s.mirrorStore[key] = append(s.mirrorStore[key], e)
+	s.putMirror(key, append(s.mirrorStore[key], e))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pooldcs/internal/antientropy"
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/network"
@@ -159,6 +160,17 @@ func TestTreeOperationsNameUnreachedCells(t *testing.T) {
 // operations go through whole.
 func TestTreeOperationsServedByMirror(t *testing.T) {
 	s, all, key, e, sink := silentCrash(t, WithReplication())
+	// The set summaries go into every step warm and must come out honest:
+	// the mirror's copy is pruned on its own here, and the restore then
+	// rewrites the primary from it.
+	honest := func(after string) {
+		t.Helper()
+		if err := s.CheckSummaries(); err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		antientropy.Divergence(s)
+	}
+	honest("load")
 	if n, err := s.Aggregate(sink, pointQuery(e), AggCount, 0); err != nil || n != 1 {
 		t.Errorf("COUNT = %v, %v; want 1 from the mirror", n, err)
 	}
@@ -169,11 +181,13 @@ func TestTreeOperationsServedByMirror(t *testing.T) {
 	if removed, err := s.Delete(sink, pointQuery(e)); err != nil || removed != 1 {
 		t.Errorf("delete removed %d, %v; want 1 at the mirror", removed, err)
 	}
+	honest("delete at the mirror")
 	// Once the failure is detected the restore takes only what the mirror
 	// still holds: the deleted event stays deleted.
 	if err := s.FailNode(s.holder[key.Cell]); err != nil {
 		t.Fatal(err)
 	}
+	honest("restore from the mirror")
 	got, comp, err := s.QueryWithReport(sink, fullDomain())
 	if err != nil || !comp.Complete() {
 		t.Fatalf("query after repair: %v, %+v", err, comp)

@@ -31,6 +31,21 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 				}
 				t.Skipf("%s exposes no replica pairs", f.Name)
 			}
+			// A store that memoises set summaries (Pool) must keep them honest
+			// through every step: each step leaves them warm (Divergence reads
+			// every one), so a write that forgot to invalidate fails the step
+			// after it. The rest of pool.CheckInvariants is not asked for here:
+			// the window this test opens breaks mirror coverage on purpose.
+			step := func(what string) {
+				t.Helper()
+				if c, ok := u.Sys.(interface{ CheckSummaries() error }); ok {
+					if err := c.CheckSummaries(); err != nil {
+						t.Fatalf("after %s: %v", what, err)
+					}
+				}
+				antientropy.Divergence(src)
+			}
+			step("load")
 			pairs := src.ReplicaPairs()
 			if len(pairs) == 0 {
 				if replicated[f.Name] {
@@ -56,6 +71,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			// the pair's Store interface.
 			victim := pairs[loaded].Replica.Node()
 			u.CrashSilent(victim)
+			step("silent crash")
 			n := u.Net.Layout().N()
 			for i := 0; i < 30; i++ {
 				origin := (victim + 1 + i*7) % n
@@ -67,11 +83,14 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 						t.Fatalf("insert %d: non-degradable error: %v", i, err)
 					}
 				}
+				step("insert")
 			}
 			for i := 0; i < 3; i++ {
 				pairs[loaded].Primary.Insert(eventAt(confDims, 20_000+i))
+				step("primary-only insert")
 			}
 			u.Recover(victim)
+			step("recover")
 
 			if antientropy.Divergence(src) == 0 {
 				t.Fatal("window closed with no divergence to repair")
@@ -80,6 +99,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			rec := antientropy.New(u.Sched, u.Net, u.Router, antientropy.Config{}, src)
 			for round := 0; round < 6 && !antientropy.Converged(src); round++ {
 				rec.RunRound()
+				step("round")
 			}
 			if errs := rec.Errs(); len(errs) != 0 {
 				t.Fatalf("reconciliation errors: %v", errs)
@@ -89,7 +109,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			}
 			for _, p := range src.ReplicaPairs() {
 				if !antientropy.PairInSync(p) {
-					t.Errorf("pair %s not in sync", p.Label)
+					t.Errorf("pair %s not in sync", p.ID)
 				}
 			}
 
