@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench-build race race-parallel fuzz chaos conformance smoke-bench micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
+.PHONY: build test vet bench-build bench-oracle race race-parallel fuzz chaos conformance smoke-bench micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,12 @@ $(COVER_TARGETS): cover-%:
 bench-build:
 	$(GO) vet -C bench ./...
 
+# The benchmark's own tests: its five in-process workloads, untraced and
+# traced, every answer checked against the oracle (tables_all skips under
+# -short). About 6 s, and five of the six workloads run the Pool store.
+bench-oracle:
+	$(GO) test -C bench -short ./...
+
 # Quick benchmark smoke: the disabled-registry hot path must stay
 # allocation-free (same for the disabled-tracer autopsy path), the
 # exposition writer must run, and the headline simulation benchmarks
@@ -173,7 +179,7 @@ micro-bench:
 loadtest:
 	$(GO) test -count=1 ./cmd/poolload ./internal/load
 
-check: build vet bench-build race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest
+check: build vet bench-build bench-oracle race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest
 
 # Full benchmark sweep, archived as machine-readable JSON
 # (BENCH_<date>.json) via cmd/benchjson for cross-commit diffing, with
@@ -206,8 +212,7 @@ bench-compare:
 # twice, with the modelled metrics of the two sets compared bit for bit.
 # Takes minutes, so it is not part of `check`; run it before and after
 # any change that claims or risks a speed difference.
-bench-e2e:
-	$(GO) test -C bench -short ./...
+bench-e2e: bench-oracle
 	$(GO) run -C bench . -all -repeat 2 -check
 
 # Before/after measurement of one benchmark workload by alternating

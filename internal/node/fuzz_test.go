@@ -120,7 +120,7 @@ func FuzzQueryUnderFaults(f *testing.F) {
 		if got := fx.engine.RepairsInFlight(); got != 0 {
 			t.Errorf("%d repairs still in flight after the drain", got)
 		}
-		checkStoreInvariants(t, fx)
+		checkStores(t, fx.engine)
 		for _, err := range fx.engine.Errors() {
 			t.Errorf("non-degradable transport error: %v", err)
 		}
@@ -133,9 +133,9 @@ func FuzzQueryUnderFaults(f *testing.F) {
 // invariants hold no matter what arrives:
 //
 //   - no panic;
-//   - per-node stored counters stay consistent with store contents;
-//   - no event is duplicated within a node's cell segment;
-//   - dead nodes hold no primary data;
+//   - the store passes the Store's own check (counters consistent with
+//     the segments, dead nodes holding no primary data) and no event is
+//     duplicated within a node's cell segment;
 //   - the repair still converges once the scheduler drains, with every
 //     cell held by an alive node;
 //   - no non-degradable transport errors surface.
@@ -182,7 +182,7 @@ func FuzzRepairPackets(f *testing.F) {
 		}
 		fx.sched.Run()
 
-		checkStoreInvariants(t, fx)
+		checkStores(t, fx.engine)
 		if got := fx.engine.RepairsInFlight(); got != 0 {
 			t.Errorf("%d repairs still in flight after drain", got)
 		}
@@ -195,31 +195,27 @@ func FuzzRepairPackets(f *testing.F) {
 	})
 }
 
-// checkStoreInvariants verifies per-node storage consistency: counter
-// accuracy, no duplicate sequence numbers per segment, no data on dead
-// nodes, and only valid events stored.
-func checkStoreInvariants(t *testing.T, fx *repairFixture) {
+// checkStores holds the engine's store to the Store's own check — rules 2
+// and 3 of pool.CheckInvariants, which hold in every state: no events at a
+// dead node, counters equal to the segments — plus what only the actor
+// promises: every event it holds is valid and no segment holds a seq
+// twice, the restore rule's dedupe. (The spec cannot promise the latter:
+// Load over live cells repeats seqs.)
+func checkStores(t *testing.T, e *Engine) {
 	t.Helper()
-	for i, m := range fx.engine.store {
-		total := 0
-		for key, evs := range m {
-			seen := map[uint64]bool{}
-			for _, ev := range evs {
-				if seen[ev.Seq] {
-					t.Errorf("node %d key %+v: duplicate event %d", i, key, ev.Seq)
-				}
-				seen[ev.Seq] = true
-				if ev.Validate() != nil {
-					t.Errorf("node %d key %+v: invalid event %d stored", i, key, ev.Seq)
-				}
-			}
-			total += len(evs)
-		}
-		if total != fx.engine.stored[i] {
-			t.Errorf("node %d: stored counter %d, actual %d", i, fx.engine.stored[i], total)
-		}
-		if fx.engine.Failed(i) && total != 0 {
-			t.Errorf("dead node %d holds %d events", i, total)
-		}
+	if err := e.CheckStore(); err != nil {
+		t.Error(err)
 	}
+	e.EachSegment(func(key pool.Key, node int, events []event.Event) {
+		seen := map[uint64]bool{}
+		for _, ev := range events {
+			if seen[ev.Seq] {
+				t.Errorf("node %d key %+v: duplicate event %d", node, key, ev.Seq)
+			}
+			seen[ev.Seq] = true
+			if ev.Validate() != nil {
+				t.Errorf("node %d key %+v: invalid event %d stored", node, key, ev.Seq)
+			}
+		}
+	})
 }

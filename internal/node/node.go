@@ -12,9 +12,10 @@
 // acknowledgements from their cells before answering, concurrent
 // operations interleave, and — in repair.go — a crashed index node's
 // role is re-claimed and its mirrored state pulled back hop by hop
-// while live queries compete for the same radio. Equivalence tests in
-// node_test.go and the internal/systemtest conformance harness check
-// both implementations return identical result sets on identical
+// while live queries compete for the same radio. Both write through the
+// same pool.Store. Equivalence tests in node_test.go and the
+// internal/systemtest conformance harness check both implementations
+// hold identical stores and return identical result sets on identical
 // workloads, before and after faults.
 //
 // Scope: insertion, range queries, replication, and message-driven
@@ -90,10 +91,14 @@ func WithReplication() Option {
 
 // Engine owns the actors. What the paper assumes is predeployed
 // knowledge — pools, pivots, index-node designations, membership, mirror
-// assignments — is the embedded Directory, the same type with the same
-// rules the synchronous pool.System embeds.
+// assignments — is the embedded Directory, and what the actors' cells hold
+// — segments, mirror copies, per-node counts — is the embedded Store: the
+// same types, with the same rules and the same writes, the synchronous
+// pool.System embeds. The engine adds how the Store's moves are carried:
+// sends, repair packets, and the transfers in flight.
 type Engine struct {
 	*pool.Directory
+	*pool.Store
 
 	layout *field.Layout
 	router *gpsr.Router
@@ -110,17 +115,8 @@ type Engine struct {
 	svcDepth    []int
 	svcMaxDepth int
 
-	// Per-node storage: the state each actor owns. stored counts events
-	// per primary holder (mirror copies excluded), matching
-	// pool.System's accounting.
-	store  []map[pool.Key][]event.Event
-	stored []int
-
-	// mirrorStore holds the mirror copies, keyed like the directory's
-	// mirror assignments (nil without replication).
-	mirrorStore map[pool.Key][]event.Event
-
-	// Repair-protocol state (repair.go).
+	// Repair-protocol state (repair.go): the elections and transfers in
+	// flight, and the cells whose restore is still streaming.
 	repairs      map[int]*repairRun
 	elects       map[pool.CellID]*electTask
 	xfers        map[pool.Key]*xferTask
@@ -250,7 +246,7 @@ type write struct {
 	key    pool.Key
 	ev     event.Event
 	index  int32  // the primary holder; unused by a mirror copy
-	mirror bool   // a mirror copy: lands in mirrorStore, acknowledges nobody
+	mirror bool   // a copy for the cell's mirror: acknowledges nobody
 	span   uint64 // the insert's span (0 untraced, and on mirror copies)
 	done   func()
 }
@@ -286,13 +282,12 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 	}
 	e := &Engine{
 		Directory:    dir,
+		Store:        pool.NewStore(dir),
 		layout:       layout,
 		router:       router,
 		net:          net,
 		sched:        sched,
 		hopLatency:   DefaultHopLatency,
-		store:        make([]map[pool.Key][]event.Event, layout.N()),
-		stored:       make([]int, layout.N()),
 		repairs:      make(map[int]*repairRun),
 		elects:       make(map[pool.CellID]*electTask),
 		xfers:        make(map[pool.Key]*xferTask),
@@ -301,12 +296,6 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 		tracer:       cfg.tracer,
 	}
 	e.hid = sched.Register(e)
-	for i := range e.store {
-		e.store[i] = make(map[pool.Key][]event.Event)
-	}
-	if cfg.replicate {
-		e.mirrorStore = make(map[pool.Key][]event.Event)
-	}
 	return e, nil
 }
 
@@ -331,13 +320,7 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 	reg.HistogramOf("node_repair_latency_ms", "crash-to-convergence latency of message-driven repairs",
 		e.repairHist)
 	reg.NodeGaugeFunc("node_stored_events", "events held per actor node", e.layout.N(),
-		func(i int) float64 {
-			var n float64
-			for _, evs := range e.store[i] {
-				n += float64(len(evs))
-			}
-			return n
-		})
+		func(i int) float64 { return float64(e.Stored(i)) })
 }
 
 // enter makes span the ambient tracer span until the matching leave, and
@@ -608,7 +591,7 @@ func (e *Engine) writeSettled(wi int32, err error) {
 	case err != nil:
 		e.tracer.EndSpan(w.span)
 	case w.mirror:
-		e.mirrorStore[w.key] = append(e.mirrorStore[w.key], w.ev)
+		e.AppendMirror(w.key, w.ev)
 	default:
 		e.storeEvent(w.key, int(w.index), w.ev, true)
 		e.tracer.EndSpan(w.span)
@@ -637,25 +620,16 @@ func (e *Engine) Preload(origin int, ev event.Event) error {
 // viaRadio selects whether the mirror copy is a real
 // exchange or a preload-time bookkeeping write.
 func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bool) {
-	e.store[index][key] = append(e.store[index][key], ev)
-	e.stored[index]++
+	e.Append(key, index, ev)
 	mirror := e.ElectMirror(key, index)
 	if mirror < 0 {
 		return
 	}
 	if !viaRadio {
-		e.mirrorStore[key] = append(e.mirrorStore[key], ev)
+		e.AppendMirror(key, ev)
 		return
 	}
 	wi := e.writes.alloc()
 	*e.writes.at(wi) = write{key: key, ev: ev, mirror: true}
 	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.Dims()), recWrite, wi)
-}
-
-// StorageLoad implements dcs.StorageReporter: events currently held by
-// each node as primary (mirror copies excluded, matching pool.System).
-func (e *Engine) StorageLoad() []int {
-	out := make([]int, len(e.stored))
-	copy(out, e.stored)
-	return out
 }

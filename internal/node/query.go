@@ -317,9 +317,9 @@ func (e *Engine) serveCell(li int32) {
 	l := e.legs.at(li)
 	var held []event.Event
 	if l.target != l.index {
-		held = e.mirrorStore[l.key]
+		held = e.MirrorCopy(l.key)
 	} else {
-		held, l.partial = e.store[l.target][l.key], e.transferring[l.key]
+		held, l.partial = e.Held(l.key, int(l.target)), e.transferring[l.key]
 	}
 	e.matchBuf = e.ops.at(l.op).plan.Query.AppendMatches(e.matchBuf[:0], held)
 	l.matches = event.CloneEvents(e.matchBuf)

@@ -192,7 +192,7 @@ func TestActorQuerySteadyAllocs(t *testing.T) {
 		matched := false
 		for _, fo := range plan.Fanouts {
 			for _, c := range fo.Cells {
-				held := f.engine.store[f.engine.IndexNode(c)][pool.Key{Dim: fo.Pool.Dim, Cell: c}]
+				held := f.engine.Held(pool.Key{Dim: fo.Pool.Dim, Cell: c}, f.engine.IndexNode(c))
 				if len(plan.Query.Filter(held)) > 0 {
 					bound++ // the cell's snapshot
 					matched = true

@@ -1,19 +1,21 @@
 // Message-driven fault repair: the actor-engine counterpart of the
-// synchronous pool.System.FailNode. Where the synchronous repair
-// mutates holder and mirror maps from a global vantage point and
-// charges a single bulk transfer per restored segment, this protocol
-// runs the same decisions as real multi-hop control exchanges on the
-// scheduler:
+// synchronous pool.System.FailNode. Both apply the same directory rules
+// (Elect, MirrorFor, SetMirror) and the same pool.Store moves — Crash
+// loses the victim's RAM; Restore lands a pulled chunk; Append and
+// ReplaceMirror adopt and re-home a copy — so after a drained repair both
+// hold identical holder maps, stores and mirror assignments, which the
+// systemtest equivalence suite checks. What this file adds is how the
+// moves travel: where the synchronous repair charges one bulk transfer
+// per restored segment, this protocol runs them as multi-hop control
+// exchanges on the scheduler:
 //
 //  1. Suspicion — the alive node closest to the victim becomes the
 //     repair initiator and announces the suspicion to the candidate of
 //     every orphaned cell (repairSuspect).
-//  2. Re-election — each candidate (the alive node closest to the cell
-//     centre, the directory's Elect: the exact rule the synchronous
-//     repair applies) claims the index role back to the initiator
-//     (repairClaim) and is granted it (repairGrant). The grant flips
-//     the cell's holder: inserts and queries issued afterwards route to
-//     the new index node.
+//  2. Re-election — each candidate (Elect's pick) claims the index role
+//     back to the initiator (repairClaim) and is granted it
+//     (repairGrant). The grant flips the cell's holder: inserts and
+//     queries issued afterwards route to the new index node.
 //  3. State transfer — the new holder pulls the cell's mirrored events
 //     hop by hop (repairPull, then stop-and-wait repairChunk /
 //     repairChunkAck rounds of at most repairChunkEvents events).
@@ -24,9 +26,7 @@
 //     from the primary to a fresh mirror (repairMirror announce, then
 //     the same chunk rounds), and a re-election that lands the index
 //     role on the cell's own mirror splits the roles again by moving
-//     the copy one node over — both matching the synchronous policy,
-//     so after a drained repair both implementations hold identical
-//     holder maps, stores, and mirror assignments.
+//     the copy one node over, as the synchronous repair does.
 //
 // Every repair frame is network.KindControl: repair traffic competes
 // with live queries for the same radio, which is what the churn
@@ -101,7 +101,7 @@ type repairTask interface {
 }
 
 func (t *electTask) aborted(e *Engine) { e.electAborted(t) }
-func (t *xferTask) aborted(e *Engine)  { e.xferAborted(t) }
+func (t *xferTask) aborted(e *Engine)  { e.xferEnd(t, false) }
 
 // repairRun tracks one victim's repair from suspicion to convergence.
 type repairRun struct {
@@ -188,12 +188,12 @@ func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 }
 
 // FailNode implements dcs.Degradable (Failed and RecoverNode are the
-// directory's): it marks the node dead — the
-// radio goes silent immediately, its storage is gone — and launches the
-// message-driven repair. The call returns as soon as the first
-// suspicion packets are scheduled; the repair itself converges over
-// virtual time as the exchanges play out. The error covers only the
-// unrecoverable case of no surviving node.
+// directory's): it marks the node dead — the radio goes silent
+// immediately, its storage is gone — and launches the message-driven
+// repair. The call returns as soon as the first suspicion packets are
+// scheduled; the repair itself converges over virtual time as the
+// exchanges play out. The error covers only the unrecoverable case of no
+// surviving node.
 func (e *Engine) FailNode(victim int) error {
 	if changed, err := e.MarkFailed(victim); err != nil || !changed {
 		return err
@@ -201,14 +201,7 @@ func (e *Engine) FailNode(victim int) error {
 	// A crashed mote loses its RAM: primary segments, queued state, and
 	// any mirror copies it kept — a later recovery must never let those
 	// serve phantom data.
-	e.store[victim] = make(map[pool.Key][]event.Event)
-	e.stored[victim] = 0
-	mirrored := e.MirrorKeys()
-	for _, key := range mirrored {
-		if e.Mirror(key) == victim {
-			delete(e.mirrorStore, key)
-		}
-	}
+	e.Crash(victim)
 
 	initiator := e.NearestAlive(e.layout.Pos(victim), -1)
 	if initiator < 0 {
@@ -242,7 +235,7 @@ func (e *Engine) FailNode(victim int) error {
 	// cell is also being re-elected defers until the grant lands, because
 	// the re-copy reads from the post-election primary.
 	var rehomes []pool.Key
-	for _, key := range mirrored {
+	for _, key := range e.MirrorKeys() {
 		if e.Failed(e.Mirror(key)) && e.xfers[key] == nil {
 			rehomes = append(rehomes, key)
 		}
@@ -260,7 +253,7 @@ func (e *Engine) FailNode(victim int) error {
 			t.rehomes = append(t.rehomes, key)
 			continue
 		}
-		e.startRehome(run, initiator, key)
+		e.startRehome(run, key)
 	}
 
 	if run.pending > 0 {
@@ -342,7 +335,7 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		if t == nil || t.toMirror || pkt.from != t.dest || pkt.to != t.source || t.chunks != nil {
 			return
 		}
-		t.chunks = chunked(e.mirrorStore[pkt.key])
+		t.chunks = chunked(e.MirrorCopy(pkt.key))
 		e.shipChunk(t)
 
 	case repairChunk:
@@ -351,9 +344,16 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 			return
 		}
 		t.recvNext++
-		e.adoptChunk(t, pkt.events)
+		// The chunk lands by the Store's restore rule. A holder's segment
+		// grows as chunks land — what makes a mid-transfer query see a
+		// growing slice; a new mirror stages its copy until the last one.
+		if t.toMirror {
+			t.got = e.AppendRestored(t.got, pkt.events)
+		} else {
+			e.Restore(t.key, t.dest, pkt.events)
+		}
 		if pkt.last {
-			e.xferDone(t)
+			e.xferEnd(t, true)
 			return
 		}
 		e.sendRepair(repairPacket{
@@ -399,7 +399,7 @@ func (e *Engine) electGranted(t *electTask) {
 			e.adoptMirrorLocally(t.run, key, t.candidate)
 			continue
 		}
-		if len(e.mirrorStore[key]) == 0 {
+		if len(e.MirrorCopy(key)) == 0 {
 			continue
 		}
 		x := &xferTask{run: t.run, key: key, source: m, dest: t.candidate}
@@ -415,61 +415,42 @@ func (e *Engine) electGranted(t *electTask) {
 	delete(e.elects, t.cell)
 	e.taskDone(t.run)
 	for _, key := range rehomes {
-		e.startRehome(t.run, t.initiator, key)
+		e.startRehome(t.run, key)
 	}
 }
 
 // adoptMirrorLocally handles re-election landing on the cell's own
 // mirror: the candidate already holds the copy, so it adopts it as
 // primary without radio traffic, then splits the roles again by moving
-// the mirror copy to the next-closest alive node — the synchronous
-// repair's role-split pass.
+// the mirror copy on — the synchronous repair's role-split pass.
 func (e *Engine) adoptMirrorLocally(run *repairRun, key pool.Key, candidate int) {
-	copied := append([]event.Event(nil), e.mirrorStore[key]...)
-	e.store[candidate][key] = append(e.store[candidate][key], copied...)
-	e.stored[candidate] += len(copied)
-	next := e.Elect(key.Cell, candidate)
-	if next < 0 {
-		e.SetMirror(key, -1)
-		delete(e.mirrorStore, key)
-		return
+	copied := e.MirrorCopy(key)
+	for _, ev := range copied {
+		e.Append(key, candidate, ev)
 	}
-	if len(copied) == 0 {
-		e.SetMirror(key, next)
-		e.mirrorStore[key] = nil
-		return
-	}
-	e.startMirrorCopy(run, key, candidate, next, copied)
+	e.startMirrorCopy(run, key, candidate, copied)
 }
 
 // startRehome re-copies a key whose mirror died from its (possibly
 // re-elected) primary holder to a fresh mirror node.
-func (e *Engine) startRehome(run *repairRun, initiator int, key pool.Key) {
+func (e *Engine) startRehome(run *repairRun, key pool.Key) {
 	index := e.IndexNode(key.Cell)
-	next := e.Elect(key.Cell, index)
-	if next < 0 {
-		e.SetMirror(key, -1)
-		delete(e.mirrorStore, key)
-		return
-	}
-	live := append([]event.Event(nil), e.store[index][key]...)
-	if len(live) == 0 || index == next {
-		// Nothing to ship (or the primary is its own best mirror — the
-		// role split of a later failure will separate them): flip the
-		// assignment without radio traffic, as the synchronous re-home
-		// does for empty copies.
-		e.SetMirror(key, next)
-		e.mirrorStore[key] = live
-		return
-	}
-	e.startMirrorCopy(run, key, index, next, live)
+	e.startMirrorCopy(run, key, index, e.Held(key, index))
 }
 
-// startMirrorCopy streams a staged copy from source to a new mirror:
-// a repairMirror announce, then chunk rounds. The mirror assignment
-// flips only when the full copy has landed — a cell never claims
-// phantom replica data.
-func (e *Engine) startMirrorCopy(run *repairRun, key pool.Key, source, dest int, events []event.Event) {
+// startMirrorCopy hands the cell's mirror role to the alive node closest
+// to the cell centre other than source, streaming it source's copy: a
+// repairMirror announce, then chunk rounds. The assignment flips only
+// when the full copy has landed — a cell never claims phantom replica
+// data — or at once, without radio traffic, when there is no node to take
+// the copy or nothing to ship, as the synchronous re-home does.
+func (e *Engine) startMirrorCopy(run *repairRun, key pool.Key, source int, events []event.Event) {
+	dest := e.Elect(key.Cell, source)
+	if dest < 0 || len(events) == 0 {
+		e.SetMirror(key, dest)
+		e.ReplaceMirror(key, nil)
+		return
+	}
 	x := &xferTask{
 		run: run, key: key, source: source, dest: dest,
 		toMirror: true, chunks: chunked(events),
@@ -496,60 +477,27 @@ func (e *Engine) shipChunk(t *xferTask) {
 	}, t)
 }
 
-// adoptChunk lands one chunk at the destination. Restored events append
-// straight into the holder's store — this is what makes a mid-transfer
-// query see a growing slice. Events already present (duplicated or
-// replayed frames) and events that fail validation are dropped.
-func (e *Engine) adoptChunk(t *xferTask, events []event.Event) {
-	for _, ev := range events {
-		if ev.Validate() != nil || ev.Dims() != e.Dims() {
-			continue
-		}
-		if t.toMirror {
-			if !hasSeq(t.got, ev.Seq) {
-				t.got = append(t.got, ev)
-			}
-			continue
-		}
-		if !hasSeq(e.store[t.dest][t.key], ev.Seq) {
-			e.store[t.dest][t.key] = append(e.store[t.dest][t.key], ev)
-			e.stored[t.dest]++
-		}
-	}
-}
-
-// xferDone completes a transfer: a restored holder stops advertising
-// the transfer (queries are complete again), a new mirror adopts the
-// copy and the assignment flips.
-func (e *Engine) xferDone(t *xferTask) {
+// xferEnd retires a transfer that landed or was cut short by further
+// failures. A restored holder stops advertising the transfer: complete,
+// its queries are complete again; cut short, it keeps whatever slice
+// landed and serves it as the cell's (diminished) truth — the synchronous
+// repair likewise loses an unreachable segment outright. A new mirror
+// adopts a copy that landed and the assignment flips; an undeliverable
+// one is dropped entirely, never claiming phantom data.
+func (e *Engine) xferEnd(t *xferTask, landed bool) {
 	if e.xfers[t.key] != t {
 		return
 	}
 	delete(e.xfers, t.key)
-	if t.toMirror {
-		e.mirrorStore[t.key] = t.got
+	switch {
+	case !t.toMirror:
+		delete(e.transferring, t.key)
+	case landed:
+		e.ReplaceMirror(t.key, t.got)
 		e.SetMirror(t.key, t.dest)
-	} else {
-		delete(e.transferring, t.key)
-	}
-	e.taskDone(t.run)
-}
-
-// xferAborted abandons a transfer cut short by further failures. A
-// half-restored holder keeps whatever slice landed and resumes serving
-// it as the cell's (diminished) truth — the synchronous repair likewise
-// loses an unreachable segment outright; an undeliverable mirror copy
-// is dropped entirely, never claiming phantom data.
-func (e *Engine) xferAborted(t *xferTask) {
-	if e.xfers[t.key] != t {
-		return
-	}
-	delete(e.xfers, t.key)
-	if t.toMirror {
+	default:
 		e.SetMirror(t.key, -1)
-		delete(e.mirrorStore, t.key)
-	} else {
-		delete(e.transferring, t.key)
+		e.ReplaceMirror(t.key, nil)
 	}
 	e.taskDone(t.run)
 }
@@ -621,13 +569,4 @@ func chunked(events []event.Event) [][]event.Event {
 		events = events[n:]
 	}
 	return out
-}
-
-func hasSeq(events []event.Event, seq uint64) bool {
-	for _, ev := range events {
-		if ev.Seq == seq {
-			return true
-		}
-	}
-	return false
 }

@@ -3,7 +3,7 @@ package node
 import (
 	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -278,18 +278,15 @@ func TestRepairMessageDeterminism(t *testing.T) {
 		for c, n := range f.holders() {
 			holders[c.String()] = n
 		}
+		checkStores(t, f.engine)
 		stores := map[int][]uint64{}
-		for i, m := range f.engine.store {
-			var seqs []uint64
-			for _, evs := range m {
-				for _, e := range evs {
-					seqs = append(seqs, e.Seq)
-				}
+		f.engine.EachSegment(func(_ pool.Key, node int, events []event.Event) {
+			for _, e := range events {
+				stores[node] = append(stores[node], e.Seq)
 			}
-			sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-			if len(seqs) > 0 {
-				stores[i] = seqs
-			}
+		})
+		for _, seqs := range stores {
+			slices.Sort(seqs)
 		}
 		return outcome{
 			counters: f.net.Diff(before),

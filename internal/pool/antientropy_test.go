@@ -32,7 +32,7 @@ func TestMirrorDivergenceRepairedByReconciliation(t *testing.T) {
 	var victim Key
 	mirror := -1
 	for _, key := range s.MirrorKeys() {
-		if m := s.mirrors[key]; m >= 0 && len(s.mirrorStore[key]) > 0 {
+		if m := s.mirrors[key]; m >= 0 && len(s.copies[key]) > 0 {
 			victim, mirror = key, m
 			break
 		}
@@ -104,7 +104,7 @@ func TestReconcilerPushesMirrorOnlyEventsBack(t *testing.T) {
 	var key Key
 	found := false
 	for _, k := range s.MirrorKeys() {
-		if s.mirrors[k] >= 0 && len(s.mirrorStore[k]) > 0 {
+		if s.mirrors[k] >= 0 && len(s.copies[k]) > 0 {
 			key, found = k, true
 			break
 		}
@@ -114,7 +114,7 @@ func TestReconcilerPushesMirrorOnlyEventsBack(t *testing.T) {
 	}
 	orphan := event.New(0.5, 0.5, 0.5)
 	orphan.Seq = 99_999
-	s.mirrorStore[key] = append(s.mirrorStore[key], orphan)
+	s.AppendMirror(key, orphan)
 	if antientropy.Divergence(s) != 1 {
 		t.Fatalf("divergence %d after orphan injection, want 1", antientropy.Divergence(s))
 	}
@@ -153,7 +153,7 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	mirror := -1
 	var key Key
 	for _, k := range s.MirrorKeys() {
-		if m := s.mirrors[k]; m >= 0 && len(s.mirrorStore[k]) > 0 {
+		if m := s.mirrors[k]; m >= 0 && len(s.copies[k]) > 0 {
 			mirror, key = m, k
 			break
 		}
@@ -165,7 +165,7 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	// work it cannot finish.
 	orphan := event.New(0.25, 0.75, 0.5)
 	orphan.Seq = 88_888
-	s.mirrorStore[key] = append(s.mirrorStore[key], orphan)
+	s.AppendMirror(key, orphan)
 
 	router.Exclude(mirror)
 	net.FailNode(mirror)
@@ -265,7 +265,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	var cells []Key
 	used := map[int]bool{}
 	for _, p := range s.ReplicaPairs() {
-		key := p.Primary.(cellPrimary).key
+		key := p.Primary.(cellCopy).key
 		if p.Primary.Len() == 0 || used[p.Primary.Node()] || used[p.Replica.Node()] {
 			continue
 		}
@@ -283,7 +283,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	a := cells[0]
 	extra := event.New(0.5, 0.5, 0.5)
 	extra.Seq = 90_000
-	cellPrimary{s: s, key: a}.Insert(extra)
+	cellCopy{st: s.Store, key: a}.Insert(extra)
 	honest("primary-only insert")
 	crash(t, s, net, router, s.mirrors[a])
 	honest("mirror re-homing")
@@ -297,7 +297,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	honest("mirror dropped")
 	crash(t, s, net, router, s.holder[b.Cell])
 	honest("unreplicated loss")
-	if n := (cellPrimary{s: s, key: b}).Len(); n != 0 {
+	if n := (cellCopy{st: s.Store, key: b}).Len(); n != 0 {
 		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
 	}
 

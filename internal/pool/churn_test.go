@@ -69,7 +69,7 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 	// Find a loaded cell and fail its mirror first, then its primary.
 	var key Key
 	found := false
-	for k, segs := range s.store {
+	for k, segs := range s.segs {
 		if len(segs) > 0 && len(segs[0].events) > 0 && s.mirrors[k] >= 0 {
 			key, found = k, true
 			break
@@ -238,7 +238,7 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 	// Only fail the victim if it holds primaries (not a pure delegate or
 	// mirror): pick the holder of a loaded cell instead.
 	var key Key
-	for k, segs := range s.store {
+	for k, segs := range s.segs {
 		if len(segs) > 0 && len(segs[0].events) > 0 && s.holder[k.Cell] == segs[0].node {
 			key = k
 			break

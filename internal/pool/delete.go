@@ -52,14 +52,10 @@ func (s *System) Delete(sink int, q event.Query) (int, error) {
 func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 	rq, qBytes := s.plan.Query, dcs.QueryBytes(s.dims)
 	if mirror {
-		held := len(s.mirrorStore[key])
-		s.putMirror(key, slices.DeleteFunc(s.mirrorStore[key], rq.Matches))
-		return held - len(s.mirrorStore[key]), nil
+		return s.PruneMirror(key, rq.Matches), nil
 	}
 	removed := 0
-	segs := s.store[key]
-	for i := range segs {
-		seg := &segs[i]
+	for i, seg := range s.segs[key] {
 		if !slices.ContainsFunc(seg.events, rq.Matches) {
 			continue
 		}
@@ -73,14 +69,10 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 				return removed, fmt.Errorf("pool: delete delegate ack: %w", err)
 			}
 		}
-		held := len(seg.events)
-		seg.events = slices.DeleteFunc(seg.events, rq.Matches)
-		s.stored[seg.node] -= held - len(seg.events)
-		removed += held - len(seg.events)
-		s.putSegments(key, segs)
+		removed += s.Prune(key, i, rq.Matches)
 	}
 	if m := s.Mirror(key); removed > 0 && m >= 0 {
-		s.putMirror(key, slices.DeleteFunc(s.mirrorStore[key], rq.Matches))
+		s.PruneMirror(key, rq.Matches)
 		if m != node && !s.dead[m] {
 			if _, err := s.unicast(node, m, network.KindControl, qBytes); err != nil {
 				return removed, fmt.Errorf("pool: delete mirror: %w", err)

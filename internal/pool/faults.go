@@ -54,46 +54,31 @@ func (s *System) FailNode(id int) error {
 		s.Reelect(cell, next)
 	}
 
-	// Repair or drop storage segments held by the failed node.
-	for key, segs := range s.store {
-		for i := range segs {
-			if segs[i].node != id {
+	// Hand the failed node's segments to their cells' index nodes, restored
+	// from an alive mirror's copy where the transfer gets through.
+	for _, l := range s.Crash(id) {
+		target := s.holder[l.Key.Cell]
+		mirror, ok := s.MirrorFor(l.Key, -1)
+		if !ok {
+			s.Handover(l, target, nil)
+			continue
+		}
+		recovered := intersectBySeq(s.MirrorCopy(l.Key), l.Events)
+		if target != mirror {
+			if _, err := s.unicast(mirror, target,
+				network.KindControl, dcs.ReplyBytes(s.dims, len(recovered))); err != nil {
+				if !dcs.IsDegradable(err) {
+					return fmt.Errorf("pool: recovery transfer: %w", err)
+				}
+				// The mirror is partitioned from the new index node: the
+				// segment cannot be restored now and its events are lost
+				// with the primary.
+				s.Handover(l, target, nil)
 				continue
 			}
-			lost := segs[i].events
-			s.stored[id] -= len(lost)
-			if s.replicate {
-				if mirror, ok := s.MirrorFor(key, -1); ok {
-					// Restore the segment from the mirror copy onto the
-					// cell's (possibly re-elected) index node.
-					target := s.holder[key.Cell]
-					recovered := intersectBySeq(s.mirrorStore[key], lost)
-					transferred := true
-					if target != mirror {
-						if _, err := s.unicast(mirror, target,
-							network.KindControl, dcs.ReplyBytes(s.dims, len(recovered))); err != nil {
-							if !dcs.IsDegradable(err) {
-								return fmt.Errorf("pool: recovery transfer: %w", err)
-							}
-							// The mirror is partitioned from the new index
-							// node: the segment cannot be restored now and
-							// its events are lost with the primary.
-							transferred = false
-						}
-					}
-					if transferred {
-						segs[i] = segment{node: target, events: recovered}
-						s.stored[target] += len(recovered)
-						s.recoveryMsgs++
-						s.putSegments(key, segs)
-						continue
-					}
-				}
-			}
-			// No replica: the segment's events are lost.
-			segs[i] = segment{node: s.holder[key.Cell]}
-			s.putSegments(key, segs)
 		}
+		s.Handover(l, target, recovered)
+		s.recoveryMsgs++
 	}
 
 	// A mirror the failed node held is re-homed, and so is one that
@@ -118,7 +103,7 @@ func (s *System) FailNode(id int) error {
 // until the next failure re-elects one: never claim phantom data.
 func (s *System) recopyMirror(key Key, from, to int) error {
 	var live []event.Event
-	for _, seg := range s.store[key] {
+	for _, seg := range s.segs[key] {
 		live = append(live, seg.events...)
 	}
 	if to >= 0 && len(live) > 0 {
@@ -136,7 +121,7 @@ func (s *System) recopyMirror(key Key, from, to int) error {
 	if to < 0 {
 		live = nil
 	}
-	s.putMirror(key, live)
+	s.ReplaceMirror(key, live)
 	return nil
 }
 

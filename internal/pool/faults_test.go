@@ -38,7 +38,7 @@ func fullDomain() event.Query {
 func TestReplicationCopiesEveryEvent(t *testing.T) {
 	_, repl, all := loadedSystems(t, 120, 200)
 	copies := 0
-	for _, events := range repl.mirrorStore {
+	for _, events := range repl.copies {
 		copies += len(events)
 	}
 	if copies != len(all) {

@@ -3,7 +3,6 @@ package pool
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"pooldcs/internal/event"
 	"pooldcs/internal/wire"
@@ -15,26 +14,8 @@ import (
 // coordinates are implied by Theorem 3.1, so only the events themselves
 // need to travel.
 func (s *System) Dump(w io.Writer) (int, error) {
-	keys := make([]Key, 0, len(s.store))
-	for key := range s.store {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Dim != b.Dim {
-			return a.Dim < b.Dim
-		}
-		if a.Cell.X != b.Cell.X {
-			return a.Cell.X < b.Cell.X
-		}
-		return a.Cell.Y < b.Cell.Y
-	})
 	var events []event.Event
-	for _, key := range keys {
-		for _, seg := range s.store[key] {
-			events = append(events, seg.events...)
-		}
-	}
+	s.EachSegment(func(_ Key, _ int, held []event.Event) { events = append(events, held...) })
 	buf, err := wire.AppendEvents(nil, events)
 	if err != nil {
 		return 0, fmt.Errorf("pool: dump: %w", err)
@@ -70,16 +51,10 @@ func (s *System) Load(r io.Reader) (int, error) {
 		d1 := event.GreatestDims(e)[0]
 		key := Key{Dim: d1, Cell: s.candidate(e, d1)}
 		index := s.holder[key.Cell]
-		segs := s.store[key]
-		if len(segs) == 0 {
-			segs = append(segs, segment{node: index})
-		}
-		active := &segs[len(segs)-1]
-		active.events = append(active.events, e)
-		s.stored[active.node]++
-		s.putSegments(key, segs)
+		node, _ := s.Active(key, index)
+		s.Append(key, node, e)
 		if s.ElectMirror(key, index) >= 0 {
-			s.putMirror(key, append(s.mirrorStore[key], e))
+			s.AppendMirror(key, e)
 		}
 	}
 	return len(events), nil

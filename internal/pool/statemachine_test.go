@@ -186,7 +186,7 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 func syncOracleAfterFailure(t *testing.T, sys *System, o *oracle) {
 	t.Helper()
 	held := make(map[uint64]bool)
-	for _, segs := range sys.store {
+	for _, segs := range sys.segs {
 		for _, seg := range segs {
 			for _, e := range seg.events {
 				held[e.Seq] = true

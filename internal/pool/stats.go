@@ -40,13 +40,13 @@ func (s *System) Stats() Stats {
 		distinct[h] = true
 	}
 	st.IndexNodes = len(distinct)
-	for _, segs := range s.store {
+	for _, segs := range s.segs {
 		st.Segments += len(segs)
 		for _, seg := range segs {
 			st.StoredEvents += len(seg.events)
 		}
 	}
-	for _, events := range s.mirrorStore {
+	for _, events := range s.copies {
 		st.MirroredEvents += len(events)
 	}
 	for _, dead := range s.dead {

@@ -92,27 +92,16 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return optionFunc(func(c *config) { c.reg = reg })
 }
 
-// segment is one slab of a cell's storage, held by one node. The first
-// segment lives at the cell's index node; workload sharing appends
-// segments at delegate nodes.
-type segment struct {
-	node   int
-	events []event.Event
-}
-
 // System is a Pool DCS instance over one network.
 type System struct {
 	// Directory is the deployment-shared Pool state and the rules over it:
 	// grid, Pools, index nodes, membership, mirrors (directory.go).
 	*Directory
+	// Store is what the cells hold and the only writer of it (store.go).
+	*Store
 
 	net    *network.Network
 	router *gpsr.Router
-
-	// store holds the storage segments of each (Pool, cell).
-	store map[Key][]segment
-	// stored counts events held per node, maintained incrementally.
-	stored []int
 
 	quota int
 	// delegations counts workload-sharing segment creations.
@@ -137,19 +126,13 @@ type System struct {
 	// tracer records structured events; nil disables tracing.
 	tracer *trace.Tracer
 
-	// Replication and failure state (faults.go): the mirror copies, keyed
-	// like the directory's mirror assignments.
-	mirrorStore  map[Key][]event.Event
+	// recoveryMsgs counts the messages FailNode spends (faults.go).
 	recoveryMsgs uint64
 
-	// Anti-entropy state (antientropy.go), replication only: the set
-	// summaries of the mirrored cells' copies with the scratch they are
-	// built in, and the replica pair list as of directory version pairsAt-1
-	// (0: never built).
-	summaries map[Key]*cellSummaries
-	digestBuf []uint64
-	pairs     []antientropy.Pair
-	pairsAt   uint64
+	// Anti-entropy state (antientropy.go), replication only: the replica
+	// pair list as of directory version pairsAt-1 (0: never built).
+	pairs   []antientropy.Pair
+	pairsAt uint64
 
 	// Continuous-query state (continuous.go).
 	subs    map[Key][]*Subscription
@@ -183,10 +166,9 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 	}
 	s := &System{
 		Directory: dir,
+		Store:     NewStore(dir),
 		net:       net,
 		router:    router,
-		store:     make(map[Key][]segment),
-		stored:    make([]int, layout.N()),
 		quota:     cfg.quota,
 		tracer:    cfg.tracer,
 		arq:       cfg.arq,
@@ -194,10 +176,6 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 		plan: Plan{Fanouts: make([]Fanout, 0, dims)},
 	}
 	s.arq.PathBuf = &s.pathBuf
-	if cfg.replicate {
-		s.mirrorStore = make(map[Key][]event.Event)
-		s.summaries = make(map[Key]*cellSummaries)
-	}
 	if cfg.reg != nil {
 		s.enableMetrics(cfg.reg)
 	}
@@ -213,7 +191,7 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 	s.mFanout = reg.Histogram("pool_query_fanout_cells", "relevant cells addressed per query")
 	s.mSplitter = reg.NodeCounter("pool_splitter_queries_total", "per-Pool fan-outs served by each node as splitter", n)
 	reg.NodeGaugeFunc("pool_stored_events", "events held per node (delegated segments included)", n,
-		func(i int) float64 { return float64(s.stored[i]) })
+		func(i int) float64 { return float64(s.Stored(i)) })
 	reg.CounterFunc("pool_delegations_total", "workload-sharing segments opened beyond the index nodes",
 		func() float64 { return float64(s.delegations) })
 	reg.CounterFunc("pool_recovery_messages_total", "messages spent restoring state after node failures",
@@ -267,29 +245,26 @@ func (s *System) Insert(origin int, e event.Event) error {
 // storeEvent places the event into the cell's active storage segment,
 // opening a delegated segment first when workload sharing demands it.
 func (s *System) storeEvent(key Key, index int, e event.Event, payload int) error {
-	segs := s.store[key]
-	if len(segs) == 0 {
-		segs = append(segs, segment{node: index})
-	}
-	active := &segs[len(segs)-1]
-	if s.quota > 0 && len(active.events) >= s.quota {
-		delegate := s.pickDelegate(index, active.node)
+	node, held := s.Active(key, index)
+	delegate := s.quota > 0 && held >= s.quota
+	if delegate {
+		node = s.pickDelegate(index, node)
 		// Establishing the delegation is one control exchange.
-		if _, err := s.unicast(index, delegate, network.KindControl, dcs.QueryBytes(s.dims)); err != nil {
+		if _, err := s.unicast(index, node, network.KindControl, dcs.QueryBytes(s.dims)); err != nil {
 			return fmt.Errorf("pool: delegate setup: %w", err)
 		}
-		segs = append(segs, segment{node: delegate})
-		active = &segs[len(segs)-1]
 		s.delegations++
 	}
-	if active.node != index {
-		if _, err := s.unicast(index, active.node, network.KindInsert, payload); err != nil {
+	if node != index {
+		if _, err := s.unicast(index, node, network.KindInsert, payload); err != nil {
 			return fmt.Errorf("pool: delegate forward: %w", err)
 		}
 	}
-	active.events = append(active.events, e)
-	s.stored[active.node]++
-	s.putSegments(key, segs)
+	if delegate {
+		s.AppendSegment(key, node, e)
+	} else {
+		s.Append(key, node, e)
+	}
 	if s.replicate {
 		if err := s.mirrorEvent(key, index, e, payload); err != nil {
 			return err
@@ -308,7 +283,7 @@ func (s *System) mirrorEvent(key Key, index int, e event.Event, payload int) err
 	if _, err := s.unicast(index, mirror, network.KindInsert, payload); err != nil {
 		return fmt.Errorf("pool: mirror copy: %w", err)
 	}
-	s.putMirror(key, append(s.mirrorStore[key], e))
+	s.AppendMirror(key, e)
 	return nil
 }
 
@@ -408,10 +383,10 @@ func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) 
 func (s *System) gather(key Key, node int, mirror bool) int {
 	rq, start := s.plan.Query, len(s.replyBuf)
 	if mirror {
-		s.replyBuf = rq.AppendMatches(s.replyBuf, s.mirrorStore[key])
+		s.replyBuf = rq.AppendMatches(s.replyBuf, s.copies[key])
 		return len(s.replyBuf) - start
 	}
-	for _, seg := range s.store[key] {
+	for _, seg := range s.segs[key] {
 		if seg.node != node {
 			if _, err := s.unicast(node, seg.node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
 				continue
@@ -430,12 +405,4 @@ func (s *System) gather(key Key, node int, mirror bool) int {
 		}
 	}
 	return len(s.replyBuf) - start
-}
-
-// StorageLoad implements dcs.StorageReporter: events currently held by
-// each node.
-func (s *System) StorageLoad() []int {
-	out := make([]int, len(s.stored))
-	copy(out, s.stored)
-	return out
 }

@@ -30,7 +30,7 @@ func seqsOf(lists ...[]event.Event) map[uint64]bool {
 // cellSeqs collects the Seq of every event stored for one cell.
 func cellSeqs(s *System, key Key) map[uint64]bool {
 	out := make(map[uint64]bool)
-	for _, seg := range s.store[key] {
+	for _, seg := range s.segs[key] {
 		for _, e := range seg.events {
 			out[e.Seq] = true
 		}
@@ -47,7 +47,7 @@ func checkNoPhantoms(t testing.TB, s *System, got []event.Event, comp dcs.Comple
 		unreached[l] = true
 	}
 	home := make(map[uint64]Key)
-	for key, segs := range s.store {
+	for key, segs := range s.segs {
 		for _, seg := range segs {
 			for _, e := range seg.events {
 				home[e.Seq] = key
@@ -153,12 +153,12 @@ func TestLostDelegateReplyContributesNothing(t *testing.T) {
 		}
 	}
 	var key Key
-	for k, segs := range s.store {
+	for k, segs := range s.segs {
 		if len(segs) > 1 {
 			key = k
 		}
 	}
-	segs := s.store[key]
+	segs := s.segs[key]
 	if len(segs) < 2 {
 		t.Fatal("no delegated segment")
 	}
@@ -254,7 +254,7 @@ search:
 
 	withMatches := 0
 	for _, c := range cells {
-		for _, seg := range s.store[Key{Dim: 1, Cell: c}] {
+		for _, seg := range s.segs[Key{Dim: 1, Cell: c}] {
 			if len(q.Filter(seg.events)) > 0 {
 				withMatches++
 				break
@@ -295,7 +295,7 @@ func TestLostMirrorReplyContributesNothing(t *testing.T) {
 	var victim int
 	for _, p := range s.Pools() {
 		for _, c := range p.Cells() {
-			if len(s.mirrorStore[Key{Dim: p.Dim, Cell: c}]) > 0 {
+			if len(s.copies[Key{Dim: p.Dim, Cell: c}]) > 0 {
 				victim = s.holder[c]
 			}
 		}
@@ -310,7 +310,7 @@ search:
 		for _, c := range p.Cells() {
 			k := Key{Dim: p.Dim, Cell: c}
 			m, ok := s.MirrorFor(k, victim)
-			if s.holder[c] != victim || !ok || len(s.mirrorStore[k]) == 0 {
+			if s.holder[c] != victim || !ok || len(s.copies[k]) == 0 {
 				continue
 			}
 			for _, c2 := range p.Cells() {
@@ -329,7 +329,7 @@ search:
 		t.Fatal("no mirrored cell of the victim with a one-way reply relay")
 	}
 	label := CellLabel(key.Dim, key.Cell)
-	own := seqsOf(s.mirrorStore[key])
+	own := seqsOf(s.copies[key])
 
 	got, comp, err := s.QueryWithReport(sink, fullDomain())
 	if err != nil {

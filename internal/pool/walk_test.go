@@ -142,7 +142,7 @@ func TestTreeOperationsNameUnreachedCells(t *testing.T) {
 		t.Errorf("delete past a corpse: err = %v", err)
 	}
 	left := 0
-	for k, segs := range s.store {
+	for k, segs := range s.segs {
 		for _, seg := range segs {
 			if n := len(wide.Rewrite().Filter(seg.events)); n > 0 && s.holder[k.Cell] != victim {
 				t.Errorf("cell %v still holds %d matches", k.Cell, n)

@@ -2,6 +2,8 @@ package systemtest
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,9 +17,10 @@ import (
 // seeds, the message-driven implementation ("node", "node+repair") and
 // the global-knowledge one ("pool", "pool+repl") are built over
 // identical substrates, put through the identical fault script, and
-// must answer every query of the sweep with the same result set and
-// the same completeness accounting — including after a crash repaired
-// by real multi-hop re-election and mirror-transfer exchanges.
+// must hold the same stores and answer every query of the sweep with the
+// same result set and the same completeness accounting — including after
+// a crash repaired by real multi-hop re-election and mirror-transfer
+// exchanges.
 func TestConformanceActorEquivalence(t *testing.T) {
 	byName := map[string]Factory{}
 	for _, f := range Factories() {
@@ -59,6 +62,7 @@ func TestConformanceActorEquivalence(t *testing.T) {
 					// The actor's repair is message-driven: let its grants land.
 					actor.Sched.Run()
 					checkSplitters(t, actor, spec)
+					checkStores(t, actor, spec)
 					sink := actor.PickAlive()
 					if sink != spec.PickAlive() {
 						t.Fatalf("sink diverges: actor %d, spec %d", sink, spec.PickAlive())
@@ -120,6 +124,57 @@ func checkSplitters(t *testing.T, actor, spec *Universe) {
 			}
 		}
 	}
+}
+
+// checkStores holds the actor's drained store to the spec's, Pool cell by
+// Pool cell: the same index node and mirror, the same seqs at every node,
+// the same seqs in the mirror copy — and the same storage load.
+func checkStores(t *testing.T, actor, spec *Universe) {
+	t.Helper()
+	eng := actor.Sys.(*node.Sync).Engine()
+	sys := spec.Sys.(*pool.System)
+	a, s := heldSeqs(eng.Store), heldSeqs(sys.Store)
+	for _, p := range sys.Pools() {
+		for _, c := range p.Cells() {
+			key := pool.Key{Dim: p.Dim, Cell: c}
+			if ah, sh := eng.IndexNode(c), sys.IndexNode(c); ah != sh {
+				t.Errorf("cell %v of P%d: index node: actor %d, spec %d", c, p.Dim, ah, sh)
+			}
+			if am, sm := eng.Mirror(key), sys.Mirror(key); am != sm {
+				t.Errorf("cell %v of P%d: mirror: actor %d, spec %d", c, p.Dim, am, sm)
+			}
+			if !reflect.DeepEqual(a[key], s[key]) {
+				t.Errorf("cell %v of P%d: seqs per node diverge\nactor: %v\nspec:  %v", c, p.Dim, a[key], s[key])
+			}
+			if am, sm := seqSet(eng.MirrorCopy(key)), seqSet(sys.MirrorCopy(key)); !equalSeqs(am, sm) {
+				t.Errorf("cell %v of P%d: mirror copies diverge\nactor: %v\nspec:  %v", c, p.Dim, am, sm)
+			}
+		}
+	}
+	if al, sl := eng.StorageLoad(), sys.StorageLoad(); !slices.Equal(al, sl) {
+		t.Errorf("storage load diverges\nactor: %v\nspec:  %v", al, sl)
+	}
+}
+
+// heldSeqs returns the sorted seqs each node holds of each cell, nodes
+// holding none left out.
+func heldSeqs(st *pool.Store) map[pool.Key]map[int][]uint64 {
+	out := map[pool.Key]map[int][]uint64{}
+	st.EachSegment(func(key pool.Key, node int, events []event.Event) {
+		if len(events) == 0 {
+			return
+		}
+		if out[key] == nil {
+			out[key] = map[int][]uint64{}
+		}
+		out[key][node] = append(out[key][node], seqSet(events)...)
+	})
+	for _, nodes := range out {
+		for _, seqs := range nodes {
+			slices.Sort(seqs)
+		}
+	}
+	return out
 }
 
 func seqSet(events []event.Event) []uint64 {

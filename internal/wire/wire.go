@@ -1,7 +1,8 @@
-// Package wire defines the byte-level encoding of events and queries —
-// the payloads the cost model charges for. The simulator moves Go values
-// for speed, but the encodings here are the ground truth for payload
-// sizes and make the data model usable as a real protocol.
+// Package wire defines a byte-level encoding of events and queries: the
+// snapshot format pool.Dump writes and pool.Load reads. It is independent
+// of the cost model, which charges the payload sizes of dcs.EventBytes,
+// dcs.QueryBytes and dcs.ReplyBytes — EventSize(k) here is 10+8k bytes
+// where dcs.EventBytes(k) is 16+8k.
 //
 // All encodings are little-endian and fixed-layout:
 //
