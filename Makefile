@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench-build bench-oracle race race-parallel fuzz chaos conformance smoke-bench micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
+.PHONY: build test vet bench-build bench-oracle race race-parallel fuzz chaos conformance micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
 
 build:
 	$(GO) build ./...
@@ -116,27 +116,20 @@ bench-build:
 bench-oracle:
 	$(GO) test -C bench -short ./...
 
-# Quick benchmark smoke: the disabled-registry hot path must stay
-# allocation-free (same for the disabled-tracer autopsy path), the
-# exposition writer must run, and the headline simulation benchmarks
-# must hold their allocs/op within 10% of the checked-in
-# bench_baseline.json. Keeps `make check` honest without the full bench
-# sweep. Fig6a's count is its preload and is the same at one iteration;
-# a Pool query's is gated warm, at 2000 iterations — its first query
-# alone sizes the reply and path buffers (10 allocations against the 1
-# of every later one), which is start-up cost, not the row's subject.
-smoke-bench:
-	$(GO) test ./internal/metrics -run=NONE -bench='DisabledHotPath|EnabledHotPath|SnapshotWrite' -benchmem -benchtime=100x
-	$(GO) test . -run=NONE -bench='^BenchmarkFig6a$$' -benchmem -benchtime=1x 2>&1 \
-		| tee /tmp/smoke-bench.out
-	$(GO) test . -run=NONE -bench='^BenchmarkPoolQuery$$' -benchmem -benchtime=2000x 2>&1 \
-		| tee -a /tmp/smoke-bench.out
-	$(GO) test ./internal/attrib -run=NONE -bench='^BenchmarkAttribDisabledPath$$' -benchmem -benchtime=100x 2>&1 \
-		| tee -a /tmp/smoke-bench.out
-	$(GO) run ./cmd/benchjson -gate bench_baseline.json -tolerance 10 < /tmp/smoke-bench.out
-
-# Micro-benchmark time gate. The archived -benchtime=1x diffs once
-# flagged these three kernels as regressed (+80%/+94%/+20%); re-measured
+# The benchmark gate: every row of bench_micro_baseline.json, allocs/op
+# within 10% and ns/op within the row's own tolerance where it has one.
+# Keeps `make check` honest without the full bench sweep.
+#
+# Allocation rows first. The disabled-registry hot path must stay
+# allocation-free (same for the disabled-tracer autopsy path) and the
+# exposition writer must run. Fig6a's count is its preload and is the
+# same at one iteration; a Pool query's is gated warm, at 2000
+# iterations — its first query alone sizes the reply and path buffers (10
+# allocations against the 1 of every later one), which is start-up cost,
+# not the row's subject.
+#
+# Then the time rows. The archived -benchtime=1x diffs once flagged
+# three of these kernels as regressed (+80%/+94%/+20%); re-measured
 # at stable iteration counts the deltas vanished — single-iteration
 # timings are startup noise, not signal. ns/op is only gated here, where
 # -benchtime is pinned and per-benchmark tolerances in
@@ -156,9 +149,16 @@ smoke-bench:
 # (BenchmarkAntiEntropyRoundSteady) is gated at exactly 0 allocs/op — one
 # allocation per in-sync pair would read 244 — and ns/op within 60%.
 micro-bench:
-	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
-		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkSimulationFacade$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$|^BenchmarkTransmitTracerEnabled$$|^BenchmarkFlightRecorderEmit$$' 2>&1 \
+	$(GO) test ./internal/metrics -run=NONE -bench='DisabledHotPath|EnabledHotPath|SnapshotWrite' -benchmem -benchtime=100x
+	$(GO) test . -run=NONE -bench='^BenchmarkFig6a$$' -benchmem -benchtime=1x 2>&1 \
 		| tee /tmp/micro-bench.out
+	$(GO) test . -run=NONE -bench='^BenchmarkPoolQuery$$' -benchmem -benchtime=2000x 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/attrib -run=NONE -bench='^BenchmarkAttribDisabledPath$$' -benchmem -benchtime=100x 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
+		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkPoolInsert$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$|^BenchmarkTransmitTracerEnabled$$|^BenchmarkFlightRecorderEmit$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
@@ -179,7 +179,7 @@ micro-bench:
 loadtest:
 	$(GO) test -count=1 ./cmd/poolload ./internal/load
 
-check: build vet bench-build bench-oracle race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest
+check: build vet bench-build bench-oracle race race-parallel fuzz chaos conformance $(COVER_TARGETS) micro-bench loadtest
 
 # Full benchmark sweep, archived as machine-readable JSON
 # (BENCH_<date>.json) via cmd/benchjson for cross-commit diffing, with

@@ -2,10 +2,9 @@ package pooldcs
 
 // Benchmark harness: the headline figure (Figure 6(a)) regenerated end to
 // end with its metric reported via ReportMetric, and micro-benchmarks of
-// the hot paths, several of them gated (bench_baseline.json,
-// bench_micro_baseline.json). The other figures and the ablation tables
-// are timed per table by the repository benchmark's tables_all workload
-// (bench/), not here.
+// the hot paths, several of them gated (bench_micro_baseline.json). The
+// other figures and the ablation tables are timed per table by the
+// repository benchmark's tables_all workload (bench/), not here.
 
 import (
 	"strconv"
@@ -28,7 +27,6 @@ import (
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 	"pooldcs/internal/trace"
-	"pooldcs/internal/wire"
 	"pooldcs/internal/workload"
 )
 
@@ -84,13 +82,25 @@ func benchEnv(b *testing.B, n int) benchPair {
 	return benchPair{Pool: p, DIM: d}
 }
 
+// BenchmarkPoolInsert is one Theorem-3.1 insert end to end on N=300 —
+// the event built, routed to its index node and stored — gated in
+// `make micro-bench`.
 func BenchmarkPoolInsert(b *testing.B) {
-	env := benchEnv(b, 900)
-	gen := workload.NewUniformEvents(rng.New(5), 3)
-	origin := rng.New(6)
+	src := rng.New(99)
+	env, err := experiment.Deploy(300, 3, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := env.AddPool("Pool", src.Fork("pivots"), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := rng.New(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := env.Pool.Insert(origin.Intn(900), gen.Next()); err != nil {
+		origin := gen.Intn(300)
+		e := event.Event{Values: []float64{gen.Float64(), gen.Float64(), gen.Float64()}, Seq: uint64(i + 1)}
+		if err := p.Insert(origin, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,47 +563,6 @@ func BenchmarkPoolNearest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		point := []float64{src.Float64(), src.Float64(), src.Float64()}
 		if _, err := env.Pool.Nearest(src.Intn(900), point, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireEncode(b *testing.B) {
-	e := event.Event{Seq: 42, Values: []float64{0.4, 0.3, 0.1}}
-	buf := make([]byte, 0, wire.EventSize(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = wire.AppendEvent(buf[:0], e)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecode(b *testing.B) {
-	e := event.Event{Seq: 42, Values: []float64{0.4, 0.3, 0.1}}
-	buf, err := wire.AppendEvent(nil, e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := wire.DecodeEvent(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimulationFacade(b *testing.B) {
-	sim, err := NewSimulation(Config{Nodes: 300, Seed: 99})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Insert(src.Intn(300), src.Float64(), src.Float64(), src.Float64()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,40 +90,44 @@ func run() error {
 	fmt.Printf("%d sensors reported %d readings\n", layout.N(), seq)
 
 	sink := 0
-	ask := func(what string, q event.Query) error {
+	ask := func(what string, q event.Query) (int, error) {
 		before := net.Snapshot()
 		matches, err := sys.Query(sink, q)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		d := net.Diff(before)
 		fmt.Printf("%-58s → %4d readings, %4d messages\n",
 			what, len(matches), d.Messages[network.KindQuery]+d.Messages[network.KindReply])
-		return nil
+		return len(matches), nil
 	}
 
 	// Type 3: exact-match range query over all attributes.
-	if err := ask("heat stress: T in [30,40]°C and humidity below 40%",
+	if _, err := ask("heat stress: T in [30,40]°C and humidity below 40%",
 		event.NewQuery(attrs[0].span(30, 40), attrs[1].span(0, 40), attrs[2].span(950, 1050))); err != nil {
 		return err
 	}
 
 	// Type 4: partial-match range query — the common case (§2).
-	if err := ask("storm watch: pressure below 1000 hPa (others don't care)",
-		event.NewQuery(event.Unspecified(), event.Unspecified(), attrs[2].span(950, 1000))); err != nil {
+	stormy := event.NewQuery(event.Unspecified(), event.Unspecified(), attrs[2].span(950, 1000))
+	watched, err := ask("storm watch: pressure below 1000 hPa (others don't care)", stormy)
+	if err != nil {
 		return err
 	}
 
-	if err := ask("fog risk: humidity in [80,100]% (others don't care)",
+	if _, err := ask("fog risk: humidity in [80,100]% (others don't care)",
 		event.NewQuery(event.Unspecified(), attrs[1].span(80, 100), event.Unspecified())); err != nil {
 		return err
 	}
 
-	// Aggregates ride the splitter tree with constant-size partials.
-	stormy := event.NewQuery(event.Unspecified(), event.Unspecified(), attrs[2].span(950, 1000))
+	// Aggregates ride the splitter tree with constant-size partials, and
+	// count what the storm-watch query returned.
 	n, err := sys.Aggregate(sink, stormy, pool.AggCount, 0)
 	if err != nil {
 		return err
+	}
+	if int(n) != watched {
+		return fmt.Errorf("COUNT over the storm watch = %v, the query returned %d", n, watched)
 	}
 	avgT, err := sys.Aggregate(sink, stormy, pool.AggAvg, 1)
 	if err != nil {

@@ -8,8 +8,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
-	"pooldcs"
+	"pooldcs/internal/event"
+	"pooldcs/internal/experiment"
 	"pooldcs/internal/rng"
 )
 
@@ -20,16 +22,22 @@ func main() {
 }
 
 func run() error {
-	sim, err := pooldcs.NewSimulation(pooldcs.Config{Nodes: 400, Seed: 11})
+	src := rng.New(11)
+	env, err := experiment.Deploy(400, 3, src)
 	if err != nil {
 		return err
 	}
+	sys, err := env.AddPool("Pool", src.Fork("pivots"), nil)
+	if err != nil {
+		return err
+	}
+	net := env.Arms[0].Net
 	const controlRoom = 0
 
 	// Standing alert: attribute 1 (normalized freezer temperature) drifts
 	// above 0.7 — regardless of the other attributes.
-	alert, err := sim.Subscribe(controlRoom,
-		pooldcs.Span(0.7, 1), pooldcs.Wildcard(), pooldcs.Wildcard())
+	alert, err := sys.Subscribe(controlRoom,
+		event.NewQuery(event.Span(0.7, 1), event.Unspecified(), event.Unspecified()))
 	if err != nil {
 		return err
 	}
@@ -37,20 +45,26 @@ func run() error {
 		controlRoom, alert.ID)
 
 	// Sensors stream readings; most are nominal, a few are hot.
-	src := rng.New(12)
+	readings := rng.New(12)
+	var stored []event.Event
+	insert := func(node int, values ...float64) error {
+		e := event.Event{Values: values, Seq: uint64(len(stored) + 1)}
+		stored = append(stored, e)
+		return sys.Insert(node, e)
+	}
 	hot := 0
 	for i := 0; i < 1000; i++ {
-		temp := src.Float64() * 0.69 // nominal
-		if src.Bool(0.02) {
-			temp = 0.7 + src.Float64()*0.29 // fault
+		temp := readings.Float64() * 0.69 // nominal
+		if readings.Bool(0.02) {
+			temp = 0.7 + readings.Float64()*0.29 // fault
 			hot++
 		}
-		if _, err := sim.Insert(src.Intn(sim.Nodes()), temp, src.Float64(), src.Float64()); err != nil {
+		if err := insert(readings.Intn(env.Layout.N()), temp, readings.Float64(), readings.Float64()); err != nil {
 			return err
 		}
 	}
 
-	notes := sim.Notifications()
+	notes := sys.Notifications()
 	fmt.Printf("streamed 1000 readings (%d faults injected) → %d alerts pushed\n", hot, len(notes))
 	if len(notes) != hot {
 		return fmt.Errorf("alert mismatch: %d faults but %d alerts", hot, len(notes))
@@ -66,7 +80,7 @@ func run() error {
 	// After the shift, the operator looks for readings most similar to a
 	// suspicious profile.
 	profile := []float64{0.75, 0.2, 0.5}
-	similar, err := sim.Nearest(controlRoom, profile, 3)
+	similar, err := sys.Nearest(controlRoom, profile, 3)
 	if err != nil {
 		return err
 	}
@@ -74,18 +88,40 @@ func run() error {
 	for _, e := range similar {
 		fmt.Printf("  %v\n", e)
 	}
+	// A flat scan finds no other reading closer than the third.
+	if len(similar) != 3 {
+		return fmt.Errorf("nearest returned %d readings, want 3", len(similar))
+	}
+	closer := 0
+	for _, e := range stored {
+		if distance(e, profile) < distance(similar[2], profile) {
+			closer++
+		}
+	}
+	if closer > 2 {
+		return fmt.Errorf("%d readings are closer to the profile than the third nearest", closer)
+	}
 
 	// Unsubscribe: no further pushes.
-	if err := sim.Unsubscribe(alert); err != nil {
+	if err := sys.Unsubscribe(alert); err != nil {
 		return err
 	}
-	if _, err := sim.Insert(1, 0.95, 0.5, 0.5); err != nil {
+	if err := insert(1, 0.95, 0.5, 0.5); err != nil {
 		return err
 	}
-	if after := sim.Notifications(); len(after) != 0 {
+	if after := sys.Notifications(); len(after) != 0 {
 		return fmt.Errorf("received %d alerts after unsubscribing", len(after))
 	}
 	fmt.Println("unsubscribed; no further alerts")
-	fmt.Printf("total radio messages: %d\n", sim.Messages())
+	fmt.Printf("total radio messages: %d\n", net.Snapshot().Total())
 	return nil
+}
+
+// distance is the Euclidean distance between a reading and a profile.
+func distance(e event.Event, profile []float64) float64 {
+	sum := 0.0
+	for i, v := range profile {
+		sum += (e.Values[i] - v) * (e.Values[i] - v)
+	}
+	return math.Sqrt(sum)
 }

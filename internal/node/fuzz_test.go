@@ -200,7 +200,7 @@ func FuzzRepairPackets(f *testing.F) {
 // dead node, counters equal to the segments — plus what only the actor
 // promises: every event it holds is valid and no segment holds a seq
 // twice, the restore rule's dedupe. (The spec cannot promise the latter:
-// Load over live cells repeats seqs.)
+// its Insert stores whatever Seq the caller gives, repeats included.)
 func checkStores(t *testing.T, e *Engine) {
 	t.Helper()
 	if err := e.CheckStore(); err != nil {

@@ -276,7 +276,7 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 		o.apply(&cfg)
 	}
 	layout := net.Layout()
-	dir, err := pool.NewDirectory(layout, dims, pool.DefaultAlpha, pool.DefaultSide, pivots, src, cfg.replicate)
+	dir, err := pool.NewDirectory(layout, dims, pool.DefaultSide, pivots, src, cfg.replicate)
 	if err != nil {
 		return nil, err
 	}

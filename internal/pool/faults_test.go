@@ -1,11 +1,13 @@
 package pool
 
 import (
+	"slices"
 	"testing"
 
 	"pooldcs/internal/event"
 	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
+	"pooldcs/internal/trace"
 )
 
 // loadedSystems builds a plain and a replicated Pool over the same
@@ -187,6 +189,73 @@ func TestFailNodeValidation(t *testing.T) {
 	if !plain.Failed(5) {
 		t.Error("failed node not reported")
 	}
+}
+
+// TestFailNodeRepairOrderDeterministic pins the order of the recovery
+// unicasts FailNode sends: identical runs must trace the same hop
+// sequence. Seeded burst loss picks a link's dropped frame by its position
+// among that link's frames, so an order drawn from map iteration changes
+// which restore arrives. Two victims: the most loaded node, whose cells
+// re-home their mirrors, and a workload-sharing delegate, whose lost
+// segments travel from the mirror to the cell's index node.
+func TestFailNodeRepairOrderDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   []Option
+		victim func(*System) int
+	}{
+		{"most loaded", nil, mostLoaded},
+		{"delegate", []Option{WithWorkloadSharing(4)}, busiestDelegate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first := repairHops(t, tc.victim, tc.opts...)
+			if len(first) < 2 {
+				t.Fatalf("repair traced %d hops, too few to have an order", len(first))
+			}
+			for run := 2; run <= 5; run++ {
+				if again := repairHops(t, tc.victim, tc.opts...); !slices.Equal(again, first) {
+					t.Fatalf("run %d traced another repair:\n%v\nrun 1:\n%v", run, again, first)
+				}
+			}
+		})
+	}
+}
+
+// repairHops loads 900 events into a fresh replicated Pool of 300 nodes,
+// fails the node victim picks and returns the hops the repair traced.
+func repairHops(t *testing.T, victim func(*System) int, opts ...Option) []trace.Event {
+	t.Helper()
+	s, _, tr := newTracedSystem(t, 300, 130, append(opts, WithReplication())...)
+	loadEvents(t, s, 900, 131)
+	tr.Reset()
+	if err := s.FailNode(victim(s)); err != nil {
+		t.Fatal(err)
+	}
+	var hops []trace.Event
+	for _, e := range tr.Events().Slice() {
+		if e.Type == trace.TypeHop {
+			hops = append(hops, e)
+		}
+	}
+	return hops
+}
+
+// mostLoaded returns the node holding the most events, the lowest on a tie.
+func mostLoaded(s *System) int {
+	loads := s.StorageLoad()
+	return slices.Index(loads, slices.Max(loads))
+}
+
+// busiestDelegate returns the node holding the most delegated segments —
+// segments of cells it is not the index node of — the lowest on a tie.
+func busiestDelegate(s *System) int {
+	held := make([]int, len(s.dead))
+	s.EachSegment(func(key Key, node int, events []event.Event) {
+		if node != s.holder[key.Cell] && len(events) > 0 {
+			held[node]++
+		}
+	})
+	return slices.Index(held, slices.Max(held))
 }
 
 func TestReplicationCostsInsertTraffic(t *testing.T) {

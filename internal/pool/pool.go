@@ -141,32 +141,9 @@ func (p Pool) QueryRanges(q event.Query) (rh, rv geo.Interval) {
 	return rh, rv
 }
 
-// RelevantOffsets returns the offsets of the cells of this Pool that may
-// hold answers to the (already rewritten) query — those whose Equation-1
-// ranges intersect the Theorem-3.2 ranges (Algorithm 2).
-func (p Pool) RelevantOffsets(q event.Query) [][2]int {
-	rh, rv := p.QueryRanges(q)
-	if rh.Empty() || rv.Empty() {
-		return nil
-	}
-	var out [][2]int
-	for ho := 0; ho < p.Side; ho++ {
-		h := p.RangeH(ho)
-		if !rh.OverlapsHalfOpen(h.Lo, h.Hi) {
-			continue
-		}
-		for vo := 0; vo < p.Side; vo++ {
-			v := p.RangeV(ho, vo)
-			if rv.OverlapsHalfOpen(v.Lo, v.Hi) {
-				out = append(out, [2]int{ho, vo})
-			}
-		}
-	}
-	return out
-}
-
 // RelevantCells returns the global cells of this Pool relevant to the
-// (already rewritten) query.
+// (already rewritten) query — those whose Equation-1 ranges intersect the
+// Theorem-3.2 ranges (Algorithm 2).
 func (p Pool) RelevantCells(q event.Query) []CellID {
 	return p.AppendRelevantCells(nil, q)
 }

@@ -128,7 +128,8 @@ type Lost struct {
 }
 
 // Crash loses node's RAM: it empties every segment node holds, in place,
-// drops every mirror copy node holds, and returns the emptied segments.
+// drops every mirror copy node holds, and returns the emptied segments in
+// EachSegment's order.
 func (st *Store) Crash(node int) []Lost {
 	var lost []Lost
 	for key, segs := range st.segs {
@@ -146,6 +147,7 @@ func (st *Store) Crash(node int) []Lost {
 			st.ReplaceMirror(key, nil)
 		}
 	}
+	slices.SortFunc(lost, func(a, b Lost) int { return cmp.Or(compareKeys(a.Key, b.Key), cmp.Compare(a.seg, b.seg)) })
 	return lost
 }
 
@@ -234,14 +236,17 @@ func (st *Store) EachSegment(fn func(key Key, node int, events []event.Event)) {
 	for key := range st.segs {
 		keys = append(keys, key)
 	}
-	slices.SortFunc(keys, func(a, b Key) int {
-		return cmp.Or(cmp.Compare(a.Dim, b.Dim), cmp.Compare(a.Cell.X, b.Cell.X), cmp.Compare(a.Cell.Y, b.Cell.Y))
-	})
+	slices.SortFunc(keys, compareKeys)
 	for _, key := range keys {
 		for _, seg := range st.segs[key] {
 			fn(key, seg.node, seg.events)
 		}
 	}
+}
+
+// compareKeys orders cells by (dimension, column, row).
+func compareKeys(a, b Key) int {
+	return cmp.Or(cmp.Compare(a.Dim, b.Dim), cmp.Compare(a.Cell.X, b.Cell.X), cmp.Compare(a.Cell.Y, b.Cell.Y))
 }
 
 // summariesOf returns the cell's memos, creating them (invalid) on first

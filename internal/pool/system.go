@@ -13,17 +13,16 @@ import (
 	"pooldcs/internal/trace"
 )
 
-// Default configuration values from the paper's §5.1 simulation model.
+// Configuration values from the paper's §5.1 simulation model.
 const (
-	// DefaultAlpha is the cell side length α in metres.
-	DefaultAlpha = 5
-	// DefaultSide is the Pool side length l in cells.
+	// Alpha is the cell side length α in metres.
+	Alpha = 5
+	// DefaultSide is the Pool side length l in cells (WithPoolSide).
 	DefaultSide = 10
 )
 
 // config collects construction options.
 type config struct {
-	alpha     float64
 	side      int
 	pivots    []CellID
 	quota     int // per-node storage quota before delegation; 0 disables sharing
@@ -41,11 +40,6 @@ type Option interface {
 type optionFunc func(*config)
 
 func (f optionFunc) apply(c *config) { f(c) }
-
-// WithCellSize overrides the cell side length α (default 5 m).
-func WithCellSize(alpha float64) Option {
-	return optionFunc(func(c *config) { c.alpha = alpha })
-}
 
 // WithPoolSide overrides the Pool side length l in cells (default 10).
 func WithPoolSide(side int) Option {
@@ -155,12 +149,12 @@ var _ dcs.StorageReporter = (*System)(nil)
 // matching the paper's random pivot placement, unless WithPivots pins
 // them.
 func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, opts ...Option) (*System, error) {
-	cfg := config{alpha: DefaultAlpha, side: DefaultSide}
+	cfg := config{side: DefaultSide}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
 	layout := net.Layout()
-	dir, err := NewDirectory(layout, dims, cfg.alpha, cfg.side, cfg.pivots, src, cfg.replicate)
+	dir, err := NewDirectory(layout, dims, cfg.side, cfg.pivots, src, cfg.replicate)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit the experiment
-// runners use: streaming mean/variance (Welford), order statistics, and
-// fixed-width histograms for load-distribution reporting.
+// runners use: streaming mean/variance (Welford), order statistics, the
+// Gini coefficient, and exact integer histograms (inthist.go).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary accumulates a stream of observations with O(1) memory using
@@ -115,63 +114,4 @@ func Gini(loads []int) float64 {
 		return 0
 	}
 	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi). Out-of-range values
-// clamp into the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with the given number of buckets.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if buckets < 1 {
-		return nil, fmt.Errorf("stats: need at least one bucket, got %d", buckets)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: empty histogram range [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Render draws the histogram as ASCII bars of at most width characters.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	maxCount := 0
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	step := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		fmt.Fprintf(&b, "[%8.2f, %8.2f) %6d %s\n",
-			h.Lo+float64(i)*step, h.Lo+float64(i+1)*step, c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }

@@ -109,38 +109,6 @@ func TestGini(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	want := []int{3, 1, 1, 0, 2} // -3 clamps into first, 42 into last
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Errorf("bucket %d = %d, want %d (all %v)", i, h.Buckets[i], w, h.Buckets)
-		}
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") || len(strings.Split(strings.TrimSpace(out), "\n")) != 5 {
-		t.Errorf("Render:\n%s", out)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
 func TestGiniRandomBounds(t *testing.T) {
 	src := rng.New(1)
 	for trial := 0; trial < 200; trial++ {

@@ -208,7 +208,6 @@ func (u *Universe) Recover(id int) {
 type Report struct {
 	Queries    int
 	SumRecall  float64
-	SumComp    float64
 	Retries    int
 	Complete   int // queries whose fan-out was fully served
 	Violations []string
@@ -256,7 +255,6 @@ func (u *Universe) RunQueries(sink int) Report {
 			}
 		}
 		rep.SumRecall += recallOf(got, oracle)
-		rep.SumComp += comp.Fraction()
 		rep.Retries += comp.Retries
 		if comp.Complete() {
 			rep.Complete++
@@ -271,14 +269,6 @@ func (r Report) MeanRecall() float64 {
 		return 1
 	}
 	return r.SumRecall / float64(r.Queries)
-}
-
-// MeanCompleteness returns the sweep's mean completeness fraction.
-func (r Report) MeanCompleteness() float64 {
-	if r.Queries == 0 {
-		return 1
-	}
-	return r.SumComp / float64(r.Queries)
 }
 
 // AllComplete reports whether every query's fan-out was fully served.
