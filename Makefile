@@ -162,6 +162,8 @@ micro-bench:
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
+	$(GO) test . -run=NONE -benchmem -benchtime=200x -bench='^BenchmarkSplitterForCold$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
 	$(GO) test . -run=NONE -benchmem -benchtime=20000x -bench='^BenchmarkRangeQuerySteady$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test . -run=NONE -benchmem -benchtime=2000x -bench='^BenchmarkActorQuerySteady$$' 2>&1 \

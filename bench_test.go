@@ -422,6 +422,27 @@ func BenchmarkSplitterFor(b *testing.B) {
 	benchSink = sum
 }
 
+// BenchmarkSplitterForCold is splitter choice on a cold memo, what every
+// fresh deployment pays: each (Pool, sink) of a 900-node deployment asked
+// once after a re-election cleared the memo. One op is one such sweep.
+func BenchmarkSplitterForCold(b *testing.B) {
+	env := benchEnv(b, 900)
+	pools := env.Pool.Pools()
+	cell := pools[0].Cells()[0]
+	holder := env.Pool.IndexNode(cell)
+	sum := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Pool.Reelect(cell, holder)
+		for _, p := range pools {
+			for sink := 0; sink < 900; sink++ {
+				sum += env.Pool.SplitterFor(p, sink)
+			}
+		}
+	}
+	benchSink = sum
+}
+
 // benchSink keeps a benchmark's result live.
 var benchSink int
 

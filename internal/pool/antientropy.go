@@ -48,14 +48,14 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 // appendPairs appends the replica pairs of the directory as it stands.
 func (s *System) appendPairs(pairs []antientropy.Pair) []antientropy.Pair {
 	for _, key := range s.MirrorKeys() {
-		if _, ok := s.MirrorFor(key, -1); !ok || s.dead[s.holder[key.Cell]] {
+		if _, ok := s.MirrorFor(key, -1); !ok || s.dead[s.IndexNode(key.Cell)] {
 			continue
 		}
-		m := s.summariesOf(key)
+		primary, mirror := s.copiesOf(s.slot(key))
 		pairs = append(pairs, antientropy.Pair{
 			ID:      antientropy.PairID{Format: "pool P%d C(%d,%d)", A: key.Dim, B: key.Cell.X, C: key.Cell.Y},
-			Primary: cellCopy{st: s.Store, key: key, memo: &m.primary},
-			Replica: cellCopy{st: s.Store, key: key, memo: &m.mirror, mirror: true},
+			Primary: primary,
+			Replica: mirror,
 		})
 	}
 	return pairs

@@ -31,7 +31,7 @@ func TestMirrorDivergenceRepairedByReconciliation(t *testing.T) {
 	var victim Key
 	mirror := -1
 	for _, key := range s.MirrorKeys() {
-		if m := s.mirrors[key]; m >= 0 && len(s.copies[key]) > 0 {
+		if m := s.Mirror(key); m >= 0 && len(s.MirrorCopy(key)) > 0 {
 			victim, mirror = key, m
 			break
 		}
@@ -103,7 +103,7 @@ func TestReconcilerPushesMirrorOnlyEventsBack(t *testing.T) {
 	var key Key
 	found := false
 	for _, k := range s.MirrorKeys() {
-		if s.mirrors[k] >= 0 && len(s.copies[k]) > 0 {
+		if s.Mirror(k) >= 0 && len(s.MirrorCopy(k)) > 0 {
 			key, found = k, true
 			break
 		}
@@ -152,7 +152,7 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	mirror := -1
 	var key Key
 	for _, k := range s.MirrorKeys() {
-		if m := s.mirrors[k]; m >= 0 && len(s.copies[k]) > 0 {
+		if m := s.Mirror(k); m >= 0 && len(s.MirrorCopy(k)) > 0 {
 			mirror, key = m, k
 			break
 		}
@@ -282,9 +282,10 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	a := cells[0]
 	extra := event.New(0.5, 0.5, 0.5)
 	extra.Seq = 90_000
-	cellCopy{st: s.Store, key: a}.Insert(extra)
+	primaryA, _ := s.copiesOf(s.slot(a))
+	primaryA.Insert(extra)
 	honest("primary-only insert")
-	crash(t, s, net, router, s.mirrors[a])
+	crash(t, s, net, router, s.Mirror(a))
 	honest("mirror re-homing")
 	if d := antientropy.Divergence(s); d != 0 {
 		t.Fatalf("divergence %d after the mirror took a fresh copy", d)
@@ -294,9 +295,10 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	b := cells[1]
 	s.SetMirror(b, -1)
 	honest("mirror dropped")
-	crash(t, s, net, router, s.holder[b.Cell])
+	crash(t, s, net, router, s.IndexNode(b.Cell))
 	honest("unreplicated loss")
-	if n := (cellCopy{st: s.Store, key: b}).Len(); n != 0 {
+	primaryB, _ := s.copiesOf(s.slot(b))
+	if n := primaryB.Len(); n != 0 {
 		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
 	}
 }

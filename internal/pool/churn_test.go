@@ -69,8 +69,9 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 	// Find a loaded cell and fail its mirror first, then its primary.
 	var key Key
 	found := false
-	for k, segs := range s.segs {
-		if len(segs) > 0 && len(segs[0].events) > 0 && s.mirrors[k] >= 0 {
+	for i, segs := range s.segs {
+		k := s.keyAt(i)
+		if len(segs) > 0 && len(segs[0].events) > 0 && s.Mirror(k) >= 0 {
 			key, found = k, true
 			break
 		}
@@ -78,12 +79,12 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 	if !found {
 		t.Fatal("no mirrored cell with data")
 	}
-	mirror := s.mirrors[key]
-	primary := s.holder[key.Cell]
+	mirror := s.Mirror(key)
+	primary := s.IndexNode(key.Cell)
 	crash(t, s, net, router, mirror)
 	// The mirror's failure must re-home the copy so the cell survives the
 	// primary's failure too.
-	if m := s.mirrors[key]; m < 0 || m == mirror || s.dead[m] {
+	if m := s.Mirror(key); m < 0 || m == mirror || s.dead[m] {
 		t.Fatalf("mirror not re-homed after its failure: %d", m)
 	}
 	crash(t, s, net, router, primary)
@@ -133,7 +134,7 @@ func TestFailRecoveredNodeAgain(t *testing.T) {
 	s, net, router := newUniverse(t, 300, 540, WithReplication())
 	all := loadEvents(t, s, 200, 541)
 
-	victim := s.holder[s.Pools()[0].Cells()[0]]
+	victim := s.IndexNode(s.Pools()[0].Cells()[0])
 	crash(t, s, net, router, victim)
 	router.Restore(victim)
 	net.RecoverNode(victim)
@@ -238,13 +239,14 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 	// Only fail the victim if it holds primaries (not a pure delegate or
 	// mirror): pick the holder of a loaded cell instead.
 	var key Key
-	for k, segs := range s.segs {
-		if len(segs) > 0 && len(segs[0].events) > 0 && s.holder[k.Cell] == segs[0].node {
+	for i, segs := range s.segs {
+		k := s.keyAt(i)
+		if len(segs) > 0 && len(segs[0].events) > 0 && s.IndexNode(k.Cell) == segs[0].node {
 			key = k
 			break
 		}
 	}
-	victim = s.holder[key.Cell]
+	victim = s.IndexNode(key.Cell)
 	_ = max
 	// Mirrors are elected lazily at first insert, so the victim's *empty*
 	// cells have none and must stay unreached; every loaded cell answers
@@ -252,7 +254,7 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 	expectUnreached := 0
 	for _, p := range s.Pools() {
 		for _, c := range p.Cells() {
-			if s.holder[c] != victim {
+			if s.IndexNode(c) != victim {
 				continue
 			}
 			if _, ok := s.MirrorFor(Key{Dim: p.Dim, Cell: c}, victim); !ok {

@@ -51,10 +51,8 @@ func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
 		kind: network.KindControl, traced: traceFanout,
 		cell: func(key Key, _ int, _ bool) (int, int, error) {
 			sub.keys = append(sub.keys, key)
-			if s.subs == nil {
-				s.subs = make(map[Key][]*Subscription)
-			}
-			s.subs[key] = append(s.subs[key], sub)
+			i := s.slot(key)
+			s.subs[i] = append(s.subs[i], sub)
 			return 0, 0, nil
 		},
 		sink: func(int) int { return 0 },
@@ -78,16 +76,17 @@ func (s *System) Unsubscribe(sub *Subscription) error {
 	}
 	removedAny := false
 	for _, key := range sub.keys {
-		list := s.subs[key]
+		slot := s.slot(key)
+		list := s.subs[slot]
 		for i, registered := range list {
 			if registered.ID != sub.ID {
 				continue
 			}
-			s.subs[key] = append(list[:i], list[i+1:]...)
+			s.subs[slot] = append(list[:i], list[i+1:]...)
 			removedAny = true
 			// One control message from the sink's side of the tree; we
 			// charge sink→index directly (the tree edges coincide).
-			if _, err := s.unicast(sub.Sink, s.holder[key.Cell], network.KindControl, qBytes); err != nil {
+			if _, err := s.unicast(sub.Sink, s.IndexNode(key.Cell), network.KindControl, qBytes); err != nil {
 				return fmt.Errorf("pool: unsubscribe cell %v: %w", key.Cell, err)
 			}
 			break
@@ -120,7 +119,7 @@ func (s *System) Notifications() []Notification {
 // registered at its cell. Called from storeEvent with the index node that
 // received the event.
 func (s *System) notifySubscribers(key Key, index int, e event.Event) error {
-	for _, sub := range s.subs[key] {
+	for _, sub := range s.subs[s.slot(key)] {
 		if !sub.Query.Matches(e) {
 			continue
 		}

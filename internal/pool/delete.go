@@ -55,7 +55,7 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 		return s.PruneMirror(key, rq.Matches), nil
 	}
 	removed := 0
-	for i, seg := range s.segs[key] {
+	for i, seg := range s.segsOf(key) {
 		if !slices.ContainsFunc(seg.events, rq.Matches) {
 			continue
 		}

@@ -3,7 +3,7 @@ package pool
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -17,23 +17,6 @@ import (
 type Key struct {
 	Dim  int // 1-based Pool dimension
 	Cell CellID
-}
-
-// less orders keys by (dimension, row, column), the order every
-// deterministic walk over mirrored cells uses.
-func (k Key) less(o Key) bool {
-	if k.Dim != o.Dim {
-		return k.Dim < o.Dim
-	}
-	return k.Cell.less(o.Cell)
-}
-
-// less orders cells row-major.
-func (c CellID) less(o CellID) bool {
-	if c.Y != o.Y {
-		return c.Y < o.Y
-	}
-	return c.X < o.X
 }
 
 // Directory is the knowledge the paper assumes every node of a
@@ -51,17 +34,20 @@ type Directory struct {
 	pools  []Pool
 	dims   int
 
-	// holder maps each Pool cell to its index node — the node closest to
-	// the cell centre (§2), which fields all traffic for the cell. Reelect
-	// is its only writer after construction.
-	holder map[CellID]int
+	// holder holds each grid cell's index node, row-major (Y·Cols+X): the
+	// node closest to the cell centre (§2), which fields all traffic for
+	// the cell, or -1 for a cell outside every Pool. It is indexed by grid
+	// cell, not by Key, because overlapping Pools share a cell's index
+	// node. Reelect is its only writer after construction.
+	holder []int32
 	// dead is the membership view: nodes marked failed and not recovered.
 	dead []bool
 
 	replicate bool
-	// mirrors maps each cell that ever stored an event to its mirror
-	// node, -1 while it has none; nil without replication.
-	mirrors map[Key]int
+	// mirrors holds each Key slot's mirror node, -1 while it has none and
+	// unelected before the cell's first stored event; nil without
+	// replication.
+	mirrors []int32
 
 	// memo[dim-1][sink] is the memoised splitter plus one, 0 unknown. The
 	// Pool index node closest to a sink depends only on node positions,
@@ -105,13 +91,13 @@ func NewDirectory(layout *field.Layout, dims, side int, pivots []CellID, src *rn
 		layout:    layout,
 		grid:      grid,
 		dims:      dims,
-		holder:    make(map[CellID]int),
+		holder:    filled(grid.Cols*grid.Rows, -1),
 		dead:      make([]bool, layout.N()),
 		replicate: replicate,
 		memo:      make([][]int32, dims),
 	}
 	if replicate {
-		d.mirrors = make(map[Key]int)
+		d.mirrors = filled(dims*side*side, unelected)
 	}
 	for i, pc := range pivots {
 		if pc.X < 0 || pc.Y < 0 || pc.X+side > grid.Cols || pc.Y+side > grid.Rows {
@@ -124,13 +110,59 @@ func NewDirectory(layout *field.Layout, dims, side int, pivots []CellID, src *rn
 	for _, p := range d.pools {
 		for i := 0; i < p.numCells(); i++ {
 			c := p.cellAt(i)
-			if _, ok := d.holder[c]; !ok {
-				d.holder[c] = layout.Nearest(grid.Center(c))
+			if h := &d.holder[d.gridIndex(c)]; *h < 0 {
+				*h = int32(layout.Nearest(grid.Center(c)))
 			}
 		}
 	}
 	return d, nil
 }
+
+// unelected marks a mirrors slot whose cell has never elected a mirror,
+// apart from -1, elected and none.
+const unelected = -2
+
+func filled(n int, v int32) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// gridIndex returns c's index into holder, or -1 for a cell off the grid.
+func (d *Directory) gridIndex(c CellID) int {
+	if !d.grid.Contains(c) {
+		return -1
+	}
+	return c.Y*d.grid.Cols + c.X
+}
+
+// slot returns key's index into the per-Key tables — the directory's
+// mirrors, the Store's segments, copies and summaries: the Pools in
+// dimension order, each Pool's cells in Pool.cellAt order, that is
+// (dimension, column, row) — or -1 for a key outside its Pool.
+func (d *Directory) slot(key Key) int {
+	if key.Dim < 1 || key.Dim > len(d.pools) {
+		return -1
+	}
+	p := &d.pools[key.Dim-1]
+	ho, vo := key.Cell.X-p.Pivot.X, key.Cell.Y-p.Pivot.Y
+	if ho < 0 || ho >= p.Side || vo < 0 || vo >= p.Side {
+		return -1
+	}
+	return (key.Dim-1)*p.numCells() + ho*p.Side + vo
+}
+
+// keyAt is the inverse of slot.
+func (d *Directory) keyAt(slot int) Key {
+	n := d.pools[0].numCells()
+	p := d.pools[slot/n]
+	return Key{Dim: p.Dim, Cell: p.cellAt(slot % n)}
+}
+
+// numSlots returns how many Keys the deployment has: k·l².
+func (d *Directory) numSlots() int { return len(d.pools) * d.pools[0].numCells() }
 
 // placePivots draws random pivot cells, preferring a placement where the
 // Pools do not overlap (as in the paper's Figure 2); after 200 attempts it
@@ -173,8 +205,8 @@ func (d *Directory) Pools() []Pool { return d.pools }
 // IndexNode returns the index node of a Pool cell, or -1 for cells outside
 // every Pool.
 func (d *Directory) IndexNode(c CellID) int {
-	if h, ok := d.holder[c]; ok {
-		return h
+	if i := d.gridIndex(c); i >= 0 {
+		return int(d.holder[i])
 	}
 	return -1
 }
@@ -218,7 +250,7 @@ func (d *Directory) Place(origin int, e event.Event) (Key, int, error) {
 			best, bestDist = Key{Dim: i + 1, Cell: cell}, dist
 		}
 	}
-	return best, d.holder[best.Cell], nil
+	return best, d.IndexNode(best.Cell), nil
 }
 
 // Fanout is one Pool's share of a resolved query: the cells that may hold
@@ -291,8 +323,8 @@ func (d *Directory) AlternateSplitter(p Pool, sink, avoid int) int {
 	sinkPos := d.layout.Pos(sink)
 	best, bestD2 := -1, math.Inf(1)
 	for i := 0; i < p.numCells(); i++ {
-		h := d.holder[p.cellAt(i)]
-		if h == avoid {
+		h := d.IndexNode(p.cellAt(i))
+		if h < 0 || h == avoid {
 			continue
 		}
 		if d2 := d.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
@@ -400,12 +432,11 @@ func (d *Directory) Elect(c CellID, exclude int) int {
 // row-major order.
 func (d *Directory) Orphaned() []CellID {
 	var out []CellID
-	for c, h := range d.holder {
-		if d.dead[h] {
-			out = append(out, c)
+	for i, h := range d.holder {
+		if h >= 0 && d.dead[h] {
+			out = append(out, CellID{X: i % d.grid.Cols, Y: i / d.grid.Cols})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
 
@@ -413,7 +444,7 @@ func (d *Directory) Orphaned() []CellID {
 // construction goes through here, which is what keeps SplitterFor's memo
 // honest.
 func (d *Directory) Reelect(c CellID, to int) {
-	d.holder[c] = to
+	d.holder[d.gridIndex(c)] = int32(to)
 	d.version++
 	for _, row := range d.memo {
 		clear(row)
@@ -422,18 +453,22 @@ func (d *Directory) Reelect(c CellID, to int) {
 
 // Mirror returns the cell's mirror node as last assigned, dead or alive,
 // or -1 when it has none.
-func (d *Directory) Mirror(key Key) int {
-	if m, elected := d.mirrors[key]; elected {
-		return m
+func (d *Directory) Mirror(key Key) int { return max(d.mirrorOf(key), -1) }
+
+// mirrorOf returns the cell's mirrors entry: its mirror node, -1 when it
+// has none, unelected when it never elected one or key is outside its Pool.
+func (d *Directory) mirrorOf(key Key) int {
+	if i := d.slot(key); i >= 0 && d.mirrors != nil {
+		return int(d.mirrors[i])
 	}
-	return -1
+	return unelected
 }
 
 // MirrorFor returns the cell's mirror node when replication keeps an
 // alive copy on a node other than index.
 func (d *Directory) MirrorFor(key Key, index int) (int, bool) {
-	m, elected := d.mirrors[key]
-	if !elected || m < 0 || m == index || d.dead[m] {
+	m := d.mirrorOf(key)
+	if m < 0 || m == index || d.dead[m] {
 		return -1, false
 	}
 	return m, true
@@ -447,8 +482,8 @@ func (d *Directory) ElectMirror(key Key, index int) int {
 	if !d.replicate {
 		return -1
 	}
-	m, elected := d.mirrors[key]
-	if !elected {
+	m := d.mirrorOf(key)
+	if m == unelected {
 		m = d.Elect(key.Cell, index)
 		d.SetMirror(key, m)
 	}
@@ -460,36 +495,46 @@ func (d *Directory) ElectMirror(key Key, index int) int {
 
 // SetMirror reassigns the cell's mirror; -1 records that it has none.
 func (d *Directory) SetMirror(key Key, node int) {
-	d.mirrors[key] = node
+	d.mirrors[d.slot(key)] = int32(node)
 	d.version++
 }
 
 // MirrorKeys returns every cell that has elected a mirror, in (dimension,
 // row, column) order.
 func (d *Directory) MirrorKeys() []Key {
-	keys := make([]Key, 0, len(d.mirrors))
-	for key := range d.mirrors {
-		keys = append(keys, key)
+	var keys []Key
+	for _, p := range d.pools {
+		for vo := 0; vo < p.Side; vo++ {
+			for ho := 0; ho < p.Side; ho++ {
+				key := Key{Dim: p.Dim, Cell: p.Pivot.Add(ho, vo)}
+				if d.mirrorOf(key) != unelected {
+					keys = append(keys, key)
+				}
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	return keys
 }
 
 // CheckDirectory verifies the directory against itself and returns the
-// first violation found, or nil: every index node and mirror is a node of
-// the deployment, and the memoised splitter of every (Pool, sink) is what
-// the scan over the Pool's cells says. A call leaves the memo warm, so the
-// call after the next re-election catches an invalidation that did not
-// happen.
+// first violation found, or nil: every Pool cell's index node is a node of
+// the deployment and every other grid cell has none, every mirror is a
+// node of the deployment, -1 or unelected, and the memoised splitter of
+// every (Pool, sink) is what the scan over the Pool's cells says. A call
+// leaves the memo warm, so the call after the next re-election catches an
+// invalidation that did not happen.
 func (d *Directory) CheckDirectory() error {
 	n := len(d.dead)
-	for c, h := range d.holder {
-		if h < 0 || h >= n {
-			return fmt.Errorf("pool: cell %v has invalid index node %d", c, h)
+	for i, h := range d.holder {
+		c := CellID{X: i % d.grid.Cols, Y: i / d.grid.Cols}
+		inPool := slices.ContainsFunc(d.pools, func(p Pool) bool { return p.ContainsCell(c) })
+		if inPool && (h < 0 || int(h) >= n) || !inPool && h != -1 {
+			return fmt.Errorf("pool: cell %v (in a Pool: %v) has invalid index node %d", c, inPool, h)
 		}
 	}
-	for key, m := range d.mirrors {
-		if m < -1 || m >= n {
+	for i, m := range d.mirrors {
+		if m != unelected && (m < -1 || int(m) >= n) {
+			key := d.keyAt(i)
 			return fmt.Errorf("pool: cell %v of P%d has invalid mirror %d", key.Cell, key.Dim, m)
 		}
 	}

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"slices"
 	"testing"
 
 	"pooldcs/internal/event"
@@ -70,7 +71,7 @@ func TestDirectoryRules(t *testing.T) {
 					// No holder other than the splitter is closer than alt.
 					ad2 := d.layout.Pos(alt).Dist2(d.layout.Pos(sink))
 					for _, c := range p.Cells() {
-						if h := d.holder[c]; h != sp && d.layout.Pos(h).Dist2(d.layout.Pos(sink)) < ad2 {
+						if h := d.IndexNode(c); h != sp && d.layout.Pos(h).Dist2(d.layout.Pos(sink)) < ad2 {
 							t.Fatalf("holder %d is closer to %d than alternate %d", h, sink, alt)
 						}
 					}
@@ -133,6 +134,33 @@ func TestDirectoryRules(t *testing.T) {
 			}
 			if len(d.Orphaned()) != 0 {
 				t.Errorf("cells still orphaned: %v", d.Orphaned())
+			}
+		}},
+		{"the check refuses corrupt tables", func(t *testing.T, d *Directory) {
+			off := slices.Index(d.holder, -1)
+			if off < 0 {
+				t.Fatal("every grid cell is a Pool cell")
+			}
+			for _, corrupt := range []struct {
+				name string
+				tbl  []int32
+				i    int
+				v    int32
+			}{
+				{"an index node off every Pool", d.holder, off, 0},
+				{"a Pool cell without an index node", d.holder, d.gridIndex(p1c), -1},
+				{"a mirror outside the deployment", d.mirrors, 0, int32(len(d.dead))},
+				{"a mirror below the sentinels", d.mirrors, 0, unelected - 1},
+			} {
+				was := corrupt.tbl[corrupt.i]
+				corrupt.tbl[corrupt.i] = corrupt.v
+				if err := d.CheckDirectory(); err == nil {
+					t.Errorf("%s passes CheckDirectory", corrupt.name)
+				}
+				corrupt.tbl[corrupt.i] = was
+			}
+			if err := d.CheckDirectory(); err != nil {
+				t.Fatal(err)
 			}
 		}},
 	}

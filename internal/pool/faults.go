@@ -2,7 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"slices"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -58,7 +57,7 @@ func (s *System) FailNode(id int) error {
 	// Hand the failed node's segments to their cells' index nodes, restored
 	// from an alive mirror's copy where the transfer gets through.
 	for _, l := range s.Crash(id) {
-		target := s.holder[l.Key.Cell]
+		target := s.IndexNode(l.Key.Cell)
 		mirror, ok := s.MirrorFor(l.Key, -1)
 		if !ok {
 			s.Handover(l, target, nil)
@@ -85,17 +84,15 @@ func (s *System) FailNode(id int) error {
 	// A mirror the failed node held is re-homed, and so is one that
 	// re-election left on its own cell's new index node — one copy of the
 	// data where there should be two: either way the next-closest alive
-	// node takes a fresh copy of the primary segments. Keys go in order, as
-	// the lost segments do, so identical runs transmit identically.
-	var rehome []Key
-	for key, mirror := range s.mirrors {
-		if mirror == id || mirror == s.holder[key.Cell] {
-			rehome = append(rehome, key)
+	// node takes a fresh copy of the primary segments. Keys go in slot
+	// order, as the lost segments do, so identical runs transmit
+	// identically; a re-home writes only its own slot.
+	for i, mirror := range s.mirrors {
+		key := s.keyAt(i)
+		index := s.IndexNode(key.Cell)
+		if int(mirror) != id && int(mirror) != index {
+			continue
 		}
-	}
-	slices.SortFunc(rehome, compareKeys)
-	for _, key := range rehome {
-		index := s.holder[key.Cell]
 		if err := s.recopyMirror(key, index, s.Elect(key.Cell, index)); err != nil {
 			return err
 		}
@@ -109,7 +106,7 @@ func (s *System) FailNode(id int) error {
 // until the next failure re-elects one: never claim phantom data.
 func (s *System) recopyMirror(key Key, from, to int) error {
 	var live []event.Event
-	for _, seg := range s.segs[key] {
+	for _, seg := range s.segsOf(key) {
 		live = append(live, seg.events...)
 	}
 	if to >= 0 && len(live) > 0 {

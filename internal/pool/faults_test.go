@@ -251,7 +251,7 @@ func mostLoaded(s *System) int {
 func busiestDelegate(s *System) int {
 	held := make([]int, len(s.dead))
 	s.EachSegment(func(key Key, node int, events []event.Event) {
-		if node != s.holder[key.Cell] && len(events) > 0 {
+		if node != s.IndexNode(key.Cell) && len(events) > 0 {
 			held[node]++
 		}
 	})

@@ -32,11 +32,12 @@ func (s *System) CheckInvariants() error {
 	}
 	// 1. Holders alive.
 	if orphans := s.Orphaned(); len(orphans) > 0 {
-		return fmt.Errorf("pool: cell %v held by dead node %d", orphans[0], s.holder[orphans[0]])
+		return fmt.Errorf("pool: cell %v held by dead node %d", orphans[0], s.IndexNode(orphans[0]))
 	}
 
 	// 4. Theorem 3.1 placement consistency.
-	for key, segs := range s.segs {
+	for i, segs := range s.segs {
+		key := s.keyAt(i)
 		for _, seg := range segs {
 			for _, e := range seg.events {
 				if e.Values[key.Dim-1] != event.Greatest(e) {

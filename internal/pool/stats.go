@@ -37,7 +37,9 @@ func (s *System) Stats() Stats {
 	}
 	distinct := make(map[int]bool, len(s.holder))
 	for _, h := range s.holder {
-		distinct[h] = true
+		if h >= 0 {
+			distinct[int(h)] = true
+		}
 	}
 	st.IndexNodes = len(distinct)
 	for _, segs := range s.segs {

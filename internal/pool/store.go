@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -24,7 +23,9 @@ type segment struct {
 // their Directory and carry its moves out their own way: in zero time, or
 // hop by hop over virtual time. Segments keep the order they were opened
 // in and every copy the order its events landed in: that fixes result
-// order, Fetch positions and digests.
+// order, Fetch positions and digests. The per-cell tables are indexed by
+// the directory's Key slot, so a walk over them in index order is a walk
+// in (dimension, column, row) order.
 type Store struct {
 	dir *Directory
 
@@ -32,22 +33,23 @@ type Store struct {
 	// node in place: the System hands them to the new index node
 	// (Handover); the actor engine, whose nodes hold at most one segment
 	// of a cell, restores into the new holder's own (Restore).
-	segs map[Key][]segment
-	// copies holds the mirror copies, keyed like the directory's mirrors.
-	copies map[Key][]event.Event
+	segs [][]segment
+	// copies holds the mirror copies.
+	copies [][]event.Event
 	// stored counts the events each node holds in segments.
 	stored []int
 
-	// sums holds the summaries of the copies anti-entropy has asked about,
-	// digestBuf the scratch they are built in.
-	sums      map[Key]*cellSummaries
+	// sums holds the summaries of both copies of every cell, digestBuf the
+	// scratch they are built in.
+	sums      []cellSummaries
 	digestBuf []uint64
 }
 
 // NewStore returns an empty store over dir's deployment.
 func NewStore(dir *Directory) *Store {
-	return &Store{dir: dir, segs: make(map[Key][]segment), copies: make(map[Key][]event.Event),
-		stored: make([]int, len(dir.dead)), sums: make(map[Key]*cellSummaries)}
+	n := dir.numSlots()
+	return &Store{dir: dir, segs: make([][]segment, n), copies: make([][]event.Event, n),
+		stored: make([]int, len(dir.dead)), sums: make([]cellSummaries, n)}
 }
 
 // copySummary memoises the set summary of one copy of a cell — the digest
@@ -62,21 +64,30 @@ type copySummary struct {
 // cellSummaries holds the memos of a cell's two copies.
 type cellSummaries struct{ primary, mirror copySummary }
 
-// putSegments ends every write to key's segments, in-place edits
-// included: it ends the life of the primary copy's summary.
-func (st *Store) putSegments(key Key, segs []segment) {
-	st.segs[key] = segs
-	if m := st.sums[key]; m != nil {
-		m.primary.valid = false
-	}
+// putSegments ends every write to the segments of the cell at slot i,
+// in-place edits included: it ends the life of the primary copy's
+// summary.
+func (st *Store) putSegments(i int, segs []segment) {
+	st.segs[i] = segs
+	st.sums[i].primary.valid = false
 }
 
 // ReplaceMirror makes events the cell's mirror copy.
 func (st *Store) ReplaceMirror(key Key, events []event.Event) {
-	st.copies[key] = events
-	if m := st.sums[key]; m != nil {
-		m.mirror.valid = false
+	st.replaceMirror(st.dir.slot(key), events)
+}
+
+func (st *Store) replaceMirror(i int, events []event.Event) {
+	st.copies[i] = events
+	st.sums[i].mirror.valid = false
+}
+
+// segsOf returns key's segments, none for a key outside its Pool.
+func (st *Store) segsOf(key Key) []segment {
+	if i := st.dir.slot(key); i >= 0 {
+		return st.segs[i]
 	}
+	return nil
 }
 
 // last returns the index of the last of segs node holds, or -1.
@@ -89,40 +100,44 @@ func last(segs []segment, node int) int {
 	return -1
 }
 
-// at returns key's segments and the last of them node holds, opening one
-// at the end when it holds none.
-func (st *Store) at(key Key, node int) ([]segment, *segment) {
-	segs := st.segs[key]
-	i := last(segs, node)
-	if i < 0 {
-		segs, i = append(segs, segment{node: node}), len(segs)
+// at returns the slot of key, its segments and the last of them node
+// holds, opening one at the end when it holds none.
+func (st *Store) at(key Key, node int) (int, []segment, *segment) {
+	i := st.dir.slot(key)
+	segs := st.segs[i]
+	j := last(segs, node)
+	if j < 0 {
+		segs, j = append(segs, segment{node: node}), len(segs)
 	}
-	return segs, &segs[i]
+	return i, segs, &segs[j]
 }
 
 // Append lands e on the last of the cell's segments node holds, or on a
 // new one at the end.
 func (st *Store) Append(key Key, node int, e event.Event) {
-	segs, seg := st.at(key, node)
+	i, segs, seg := st.at(key, node)
 	seg.events = append(seg.events, e)
 	st.stored[node]++
-	st.putSegments(key, segs)
+	st.putSegments(i, segs)
 }
 
 // AppendSegment opens a new segment at node holding e: a delegation.
 func (st *Store) AppendSegment(key Key, node int, e event.Event) {
+	i := st.dir.slot(key)
 	st.stored[node]++
-	st.putSegments(key, append(st.segs[key], segment{node: node, events: []event.Event{e}}))
+	st.putSegments(i, append(st.segs[i], segment{node: node, events: []event.Event{e}}))
 }
 
 // AppendMirror appends e to the cell's mirror copy.
 func (st *Store) AppendMirror(key Key, e event.Event) {
-	st.ReplaceMirror(key, append(st.copies[key], e))
+	i := st.dir.slot(key)
+	st.replaceMirror(i, append(st.copies[i], e))
 }
 
 // Lost is a segment a crash emptied, with the events it held.
 type Lost struct {
 	Key    Key
+	slot   int
 	seg    int
 	Events []event.Event
 }
@@ -132,31 +147,30 @@ type Lost struct {
 // EachSegment's order.
 func (st *Store) Crash(node int) []Lost {
 	var lost []Lost
-	for key, segs := range st.segs {
-		for i := range segs {
-			if segs[i].node == node {
-				lost = append(lost, Lost{Key: key, seg: i, Events: segs[i].events})
-				st.stored[node] -= len(segs[i].events)
-				segs[i].events = nil
-				st.putSegments(key, segs)
+	for i, segs := range st.segs {
+		for j := range segs {
+			if segs[j].node == node {
+				lost = append(lost, Lost{Key: st.dir.keyAt(i), slot: i, seg: j, Events: segs[j].events})
+				st.stored[node] -= len(segs[j].events)
+				segs[j].events = nil
+				st.putSegments(i, segs)
 			}
 		}
 	}
-	for key := range st.copies {
-		if st.dir.Mirror(key) == node {
-			st.ReplaceMirror(key, nil)
+	for i, m := range st.dir.mirrors {
+		if int(m) == node {
+			st.replaceMirror(i, nil)
 		}
 	}
-	slices.SortFunc(lost, func(a, b Lost) int { return cmp.Or(compareKeys(a.Key, b.Key), cmp.Compare(a.seg, b.seg)) })
 	return lost
 }
 
 // Handover hands a lost segment to node to, holding restored.
 func (st *Store) Handover(l Lost, to int, restored []event.Event) {
-	segs := st.segs[l.Key]
+	segs := st.segs[l.slot]
 	segs[l.seg] = segment{node: to, events: restored}
 	st.stored[to] += len(restored)
-	st.putSegments(l.Key, segs)
+	st.putSegments(l.slot, segs)
 }
 
 // AppendRestored appends to dst the events of a restore chunk that suit
@@ -174,36 +188,38 @@ func (st *Store) AppendRestored(dst, chunk []event.Event) []event.Event {
 // Restore lands a restore chunk on node's segment of the cell by the
 // AppendRestored rule.
 func (st *Store) Restore(key Key, node int, chunk []event.Event) {
-	segs, seg := st.at(key, node)
+	i, segs, seg := st.at(key, node)
 	held := len(seg.events)
 	seg.events = st.AppendRestored(seg.events, chunk)
 	st.stored[node] += len(seg.events) - held
-	st.putSegments(key, segs)
+	st.putSegments(i, segs)
 }
 
-// Prune deletes the matching events of the cell's i-th segment and
+// Prune deletes the matching events of the cell's j-th segment and
 // returns how many it deleted.
-func (st *Store) Prune(key Key, i int, match func(event.Event) bool) int {
-	segs := st.segs[key]
-	held := len(segs[i].events)
-	segs[i].events = slices.DeleteFunc(segs[i].events, match)
-	st.stored[segs[i].node] -= held - len(segs[i].events)
-	st.putSegments(key, segs)
-	return held - len(segs[i].events)
+func (st *Store) Prune(key Key, j int, match func(event.Event) bool) int {
+	i := st.dir.slot(key)
+	segs := st.segs[i]
+	held := len(segs[j].events)
+	segs[j].events = slices.DeleteFunc(segs[j].events, match)
+	st.stored[segs[j].node] -= held - len(segs[j].events)
+	st.putSegments(i, segs)
+	return held - len(segs[j].events)
 }
 
 // PruneMirror deletes the matching events of the cell's mirror copy and
 // returns how many it deleted.
 func (st *Store) PruneMirror(key Key, match func(event.Event) bool) int {
-	held := len(st.copies[key])
-	st.ReplaceMirror(key, slices.DeleteFunc(st.copies[key], match))
-	return held - len(st.copies[key])
+	i := st.dir.slot(key)
+	held := len(st.copies[i])
+	st.replaceMirror(i, slices.DeleteFunc(st.copies[i], match))
+	return held - len(st.copies[i])
 }
 
 // Active returns the node holding the cell's last segment and how many
 // events it holds there, or index and 0 for a cell without one.
 func (st *Store) Active(key Key, index int) (node, held int) {
-	segs := st.segs[key]
+	segs := st.segsOf(key)
 	if len(segs) == 0 {
 		return index, 0
 	}
@@ -212,7 +228,7 @@ func (st *Store) Active(key Key, index int) (node, held int) {
 
 // Held returns the events of the last of the cell's segments node holds.
 func (st *Store) Held(key Key, node int) []event.Event {
-	segs := st.segs[key]
+	segs := st.segsOf(key)
 	if i := last(segs, node); i >= 0 {
 		return segs[i].events
 	}
@@ -220,7 +236,12 @@ func (st *Store) Held(key Key, node int) []event.Event {
 }
 
 // MirrorCopy returns the cell's mirror copy.
-func (st *Store) MirrorCopy(key Key) []event.Event { return st.copies[key] }
+func (st *Store) MirrorCopy(key Key) []event.Event {
+	if i := st.dir.slot(key); i >= 0 {
+		return st.copies[i]
+	}
+	return nil
+}
 
 // Stored returns how many events node holds in segments.
 func (st *Store) Stored(node int) int { return st.stored[node] }
@@ -232,32 +253,11 @@ func (st *Store) StorageLoad() []int { return slices.Clone(st.stored) }
 // EachSegment calls fn for every segment, cells in (dimension, column,
 // row) order and each cell's segments in the order they were opened.
 func (st *Store) EachSegment(fn func(key Key, node int, events []event.Event)) {
-	keys := make([]Key, 0, len(st.segs))
-	for key := range st.segs {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, compareKeys)
-	for _, key := range keys {
-		for _, seg := range st.segs[key] {
-			fn(key, seg.node, seg.events)
+	for i, segs := range st.segs {
+		for _, seg := range segs {
+			fn(st.dir.keyAt(i), seg.node, seg.events)
 		}
 	}
-}
-
-// compareKeys orders cells by (dimension, column, row).
-func compareKeys(a, b Key) int {
-	return cmp.Or(cmp.Compare(a.Dim, b.Dim), cmp.Compare(a.Cell.X, b.Cell.X), cmp.Compare(a.Cell.Y, b.Cell.Y))
-}
-
-// summariesOf returns the cell's memos, creating them (invalid) on first
-// use.
-func (st *Store) summariesOf(key Key) *cellSummaries {
-	m := st.sums[key]
-	if m == nil {
-		m = &cellSummaries{}
-		st.sums[key] = m
-	}
-	return m
 }
 
 // cellCopy is one copy of a cell as antientropy.Store sees it: the
@@ -265,15 +265,23 @@ func (st *Store) summariesOf(key Key) *cellSummaries {
 type cellCopy struct {
 	st     *Store
 	key    Key
+	slot   int
 	memo   *copySummary
 	mirror bool
 }
 
+// copiesOf returns the primary and mirror copies of the cell at slot i.
+func (st *Store) copiesOf(i int) (primary, mirror cellCopy) {
+	key, m := st.dir.keyAt(i), &st.sums[i]
+	return cellCopy{st: st, key: key, slot: i, memo: &m.primary},
+		cellCopy{st: st, key: key, slot: i, memo: &m.mirror, mirror: true}
+}
+
 func (c cellCopy) Node() int {
 	if c.mirror {
-		return c.st.dir.mirrors[c.key]
+		return int(c.st.dir.mirrors[c.slot])
 	}
-	return c.st.dir.holder[c.key.Cell]
+	return c.st.dir.IndexNode(c.key.Cell)
 }
 
 // Summary returns the memo, rebuilt from the copy's events when a write
@@ -289,12 +297,12 @@ func (c cellCopy) Summary() *antientropy.Summary {
 
 func (c cellCopy) AppendDigests(buf []uint64) []uint64 {
 	if c.mirror {
-		for _, e := range c.st.copies[c.key] {
+		for _, e := range c.st.copies[c.slot] {
 			buf = append(buf, antientropy.Digest(e))
 		}
 		return buf
 	}
-	for _, seg := range c.st.segs[c.key] {
+	for _, seg := range c.st.segs[c.slot] {
 		for _, e := range seg.events {
 			buf = append(buf, antientropy.Digest(e))
 		}
@@ -303,7 +311,7 @@ func (c cellCopy) AppendDigests(buf []uint64) []uint64 {
 }
 
 func (c cellCopy) Fetch(digests []uint64, buf []event.Event) []event.Event {
-	sum, segs := c.Summary(), c.st.segs[c.key]
+	sum, segs := c.Summary(), c.st.segs[c.slot]
 	for _, d := range digests {
 		i, ok := slices.BinarySearch(sum.Keys, d)
 		if !ok {
@@ -311,7 +319,7 @@ func (c cellCopy) Fetch(digests []uint64, buf []event.Event) []event.Event {
 		}
 		pos := int(sum.First[i])
 		if c.mirror {
-			buf = append(buf, c.st.copies[c.key][pos])
+			buf = append(buf, c.st.copies[c.slot][pos])
 			continue
 		}
 		for _, seg := range segs {
@@ -339,20 +347,26 @@ func (c cellCopy) Insert(e event.Event) {
 
 func (c cellCopy) Len() int {
 	if c.mirror {
-		return len(c.st.copies[c.key])
+		return len(c.st.copies[c.slot])
 	}
 	n := 0
-	for _, seg := range c.st.segs[c.key] {
+	for _, seg := range c.st.segs[c.slot] {
 		n += len(seg.events)
 	}
 	return n
 }
 
 // CheckStore verifies rules 2 and 3 of CheckInvariants, which hold in
-// every state, and returns the first violation found, or nil.
+// every state, and that every slot holding a segment or a copy is the slot
+// of a Key inside its Pool, and returns the first violation found, or nil.
 func (st *Store) CheckStore() error {
 	counted := make([]int, len(st.stored))
-	for key, segs := range st.segs {
+	for i, segs := range st.segs {
+		key := st.dir.keyAt(i)
+		if (len(segs) > 0 || len(st.copies[i]) > 0) && st.dir.slot(key) != i {
+			return fmt.Errorf("pool: slot %d holds cell %v of P%d, whose slot is %d",
+				i, key.Cell, key.Dim, st.dir.slot(key))
+		}
 		for _, seg := range segs {
 			if st.dir.dead[seg.node] && len(seg.events) > 0 {
 				return fmt.Errorf("pool: cell %v segment with %d events held by dead node %d",
@@ -374,15 +388,16 @@ func (st *Store) CheckStore() error {
 // a silently missed repair.
 func (st *Store) checkSummaries() error {
 	var fresh antientropy.Summary
-	for key, m := range st.sums {
-		for _, c := range []cellCopy{{st, key, &m.primary, false}, {st, key, &m.mirror, true}} {
+	for i := range st.sums {
+		primary, mirror := st.copiesOf(i)
+		for _, c := range []cellCopy{primary, mirror} {
 			if !c.memo.valid {
 				continue
 			}
 			antientropy.Summarize(&fresh, c.AppendDigests(nil))
 			if !fresh.Equal(&c.memo.Summary) {
 				return fmt.Errorf("pool: stale set summary for cell %v of P%d (mirror copy: %v): memo says %+v, events say %+v",
-					key.Cell, key.Dim, c.mirror, c.memo.Zero, fresh.Zero)
+					c.key.Cell, c.key.Dim, c.mirror, c.memo.Zero, fresh.Zero)
 			}
 		}
 	}
@@ -393,12 +408,13 @@ func (st *Store) checkSummaries() error {
 // with an alive mirror is in the mirror's copy too — until an undetected
 // crash loses a copy and anti-entropy has yet to repair the pair.
 func (st *Store) CheckCoverage() error {
-	for key, segs := range st.segs {
+	for i, segs := range st.segs {
+		key := st.dir.keyAt(i)
 		if _, ok := st.dir.MirrorFor(key, -1); !ok {
 			continue // mirror never elected or currently dead
 		}
-		inMirror := make(map[uint64]bool, len(st.copies[key]))
-		for _, e := range st.copies[key] {
+		inMirror := make(map[uint64]bool, len(st.copies[i]))
+		for _, e := range st.copies[i] {
 			inMirror[e.Seq] = true
 		}
 		for _, seg := range segs {

@@ -129,7 +129,7 @@ type System struct {
 	pairsAt uint64
 
 	// Continuous-query state (continuous.go).
-	subs    map[Key][]*Subscription
+	subs    [][]*Subscription // by Key slot
 	subSeq  uint64
 	pending []Notification
 
@@ -161,6 +161,7 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 	s := &System{
 		Directory: dir,
 		Store:     NewStore(dir),
+		subs:      make([][]*Subscription, dir.numSlots()),
 		net:       net,
 		router:    router,
 		quota:     cfg.quota,
@@ -377,10 +378,10 @@ func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) 
 func (s *System) gather(key Key, node int, mirror bool) int {
 	rq, start := s.plan.Query, len(s.replyBuf)
 	if mirror {
-		s.replyBuf = rq.AppendMatches(s.replyBuf, s.copies[key])
+		s.replyBuf = rq.AppendMatches(s.replyBuf, s.MirrorCopy(key))
 		return len(s.replyBuf) - start
 	}
-	for _, seg := range s.segs[key] {
+	for _, seg := range s.segsOf(key) {
 		if seg.node != node {
 			if _, err := s.unicast(node, seg.node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
 				continue

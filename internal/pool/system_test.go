@@ -89,6 +89,19 @@ func TestEveryPoolCellHasIndexNode(t *testing.T) {
 	}
 }
 
+// The index nodes sit in a row-major table over the grid, where a cell
+// just off one edge computes the index of a real cell (X == Cols is the
+// next row's first): off-grid cells must be refused, not aliased.
+func TestIndexNodeOffGrid(t *testing.T) {
+	s, _ := newSystem(t, 900, 62)
+	g := s.Grid()
+	for _, c := range []CellID{{X: g.Cols, Y: 0}, {X: -1, Y: 0}, {X: 0, Y: g.Rows}, {X: 0, Y: -1}} {
+		if h := s.IndexNode(c); h != -1 {
+			t.Errorf("IndexNode(%v) = %d on a %dx%d grid, want -1", c, h, g.Cols, g.Rows)
+		}
+	}
+}
+
 func TestInsertAndExactRangeQuery(t *testing.T) {
 	s, net := newSystem(t, 300, 63)
 	src := rng.New(64)

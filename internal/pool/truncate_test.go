@@ -30,7 +30,7 @@ func seqsOf(lists ...[]event.Event) map[uint64]bool {
 // cellSeqs collects the Seq of every event stored for one cell.
 func cellSeqs(s *System, key Key) map[uint64]bool {
 	out := make(map[uint64]bool)
-	for _, seg := range s.segs[key] {
+	for _, seg := range s.segsOf(key) {
 		for _, e := range seg.events {
 			out[e.Seq] = true
 		}
@@ -47,7 +47,8 @@ func checkNoPhantoms(t testing.TB, s *System, got []event.Event, comp dcs.Comple
 		unreached[l] = true
 	}
 	home := make(map[uint64]Key)
-	for key, segs := range s.segs {
+	for i, segs := range s.segs {
+		key := s.keyAt(i)
 		for _, seg := range segs {
 			for _, e := range seg.events {
 				home[e.Seq] = key
@@ -87,11 +88,11 @@ search:
 				continue
 			}
 			for _, c2 := range p.Cells() {
-				cand := s.holder[c2]
-				if cand == s.holder[c] || s.SplitterFor(p, cand) != cand {
+				cand := s.IndexNode(c2)
+				if cand == s.IndexNode(c) || s.SplitterFor(p, cand) != cand {
 					continue
 				}
-				if r := dcstest.OneWayRelay(t, router, s.holder[c], cand); r >= 0 {
+				if r := dcstest.OneWayRelay(t, router, s.IndexNode(c), cand); r >= 0 {
 					key, sink, relay = k, cand, r
 					break search
 				}
@@ -153,18 +154,19 @@ func TestLostDelegateReplyContributesNothing(t *testing.T) {
 		}
 	}
 	var key Key
-	for k, segs := range s.segs {
+	for i, segs := range s.segs {
+		k := s.keyAt(i)
 		if len(segs) > 1 {
 			key = k
 		}
 	}
-	segs := s.segs[key]
+	segs := s.segsOf(key)
 	if len(segs) < 2 {
 		t.Fatal("no delegated segment")
 	}
 	// The index node asks for itself: it is its own sink and splitter, so
 	// the only radio legs of the cell are the index↔delegate exchanges.
-	index, delegate := s.holder[key.Cell], segs[1].node
+	index, delegate := s.IndexNode(key.Cell), segs[1].node
 	if segs[0].node != index || delegate == index {
 		t.Fatalf("segments at %d,%d for index %d", segs[0].node, delegate, index)
 	}
@@ -240,7 +242,7 @@ search:
 			continue
 		}
 		for _, c := range cells {
-			if idx := s.holder[c]; idx != splitter &&
+			if idx := s.IndexNode(c); idx != splitter &&
 				(slices.Contains(dcstest.Route(t, router, splitter, idx), r) || slices.Contains(dcstest.Route(t, router, idx, splitter), r)) {
 				continue search
 			}
@@ -254,7 +256,7 @@ search:
 
 	withMatches := 0
 	for _, c := range cells {
-		for _, seg := range s.segs[Key{Dim: 1, Cell: c}] {
+		for _, seg := range s.segsOf(Key{Dim: 1, Cell: c}) {
 			if len(q.Filter(seg.events)) > 0 {
 				withMatches++
 				break
@@ -295,8 +297,8 @@ func TestLostMirrorReplyContributesNothing(t *testing.T) {
 	var victim int
 	for _, p := range s.Pools() {
 		for _, c := range p.Cells() {
-			if len(s.copies[Key{Dim: p.Dim, Cell: c}]) > 0 {
-				victim = s.holder[c]
+			if len(s.MirrorCopy(Key{Dim: p.Dim, Cell: c})) > 0 {
+				victim = s.IndexNode(c)
 			}
 		}
 	}
@@ -310,11 +312,11 @@ search:
 		for _, c := range p.Cells() {
 			k := Key{Dim: p.Dim, Cell: c}
 			m, ok := s.MirrorFor(k, victim)
-			if s.holder[c] != victim || !ok || len(s.copies[k]) == 0 {
+			if s.IndexNode(c) != victim || !ok || len(s.MirrorCopy(k)) == 0 {
 				continue
 			}
 			for _, c2 := range p.Cells() {
-				cand := s.holder[c2]
+				cand := s.IndexNode(c2)
 				if cand == victim || cand == m || s.SplitterFor(p, cand) != cand {
 					continue
 				}
@@ -329,7 +331,7 @@ search:
 		t.Fatal("no mirrored cell of the victim with a one-way reply relay")
 	}
 	label := CellLabel(key.Dim, key.Cell)
-	own := seqsOf(s.copies[key])
+	own := seqsOf(s.MirrorCopy(key))
 
 	got, comp, err := s.QueryWithReport(sink, fullDomain())
 	if err != nil {

@@ -103,7 +103,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 	served := s.servedBuf[:0]
 	for _, c := range f.Cells {
 		key.Cell = c
-		index := s.holder[c]
+		index := s.IndexNode(c)
 		node, err := s.exchange(splitter, index, v.kind, qBytes, comp, retarget)
 		if err != nil {
 			return fmt.Errorf("pool: to cell %v: %w", c, err)

@@ -126,7 +126,7 @@ func TestTreeOperationsNameUnreachedCells(t *testing.T) {
 
 	// A wide delete prunes every cell it can reach and counts exactly
 	// those: what the corpse indexes is all that is left of the matches.
-	victim := s.holder[key.Cell]
+	victim := s.IndexNode(key.Cell)
 	wide := event.NewQuery(event.Span(0.2, 0.9), event.Unspecified(), event.Span(0.1, 0.8))
 	want := 0
 	for _, ev := range wide.Rewrite().Filter(all) {
@@ -142,9 +142,10 @@ func TestTreeOperationsNameUnreachedCells(t *testing.T) {
 		t.Errorf("delete past a corpse: err = %v", err)
 	}
 	left := 0
-	for k, segs := range s.segs {
+	for i, segs := range s.segs {
+		k := s.keyAt(i)
 		for _, seg := range segs {
-			if n := len(wide.Rewrite().Filter(seg.events)); n > 0 && s.holder[k.Cell] != victim {
+			if n := len(wide.Rewrite().Filter(seg.events)); n > 0 && s.IndexNode(k.Cell) != victim {
 				t.Errorf("cell %v still holds %d matches", k.Cell, n)
 			} else {
 				left += n
@@ -175,8 +176,8 @@ func TestTreeOperationsServedByMirror(t *testing.T) {
 		t.Errorf("COUNT = %v, %v; want 1 from the mirror", n, err)
 	}
 	sub, err := s.Subscribe(sink, pointQuery(e))
-	if err != nil || !slices.Contains(s.subs[key], sub) {
-		t.Errorf("subscribe through the mirror: %v, registered %v", err, s.subs[key])
+	if err != nil || !slices.Contains(s.subs[s.slot(key)], sub) {
+		t.Errorf("subscribe through the mirror: %v, registered %v", err, s.subs[s.slot(key)])
 	}
 	if removed, err := s.Delete(sink, pointQuery(e)); err != nil || removed != 1 {
 		t.Errorf("delete removed %d, %v; want 1 at the mirror", removed, err)
@@ -184,7 +185,7 @@ func TestTreeOperationsServedByMirror(t *testing.T) {
 	honest("delete at the mirror")
 	// Once the failure is detected the restore takes only what the mirror
 	// still holds: the deleted event stays deleted.
-	if err := s.FailNode(s.holder[key.Cell]); err != nil {
+	if err := s.FailNode(s.IndexNode(key.Cell)); err != nil {
 		t.Fatal(err)
 	}
 	honest("restore from the mirror")
