@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench-build bench-oracle race race-parallel fuzz chaos conformance micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
+.PHONY: build test vet loc bench-build bench-oracle race race-parallel fuzz chaos conformance micro-bench loadtest check bench bench-compare bench-e2e bench-pair golden
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,16 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines per internal/* and cmd/* package, then the total outside
+# bench/ (its own module) and the bench-pair build tree: the line counts
+# ROADMAP reports.
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
+	@printf '%-24s %6d\n' total $$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 # The parallel experiment runner's determinism contract, exercised with
 # real contention: 8 scheduler threads regardless of host core count.

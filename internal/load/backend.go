@@ -262,8 +262,8 @@ func (t *StationTarget) MaxDepth() int {
 // Errs returns errors recorded by asynchronous batch flushes.
 func (t *StationTarget) Errs() []error { return t.errs }
 
-// queryReplyKinds sums the message counters a query-class operation
-// moves; insertKinds the ones an insert moves.
+// trafficDelta returns the network's running total of query, reply and
+// insert transmissions; execute charges an operation the difference.
 func trafficDelta(net *network.Network) uint64 {
 	return net.Messages(network.KindQuery) + net.Messages(network.KindReply) + net.Messages(network.KindInsert)
 }

@@ -157,10 +157,9 @@ func FuzzRepairPackets(f *testing.F) {
 			chunk := data[:8]
 			data = data[8:]
 			pkt := repairPacket{
-				kind:   repairKind(chunk[0]%9 + 1),
-				from:   int(chunk[1]) % n,
-				to:     int(chunk[2]) % n,
-				victim: int(chunk[3]) % n,
+				kind: repairKind(chunk[0]%9 + 1),
+				from: int(chunk[1]) % n,
+				to:   int(chunk[2]) % n,
 				key: pool.Key{
 					Dim:  int(chunk[4])%3 + 1,
 					Cell: pool.CellID{X: int(chunk[5]) % 40, Y: int(chunk[6]) % 40},

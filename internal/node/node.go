@@ -115,15 +115,16 @@ type Engine struct {
 	svcDepth    []int
 	svcMaxDepth int
 
-	// Repair-protocol state (repair.go): the elections and transfers in
-	// flight, and the cells whose restore is still streaming.
-	repairs      map[int]*repairRun
-	elects       map[pool.CellID]*electTask
-	xfers        map[pool.Key]*xferTask
-	transferring map[pool.Key]bool
-	repairHist   *stats.IntHistogram
-	repairMsgs   uint64
-	repairBytes  uint64
+	// Repair-protocol state (repair.go): the elections, restores and
+	// re-homes in flight. A cell whose restore is still streaming serves
+	// its partial slice as unreached.
+	repairs     map[int]*repairRun
+	elects      map[pool.CellID]*electTask
+	restores    map[pool.Key]*xferTask
+	rehomes     map[pool.Key]*xferTask
+	repairHist  *stats.IntHistogram
+	repairMsgs  uint64
+	repairBytes uint64
 
 	errs []error
 
@@ -281,19 +282,19 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 		return nil, err
 	}
 	e := &Engine{
-		Directory:    dir,
-		Store:        pool.NewStore(dir),
-		layout:       layout,
-		router:       router,
-		net:          net,
-		sched:        sched,
-		hopLatency:   DefaultHopLatency,
-		repairs:      make(map[int]*repairRun),
-		elects:       make(map[pool.CellID]*electTask),
-		xfers:        make(map[pool.Key]*xferTask),
-		transferring: make(map[pool.Key]bool),
-		repairHist:   stats.NewIntHistogram(),
-		tracer:       cfg.tracer,
+		Directory:  dir,
+		Store:      pool.NewStore(dir),
+		layout:     layout,
+		router:     router,
+		net:        net,
+		sched:      sched,
+		hopLatency: DefaultHopLatency,
+		repairs:    make(map[int]*repairRun),
+		elects:     make(map[pool.CellID]*electTask),
+		restores:   make(map[pool.Key]*xferTask),
+		rehomes:    make(map[pool.Key]*xferTask),
+		repairHist: stats.NewIntHistogram(),
+		tracer:     cfg.tracer,
 	}
 	e.hid = sched.Register(e)
 	return e, nil

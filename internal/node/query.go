@@ -319,7 +319,7 @@ func (e *Engine) serveCell(li int32) {
 	if l.target != l.index {
 		held = e.MirrorCopy(l.key)
 	} else {
-		held, l.partial = e.Held(l.key, int(l.target)), e.transferring[l.key]
+		held, l.partial = e.Held(l.key, int(l.target)), e.restores[l.key] != nil
 	}
 	e.matchBuf = e.ops.at(l.op).plan.Query.AppendMatches(e.matchBuf[:0], held)
 	l.matches = event.CloneEvents(e.matchBuf)

@@ -1,43 +1,33 @@
-// Message-driven fault repair: the actor-engine counterpart of the
-// synchronous pool.System.FailNode. Both apply the same directory rules
-// (Elect, MirrorFor, SetMirror) and the same pool.Store moves — Crash
-// loses the victim's RAM; Restore lands a pulled chunk; Append and
-// ReplaceMirror adopt and re-home a copy — so after a drained repair both
-// hold identical holder maps, stores and mirror assignments, which the
-// systemtest equivalence suite checks. What this file adds is how the
-// moves travel: where the synchronous repair charges one bulk transfer
-// per restored segment, this protocol runs them as multi-hop control
-// exchanges on the scheduler:
+// Message-driven fault repair: the actor engine's executor of the repair
+// plan, pool.Repair, which decides every move; pool.System.FailNode
+// executes the same plan in zero time. Once a repair has drained, both hold
+// the same holders, stores and mirrors by construction (the systemtest
+// equivalence suite checks it); inside one repair window they may differ,
+// because a second crash can land while the first repair is on the air.
+// What this file adds is how the plan's steps travel, as multi-hop
+// network.KindControl exchanges that compete with live queries for the
+// radio:
 //
-//  1. Suspicion — the alive node closest to the victim becomes the
-//     repair initiator and announces the suspicion to the candidate of
-//     every orphaned cell (repairSuspect).
-//  2. Re-election — each candidate (Elect's pick) claims the index role
-//     back to the initiator (repairClaim) and is granted it
-//     (repairGrant). The grant flips the cell's holder: inserts and
-//     queries issued afterwards route to the new index node.
-//  3. State transfer — the new holder pulls the cell's mirrored events
-//     hop by hop (repairPull, then stop-and-wait repairChunk /
-//     repairChunkAck rounds of at most repairChunkEvents events).
-//     While a transfer is in flight the cell answers queries from the
-//     partial slice already landed and is reported unreached, so
-//     measured completeness dips and then recovers as chunks arrive.
-//  4. Mirror re-homing — cells whose mirror copy died are re-copied
-//     from the primary to a fresh mirror (repairMirror announce, then
-//     the same chunk rounds), and a re-election that lands the index
-//     role on the cell's own mirror splits the roles again by moving
-//     the copy one node over, as the synchronous repair does.
+//  1. Election: the alive node closest to the victim, the initiator, tells
+//     each planned candidate its cell's holder is dead (repairSuspect); the
+//     candidate claims the role (repairClaim) and is granted it
+//     (repairGrant), which flips the cell's holder.
+//  2. Restore, at the grant: the new holder pulls each planned copy
+//     (repairPull, then stop-and-wait repairChunk / repairChunkAck rounds),
+//     or adopts its own copy when it is the mirror. Until the last chunk
+//     lands the cell serves its partial slice and is reported unreached.
+//  3. Re-home: the new mirror is announced (repairMirror) and the copy
+//     streamed in the same rounds; a cell still re-electing waits for its
+//     grant.
 //
-// Every repair frame is network.KindControl: repair traffic competes
-// with live queries for the same radio, which is what the churn
-// experiment's interference columns measure. A repair leg lost to a
-// second failure abandons its task the way the synchronous repair drops
-// an unreachable segment; the next FailNode call re-plans any cell
-// still held by a dead node, so cascades self-heal.
+// A leg lost to a further failure abandons its task: an election re-plans
+// its cell, a transfer keeps what landed. The next FailNode call re-plans
+// any cell still held by a dead node, so cascades self-heal.
 package node
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -70,7 +60,7 @@ const (
 	repairPull                           // new holder → mirror: stream me the cell copy
 	repairChunk                          // transfer source → dest: one chunk of events
 	repairChunkAck                       // dest → source: chunk received, send the next
-	repairMirror                         // initiator → primary: re-home the cell's mirror
+	repairMirror                         // primary → new mirror: take the cell's mirror copy
 )
 
 // repairPacket is one repair-protocol message: an explicit value
@@ -80,8 +70,8 @@ type repairPacket struct {
 	kind   repairKind
 	from   int
 	to     int
-	victim int
 	key    pool.Key
+	mirror bool          // the transfer is a re-home, not a restore
 	seq    int           // chunk ordinal for repairChunk/repairChunkAck
 	last   bool          // final-chunk marker
 	events []event.Event // chunk payload
@@ -105,35 +95,30 @@ func (t *xferTask) aborted(e *Engine)  { e.xferEnd(t, false) }
 
 // repairRun tracks one victim's repair from suspicion to convergence.
 type repairRun struct {
-	victim  int
+	plan    *pool.Repair
 	started time.Duration
 	pending int // open tasks: elections, transfers, re-homes
 }
 
-// electTask is one cell's re-election exchange.
+// electTask is one planned Election in flight between the initiator and
+// the candidate, To.
 type electTask struct {
+	pool.Election
 	run       *repairRun
-	victim    int
-	cell      pool.CellID
 	initiator int
-	candidate int
 	claimed   bool
 	retries   int // re-plans consumed after aborted exchanges
-	// rehomes lists keys whose mirror re-home must wait for this cell's
-	// new holder to be in place (the synchronous repair re-homes after
-	// re-electing, and copies from the post-election primary).
+	// rehomes lists keys whose mirror re-home waits for this cell's new
+	// holder to be in place, so that it copies from the new holder.
 	rehomes []pool.Key
 }
 
-// xferTask is one cell copy streaming between two nodes.
+// xferTask is one planned Transfer streaming between two nodes: a restore,
+// whose new holder lands chunks as they arrive, or a re-home (toMirror),
+// whose new mirror adopts the copy wholesale once it has landed.
 type xferTask struct {
-	run    *repairRun
-	key    pool.Key
-	source int
-	dest   int
-	// toMirror: the destination is a mirror (re-home or role split) and
-	// adopts the copy wholesale on completion. Otherwise the destination
-	// is a re-elected holder appending restored events as they land.
+	pool.Transfer
+	run      *repairRun
 	toMirror bool
 	chunks   [][]event.Event
 	sendNext int // next chunk ordinal the source will emit
@@ -155,15 +140,14 @@ func (e *Engine) RepairLatency() *stats.IntHistogram { return e.repairHist }
 // from beacons and queries sharing KindControl on the radio.
 func (e *Engine) RepairTraffic() (msgs, bytes uint64) { return e.repairMsgs, e.repairBytes }
 
-// QueryDegraded reports whether q would, right now, address a cell
-// without an authoritative fully-restored holder: among the query's
-// relevant cells, some holder is dead — by the engine's own knowledge
-// or by the caller's oracle (down), which lets an experiment with
-// global knowledge include the undetected window between a crash and
-// the beacon timeout that reveals it — or a re-election or restore
-// transfer is still in flight. Queries issued under this predicate pay
-// the repair: failure detection on the dead leg, the mirror fallback
-// round-trip, and service-queue contention with transfer chunks.
+// QueryDegraded reports whether q would, right now, address a cell still
+// under repair: among the query's relevant cells, some holder is dead —
+// by the engine's own knowledge or by the caller's oracle (down), which
+// lets an experiment with global knowledge include the undetected window
+// between a crash and the beacon timeout that reveals it — or a
+// re-election, a restore or a mirror re-home is still in flight. Such a
+// query pays the repair: failure detection on a dead leg, the mirror
+// fallback, and service-queue contention with transfer chunks.
 func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 	var plan pool.Plan
 	if e.Resolve(q, &plan) != nil {
@@ -171,11 +155,7 @@ func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 	}
 	for _, f := range plan.Fanouts {
 		for _, c := range f.Cells {
-			if e.elects[c] != nil {
-				return true
-			}
-			key := pool.Key{Dim: f.Pool.Dim, Cell: c}
-			if e.xfers[key] != nil || e.transferring[key] {
+			if e.elects[c] != nil || e.moving(pool.Key{Dim: f.Pool.Dim, Cell: c}) {
 				return true
 			}
 			h := e.IndexNode(c)
@@ -187,73 +167,49 @@ func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 	return false
 }
 
+// moving reports whether a restore or a re-home of key is in flight.
+func (e *Engine) moving(key pool.Key) bool { return e.restores[key] != nil || e.rehomes[key] != nil }
+
+// xfers returns the in-flight table of re-homes (mirror) or of restores.
+func (e *Engine) xfers(mirror bool) map[pool.Key]*xferTask {
+	if mirror {
+		return e.rehomes
+	}
+	return e.restores
+}
+
 // FailNode implements dcs.Degradable (Failed and RecoverNode are the
 // directory's): it marks the node dead — the radio goes silent
-// immediately, its storage is gone — and launches the message-driven
-// repair. The call returns as soon as the first suspicion packets are
-// scheduled; the repair itself converges over virtual time as the
-// exchanges play out. The error covers only the unrecoverable case of no
-// surviving node.
+// immediately, its storage is gone — and launches the repair plan's
+// exchanges, which converge over virtual time. The error covers only the
+// unrecoverable case of no surviving node.
 func (e *Engine) FailNode(victim int) error {
 	if changed, err := e.MarkFailed(victim); err != nil || !changed {
 		return err
 	}
 	// A crashed mote loses its RAM: primary segments, queued state, and
 	// any mirror copies it kept — a later recovery must never let those
-	// serve phantom data.
-	e.Crash(victim)
-
+	// serve phantom data. A cell already re-electing keeps its exchange.
+	plan := e.PlanRepair(victim, func(c pool.CellID) bool { return e.elects[c] != nil })
 	initiator := e.NearestAlive(e.layout.Pos(victim), -1)
 	if initiator < 0 {
 		return fmt.Errorf("node: no surviving node to repair %d", victim)
 	}
 
-	run := &repairRun{victim: victim, started: e.sched.Now()}
-
-	// Plan re-elections: every cell whose holder is dead and not already
-	// being repaired — the victim's cells, plus any cell stalled by a
-	// repair a previous cascade cut short.
-	var tasks []*electTask
-	for _, c := range e.Orphaned() {
-		if e.elects[c] != nil {
-			continue
-		}
-		t := &electTask{
-			run:       run,
-			victim:    victim,
-			cell:      c,
-			initiator: initiator,
-			candidate: e.Elect(c, -1),
-		}
-		// candidate ≥ 0 always holds here: an initiator exists, so the
-		// alive set is non-empty and Elect excludes nobody.
-		e.elects[c] = t
-		tasks = append(tasks, t)
-	}
-
-	// Plan mirror re-homes: every key whose mirror copy died. A key whose
-	// cell is also being re-elected defers until the grant lands, because
-	// the re-copy reads from the post-election primary.
-	var rehomes []pool.Key
-	for _, key := range e.MirrorKeys() {
-		if e.Failed(e.Mirror(key)) && e.xfers[key] == nil {
-			rehomes = append(rehomes, key)
-		}
-	}
-
-	for _, t := range tasks {
+	run := &repairRun{plan: plan, started: e.sched.Now()}
+	for _, el := range plan.Elections {
+		t := &electTask{Election: el, run: run, initiator: initiator}
+		e.elects[el.Cell] = t
 		run.pending++
-		e.sendRepair(repairPacket{
-			kind: repairSuspect, from: t.initiator, to: t.candidate,
-			victim: victim, key: pool.Key{Cell: t.cell},
-		}, t)
+		e.sendRepair(repairPacket{kind: repairSuspect, from: initiator, to: el.To, key: pool.Key{Cell: el.Cell}}, t)
 	}
-	for _, key := range rehomes {
+	// A re-home whose cell is re-electing waits for the grant.
+	for _, key := range e.Rehomes(e.moving) {
 		if t := e.elects[key.Cell]; t != nil {
 			t.rehomes = append(t.rehomes, key)
 			continue
 		}
-		e.startRehome(run, key)
+		e.startXfer(run, e.Rehome(key), true)
 	}
 
 	if run.pending > 0 {
@@ -302,165 +258,122 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 		return
 	}
 	switch pkt.kind {
-	case repairSuspect:
+	case repairSuspect, repairClaim, repairGrant:
+		// The claim runs candidate → initiator, the others the other way.
 		t := e.elects[pkt.key.Cell]
-		if t == nil || pkt.to != t.candidate || pkt.from != t.initiator || t.claimed {
+		if t == nil || t.claimed != (pkt.kind == repairGrant) || !legOf(pkt, t.initiator, t.To, pkt.kind == repairClaim) {
 			return
 		}
-		e.sendRepair(repairPacket{
-			kind: repairClaim, from: t.candidate, to: t.initiator,
-			victim: t.victim, key: pkt.key,
-		}, t)
+		switch pkt.kind {
+		case repairSuspect:
+			e.sendRepair(repairPacket{kind: repairClaim, from: t.To, to: t.initiator, key: pkt.key}, t)
+		case repairClaim:
+			t.claimed = true
+			e.sendRepair(repairPacket{kind: repairGrant, from: t.initiator, to: t.To, key: pkt.key}, t)
+		default:
+			e.electGranted(t)
+		}
 
-	case repairClaim:
-		t := e.elects[pkt.key.Cell]
-		if t == nil || pkt.from != t.candidate || pkt.to != t.initiator || t.claimed {
+	case repairPull, repairMirror, repairChunk, repairChunkAck:
+		// The pull and the acks run destination → source, the others the
+		// other way.
+		t := e.xfers(pkt.mirror)[pkt.key]
+		if t == nil || !legOf(pkt, t.From, t.To, pkt.kind == repairPull || pkt.kind == repairChunkAck) {
 			return
 		}
-		t.claimed = true
-		e.sendRepair(repairPacket{
-			kind: repairGrant, from: t.initiator, to: t.candidate,
-			victim: t.victim, key: pkt.key,
-		}, t)
-
-	case repairGrant:
-		t := e.elects[pkt.key.Cell]
-		if t == nil || pkt.to != t.candidate || pkt.from != t.initiator || !t.claimed {
-			return
+		switch pkt.kind {
+		case repairPull:
+			if !t.toMirror && t.chunks == nil {
+				t.chunks = chunked(e.MirrorCopy(pkt.key))
+				e.shipChunk(t)
+			}
+		case repairMirror:
+			if t.toMirror && t.sendNext == 0 {
+				e.shipChunk(t) // the chunks were staged when the re-home started
+			}
+		case repairChunkAck:
+			if pkt.seq == t.sendNext-1 {
+				e.shipChunk(t)
+			}
+		default:
+			if pkt.seq == t.recvNext {
+				e.chunkLanded(t, pkt)
+			}
 		}
-		e.electGranted(t)
-
-	case repairPull:
-		t := e.xfers[pkt.key]
-		if t == nil || t.toMirror || pkt.from != t.dest || pkt.to != t.source || t.chunks != nil {
-			return
-		}
-		t.chunks = chunked(e.MirrorCopy(pkt.key))
-		e.shipChunk(t)
-
-	case repairChunk:
-		t := e.xfers[pkt.key]
-		if t == nil || pkt.from != t.source || pkt.to != t.dest || pkt.seq != t.recvNext {
-			return
-		}
-		t.recvNext++
-		// The chunk lands by the Store's restore rule. A holder's segment
-		// grows as chunks land — what makes a mid-transfer query see a
-		// growing slice; a new mirror stages its copy until the last one.
-		if t.toMirror {
-			t.got = e.AppendRestored(t.got, pkt.events)
-		} else {
-			e.Restore(t.key, t.dest, pkt.events)
-		}
-		if pkt.last {
-			e.xferEnd(t, true)
-			return
-		}
-		e.sendRepair(repairPacket{
-			kind: repairChunkAck, from: t.dest, to: t.source,
-			victim: t.run.victim, key: t.key, seq: pkt.seq,
-		}, t)
-
-	case repairChunkAck:
-		t := e.xfers[pkt.key]
-		if t == nil || pkt.from != t.dest || pkt.to != t.source || pkt.seq != t.sendNext-1 {
-			return
-		}
-		e.shipChunk(t)
-
-	case repairMirror:
-		t := e.xfers[pkt.key]
-		if t == nil || !t.toMirror || pkt.from != t.source || pkt.to != t.dest || t.sendNext != 0 {
-			return
-		}
-		// The announce landed at the new mirror; the primary streams its
-		// live copy. (The chunks were staged at send time on the primary —
-		// pkt.to is the destination; shipping starts source-side.)
-		e.shipChunk(t)
 	}
+}
+
+// legOf reports whether pkt travels from src to dst, or from dst to src
+// when back.
+func legOf(pkt repairPacket, src, dst int, back bool) bool {
+	if back {
+		src, dst = dst, src
+	}
+	return pkt.from == src && pkt.to == dst
+}
+
+// chunkLanded lands the next chunk of t by the Store's restore rule. A
+// holder's segment grows as chunks land — what makes a mid-transfer query
+// see a growing slice; a new mirror stages its copy until the last one.
+func (e *Engine) chunkLanded(t *xferTask, pkt repairPacket) {
+	t.recvNext++
+	if t.toMirror {
+		t.got = e.AppendRestored(t.got, pkt.events)
+	} else {
+		e.Restore(t.Key, t.To, pkt.events)
+	}
+	if pkt.last {
+		e.xferEnd(t, true)
+		return
+	}
+	e.sendRepair(repairPacket{kind: repairChunkAck, from: t.To, to: t.From, key: t.Key, mirror: t.toMirror, seq: pkt.seq}, t)
 }
 
 // electGranted completes a cell's re-election at the candidate: the
-// holder flips, and the new index node pulls the mirrored copy of every
-// segment the cell kept there — then any deferred mirror re-homes run
-// against the post-election primary.
+// holder flips and the plan's restore step runs for the cell — a pull per
+// mirrored copy, or a local adoption when the candidate is the mirror,
+// after which the roles split again by a re-home. Then the re-homes that
+// waited for the grant start from the new holder.
 func (e *Engine) electGranted(t *electTask) {
-	e.Reelect(t.cell, t.candidate)
-	for _, p := range e.Pools() {
-		if !p.ContainsCell(t.cell) {
+	e.Reelect(t.Cell, t.To)
+	for _, x := range e.RestoreCell(t.run.plan, t.Cell, t.To) {
+		if x.From != x.To {
+			e.startXfer(t.run, x, false)
 			continue
 		}
-		key := pool.Key{Dim: p.Dim, Cell: t.cell}
-		m, ok := e.MirrorFor(key, -1)
-		if !ok {
-			continue // no replication, or the copy died with its mirror: events lost
+		for _, ev := range e.MirrorCopy(x.Key) {
+			e.Append(x.Key, x.To, ev)
 		}
-		if m == t.candidate {
-			e.adoptMirrorLocally(t.run, key, t.candidate)
-			continue
-		}
-		if len(e.MirrorCopy(key)) == 0 {
-			continue
-		}
-		x := &xferTask{run: t.run, key: key, source: m, dest: t.candidate}
-		e.xfers[key] = x
-		e.transferring[key] = true
-		t.run.pending++
-		e.sendRepair(repairPacket{
-			kind: repairPull, from: x.dest, to: x.source,
-			victim: t.run.victim, key: key,
-		}, x)
+		e.startXfer(t.run, e.Rehome(x.Key), true)
 	}
-	rehomes := t.rehomes
-	delete(e.elects, t.cell)
+	delete(e.elects, t.Cell)
 	e.taskDone(t.run)
-	for _, key := range rehomes {
-		e.startRehome(t.run, key)
+	for _, key := range t.rehomes {
+		e.startXfer(t.run, e.Rehome(key), true)
 	}
 }
 
-// adoptMirrorLocally handles re-election landing on the cell's own
-// mirror: the candidate already holds the copy, so it adopts it as
-// primary without radio traffic, then splits the roles again by moving
-// the mirror copy on — the synchronous repair's role-split pass.
-func (e *Engine) adoptMirrorLocally(run *repairRun, key pool.Key, candidate int) {
-	copied := e.MirrorCopy(key)
-	for _, ev := range copied {
-		e.Append(key, candidate, ev)
-	}
-	e.startMirrorCopy(run, key, candidate, copied)
-}
-
-// startRehome re-copies a key whose mirror died from its (possibly
-// re-elected) primary holder to a fresh mirror node.
-func (e *Engine) startRehome(run *repairRun, key pool.Key) {
-	index := e.IndexNode(key.Cell)
-	e.startMirrorCopy(run, key, index, e.Held(key, index))
-}
-
-// startMirrorCopy hands the cell's mirror role to the alive node closest
-// to the cell centre other than source, streaming it source's copy: a
-// repairMirror announce, then chunk rounds. The assignment flips only
-// when the full copy has landed — a cell never claims phantom replica
-// data — or at once, without radio traffic, when there is no node to take
-// the copy or nothing to ship, as the synchronous re-home does.
-func (e *Engine) startMirrorCopy(run *repairRun, key pool.Key, source int, events []event.Event) {
-	dest := e.Elect(key.Cell, source)
-	if dest < 0 || len(events) == 0 {
-		e.SetMirror(key, dest)
-		e.ReplaceMirror(key, nil)
+// startXfer launches a planned transfer: a restore with the new holder's
+// pull, which streams the source's copy as it stands then; a re-home with
+// its announce, which streams the planned copy. A re-home's assignment
+// flips only when the full copy has landed — a cell never claims phantom
+// replica data — or at once, without radio traffic, when there is no node
+// to take the copy or nothing to ship, as the synchronous re-home does.
+func (e *Engine) startXfer(run *repairRun, x pool.Transfer, toMirror bool) {
+	if toMirror && (x.To < 0 || len(x.Events) == 0) {
+		e.SetMirror(x.Key, x.To)
+		e.ReplaceMirror(x.Key, nil)
 		return
 	}
-	x := &xferTask{
-		run: run, key: key, source: source, dest: dest,
-		toMirror: true, chunks: chunked(events),
+	t := &xferTask{Transfer: x, run: run, toMirror: toMirror}
+	pkt := repairPacket{kind: repairPull, from: x.To, to: x.From, key: x.Key}
+	if toMirror {
+		t.chunks = chunked(x.Events)
+		pkt = repairPacket{kind: repairMirror, from: x.From, to: x.To, key: x.Key, mirror: true}
 	}
-	e.xfers[key] = x
+	e.xfers(toMirror)[x.Key] = t
 	run.pending++
-	e.sendRepair(repairPacket{
-		kind: repairMirror, from: source, to: dest,
-		victim: run.victim, key: key,
-	}, x)
+	e.sendRepair(pkt, t)
 }
 
 // shipChunk emits the source's next chunk (stop-and-wait).
@@ -471,8 +384,7 @@ func (e *Engine) shipChunk(t *xferTask) {
 	seq := t.sendNext
 	t.sendNext++
 	e.sendRepair(repairPacket{
-		kind: repairChunk, from: t.source, to: t.dest,
-		victim: t.run.victim, key: t.key,
+		kind: repairChunk, from: t.From, to: t.To, key: t.Key, mirror: t.toMirror,
 		seq: seq, last: seq == len(t.chunks)-1, events: t.chunks[seq],
 	}, t)
 }
@@ -485,53 +397,40 @@ func (e *Engine) shipChunk(t *xferTask) {
 // adopts a copy that landed and the assignment flips; an undeliverable
 // one is dropped entirely, never claiming phantom data.
 func (e *Engine) xferEnd(t *xferTask, landed bool) {
-	if e.xfers[t.key] != t {
+	table := e.xfers(t.toMirror)
+	if table[t.Key] != t {
 		return
 	}
-	delete(e.xfers, t.key)
-	switch {
-	case !t.toMirror:
-		delete(e.transferring, t.key)
-	case landed:
-		e.ReplaceMirror(t.key, t.got)
-		e.SetMirror(t.key, t.dest)
-	default:
-		e.SetMirror(t.key, -1)
-		e.ReplaceMirror(t.key, nil)
+	delete(table, t.Key)
+	if t.toMirror {
+		if !landed {
+			t.To, t.got = -1, nil
+		}
+		e.SetMirror(t.Key, t.To)
+		e.ReplaceMirror(t.Key, t.got)
 	}
 	e.taskDone(t.run)
 }
 
-// electAborted handles a re-election whose exchange was cut short.
-// While the cell's holder is still dead and the retry budget lasts,
-// the election is re-planned on the spot against the current view of
-// the membership — a candidate that crashed mid-exchange is in dead[]
-// by the time its loss is detected, so the fresh pick lands elsewhere.
-// A cell that exhausts the budget (every exchange dying through an
+// electAborted handles a re-election whose exchange was cut short. While
+// the retry budget lasts and the cell's holder is still dead, the cell's
+// election step is re-planned on the spot against the current view of the
+// membership — a candidate that crashed mid-exchange is in dead[] by the
+// time its loss is detected, so the fresh pick lands elsewhere. A cell
+// that exhausts the budget (every exchange dying through an
 // undetected-dead relay, say) keeps its dead holder until the next
 // FailNode call re-plans it.
 func (e *Engine) electAborted(t *electTask) {
-	if e.elects[t.cell] != t {
+	if e.elects[t.Cell] != t {
 		return
 	}
-	delete(e.elects, t.cell)
-	if e.Failed(e.IndexNode(t.cell)) && t.retries < electRetryBudget {
-		initiator := e.NearestAlive(e.layout.Pos(t.victim), -1)
-		if initiator >= 0 {
-			nt := &electTask{
-				run: t.run, victim: t.victim, cell: t.cell,
-				initiator: initiator,
-				candidate: e.Elect(t.cell, -1),
-				retries:   t.retries + 1,
-				rehomes:   t.rehomes,
-			}
-			e.elects[t.cell] = nt
-			e.sendRepair(repairPacket{
-				kind: repairSuspect, from: nt.initiator, to: nt.candidate,
-				victim: nt.victim, key: pool.Key{Cell: nt.cell},
-			}, nt)
-			// run.pending is untouched: the task was replaced, not retired.
-			return
+	delete(e.elects, t.Cell)
+	if el, ok := e.Election(t.Cell); ok && t.retries < electRetryBudget {
+		if initiator := e.NearestAlive(e.layout.Pos(t.run.plan.Victim), -1); initiator >= 0 {
+			nt := &electTask{Election: el, run: t.run, initiator: initiator, retries: t.retries + 1, rehomes: t.rehomes}
+			e.elects[t.Cell] = nt
+			e.sendRepair(repairPacket{kind: repairSuspect, from: initiator, to: el.To, key: pool.Key{Cell: el.Cell}}, nt)
+			return // run.pending is untouched: the task was replaced, not retired
 		}
 	}
 	e.taskDone(t.run)
@@ -541,32 +440,22 @@ func (e *Engine) electAborted(t *electTask) {
 // it was the last.
 func (e *Engine) taskDone(run *repairRun) {
 	run.pending--
-	if run.pending > 0 {
+	if run.pending > 0 || e.repairs[run.plan.Victim] != run {
 		return
 	}
-	if e.repairs[run.victim] == run {
-		delete(e.repairs, run.victim)
-		e.repairHist.Add(int64((e.sched.Now() - run.started) / time.Millisecond))
-		// Convergence closes the victim's repair-interference window.
-		e.tracer.Record(trace.TypeRepair, run.victim, 0, "done")
-	}
+	delete(e.repairs, run.plan.Victim)
+	e.repairHist.Add(int64((e.sched.Now() - run.started) / time.Millisecond))
+	// Convergence closes the victim's repair-interference window.
+	e.tracer.Record(trace.TypeRepair, run.plan.Victim, 0, "done")
 }
 
 // chunked splits a copy into transfer chunks of at most
 // repairChunkEvents events. An empty copy still yields one (empty)
 // chunk so the exchange has a final frame to complete on.
 func chunked(events []event.Event) [][]event.Event {
-	if len(events) == 0 {
-		return [][]event.Event{nil}
-	}
 	var out [][]event.Event
-	for len(events) > 0 {
-		n := repairChunkEvents
-		if n > len(events) {
-			n = len(events)
-		}
-		out = append(out, append([]event.Event(nil), events[:n]...))
-		events = events[n:]
+	for i := 0; i == 0 || i < len(events); i += repairChunkEvents {
+		out = append(out, slices.Clone(events[i:min(i+repairChunkEvents, len(events))]))
 	}
 	return out
 }

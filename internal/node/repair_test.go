@@ -195,7 +195,7 @@ func TestRepairCompletenessMonotone(t *testing.T) {
 	}
 	var samples []sample
 	for round := 0; round < 300 && f.engine.RepairsInFlight() > 0; round++ {
-		xfers := len(f.engine.transferring)
+		xfers := len(f.engine.restores)
 		results, comp := f.runQuery(t, sink, fullQuery())
 		samples = append(samples, sample{results: len(results), frac: comp.Fraction(), xfers: xfers})
 	}
@@ -250,8 +250,8 @@ func TestRepairCompletenessMonotone(t *testing.T) {
 	if len(finalRes) != len(f.events) {
 		t.Errorf("post-convergence recall %d/%d events", len(finalRes), len(f.events))
 	}
-	if len(f.engine.transferring) != 0 {
-		t.Errorf("%d cells still flagged transferring after convergence", len(f.engine.transferring))
+	if len(f.engine.restores) != 0 {
+		t.Errorf("%d cells still restoring after convergence", len(f.engine.restores))
 	}
 }
 
@@ -349,7 +349,7 @@ func TestRepairSurvivesCascade(t *testing.T) {
 // TestRepairAbortsWhenPartnersDie kills the counterparties of in-flight
 // repair exchanges — every transfer source and every election candidate
 // — while their packets are still on the air. The aborts must be clean:
-// no task leaks, no cell left flagged transferring, the replanned
+// no task leaks, no restore left in flight, the replanned
 // repair converges, and every surviving cell is served by a live
 // holder. Data genuinely lost (a mirror dying mid-pull) is allowed;
 // phantom data and hangs are not.
@@ -367,19 +367,21 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	f.recover(t, first)
 	victim := f.mostLoaded()
 	f.crash(t, victim)
-	for i := 0; i < 10000 && len(f.engine.xfers) == 0; i++ {
+	for i := 0; i < 10000 && len(f.engine.restores)+len(f.engine.rehomes) == 0; i++ {
 		f.sched.Step()
 	}
-	if len(f.engine.xfers) == 0 {
+	if len(f.engine.restores)+len(f.engine.rehomes) == 0 {
 		t.Fatal("no pull transfer ever started; scenario lost its premise")
 	}
 
 	parts := map[int]bool{}
-	for _, x := range f.engine.xfers {
-		parts[x.source] = true
+	for _, xs := range []map[pool.Key]*xferTask{f.engine.restores, f.engine.rehomes} {
+		for _, x := range xs {
+			parts[x.From] = true
+		}
 	}
 	for _, el := range f.engine.elects {
-		parts[el.candidate] = true
+		parts[el.To] = true
 	}
 	for id := range parts {
 		if !f.engine.Failed(id) {
@@ -391,11 +393,8 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	if got := f.engine.RepairsInFlight(); got != 0 {
 		t.Fatalf("%d repairs still in flight after aborts drained", got)
 	}
-	if len(f.engine.xfers) != 0 {
-		t.Fatalf("%d transfer tasks leaked past their abort", len(f.engine.xfers))
-	}
-	if len(f.engine.transferring) != 0 {
-		t.Fatalf("%d cells still flagged transferring", len(f.engine.transferring))
+	if n := len(f.engine.restores) + len(f.engine.rehomes); n != 0 {
+		t.Fatalf("%d transfer tasks leaked past their abort", n)
 	}
 	if cells := f.engine.Orphaned(); len(cells) > 0 {
 		t.Errorf("cells %v still held by dead nodes", cells)
@@ -410,5 +409,96 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	}
 	for _, err := range f.engine.Errors() {
 		t.Errorf("non-degradable error: %v", err)
+	}
+}
+
+// TestRepairPlanAccountsForLoss crashes the most-loaded node and, before a
+// single repair exchange has run, its nearest alive neighbour, which is
+// often the mirror of its cells: a key can lose both copies inside one
+// repair window. Every preloaded event the drained store no longer holds
+// must lie in a segment one of the crashes lost, of a key whose restore
+// step found no copy to restore from. The test pins the plan's bookkeeping
+// of that loss, not what queries report about it.
+func TestRepairPlanAccountsForLoss(t *testing.T) {
+	for seed := int64(4200); seed <= 4202; seed++ {
+		f := newRepairFixture(t, 150, 80, seed, WithReplication())
+		first := f.mostLoaded()
+		f.crash(t, first)
+		second := f.engine.NearestAlive(f.layout.Pos(first), -1)
+		f.crash(t, second)
+		var plans []*pool.Repair
+		for _, victim := range []int{first, second} {
+			if run := f.engine.repairs[victim]; run != nil {
+				plans = append(plans, run.plan)
+			}
+		}
+		f.drain(t)
+
+		held := map[uint64]bool{}
+		f.engine.EachSegment(func(_ pool.Key, _ int, events []event.Event) {
+			for _, e := range events {
+				held[e.Seq] = true
+			}
+		})
+		lostFrom := map[uint64]pool.Key{}
+		unrestorable := map[pool.Key]bool{}
+		for _, p := range plans {
+			for _, l := range p.Lost {
+				for _, e := range l.Events {
+					lostFrom[e.Seq] = l.Key
+				}
+			}
+			for _, key := range p.Unrestorable {
+				unrestorable[key] = true
+			}
+		}
+		missing := 0
+		for _, e := range f.events {
+			if held[e.Seq] {
+				continue
+			}
+			missing++
+			if key, ok := lostFrom[e.Seq]; !ok || !unrestorable[key] {
+				t.Errorf("seed %d: event %d is gone, but no restore step marked a lost segment holding it unrestorable", seed, e.Seq)
+			}
+		}
+		if missing == 0 {
+			t.Errorf("seed %d: the double crash lost nothing; the scenario lost its premise", seed)
+		}
+		t.Logf("seed %d: %d of %d events lost with both copies", seed, missing, len(f.events))
+	}
+}
+
+// TestQueryDegradedDuringRehome crashes a node that mirrors cells but
+// holds none: nothing re-elects and nothing is restored, and the mirror
+// re-homes alone must make QueryDegraded true, as the churn table's
+// Busy/Quiet split counts them.
+func TestQueryDegradedDuringRehome(t *testing.T) {
+	f := newRepairFixture(t, 100, 1200, 77, WithReplication())
+	holders := map[int]bool{}
+	for _, h := range f.holders() {
+		holders[h] = true
+	}
+	victim := -1
+	for _, key := range f.engine.MirrorKeys() {
+		if m := f.engine.Mirror(key); m >= 0 && !holders[m] {
+			victim = m
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("every mirror is also an index node; scenario lost its premise")
+	}
+	f.crash(t, victim)
+	if len(f.engine.elects) != 0 || len(f.engine.restores) != 0 || len(f.engine.rehomes) == 0 {
+		t.Fatalf("in flight: %d elections, %d restores, %d re-homes; want re-homes only",
+			len(f.engine.elects), len(f.engine.restores), len(f.engine.rehomes))
+	}
+	if !f.engine.QueryDegraded(fullQuery(), nil) {
+		t.Error("QueryDegraded false with a mirror re-home in flight")
+	}
+	f.drain(t)
+	if f.engine.QueryDegraded(fullQuery(), nil) {
+		t.Error("QueryDegraded true after every re-home landed")
 	}
 }

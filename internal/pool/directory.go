@@ -421,9 +421,7 @@ func (d *Directory) NearestAlive(p geo.Point, exclude int) int {
 // Elect returns the alive node closest to the centre of cell c other than
 // exclude, or -1 when there is none: with exclude -1 the node that takes
 // over a dead index node's cell, with exclude the cell's index node the
-// node that mirrors it. Both repairs apply this one rule, so the
-// message-driven one converges on the state the global-knowledge one
-// computes.
+// node that mirrors it.
 func (d *Directory) Elect(c CellID, exclude int) int {
 	return d.NearestAlive(d.grid.Center(c), exclude)
 }
