@@ -52,9 +52,11 @@ race-parallel:
 # crashes and loss must degrade by the contract and leave every recycled
 # record back in its arena; the autopsy must equal its reference on any
 # event stream, and packing events into the flight recorder's 64-byte
-# records must lose nothing. go test accepts one -fuzz target per
-# invocation, hence the separate runs.
+# records must lose nothing; the packed-row cell scan must return what
+# the specification returns on any rows and query. go test accepts one
+# -fuzz target per invocation, hence the separate runs.
 fuzz:
+	$(GO) test ./internal/event -run=NONE -fuzz=FuzzRowsMatchReference -fuzztime=10s
 	$(GO) test ./internal/chaos -run=NONE -fuzz=FuzzResolveUnderFaults -fuzztime=10s
 	$(GO) test ./internal/metrics -run=NONE -fuzz=FuzzExpositionWrite -fuzztime=10s
 	$(GO) test ./internal/antientropy -run=NONE -fuzz=FuzzReconcileDecode -fuzztime=10s
@@ -149,7 +151,8 @@ bench-oracle:
 # nothing else, and a 20000x run takes two seconds. The actor engine's
 # steady 64-query wave is gated on both: its allocs/op is an exact count —
 # wrappers, results and per-cell snapshots, every record recycled — and
-# its ns/op moves with the allocator, so it carries a 60% tolerance. The
+# its ns/op moves with the allocator and the host, so it carries a 100%
+# tolerance (see the cell scan below). The
 # flight recorder has a row for each side: recording into a full ring
 # (BenchmarkFlightRecorderEmit) is gated at exactly 0 allocs/op and 0 B/op,
 # and reading a wrapped 1<<18 ring in place (BenchmarkRingAttribute:
@@ -158,6 +161,14 @@ bench-oracle:
 # anti-entropy round over a converged replicated Pool
 # (BenchmarkAntiEntropyRoundSteady) is gated at exactly 0 allocs/op — one
 # allocation per in-sync pair would read 244 — and ns/op within 60%.
+# The cell scan (BenchmarkCellScan) is gated at 0 allocs/op for the
+# packed branch-free kernel, and the benchmark itself fails when the
+# kernel runs less than 2x faster than the Query.AppendMatches
+# specification timed right after it in the same run (spec/rows). The
+# 100% ns tolerance of BenchmarkRouteToNodeCold and
+# BenchmarkActorQuerySteady covers what the same code measures on a
+# shared 2-vCPU host from a quiet phase to a loaded one: up to +86% over
+# its row.
 micro-bench:
 	$(GO) test ./internal/metrics -run=NONE -bench='DisabledHotPath|EnabledHotPath|SnapshotWrite' -benchmem -benchtime=100x
 	$(GO) test . -run=NONE -bench='^BenchmarkFig6a$$' -benchmem -benchtime=1x 2>&1 \
@@ -181,6 +192,8 @@ micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=50x -bench='^BenchmarkRingAttribute$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test . -run=NONE -benchmem -benchtime=5000x -bench='^BenchmarkAntiEntropyRoundSteady$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test . -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkCellScan$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 

@@ -7,6 +7,7 @@ package pooldcs
 // repository benchmark's tables_all workload (bench/), not here.
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -279,6 +280,84 @@ func BenchmarkActorQuerySteady(b *testing.B) {
 		b.Fatal(errs[0])
 	}
 }
+
+// BenchmarkCellScan is what an index node does per query it serves: filter
+// one cell's events. The cell is a real one of an actor_wave-sized
+// deployment (N=3600, 12 events per node, k=3) — the segment nearest the
+// 173 events a cell serve scans there on average — and the queries are
+// that workload's exponential-size exact-match ranges, kept when the cell
+// is among their relevant cells. ns/op and allocs/op are the packed
+// branch-free kernel's, which every store scans with, appending into a
+// warm buffer; the Query.AppendMatches it is held to is timed right after
+// over the same queries, and spec/rows reports how many times faster the
+// kernel ran. `make micro-bench` gates allocs/op at 0 and the speedup at
+// cellScanFloor.
+func BenchmarkCellScan(b *testing.B) {
+	const n, perNode, target = 3600, 12, 173
+	layout, err := field.Generate(field.DefaultSpec(n), rng.New(1234))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := node.NewEngine(network.New(layout), gpsr.New(layout), sim.NewScheduler(), 3, rng.New(4), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewUniformEvents(rng.New(5), 3)
+	for i := 0; i < n*perNode; i++ {
+		if err := eng.Preload(i%n, gen.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var key pool.Key
+	var cell event.Rows
+	eng.EachSegment(func(k pool.Key, _ int, events []event.Event) {
+		if d := len(events) - target; cell.Len() == 0 || d*d < (cell.Len()-target)*(cell.Len()-target) {
+			key = k
+			cell.Reset(slices.Clone(events))
+		}
+	})
+	qgen := workload.NewQueries(rng.New(7), 3)
+	var plan pool.Plan
+	var queries []event.Query
+	for tries := 0; len(queries) < 256 && tries < 1<<17; tries++ {
+		q := qgen.ExactMatch(workload.ExponentialSizes)
+		if err := eng.Resolve(q, &plan); err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range plan.Fanouts {
+			if f.Pool.Dim == key.Dim && slices.Contains(f.Cells, key.Cell) {
+				queries = append(queries, q) // exact-match: its own rewrite
+			}
+		}
+	}
+	if len(queries) == 0 {
+		b.Fatal("no query reaches the cell")
+	}
+	buf := make([]event.Event, 0, cell.Len())
+	scan := func(n int, kernel func(dst []event.Event, q event.Query) []event.Event) time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			buf = kernel(buf[:0], queries[i%len(queries)])
+		}
+		return time.Since(start)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := scan(b.N, cell.AppendMatches)
+	b.StopTimer()
+	spec := scan(b.N, func(dst []event.Event, q event.Query) []event.Event { return q.AppendMatches(dst, cell.Events()) })
+	speedup := float64(spec) / float64(rows)
+	b.ReportMetric(speedup, "spec/rows")
+	if b.N >= 10000 && speedup < cellScanFloor {
+		b.Fatalf("the packed kernel is %.2f× the specification, below the %.1f× floor", speedup, cellScanFloor)
+	}
+}
+
+// cellScanFloor is the least speedup over the specification
+// BenchmarkCellScan accepts. Both kernels are timed back to back in one
+// run, so a slow host slows both and the ratio holds where ns/op would
+// not.
+const cellScanFloor = 2.0
 
 // BenchmarkAntiEntropyRoundSteady is the steady state of background
 // repair: a replicated Pool at N=900, three events per node, every mirror

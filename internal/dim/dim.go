@@ -123,8 +123,9 @@ type System struct {
 	// exact-size copy. The buffer itself never leaves the System.
 	replyBuf []event.Event
 
-	// storage holds the events stored at each node.
-	storage [][]event.Event
+	// storage holds the events stored at each node, their values packed
+	// for the owner scan.
+	storage []event.Rows
 
 	// dead marks failed nodes (faults.go).
 	dead []bool
@@ -151,7 +152,7 @@ func New(net *network.Network, router *gpsr.Router, dims int, opts ...Option) (*
 		router:        router,
 		dims:          dims,
 		dissemination: ChainDissemination,
-		storage:       make([][]event.Event, net.Layout().N()),
+		storage:       make([]event.Rows, net.Layout().N()),
 		dead:          make([]bool, net.Layout().N()),
 		answered:      make([]uint32, net.Layout().N()),
 	}
@@ -174,7 +175,7 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 	s.mRetries = reg.Counter("dim_query_retries_total", "extra unicasts spent by the query failure policy")
 	s.mFanout = reg.Histogram("dim_query_fanout_zones", "relevant zones addressed per query")
 	reg.NodeGaugeFunc("dim_stored_events", "events held per node", n,
-		func(i int) float64 { return float64(len(s.storage[i])) })
+		func(i int) float64 { return float64(s.storage[i].Len()) })
 	reg.GaugeFunc("dim_zones", "leaves of the zone subdivision",
 		func() float64 { return float64(len(s.zones)) })
 }
@@ -292,7 +293,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if _, err := s.unicast(origin, z.Owner, network.KindInsert, payload); err != nil {
 		return fmt.Errorf("dim: insert: %w", err)
 	}
-	s.storage[z.Owner] = append(s.storage[z.Owner], e)
+	s.storage[z.Owner].Append(e)
 	s.mInserts.Inc()
 	return nil
 }
@@ -427,7 +428,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		}
 		s.answered[owner] = s.epoch
 		mark := len(s.replyBuf)
-		s.replyBuf = rq.AppendMatches(s.replyBuf, s.storage[owner])
+		s.replyBuf = s.storage[owner].AppendMatches(s.replyBuf, rq)
 		matches := len(s.replyBuf) - mark
 		if s.tracer.Enabled() {
 			s.tracer.Record(trace.TypeResolve, owner, matches, "")
@@ -586,8 +587,8 @@ func (s *System) subtreeCenter(t *treeNode) geo.Point {
 // StorageLoad implements dcs.StorageReporter.
 func (s *System) StorageLoad() []int {
 	out := make([]int, len(s.storage))
-	for i, evs := range s.storage {
-		out[i] = len(evs)
+	for i := range s.storage {
+		out[i] = s.storage[i].Len()
 	}
 	return out
 }

@@ -32,10 +32,10 @@ func (s *System) FailNode(id int) error {
 	if s.tracer.Enabled() {
 		s.tracer.Begin(trace.OpFail, id, "")
 		defer s.tracer.End()
-		s.tracer.Record(trace.TypeFault, id, len(s.storage[id]), "")
+		s.tracer.Record(trace.TypeFault, id, s.storage[id].Len(), "")
 	}
 	// The node's events die with it.
-	s.storage[id] = nil
+	s.storage[id].Reset(nil)
 
 	// Re-home the zones it owned. ZoneOf reads s.zones through the tree,
 	// so updating Owner redirects future inserts too.

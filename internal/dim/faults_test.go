@@ -109,7 +109,7 @@ func TestInsertRoutesToRehomedZone(t *testing.T) {
 	if err := s.Insert(pickAlive(s), e); err != nil {
 		t.Fatalf("insert after re-homing: %v", err)
 	}
-	if len(s.storage[next]) != 1 {
+	if s.storage[next].Len() != 1 {
 		t.Errorf("event not stored at new owner %d", next)
 	}
 }
@@ -167,7 +167,7 @@ func TestFailRecoverFail(t *testing.T) {
 	if s.Failed(victim) {
 		t.Fatal("recovered node still failed")
 	}
-	if len(s.storage[victim]) != 0 {
+	if s.storage[victim].Len() != 0 {
 		t.Fatal("rebooted node kept pre-failure storage")
 	}
 	crash(t, s, net, router, victim)

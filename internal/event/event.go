@@ -10,6 +10,7 @@ package event
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -33,12 +34,17 @@ func New(values ...float64) Event {
 func (e Event) Dims() int { return len(e.Values) }
 
 // Validate checks that the event has at least one attribute and that every
-// value is normalized into [0, 1).
+// value is normalized into [0, 1). NaN is rejected by name: it fails every
+// comparison, so no range test would catch it, and a stored NaN could
+// never be answered.
 func (e Event) Validate() error {
 	if len(e.Values) == 0 {
 		return errors.New("event: no attributes")
 	}
 	for i, v := range e.Values {
+		if math.IsNaN(v) {
+			return fmt.Errorf("event: attribute %d is NaN", i+1)
+		}
 		if v < 0 || v >= 1 {
 			return fmt.Errorf("event: attribute %d = %v outside [0,1)", i+1, v)
 		}
@@ -202,7 +208,8 @@ func NewQuery(ranges ...Range) Query { return Query{Ranges: ranges} }
 func (q Query) Dims() int { return len(q.Ranges) }
 
 // Validate checks dimensionality and that each specified range is a
-// non-empty sub-range of [0, 1].
+// non-empty sub-range of [0, 1]. A NaN bound is rejected by name, as in
+// Event.Validate.
 func (q Query) Validate() error {
 	if len(q.Ranges) == 0 {
 		return errors.New("query: no attributes")
@@ -213,6 +220,9 @@ func (q Query) Validate() error {
 			continue
 		}
 		specified++
+		if math.IsNaN(r.L) || math.IsNaN(r.U) {
+			return fmt.Errorf("query: attribute %d range [%v, %v] has a NaN bound", i+1, r.L, r.U)
+		}
 		if r.L > r.U {
 			return fmt.Errorf("query: attribute %d has empty range [%v, %v]", i+1, r.L, r.U)
 		}
@@ -308,7 +318,8 @@ func (q Query) String() string {
 
 // AppendMatches appends the events matching q to dst, in order, and
 // returns the extended slice: one Matches pass, and no allocation while
-// dst has room. It is the matching kernel of every query path; the
+// dst has room. It is the specification of the stores' packed kernel,
+// Rows.AppendMatches, and serves callers whose events sit in no Rows; the
 // caller owns dst and decides when its contents are copied out.
 func (q Query) AppendMatches(dst, events []Event) []Event {
 	for i := range events {

@@ -21,6 +21,9 @@ func TestEventValidate(t *testing.T) {
 		{"negative", New(-0.1, 0.5), true},
 		{"one excluded", New(1.0, 0.5), true},
 		{"above one", New(1.5), true},
+		{"NaN first", New(math.NaN(), 0.2, 0.3), true},
+		{"NaN middle", New(0.9, math.NaN(), 0.3), true},
+		{"infinite", New(math.Inf(1)), true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -28,6 +31,27 @@ func TestEventValidate(t *testing.T) {
 				t.Errorf("Validate() err = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestValidateNamesNaN pins the NaN errors to the attribute that holds
+// it: no range comparison catches NaN, so each validator names it.
+func TestValidateNamesNaN(t *testing.T) {
+	nan := math.NaN()
+	tests := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"event first", New(nan, 0.2, 0.3).Validate(), "event: attribute 1 is NaN"},
+		{"event second", New(0.9, nan, 0.3).Validate(), "event: attribute 2 is NaN"},
+		{"query lower", NewQuery(Span(0, 1), Span(nan, 0.5)).Validate(), "query: attribute 2 range [NaN, 0.5] has a NaN bound"},
+		{"query upper", NewQuery(Span(0.1, nan)).Validate(), "query: attribute 1 range [0.1, NaN] has a NaN bound"},
+	}
+	for _, tt := range tests {
+		if tt.err == nil || tt.err.Error() != tt.want {
+			t.Errorf("%s: err = %v, want %q", tt.name, tt.err, tt.want)
+		}
 	}
 }
 
@@ -144,6 +168,10 @@ func TestQueryValidate(t *testing.T) {
 		{"out of domain", NewQuery(Span(-0.1, 0.2)), true},
 		{"above domain", NewQuery(Span(0.5, 1.2)), true},
 		{"all wild", NewQuery(Unspecified(), Unspecified()), true},
+		{"NaN lower", NewQuery(Span(math.NaN(), 0.2)), true},
+		{"NaN upper", NewQuery(Span(0.1, 0.2), Span(0.1, math.NaN())), true},
+		{"NaN point", NewQuery(PointRange(math.NaN())), true},
+		{"NaN under wild", NewQuery(Range{L: math.NaN(), U: math.NaN(), Wild: true}, Span(0, 1)), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

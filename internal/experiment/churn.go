@@ -203,9 +203,11 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		all := make([]event.Event, len(placed))
-		for i, pe := range placed {
-			all[i] = pe.Event
+		// The oracles scan every stored event once per probe, with the
+		// stores' packed kernel.
+		var all event.Rows
+		for _, pe := range placed {
+			all.Append(pe.Event)
 		}
 
 		// The same fault plan hits every universe. Loss bursts ride on the
@@ -248,19 +250,19 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			at := time.Duration(qsrc.Float64() * float64(churnHorizon))
 			sink := qsrc.Intn(n)
 			q := qgen.ExactMatch(workload.UniformSizes)
-			pq := pointQueryFor(all[gsrc.Intn(len(all))])
+			pq := pointQueryFor(all.Events()[gsrc.Intn(all.Len())])
 			if err := sched.At(at, func() {
 				// The scheduled sink may have died by now: a real user
 				// would issue from a live gateway.
 				for plain.engine.Down(sink) {
 					sink = (sink + 1) % n
 				}
-				oracle := q.Rewrite().Filter(all)
+				oracle := all.AppendMatches(nil, q.Rewrite())
 				for _, u := range universes {
 					uq, uOracle := q, oracle
 					if u == ghtU {
 						uq = pq
-						uOracle = pq.Rewrite().Filter(all)
+						uOracle = all.AppendMatches(nil, pq.Rewrite())
 					}
 					before := u.queryFrames()
 					got, comp, err := u.Sys.QueryWithReport(sink, uq)
@@ -296,7 +298,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 				for nodeU.engine.Down(sink) {
 					sink = (sink + 1) % n
 				}
-				oracle := q.Rewrite().Filter(all)
+				oracle := all.AppendMatches(nil, q.Rewrite())
 				// A probe counts as degraded when one of its own relevant
 				// cells is inside a repair epoch — from the (possibly
 				// still undetected) crash of its holder until re-election

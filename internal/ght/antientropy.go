@@ -81,7 +81,7 @@ type shareStore struct {
 func (st shareStore) Node() int { return st.node }
 
 func (st shareStore) AppendDigests(buf []uint64) []uint64 {
-	for _, e := range st.s.storage[st.node] {
+	for _, e := range st.s.storage[st.node].Events() {
 		if st.s.HashPoint(e.Values) == st.root {
 			buf = append(buf, antientropy.Digest(e))
 		}
@@ -98,7 +98,7 @@ func (st shareStore) Fetch(digests []uint64, buf []event.Event) []event.Event {
 		slot[d] = i
 	}
 	found := make([]event.Event, len(digests))
-	for _, e := range st.s.storage[st.node] {
+	for _, e := range st.s.storage[st.node].Events() {
 		if len(slot) == 0 {
 			break
 		}
@@ -120,12 +120,12 @@ func (st shareStore) Fetch(digests []uint64, buf []event.Event) []event.Event {
 }
 
 func (st shareStore) Insert(e event.Event) {
-	st.s.storage[st.node] = append(st.s.storage[st.node], e)
+	st.s.storage[st.node].Append(e)
 }
 
 func (st shareStore) Len() int {
 	n := 0
-	for _, e := range st.s.storage[st.node] {
+	for _, e := range st.s.storage[st.node].Events() {
 		if st.s.HashPoint(e.Values) == st.root {
 			n++
 		}

@@ -54,7 +54,7 @@ func TestReconciliationConvergesSiblingShares(t *testing.T) {
 
 	// The payoff: a crashed home's share is no longer lost.
 	victim := mostLoaded(s)
-	if len(s.storage[victim]) == 0 {
+	if s.storage[victim].Len() == 0 {
 		t.Fatal("degenerate spread")
 	}
 	crashGHT(t, s, net, router, victim)

@@ -38,7 +38,7 @@ func (s *System) FailNode(id int) error {
 		return nil
 	}
 	s.dead[id] = true
-	s.storage[id] = nil
+	s.storage[id].Reset(nil)
 
 	// Re-hash the cached homes deterministically (sorted by point) so
 	// repair has a reproducible order regardless of map iteration.

@@ -91,7 +91,7 @@ func TestFailNodeRehashesHomes(t *testing.T) {
 	if !s.Failed(victim) {
 		t.Error("victim not marked failed")
 	}
-	if len(s.storage[victim]) != 0 {
+	if s.storage[victim].Len() != 0 {
 		t.Error("dead node kept its storage")
 	}
 	for pt, home := range s.homes {
@@ -129,7 +129,7 @@ func TestDetectedCrashCompleteButLossy(t *testing.T) {
 	all := loadGHT(t, s, 300, 711)
 	victim := mostLoaded(s)
 	lostKeys := make(map[uint64]bool)
-	for _, e := range s.storage[victim] {
+	for _, e := range s.storage[victim].Events() {
 		lostKeys[e.Seq] = true
 	}
 	if len(lostKeys) == 0 {
@@ -235,7 +235,7 @@ func TestStructuredReplicationSurvivesMirrorLoss(t *testing.T) {
 	all := loadGHT(t, s, 400, 731)
 	victim := mostLoaded(s)
 	lost := make(map[uint64]bool)
-	for _, e := range s.storage[victim] {
+	for _, e := range s.storage[victim].Events() {
 		lost[e.Seq] = true
 	}
 	if len(lost) == 0 || len(lost) == len(all) {
@@ -278,7 +278,7 @@ func TestRecoverNodeComesBackEmpty(t *testing.T) {
 	if s.Failed(victim) {
 		t.Fatal("recovered node still failed")
 	}
-	if len(s.storage[victim]) != 0 {
+	if s.storage[victim].Len() != 0 {
 		t.Error("rebooted mote kept storage")
 	}
 	// Double-recover and double-fail are no-ops / idempotent.

@@ -65,8 +65,9 @@ type System struct {
 	// replDepth is the structured-replication hierarchy depth (0 = off).
 	replDepth int
 
-	// storage holds the events owned by each node.
-	storage [][]event.Event
+	// storage holds the events owned by each node, their values packed for
+	// the home scan.
+	storage []event.Rows
 	// homes maps each hashed point used so far to its home node, mirroring
 	// GHT's perimeter-refresh caching; FailNode rewrites the entries of a
 	// dead home (see home).
@@ -107,7 +108,7 @@ func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
 	s := &System{
 		net:     net,
 		router:  router,
-		storage: make([][]event.Event, net.Layout().N()),
+		storage: make([]event.Rows, net.Layout().N()),
 		homes:   make(map[geo.Point]int),
 		dead:    make([]bool, net.Layout().N()),
 	}
@@ -129,7 +130,7 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 	s.mRetries = reg.Counter("ght_query_retries_total", "extra unicasts spent by the query failure policy")
 	s.mFanout = reg.Histogram("ght_query_fanout_mirrors", "mirror homes addressed per query")
 	reg.NodeGaugeFunc("ght_stored_events", "events held per home node", n,
-		func(i int) float64 { return float64(len(s.storage[i])) })
+		func(i int) float64 { return float64(s.storage[i].Len()) })
 }
 
 // MirrorPoints returns the structured-replication images of a root point:
@@ -226,7 +227,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if _, err := dcs.UnicastOpts(s.net, s.router, origin, home, network.KindInsert, dcs.EventBytes(e.Dims()), s.arq); err != nil {
 		return fmt.Errorf("ght: insert: %w", err)
 	}
-	s.storage[home] = append(s.storage[home], e)
+	s.storage[home].Append(e)
 	if s.replDepth > 0 {
 		s.recordRoot(root)
 	}
@@ -313,7 +314,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		}
 		cur = home
 		mark := len(s.replyBuf)
-		s.replyBuf = q.AppendMatches(s.replyBuf, s.storage[home])
+		s.replyBuf = s.storage[home].AppendMatches(s.replyBuf, q)
 		found := len(s.replyBuf) - mark
 		if found > 0 || s.replDepth == 0 {
 			landed, err := dcs.Exchange(s.net, s.router, home, sink, network.KindReply,
@@ -356,8 +357,8 @@ func mirrorLabel(mi int, pt geo.Point) string { return fmt.Sprintf("M%d %v", mi,
 // StorageLoad implements dcs.StorageReporter.
 func (s *System) StorageLoad() []int {
 	out := make([]int, len(s.storage))
-	for i, evs := range s.storage {
-		out[i] = len(evs)
+	for i := range s.storage {
+		out[i] = s.storage[i].Len()
 	}
 	return out
 }

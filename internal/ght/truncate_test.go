@@ -25,8 +25,8 @@ func TestLostHomeReplyContributesNothing(t *testing.T) {
 			for _, e := range loadGHT(t, s, 300, 721) {
 				q := pointQueryFor(e)
 				holder := -1
-				for n, evs := range s.storage {
-					if len(q.Filter(evs)) > 0 {
+				for n := range s.storage {
+					if len(q.Filter(s.storage[n].Events())) > 0 {
 						holder = n
 					}
 				}

@@ -315,13 +315,13 @@ func (e *Engine) runSplitter(gi int32) {
 // unreached (degraded completeness).
 func (e *Engine) serveCell(li int32) {
 	l := e.legs.at(li)
-	var held []event.Event
+	q := e.ops.at(l.op).plan.Query
 	if l.target != l.index {
-		held = e.MirrorCopy(l.key)
+		e.matchBuf = e.AppendMirrorMatches(e.matchBuf[:0], q, l.key)
 	} else {
-		held, l.partial = e.Held(l.key, int(l.target)), e.restores[l.key] != nil
+		e.matchBuf = e.AppendHeldMatches(e.matchBuf[:0], q, l.key, int(l.target))
+		l.partial = e.restores[l.key] != nil
 	}
-	e.matchBuf = e.ops.at(l.op).plan.Query.AppendMatches(e.matchBuf[:0], held)
 	l.matches = event.CloneEvents(e.matchBuf)
 	e.launch(recLeg, li, stageReply)
 }

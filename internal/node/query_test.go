@@ -192,8 +192,8 @@ func TestActorQuerySteadyAllocs(t *testing.T) {
 		matched := false
 		for _, fo := range plan.Fanouts {
 			for _, c := range fo.Cells {
-				held := f.engine.Held(pool.Key{Dim: fo.Pool.Dim, Cell: c}, f.engine.IndexNode(c))
-				if len(plan.Query.Filter(held)) > 0 {
+				key := pool.Key{Dim: fo.Pool.Dim, Cell: c}
+				if len(f.engine.AppendHeldMatches(nil, plan.Query, key, f.engine.IndexNode(c))) > 0 {
 					bound++ // the cell's snapshot
 					matched = true
 				}

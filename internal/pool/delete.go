@@ -56,7 +56,7 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 	}
 	removed := 0
 	for i, seg := range s.segsOf(key) {
-		if !slices.ContainsFunc(seg.events, rq.Matches) {
+		if !slices.ContainsFunc(seg.rows.Events(), rq.Matches) {
 			continue
 		}
 		if seg.node != node {

@@ -40,8 +40,8 @@ func fullDomain() event.Query {
 func TestReplicationCopiesEveryEvent(t *testing.T) {
 	_, repl, all := loadedSystems(t, 120, 200)
 	copies := 0
-	for _, events := range repl.copies {
-		copies += len(events)
+	for i := range repl.copies {
+		copies += repl.copies[i].Len()
 	}
 	if copies != len(all) {
 		t.Errorf("mirrors hold %d copies, want %d", copies, len(all))

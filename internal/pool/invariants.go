@@ -39,7 +39,7 @@ func (s *System) CheckInvariants() error {
 	for i, segs := range s.segs {
 		key := s.keyAt(i)
 		for _, seg := range segs {
-			for _, e := range seg.events {
+			for _, e := range seg.rows.Events() {
 				if e.Values[key.Dim-1] != event.Greatest(e) {
 					return fmt.Errorf("pool: event %d stored in P%d but its greatest value is elsewhere",
 						e.Seq, key.Dim)

@@ -112,7 +112,7 @@ func refCrash(st *Store, node int) []segRow {
 	for key, segs := range refSegs(st) {
 		for i, seg := range segs {
 			if seg.node == node {
-				lost = append(lost, segRow{Key: key, Seg: i, Node: node, Events: len(seg.events)})
+				lost = append(lost, segRow{Key: key, Seg: i, Node: node, Events: len(seg.rows.Events())})
 			}
 		}
 	}
@@ -130,7 +130,7 @@ func refEachSegment(st *Store) []segRow {
 	var rows []segRow
 	for _, key := range keys {
 		for i, seg := range segs[key] {
-			rows = append(rows, segRow{Key: key, Seg: i, Node: seg.node, Events: len(seg.events)})
+			rows = append(rows, segRow{Key: key, Seg: i, Node: seg.node, Events: len(seg.rows.Events())})
 		}
 	}
 	return rows

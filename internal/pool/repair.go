@@ -140,7 +140,7 @@ func (st *Store) Rehome(key Key) Transfer {
 	from := st.dir.IndexNode(key.Cell)
 	var events []event.Event
 	for _, seg := range st.segsOf(key) {
-		events = append(events, seg.events...)
+		events = append(events, seg.rows.Events()...)
 	}
 	return Transfer{Key: key, From: from, To: st.dir.Elect(key.Cell, from), Events: events}
 }

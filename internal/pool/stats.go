@@ -45,11 +45,11 @@ func (s *System) Stats() Stats {
 	for _, segs := range s.segs {
 		st.Segments += len(segs)
 		for _, seg := range segs {
-			st.StoredEvents += len(seg.events)
+			st.StoredEvents += seg.rows.Len()
 		}
 	}
-	for _, events := range s.copies {
-		st.MirroredEvents += len(events)
+	for i := range s.copies {
+		st.MirroredEvents += s.copies[i].Len()
 	}
 	for _, dead := range s.dead {
 		if dead {

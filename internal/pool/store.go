@@ -12,8 +12,8 @@ import (
 // segment lives at the cell's index node; workload sharing appends
 // segments at delegate nodes.
 type segment struct {
-	node   int
-	events []event.Event
+	node int
+	rows event.Rows
 }
 
 // Store is what a deployment's Pool cells hold — each cell's segments
@@ -25,7 +25,9 @@ type segment struct {
 // in and every copy the order its events landed in: that fixes result
 // order, Fetch positions and digests. The per-cell tables are indexed by
 // the directory's Key slot, so a walk over them in index order is a walk
-// in (dimension, column, row) order.
+// in (dimension, column, row) order. Every copy is an event.Rows, so a
+// scan for a query runs the packed kernel, and every write here keeps a
+// copy's packed values in step with its events.
 type Store struct {
 	dir *Directory
 
@@ -35,7 +37,7 @@ type Store struct {
 	// of a cell, restores into the new holder's own (Restore).
 	segs [][]segment
 	// copies holds the mirror copies.
-	copies [][]event.Event
+	copies []event.Rows
 	// stored counts the events each node holds in segments.
 	stored []int
 
@@ -48,7 +50,7 @@ type Store struct {
 // NewStore returns an empty store over dir's deployment.
 func NewStore(dir *Directory) *Store {
 	n := dir.numSlots()
-	return &Store{dir: dir, segs: make([][]segment, n), copies: make([][]event.Event, n),
+	return &Store{dir: dir, segs: make([][]segment, n), copies: make([]event.Rows, n),
 		stored: make([]int, len(dir.dead)), sums: make([]cellSummaries, n)}
 }
 
@@ -72,13 +74,17 @@ func (st *Store) putSegments(i int, segs []segment) {
 	st.sums[i].primary.valid = false
 }
 
-// ReplaceMirror makes events the cell's mirror copy.
+// ReplaceMirror makes events the cell's mirror copy, taking ownership of
+// the slice.
 func (st *Store) ReplaceMirror(key Key, events []event.Event) {
-	st.replaceMirror(st.dir.slot(key), events)
+	i := st.dir.slot(key)
+	st.copies[i].Reset(events)
+	st.putMirror(i)
 }
 
-func (st *Store) replaceMirror(i int, events []event.Event) {
-	st.copies[i] = events
+// putMirror ends every write to the mirror copy of the cell at slot i: it
+// ends the life of the mirror copy's summary.
+func (st *Store) putMirror(i int) {
 	st.sums[i].mirror.valid = false
 }
 
@@ -116,7 +122,7 @@ func (st *Store) at(key Key, node int) (int, []segment, *segment) {
 // new one at the end.
 func (st *Store) Append(key Key, node int, e event.Event) {
 	i, segs, seg := st.at(key, node)
-	seg.events = append(seg.events, e)
+	seg.rows.Append(e)
 	st.stored[node]++
 	st.putSegments(i, segs)
 }
@@ -125,13 +131,16 @@ func (st *Store) Append(key Key, node int, e event.Event) {
 func (st *Store) AppendSegment(key Key, node int, e event.Event) {
 	i := st.dir.slot(key)
 	st.stored[node]++
-	st.putSegments(i, append(st.segs[i], segment{node: node, events: []event.Event{e}}))
+	seg := segment{node: node}
+	seg.rows.Append(e)
+	st.putSegments(i, append(st.segs[i], seg))
 }
 
 // AppendMirror appends e to the cell's mirror copy.
 func (st *Store) AppendMirror(key Key, e event.Event) {
 	i := st.dir.slot(key)
-	st.replaceMirror(i, append(st.copies[i], e))
+	st.copies[i].Append(e)
+	st.putMirror(i)
 }
 
 // Lost is a segment a crash emptied, with the events it held.
@@ -150,35 +159,45 @@ func (st *Store) Crash(node int) []Lost {
 	for i, segs := range st.segs {
 		for j := range segs {
 			if segs[j].node == node {
-				lost = append(lost, Lost{Key: st.dir.keyAt(i), slot: i, seg: j, Events: segs[j].events})
-				st.stored[node] -= len(segs[j].events)
-				segs[j].events = nil
+				lost = append(lost, Lost{Key: st.dir.keyAt(i), slot: i, seg: j, Events: segs[j].rows.Events()})
+				st.stored[node] -= segs[j].rows.Len()
+				segs[j].rows.Reset(nil)
 				st.putSegments(i, segs)
 			}
 		}
 	}
 	for i, m := range st.dir.mirrors {
 		if int(m) == node {
-			st.replaceMirror(i, nil)
+			st.copies[i].Reset(nil)
+			st.putMirror(i)
 		}
 	}
 	return lost
 }
 
-// Handover hands a lost segment to node to, holding restored.
+// Handover hands a lost segment to node to, holding restored, taking
+// ownership of the slice.
 func (st *Store) Handover(l Lost, to int, restored []event.Event) {
 	segs := st.segs[l.slot]
-	segs[l.seg] = segment{node: to, events: restored}
+	segs[l.seg].node = to
+	segs[l.seg].rows.Reset(restored)
 	st.stored[to] += len(restored)
 	st.putSegments(l.slot, segs)
 }
 
-// AppendRestored appends to dst the events of a restore chunk that suit
-// the deployment and whose Seq dst does not hold yet — the rule a copy
-// restored chunk by chunk grows by, so a replayed chunk changes nothing.
+// restorable reports whether e of a restore chunk lands on a copy holding
+// held: it suits the deployment and its Seq is not held yet — the rule a
+// copy restored chunk by chunk grows by, so a replayed chunk changes
+// nothing.
+func (st *Store) restorable(held []event.Event, e event.Event) bool {
+	return st.dir.checkEvent(e) == nil && !slices.ContainsFunc(held, func(h event.Event) bool { return h.Seq == e.Seq })
+}
+
+// AppendRestored appends to dst the events of a restore chunk that land
+// by the restorable rule.
 func (st *Store) AppendRestored(dst, chunk []event.Event) []event.Event {
 	for _, e := range chunk {
-		if st.dir.checkEvent(e) == nil && !slices.ContainsFunc(dst, func(h event.Event) bool { return h.Seq == e.Seq }) {
+		if st.restorable(dst, e) {
 			dst = append(dst, e)
 		}
 	}
@@ -189,9 +208,12 @@ func (st *Store) AppendRestored(dst, chunk []event.Event) []event.Event {
 // AppendRestored rule.
 func (st *Store) Restore(key Key, node int, chunk []event.Event) {
 	i, segs, seg := st.at(key, node)
-	held := len(seg.events)
-	seg.events = st.AppendRestored(seg.events, chunk)
-	st.stored[node] += len(seg.events) - held
+	for _, e := range chunk {
+		if st.restorable(seg.rows.Events(), e) {
+			seg.rows.Append(e)
+			st.stored[node]++
+		}
+	}
 	st.putSegments(i, segs)
 }
 
@@ -200,20 +222,19 @@ func (st *Store) Restore(key Key, node int, chunk []event.Event) {
 func (st *Store) Prune(key Key, j int, match func(event.Event) bool) int {
 	i := st.dir.slot(key)
 	segs := st.segs[i]
-	held := len(segs[j].events)
-	segs[j].events = slices.DeleteFunc(segs[j].events, match)
-	st.stored[segs[j].node] -= held - len(segs[j].events)
+	n := segs[j].rows.DeleteFunc(match)
+	st.stored[segs[j].node] -= n
 	st.putSegments(i, segs)
-	return held - len(segs[j].events)
+	return n
 }
 
 // PruneMirror deletes the matching events of the cell's mirror copy and
 // returns how many it deleted.
 func (st *Store) PruneMirror(key Key, match func(event.Event) bool) int {
 	i := st.dir.slot(key)
-	held := len(st.copies[i])
-	st.replaceMirror(i, slices.DeleteFunc(st.copies[i], match))
-	return held - len(st.copies[i])
+	n := st.copies[i].DeleteFunc(match)
+	st.putMirror(i)
+	return n
 }
 
 // Active returns the node holding the cell's last segment and how many
@@ -223,24 +244,44 @@ func (st *Store) Active(key Key, index int) (node, held int) {
 	if len(segs) == 0 {
 		return index, 0
 	}
-	return segs[len(segs)-1].node, len(segs[len(segs)-1].events)
+	return segs[len(segs)-1].node, segs[len(segs)-1].rows.Len()
 }
 
-// Held returns the events of the last of the cell's segments node holds.
-func (st *Store) Held(key Key, node int) []event.Event {
+// mirrorCopy returns the cell's mirror copy, or nil for a key outside its
+// Pool.
+func (st *Store) mirrorCopy(key Key) *event.Rows {
+	if i := st.dir.slot(key); i >= 0 {
+		return &st.copies[i]
+	}
+	return nil
+}
+
+// MirrorCopy returns the cell's mirror copy. The slice is the Store's:
+// read it before the next write.
+func (st *Store) MirrorCopy(key Key) []event.Event {
+	if r := st.mirrorCopy(key); r != nil {
+		return r.Events()
+	}
+	return nil
+}
+
+// AppendHeldMatches appends the events matching q of the last of the
+// cell's segments node holds to dst — a queried index node's scan.
+func (st *Store) AppendHeldMatches(dst []event.Event, q event.Query, key Key, node int) []event.Event {
 	segs := st.segsOf(key)
 	if i := last(segs, node); i >= 0 {
-		return segs[i].events
+		return segs[i].rows.AppendMatches(dst, q)
 	}
-	return nil
+	return dst
 }
 
-// MirrorCopy returns the cell's mirror copy.
-func (st *Store) MirrorCopy(key Key) []event.Event {
-	if i := st.dir.slot(key); i >= 0 {
-		return st.copies[i]
+// AppendMirrorMatches appends the events matching q of the cell's mirror
+// copy to dst — a queried mirror's scan.
+func (st *Store) AppendMirrorMatches(dst []event.Event, q event.Query, key Key) []event.Event {
+	if r := st.mirrorCopy(key); r != nil {
+		return r.AppendMatches(dst, q)
 	}
-	return nil
+	return dst
 }
 
 // Stored returns how many events node holds in segments.
@@ -254,8 +295,8 @@ func (st *Store) StorageLoad() []int { return slices.Clone(st.stored) }
 // row) order and each cell's segments in the order they were opened.
 func (st *Store) EachSegment(fn func(key Key, node int, events []event.Event)) {
 	for i, segs := range st.segs {
-		for _, seg := range segs {
-			fn(st.dir.keyAt(i), seg.node, seg.events)
+		for j := range segs {
+			fn(st.dir.keyAt(i), segs[j].node, segs[j].rows.Events())
 		}
 	}
 }
@@ -297,13 +338,13 @@ func (c cellCopy) Summary() *antientropy.Summary {
 
 func (c cellCopy) AppendDigests(buf []uint64) []uint64 {
 	if c.mirror {
-		for _, e := range c.st.copies[c.slot] {
+		for _, e := range c.st.copies[c.slot].Events() {
 			buf = append(buf, antientropy.Digest(e))
 		}
 		return buf
 	}
-	for _, seg := range c.st.segs[c.slot] {
-		for _, e := range seg.events {
+	for j := range c.st.segs[c.slot] {
+		for _, e := range c.st.segs[c.slot][j].rows.Events() {
 			buf = append(buf, antientropy.Digest(e))
 		}
 	}
@@ -319,15 +360,15 @@ func (c cellCopy) Fetch(digests []uint64, buf []event.Event) []event.Event {
 		}
 		pos := int(sum.First[i])
 		if c.mirror {
-			buf = append(buf, c.st.copies[c.slot][pos])
+			buf = append(buf, c.st.copies[c.slot].Events()[pos])
 			continue
 		}
-		for _, seg := range segs {
-			if pos < len(seg.events) {
-				buf = append(buf, seg.events[pos])
+		for j := range segs {
+			if events := segs[j].rows.Events(); pos < len(events) {
+				buf = append(buf, events[pos])
 				break
 			}
-			pos -= len(seg.events)
+			pos -= segs[j].rows.Len()
 		}
 	}
 	return buf
@@ -347,32 +388,41 @@ func (c cellCopy) Insert(e event.Event) {
 
 func (c cellCopy) Len() int {
 	if c.mirror {
-		return len(c.st.copies[c.slot])
+		return c.st.copies[c.slot].Len()
 	}
 	n := 0
-	for _, seg := range c.st.segs[c.slot] {
-		n += len(seg.events)
+	for j := range c.st.segs[c.slot] {
+		n += c.st.segs[c.slot][j].rows.Len()
 	}
 	return n
 }
 
 // CheckStore verifies rules 2 and 3 of CheckInvariants, which hold in
-// every state, and that every slot holding a segment or a copy is the slot
-// of a Key inside its Pool, and returns the first violation found, or nil.
+// every state, that every slot holding a segment or a copy is the slot of
+// a Key inside its Pool, and that every segment's and mirror copy's packed
+// rows hold its events' values, and returns the first violation found, or
+// nil.
 func (st *Store) CheckStore() error {
 	counted := make([]int, len(st.stored))
 	for i, segs := range st.segs {
 		key := st.dir.keyAt(i)
-		if (len(segs) > 0 || len(st.copies[i]) > 0) && st.dir.slot(key) != i {
+		if (len(segs) > 0 || st.copies[i].Len() > 0) && st.dir.slot(key) != i {
 			return fmt.Errorf("pool: slot %d holds cell %v of P%d, whose slot is %d",
 				i, key.Cell, key.Dim, st.dir.slot(key))
 		}
-		for _, seg := range segs {
-			if st.dir.dead[seg.node] && len(seg.events) > 0 {
-				return fmt.Errorf("pool: cell %v segment with %d events held by dead node %d",
-					key.Cell, len(seg.events), seg.node)
+		if err := st.copies[i].Check(); err != nil {
+			return fmt.Errorf("pool: cell %v of P%d mirror copy: %w", key.Cell, key.Dim, err)
+		}
+		for j := range segs {
+			seg := &segs[j]
+			if err := seg.rows.Check(); err != nil {
+				return fmt.Errorf("pool: cell %v of P%d segment %d: %w", key.Cell, key.Dim, j, err)
 			}
-			counted[seg.node] += len(seg.events)
+			if st.dir.dead[seg.node] && seg.rows.Len() > 0 {
+				return fmt.Errorf("pool: cell %v segment with %d events held by dead node %d",
+					key.Cell, seg.rows.Len(), seg.node)
+			}
+			counted[seg.node] += seg.rows.Len()
 		}
 	}
 	for node, have := range st.stored {
@@ -413,12 +463,12 @@ func (st *Store) CheckCoverage() error {
 		if _, ok := st.dir.MirrorFor(key, -1); !ok {
 			continue // mirror never elected or currently dead
 		}
-		inMirror := make(map[uint64]bool, len(st.copies[i]))
-		for _, e := range st.copies[i] {
+		inMirror := make(map[uint64]bool, st.copies[i].Len())
+		for _, e := range st.copies[i].Events() {
 			inMirror[e.Seq] = true
 		}
-		for _, seg := range segs {
-			for _, e := range seg.events {
+		for j := range segs {
+			for _, e := range segs[j].rows.Events() {
 				if !inMirror[e.Seq] {
 					return fmt.Errorf("pool: event %d in cell %v missing from mirror", e.Seq, key.Cell)
 				}

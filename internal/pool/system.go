@@ -378,17 +378,19 @@ func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) 
 func (s *System) gather(key Key, node int, mirror bool) int {
 	rq, start := s.plan.Query, len(s.replyBuf)
 	if mirror {
-		s.replyBuf = rq.AppendMatches(s.replyBuf, s.MirrorCopy(key))
+		s.replyBuf = s.AppendMirrorMatches(s.replyBuf, rq, key)
 		return len(s.replyBuf) - start
 	}
-	for _, seg := range s.segsOf(key) {
+	segs := s.segsOf(key)
+	for j := range segs {
+		seg := &segs[j]
 		if seg.node != node {
 			if _, err := s.unicast(node, seg.node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
 				continue
 			}
 		}
 		mark := len(s.replyBuf)
-		s.replyBuf = rq.AppendMatches(s.replyBuf, seg.events)
+		s.replyBuf = seg.rows.AppendMatches(s.replyBuf, rq)
 		segMatches := len(s.replyBuf) - mark
 		if segMatches == 0 || seg.node == node {
 			continue

@@ -1,7 +1,9 @@
 package systemtest
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +187,35 @@ func scenarios() []scenario {
 				query(u.Events[2])
 				if !reflect.DeepEqual(a, snapshot) {
 					t.Errorf("query A's result changed under later queries: %v, was %v", a, snapshot)
+				}
+			},
+			expect: everySystem(
+				expect{fullRecall: true, complete: true},
+				nil),
+		},
+		{
+			// NaN fails every comparison, so only a validator that names it
+			// keeps it out: stored, it could never be answered, and as a
+			// greatest value it places nowhere.
+			name: "nan-rejected",
+			apply: func(t *testing.T, u *Universe) {
+				nan := math.NaN()
+				origin := u.PickAlive()
+				for _, tc := range []struct {
+					e    event.Event
+					attr string
+				}{
+					{event.New(0.9, nan, 0.3), "attribute 2"},
+					{event.New(nan, 0.2, 0.3), "attribute 1"},
+				} {
+					err := u.Sys.Insert(origin, tc.e)
+					if err == nil || !strings.Contains(err.Error(), tc.attr+" is NaN") {
+						t.Errorf("Insert(%v) = %v, want a validation error naming %s", tc.e, err, tc.attr)
+					}
+				}
+				q := event.NewQuery(event.PointRange(0.5), event.Span(nan, 0.5), event.PointRange(0.5))
+				if _, _, err := u.Sys.QueryWithReport(origin, q); err == nil || !strings.Contains(err.Error(), "attribute 2") {
+					t.Errorf("QueryWithReport(%v) = %v, want a validation error naming attribute 2", q, err)
 				}
 			},
 			expect: everySystem(
