@@ -52,8 +52,10 @@ race-parallel:
 # crashes and loss must degrade by the contract and leave every recycled
 # record back in its arena; the autopsy must equal its reference on any
 # event stream, and packing events into the flight recorder's 64-byte
-# records must lose nothing; the packed-row cell scan must return what
-# the specification returns on any rows and query. go test accepts one
+# records must lose nothing; the row cell scan must return what the
+# specification returns on any rows of one k without NaN, any query and
+# any interleaving of writes, and no write may change a reply already
+# handed out. go test accepts one
 # -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/event -run=NONE -fuzz=FuzzRowsMatchReference -fuzztime=10s
@@ -162,7 +164,7 @@ bench-oracle:
 # (BenchmarkAntiEntropyRoundSteady) is gated at exactly 0 allocs/op — one
 # allocation per in-sync pair would read 244 — and ns/op within 60%.
 # The cell scan (BenchmarkCellScan) is gated at 0 allocs/op for the
-# packed branch-free kernel, and the benchmark itself fails when the
+# branch-free row kernel, and the benchmark itself fails when the
 # kernel runs less than 2x faster than the Query.AppendMatches
 # specification timed right after it in the same run (spec/rows). The
 # 100% ns tolerance of BenchmarkRouteToNodeCold and

@@ -123,8 +123,8 @@ type System struct {
 	// exact-size copy. The buffer itself never leaves the System.
 	replyBuf []event.Event
 
-	// storage holds the events stored at each node, their values packed
-	// for the owner scan.
+	// storage holds the events stored at each node, as rows for the owner
+	// scan.
 	storage []event.Rows
 
 	// dead marks failed nodes (faults.go).

@@ -318,7 +318,7 @@ func (q Query) String() string {
 
 // AppendMatches appends the events matching q to dst, in order, and
 // returns the extended slice: one Matches pass, and no allocation while
-// dst has room. It is the specification of the stores' packed kernel,
+// dst has room. It is the specification of the stores' row kernel,
 // Rows.AppendMatches, and serves callers whose events sit in no Rows; the
 // caller owns dst and decides when its contents are copied out.
 func (q Query) AppendMatches(dst, events []Event) []Event {

@@ -3,6 +3,7 @@ package event
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pooldcs/internal/rng"
@@ -63,15 +64,22 @@ func randomRanges(src *rng.Source, k int) Query {
 }
 
 // checkRowsAgainstSpec holds r.AppendMatches to q.AppendMatches over
-// r.Events(), with an empty dst and with a dst prefix that must be kept.
+// r.AppendTo(nil), with an empty dst and with a dst prefix that must be
+// kept, and At to AppendTo.
 func checkRowsAgainstSpec(t *testing.T, r *Rows, q Query) {
 	t.Helper()
-	want := refFilter(q, r.Events())
+	all := r.AppendTo(nil)
+	if len(all) != r.Len() {
+		t.Fatalf("AppendTo gave %d events, Len %d", len(all), r.Len())
+	}
+	for j, e := range all {
+		if at := r.At(j); !reflect.DeepEqual(at, e) {
+			t.Fatalf("At(%d) = %v (seq %d), AppendTo has %v (seq %d)", j, at, at.Seq, e, e.Seq)
+		}
+	}
+	want := refFilter(q, all)
 	if got := r.AppendMatches(nil, q); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Rows.AppendMatches(nil, %v) = %v, reference %v", q, got, want)
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
 	}
 	prefix := []Event{New(0.9, 0.9, 0.9), New(0.8)}
 	dst := append(make([]Event, 0, len(prefix)+r.Len()), prefix...)
@@ -84,10 +92,10 @@ func checkRowsAgainstSpec(t *testing.T, r *Rows, q Query) {
 	}
 }
 
-// TestRowsMatchReference holds the packed kernel to the specification
-// over k = 1…6 (3 takes the packed path), Wild mixes, values on the
-// bounds, 0 and the largest float below 1, point ranges, events and
-// queries of other dimensionalities, empty rows, and every write move.
+// TestRowsMatchReference holds the kernel to the specification over
+// k = 1…6 (3 takes the unrolled path), Wild mixes, values on the bounds, 0
+// and the largest float below 1, point ranges, queries of other
+// dimensionalities, empty rows, and every write move.
 func TestRowsMatchReference(t *testing.T) {
 	src := rng.New(30)
 	for k := 1; k <= 6; k++ {
@@ -95,11 +103,7 @@ func TestRowsMatchReference(t *testing.T) {
 			var r Rows
 			n := src.Intn(40) // 0 included
 			for i := 0; i < n; i++ {
-				dims := k
-				if trial%10 == 9 && src.Intn(8) == 0 {
-					dims = 1 + src.Intn(6) // makes the rows irregular
-				}
-				vals := make([]float64, dims)
+				vals := make([]float64, k)
 				for d := range vals {
 					vals[d] = gridValue(src)
 				}
@@ -113,7 +117,7 @@ func TestRowsMatchReference(t *testing.T) {
 			checkRowsAgainstSpec(t, &r, q)
 			r.DeleteFunc(func(e Event) bool { return e.Seq%3 == uint64(trial%3) })
 			checkRowsAgainstSpec(t, &r, q)
-			r.Reset(append([]Event(nil), r.Events()...))
+			r.Reset(r.AppendTo(nil))
 			checkRowsAgainstSpec(t, &r, q)
 		}
 	}
@@ -123,75 +127,86 @@ func TestRowsMatchReference(t *testing.T) {
 	}
 }
 
-// TestRowsWrites covers the write moves' own contracts: packing on
-// demand and only for k = 3 scans, DeleteFunc's count and order, Reset's ownership, and irregular
-// rows becoming regular again once emptied.
+// deepCopy returns events with their values copied out of any row.
+func deepCopy(events []Event) []Event {
+	var out []Event
+	for _, e := range events {
+		out = append(out, Event{Values: append([]float64(nil), e.Values...), Seq: e.Seq})
+	}
+	return out
+}
+
+// TestRowsWrites covers the chunk contract: Append copies the caller's
+// values, a reply aliases its row with its capacity capped, DeleteFunc
+// keeps count and order, a row of another k panics, and every reply taken
+// before a write — Append across chunk boundaries, DeleteFunc, Reset —
+// survives all later writes unchanged.
 func TestRowsWrites(t *testing.T) {
 	all := NewQuery(Unspecified(), Unspecified(), Unspecified())
 	var r Rows
-	for i := 1; i <= 6; i++ {
+	var replies, held [][]Event
+	snap := func() {
+		reply := r.AppendMatches(nil, all)
+		replies, held = append(replies, reply), append(held, deepCopy(reply))
+	}
+	vals := []float64{0.1, 0.5, 0.5}
+	r.Append(Event{Values: vals, Seq: 1})
+	vals[0] = 0.9
+	if got := r.At(0).Values[0]; got != 0.1 {
+		t.Fatalf("the row follows its caller's slice: %v", got)
+	}
+	for i := 2; i <= 3; i++ {
 		r.Append(Event{Values: []float64{float64(i) / 10, 0.5, 0.5}, Seq: uint64(i)})
 	}
-	if r.packed != 0 || len(r.vals) != 0 {
-		t.Fatalf("writes packed %d rows before any scan", r.packed)
+	snap()
+	if cap(replies[0][0].Values) != 3 {
+		t.Fatalf("a reply's values have capacity %d, want 3", cap(replies[0][0].Values))
 	}
-	if r.AppendMatches(nil, NewQuery(Unspecified(), Unspecified())); r.packed != 0 {
-		t.Fatal("a scan at k = 2 packed rows")
+	first := &replies[0][0].Values[0]
+	for i := 4; i <= 70; i++ { // chunks of 4, 4, 8, 16, 32 and 64 rows
+		r.Append(Event{Values: []float64{float64(i%10) / 10, 0.5, 0.5}, Seq: uint64(i)})
 	}
-	r.AppendMatches(nil, all)
-	if r.packed != 6 || len(r.vals) != 18 {
-		t.Fatalf("a scan left %d of 6 rows packed", r.packed)
+	if got := r.AppendMatches(nil, all); len(got) != 70 || &got[0].Values[0] != first {
+		t.Fatalf("after appends: %d of 70 matched, first row moved: %v", len(got), &got[0].Values[0] != first)
 	}
-	r.Append(Event{Values: []float64{0.7, 0.5, 0.5}, Seq: 7})
-	if got := r.AppendMatches(nil, all); len(got) != 7 || r.packed != 7 {
-		t.Fatalf("a scan after an append matched %d of 7 with %d packed", len(got), r.packed)
+	snap()
+	if n := r.DeleteFunc(func(e Event) bool { return e.Seq%2 == 0 }); n != 35 {
+		t.Fatalf("DeleteFunc deleted %d, want 35", n)
 	}
-	if n := r.DeleteFunc(func(e Event) bool { return e.Seq%2 == 0 }); n != 3 {
-		t.Fatalf("DeleteFunc deleted %d, want 3", n)
-	}
-	if got := seqs(r.Events()); !reflect.DeepEqual(got, []uint64{1, 3, 5, 7}) {
+	if got := seqs(r.AppendTo(nil)); len(got) != 35 || got[0] != 1 || got[1] != 3 || got[34] != 69 {
 		t.Fatalf("after DeleteFunc: %v", got)
 	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
+	if n := r.DeleteFunc(func(Event) bool { return false }); n != 0 || r.Len() != 35 {
+		t.Fatalf("a DeleteFunc that deletes nothing deleted %d, left %d", n, r.Len())
 	}
-	own := []Event{New(0.1, 0.2, 0.3), New(0.3, 0.4, 0.5)}
-	r.Reset(own)
-	if &r.Events()[0] != &own[0] {
-		t.Error("Reset copied the slice it was given")
+	snap()
+	rev := r.AppendTo(nil)
+	slices.Reverse(rev)
+	r.Reset(rev)
+	if got := seqs(r.AppendTo(nil)); got[0] != 69 || got[34] != 1 {
+		t.Fatalf("after Reset: %v", got)
 	}
-	r.Append(New(0.5, math.NaN(), 0.5))
-	if got := r.AppendMatches(nil, all); len(got) != 3 {
-		t.Errorf("irregular rows matched %d of 3 under an all-Wild query", len(got))
-	}
-	if !r.irregular || r.vals != nil || r.Check() != nil {
-		t.Fatal("a NaN value left the rows regular")
-	}
-	r.DeleteFunc(func(Event) bool { return true })
-	r.Append(New(0.5, 0.5, 0.5))
-	r.AppendMatches(nil, all)
-	if r.irregular || r.packed != 1 || r.Check() != nil {
-		t.Error("emptied rows stayed irregular")
-	}
+	snap()
 	r.Reset(nil)
-	if r.Len() != 0 || r.Events() != nil {
+	if r.Len() != 0 || r.AppendTo(nil) != nil {
 		t.Error("Reset(nil) left events behind")
 	}
-}
-
-// TestRowsCheckCatchesDrift shows Check failing on rows a write bypassed.
-func TestRowsCheckCatchesDrift(t *testing.T) {
-	var r Rows
-	r.Append(New(0.1, 0.2, 0.3))
-	r.AppendMatches(nil, NewQuery(Span(0, 1), Span(0, 1), Span(0, 1)))
-	r.vals[1] = 0.25
-	if r.Check() == nil {
-		t.Error("Check missed a packed value that differs from its event")
+	for i := 0; i < 40; i++ {
+		r.Append(Event{Values: []float64{0.05, 0.05, 0.05}, Seq: 100})
 	}
-	r.vals = r.vals[:2]
-	if r.Check() == nil {
-		t.Error("Check missed a short packed row")
+	for i := range replies {
+		if !reflect.DeepEqual(replies[i], held[i]) {
+			t.Errorf("reply %d changed under later writes: %v, was %v", i, replies[i], held[i])
+		}
 	}
+	r.Reset(nil)
+	r.Append(New(0.5, 0.5)) // an empty Rows takes any k
+	defer func() {
+		if recover() == nil {
+			t.Error("a row of another k was appended")
+		}
+	}()
+	r.Append(New(0.5, 0.5, 0.5))
 }
 
 func seqs(es []Event) []uint64 {
@@ -202,14 +217,17 @@ func seqs(es []Event) []uint64 {
 	return out
 }
 
-// FuzzRowsMatchReference decodes arbitrary bytes into rows and a query —
-// any dimensionality, any float bit pattern for bounds and values (NaN and
-// ±Inf included), Wild flags — and requires the packed kernel to return
-// exactly what the specification returns, before and after a deletion.
+// FuzzRowsMatchReference decodes arbitrary bytes into one k, a query — any
+// float bit pattern for its bounds (NaN and ±Inf included) and Wild flags
+// — and a stream of writes: appends of any non-NaN values, deletions and
+// reversing resets, each held to what it must leave, with the kernel held
+// to the specification and each of the first 16 replies to its deep copy
+// after every later write.
 func FuzzRowsMatchReference(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{2, 0xff, 0x7f, 0xf8, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{6, 1, 2, 3})
+	f.Add([]byte{3, 2, 1, 2, 3, 4, 5, 6, 0xee, 7, 7, 7, 0xdd, 1, 2, 3, 0xee, 0xdd})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -237,19 +255,47 @@ func FuzzRowsMatchReference(f *testing.F) {
 		}
 		q := NewQuery(rs...)
 		var r Rows
-		for seq := uint64(1); len(data) > 0; seq++ {
-			dims := k
-			if data[0] == 0xee {
-				dims = 1 + int(next()*6)%6
+		var replies, held [][]Event
+		check := func() {
+			checkRowsAgainstSpec(t, &r, q)
+			for i := range replies {
+				if !reflect.DeepEqual(replies[i], held[i]) {
+					t.Fatalf("reply %d changed under writes: %v, was %v", i, replies[i], held[i])
+				}
 			}
-			vals := make([]float64, dims)
-			for d := range vals {
-				vals[d] = next()
+			if len(replies) < 16 {
+				reply := r.AppendMatches(nil, q)
+				replies, held = append(replies, reply), append(held, deepCopy(reply))
 			}
-			r.Append(Event{Values: vals, Seq: seq})
 		}
-		checkRowsAgainstSpec(t, &r, q)
-		r.DeleteFunc(func(e Event) bool { return e.Seq%2 == 0 })
-		checkRowsAgainstSpec(t, &r, q)
+		for seq := uint64(1); len(data) > 0; seq++ {
+			switch data[0] {
+			case 0xee:
+				data = data[1:]
+				del := func(e Event) bool { return e.Seq%2 == seq%2 }
+				want := deepCopy(slices.DeleteFunc(r.AppendTo(nil), del))
+				if n := r.Len() - len(want); r.DeleteFunc(del) != n || !reflect.DeepEqual(deepCopy(r.AppendTo(nil)), want) {
+					t.Fatalf("DeleteFunc kept %v, want %v", r.AppendTo(nil), want)
+				}
+			case 0xdd:
+				data = data[1:]
+				src := r.AppendTo(nil)
+				slices.Reverse(src)
+				want := deepCopy(src)
+				if r.Reset(src); !reflect.DeepEqual(deepCopy(r.AppendTo(nil)), want) {
+					t.Fatalf("Reset holds %v, want %v", r.AppendTo(nil), want)
+				}
+			default:
+				vals := make([]float64, k)
+				for d := range vals {
+					if vals[d] = next(); math.IsNaN(vals[d]) {
+						vals[d] = 0.75
+					}
+				}
+				r.Append(Event{Values: vals, Seq: seq})
+			}
+			check()
+		}
+		check()
 	})
 }

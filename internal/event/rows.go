@@ -3,124 +3,141 @@ package event
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
-// width is the dimensionality the packed kernel serves: k = 3, the
-// paper's. Queries of any other k scan through Query.AppendMatches and
-// pack nothing.
-const width = 3
+// firstChunk is the number of rows the first chunk of a Rows holds.
+const firstChunk = 4
 
-// Rows is a store's list of events with their values packed row-major
-// beside them: width float64s per event, in event order. AppendMatches
-// scans the packed rows without a branch per attribute, which is what a
-// cell's index node, a DIM owner and a GHT home do once per query they
-// serve.
+// Rows is the only stored form of a store's events: each event is one row,
+// its Seq (as float64 bits) followed by its k values, written once when the
+// event is appended. AppendMatches scans the rows without a branch per
+// attribute at k = 3, which is what a cell's index node, a DIM owner and a
+// GHT home do once per query they serve.
 //
-// Rows are packed on demand: a write only moves events, and a k = 3 scan
-// first packs the events that landed since the last one, each once. A
-// store that is filled and never queried — a deployment's preload — or
-// only queried at another k allocates no rows; one that is queried as it
-// fills grows its rows with its events.
+// Rows live in chunks that are never reallocated, and a row is never
+// rewritten once written: the first chunk holds firstChunk rows and each
+// later one as many rows as the Rows already holds. Append copies the
+// event's values, so a store never keeps its caller's slice; every other
+// write (Reset, DeleteFunc) builds fresh chunks and leaves the old ones to
+// whoever still reads them. That is what lets a reply alias a row at no
+// cost: the Event that At, AppendTo and AppendMatches hand out carries the
+// row's values with their capacity capped, and stays valid, unchanged, for
+// as long as it is held. Its Values must not be written.
 //
-// A Rows owns both slices. Events returns a read-only view, valid until
-// the next write; Reset takes ownership of the slice it is given, and the
-// Values of stored events are never written. The zero value is empty.
-//
-// The rows are regular while every event has width values and none is
-// NaN — every event a store validated at k = 3. An event that breaks that
-// makes the Rows irregular until it is empty again: no rows are kept and
-// AppendMatches falls back to Query.AppendMatches, so the two agree on
-// every input.
+// All rows share one k, fixed by the first row; appending an event of
+// another k is a programming error and panics. The zero value is empty. A
+// Rows must not be copied while it is still appended to.
 type Rows struct {
-	events []Event
-	// vals holds the rows of events[:packed].
-	vals   []float64
-	packed int
-	// irregular drops vals (see the type comment).
-	irregular bool
+	chunks [][]float64
+	n, k   int
 }
 
 // Len returns the number of events held.
-func (r *Rows) Len() int { return len(r.events) }
+func (r *Rows) Len() int { return r.n }
 
-// Events returns the events in order. The caller must not modify the
-// slice or its events; it stays valid until the next write.
-func (r *Rows) Events() []Event { return r.events }
-
-// Append adds e at the end.
+// Append adds a row holding e at the end.
 func (r *Rows) Append(e Event) {
-	if len(r.events) == 0 {
-		r.Reset(r.events)
+	if r.n == 0 {
+		r.k = len(e.Values)
+	} else if len(e.Values) != r.k {
+		panic(fmt.Sprintf("event: appending a %d-value event to rows of %d", len(e.Values), r.k))
 	}
-	r.events = append(r.events, e)
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+		r.chunks = append(r.chunks, make([]float64, 0, max(r.n, firstChunk)*(r.k+1)))
+		last++
+	}
+	c := append(r.chunks[last], math.Float64frombits(e.Seq))
+	r.chunks[last] = append(c, e.Values...)
+	r.n++
 }
 
-// Reset makes events the contents, taking ownership of the slice; nil
-// empties the Rows.
+// row returns the event a stored row holds, aliasing it.
+func row(c []float64) Event {
+	return Event{Values: c[1:len(c):len(c)], Seq: math.Float64bits(c[0])}
+}
+
+// At returns the j-th event, aliasing its row.
+func (r *Rows) At(j int) Event {
+	c := 0
+	if j >= firstChunk {
+		// Chunk c ≥ 1 starts at row 2^(c+1).
+		c = bits.Len(uint(j)) - 2
+		j -= 1 << (c + 1)
+	}
+	stride := r.k + 1
+	return row(r.chunks[c][j*stride : (j+1)*stride])
+}
+
+// AppendTo appends every event to dst, in order, each aliasing its row, and
+// returns the extended slice.
+func (r *Rows) AppendTo(dst []Event) []Event {
+	stride := r.k + 1
+	for _, c := range r.chunks {
+		for ; len(c) >= stride; c = c[stride:] {
+			dst = append(dst, row(c[:stride]))
+		}
+	}
+	return dst
+}
+
+// Reset makes copies of events the contents, in fresh chunks; nil empties
+// the Rows.
 func (r *Rows) Reset(events []Event) {
-	r.events, r.vals, r.packed, r.irregular = events, r.vals[:0], 0, false
+	*r = Rows{}
+	for _, e := range events {
+		r.Append(e)
+	}
 }
 
 // DeleteFunc deletes the events del reports true for, calling it once per
-// event in order, keeps the rest in order and returns how many it deleted.
-// Like slices.DeleteFunc it compacts in place and zeroes the vacated tail.
-// The rows are packed again by the next scan.
+// event in order, keeps the rest in order, in fresh chunks, and returns
+// how many it deleted.
 func (r *Rows) DeleteFunc(del func(Event) bool) int {
-	n := len(r.events)
-	r.events = slices.DeleteFunc(r.events, del)
-	r.vals, r.packed = r.vals[:0], 0
-	return n - len(r.events)
-}
-
-// pack packs the rows of the events that landed since the last scan, or
-// makes the Rows irregular.
-func (r *Rows) pack() {
-	r.vals = slices.Grow(r.vals, width*(len(r.events)-r.packed))
-	for _, e := range r.events[r.packed:] {
-		if len(e.Values) != width || hasNaN(e.Values) {
-			r.vals, r.packed, r.irregular = nil, 0, true
-			return
-		}
-		r.vals = append(r.vals, e.Values...)
-	}
-	r.packed = len(r.events)
-}
-
-func hasNaN(vs []float64) bool {
-	for _, v := range vs {
-		if v != v {
-			return true
+	old := *r
+	*r = Rows{}
+	for j := 0; j < old.n; j++ {
+		if e := old.At(j); !del(e) {
+			r.Append(e)
 		}
 	}
-	return false
+	return old.n - r.n
 }
 
-// AppendMatches appends the events matching q to dst, in order, and
-// returns the extended slice: exactly q.AppendMatches(dst, r.Events()).
-// A k = 3 query tests each packed row against per-query bounds, a Wild
-// range being [-Inf, +Inf], without a branch per attribute: only the row's
-// verdict branches, taken for the few rows that match.
+// AppendMatches appends the events matching q to dst, in order, each
+// aliasing its row, and returns the extended slice: exactly
+// q.AppendMatches(dst, r.AppendTo(nil)) for rows holding no NaN. A k = 3
+// query tests each row against per-query bounds, a Wild range being
+// [-Inf, +Inf], without a branch per attribute: only the row's verdict
+// branches, taken for the few rows that match. Any other k runs the
+// specification's test row by row.
 func (r *Rows) AppendMatches(dst []Event, q Query) []Event {
-	if len(q.Ranges) != width {
-		return q.AppendMatches(dst, r.events)
+	if len(q.Ranges) != r.k {
+		return dst
 	}
-	if !r.irregular && r.packed < len(r.events) {
-		r.pack()
-	}
-	if r.irregular {
-		return q.AppendMatches(dst, r.events)
+	if r.k != 3 {
+		stride := r.k + 1
+		for _, c := range r.chunks {
+			for ; len(c) >= stride; c = c[stride:] {
+				if e := row(c[:stride]); q.Matches(e) {
+					dst = append(dst, e)
+				}
+			}
+		}
+		return dst
 	}
 	l0, u0 := bounds(q.Ranges[0])
 	l1, u1 := bounds(q.Ranges[1])
 	l2, u2 := bounds(q.Ranges[2])
-	events, vals := r.events, r.vals
-	for j := 0; j < len(events) && len(vals) >= width; j, vals = j+1, vals[width:] {
-		in := b2u(vals[0] >= l0) & b2u(vals[0] <= u0) &
-			b2u(vals[1] >= l1) & b2u(vals[1] <= u1) &
-			b2u(vals[2] >= l2) & b2u(vals[2] <= u2)
-		if in != 0 {
-			dst = append(dst, events[j])
+	for _, c := range r.chunks {
+		for ; len(c) >= 4; c = c[4:] {
+			in := b2u(c[1] >= l0) & b2u(c[1] <= u0) &
+				b2u(c[2] >= l1) & b2u(c[2] <= u1) &
+				b2u(c[3] >= l2) & b2u(c[3] <= u2)
+			if in != 0 {
+				dst = append(dst, row(c[:4]))
+			}
 		}
 	}
 	return dst
@@ -141,28 +158,4 @@ func b2u(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// Check verifies that the packed rows hold exactly the values of the
-// events they were packed from, and returns the first mismatch, or nil —
-// how a store's invariant check catches a write path that bypassed the
-// Rows.
-func (r *Rows) Check() error {
-	if r.irregular && (r.vals != nil || r.packed != 0) {
-		return fmt.Errorf("event: irregular rows keep %d packed rows", r.packed)
-	}
-	if r.packed > len(r.events) || len(r.vals) != width*r.packed {
-		return fmt.Errorf("event: %d packed values for %d of %d events", len(r.vals), r.packed, len(r.events))
-	}
-	for j, e := range r.events[:r.packed] {
-		if len(e.Values) != width {
-			return fmt.Errorf("event: row %d (seq %d) has %d attributes in rows of %d", j, e.Seq, len(e.Values), width)
-		}
-		for d, v := range e.Values {
-			if got := r.vals[j*width+d]; got != v {
-				return fmt.Errorf("event: row %d (seq %d) attribute %d packed as %v, event holds %v", j, e.Seq, d+1, got, v)
-			}
-		}
-	}
-	return nil
 }

@@ -204,7 +204,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			return nil, err
 		}
 		// The oracles scan every stored event once per probe, with the
-		// stores' packed kernel.
+		// stores' kernel.
 		var all event.Rows
 		for _, pe := range placed {
 			all.Append(pe.Event)
@@ -250,7 +250,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			at := time.Duration(qsrc.Float64() * float64(churnHorizon))
 			sink := qsrc.Intn(n)
 			q := qgen.ExactMatch(workload.UniformSizes)
-			pq := pointQueryFor(all.Events()[gsrc.Intn(all.Len())])
+			pq := pointQueryFor(all.At(gsrc.Intn(all.Len())))
 			if err := sched.At(at, func() {
 				// The scheduled sink may have died by now: a real user
 				// would issue from a live gateway.

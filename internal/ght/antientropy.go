@@ -81,8 +81,9 @@ type shareStore struct {
 func (st shareStore) Node() int { return st.node }
 
 func (st shareStore) AppendDigests(buf []uint64) []uint64 {
-	for _, e := range st.s.storage[st.node].Events() {
-		if st.s.HashPoint(e.Values) == st.root {
+	rows := &st.s.storage[st.node]
+	for j := 0; j < rows.Len(); j++ {
+		if e := rows.At(j); st.s.HashPoint(e.Values) == st.root {
 			buf = append(buf, antientropy.Digest(e))
 		}
 	}
@@ -98,10 +99,9 @@ func (st shareStore) Fetch(digests []uint64, buf []event.Event) []event.Event {
 		slot[d] = i
 	}
 	found := make([]event.Event, len(digests))
-	for _, e := range st.s.storage[st.node].Events() {
-		if len(slot) == 0 {
-			break
-		}
+	rows := &st.s.storage[st.node]
+	for j := 0; j < rows.Len() && len(slot) > 0; j++ {
+		e := rows.At(j)
 		if st.s.HashPoint(e.Values) != st.root {
 			continue
 		}
@@ -123,12 +123,4 @@ func (st shareStore) Insert(e event.Event) {
 	st.s.storage[st.node].Append(e)
 }
 
-func (st shareStore) Len() int {
-	n := 0
-	for _, e := range st.s.storage[st.node].Events() {
-		if st.s.HashPoint(e.Values) == st.root {
-			n++
-		}
-	}
-	return n
-}
+func (st shareStore) Len() int { return len(st.AppendDigests(nil)) }

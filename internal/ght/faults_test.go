@@ -129,7 +129,7 @@ func TestDetectedCrashCompleteButLossy(t *testing.T) {
 	all := loadGHT(t, s, 300, 711)
 	victim := mostLoaded(s)
 	lostKeys := make(map[uint64]bool)
-	for _, e := range s.storage[victim].Events() {
+	for _, e := range s.storage[victim].AppendTo(nil) {
 		lostKeys[e.Seq] = true
 	}
 	if len(lostKeys) == 0 {
@@ -235,7 +235,7 @@ func TestStructuredReplicationSurvivesMirrorLoss(t *testing.T) {
 	all := loadGHT(t, s, 400, 731)
 	victim := mostLoaded(s)
 	lost := make(map[uint64]bool)
-	for _, e := range s.storage[victim].Events() {
+	for _, e := range s.storage[victim].AppendTo(nil) {
 		lost[e.Seq] = true
 	}
 	if len(lost) == 0 || len(lost) == len(all) {

@@ -65,9 +65,11 @@ type System struct {
 	// replDepth is the structured-replication hierarchy depth (0 = off).
 	replDepth int
 
-	// storage holds the events owned by each node, their values packed for
-	// the home scan.
+	// storage holds the events owned by each node, as rows for the home
+	// scan; dims is the k they all share, fixed by the first insert (0
+	// before it).
 	storage []event.Rows
+	dims    int
 	// homes maps each hashed point used so far to its home node, mirroring
 	// GHT's perimeter-refresh caching; FailNode rewrites the entries of a
 	// dead home (see home).
@@ -206,6 +208,11 @@ func (s *System) home(from int, pt geo.Point) (int, error) {
 func (s *System) Insert(origin int, e event.Event) error {
 	if err := e.Validate(); err != nil {
 		return fmt.Errorf("ght: %w", err)
+	}
+	if s.dims == 0 {
+		s.dims = e.Dims()
+	} else if e.Dims() != s.dims {
+		return fmt.Errorf("ght: event has %d dims, deployment holds %d", e.Dims(), s.dims)
 	}
 	pt := s.HashPoint(e.Values)
 	root := pt

@@ -26,7 +26,7 @@ func TestLostHomeReplyContributesNothing(t *testing.T) {
 				q := pointQueryFor(e)
 				holder := -1
 				for n := range s.storage {
-					if len(q.Filter(s.storage[n].Events())) > 0 {
+					if len(q.Filter(s.storage[n].AppendTo(nil))) > 0 {
 						holder = n
 					}
 				}

@@ -27,7 +27,6 @@ package node
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -451,11 +450,12 @@ func (e *Engine) taskDone(run *repairRun) {
 
 // chunked splits a copy into transfer chunks of at most
 // repairChunkEvents events. An empty copy still yields one (empty)
-// chunk so the exchange has a final frame to complete on.
+// chunk so the exchange has a final frame to complete on. The chunks
+// share events' backing array, which the transfer owns.
 func chunked(events []event.Event) [][]event.Event {
 	var out [][]event.Event
 	for i := 0; i == 0 || i < len(events); i += repairChunkEvents {
-		out = append(out, slices.Clone(events[i:min(i+repairChunkEvents, len(events))]))
+		out = append(out, events[i:min(i+repairChunkEvents, len(events))])
 	}
 	return out
 }

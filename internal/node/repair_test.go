@@ -444,7 +444,7 @@ func TestRepairPlanAccountsForLoss(t *testing.T) {
 		unrestorable := map[pool.Key]bool{}
 		for _, p := range plans {
 			for _, l := range p.Lost {
-				for _, e := range l.Events {
+				for _, e := range l.Rows.AppendTo(nil) {
 					lostFrom[e.Seq] = l.Key
 				}
 			}

@@ -71,7 +71,7 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 	found := false
 	for i, segs := range s.segs {
 		k := s.keyAt(i)
-		if len(segs) > 0 && len(segs[0].rows.Events()) > 0 && s.Mirror(k) >= 0 {
+		if len(segs) > 0 && segs[0].rows.Len() > 0 && s.Mirror(k) >= 0 {
 			key, found = k, true
 			break
 		}
@@ -241,7 +241,7 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 	var key Key
 	for i, segs := range s.segs {
 		k := s.keyAt(i)
-		if len(segs) > 0 && len(segs[0].rows.Events()) > 0 && s.IndexNode(k.Cell) == segs[0].node {
+		if len(segs) > 0 && segs[0].rows.Len() > 0 && s.IndexNode(k.Cell) == segs[0].node {
 			key = k
 			break
 		}

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"slices"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -56,7 +55,7 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 	}
 	removed := 0
 	for i, seg := range s.segsOf(key) {
-		if !slices.ContainsFunc(seg.rows.Events(), rq.Matches) {
+		if len(seg.rows.AppendMatches(nil, rq)) == 0 {
 			continue
 		}
 		if seg.node != node {

@@ -38,8 +38,8 @@ func (s *System) CheckInvariants() error {
 	// 4. Theorem 3.1 placement consistency.
 	for i, segs := range s.segs {
 		key := s.keyAt(i)
-		for _, seg := range segs {
-			for _, e := range seg.rows.Events() {
+		for j := range segs {
+			for _, e := range segs[j].rows.AppendTo(nil) {
 				if e.Values[key.Dim-1] != event.Greatest(e) {
 					return fmt.Errorf("pool: event %d stored in P%d but its greatest value is elsewhere",
 						e.Seq, key.Dim)

@@ -112,7 +112,7 @@ func refCrash(st *Store, node int) []segRow {
 	for key, segs := range refSegs(st) {
 		for i, seg := range segs {
 			if seg.node == node {
-				lost = append(lost, segRow{Key: key, Seg: i, Node: node, Events: len(seg.rows.Events())})
+				lost = append(lost, segRow{Key: key, Seg: i, Node: node, Events: seg.rows.Len()})
 			}
 		}
 	}
@@ -130,7 +130,7 @@ func refEachSegment(st *Store) []segRow {
 	var rows []segRow
 	for _, key := range keys {
 		for i, seg := range segs[key] {
-			rows = append(rows, segRow{Key: key, Seg: i, Node: seg.node, Events: len(seg.rows.Events())})
+			rows = append(rows, segRow{Key: key, Seg: i, Node: seg.node, Events: seg.rows.Len()})
 		}
 	}
 	return rows
@@ -221,7 +221,7 @@ func (ad actorDriver) fail(id int) error {
 	want := refCrash(ad.st, id)
 	var got []segRow
 	for _, l := range ad.st.Crash(id) {
-		got = append(got, segRow{Key: l.Key, Seg: l.seg, Node: id, Events: len(l.Events)})
+		got = append(got, segRow{Key: l.Key, Seg: l.seg, Node: id, Events: l.Rows.Len()})
 		if _, ok := ad.d.MirrorFor(l.Key, -1); ok {
 			ad.st.Restore(l.Key, ad.d.IndexNode(l.Key.Cell), ad.st.MirrorCopy(l.Key))
 		}

@@ -1,10 +1,6 @@
 package pool
 
-import (
-	"slices"
-
-	"pooldcs/internal/event"
-)
+import "pooldcs/internal/event"
 
 // Repair is the plan of one crash's repair: who re-elects to whom, which
 // copy restores a lost key, which mirror re-homes where — decided once from
@@ -92,11 +88,16 @@ func (st *Store) restore(r *Repair, key Key, to int) Transfer {
 func (st *Store) RestoreLost(r *Repair, l Lost) Transfer {
 	x := st.restore(r, l.Key, st.dir.IndexNode(l.Key.Cell))
 	if x.From >= 0 {
-		lost := make(map[uint64]bool, len(l.Events))
-		for _, e := range l.Events {
-			lost[e.Seq] = true
+		lost := make(map[uint64]bool, l.Rows.Len())
+		for j := 0; j < l.Rows.Len(); j++ {
+			lost[l.Rows.At(j).Seq] = true
 		}
-		x.Events = slices.DeleteFunc(slices.Clone(st.MirrorCopy(l.Key)), func(e event.Event) bool { return !lost[e.Seq] })
+		m := st.mirrorCopy(l.Key)
+		for j := 0; j < m.Len(); j++ {
+			if e := m.At(j); lost[e.Seq] {
+				x.Events = append(x.Events, e)
+			}
+		}
 	}
 	return x
 }
@@ -112,7 +113,7 @@ func (st *Store) RestoreCell(r *Repair, c CellID, to int) []Transfer {
 			continue
 		}
 		x := st.restore(r, Key{Dim: p.Dim, Cell: c}, to)
-		if x.From == to || x.From >= 0 && len(st.MirrorCopy(x.Key)) > 0 {
+		if x.From == to || x.From >= 0 && st.mirrorCopy(x.Key).Len() > 0 {
 			out = append(out, x)
 		}
 	}
@@ -139,8 +140,9 @@ func (st *Store) Rehomes(moving func(Key) bool) []Key {
 func (st *Store) Rehome(key Key) Transfer {
 	from := st.dir.IndexNode(key.Cell)
 	var events []event.Event
-	for _, seg := range st.segsOf(key) {
-		events = append(events, seg.rows.Events()...)
+	segs := st.segsOf(key)
+	for j := range segs {
+		events = segs[j].rows.AppendTo(events)
 	}
 	return Transfer{Key: key, From: from, To: st.dir.Elect(key.Cell, from), Events: events}
 }

@@ -188,7 +188,7 @@ func syncOracleAfterFailure(t *testing.T, sys *System, o *oracle) {
 	held := make(map[uint64]bool)
 	for _, segs := range sys.segs {
 		for _, seg := range segs {
-			for _, e := range seg.rows.Events() {
+			for _, e := range seg.rows.AppendTo(nil) {
 				held[e.Seq] = true
 			}
 		}

@@ -25,9 +25,9 @@ type segment struct {
 // in and every copy the order its events landed in: that fixes result
 // order, Fetch positions and digests. The per-cell tables are indexed by
 // the directory's Key slot, so a walk over them in index order is a walk
-// in (dimension, column, row) order. Every copy is an event.Rows, so a
-// scan for a query runs the packed kernel, and every write here keeps a
-// copy's packed values in step with its events.
+// in (dimension, column, row) order. Every copy is an event.Rows: a write
+// copies the events it stores, and what a read hands out aliases rows that
+// never move.
 type Store struct {
 	dir *Directory
 
@@ -74,8 +74,7 @@ func (st *Store) putSegments(i int, segs []segment) {
 	st.sums[i].primary.valid = false
 }
 
-// ReplaceMirror makes events the cell's mirror copy, taking ownership of
-// the slice.
+// ReplaceMirror makes copies of events the cell's mirror copy.
 func (st *Store) ReplaceMirror(key Key, events []event.Event) {
 	i := st.dir.slot(key)
 	st.copies[i].Reset(events)
@@ -143,12 +142,13 @@ func (st *Store) AppendMirror(key Key, e event.Event) {
 	st.putMirror(i)
 }
 
-// Lost is a segment a crash emptied, with the events it held.
+// Lost is a segment a crash emptied, with the rows it held. Rows is
+// read-only.
 type Lost struct {
-	Key    Key
-	slot   int
-	seg    int
-	Events []event.Event
+	Key  Key
+	slot int
+	seg  int
+	Rows event.Rows
 }
 
 // Crash loses node's RAM: it empties every segment node holds, in place,
@@ -159,7 +159,7 @@ func (st *Store) Crash(node int) []Lost {
 	for i, segs := range st.segs {
 		for j := range segs {
 			if segs[j].node == node {
-				lost = append(lost, Lost{Key: st.dir.keyAt(i), slot: i, seg: j, Events: segs[j].rows.Events()})
+				lost = append(lost, Lost{Key: st.dir.keyAt(i), slot: i, seg: j, Rows: segs[j].rows})
 				st.stored[node] -= segs[j].rows.Len()
 				segs[j].rows.Reset(nil)
 				st.putSegments(i, segs)
@@ -175,8 +175,7 @@ func (st *Store) Crash(node int) []Lost {
 	return lost
 }
 
-// Handover hands a lost segment to node to, holding restored, taking
-// ownership of the slice.
+// Handover hands a lost segment to node to, holding copies of restored.
 func (st *Store) Handover(l Lost, to int, restored []event.Event) {
 	segs := st.segs[l.slot]
 	segs[l.seg].node = to
@@ -185,19 +184,24 @@ func (st *Store) Handover(l Lost, to int, restored []event.Event) {
 	st.putSegments(l.slot, segs)
 }
 
-// restorable reports whether e of a restore chunk lands on a copy holding
-// held: it suits the deployment and its Seq is not held yet — the rule a
-// copy restored chunk by chunk grows by, so a replayed chunk changes
-// nothing.
-func (st *Store) restorable(held []event.Event, e event.Event) bool {
-	return st.dir.checkEvent(e) == nil && !slices.ContainsFunc(held, func(h event.Event) bool { return h.Seq == e.Seq })
+// restorable reports whether e of a restore chunk lands on a copy of n
+// events, the j-th held by at(j): it suits the deployment and its Seq is
+// not held yet — the rule a copy restored chunk by chunk grows by, so a
+// replayed chunk changes nothing.
+func (st *Store) restorable(e event.Event, n int, at func(int) event.Event) bool {
+	for j := 0; j < n; j++ {
+		if at(j).Seq == e.Seq {
+			return false
+		}
+	}
+	return st.dir.checkEvent(e) == nil
 }
 
 // AppendRestored appends to dst the events of a restore chunk that land
 // by the restorable rule.
 func (st *Store) AppendRestored(dst, chunk []event.Event) []event.Event {
 	for _, e := range chunk {
-		if st.restorable(dst, e) {
+		if st.restorable(e, len(dst), func(j int) event.Event { return dst[j] }) {
 			dst = append(dst, e)
 		}
 	}
@@ -209,7 +213,7 @@ func (st *Store) AppendRestored(dst, chunk []event.Event) []event.Event {
 func (st *Store) Restore(key Key, node int, chunk []event.Event) {
 	i, segs, seg := st.at(key, node)
 	for _, e := range chunk {
-		if st.restorable(seg.rows.Events(), e) {
+		if st.restorable(e, seg.rows.Len(), seg.rows.At) {
 			seg.rows.Append(e)
 			st.stored[node]++
 		}
@@ -256,11 +260,11 @@ func (st *Store) mirrorCopy(key Key) *event.Rows {
 	return nil
 }
 
-// MirrorCopy returns the cell's mirror copy. The slice is the Store's:
-// read it before the next write.
+// MirrorCopy returns the cell's mirror copy in a fresh slice, its events
+// aliasing the copy's rows.
 func (st *Store) MirrorCopy(key Key) []event.Event {
 	if r := st.mirrorCopy(key); r != nil {
-		return r.Events()
+		return r.AppendTo(nil)
 	}
 	return nil
 }
@@ -292,11 +296,14 @@ func (st *Store) Stored(node int) int { return st.stored[node] }
 func (st *Store) StorageLoad() []int { return slices.Clone(st.stored) }
 
 // EachSegment calls fn for every segment, cells in (dimension, column,
-// row) order and each cell's segments in the order they were opened.
+// row) order and each cell's segments in the order they were opened. The
+// events alias the segment's rows; the slice is valid until fn returns.
 func (st *Store) EachSegment(fn func(key Key, node int, events []event.Event)) {
+	var buf []event.Event
 	for i, segs := range st.segs {
 		for j := range segs {
-			fn(st.dir.keyAt(i), segs[j].node, segs[j].rows.Events())
+			buf = segs[j].rows.AppendTo(buf[:0])
+			fn(st.dir.keyAt(i), segs[j].node, buf)
 		}
 	}
 }
@@ -336,39 +343,46 @@ func (c cellCopy) Summary() *antientropy.Summary {
 	return &c.memo.Summary
 }
 
-func (c cellCopy) AppendDigests(buf []uint64) []uint64 {
+// parts returns how many Rows the copy is made of: its segments, or the
+// mirror copy. part(p) returns the p-th of them, in order.
+func (c cellCopy) parts() int {
 	if c.mirror {
-		for _, e := range c.st.copies[c.slot].Events() {
-			buf = append(buf, antientropy.Digest(e))
-		}
-		return buf
+		return 1
 	}
-	for j := range c.st.segs[c.slot] {
-		for _, e := range c.st.segs[c.slot][j].rows.Events() {
-			buf = append(buf, antientropy.Digest(e))
+	return len(c.st.segs[c.slot])
+}
+
+func (c cellCopy) part(p int) *event.Rows {
+	if c.mirror {
+		return &c.st.copies[c.slot]
+	}
+	return &c.st.segs[c.slot][p].rows
+}
+
+func (c cellCopy) AppendDigests(buf []uint64) []uint64 {
+	for p := 0; p < c.parts(); p++ {
+		r := c.part(p)
+		for j := 0; j < r.Len(); j++ {
+			buf = append(buf, antientropy.Digest(r.At(j)))
 		}
 	}
 	return buf
 }
 
 func (c cellCopy) Fetch(digests []uint64, buf []event.Event) []event.Event {
-	sum, segs := c.Summary(), c.st.segs[c.slot]
+	sum := c.Summary()
 	for _, d := range digests {
 		i, ok := slices.BinarySearch(sum.Keys, d)
 		if !ok {
 			continue
 		}
-		pos := int(sum.First[i])
-		if c.mirror {
-			buf = append(buf, c.st.copies[c.slot].Events()[pos])
-			continue
-		}
-		for j := range segs {
-			if events := segs[j].rows.Events(); pos < len(events) {
-				buf = append(buf, events[pos])
+		for p, pos := 0, int(sum.First[i]); p < c.parts(); p++ {
+			r := c.part(p)
+			if pos < r.Len() {
+				buf = append(buf, r.At(pos))
 				break
 			}
-			pos -= segs[j].rows.Len()
+			pos -= r.Len()
 		}
 	}
 	return buf
@@ -387,21 +401,16 @@ func (c cellCopy) Insert(e event.Event) {
 }
 
 func (c cellCopy) Len() int {
-	if c.mirror {
-		return c.st.copies[c.slot].Len()
-	}
 	n := 0
-	for j := range c.st.segs[c.slot] {
-		n += c.st.segs[c.slot][j].rows.Len()
+	for p := 0; p < c.parts(); p++ {
+		n += c.part(p).Len()
 	}
 	return n
 }
 
 // CheckStore verifies rules 2 and 3 of CheckInvariants, which hold in
-// every state, that every slot holding a segment or a copy is the slot of
-// a Key inside its Pool, and that every segment's and mirror copy's packed
-// rows hold its events' values, and returns the first violation found, or
-// nil.
+// every state, and that every slot holding a segment or a copy is the slot
+// of a Key inside its Pool, and returns the first violation found, or nil.
 func (st *Store) CheckStore() error {
 	counted := make([]int, len(st.stored))
 	for i, segs := range st.segs {
@@ -410,14 +419,8 @@ func (st *Store) CheckStore() error {
 			return fmt.Errorf("pool: slot %d holds cell %v of P%d, whose slot is %d",
 				i, key.Cell, key.Dim, st.dir.slot(key))
 		}
-		if err := st.copies[i].Check(); err != nil {
-			return fmt.Errorf("pool: cell %v of P%d mirror copy: %w", key.Cell, key.Dim, err)
-		}
 		for j := range segs {
 			seg := &segs[j]
-			if err := seg.rows.Check(); err != nil {
-				return fmt.Errorf("pool: cell %v of P%d segment %d: %w", key.Cell, key.Dim, j, err)
-			}
 			if st.dir.dead[seg.node] && seg.rows.Len() > 0 {
 				return fmt.Errorf("pool: cell %v segment with %d events held by dead node %d",
 					key.Cell, seg.rows.Len(), seg.node)
@@ -464,11 +467,11 @@ func (st *Store) CheckCoverage() error {
 			continue // mirror never elected or currently dead
 		}
 		inMirror := make(map[uint64]bool, st.copies[i].Len())
-		for _, e := range st.copies[i].Events() {
+		for _, e := range st.copies[i].AppendTo(nil) {
 			inMirror[e.Seq] = true
 		}
 		for j := range segs {
-			for _, e := range segs[j].rows.Events() {
+			for _, e := range segs[j].rows.AppendTo(nil) {
 				if !inMirror[e.Seq] {
 					return fmt.Errorf("pool: event %d in cell %v missing from mirror", e.Seq, key.Cell)
 				}

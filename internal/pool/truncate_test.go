@@ -31,7 +31,7 @@ func seqsOf(lists ...[]event.Event) map[uint64]bool {
 func cellSeqs(s *System, key Key) map[uint64]bool {
 	out := make(map[uint64]bool)
 	for _, seg := range s.segsOf(key) {
-		for _, e := range seg.rows.Events() {
+		for _, e := range seg.rows.AppendTo(nil) {
 			out[e.Seq] = true
 		}
 	}
@@ -50,7 +50,7 @@ func checkNoPhantoms(t testing.TB, s *System, got []event.Event, comp dcs.Comple
 	for i, segs := range s.segs {
 		key := s.keyAt(i)
 		for _, seg := range segs {
-			for _, e := range seg.rows.Events() {
+			for _, e := range seg.rows.AppendTo(nil) {
 				home[e.Seq] = key
 			}
 		}
@@ -170,13 +170,13 @@ func TestLostDelegateReplyContributesNothing(t *testing.T) {
 	if segs[0].node != index || delegate == index {
 		t.Fatalf("segments at %d,%d for index %d", segs[0].node, delegate, index)
 	}
-	lost := seqsOf(segs[1].rows.Events())
-	kept := seqsOf(segs[0].rows.Events())
+	lost := seqsOf(segs[1].rows.AppendTo(nil))
+	kept := seqsOf(segs[0].rows.AppendTo(nil))
 	for _, seg := range segs[2:] {
 		if seg.node == delegate {
 			t.Fatalf("delegate %d holds two segments", delegate)
 		}
-		for seq := range seqsOf(seg.rows.Events()) {
+		for seq := range seqsOf(seg.rows.AppendTo(nil)) {
 			kept[seq] = true
 		}
 	}
@@ -257,7 +257,7 @@ search:
 	withMatches := 0
 	for _, c := range cells {
 		for _, seg := range s.segsOf(Key{Dim: 1, Cell: c}) {
-			if len(q.Filter(seg.rows.Events())) > 0 {
+			if len(q.Filter(seg.rows.AppendTo(nil))) > 0 {
 				withMatches++
 				break
 			}

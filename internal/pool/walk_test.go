@@ -145,7 +145,7 @@ func TestTreeOperationsNameUnreachedCells(t *testing.T) {
 	for i, segs := range s.segs {
 		k := s.keyAt(i)
 		for _, seg := range segs {
-			if n := len(wide.Rewrite().Filter(seg.rows.Events())); n > 0 && s.IndexNode(k.Cell) != victim {
+			if n := len(wide.Rewrite().Filter(seg.rows.AppendTo(nil))); n > 0 && s.IndexNode(k.Cell) != victim {
 				t.Errorf("cell %v still holds %d matches", k.Cell, n)
 			} else {
 				left += n

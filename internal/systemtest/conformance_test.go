@@ -3,6 +3,7 @@ package systemtest
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,29 +165,104 @@ func scenarios() []scenario {
 		},
 		{
 			// A reply buffer that escaped to the caller would be rewritten
-			// by the next query on the same system.
+			// by the next query on the same system, and a reply aliasing a
+			// stored row that moved or changed by the next write. So after
+			// query A: more queries, 64 inserts into what A read (past
+			// several chunk boundaries), a deletion where the flavour has
+			// one, and a detected crash of the most loaded node.
 			name: "result-ownership",
 			apply: func(t *testing.T, u *Universe) {
 				sink := u.PickAlive()
-				query := func(e event.Event) []event.Event {
-					got, _, err := u.Sys.QueryWithReport(sink, PointQueryFor(e))
+				query := func(q event.Query) []event.Event {
+					got, _, err := u.Sys.QueryWithReport(sink, q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return got
 				}
-				a := query(u.Events[0])
+				qa := PointQueryFor(u.Events[0])
+				a := query(qa)
 				if len(a) == 0 {
 					t.Fatal("query A found nothing")
 				}
-				snapshot := make([]event.Event, len(a))
-				for i, e := range a {
-					snapshot[i] = event.Event{Values: append([]float64(nil), e.Values...), Seq: e.Seq}
+				snapshot := deepCopy(a)
+				query(PointQueryFor(u.Events[1]))
+				query(PointQueryFor(u.Events[2]))
+				// Equal values land in A's cell or zone; origins spread over
+				// the field reach every structured-replication mirror home.
+				for i := 0; i < 64; i++ {
+					e := event.Event{Values: slices.Clone(u.Events[0].Values), Seq: uint64(40000 + i)}
+					if err := u.Sys.Insert(i*confNodes/64, e); err != nil {
+						t.Fatal(err)
+					}
 				}
-				query(u.Events[1])
-				query(u.Events[2])
+				if u.Deleter != nil {
+					if _, err := u.Deleter.Delete(sink, qa); err != nil {
+						t.Fatal(err)
+					}
+					u.Events = slices.DeleteFunc(u.Events, qa.Matches)
+				}
+				crashMostLoaded(t, u)
 				if !reflect.DeepEqual(a, snapshot) {
-					t.Errorf("query A's result changed under later queries: %v, was %v", a, snapshot)
+					t.Errorf("query A's result changed under later writes: %v, was %v", a, snapshot)
+				}
+			},
+			expect: everySystem(
+				expect{minRecall: 0.5, complete: true},
+				map[string]expect{
+					"pool+repl":   {fullRecall: true, complete: true},
+					"node+repair": {fullRecall: true, complete: true},
+				}),
+		},
+		{
+			// A store that kept its caller's Values would answer from, or
+			// match against, whatever the caller wrote there later.
+			name: "insert-owns-values",
+			apply: func(t *testing.T, u *Universe) {
+				sink := u.PickAlive()
+				e := eventAt(confDims, 30000)
+				q := PointQueryFor(e)
+				if err := u.Sys.Insert(sink, e); err != nil {
+					t.Fatal(err)
+				}
+				query := func() []event.Event {
+					got, _, err := u.Sys.QueryWithReport(sink, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return deepCopy(got)
+				}
+				before := query()
+				if len(before) == 0 {
+					t.Fatal("the inserted event is not found")
+				}
+				for d := range e.Values {
+					e.Values[d] /= 2
+				}
+				after := query()
+				if !reflect.DeepEqual(after, before) {
+					t.Errorf("the answer followed the inserter's slice: %v, was %v", after, before)
+				}
+				for _, g := range after {
+					if !q.Matches(g) {
+						t.Errorf("result %d = %v does not match its own query %v", g.Seq, g, q)
+					}
+				}
+			},
+			expect: everySystem(
+				expect{fullRecall: true, complete: true},
+				nil),
+		},
+		{
+			// Every flavour holds one k, fixed when it is built or, for GHT,
+			// by its first insert.
+			name: "wrong-k-rejected",
+			apply: func(t *testing.T, u *Universe) {
+				origin := u.PickAlive()
+				for _, k := range []int{confDims - 1, confDims + 1} {
+					if err := u.Sys.Insert(origin, eventAt(k, 31000+k)); err == nil || !strings.Contains(err.Error(), "dims") {
+						t.Errorf("Insert of a %d-value event = %v, want an error naming the dims", k, err)
+					}
 				}
 			},
 			expect: everySystem(
@@ -313,6 +389,15 @@ func scenarios() []scenario {
 			expect: cascadeExpect,
 		},
 	}
+}
+
+// deepCopy returns events with their values copied out of the store.
+func deepCopy(events []event.Event) []event.Event {
+	out := make([]event.Event, len(events))
+	for i, e := range events {
+		out[i] = event.Event{Values: slices.Clone(e.Values), Seq: e.Seq}
+	}
+	return out
 }
 
 // cascadeExpect is what two detected crashes leave: complete service

@@ -56,6 +56,13 @@ type Universe struct {
 
 	// Events is the ground-truth oracle: every event ever inserted.
 	Events []event.Event
+	// Deleter is Sys when it can delete (the synchronous Pool), else nil.
+	Deleter Deleter
+}
+
+// Deleter is a system that deletes the events matching a query.
+type Deleter interface {
+	Delete(sink int, q event.Query) (int, error)
 }
 
 // Factory names one system flavour and builds it over a substrate. The
@@ -126,6 +133,7 @@ func BuildUniverse(f Factory, n, nEvents, dims int, seed int64) (*Universe, erro
 		chaos.WithFailureDetection(disc))
 
 	u := &Universe{Sched: sched, Net: net, Router: router, Sys: sys, Detector: disc, Engine: engine}
+	u.Deleter, _ = sys.(Deleter)
 	evSrc := src.Fork("events")
 	for i := 0; i < nEvents; i++ {
 		vals := make([]float64, dims)
