@@ -403,6 +403,25 @@ func TestResilienceQuick(t *testing.T) {
 	otherDims(t, cfg, func(cfg Config) (*Result, error) { return Resilience(cfg, []int{10}) })
 }
 
+// TestResilienceNodeCompleteMeansRecalled holds every row of the actor
+// backend's resilience sweep, mirrored or not, to the completeness
+// contract: a full-range answer reported complete returns every event.
+func TestResilienceNodeCompleteMeansRecalled(t *testing.T) {
+	for _, repair := range []bool{true, false} {
+		cfg := Quick()
+		cfg.Backend, cfg.Repair = "node", repair
+		res, err := Resilience(cfg, []int{5, 10, 20, 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range parseRows(t, res) {
+			if recall, compl := cellFloat(t, r[1]), cellFloat(t, r[2]); compl == 1 && recall != 1 {
+				t.Errorf("repair=%v, failed %s%%: complete answer with recall %v", repair, r[0], recall)
+			}
+		}
+	}
+}
+
 func TestDimSweepQuick(t *testing.T) {
 	cfg := Quick()
 	res, err := DimSweep(cfg, []int{2, 3})

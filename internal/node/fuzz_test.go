@@ -23,6 +23,8 @@ import (
 //   - a result set holds stored events that answer the query, each once;
 //   - with every node alive, a complete answer is the whole answer, and
 //     on a clean radio every answer is complete;
+//   - a complete answer holds every event of the query outside the keys
+//     the repair left lost;
 //   - once the scheduler has run dry every task, leg, gather, operation,
 //     write and repair packet is back in its arena, no repair is left in
 //     flight, the stores are consistent, and no non-degradable error
@@ -110,6 +112,11 @@ func FuzzQueryUnderFaults(f *testing.F) {
 			}
 			if crashMask == 0 && c.Complete() && !slices.Equal(seqs(iq.results), seqs(rq.Filter(fx.events))) {
 				t.Fatalf("query %d reports complete with %d of %d answers", i, len(iq.results), len(rq.Filter(fx.events)))
+			}
+			for _, ev := range rq.Filter(fx.events) {
+				if p, _ := fx.engine.Durability(fx.keyOf(t, ev)); c.Complete() && !seen[ev.Seq] && p != pool.PrimaryLost {
+					t.Fatalf("query %d reports complete without event %d, whose key is not lost", i, ev.Seq)
+				}
 			}
 		}
 

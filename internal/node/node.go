@@ -116,8 +116,7 @@ type Engine struct {
 	svcMaxDepth int
 
 	// Repair-protocol state (repair.go): the elections, restores and
-	// re-homes in flight. A cell whose restore is still streaming serves
-	// its partial slice as unreached.
+	// re-homes in flight.
 	repairs     map[int]*repairRun
 	elects      map[pool.CellID]*electTask
 	restores    map[pool.Key]*xferTask
@@ -583,16 +582,16 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 
 // writeSettled lands a write: an insert is stored (and mirrored) at its
 // index node, its span closed and its caller told; a mirror copy joins
-// the mirror store. A lost write loses the event — the insert's span
-// still closes.
+// the mirror store, or, lost, leaves the mirror behind. A lost insert
+// loses the event — its span still closes.
 func (e *Engine) writeSettled(wi int32, err error) {
 	w := *e.writes.at(wi)
 	e.writes.release(wi, write{})
 	switch {
+	case w.mirror:
+		e.MirrorLanded(w.key, w.ev, err == nil)
 	case err != nil:
 		e.tracer.EndSpan(w.span)
-	case w.mirror:
-		e.AppendMirror(w.key, w.ev)
 	default:
 		e.storeEvent(w.key, int(w.index), w.ev, true)
 		e.tracer.EndSpan(w.span)
@@ -632,5 +631,6 @@ func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bo
 	}
 	wi := e.writes.alloc()
 	*e.writes.at(wi) = write{key: key, ev: ev, mirror: true}
+	e.MirrorSent(key)
 	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.Dims()), recWrite, wi)
 }

@@ -85,7 +85,7 @@ type gather struct {
 
 // servedCell is one reached cell of a fan-out. matches is the exact-size
 // snapshot the cell's reply carried; partial marks a cell served from a
-// restore still streaming in, already reported unreached.
+// copy the Store did not vouch for, already reported unreached.
 type servedCell struct {
 	cell    pool.CellID
 	matches []event.Event
@@ -122,11 +122,11 @@ func (e *Engine) Query(sink int, q event.Query, onDone func(results []event.Even
 // QueryWithReport is Query plus a dcs.Completeness report, resolved with
 // the splitter fan-out and under the failure policy of the synchronous
 // pool.System.QueryWithReport (dcs.Exchange, pool.Directory.Retarget,
-// pool.Demote) — but message-driven. A cell whose mirror transfer is still
-// in flight after a repair serves whatever slice has arrived and is
-// reported unreached — the measured completeness dips until the transfer
-// converges. The results slice is the caller's: a fresh copy of exactly
-// the result's size.
+// pool.Demote) — but message-driven. A cell whose restore is still in
+// flight after a repair serves whatever slice has arrived and is reported
+// unreached (pool.Store.Vouches) — the measured completeness dips until the
+// transfer converges. The results slice is the caller's: a fresh copy of
+// exactly the result's size.
 func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []event.Event, comp dcs.Completeness, elapsed time.Duration)) error {
 	oi := e.ops.alloc()
 	op := e.ops.at(oi)
@@ -310,18 +310,20 @@ func (e *Engine) runSplitter(gi int32) {
 }
 
 // serveCell runs at the queried node: filter the store (or the mirror
-// copy) and start the reply back to the splitter. A cell whose restore
-// transfer is still streaming serves its partial slice but is reported
+// copy) and start the reply back to the splitter. A copy the Store does
+// not vouch for — a restore still streaming or cut short, a lost key, a
+// mirror behind its primary — serves what it holds but is reported
 // unreached (degraded completeness).
 func (e *Engine) serveCell(li int32) {
 	l := e.legs.at(li)
 	q := e.ops.at(l.op).plan.Query
-	if l.target != l.index {
+	mirror := l.target != l.index
+	if mirror {
 		e.matchBuf = e.AppendMirrorMatches(e.matchBuf[:0], q, l.key)
 	} else {
 		e.matchBuf = e.AppendHeldMatches(e.matchBuf[:0], q, l.key, int(l.target))
-		l.partial = e.restores[l.key] != nil
 	}
+	l.partial = !e.Vouches(l.key, mirror)
 	l.matches = event.CloneEvents(e.matchBuf)
 	e.launch(recLeg, li, stageReply)
 }

@@ -122,7 +122,6 @@ type xferTask struct {
 	chunks   [][]event.Event
 	sendNext int // next chunk ordinal the source will emit
 	recvNext int // next chunk ordinal the destination expects
-	got      []event.Event
 }
 
 // RepairsInFlight returns the number of crashed nodes whose repair
@@ -313,13 +312,11 @@ func legOf(pkt repairPacket, src, dst int, back bool) bool {
 
 // chunkLanded lands the next chunk of t by the Store's restore rule. A
 // holder's segment grows as chunks land — what makes a mid-transfer query
-// see a growing slice; a new mirror stages its copy until the last one.
+// see a growing slice; a new mirror takes the planned copy with the last.
 func (e *Engine) chunkLanded(t *xferTask, pkt repairPacket) {
 	t.recvNext++
-	if t.toMirror {
-		t.got = e.AppendRestored(t.got, pkt.events)
-	} else {
-		e.Restore(t.Key, t.To, pkt.events)
+	if !t.toMirror {
+		e.Restore(t.Key, t.To, pkt.events, pkt.last)
 	}
 	if pkt.last {
 		e.xferEnd(t, true)
@@ -335,14 +332,12 @@ func (e *Engine) chunkLanded(t *xferTask, pkt repairPacket) {
 // waited for the grant start from the new holder.
 func (e *Engine) electGranted(t *electTask) {
 	e.Reelect(t.Cell, t.To)
-	for _, x := range e.RestoreCell(t.run.plan, t.Cell, t.To) {
+	for _, x := range e.RestoreCell(t.Cell, t.To) {
 		if x.From != x.To {
 			e.startXfer(t.run, x, false)
 			continue
 		}
-		for _, ev := range e.MirrorCopy(x.Key) {
-			e.Append(x.Key, x.To, ev)
-		}
+		e.Restore(x.Key, x.To, e.MirrorCopy(x.Key), true)
 		e.startXfer(t.run, e.Rehome(x.Key), true)
 	}
 	delete(e.elects, t.Cell)
@@ -389,12 +384,11 @@ func (e *Engine) shipChunk(t *xferTask) {
 }
 
 // xferEnd retires a transfer that landed or was cut short by further
-// failures. A restored holder stops advertising the transfer: complete,
-// its queries are complete again; cut short, it keeps whatever slice
-// landed and serves it as the cell's (diminished) truth — the synchronous
-// repair likewise loses an unreachable segment outright. A new mirror
-// adopts a copy that landed and the assignment flips; an undeliverable
-// one is dropped entirely, never claiming phantom data.
+// failures. A restore's last chunk has already settled its key in the
+// Store; cut short, the holder keeps whatever slice landed and the key
+// stays partial, served but reported unreached. A new mirror adopts a
+// copy that landed and the assignment flips; an undeliverable one is
+// dropped entirely, never claiming phantom data.
 func (e *Engine) xferEnd(t *xferTask, landed bool) {
 	table := e.xfers(t.toMirror)
 	if table[t.Key] != t {
@@ -403,10 +397,10 @@ func (e *Engine) xferEnd(t *xferTask, landed bool) {
 	delete(table, t.Key)
 	if t.toMirror {
 		if !landed {
-			t.To, t.got = -1, nil
+			t.To, t.Events = -1, nil
 		}
 		e.SetMirror(t.Key, t.To)
-		e.ReplaceMirror(t.Key, t.got)
+		e.ReplaceMirror(t.Key, t.Events)
 	}
 	e.taskDone(t.run)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/dcs/dcstest"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
@@ -351,8 +352,8 @@ func TestRepairSurvivesCascade(t *testing.T) {
 // — while their packets are still on the air. The aborts must be clean:
 // no task leaks, no restore left in flight, the replanned
 // repair converges, and every surviving cell is served by a live
-// holder. Data genuinely lost (a mirror dying mid-pull) is allowed;
-// phantom data and hangs are not.
+// holder. Data genuinely lost (a mirror dying mid-pull) is allowed if the
+// answer says so; phantom data and hangs are not.
 func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	f := newRepairFixture(t, 60, 6000, 31, WithReplication())
 
@@ -401,8 +402,27 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	}
 	sink := f.alive(victim + 1)
 	results, comp := f.runQuery(t, sink, fullQuery())
-	if !comp.Complete() {
-		t.Errorf("post-abort queries degraded: %d/%d cells", comp.CellsReached, comp.CellsTotal)
+	// Exactly the keys a cut-short restore or a lost copy left short are
+	// reported unreached, and every other event comes back.
+	notLive := 0
+	for _, p := range f.engine.Pools() {
+		for _, c := range p.Cells() {
+			if pr, _ := f.engine.Durability(pool.Key{Dim: p.Dim, Cell: c}); pr != pool.PrimaryLive {
+				notLive++
+			}
+		}
+	}
+	if len(comp.Unreached) != notLive {
+		t.Errorf("post-abort query: %d cells unreached, %d keys not live", len(comp.Unreached), notLive)
+	}
+	returned := map[uint64]bool{}
+	for _, e := range results {
+		returned[e.Seq] = true
+	}
+	for _, e := range f.events {
+		if pr, _ := f.engine.Durability(f.keyOf(t, e)); pr == pool.PrimaryLive && !returned[e.Seq] {
+			t.Errorf("event %d of a live key missing after the aborts", e.Seq)
+		}
 	}
 	if len(results) > len(f.events) {
 		t.Errorf("phantom data: %d results from %d stored events", len(results), len(f.events))
@@ -412,60 +432,175 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	}
 }
 
-// TestRepairPlanAccountsForLoss crashes the most-loaded node and, before a
-// single repair exchange has run, its nearest alive neighbour, which is
-// often the mirror of its cells: a key can lose both copies inside one
-// repair window. Every preloaded event the drained store no longer holds
-// must lie in a segment one of the crashes lost, of a key whose restore
-// step found no copy to restore from. The test pins the plan's bookkeeping
-// of that loss, not what queries report about it.
+// doubleCrash crashes the most-loaded node and, before a single repair
+// exchange has run, its nearest alive neighbour, which is often the mirror
+// of its cells: a key can lose both copies inside one repair window. It
+// returns the universe drained.
+func doubleCrash(t *testing.T, seed int64) *repairFixture {
+	t.Helper()
+	f := newRepairFixture(t, 150, 80, seed, WithReplication())
+	first := f.mostLoaded()
+	f.crash(t, first)
+	f.crash(t, f.engine.NearestAlive(f.layout.Pos(first), -1))
+	f.drain(t)
+	checkStores(t, f.engine)
+	return f
+}
+
+// keyOf returns the key an event is stored under; the fixture's events
+// have no tied maxima, so the origin does not matter.
+func (f *repairFixture) keyOf(t testing.TB, e event.Event) pool.Key {
+	t.Helper()
+	key, _, err := f.engine.Place(0, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestRepairPlanAccountsForLoss: every preloaded event the store no longer
+// holds after a double crash lies in a key the restore step left lost.
 func TestRepairPlanAccountsForLoss(t *testing.T) {
 	for seed := int64(4200); seed <= 4202; seed++ {
-		f := newRepairFixture(t, 150, 80, seed, WithReplication())
-		first := f.mostLoaded()
-		f.crash(t, first)
-		second := f.engine.NearestAlive(f.layout.Pos(first), -1)
-		f.crash(t, second)
-		var plans []*pool.Repair
-		for _, victim := range []int{first, second} {
-			if run := f.engine.repairs[victim]; run != nil {
-				plans = append(plans, run.plan)
-			}
-		}
-		f.drain(t)
-
+		f := doubleCrash(t, seed)
 		held := map[uint64]bool{}
 		f.engine.EachSegment(func(_ pool.Key, _ int, events []event.Event) {
 			for _, e := range events {
 				held[e.Seq] = true
 			}
 		})
-		lostFrom := map[uint64]pool.Key{}
-		unrestorable := map[pool.Key]bool{}
-		for _, p := range plans {
-			for _, l := range p.Lost {
-				for _, e := range l.Rows.AppendTo(nil) {
-					lostFrom[e.Seq] = l.Key
-				}
-			}
-			for _, key := range p.Unrestorable {
-				unrestorable[key] = true
-			}
-		}
 		missing := 0
 		for _, e := range f.events {
 			if held[e.Seq] {
 				continue
 			}
 			missing++
-			if key, ok := lostFrom[e.Seq]; !ok || !unrestorable[key] {
-				t.Errorf("seed %d: event %d is gone, but no restore step marked a lost segment holding it unrestorable", seed, e.Seq)
+			if p, _ := f.engine.Durability(f.keyOf(t, e)); p != pool.PrimaryLost {
+				t.Errorf("seed %d: event %d is gone, but its key is %d, not lost", seed, e.Seq, p)
 			}
 		}
 		if missing == 0 {
 			t.Errorf("seed %d: the double crash lost nothing; the scenario lost its premise", seed)
 		}
 		t.Logf("seed %d: %d of %d events lost with both copies", seed, missing, len(f.events))
+	}
+}
+
+// TestDoubleCrashNeverOverreports point-queries every preloaded event after
+// the double crash: an answer that misses its event must not be complete.
+func TestDoubleCrashNeverOverreports(t *testing.T) {
+	for seed := int64(4200); seed <= 4207; seed++ {
+		f := doubleCrash(t, seed)
+		sink := f.alive(0)
+		over := 0
+		for _, e := range f.events {
+			got, comp := f.runQuery(t, sink, pointQueryFor(e))
+			if comp.Complete() && !slices.ContainsFunc(got, func(g event.Event) bool { return g.Seq == e.Seq }) {
+				over++
+			}
+		}
+		if over > 0 {
+			t.Errorf("seed %d: %d complete answers miss their event", seed, over)
+		}
+	}
+}
+
+// pointQueryFor is the exact-match query of one event.
+func pointQueryFor(e event.Event) event.Query {
+	rs := make([]event.Range, len(e.Values))
+	for i, v := range e.Values {
+		rs[i] = event.PointRange(v)
+	}
+	return event.NewQuery(rs...)
+}
+
+// TestAbortedRestoreStaysPartial loses the frames of a streaming restore,
+// which cuts it short the way a lost packet does: the holder keeps the
+// slice that landed, and a full-range query must not call that complete
+// while the mirror still holds the rest.
+func TestAbortedRestoreStaysPartial(t *testing.T) {
+	cut := 0
+	for seed := int64(4200); seed <= 4219; seed++ {
+		f := newRepairFixture(t, 100, 1200, seed, WithReplication())
+		// Second generation, so that the restores are pulls over the radio.
+		first := f.mostLoaded()
+		f.crash(t, first)
+		f.drain(t)
+		f.recover(t, first)
+		f.crash(t, f.mostLoaded())
+		var x *xferTask
+		for i := 0; i < 10000 && x == nil && f.sched.Step(); i++ {
+			// A chunk is on the air and another is still to come.
+			for _, r := range f.engine.restores {
+				if r.sendNext > 0 && r.sendNext < len(r.chunks) && (x == nil || keyLess(r.Key, x.Key)) {
+					x = r
+				}
+			}
+		}
+		if x == nil {
+			continue // the second victim inherited none of the first one's cells
+		}
+		cut++
+		cancel := dcstest.Jam(f.net, x.To)
+		for i := 0; i < 10000 && f.engine.restores[x.Key] == x && f.sched.Step(); i++ {
+		}
+		cancel()
+		if f.engine.restores[x.Key] == x {
+			t.Fatalf("seed %d: the jam did not cut the restore short", seed)
+		}
+		f.drain(t)
+		checkStores(t, f.engine)
+		if p, _ := f.engine.Durability(x.Key); p == pool.PrimaryLive {
+			t.Errorf("seed %d: key %+v live after its restore was cut short", seed, x.Key)
+		}
+		got, comp := f.runQuery(t, f.alive(0), fullQuery())
+		if comp.Complete() && len(got) != len(f.events) {
+			t.Errorf("seed %d: complete answer holds %d of %d events", seed, len(got), len(f.events))
+		}
+	}
+	if cut < 10 {
+		t.Errorf("only %d of 20 seeds cut a restore short; the scenario lost its premise", cut)
+	}
+}
+
+func keyLess(a, b pool.Key) bool {
+	return a.Dim < b.Dim || a.Dim == b.Dim && (a.Cell.X < b.Cell.X || a.Cell.X == b.Cell.X && a.Cell.Y < b.Cell.Y)
+}
+
+// TestLostMirrorWriteLeavesMirrorBehind jams the mirror write of one radio
+// insert, then crashes the event's holder: the restore comes from a mirror
+// that never got the event, so a query over its key must not be complete.
+func TestLostMirrorWriteLeavesMirrorBehind(t *testing.T) {
+	f := newRepairFixture(t, 100, 300, 4200, WithReplication())
+	e := event.New(0.91, 0.52, 0.13)
+	e.Seq = 100000
+	key := f.keyOf(t, e)
+	index := f.engine.IndexNode(key.Cell)
+	mirror := f.engine.Mirror(key)
+	if mirror < 0 || mirror == index {
+		t.Fatalf("key %+v has mirror %d, index %d", key, mirror, index)
+	}
+	// Detected by the index node itself, the event is stored at once; only
+	// its mirror write crosses the radio, into the jam.
+	cancel := dcstest.Jam(f.net, mirror)
+	stored := false
+	if err := f.engine.Insert(index, e, func() { stored = true }); err != nil {
+		t.Fatal(err)
+	}
+	f.drain(t)
+	cancel()
+	if !stored {
+		t.Fatal("the insert never landed")
+	}
+	if _, whole := f.engine.Durability(key); whole {
+		t.Fatal("mirror whole after its write was lost")
+	}
+	f.crash(t, index)
+	f.drain(t)
+	checkStores(t, f.engine)
+	got, comp := f.runQuery(t, f.alive(index+1), pointQueryFor(e))
+	if comp.Complete() {
+		t.Errorf("complete answer over a key restored from a mirror behind it: %d events", len(got))
 	}
 }
 

@@ -128,10 +128,11 @@ func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64,
 	var comp dcs.Completeness
 	err := s.walk(sink, visitor{
 		kind: network.KindQuery,
-		cell: func(key Key, node int, mirror bool) (int, int, error) {
+		cell: func(key Key, node int, mirror bool) (int, int, bool, error) {
 			mark := len(s.replyBuf)
-			if s.gather(key, node, mirror) == 0 {
-				return 0, 0, nil
+			n, partial := s.gather(key, node, mirror)
+			if n == 0 {
+				return 0, 0, partial, nil
 			}
 			cell := newPartial()
 			for _, e := range s.replyBuf[mark:] {
@@ -143,7 +144,7 @@ func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64,
 			}
 			s.replyBuf = s.replyBuf[:mark]
 			pool.merge(cell)
-			return cell.count, aggPartialBytes, nil
+			return cell.count, aggPartialBytes, partial, nil
 		},
 		sink: func(n int) int {
 			if n == 0 {

@@ -49,11 +49,11 @@ func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
 	var comp dcs.Completeness
 	err := s.walk(sink, visitor{
 		kind: network.KindControl, traced: traceFanout,
-		cell: func(key Key, _ int, _ bool) (int, int, error) {
+		cell: func(key Key, _ int, _ bool) (int, int, bool, error) {
 			sub.keys = append(sub.keys, key)
 			i := s.slot(key)
 			s.subs[i] = append(s.subs[i], sub)
-			return 0, 0, nil
+			return 0, 0, false, nil
 		},
 		sink: func(int) int { return 0 },
 	}, &comp)

@@ -26,13 +26,13 @@ func (s *System) Delete(sink int, q event.Query) (int, error) {
 	var comp dcs.Completeness
 	err := s.walk(sink, visitor{
 		kind: network.KindQuery,
-		cell: func(key Key, node int, mirror bool) (int, int, error) {
+		cell: func(key Key, node int, mirror bool) (int, int, bool, error) {
 			n, err := s.deleteFromCell(key, node, mirror)
 			removed += n
 			if n == 0 {
-				return 0, 0, err
+				return 0, 0, false, err
 			}
-			return n, ack, err
+			return n, ack, false, err
 		},
 		sink: func(int) int { return ack },
 	}, &comp)

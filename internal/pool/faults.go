@@ -55,7 +55,7 @@ func (s *System) FailNode(id int) error {
 	// partitioned from the new index node cannot restore it now: its events
 	// are lost with the primary.
 	for _, l := range plan.Lost {
-		x := s.RestoreLost(plan, l)
+		x := s.RestoreLost(l)
 		if x.From >= 0 && x.From != x.To {
 			if _, err := s.unicast(x.From, x.To,
 				network.KindControl, dcs.ReplyBytes(s.dims, len(x.Events))); err != nil {
@@ -65,7 +65,7 @@ func (s *System) FailNode(id int) error {
 				x.From, x.Events = -1, nil
 			}
 		}
-		s.Handover(l, x.To, x.Events)
+		s.Handover(l, x)
 		if x.From >= 0 {
 			s.recoveryMsgs++
 		}

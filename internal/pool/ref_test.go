@@ -223,7 +223,7 @@ func (ad actorDriver) fail(id int) error {
 	for _, l := range ad.st.Crash(id) {
 		got = append(got, segRow{Key: l.Key, Seg: l.seg, Node: id, Events: l.Rows.Len()})
 		if _, ok := ad.d.MirrorFor(l.Key, -1); ok {
-			ad.st.Restore(l.Key, ad.d.IndexNode(l.Key.Cell), ad.st.MirrorCopy(l.Key))
+			ad.st.Restore(l.Key, ad.d.IndexNode(l.Key.Cell), ad.st.MirrorCopy(l.Key), true)
 		}
 	}
 	if !slices.Equal(got, want) {

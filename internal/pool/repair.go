@@ -11,7 +11,8 @@ import "pooldcs/internal/event"
 //  1. Election, at crash time (PlanRepair; Election re-plans one cell).
 //  2. Restore, once a cell's new holder is in place (RestoreLost,
 //     RestoreCell): per key, an alive mirror's copy, the new holder's own
-//     when it is the mirror, or none, which the plan records as loss.
+//     when it is the mirror, or none, which leaves a primary the crash
+//     left partial lost.
 //  3. Re-home (Rehomes, Rehome): a mirror that died or that re-election
 //     left on its cell's index node moves to the next-closest alive node.
 //
@@ -25,9 +26,6 @@ type Repair struct {
 	Lost []Lost
 	// Elections lists the cells to re-elect, in row-major order.
 	Elections []Election
-	// Unrestorable lists the keys a restore step found no copy for: the
-	// events their Lost segments held are gone.
-	Unrestorable []Key
 }
 
 // Election is one cell's re-election: node To takes over its index role,
@@ -74,19 +72,19 @@ func (d *Directory) Election(c CellID) (Election, bool) {
 }
 
 // restore is the restore step for key, its cell's new holder to in place.
-func (st *Store) restore(r *Repair, key Key, to int) Transfer {
+func (st *Store) restore(key Key, to int) Transfer {
 	from, ok := st.dir.MirrorFor(key, -1)
-	if !ok {
-		r.Unrestorable = append(r.Unrestorable, key)
+	if i := st.dir.slot(key); !ok && st.dur[i].primary == PrimaryPartial {
+		st.settle(i, false)
 	}
 	return Transfer{Key: key, From: from, To: to}
 }
 
-// RestoreLost is the restore step for one lost segment of r, its cell's new
+// RestoreLost is the restore step for one lost segment, its cell's new
 // holder in place: the transfer ships the events of the segment the
 // mirror's copy still holds, in the copy's order, for Handover.
-func (st *Store) RestoreLost(r *Repair, l Lost) Transfer {
-	x := st.restore(r, l.Key, st.dir.IndexNode(l.Key.Cell))
+func (st *Store) RestoreLost(l Lost) Transfer {
+	x := st.restore(l.Key, st.dir.IndexNode(l.Key.Cell))
 	if x.From >= 0 {
 		lost := make(map[uint64]bool, l.Rows.Len())
 		for j := 0; j < l.Rows.Len(); j++ {
@@ -102,17 +100,17 @@ func (st *Store) RestoreLost(r *Repair, l Lost) Transfer {
 	return x
 }
 
-// RestoreCell is the restore step for a cell of r whose new holder to is in
-// place: one transfer per Pool key of the cell that has a copy to move, in
-// Pool order. A key whose mirror copy is empty has nothing to stream unless
-// the new holder adopts it locally.
-func (st *Store) RestoreCell(r *Repair, c CellID, to int) []Transfer {
+// RestoreCell is the restore step for a re-elected cell whose new holder to
+// is in place: one transfer per Pool key of the cell that has a copy to
+// move, in Pool order. A key whose mirror copy is empty has nothing to
+// stream unless the new holder adopts it locally.
+func (st *Store) RestoreCell(c CellID, to int) []Transfer {
 	var out []Transfer
 	for _, p := range st.dir.pools {
 		if !p.ContainsCell(c) {
 			continue
 		}
-		x := st.restore(r, Key{Dim: p.Dim, Cell: c}, to)
+		x := st.restore(Key{Dim: p.Dim, Cell: c}, to)
 		if x.From == to || x.From >= 0 && st.mirrorCopy(x.Key).Len() > 0 {
 			out = append(out, x)
 		}

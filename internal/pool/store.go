@@ -45,13 +45,80 @@ type Store struct {
 	// scratch they are built in.
 	sums      []cellSummaries
 	digestBuf []uint64
+
+	// dur holds how whole both copies of every cell are, and crashes
+	// counts the crashes that could have made one less so.
+	dur     []durability
+	crashes int
 }
 
 // NewStore returns an empty store over dir's deployment.
 func NewStore(dir *Directory) *Store {
 	n := dir.numSlots()
 	return &Store{dir: dir, segs: make([][]segment, n), copies: make([]event.Rows, n),
-		stored: make([]int, len(dir.dead)), sums: make([]cellSummaries, n)}
+		stored: make([]int, len(dir.dead)), sums: make([]cellSummaries, n), dur: make([]durability, n)}
+}
+
+// Primary is how whole a key's primary copy, its segments, is. A lost
+// key never turns live again: nothing stored later brings its events back.
+type Primary uint8
+
+const (
+	PrimaryLive    Primary = iota // holds every event stored under the key
+	PrimaryPartial                // a crash emptied it, no restore landed whole since
+	PrimaryLost                   // a crash emptied it and no copy survived
+)
+
+// durability is how whole a key's two copies are. The mirror's is whole
+// unless a write to it is on the air or behind is set: it missed a write
+// or a crash dropped it, and no re-home or anti-entropy session has made
+// it whole since. Only the Store's writers and the restore step change it.
+type durability struct {
+	primary Primary
+	behind  bool
+	inAir   int32
+}
+
+func (d *durability) whole() bool { return !d.behind && d.inAir == 0 }
+
+// Vouches reports whether the copy a query leg was served from — the
+// mirror's, or else the primary's — holds every event stored under key:
+// what both drivers ask before they count a served cell as reached.
+func (st *Store) Vouches(key Key, mirror bool) bool {
+	d := &st.dur[st.dir.slot(key)]
+	return mirror && d.whole() || !mirror && d.primary == PrimaryLive
+}
+
+// Durability returns key's primary state and whether its mirror is whole.
+func (st *Store) Durability(key Key) (Primary, bool) {
+	return st.dur[st.dir.slot(key)].primary, st.Vouches(key, true)
+}
+
+// settle ends a restore of slot i's primary: landed, a partial primary
+// goes live when a whole mirror covers it; not landed, it is lost.
+func (st *Store) settle(i int, landed bool) {
+	if d := &st.dur[i]; !landed {
+		d.primary = PrimaryLost
+	} else if d.primary == PrimaryPartial && d.whole() && st.covers(i) {
+		d.primary = PrimaryLive
+	}
+}
+
+// covers reports whether slot i's mirror copy holds every event of its
+// segments.
+func (st *Store) covers(i int) bool {
+	in := map[uint64]bool{}
+	for j := 0; j < st.copies[i].Len(); j++ {
+		in[st.copies[i].At(j).Seq] = true
+	}
+	for _, seg := range st.segs[i] {
+		for j := 0; j < seg.rows.Len(); j++ {
+			if !in[seg.rows.At(j).Seq] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // copySummary memoises the set summary of one copy of a cell — the digest
@@ -74,11 +141,13 @@ func (st *Store) putSegments(i int, segs []segment) {
 	st.sums[i].primary.valid = false
 }
 
-// ReplaceMirror makes copies of events the cell's mirror copy.
+// ReplaceMirror makes copies of events the cell's mirror copy: a re-home
+// landed. The copy is whole when it holds every event of a live primary.
 func (st *Store) ReplaceMirror(key Key, events []event.Event) {
 	i := st.dir.slot(key)
 	st.copies[i].Reset(events)
 	st.putMirror(i)
+	st.dur[i].behind = st.dur[i].primary != PrimaryLive || !st.covers(i)
 }
 
 // putMirror ends every write to the mirror copy of the cell at slot i: it
@@ -142,6 +211,19 @@ func (st *Store) AppendMirror(key Key, e event.Event) {
 	st.putMirror(i)
 }
 
+// MirrorSent puts a write to the cell's mirror on the air; MirrorLanded
+// settles it: landed, e joins the copy, lost, the mirror is behind.
+func (st *Store) MirrorSent(key Key) { st.dur[st.dir.slot(key)].inAir++ }
+
+func (st *Store) MirrorLanded(key Key, e event.Event, landed bool) {
+	d := &st.dur[st.dir.slot(key)]
+	d.inAir--
+	d.behind = d.behind || !landed
+	if landed {
+		st.AppendMirror(key, e)
+	}
+}
+
 // Lost is a segment a crash emptied, with the rows it held. Rows is
 // read-only.
 type Lost struct {
@@ -152,14 +234,19 @@ type Lost struct {
 }
 
 // Crash loses node's RAM: it empties every segment node holds, in place,
-// drops every mirror copy node holds, and returns the emptied segments in
+// leaving a primary that held events partial, drops every mirror copy node
+// holds, leaving it behind, and returns the emptied segments in
 // EachSegment's order.
 func (st *Store) Crash(node int) []Lost {
+	st.crashes++
 	var lost []Lost
 	for i, segs := range st.segs {
 		for j := range segs {
 			if segs[j].node == node {
 				lost = append(lost, Lost{Key: st.dir.keyAt(i), slot: i, seg: j, Rows: segs[j].rows})
+				if segs[j].rows.Len() > 0 && st.dur[i].primary == PrimaryLive {
+					st.dur[i].primary = PrimaryPartial
+				}
 				st.stored[node] -= segs[j].rows.Len()
 				segs[j].rows.Reset(nil)
 				st.putSegments(i, segs)
@@ -170,55 +257,47 @@ func (st *Store) Crash(node int) []Lost {
 		if int(m) == node {
 			st.copies[i].Reset(nil)
 			st.putMirror(i)
+			st.dur[i].behind = true
 		}
 	}
 	return lost
 }
 
-// Handover hands a lost segment to node to, holding copies of restored.
-func (st *Store) Handover(l Lost, to int, restored []event.Event) {
+// Handover hands a lost segment to its cell's new holder, holding copies
+// of what the restore x shipped: nothing (From -1) loses what it held.
+func (st *Store) Handover(l Lost, x Transfer) {
 	segs := st.segs[l.slot]
-	segs[l.seg].node = to
-	segs[l.seg].rows.Reset(restored)
-	st.stored[to] += len(restored)
+	segs[l.seg].node = x.To
+	segs[l.seg].rows.Reset(x.Events)
+	st.stored[x.To] += len(x.Events)
 	st.putSegments(l.slot, segs)
+	st.settle(l.slot, x.From >= 0 || l.Rows.Len() == 0)
 }
 
-// restorable reports whether e of a restore chunk lands on a copy of n
-// events, the j-th held by at(j): it suits the deployment and its Seq is
-// not held yet — the rule a copy restored chunk by chunk grows by, so a
-// replayed chunk changes nothing.
-func (st *Store) restorable(e event.Event, n int, at func(int) event.Event) bool {
-	for j := 0; j < n; j++ {
-		if at(j).Seq == e.Seq {
-			return false
-		}
-	}
-	return st.dir.checkEvent(e) == nil
-}
-
-// AppendRestored appends to dst the events of a restore chunk that land
-// by the restorable rule.
-func (st *Store) AppendRestored(dst, chunk []event.Event) []event.Event {
-	for _, e := range chunk {
-		if st.restorable(e, len(dst), func(j int) event.Event { return dst[j] }) {
-			dst = append(dst, e)
-		}
-	}
-	return dst
-}
-
-// Restore lands a restore chunk on node's segment of the cell by the
-// AppendRestored rule.
-func (st *Store) Restore(key Key, node int, chunk []event.Event) {
+// Restore lands a restore chunk on node's segment of the cell: each event
+// that suits the deployment and whose Seq the segment does not hold yet,
+// so a replayed chunk changes nothing. The last chunk settles the restore.
+func (st *Store) Restore(key Key, node int, chunk []event.Event, last bool) {
 	i, segs, seg := st.at(key, node)
 	for _, e := range chunk {
-		if st.restorable(e, seg.rows.Len(), seg.rows.At) {
+		if !holds(&seg.rows, e.Seq) && st.dir.checkEvent(e) == nil {
 			seg.rows.Append(e)
 			st.stored[node]++
 		}
 	}
 	st.putSegments(i, segs)
+	if last {
+		st.settle(i, true)
+	}
+}
+
+func holds(r *event.Rows, seq uint64) bool {
+	for j := 0; j < r.Len(); j++ {
+		if r.At(j).Seq == seq {
+			return true
+		}
+	}
+	return false
 }
 
 // Prune deletes the matching events of the cell's j-th segment and
@@ -408,9 +487,18 @@ func (c cellCopy) Len() int {
 	return n
 }
 
-// CheckStore verifies rules 2 and 3 of CheckInvariants, which hold in
-// every state, and that every slot holding a segment or a copy is the slot
-// of a Key inside its Pool, and returns the first violation found, or nil.
+// Synced implements antientropy.Syncer on the mirror copy: equal to a
+// live primary, it is whole.
+func (c cellCopy) Synced() {
+	if d := &c.st.dur[c.slot]; d.primary == PrimaryLive {
+		d.behind = false
+	}
+}
+
+// CheckStore verifies rules 2, 3 and 5 of CheckInvariants, which hold in
+// every state, that every slot holding a segment or a copy is the slot of
+// a Key inside its Pool, and that only a crash leaves a primary partial or
+// lost, and returns the first violation found, or nil.
 func (st *Store) CheckStore() error {
 	counted := make([]int, len(st.stored))
 	for i, segs := range st.segs {
@@ -418,6 +506,13 @@ func (st *Store) CheckStore() error {
 		if (len(segs) > 0 || st.copies[i].Len() > 0) && st.dir.slot(key) != i {
 			return fmt.Errorf("pool: slot %d holds cell %v of P%d, whose slot is %d",
 				i, key.Cell, key.Dim, st.dir.slot(key))
+		}
+		d := &st.dur[i]
+		if d.primary != PrimaryLive && st.crashes == 0 {
+			return fmt.Errorf("pool: cell %v of P%d is %d with no crash behind it", key.Cell, key.Dim, d.primary)
+		}
+		if _, ok := st.dir.MirrorFor(key, -1); ok && d.primary == PrimaryLive && d.whole() && !st.covers(i) {
+			return fmt.Errorf("pool: cell %v of P%d: its whole mirror misses an event of its live primary", key.Cell, key.Dim)
 		}
 		for j := range segs {
 			seg := &segs[j]
@@ -451,30 +546,6 @@ func (st *Store) checkSummaries() error {
 			if !fresh.Equal(&c.memo.Summary) {
 				return fmt.Errorf("pool: stale set summary for cell %v of P%d (mirror copy: %v): memo says %+v, events say %+v",
 					c.key.Cell, c.key.Dim, c.mirror, c.memo.Zero, fresh.Zero)
-			}
-		}
-	}
-	return nil
-}
-
-// CheckCoverage verifies rule 5 of CheckInvariants: every event of a cell
-// with an alive mirror is in the mirror's copy too — until an undetected
-// crash loses a copy and anti-entropy has yet to repair the pair.
-func (st *Store) CheckCoverage() error {
-	for i, segs := range st.segs {
-		key := st.dir.keyAt(i)
-		if _, ok := st.dir.MirrorFor(key, -1); !ok {
-			continue // mirror never elected or currently dead
-		}
-		inMirror := make(map[uint64]bool, st.copies[i].Len())
-		for _, e := range st.copies[i].AppendTo(nil) {
-			inMirror[e.Seq] = true
-		}
-		for j := range segs {
-			for _, e := range segs[j].rows.AppendTo(nil) {
-				if !inMirror[e.Seq] {
-					return fmt.Errorf("pool: event %d in cell %v missing from mirror", e.Seq, key.Cell)
-				}
 			}
 		}
 	}

@@ -275,10 +275,12 @@ func (s *System) mirrorEvent(key Key, index int, e event.Event, payload int) err
 	if mirror < 0 {
 		return nil
 	}
-	if _, err := s.unicast(index, mirror, network.KindInsert, payload); err != nil {
+	s.MirrorSent(key)
+	_, err := s.unicast(index, mirror, network.KindInsert, payload)
+	s.MirrorLanded(key, e, err == nil)
+	if err != nil {
 		return fmt.Errorf("pool: mirror copy: %w", err)
 	}
-	s.AppendMirror(key, e)
 	return nil
 }
 
@@ -348,9 +350,9 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	// in replyBuf.
 	err := s.walk(sink, visitor{
 		kind: network.KindQuery, traced: traceFull,
-		cell: func(key Key, node int, mirror bool) (int, int, error) {
-			n := s.gather(key, node, mirror)
-			return n, s.eventsBytes(n), nil
+		cell: func(key Key, node int, mirror bool) (int, int, bool, error) {
+			n, partial := s.gather(key, node, mirror)
+			return n, s.eventsBytes(n), partial, nil
 		},
 		sink: s.eventsBytes,
 	}, &comp)
@@ -369,23 +371,25 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) }
 
 // gather is what a queried node does for a cell: it appends the matches it
-// ends up holding to replyBuf and returns their count. A mirror answers
-// from its copy; an index node scans every storage segment of the cell.
-// Delegated segments cost an extra query/reply exchange between the index
-// node and the delegate; a delegate that became unreachable is skipped,
-// losing its slice of the answer (visible in recall, not in cell
-// completeness).
-func (s *System) gather(key Key, node int, mirror bool) int {
+// ends up holding to replyBuf and returns their count, and whether they
+// are partial — the copy served does not vouch for the key, or a slice of
+// it never came back. A mirror answers from its copy; an index node scans
+// every storage segment of the cell. Delegated segments cost an extra
+// query/reply exchange between the index node and the delegate; a
+// delegate that became unreachable is skipped, losing its slice.
+func (s *System) gather(key Key, node int, mirror bool) (n int, partial bool) {
 	rq, start := s.plan.Query, len(s.replyBuf)
+	partial = !s.Vouches(key, mirror)
 	if mirror {
 		s.replyBuf = s.AppendMirrorMatches(s.replyBuf, rq, key)
-		return len(s.replyBuf) - start
+		return len(s.replyBuf) - start, partial
 	}
 	segs := s.segsOf(key)
 	for j := range segs {
 		seg := &segs[j]
 		if seg.node != node {
 			if _, err := s.unicast(node, seg.node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
+				partial = true
 				continue
 			}
 		}
@@ -399,7 +403,8 @@ func (s *System) gather(key Key, node int, mirror bool) int {
 			dcs.ReplyBytes(s.dims, segMatches)); err != nil {
 			// The delegate's reply never reached the index node.
 			s.replyBuf = s.replyBuf[:mark]
+			partial = true
 		}
 	}
-	return len(s.replyBuf) - start
+	return len(s.replyBuf) - start, partial
 }

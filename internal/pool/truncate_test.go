@@ -207,13 +207,52 @@ func TestLostDelegateReplyContributesNothing(t *testing.T) {
 				t.Errorf("event %d of an unaffected segment missing", seq)
 			}
 		}
-		// A lost delegate slice shows in recall, not in cell completeness.
-		if !comp.Complete() {
-			t.Errorf("cell reported unreached over a lost delegate slice: %+v", comp)
+		// The cell served what came back, and says it is partial.
+		if !listed(comp, CellLabel(key.Dim, key.Cell)) || comp.CellsReached != 0 {
+			t.Errorf("cell reported reached over a lost delegate slice: %+v", comp)
 		}
 		return
 	}
 	t.Fatal("no burst seed in 1..64 dropped only the delegate's reply")
+}
+
+// TestJammedRestoreLeavesKeyLost jams the one transfer a zero-time restore
+// has: its events are gone with the primary, so the key is lost and its
+// cell never again counts as reached.
+func TestJammedRestoreLeavesKeyLost(t *testing.T) {
+	s, net, router := newUniverse(t, 300, 598, WithReplication())
+	loadEvents(t, s, 600, 599)
+	var key Key
+	for i, segs, most := 0, s.segs, 0; i < len(segs); i++ {
+		if len(segs[i]) > 0 && segs[i][0].rows.Len() > most {
+			key, most = s.keyAt(i), segs[i][0].rows.Len()
+		}
+	}
+	// The first crash re-elects the cell onto its mirror, which adopts its
+	// own copy; the first victim comes back empty and, closest to the
+	// cell's centre, takes the cell back when the heir dies, pulling the
+	// copy from the re-homed mirror — through the jam.
+	first := s.IndexNode(key.Cell)
+	crash(t, s, net, router, first)
+	router.Restore(first)
+	net.RecoverNode(first)
+	s.RecoverNode(first)
+	heir, mirror := s.IndexNode(key.Cell), s.Mirror(key)
+	cancel := dcstest.Jam(net, mirror)
+	crash(t, s, net, router, heir)
+	cancel()
+	if s.IndexNode(key.Cell) != first || mirror == first || mirror < 0 {
+		t.Fatalf("cell held by %d with mirror %d; want the first victim %d pulling from another node", s.IndexNode(key.Cell), mirror, first)
+	}
+	if p, _ := s.Durability(key); p != PrimaryLost {
+		t.Errorf("key is %d after its restore transfer was jammed, want lost", p)
+	}
+	if _, comp, err := s.QueryWithReport(pickAlive(s), fullDomain()); err != nil || !listed(comp, CellLabel(key.Dim, key.Cell)) {
+		t.Errorf("lost cell not reported unreached: %v, %+v", err, comp)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestLostAggregateReplyDemotesServedCells(t *testing.T) {

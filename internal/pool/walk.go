@@ -21,9 +21,10 @@ type visitor struct {
 	// when the retry was served there — and returns how many items the
 	// cell has for the splitter and the size of the frame that takes them
 	// there; a silent cell sends 0 bytes, that is nothing. What it appends
-	// to replyBuf is dropped again if that frame is lost. A degradable
-	// error leaves the cell unreached; any other ends the walk.
-	cell func(key Key, node int, mirror bool) (n, bytes int, err error)
+	// to replyBuf is dropped again if that frame is lost. A partial cell
+	// sends its items but is reported unreached. A degradable error leaves
+	// the cell unreached; any other ends the walk.
+	cell func(key Key, node int, mirror bool) (n, bytes int, partial bool, err error)
 	// sink runs at a splitter whose cells sent it n items in all and sizes
 	// its frame to the sink, again 0 for none.
 	sink func(n int) int
@@ -113,7 +114,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 			continue
 		}
 		mark := len(s.replyBuf)
-		n, bytes, err := v.cell(key, node, node != index)
+		n, bytes, partial, err := v.cell(key, node, node != index)
 		if err == nil {
 			if traced == traceFull {
 				s.tracer.Record(trace.TypeResolve, node, n, c.String())
@@ -132,8 +133,12 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 			unreached(c)
 			continue
 		}
-		served = append(served, servedCell{cell: c, matches: n})
 		gathered += n
+		if partial {
+			unreached(c)
+			continue
+		}
+		served = append(served, servedCell{cell: c, matches: n})
 	}
 	s.servedBuf = served
 	if bytes := v.sink(gathered); bytes > 0 {

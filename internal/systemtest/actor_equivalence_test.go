@@ -130,7 +130,8 @@ func checkSplitters(t *testing.T, actor, spec *Universe) {
 
 // checkStores holds the actor's drained store to the spec's, Pool cell by
 // Pool cell: the same index node and mirror, the same seqs at every node,
-// the same seqs in the mirror copy — and the same storage load.
+// the same seqs in the mirror copy, the same durability — and the same
+// storage load.
 func checkStores(t *testing.T, actor, spec *Universe) {
 	t.Helper()
 	eng := actor.Sys.(*node.Sync).Engine()
@@ -150,6 +151,11 @@ func checkStores(t *testing.T, actor, spec *Universe) {
 			}
 			if am, sm := seqSet(eng.MirrorCopy(key)), seqSet(sys.MirrorCopy(key)); !equalSeqs(am, sm) {
 				t.Errorf("cell %v of P%d: mirror copies diverge\nactor: %v\nspec:  %v", c, p.Dim, am, sm)
+			}
+			ap, aw := eng.Durability(key)
+			sp, sw := sys.Durability(key)
+			if ap != sp || aw != sw {
+				t.Errorf("cell %v of P%d: durability diverges: actor primary %d, mirror whole %v; spec %d, %v", c, p.Dim, ap, aw, sp, sw)
 			}
 		}
 	}
