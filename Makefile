@@ -55,7 +55,9 @@ race-parallel:
 # records must lose nothing; the row cell scan must return what the
 # specification returns on any rows of one k without NaN, any query and
 # any interleaving of writes, and no write may change a reply already
-# handed out. go test accepts one
+# handed out; charging a routed path in one pass must do to the radio,
+# hop for hop, what charging it one Transmit at a time does, and so must
+# a routed unicast with its ARQ retries. go test accepts one
 # -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/event -run=NONE -fuzz=FuzzRowsMatchReference -fuzztime=10s
@@ -70,6 +72,8 @@ fuzz:
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzSchedulerOrdering -fuzztime=10s
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzRouteMemo -fuzztime=10s
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzHomeNode -fuzztime=10s
+	$(GO) test ./internal/network -run=NONE -fuzz=FuzzTransmitPath -fuzztime=10s
+	$(GO) test ./internal/dcs -run=NONE -fuzz=FuzzUnicastMatchesReference -fuzztime=10s
 
 # Race-enabled sweep of the chaos seeds (fault injection, churn
 # experiment, pool/dim repair paths).
@@ -167,10 +171,18 @@ bench-oracle:
 # branch-free row kernel, and the benchmark itself fails when the
 # kernel runs less than 2x faster than the Query.AppendMatches
 # specification timed right after it in the same run (spec/rows). The
-# 100% ns tolerance of BenchmarkRouteToNodeCold and
-# BenchmarkActorQuerySteady covers what the same code measures on a
-# shared 2-vCPU host from a quiet phase to a loaded one: up to +86% over
-# its row.
+# greedy choice of a GPSR memo miss (BenchmarkGreedyNext) is gated the
+# same way: 0 allocs/op, and the benchmark fails when the branch-free
+# kernel runs less than 1.2x faster than the scalar reference scan
+# (ref/kernel). BenchmarkRouteToNodeCold, the miss path around that
+# kernel, is gated on allocs/op and B/op only: its ns row had a 100%
+# tolerance and so gated nothing, and the ratio now gates its kernel. A
+# warm routed unicast (BenchmarkUnicastPath) is gated at 0 allocs/op and
+# fails when it runs slower than the hop-by-hop reference interleaved
+# with it (ref/path below 1.0). The
+# 100% ns tolerance of BenchmarkActorQuerySteady covers what the same
+# code measures on a shared 2-vCPU host from a quiet phase to a loaded
+# one: up to +86% over its row.
 micro-bench:
 	$(GO) test ./internal/metrics -run=NONE -bench='DisabledHotPath|EnabledHotPath|SnapshotWrite' -benchmem -benchtime=100x
 	$(GO) test . -run=NONE -bench='^BenchmarkFig6a$$' -benchmem -benchtime=1x 2>&1 \
@@ -196,6 +208,10 @@ micro-bench:
 	$(GO) test . -run=NONE -benchmem -benchtime=5000x -bench='^BenchmarkAntiEntropyRoundSteady$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test . -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkCellScan$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/gpsr -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkGreedyNext$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/dcs -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkUnicastPath$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 

@@ -120,28 +120,31 @@ func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind n
 		}
 		return 0, fmt.Errorf("dcs: unicast %d→%d: %w", from, to, err)
 	}
-	sent := 0
-	for i := 1; i < len(res.Path); i++ {
-		if n, err := transmitARQ(net, res.Path[i-1], res.Path[i], kind, payloadBytes, opts); err != nil {
-			return sent + n, fmt.Errorf("dcs: unicast %d→%d at hop %d: %w", from, to, i, err)
-		} else {
-			sent += n
+	// Only a hop whose first attempt failed goes through the ARQ retry.
+	sent, path := 0, res.Path
+	for i := 0; i < len(path)-1; i++ {
+		delivered, err := net.TransmitPath(path[i:], kind, payloadBytes)
+		sent, i = sent+delivered, i+delivered
+		if err == nil {
+			break
+		}
+		n, err := transmitARQ(net, path[i], path[i+1], kind, payloadBytes, opts, err)
+		sent += n
+		if err != nil {
+			return sent, fmt.Errorf("dcs: unicast %d→%d at hop %d: %w", from, to, i+1, err)
 		}
 	}
 	return sent, nil
 }
 
-// transmitARQ performs one logical hop with link-layer retransmission,
-// returning the number of frames actually sent. A crashed or depleted
+// transmitARQ finishes one logical hop whose first attempt failed with
+// err, retransmitting it on a lost frame, and returns the number of
+// frames the hop sent, the first attempt included. A crashed or depleted
 // endpoint aborts immediately (wrapping ErrUnreachable); a hop that stays
 // lossy through the retry budget wraps ErrHopExhausted.
-func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
+func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadBytes int, opts TxOptions, err error) (int, error) {
 	max := opts.retries()
 	for attempt := 1; ; attempt++ {
-		err := net.Transmit(from, to, kind, payloadBytes)
-		if err == nil {
-			return attempt, nil
-		}
 		if errors.Is(err, network.ErrNodeDown) {
 			// Retransmitting into a dead radio cannot help.
 			return attempt, fmt.Errorf("dcs: hop %d→%d: %v: %w", from, to, err, ErrUnreachable)
@@ -152,6 +155,9 @@ func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadB
 		if attempt >= max {
 			return attempt, fmt.Errorf("dcs: hop %d→%d dropped after %d attempts: %w",
 				from, to, attempt, ErrHopExhausted)
+		}
+		if err = net.Transmit(from, to, kind, payloadBytes); err == nil {
+			return attempt + 1, nil
 		}
 	}
 }

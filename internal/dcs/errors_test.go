@@ -52,7 +52,7 @@ func TestConfigurableARQBudget(t *testing.T) {
 	}
 
 	// The zero value keeps the historical default of 16.
-	net.Reset()
+	net = network.New(l, network.WithLossRate(0.999999999, rng.New(7)))
 	sent, err = UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{})
 	if !errors.Is(err, ErrHopExhausted) {
 		t.Fatalf("err = %v, want ErrHopExhausted", err)

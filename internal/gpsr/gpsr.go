@@ -369,36 +369,60 @@ func (r *Router) sourceErr(src int) error {
 // header exactly as a real GPSR node would. It returns the next hop, or
 // deliver=true when cur consumes the packet.
 func (r *Router) step(cur int, pkt *packet) (next int, deliver bool) {
-	l := r.layout
-	here := l.Pos(cur)
-	d2 := here.Dist2(pkt.target)
+	d2 := r.layout.Pos(cur).Dist2(pkt.target)
 	if d2 == 0 {
 		// Exact arrival: no perimeter probe is needed to prove that no
 		// node is closer.
 		return 0, true
 	}
-
-	if pkt.mode == modePerimeter {
+	if pkt.mode == modePerimeter && d2 < pkt.lp.Dist2(pkt.target) {
 		// Revert to greedy as soon as we are closer than the point where
 		// perimeter mode began.
-		if d2 < pkt.lp.Dist2(pkt.target) {
-			pkt.mode = modeGreedy
-		}
+		pkt.mode = modeGreedy
 	}
-
 	if pkt.mode == modeGreedy {
-		best, bestD2 := -1, d2
-		for _, v := range l.Neighbors(cur) {
-			if r.excluded[v] {
-				continue
-			}
-			if vd2 := l.Pos(v).Dist2(pkt.target); vd2 < bestD2 {
-				best, bestD2 = v, vd2
-			}
-		}
-		if best >= 0 {
+		if best := r.greedy(cur, pkt.target, d2); best >= 0 {
 			return best, false
 		}
+	}
+	return r.perimeter(cur, pkt)
+}
+
+// greedy returns the alive radio neighbour of cur closest to target among
+// those strictly closer than d2, cur's own squared distance; the first in
+// cur's row on ties, or -1 at a local minimum. Branch-free: non-negative
+// floats order like their IEEE bit patterns, which stay below 2⁶³, so the
+// sign of their difference selects on the strict <. An excluded
+// neighbour's pattern is raised to 2⁶³−1, never closer.
+func (r *Router) greedy(cur int, target geo.Point, d2 float64) int {
+	pos, ex, best, bb := r.layout.Positions, r.excluded, -1, math.Float64bits(d2)
+	if r.nExcluded > 0 {
+		for _, v := range r.layout.Neighbors(cur) {
+			vb := math.Float64bits(pos[v].Dist2(target))
+			if ex[v] {
+				vb = math.MaxInt64
+			}
+			m := int64(vb-bb) >> 63
+			best ^= (best ^ v) & int(m)
+			bb ^= (bb ^ vb) & uint64(m)
+		}
+		return best
+	}
+	for _, v := range r.layout.Neighbors(cur) {
+		vb := math.Float64bits(pos[v].Dist2(target))
+		m := int64(vb-bb) >> 63
+		best ^= (best ^ v) & int(m)
+		bb ^= (bb ^ vb) & uint64(m)
+	}
+	return best
+}
+
+// perimeter is step at a local minimum (the packet still greedy) or in
+// perimeter mode.
+func (r *Router) perimeter(cur int, pkt *packet) (next int, deliver bool) {
+	l := r.layout
+	here := l.Pos(cur)
+	if pkt.mode == modeGreedy {
 		// Local minimum. A node with no planar neighbours is trivially the
 		// home node.
 		if len(r.planar[cur]) == 0 {

@@ -48,7 +48,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case e.counterVec != nil:
 			f.Points = make([]Point, len(e.counterVec.values))
 			for i, lv := range e.counterVec.values {
-				f.Points[i] = Point{Labels: []string{e.counterVec.label, lv}, Value: float64(e.counterVec.v[i])}
+				f.Points[i] = Point{Labels: []string{e.counterVec.label, lv}, Value: float64(e.counterVec.Value(i))}
 			}
 		case e.gaugeVec != nil:
 			f.Points = make([]Point, len(e.gaugeVec.values))

@@ -149,12 +149,14 @@ func (h *Histogram) Hist() *stats.IntHistogram {
 // CounterVec is a counter family split by one label over a fixed value
 // set declared at registration — per-node counters use the label "node"
 // with one value per node id. Cells are addressed by dense index, so the
-// hot path is a bounds-checked slice increment. The nil CounterVec is
-// disabled.
+// hot path is a bounds-checked slice increment; function-backed vecs
+// evaluate fn(i) per cell at read time instead, and Inc and Add leave
+// them alone. The nil CounterVec is disabled.
 type CounterVec struct {
 	label  string
 	values []string
 	v      []uint64
+	fn     func(i int) uint64
 }
 
 // Inc adds one to cell i. Out-of-range indexes are ignored.
@@ -175,8 +177,11 @@ func (c *CounterVec) Add(i int, n uint64) {
 
 // Value returns cell i (0 when disabled or out of range).
 func (c *CounterVec) Value(i int) uint64 {
-	if c == nil || i < 0 || i >= len(c.v) {
+	if c == nil || i < 0 || i >= len(c.values) {
 		return 0
+	}
+	if c.fn != nil {
+		return c.fn(i)
 	}
 	return c.v[i]
 }
@@ -186,9 +191,9 @@ func (c *CounterVec) Values() []float64 {
 	if c == nil {
 		return nil
 	}
-	out := make([]float64, len(c.v))
-	for i, v := range c.v {
-		out[i] = float64(v)
+	out := make([]float64, len(c.values))
+	for i := range out {
+		out[i] = float64(c.Value(i))
 	}
 	return out
 }
@@ -199,8 +204,8 @@ func (c *CounterVec) Sum() float64 {
 		return 0
 	}
 	var t float64
-	for _, v := range c.v {
-		t += float64(v)
+	for i := range c.values {
+		t += float64(c.Value(i))
 	}
 	return t
 }
@@ -429,6 +434,19 @@ func (r *Registry) CounterVec(name, help, label string, values []string) *Counte
 	e, fresh := r.register(name, help, KindCounter)
 	if fresh {
 		e.counterVec = &CounterVec{label: sanitizeName(label), values: values, v: make([]uint64, len(values))}
+	}
+	return e.counterVec
+}
+
+// CounterVecFunc registers a counter family split by one label whose
+// cells are read from fn(i) at snapshot and sample time.
+func (r *Registry) CounterVecFunc(name, help, label string, values []string, fn func(i int) uint64) *CounterVec {
+	if r == nil {
+		return nil
+	}
+	e, fresh := r.register(name, help, KindCounter)
+	if fresh {
+		e.counterVec = &CounterVec{label: sanitizeName(label), values: values, fn: fn}
 	}
 	return e.counterVec
 }

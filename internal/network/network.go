@@ -166,11 +166,6 @@ type Network struct {
 	// tracer, when non-nil, receives one record per transmission. The
 	// nil tracer costs one pointer compare on the hot path.
 	tracer *trace.Tracer
-
-	// Metric handles (nil when no registry is attached; nil handles
-	// no-op, so the disabled cost is a few pointer compares per frame).
-	mTx, mRx, mDrop *metrics.CounterVec // per node
-	mMsgs, mBytes   *metrics.CounterVec // per traffic kind
 }
 
 // regionLoss is one active loss burst. Per-frame drop decisions hash
@@ -249,25 +244,32 @@ func WithLossRate(p float64, src *rng.Source) Option {
 
 // WithMetrics registers the radio's live metrics on reg: per-node
 // tx/rx/dropped frame counters, per-kind message and byte counters, and
-// function-backed per-node energy gauges. Dropped frames are attributed
-// to the *sender* — the node that paid for the frame and whose ARQ will
-// retry — covering both lossy-link losses and frames sent into dead
-// receivers. A nil registry attaches nothing.
+// per-node energy gauges, all read from the network's own counters at
+// snapshot time, so a metered network transmits exactly as a plain one.
+// Dropped frames are attributed to the *sender* — the node that paid for
+// the frame and whose ARQ will retry — covering both lossy-link losses
+// and frames sent into dead receivers. A nil registry attaches nothing.
 func WithMetrics(reg *metrics.Registry) Option {
 	return optionFunc(func(n *Network) {
 		if reg == nil {
 			return
 		}
-		nn := n.layout.N()
-		n.mTx = reg.NodeCounter("net_tx_frames_total", "frames transmitted per node", nn)
-		n.mRx = reg.NodeCounter("net_rx_frames_total", "frames received per node", nn)
-		n.mDrop = reg.NodeCounter("net_dropped_frames_total", "frames lost in flight, attributed to the sender", nn)
+		nn, nodes := n.layout.N(), metrics.NodeLabels(n.layout.N())
+		perNode := func(name, help string, v []uint64) {
+			reg.CounterVecFunc(name, help, "node", nodes, func(i int) uint64 { return v[i] })
+		}
+		perNode("net_tx_frames_total", "frames transmitted per node", n.nodeTx)
+		perNode("net_rx_frames_total", "frames received per node", n.nodeRx)
+		perNode("net_dropped_frames_total", "frames lost in flight, attributed to the sender", n.nodeDrop)
 		kinds := make([]string, 0, len(Kinds()))
 		for _, k := range Kinds() {
 			kinds = append(kinds, k.String())
 		}
-		n.mMsgs = reg.CounterVec("net_messages_total", "transmissions by traffic kind", "kind", kinds)
-		n.mBytes = reg.CounterVec("net_bytes_total", "payload bytes by traffic kind", "kind", kinds)
+		perKind := func(name, help string, v *[numKinds]uint64) {
+			reg.CounterVecFunc(name, help, "kind", kinds, func(i int) uint64 { return v[i+1] })
+		}
+		perKind("net_messages_total", "transmissions by traffic kind", &n.msgs)
+		perKind("net_bytes_total", "payload bytes by traffic kind", &n.bytes)
 		reg.NodeGaugeFunc("net_node_energy_joules", "radio energy spent per node", nn, n.NodeEnergy)
 		reg.GaugeFunc("net_energy_joules", "total radio energy spent", func() float64 { return n.energyJ })
 		reg.GaugeFunc("net_nodes_down", "nodes currently crashed or battery-depleted", func() float64 {
@@ -420,87 +422,95 @@ func (n *Network) dropFrame(from, to int) bool {
 func (n *Network) countDrop(from int, frames uint64) {
 	n.nodeDrop[from] += frames
 	n.drops += frames
-	n.mDrop.Add(from, frames)
 }
 
-// chargeTx charges a transmission to the sender and checks its battery.
-func (n *Network) chargeTx(from int, joules float64) {
+// charge books radio energy against a node. With a battery budget
+// (budgeted: Budget > 0) a node whose energy crosses it is marked
+// depleted, and the watcher is notified once.
+func (n *Network) charge(id int, joules float64, budgeted bool) {
 	n.energyJ += joules
-	n.nodeEnergy[from] += joules
-	n.checkBudget(from)
+	n.nodeEnergy[id] += joules
+	if budgeted && !n.depleted[id] && n.nodeEnergy[id] >= n.energy.Budget {
+		n.depleted[id] = true
+		if n.onDeplete != nil {
+			n.onDeplete(id)
+		}
+	}
 }
 
-// chargeRx charges a reception to the receiver and checks its battery.
-func (n *Network) chargeRx(to int, joules float64) {
-	n.energyJ += joules
-	n.nodeEnergy[to] += joules
-	n.checkBudget(to)
-}
-
-// checkBudget marks a node depleted (and notifies the watcher once) when
-// its radio energy crosses the battery budget.
-func (n *Network) checkBudget(id int) {
-	if n.energy.Budget <= 0 || n.depleted[id] || n.nodeEnergy[id] < n.energy.Budget {
-		return
+// frames returns how many frames a payload of the given size takes.
+func (n *Network) frames(payloadBytes int) uint64 {
+	if n.mtu > 0 && payloadBytes > n.mtu {
+		return uint64((payloadBytes + n.mtu - 1) / n.mtu)
 	}
-	n.depleted[id] = true
-	if n.onDeplete != nil {
-		n.onDeplete(id)
-	}
+	return 1
 }
 
 // Transmit records a single-hop transmission of a payload of the given
-// size from one node to a radio neighbour. It is the only place where
-// traffic counters are incremented.
+// size from one node to a radio neighbour: TransmitPath over the one hop.
 func (n *Network) Transmit(from, to int, kind Kind, payloadBytes int) error {
-	if from == to {
-		return fmt.Errorf("network: self-transmission at node %d", from)
-	}
-	if !n.Alive(from) {
-		return fmt.Errorf("network: sender %d: %w", from, ErrNodeDown)
-	}
-	if !n.InRange(from, to) {
-		return &LinkError{From: from, To: to, Dist: n.layout.Pos(from).Dist(n.layout.Pos(to))}
-	}
-	frames := uint64(1)
-	if n.mtu > 0 && payloadBytes > n.mtu {
-		frames = uint64((payloadBytes + n.mtu - 1) / n.mtu)
-	}
-	n.msgs[kind] += frames
-	n.bytes[kind] += uint64(payloadBytes)
-	n.nodeTx[from] += frames
-	n.mTx.Add(from, frames)
-	n.mMsgs.Add(int(kind-1), frames)
-	n.mBytes.Add(int(kind-1), uint64(payloadBytes))
+	hop := [2]int{from, to}
+	_, err := n.TransmitPath(hop[:], kind, payloadBytes)
+	return err
+}
 
+// TransmitPath transmits a payload along a routed path, one radio hop
+// path[i]→path[i+1] at a time, and stops at the first hop that fails,
+// returning its error and the number of hops delivered before it. The
+// effect is exactly that of Transmit on each hop in turn — the same
+// counters, drops, loss draws, energy added in the same order, and the
+// same errors — except that the per-kind totals are added once per call.
+// Beside Broadcast it is the only place where traffic is counted.
+func (n *Network) TransmitPath(path []int, kind Kind, payloadBytes int) (delivered int, err error) {
+	frames, charged := n.frames(payloadBytes), uint64(0)
 	bits := float64(payloadBytes * 8)
-	d2 := n.layout.Pos(from).Dist2(n.layout.Pos(to))
-	n.chargeTx(from, n.energy.Elec*bits+n.energy.Amp*bits*d2)
-	if !n.Alive(to) {
-		// The sender paid for a frame nobody will ever acknowledge; its
-		// link layer declares the neighbour dead after the ACK timeout.
-		n.countDrop(from, frames)
-		if n.tracer != nil {
-			n.tracer.Hop(from, to, kind.String(), payloadBytes, int(frames), true)
+	elecBits, ampBits := n.energy.Elec*bits, n.energy.Amp*bits
+	r := n.layout.Spec.RadioRange
+	r2, pos := r*r, n.layout.Positions
+	lossy, traced, budgeted := n.lossRate > 0 || len(n.bursts) > 0, n.tracer != nil, n.energy.Budget > 0
+	for ; delivered < len(path)-1; delivered++ {
+		from, to := path[delivered], path[delivered+1]
+		if from == to {
+			err = fmt.Errorf("network: self-transmission at node %d", from)
+			break
 		}
-		return fmt.Errorf("network: receiver %d: %w", to, ErrNodeDown)
-	}
-	if n.dropFrame(from, to) {
-		// The frame left the sender's radio but never arrived: the sender
-		// paid, the receiver heard nothing.
-		n.countDrop(from, frames)
-		if n.tracer != nil {
-			n.tracer.Hop(from, to, kind.String(), payloadBytes, int(frames), true)
+		if !n.Alive(from) {
+			err = fmt.Errorf("network: sender %d: %w", from, ErrNodeDown)
+			break
 		}
-		return ErrFrameLost
+		d2 := pos[from].Dist2(pos[to])
+		if !(d2 <= r2) {
+			err = &LinkError{From: from, To: to, Dist: pos[from].Dist(pos[to])}
+			break
+		}
+		charged++
+		n.nodeTx[from] += frames
+		n.charge(from, elecBits+ampBits*d2, budgeted)
+		if !n.Alive(to) {
+			// The sender paid for a frame nobody will ever acknowledge; its
+			// link layer declares the neighbour dead after the ACK timeout.
+			err = fmt.Errorf("network: receiver %d: %w", to, ErrNodeDown)
+		} else if lossy && n.dropFrame(from, to) {
+			// The frame left the sender's radio but never arrived: the
+			// sender paid, the receiver heard nothing.
+			err = ErrFrameLost
+		}
+		if err != nil {
+			n.countDrop(from, frames)
+			if traced {
+				n.tracer.Hop(from, to, kind.String(), payloadBytes, int(frames), true)
+			}
+			break
+		}
+		n.nodeRx[to] += frames
+		n.charge(to, elecBits, budgeted)
+		if traced {
+			n.tracer.Hop(from, to, kind.String(), payloadBytes, int(frames), false)
+		}
 	}
-	n.nodeRx[to] += frames
-	n.mRx.Add(to, frames)
-	n.chargeRx(to, n.energy.Elec*bits)
-	if n.tracer != nil {
-		n.tracer.Hop(from, to, kind.String(), payloadBytes, int(frames), false)
-	}
-	return nil
+	n.msgs[kind] += frames * charged
+	n.bytes[kind] += uint64(payloadBytes) * charged
+	return delivered, err
 }
 
 // Broadcast transmits one frame from a node to every radio neighbour at
@@ -516,21 +526,16 @@ func (n *Network) Broadcast(from int, kind Kind, payloadBytes int) []int {
 		return nil
 	}
 	nbrs := n.layout.Neighbors(from)
-	frames := uint64(1)
-	if n.mtu > 0 && payloadBytes > n.mtu {
-		frames = uint64((payloadBytes + n.mtu - 1) / n.mtu)
-	}
+	frames := n.frames(payloadBytes)
 	n.msgs[kind] += frames
 	n.bytes[kind] += uint64(payloadBytes)
 	n.nodeTx[from] += frames
-	n.mTx.Add(from, frames)
-	n.mMsgs.Add(int(kind-1), frames)
-	n.mBytes.Add(int(kind-1), uint64(payloadBytes))
 
 	bits := float64(payloadBytes * 8)
 	r := n.layout.Spec.RadioRange
 	// A broadcast is amplified to full radio range.
-	n.chargeTx(from, n.energy.Elec*bits+n.energy.Amp*bits*r*r)
+	budgeted := n.energy.Budget > 0
+	n.charge(from, n.energy.Elec*bits+n.energy.Amp*bits*r*r, budgeted)
 	rx := n.energy.Elec * bits
 	reached := n.reachedBuf[:0]
 	lost := 0
@@ -544,8 +549,7 @@ func (n *Network) Broadcast(from int, kind Kind, payloadBytes int) []int {
 			continue
 		}
 		n.nodeRx[v] += frames
-		n.mRx.Add(v, frames)
-		n.chargeRx(v, rx)
+		n.charge(v, rx, budgeted)
 		reached = append(reached, v)
 	}
 	if n.tracer != nil {
@@ -616,20 +620,6 @@ func (n *Network) Diff(since Counters) Counters {
 		}
 	}
 	return out
-}
-
-// Reset zeroes every counter.
-func (n *Network) Reset() {
-	n.msgs = [numKinds]uint64{}
-	n.bytes = [numKinds]uint64{}
-	n.energyJ = 0
-	n.drops = 0
-	for i := range n.nodeTx {
-		n.nodeTx[i] = 0
-		n.nodeRx[i] = 0
-		n.nodeDrop[i] = 0
-		n.nodeEnergy[i] = 0
-	}
 }
 
 // NodeLoad returns the transmission and reception counts of node id.

@@ -153,18 +153,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	n := New(chainLayout(t))
-	_ = n.Transmit(0, 1, KindInsert, 10)
-	n.Reset()
-	if c := n.Snapshot(); c.Total() != 0 || c.EnergyJ != 0 {
-		t.Errorf("counters after Reset: %+v", c)
-	}
-	if _, load := n.MaxNodeLoad(); load != 0 {
-		t.Error("node loads not reset")
-	}
-}
-
 func TestHopCountAcrossGeneratedNetwork(t *testing.T) {
 	l, err := field.Generate(field.DefaultSpec(300), rng.New(6))
 	if err != nil {
@@ -212,10 +200,6 @@ func TestPerNodeEnergy(t *testing.T) {
 	energies[0] = 999
 	if n.NodeEnergy(0) != 8 {
 		t.Error("NodeEnergies exposed internal state")
-	}
-	n.Reset()
-	if n.NodeEnergy(0) != 0 {
-		t.Error("Reset did not clear node energy")
 	}
 }
 
