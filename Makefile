@@ -12,8 +12,12 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, then gofmt: any Go file gofmt would rewrite (bench/ included,
+# the bench-pair build tree not) fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -57,8 +61,10 @@ race-parallel:
 # any interleaving of writes, and no write may change a reply already
 # handed out; charging a routed path in one pass must do to the radio,
 # hop for hop, what charging it one Transmit at a time does, and so must
-# a routed unicast with its ARQ retries. go test accepts one
-# -fuzz target per invocation, hence the separate runs.
+# a broadcast and a routed unicast with its ARQ retries; the beacon
+# protocol's stamps must keep every table, suspicion and counter of the
+# per-edge reference under any plan of faults, loss and depletion. go test
+# accepts one -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/event -run=NONE -fuzz=FuzzRowsMatchReference -fuzztime=10s
 	$(GO) test ./internal/chaos -run=NONE -fuzz=FuzzResolveUnderFaults -fuzztime=10s
@@ -73,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzRouteMemo -fuzztime=10s
 	$(GO) test ./internal/gpsr -run=NONE -fuzz=FuzzHomeNode -fuzztime=10s
 	$(GO) test ./internal/network -run=NONE -fuzz=FuzzTransmitPath -fuzztime=10s
+	$(GO) test ./internal/discovery -run=NONE -fuzz=FuzzBeaconMatchesReference -fuzztime=10s
 	$(GO) test ./internal/dcs -run=NONE -fuzz=FuzzUnicastMatchesReference -fuzztime=10s
 
 # Race-enabled sweep of the chaos seeds (fault injection, churn
@@ -179,7 +186,10 @@ bench-oracle:
 # tolerance and so gated nothing, and the ratio now gates its kernel. A
 # warm routed unicast (BenchmarkUnicastPath) is gated at 0 allocs/op and
 # fails when it runs slower than the hop-by-hop reference interleaved
-# with it (ref/path below 1.0). The
+# with it (ref/path below 1.0). The beacon exchange under churn
+# (BenchmarkBeaconRound) is gated at 0 allocs/op and fails when it runs
+# slower than the per-edge reference protocol interleaved with it
+# (ref/new below 1.0). The
 # 100% ns tolerance of BenchmarkActorQuerySteady covers what the same
 # code measures on a shared 2-vCPU host from a quiet phase to a loaded
 # one: up to +86% over its row.
@@ -212,6 +222,8 @@ micro-bench:
 	$(GO) test ./internal/gpsr -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkGreedyNext$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test ./internal/dcs -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkUnicastPath$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/discovery -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkBeaconRound$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 

@@ -17,6 +17,7 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pooldcs/internal/metrics"
@@ -55,6 +56,16 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// Validate rejects, after defaults, a configuration that breaks the
+// protocol: Interval ≤ 0 spins the beacon loop at zero delay, Jitter < 0
+// breaks the jitter draw, and MissLimit < 1 suspects healthy nodes.
+func (c Config) Validate() error {
+	if c.applyDefaults(); c.Interval <= 0 || c.Jitter < 0 || c.MissLimit < 1 || c.PayloadBytes < 0 {
+		return fmt.Errorf("discovery: want Interval > 0, Jitter ≥ 0, MissLimit ≥ 1 and PayloadBytes ≥ 0, got %+v", c)
+	}
+	return nil
+}
+
 // Timeout returns the eviction deadline: a neighbour not heard for this
 // long is suspected. MissLimit beacon periods plus the jitter slack each
 // period can add.
@@ -62,7 +73,16 @@ func (c Config) Timeout() time.Duration {
 	return time.Duration(c.MissLimit) * (c.Interval + c.Jitter)
 }
 
-// Protocol is a running beacon exchange.
+// Protocol is a running beacon exchange. A beacon that changes no table
+// writes none: each sender keeps one stamp, the time of its latest
+// beacon, and a's edge for neighbour b holds a time of its own only while
+// a missed b's latest beacon, so a's time for b is old[e] on a miss and
+// stamp[b] otherwise.
+//
+// Invariant: an edge that is not a miss cannot expire, as b's next beacon
+// is due within Interval + ⌈Jitter/2⌉ ≤ Timeout of its stamp and Fail
+// turns a silenced node's edges into misses. So a node sweeps its table
+// only while cand counts a miss in it.
 type Protocol struct {
 	cfg   Config
 	net   *network.Network
@@ -72,14 +92,17 @@ type Protocol struct {
 	// hid is the protocol's typed-event handler: a beacon tick is the
 	// event (hid, 0, node id, epoch).
 	hid sim.HandlerID
-	// lastHeard[a][k] is when a last received the beacon of its k-th radio
-	// neighbour, layout.Neighbors(a)[k], or never while that neighbour is
-	// not in a's table. Rows run parallel to the (ascending) adjacency
-	// rows, so a table walk is already in id order.
-	lastHeard [][]time.Duration
-	// rev[a][k] is a's own slot in the row of layout.Neighbors(a)[k]: where
-	// a's beacon lands at that neighbour.
-	rev [][]int32
+	// stamp[b] is when b last beaconed (never before its first beacon).
+	stamp []time.Duration
+	// Edge off[a]+k is a's slot for layout.Neighbors(a)[k], so a row walks
+	// in id order. miss marks an edge that missed its neighbour's latest
+	// beacon; old is then its time (never: not in the table).
+	off  []int
+	miss []bool
+	old  []time.Duration
+	// missOut[b] counts the misses for b; cand[a] counts a's misses still
+	// in its table, the only edges that can expire.
+	missOut, cand []int32
 	// failed marks nodes that have stopped beaconing.
 	failed []bool
 	// epoch invalidates stale beacon loops: Fail and Recover bump it, and
@@ -100,12 +123,16 @@ type Protocol struct {
 	mEvictions  *metrics.Counter
 }
 
-// never marks a lastHeard slot whose neighbour is not in the table;
-// virtual time is never negative.
+// never is the time of a neighbour not in the table, and the stamp of a
+// node that has not beaconed yet; virtual time is never negative.
 const never time.Duration = -1
 
-// New prepares the protocol over a network and scheduler.
+// New prepares the protocol over a network and scheduler. An invalid
+// configuration (see Config.Validate) is a programming error and panics.
 func New(net *network.Network, sched *sim.Scheduler, src *rng.Source, cfg Config) *Protocol {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg.applyDefaults()
 	layout := net.Layout()
 	n := layout.N()
@@ -114,34 +141,48 @@ func New(net *network.Network, sched *sim.Scheduler, src *rng.Source, cfg Config
 		net:       net,
 		sched:     sched,
 		src:       src,
-		lastHeard: make([][]time.Duration, n),
-		rev:       make([][]int32, n),
+		stamp:     make([]time.Duration, n),
+		off:       make([]int, n+1),
+		missOut:   make([]int32, n),
+		cand:      make([]int32, n),
 		failed:    make([]bool, n),
 		epoch:     make([]uint64, n),
 		suspected: make([]bool, n),
 	}
 	p.hid = sched.Register(p)
-	edges := 0
 	for a := 0; a < n; a++ {
-		edges += len(layout.Neighbors(a))
+		p.stamp[a] = never
+		p.off[a+1] = p.off[a] + len(layout.Neighbors(a))
 	}
-	heard, rev := make([]time.Duration, edges), make([]int32, edges)
-	for i := range heard {
-		heard[i] = never
-	}
-	// Rows are ascending and a ascends, so a's slot in b's row is the
-	// number of b's neighbours already visited.
-	seen := make([]int32, n)
-	for a := 0; a < n; a++ {
-		nbrs := layout.Neighbors(a)
-		p.lastHeard[a], heard = heard[:len(nbrs):len(nbrs)], heard[len(nbrs):]
-		p.rev[a], rev = rev[:len(nbrs):len(nbrs)], rev[len(nbrs):]
-		for k, b := range nbrs {
-			p.rev[a][k] = seen[b]
-			seen[b]++
-		}
-	}
+	p.miss, p.old = make([]bool, p.off[n]), make([]time.Duration, p.off[n])
 	return p
+}
+
+// heard is a's time for the neighbour b in a's edge e: when a last heard
+// b, or never while b is not in a's table.
+func (p *Protocol) heard(e, b int) time.Duration {
+	if p.miss[e] {
+		return p.old[e]
+	}
+	return p.stamp[b]
+}
+
+// edge returns the edge in a's row that holds its radio neighbour b.
+func (p *Protocol) edge(a, b int) int {
+	k, _ := slices.BinarySearch(p.net.Layout().Neighbors(a), b)
+	return p.off[a] + k
+}
+
+// toMiss makes e, a's edge for b, a miss holding t unless it is one.
+func (p *Protocol) toMiss(e, a, b int, t time.Duration) {
+	if p.miss[e] {
+		return
+	}
+	p.miss[e], p.old[e] = true, t
+	p.missOut[b]++
+	if t != never {
+		p.cand[a]++
+	}
 }
 
 // HandleEvent implements sim.Handler: node a's beacon tick for epoch b.
@@ -197,6 +238,15 @@ func (p *Protocol) Fail(id int) {
 	}
 	p.failed[id] = true
 	p.epoch[id]++
+	p.silence(id)
+}
+
+// silence turns the edges that heard id's latest beacon into misses: id
+// sends no next one, and a sweep looks only at misses.
+func (p *Protocol) silence(id int) {
+	for _, a := range p.net.Layout().Neighbors(id) {
+		p.toMiss(p.edge(a, id), a, id, p.stamp[id])
+	}
 }
 
 // Recover restarts a silenced node's beacon loop (a rebooted mote
@@ -235,36 +285,67 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	}
 	now := p.sched.Now()
 	p.mBeacons.Inc()
-	// The receivers are a subsequence of id's adjacency row; k tracks each
-	// one's slot there, and rev turns it into id's slot in their row.
-	nbrs, rev, k := p.net.Layout().Neighbors(id), p.rev[id], 0
-	for _, nbr := range p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes) {
-		for nbrs[k] != nbr {
-			k++
-		}
-		p.lastHeard[nbr][rev[k]] = now
+	missed := p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes)
+	if len(missed) > 0 || p.missOut[id] > 0 {
+		p.merge(id, missed)
+	}
+	p.stamp[id] = now
+	if p.failed[id] {
+		// A depletion watcher failed id during its own broadcast.
+		p.silence(id)
 	}
 	// Any node that heard this beacon knows id is alive.
-	if p.suspected[id] {
-		p.suspected[id] = false
+	p.suspected[id] = false
+	if p.cand[id] > 0 {
+		p.sweep(id, now)
 	}
-	p.sweep(id, now)
 	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
 	p.scheduleBeacon(id, ep, p.cfg.Interval+jitter-p.cfg.Jitter/2)
 }
 
-// sweep evicts neighbours of id not heard within the timeout and raises
-// a suspicion for each eviction, in ascending id order — the order of
-// the table's slots — so the callback order is deterministic.
-func (p *Protocol) sweep(id int, now time.Duration) {
-	deadline := now - p.cfg.Timeout()
+// merge updates, before stamp[id] moves, the edges for id that a beacon
+// missing the given slots of id's row changes: an edge that missed it
+// keeps id's previous stamp, and a miss that heard it is a miss no more.
+// If it missed just the edges the last one did, only those are looked at.
+func (p *Protocol) merge(id int, missed []int) {
 	nbrs := p.net.Layout().Neighbors(id)
-	for k, heard := range p.lastHeard[id] {
-		if heard == never || heard >= deadline {
+	stale := p.missOut[id] // misses on edges that may have heard this beacon
+	for _, k := range missed {
+		if e := p.edge(nbrs[k], id); p.miss[e] {
+			stale--
+		} else {
+			p.toMiss(e, nbrs[k], id, p.stamp[id])
+		}
+	}
+	for k := 0; stale > 0; k++ {
+		if len(missed) > 0 && missed[0] == k {
+			missed = missed[1:]
 			continue
 		}
-		nbr := nbrs[k]
-		p.lastHeard[id][k] = never
+		if e := p.edge(nbrs[k], id); p.miss[e] {
+			p.miss[e] = false
+			p.missOut[id]--
+			stale--
+			if p.old[e] != never {
+				p.cand[nbrs[k]]--
+			}
+		}
+	}
+}
+
+// sweep evicts neighbours of id not heard within the timeout and raises
+// a suspicion for each eviction, in ascending id order — the order of
+// the table's slots — so the callback order is deterministic. Only a
+// miss can be old enough (see Protocol).
+func (p *Protocol) sweep(id int, now time.Duration) {
+	deadline := now - p.cfg.Timeout()
+	row := p.off[id]
+	for k, nbr := range p.net.Layout().Neighbors(id) {
+		if heard := p.heard(row+k, nbr); heard == never || heard >= deadline {
+			continue
+		}
+		p.old[row+k] = never
+		p.cand[id]--
 		p.mEvictions.Inc()
 		if p.suspected[nbr] {
 			continue
@@ -286,9 +367,9 @@ func (p *Protocol) Neighbors(id int) []int {
 	deadline := p.sched.Now() - p.cfg.Timeout()
 	nbrs := p.net.Layout().Neighbors(id)
 	out := make([]int, 0, len(nbrs))
-	for k, heard := range p.lastHeard[id] {
-		if heard != never && heard >= deadline {
-			out = append(out, nbrs[k])
+	for k, nbr := range nbrs {
+		if heard := p.heard(p.off[id]+k, nbr); heard != never && heard >= deadline {
+			out = append(out, nbr)
 		}
 	}
 	return out

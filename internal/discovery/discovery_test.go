@@ -147,11 +147,10 @@ func TestBroadcastReachesNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := network.New(layout)
-	reached := net.Broadcast(0, network.KindControl, 16)
-	want := layout.Neighbors(0)
-	if len(reached) != len(want) {
-		t.Fatalf("broadcast reached %d nodes, want %d", len(reached), len(want))
+	if missed := net.Broadcast(0, network.KindControl, 16); len(missed) != 0 {
+		t.Fatalf("broadcast missed slots %v, want none", missed)
 	}
+	want := layout.Neighbors(0)
 	c := net.Snapshot()
 	if c.Messages[network.KindControl] != 1 {
 		t.Errorf("broadcast counted as %d messages, want 1", c.Messages[network.KindControl])
@@ -161,5 +160,39 @@ func TestBroadcastReachesNeighbors(t *testing.T) {
 	}
 	if len(want) > 0 && net.NodeEnergy(want[0]) <= 0 {
 		t.Error("broadcast cost receivers no energy")
+	}
+}
+
+// Each of these configurations once broke the protocol: a negative
+// Jitter panicked in Start with an integer divide by zero, a negative
+// MissLimit gave a negative Timeout under which healthy nodes were
+// suspected within seconds, and a negative Interval spun the beacon loop
+// at zero delay. New must refuse them.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative jitter", Config{Jitter: -1}},
+		{"negative miss limit", Config{MissLimit: -2}},
+		{"negative interval", Config{Interval: -time.Second}},
+		{"negative payload", Config{PayloadBytes: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.Validate(); err == nil {
+				t.Fatalf("Validate(%+v) = nil, want an error", tc.cfg)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", tc.cfg)
+				}
+			}()
+			protocolFixture(t, 50, 1, tc.cfg)
+		})
+	}
+	for _, cfg := range []Config{{}, {Interval: time.Millisecond, MissLimit: 1, Jitter: time.Millisecond}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
 	}
 }

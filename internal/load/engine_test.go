@@ -230,8 +230,8 @@ func TestEngineMetrics(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{},                                // no duration
-		{Duration: time.Second},           // no dims
+		{},                      // no duration
+		{Duration: time.Second}, // no dims
 		{Duration: time.Second, Dims: 3, Rate: -1},
 		{Duration: time.Second, Dims: 3, Mode: Closed},
 		{Duration: time.Second, Dims: 3, Mix: Mix{Point: -1}},

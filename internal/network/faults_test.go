@@ -68,7 +68,7 @@ func TestBroadcastLossyPerReceiver(t *testing.T) {
 	n := New(l, WithLossRate(0.5, rng.New(42)), WithTracer(tr))
 	total := 0
 	for i := 0; i < trials; i++ {
-		total += len(n.Broadcast(0, KindControl, 8))
+		total += k - len(n.Broadcast(0, KindControl, 8))
 	}
 	// Independent 50% drops: the mean reach must be near k/2, and with 400
 	// trials a fully-correlated model (all-or-nothing) would essentially
@@ -92,22 +92,22 @@ func TestBroadcastSkipsDeadReceivers(t *testing.T) {
 	l := starLayout(t, 4)
 	n := New(l)
 	n.FailNode(2)
-	reached := n.Broadcast(0, KindControl, 8)
-	if len(reached) != 3 {
-		t.Fatalf("reached = %v, want 3 alive neighbours", reached)
-	}
-	for _, v := range reached {
-		if v == 2 {
-			t.Fatal("dead node 2 reported reached")
-		}
+	nbrs := l.Neighbors(0)
+	missed := n.Broadcast(0, KindControl, 8)
+	if len(missed) != 1 || nbrs[missed[0]] != 2 {
+		t.Fatalf("missed slots %v of %v, want dead node 2 alone", missed, nbrs)
 	}
 	if n.NodeEnergy(2) != 0 {
 		t.Errorf("dead node charged %v J for a reception", n.NodeEnergy(2))
 	}
 	// A dead sender broadcasts nothing.
 	n.FailNode(0)
-	if got := n.Broadcast(0, KindControl, 8); got != nil {
-		t.Errorf("dead sender reached %v", got)
+	before := n.Snapshot()
+	if got := n.Broadcast(0, KindControl, 8); len(got) != len(nbrs) {
+		t.Errorf("dead sender missed %v, want every slot of %v", got, nbrs)
+	}
+	if after := n.Snapshot(); after.Total() != before.Total() || after.EnergyJ != before.EnergyJ {
+		t.Errorf("dead sender's broadcast cost %+v, want nothing", n.Diff(before))
 	}
 }
 

@@ -158,10 +158,10 @@ type Network struct {
 	depleted  []bool
 	onDeplete func(id int)
 
-	// reachedBuf backs the slice Broadcast returns; beaconing protocols
+	// missedBuf backs the slice Broadcast returns; beaconing protocols
 	// broadcast once per node per round, so reusing one buffer removes an
 	// allocation per beacon.
-	reachedBuf []int
+	missedBuf []int
 
 	// tracer, when non-nil, receives one record per transmission. The
 	// nil tracer costs one pointer compare on the hot path.
@@ -518,14 +518,20 @@ func (n *Network) TransmitPath(path []int, kind Kind, payloadBytes int) (deliver
 // reception per neighbour. Each reception is subject to the same lossy
 // model as unicast — independent per-receiver drops — so broadcast-based
 // beaconing pays the same reality tax; crashed or depleted neighbours
-// hear nothing. It returns the neighbours actually reached; the slice is
-// valid only until the next Broadcast call. A broadcast from a dead node
-// is silent and free. Used by beaconing protocols.
-func (n *Network) Broadcast(from int, kind Kind, payloadBytes int) []int {
-	if !n.Alive(from) {
-		return nil
-	}
+// hear nothing. It returns the ascending positions in
+// Layout().Neighbors(from) of the neighbours it missed (dead, depleted or
+// dropped), valid until the next Broadcast; a broadcast from a dead node
+// is silent, free, and misses all. Used by beaconing protocols.
+func (n *Network) Broadcast(from int, kind Kind, payloadBytes int) (missed []int) {
 	nbrs := n.layout.Neighbors(from)
+	missed = n.missedBuf[:0]
+	if !n.Alive(from) {
+		for k := range nbrs {
+			missed = append(missed, k)
+		}
+		n.missedBuf = missed
+		return missed
+	}
 	frames := n.frames(payloadBytes)
 	n.msgs[kind] += frames
 	n.bytes[kind] += uint64(payloadBytes)
@@ -537,26 +543,39 @@ func (n *Network) Broadcast(from int, kind Kind, payloadBytes int) []int {
 	budgeted := n.energy.Budget > 0
 	n.charge(from, n.energy.Elec*bits+n.energy.Amp*bits*r*r, budgeted)
 	rx := n.energy.Elec * bits
-	reached := n.reachedBuf[:0]
+	lossy := n.lossRate > 0 || len(n.bursts) > 0
+	dead, depleted, nodeRx, nodeEnergy := n.dead, n.depleted, n.nodeRx, n.nodeEnergy
 	lost := 0
-	for _, v := range nbrs {
-		if !n.Alive(v) {
+	// Without a battery no reception can deplete anyone, so the energy
+	// total is summed in a local, in the same order as charge adds it.
+	energyJ := n.energyJ
+	for k, v := range nbrs {
+		if dead[v] || depleted[v] {
+			missed = append(missed, k)
 			continue
 		}
-		if n.dropFrame(from, v) {
+		if lossy && n.dropFrame(from, v) {
 			lost++
 			n.countDrop(from, frames)
+			missed = append(missed, k)
 			continue
 		}
-		n.nodeRx[v] += frames
-		n.charge(v, rx, budgeted)
-		reached = append(reached, v)
+		nodeRx[v] += frames
+		if budgeted {
+			n.charge(v, rx, true)
+			continue
+		}
+		energyJ += rx
+		nodeEnergy[v] += rx
+	}
+	if !budgeted {
+		n.energyJ = energyJ
 	}
 	if n.tracer != nil {
-		n.tracer.Broadcast(from, kind.String(), payloadBytes, int(frames), len(reached), lost)
+		n.tracer.Broadcast(from, kind.String(), payloadBytes, int(frames), len(nbrs)-len(missed), lost)
 	}
-	n.reachedBuf = reached
-	return reached
+	n.missedBuf = missed
+	return missed
 }
 
 // NodeEnergy returns the radio energy node id has spent, in joules.

@@ -87,6 +87,47 @@ func refTransmitPath(n *Network, path []int, kind Kind, payloadBytes int) (int, 
 	return max(len(path)-1, 0), nil
 }
 
+// refBroadcast is the reference for Broadcast: Broadcast as it stood,
+// returning the neighbours reached (in a fresh slice) rather than the
+// slots missed. One transmission, one reception per alive neighbour,
+// each subject to the loss model; a dead sender is silent and free.
+func refBroadcast(n *Network, from int, kind Kind, payloadBytes int) []int {
+	if !n.Alive(from) {
+		return nil
+	}
+	nbrs := n.layout.Neighbors(from)
+	frames := n.frames(payloadBytes)
+	n.msgs[kind] += frames
+	n.bytes[kind] += uint64(payloadBytes)
+	n.nodeTx[from] += frames
+
+	bits := float64(payloadBytes * 8)
+	r := n.layout.Spec.RadioRange
+	// A broadcast is amplified to full radio range.
+	budgeted := n.energy.Budget > 0
+	n.charge(from, n.energy.Elec*bits+n.energy.Amp*bits*r*r, budgeted)
+	rx := n.energy.Elec * bits
+	var reached []int
+	lost := 0
+	for _, v := range nbrs {
+		if !n.Alive(v) {
+			continue
+		}
+		if n.dropFrame(from, v) {
+			lost++
+			n.countDrop(from, frames)
+			continue
+		}
+		n.nodeRx[v] += frames
+		n.charge(v, rx, budgeted)
+		reached = append(reached, v)
+	}
+	if n.tracer != nil {
+		n.tracer.Broadcast(from, kind.String(), payloadBytes, int(frames), len(reached), lost)
+	}
+	return reached
+}
+
 // pathTwin is one of two networks built alike, one charged by
 // TransmitPath and one by the reference.
 type pathTwin struct {
@@ -165,12 +206,16 @@ func samePathTwins(t *testing.T, a, b *pathTwin) {
 // loss rate, an open burst, an energy budget small enough to deplete nodes
 // mid-path (whose watcher crashes another node), with the tracer and the
 // metrics registry on or off. Each input charges several paths in a row on
-// the same pair.
+// the same pair. Broadcasts from the path's current node, held to
+// refBroadcast, are mixed in between hops.
 func FuzzTransmitPath(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(0), uint8(0), uint16(8), []byte{2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(int64(2), uint8(30), uint16(3), uint8(7), uint16(100), []byte{2, 0, 3, 1, 4, 5, 0x40, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(3), uint8(60), uint16(1), uint8(1), uint16(16), []byte{5, 5, 5, 5, 0x40, 5, 5, 5, 5, 5, 5, 5})
 	f.Add(int64(4), uint8(10), uint16(12), uint8(6), uint16(40), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 0x40, 6, 5})
+	f.Add(int64(5), uint8(20), uint16(2), uint8(7), uint16(16), []byte{0x80, 3, 0x80, 4, 0x81, 5, 0x40, 0x80, 7, 1, 0x80, 0x80, 2, 0x80})
+	f.Add(int64(-18), uint8(20), uint16(2), uint8(7), uint16(16), []byte{'0', '2', '9', 0x81, '0'})
+	f.Add(int64(-30), uint8(99), uint16(0), uint8(60), uint16(50), []byte{0x98, '0'})
 	f.Fuzz(func(t *testing.T, seed int64, lossPct uint8, budgetUJ uint16, flags uint8, payload uint16, steps []byte) {
 		if len(steps) > 256 {
 			return
@@ -206,6 +251,21 @@ func FuzzTransmitPath(f *testing.F) {
 				}
 				samePathTwins(t, a, b)
 				path = path[:0]
+			case s&0xc0 == 0x80: // a broadcast from cur between two hops
+				missed := a.net.Broadcast(cur, kind, size)
+				reached := refBroadcast(b.net, cur, kind, size)
+				var heard []int
+				for k, v := range nbrs {
+					if len(missed) > 0 && missed[0] == k {
+						missed = missed[1:]
+						continue
+					}
+					heard = append(heard, v)
+				}
+				if len(missed) > 0 || fmt.Sprint(heard) != fmt.Sprint(reached) {
+					t.Fatalf("broadcast from %d reached %v (left %v missed), reference %v", cur, heard, missed, reached)
+				}
+				samePathTwins(t, a, b)
 			case s%16 == 0: // a self-hop
 			case s%16 == 1 || len(nbrs) == 0: // most likely out of radio range
 				cur = int(s) % l.N()
