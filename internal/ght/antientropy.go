@@ -35,7 +35,7 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 			if anchor < 0 {
 				continue
 			}
-			home, err := s.home(anchor, pt)
+			home, _, err := s.home(anchor, pt)
 			if err != nil || home < 0 || s.dead[home] {
 				continue
 			}

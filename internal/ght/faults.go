@@ -8,17 +8,17 @@ import (
 )
 
 // Node failure in GHT follows the original paper's perimeter-refresh
-// story: the home node of a hashed point is, by definition, the node
-// GPSR's perimeter walk delivers to — so when a home dies, the *new*
-// home is simply the alive node geographically closest to the hashed
-// point, and the repair re-targets every cached home accordingly. The
-// dead node's stored events are gone (a mote's RAM does not survive a
-// crash); GHT keeps no per-key replica of a single home, which is
-// precisely the baseline weakness the paper's Pool scheme is measured
-// against. Structured replication softens the blow structurally rather
-// than by copying: each key's events are spread over 4^d mirror homes,
-// so one crash loses only the share homed at the corpse while the
-// query's mirror walk keeps serving the rest.
+// story: a hashed point's home is the node GPSR's perimeter walk delivers
+// to, so when a home dies the alive node closest to the point takes over.
+// The corpse's events are gone, and GHT keeps no replica of a home to
+// restore them from — the baseline weakness Pool is measured against — so
+// by the holding layer's rule every point that held events there is lost:
+// its new home answers with what it holds, and the point counts unreached.
+// Structured replication spreads each key's events over 4^d mirror
+// points, so a crash loses only the points homed at the corpse. Events
+// stay in one Rows per node rather than per point: almost every point
+// holds one or two events, and a Rows per point costs five times the
+// memory (DESIGN §8).
 
 // Failed reports whether a node has been marked failed; ids outside the
 // deployment are not.
@@ -27,9 +27,10 @@ func (s *System) Failed(id int) bool { return id >= 0 && id < len(s.dead) && s.d
 // FailNode marks a node as failed and repairs the hash-to-home mapping:
 // every cached home pointing at the corpse is re-hashed to the alive
 // node closest to the hashed point — the node the alive-set perimeter
-// walk would deliver to. The events the node held are lost. Inserts and
-// queries issued afterwards use the new homes transparently. Failing an
-// already-failed node is a no-op.
+// walk would deliver to. The events the node held are lost, and so is
+// every point that held one. Inserts and queries issued afterwards use
+// the new homes transparently. Failing an already-failed node is a
+// no-op.
 func (s *System) FailNode(id int) error {
 	if id < 0 || id >= len(s.dead) {
 		return fmt.Errorf("ght: node %d out of range", id)
@@ -38,13 +39,25 @@ func (s *System) FailNode(id int) error {
 		return nil
 	}
 	s.dead[id] = true
-	s.storage[id].Reset(nil)
+	// Each event held here hashes once; it was stored at an image of its
+	// root homed here, and no copy is left to restore it from.
+	rows := &s.storage[id]
+	for j := 0; j < rows.Len(); j++ {
+		s.mirrorBuf = s.appendMirrors(s.mirrorBuf[:0], s.HashPoint(rows.At(j).Values))
+		for _, pt := range s.mirrorBuf {
+			if h, ok := s.homes[pt]; ok && int(h.node) == id {
+				h.dur = h.dur.Crashed(1).Settled(false, false)
+				s.homes[pt] = h
+			}
+		}
+	}
+	rows.Reset(nil)
 
 	// Re-hash the cached homes deterministically (sorted by point) so
 	// repair has a reproducible order regardless of map iteration.
 	var orphaned []geo.Point
-	for pt, home := range s.homes {
-		if home == id {
+	for pt, h := range s.homes {
+		if int(h.node) == id {
 			orphaned = append(orphaned, pt)
 		}
 	}
@@ -59,7 +72,7 @@ func (s *System) FailNode(id int) error {
 		if next < 0 {
 			return fmt.Errorf("ght: no surviving node for hashed point %v", pt)
 		}
-		s.homes[pt] = next
+		s.homes[pt] = homing{node: int32(next), dur: s.homes[pt].dur}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package ght
 
 import (
+	"slices"
 	"testing"
 
 	"pooldcs/internal/event"
@@ -94,11 +95,10 @@ func TestFailNodeRehashesHomes(t *testing.T) {
 	if s.storage[victim].Len() != 0 {
 		t.Error("dead node kept its storage")
 	}
-	for pt, home := range s.homes {
-		if home == victim {
+	for pt, h := range s.homes {
+		if home := int(h.node); home == victim {
 			t.Errorf("cached home for %v still points at the corpse", pt)
-		}
-		if s.dead[home] {
+		} else if s.dead[home] {
 			t.Errorf("cached home for %v points at dead node %d", pt, home)
 		}
 	}
@@ -121,10 +121,26 @@ func TestFailNodeRehashesHomes(t *testing.T) {
 	}
 }
 
-// A *detected* crash yields complete-but-lossy service: the re-hashed
-// home answers every query, but the events that lived on the corpse are
-// gone — GHT's intrinsic single-copy weakness.
-func TestDetectedCrashCompleteButLossy(t *testing.T) {
+// checkPointQuery holds one point query of e to the degradation contract
+// after detected crashes: complete exactly when it returns e.
+func checkPointQuery(t *testing.T, s *System, sink int, e event.Event) bool {
+	t.Helper()
+	got, comp, err := s.QueryWithReport(sink, pointQueryFor(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := slices.ContainsFunc(got, func(g event.Event) bool { return g.Seq == e.Seq })
+	if comp.Complete() != found {
+		t.Errorf("event %d: complete %v (%d/%d) but returned %v", e.Seq, comp.Complete(), comp.CellsReached, comp.CellsTotal, found)
+	}
+	return found
+}
+
+// A *detected* crash yields lossy service that says so: the re-hashed home
+// answers every query, but the events that lived on the corpse are gone —
+// GHT's intrinsic single-copy weakness — and their points answer
+// incomplete.
+func TestDetectedCrashReportsItsLoss(t *testing.T) {
 	s, net, router := newFaultUniverse(t, 300, 710)
 	all := loadGHT(t, s, 300, 711)
 	victim := mostLoaded(s)
@@ -140,14 +156,7 @@ func TestDetectedCrashCompleteButLossy(t *testing.T) {
 	sink := pickAliveGHT(s)
 	hits := 0
 	for _, e := range all {
-		got, comp, err := s.QueryWithReport(sink, pointQueryFor(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !comp.Complete() {
-			t.Errorf("event %d: detected crash left completeness %d/%d", e.Seq, comp.CellsReached, comp.CellsTotal)
-		}
-		if len(got) > 0 {
+		if checkPointQuery(t, s, sink, e) {
 			hits++
 			if lostKeys[e.Seq] {
 				t.Errorf("event %d answered although its home died", e.Seq)
@@ -163,67 +172,80 @@ func TestDetectedCrashCompleteButLossy(t *testing.T) {
 
 // Satellite: ground-truth oracle for QueryWithReport. Under *silent*
 // crashes (radio dead, repair never ran — the undetected-corpse window)
-// a GHT point query addresses exactly one home holding all of the key's
-// events, so per query the completeness fraction must equal recall
-// against an in-memory copy of everything inserted, mirroring the pool
-// churn oracle.
+// and under detected ones (repair ran, and every point that held events
+// on a corpse is lost) a GHT point query addresses exactly one home
+// holding all of the key's events, so per query the completeness fraction
+// must equal recall against an in-memory copy of everything inserted,
+// mirroring the pool churn oracle.
 func TestOracleCompletenessEqualsRecall(t *testing.T) {
-	s, net, router := newFaultUniverse(t, 300, 720)
-	all := loadGHT(t, s, 300, 721)
+	for _, plan := range []struct {
+		name     string
+		detected bool
+	}{{"silent", false}, {"detected", true}} {
+		detected := plan.detected
+		t.Run(plan.name, func(t *testing.T) {
+			s, net, router := newFaultUniverse(t, 300, 720)
+			all := loadGHT(t, s, 300, 721)
 
-	// Silence ~10% of the deployment without running repair.
-	src := rng.New(722)
-	downSet := make(map[int]bool)
-	for _, id := range src.Perm(300)[:30] {
-		router.Exclude(id)
-		net.FailNode(id)
-		downSet[id] = true
-	}
-	sink := pickAliveGHT(s)
-	for downSet[sink] {
-		sink++
-	}
-
-	sumComp, sumRecall := 0.0, 0.0
-	for _, e := range all {
-		q := pointQueryFor(e)
-		oracle := q.Rewrite().Filter(all)
-		got, comp, err := s.QueryWithReport(sink, q)
-		if err != nil {
-			t.Fatalf("event %d: silent crash must degrade, not error: %v", e.Seq, err)
-		}
-		recall := 0.0
-		if len(oracle) > 0 {
-			hit := 0
-			want := make(map[uint64]bool, len(oracle))
-			for _, o := range oracle {
-				want[o.Seq] = true
-			}
-			for _, g := range got {
-				if want[g.Seq] {
-					hit++
+			// Take down ~10% of the deployment.
+			src := rng.New(722)
+			downSet := make(map[int]bool)
+			for _, id := range src.Perm(300)[:30] {
+				if detected {
+					crashGHT(t, s, net, router, id)
+				} else {
+					router.Exclude(id)
+					net.FailNode(id)
 				}
+				downSet[id] = true
 			}
-			recall = float64(hit) / float64(len(oracle))
-		}
-		if comp.Fraction() != recall {
-			t.Fatalf("event %d: completeness %.3f != recall %.3f", e.Seq, comp.Fraction(), recall)
-		}
-		if !comp.Complete() && comp.Retries == 0 {
-			t.Errorf("event %d: unreached home without a retry spent", e.Seq)
-		}
-		if len(comp.Unreached) != comp.CellsTotal-comp.CellsReached {
-			t.Errorf("event %d: unreached list %d entries, want %d",
-				e.Seq, len(comp.Unreached), comp.CellsTotal-comp.CellsReached)
-		}
-		sumComp += comp.Fraction()
-		sumRecall += recall
-	}
-	if sumRecall >= float64(len(all)) {
-		t.Error("silent crashes lost nothing; oracle not exercised")
-	}
-	if sumComp != sumRecall {
-		t.Errorf("aggregate completeness %.3f != aggregate recall %.3f", sumComp, sumRecall)
+			sink := pickAliveGHT(s)
+			for downSet[sink] {
+				sink++
+			}
+
+			sumComp, sumRecall := 0.0, 0.0
+			for _, e := range all {
+				q := pointQueryFor(e)
+				oracle := q.Rewrite().Filter(all)
+				got, comp, err := s.QueryWithReport(sink, q)
+				if err != nil {
+					t.Fatalf("event %d: a crash must degrade, not error: %v", e.Seq, err)
+				}
+				recall := 0.0
+				if len(oracle) > 0 {
+					hit := 0
+					want := make(map[uint64]bool, len(oracle))
+					for _, o := range oracle {
+						want[o.Seq] = true
+					}
+					for _, g := range got {
+						if want[g.Seq] {
+							hit++
+						}
+					}
+					recall = float64(hit) / float64(len(oracle))
+				}
+				if comp.Fraction() != recall {
+					t.Fatalf("event %d: completeness %.3f != recall %.3f", e.Seq, comp.Fraction(), recall)
+				}
+				if !detected && !comp.Complete() && comp.Retries == 0 {
+					t.Errorf("event %d: unreached home without a retry spent", e.Seq)
+				}
+				if len(comp.Unreached) != comp.CellsTotal-comp.CellsReached {
+					t.Errorf("event %d: unreached list %d entries, want %d",
+						e.Seq, len(comp.Unreached), comp.CellsTotal-comp.CellsReached)
+				}
+				sumComp += comp.Fraction()
+				sumRecall += recall
+			}
+			if sumRecall >= float64(len(all)) {
+				t.Error("the crashes lost nothing; oracle not exercised")
+			}
+			if sumComp != sumRecall {
+				t.Errorf("aggregate completeness %.3f != aggregate recall %.3f", sumComp, sumRecall)
+			}
+		})
 	}
 }
 
@@ -246,14 +268,7 @@ func TestStructuredReplicationSurvivesMirrorLoss(t *testing.T) {
 	sink := pickAliveGHT(s)
 	survivors := 0
 	for _, e := range all {
-		got, comp, err := s.QueryWithReport(sink, pointQueryFor(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !comp.Complete() {
-			t.Errorf("event %d: completeness %d/%d after repair", e.Seq, comp.CellsReached, comp.CellsTotal)
-		}
-		if len(got) > 0 {
+		if checkPointQuery(t, s, sink, e) {
 			survivors++
 			if lost[e.Seq] {
 				t.Errorf("event %d served although its mirror home died", e.Seq)
@@ -306,23 +321,25 @@ func TestCascadingFailuresStayServable(t *testing.T) {
 	s, net, router := newFaultUniverse(t, 60, 750)
 	all := loadGHT(t, s, 60, 751)
 	order := rng.New(752).Perm(60)
-	probe := pointQueryFor(all[0])
+	survivor := order[59]
+	own := s.storage[survivor].Len()
 	for _, id := range order[:59] {
 		crashGHT(t, s, net, router, id)
-		if _, _, err := s.QueryWithReport(pickAliveGHT(s), probe); err != nil {
-			t.Fatalf("query after killing %d: %v", id, err)
+		for _, e := range all {
+			checkPointQuery(t, s, pickAliveGHT(s), e)
 		}
 	}
-	survivor := order[59]
 	if s.dead[survivor] {
 		t.Fatal("survivor marked dead")
 	}
-	_, comp, err := s.QueryWithReport(survivor, probe)
-	if err != nil {
-		t.Fatal(err)
+	// Every home re-hashed to the survivor, which answers its own share.
+	found := 0
+	for _, e := range all {
+		if checkPointQuery(t, s, survivor, e) {
+			found++
+		}
 	}
-	if !comp.Complete() {
-		t.Errorf("single survivor: completeness %d/%d (every home re-hashed to it)",
-			comp.CellsReached, comp.CellsTotal)
+	if found != own {
+		t.Errorf("single survivor answers %d of %d events, want the %d it held", found, len(all), own)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"pooldcs/internal/event"
 	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
+	"pooldcs/internal/holding"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 )
@@ -71,9 +72,9 @@ type System struct {
 	storage []event.Rows
 	dims    int
 	// homes maps each hashed point used so far to its home node, mirroring
-	// GHT's perimeter-refresh caching; FailNode rewrites the entries of a
-	// dead home (see home).
-	homes map[geo.Point]int
+	// GHT's perimeter-refresh caching, and to how whole the point's events
+	// are; FailNode rewrites the entries of a dead home (see home).
+	homes map[geo.Point]homing
 	// dead marks failed nodes (faults.go).
 	dead []bool
 	// roots lists the distinct root points events have hashed to, in
@@ -111,7 +112,7 @@ func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
 		net:     net,
 		router:  router,
 		storage: make([]event.Rows, net.Layout().N()),
-		homes:   make(map[geo.Point]int),
+		homes:   make(map[geo.Point]homing),
 		dead:    make([]bool, net.Layout().N()),
 	}
 	for _, o := range opts {
@@ -184,22 +185,29 @@ func (s *System) HashPoint(values []float64) geo.Point {
 	return geo.Pt(x, y)
 }
 
+// homing is a hashed point's home node and the state of its events.
+type homing struct {
+	node int32
+	dur  holding.Primary
+}
+
 // home returns the home node for a hashed point as seen from the given
-// node. The first operation on a point resolves it through the router —
-// an index lookup that charges nothing, as GPSR discovers the home as a
-// side effect of the first routed packet — and every later one reads the
-// homes map. The map is state, not only a cache: FailNode re-homes the
-// points of a dead node in it, and those re-homes outlive RecoverNode.
-func (s *System) home(from int, pt geo.Point) (int, error) {
+// node, and the state of the point's events. The first operation on a
+// point resolves it through the router — an index lookup that charges
+// nothing, as GPSR discovers the home as a side effect of the first routed
+// packet — and every later one reads the homes map. The map is state, not
+// only a cache: FailNode re-homes and marks in it what outlives
+// RecoverNode.
+func (s *System) home(from int, pt geo.Point) (int, holding.Primary, error) {
 	if h, ok := s.homes[pt]; ok {
-		return h, nil
+		return int(h.node), h.dur, nil
 	}
 	h, err := s.router.HomeNode(from, pt)
 	if err != nil {
-		return -1, err
+		return -1, holding.Live, err
 	}
-	s.homes[pt] = h
-	return h, nil
+	s.homes[pt] = homing{node: int32(h)}
+	return h, holding.Live, nil
 }
 
 // Insert implements dcs.System: the event is routed to the home node of
@@ -227,7 +235,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 		}
 		pt = best
 	}
-	home, err := s.home(origin, pt)
+	home, _, err := s.home(origin, pt)
 	if err != nil {
 		return fmt.Errorf("ght: insert: %w", err)
 	}
@@ -256,10 +264,10 @@ func (s *System) Query(sink int, q event.Query) ([]event.Event, error) {
 // semantics: the fan-out size is the number of mirror homes the query
 // must visit (1 without structured replication), a mirror counts as
 // reached when its query leg was delivered AND — if it held matches —
-// its reply made it back to the sink, and Retries counts the extra
-// unicasts the failure policy spent. An incomplete answer is not an
-// error — the error return covers only malformed or unsupported queries
-// and programming faults.
+// its reply made it back to the sink, and its point lost no event to a
+// crash; Retries counts the extra unicasts the failure policy spent. An
+// incomplete answer is not an error — the error return covers only
+// malformed or unsupported queries and programming faults.
 //
 // The failure policy is dcs.Exchange's: a mirror whose home stays
 // unreachable, or whose reply is lost, through the one retry is recorded
@@ -301,7 +309,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	}
 	cur := sink
 	for mi, pt := range mirrors {
-		home, err := s.home(cur, pt)
+		home, dur, err := s.home(cur, pt)
 		if err != nil {
 			if !dcs.IsDegradable(err) {
 				return nil, comp, fmt.Errorf("ght: query: %w", err)
@@ -348,6 +356,10 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 				}
 				s.replyBuf = kept
 			}
+		}
+		if dur != holding.Live { // it answers what survived, unreached
+			comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
+			continue
 		}
 		comp.CellsReached++
 	}

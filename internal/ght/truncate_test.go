@@ -47,7 +47,7 @@ func TestLostHomeReplyContributesNothing(t *testing.T) {
 					// (The fault-free query cached every mirror's home.)
 					cur, clean := sink, true
 					for _, pt := range s.MirrorPoints(s.HashPoint(e.Values)) {
-						home := s.homes[pt]
+						home := int(s.homes[pt].node)
 						if home != cur {
 							leg, err := router.RouteToNode(cur, home)
 							if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
+	"pooldcs/internal/holding"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/workload"
@@ -114,7 +115,7 @@ func FuzzQueryUnderFaults(f *testing.F) {
 				t.Fatalf("query %d reports complete with %d of %d answers", i, len(iq.results), len(rq.Filter(fx.events)))
 			}
 			for _, ev := range rq.Filter(fx.events) {
-				if p, _ := fx.engine.Durability(fx.keyOf(t, ev)); c.Complete() && !seen[ev.Seq] && p != pool.PrimaryLost {
+				if p, _ := fx.engine.Durability(fx.keyOf(t, ev)); c.Complete() && !seen[ev.Seq] && p != holding.Lost {
 					t.Fatalf("query %d reports complete without event %d, whose key is not lost", i, ev.Seq)
 				}
 			}

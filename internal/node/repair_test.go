@@ -12,6 +12,7 @@ import (
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
+	"pooldcs/internal/holding"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -407,7 +408,7 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	notLive := 0
 	for _, p := range f.engine.Pools() {
 		for _, c := range p.Cells() {
-			if pr, _ := f.engine.Durability(pool.Key{Dim: p.Dim, Cell: c}); pr != pool.PrimaryLive {
+			if pr, _ := f.engine.Durability(pool.Key{Dim: p.Dim, Cell: c}); pr != holding.Live {
 				notLive++
 			}
 		}
@@ -420,7 +421,7 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 		returned[e.Seq] = true
 	}
 	for _, e := range f.events {
-		if pr, _ := f.engine.Durability(f.keyOf(t, e)); pr == pool.PrimaryLive && !returned[e.Seq] {
+		if pr, _ := f.engine.Durability(f.keyOf(t, e)); pr == holding.Live && !returned[e.Seq] {
 			t.Errorf("event %d of a live key missing after the aborts", e.Seq)
 		}
 	}
@@ -475,7 +476,7 @@ func TestRepairPlanAccountsForLoss(t *testing.T) {
 				continue
 			}
 			missing++
-			if p, _ := f.engine.Durability(f.keyOf(t, e)); p != pool.PrimaryLost {
+			if p, _ := f.engine.Durability(f.keyOf(t, e)); p != holding.Lost {
 				t.Errorf("seed %d: event %d is gone, but its key is %d, not lost", seed, e.Seq, p)
 			}
 		}
@@ -550,7 +551,7 @@ func TestAbortedRestoreStaysPartial(t *testing.T) {
 		}
 		f.drain(t)
 		checkStores(t, f.engine)
-		if p, _ := f.engine.Durability(x.Key); p == pool.PrimaryLive {
+		if p, _ := f.engine.Durability(x.Key); p == holding.Live {
 			t.Errorf("seed %d: key %+v live after its restore was cut short", seed, x.Key)
 		}
 		got, comp := f.runQuery(t, f.alive(0), fullQuery())

@@ -23,7 +23,7 @@ func (s *System) CheckSummaries() error {
 	if s.pairsAt == s.version+1 && !slices.Equal(s.pairs, s.appendPairs(nil)) {
 		return fmt.Errorf("pool: replica pair list kept since directory version %d is not what the directory says now", s.version)
 	}
-	return s.checkSummaries()
+	return s.Store.Store.CheckSummaries()
 }
 
 // ReplicaPairs implements antientropy.PairSource over the mirrored
@@ -51,7 +51,7 @@ func (s *System) appendPairs(pairs []antientropy.Pair) []antientropy.Pair {
 		if _, ok := s.MirrorFor(key, -1); !ok || s.dead[s.IndexNode(key.Cell)] {
 			continue
 		}
-		primary, mirror := s.copiesOf(s.slot(key))
+		primary, mirror := s.copiesOf(key)
 		pairs = append(pairs, antientropy.Pair{
 			ID:      antientropy.PairID{Format: "pool P%d C(%d,%d)", A: key.Dim, B: key.Cell.X, C: key.Cell.Y},
 			Primary: primary,

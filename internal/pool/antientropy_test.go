@@ -8,6 +8,7 @@ import (
 	"pooldcs/internal/antientropy"
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
+	"pooldcs/internal/holding"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
@@ -264,7 +265,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	var cells []Key
 	used := map[int]bool{}
 	for _, p := range s.ReplicaPairs() {
-		key := p.Primary.(cellCopy).key
+		key := p.Primary.(holding.Copy[Key]).Unit()
 		if p.Primary.Len() == 0 || used[p.Primary.Node()] || used[p.Replica.Node()] {
 			continue
 		}
@@ -282,7 +283,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	a := cells[0]
 	extra := event.New(0.5, 0.5, 0.5)
 	extra.Seq = 90_000
-	primaryA, _ := s.copiesOf(s.slot(a))
+	primaryA, _ := s.copiesOf(a)
 	primaryA.Insert(extra)
 	honest("primary-only insert")
 	crash(t, s, net, router, s.Mirror(a))
@@ -297,7 +298,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	honest("mirror dropped")
 	crash(t, s, net, router, s.IndexNode(b.Cell))
 	honest("unreplicated loss")
-	primaryB, _ := s.copiesOf(s.slot(b))
+	primaryB, _ := s.copiesOf(b)
 	if n := primaryB.Len(); n != 0 {
 		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
 	}

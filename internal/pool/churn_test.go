@@ -69,9 +69,10 @@ func TestFailMirrorBeforePrimary(t *testing.T) {
 	// Find a loaded cell and fail its mirror first, then its primary.
 	var key Key
 	found := false
-	for i, segs := range s.segs {
+	for i := 0; i < s.numSlots(); i++ {
 		k := s.keyAt(i)
-		if len(segs) > 0 && segs[0].rows.Len() > 0 && s.Mirror(k) >= 0 {
+		segs := s.Segments(k)
+		if len(segs) > 0 && segs[0].Rows.Len() > 0 && s.Mirror(k) >= 0 {
 			key, found = k, true
 			break
 		}
@@ -126,7 +127,7 @@ func TestCascadingFailuresUntilOneSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	lost := 0
-	for i := range s.segs {
+	for i := 0; i < s.numSlots(); i++ {
 		if !s.Vouches(s.keyAt(i), false) {
 			lost++
 		}
@@ -245,9 +246,10 @@ func TestMirrorServesUndetectedFailure(t *testing.T) {
 	// Only fail the victim if it holds primaries (not a pure delegate or
 	// mirror): pick the holder of a loaded cell instead.
 	var key Key
-	for i, segs := range s.segs {
+	for i := 0; i < s.numSlots(); i++ {
 		k := s.keyAt(i)
-		if len(segs) > 0 && segs[0].rows.Len() > 0 && s.IndexNode(k.Cell) == segs[0].node {
+		segs := s.Segments(k)
+		if len(segs) > 0 && segs[0].Rows.Len() > 0 && s.IndexNode(k.Cell) == segs[0].Node {
 			key = k
 			break
 		}

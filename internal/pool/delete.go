@@ -54,16 +54,16 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 		return s.PruneMirror(key, rq.Matches), nil
 	}
 	removed := 0
-	for i, seg := range s.segsOf(key) {
-		if len(seg.rows.AppendMatches(nil, rq)) == 0 {
+	for i, seg := range s.Segments(key) {
+		if len(seg.Rows.AppendMatches(nil, rq)) == 0 {
 			continue
 		}
-		if seg.node != node {
+		if seg.Node != node {
 			// Reach the delegate and hear its ack.
-			if _, err := s.unicast(node, seg.node, network.KindQuery, qBytes); err != nil {
+			if _, err := s.unicast(node, seg.Node, network.KindQuery, qBytes); err != nil {
 				return removed, fmt.Errorf("pool: delete to delegate: %w", err)
 			}
-			if _, err := s.unicast(seg.node, node, network.KindReply,
+			if _, err := s.unicast(seg.Node, node, network.KindReply,
 				dcs.ReplyBytes(s.dims, 0)); err != nil {
 				return removed, fmt.Errorf("pool: delete delegate ack: %w", err)
 			}

@@ -451,21 +451,21 @@ func (d *Directory) Reelect(c CellID, to int) {
 
 // Mirror returns the cell's mirror node as last assigned, dead or alive,
 // or -1 when it has none.
-func (d *Directory) Mirror(key Key) int { return max(d.mirrorOf(key), -1) }
+func (d *Directory) Mirror(key Key) int { return max(d.mirrorAt(d.slot(key)), -1) }
 
-// mirrorOf returns the cell's mirrors entry: its mirror node, -1 when it
-// has none, unelected when it never elected one or key is outside its Pool.
-func (d *Directory) mirrorOf(key Key) int {
-	if i := d.slot(key); i >= 0 && d.mirrors != nil {
-		return int(d.mirrors[i])
+// mirrorAt returns slot i's mirrors entry: its cell's mirror node, -1 when
+// it has none, unelected when it never elected one or i is -1.
+func (d *Directory) mirrorAt(i int) int {
+	if i < 0 || d.mirrors == nil {
+		return unelected
 	}
-	return unelected
+	return int(d.mirrors[i])
 }
 
 // MirrorFor returns the cell's mirror node when replication keeps an
 // alive copy on a node other than index.
 func (d *Directory) MirrorFor(key Key, index int) (int, bool) {
-	m := d.mirrorOf(key)
+	m := d.mirrorAt(d.slot(key))
 	if m < 0 || m == index || d.dead[m] {
 		return -1, false
 	}
@@ -480,7 +480,7 @@ func (d *Directory) ElectMirror(key Key, index int) int {
 	if !d.replicate {
 		return -1
 	}
-	m := d.mirrorOf(key)
+	m := d.mirrorAt(d.slot(key))
 	if m == unelected {
 		m = d.Elect(key.Cell, index)
 		d.SetMirror(key, m)
@@ -505,7 +505,7 @@ func (d *Directory) MirrorKeys() []Key {
 		for vo := 0; vo < p.Side; vo++ {
 			for ho := 0; ho < p.Side; ho++ {
 				key := Key{Dim: p.Dim, Cell: p.Pivot.Add(ho, vo)}
-				if d.mirrorOf(key) != unelected {
+				if d.mirrorAt(d.slot(key)) != unelected {
 					keys = append(keys, key)
 				}
 			}

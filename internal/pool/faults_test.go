@@ -40,8 +40,8 @@ func fullDomain() event.Query {
 func TestReplicationCopiesEveryEvent(t *testing.T) {
 	_, repl, all := loadedSystems(t, 120, 200)
 	copies := 0
-	for i := range repl.copies {
-		copies += repl.copies[i].Len()
+	for i := 0; i < repl.numSlots(); i++ {
+		copies += repl.MirrorRows(repl.keyAt(i)).Len()
 	}
 	if copies != len(all) {
 		t.Errorf("mirrors hold %d copies, want %d", copies, len(all))

@@ -36,10 +36,10 @@ func (s *System) CheckInvariants() error {
 	}
 
 	// 4. Theorem 3.1 placement consistency.
-	for i, segs := range s.segs {
+	for i := 0; i < s.numSlots(); i++ {
 		key := s.keyAt(i)
-		for j := range segs {
-			for _, e := range segs[j].rows.AppendTo(nil) {
+		for _, seg := range s.Segments(key) {
+			for _, e := range seg.Rows.AppendTo(nil) {
 				if e.Values[key.Dim-1] != event.Greatest(e) {
 					return fmt.Errorf("pool: event %d stored in P%d but its greatest value is elsewhere",
 						e.Seq, key.Dim)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/holding"
 	"pooldcs/internal/rng"
 )
 
@@ -56,7 +57,7 @@ func refMirrors(d *Directory) map[Key]int {
 	for _, p := range d.pools {
 		for _, c := range p.Cells() {
 			key := Key{Dim: p.Dim, Cell: c}
-			if node := d.mirrorOf(key); node != unelected {
+			if node := d.mirrorAt(d.slot(key)); node != unelected {
 				m[key] = node
 			}
 		}
@@ -64,12 +65,12 @@ func refMirrors(d *Directory) map[Key]int {
 	return m
 }
 
-func refSegs(st *Store) map[Key][]segment {
-	m := make(map[Key][]segment)
+func refSegs(st *Store) map[Key][]holding.Segment {
+	m := make(map[Key][]holding.Segment)
 	for _, p := range st.dir.pools {
 		for _, c := range p.Cells() {
 			key := Key{Dim: p.Dim, Cell: c}
-			if segs := st.segsOf(key); segs != nil {
+			if segs := st.Segments(key); segs != nil {
 				m[key] = segs
 			}
 		}
@@ -111,8 +112,8 @@ func refCrash(st *Store, node int) []segRow {
 	var lost []segRow
 	for key, segs := range refSegs(st) {
 		for i, seg := range segs {
-			if seg.node == node {
-				lost = append(lost, segRow{Key: key, Seg: i, Node: node, Events: seg.rows.Len()})
+			if seg.Node == node {
+				lost = append(lost, segRow{Key: key, Seg: i, Node: node, Events: seg.Rows.Len()})
 			}
 		}
 	}
@@ -130,7 +131,7 @@ func refEachSegment(st *Store) []segRow {
 	var rows []segRow
 	for _, key := range keys {
 		for i, seg := range segs[key] {
-			rows = append(rows, segRow{Key: key, Seg: i, Node: seg.node, Events: seg.rows.Len()})
+			rows = append(rows, segRow{Key: key, Seg: i, Node: seg.Node, Events: seg.Rows.Len()})
 		}
 	}
 	return rows
@@ -221,9 +222,10 @@ func (ad actorDriver) fail(id int) error {
 	want := refCrash(ad.st, id)
 	var got []segRow
 	for _, l := range ad.st.Crash(id) {
-		got = append(got, segRow{Key: l.Key, Seg: l.seg, Node: id, Events: l.Rows.Len()})
-		if _, ok := ad.d.MirrorFor(l.Key, -1); ok {
-			ad.st.Restore(l.Key, ad.d.IndexNode(l.Key.Cell), ad.st.MirrorCopy(l.Key), true)
+		key := l.Unit
+		got = append(got, segRow{Key: key, Seg: l.Seg, Node: id, Events: l.Rows.Len()})
+		if _, ok := ad.d.MirrorFor(key, -1); ok {
+			ad.st.Restore(key, ad.d.IndexNode(key.Cell), ad.st.MirrorCopy(key), true)
 		}
 	}
 	if !slices.Equal(got, want) {
@@ -331,4 +333,13 @@ func TestSlotRoundTrip(t *testing.T) {
 	if s := d.slot(Key{Dim: len(d.Pools()) + 1, Cell: p.Pivot}); s != -1 {
 		t.Errorf("slot of a key past the last Pool = %d, want -1", s)
 	}
+}
+
+// allSegs returns every slot's segments, in slot order.
+func (st *Store) allSegs() [][]holding.Segment {
+	out := make([][]holding.Segment, st.dir.numSlots())
+	for i := range out {
+		out[i] = st.Segments(st.dir.keyAt(i))
+	}
+	return out
 }

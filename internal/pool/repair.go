@@ -1,6 +1,9 @@
 package pool
 
-import "pooldcs/internal/event"
+import (
+	"pooldcs/internal/event"
+	"pooldcs/internal/holding"
+)
 
 // Repair is the plan of one crash's repair: who re-elects to whom, which
 // copy restores a lost key, which mirror re-homes where — decided once from
@@ -23,7 +26,7 @@ import "pooldcs/internal/event"
 type Repair struct {
 	Victim int
 	// Lost lists the segments the crash emptied, in EachSegment order.
-	Lost []Lost
+	Lost []holding.Emptied[Key]
 	// Elections lists the cells to re-elect, in row-major order.
 	Elections []Election
 }
@@ -74,8 +77,8 @@ func (d *Directory) Election(c CellID) (Election, bool) {
 // restore is the restore step for key, its cell's new holder to in place.
 func (st *Store) restore(key Key, to int) Transfer {
 	from, ok := st.dir.MirrorFor(key, -1)
-	if i := st.dir.slot(key); !ok && st.dur[i].primary == PrimaryPartial {
-		st.settle(i, false)
+	if !ok {
+		st.Unrestorable(key)
 	}
 	return Transfer{Key: key, From: from, To: to}
 }
@@ -83,19 +86,10 @@ func (st *Store) restore(key Key, to int) Transfer {
 // RestoreLost is the restore step for one lost segment, its cell's new
 // holder in place: the transfer ships the events of the segment the
 // mirror's copy still holds, in the copy's order, for Handover.
-func (st *Store) RestoreLost(l Lost) Transfer {
-	x := st.restore(l.Key, st.dir.IndexNode(l.Key.Cell))
+func (st *Store) RestoreLost(l holding.Emptied[Key]) Transfer {
+	x := st.restore(l.Unit, st.dir.IndexNode(l.Unit.Cell))
 	if x.From >= 0 {
-		lost := make(map[uint64]bool, l.Rows.Len())
-		for j := 0; j < l.Rows.Len(); j++ {
-			lost[l.Rows.At(j).Seq] = true
-		}
-		m := st.mirrorCopy(l.Key)
-		for j := 0; j < m.Len(); j++ {
-			if e := m.At(j); lost[e.Seq] {
-				x.Events = append(x.Events, e)
-			}
-		}
+		x.Events = st.Survivors(l)
 	}
 	return x
 }
@@ -111,7 +105,7 @@ func (st *Store) RestoreCell(c CellID, to int) []Transfer {
 			continue
 		}
 		x := st.restore(Key{Dim: p.Dim, Cell: c}, to)
-		if x.From == to || x.From >= 0 && st.mirrorCopy(x.Key).Len() > 0 {
+		if x.From == to || x.From >= 0 && st.MirrorRows(x.Key).Len() > 0 {
 			out = append(out, x)
 		}
 	}
@@ -138,9 +132,9 @@ func (st *Store) Rehomes(moving func(Key) bool) []Key {
 func (st *Store) Rehome(key Key) Transfer {
 	from := st.dir.IndexNode(key.Cell)
 	var events []event.Event
-	segs := st.segsOf(key)
+	segs := st.Segments(key)
 	for j := range segs {
-		events = segs[j].rows.AppendTo(events)
+		events = segs[j].Rows.AppendTo(events)
 	}
 	return Transfer{Key: key, From: from, To: st.dir.Elect(key.Cell, from), Events: events}
 }

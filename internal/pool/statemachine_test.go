@@ -186,9 +186,9 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 func syncOracleAfterFailure(t *testing.T, sys *System, o *oracle) {
 	t.Helper()
 	held := make(map[uint64]bool)
-	for _, segs := range sys.segs {
+	for _, segs := range sys.allSegs() {
 		for _, seg := range segs {
-			for _, e := range seg.rows.AppendTo(nil) {
+			for _, e := range seg.Rows.AppendTo(nil) {
 				held[e.Seq] = true
 			}
 		}

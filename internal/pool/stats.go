@@ -42,14 +42,13 @@ func (s *System) Stats() Stats {
 		}
 	}
 	st.IndexNodes = len(distinct)
-	for _, segs := range s.segs {
-		st.Segments += len(segs)
-		for _, seg := range segs {
-			st.StoredEvents += seg.rows.Len()
-		}
+	for i := 0; i < s.numSlots(); i++ {
+		key := s.keyAt(i)
+		st.Segments += len(s.Segments(key))
+		st.MirroredEvents += s.MirrorRows(key).Len()
 	}
-	for i := range s.copies {
-		st.MirroredEvents += s.copies[i].Len()
+	for _, n := range s.StorageLoad() {
+		st.StoredEvents += n
 	}
 	for _, dead := range s.dead {
 		if dead {

@@ -46,12 +46,6 @@ func WithPoolSide(side int) Option {
 	return optionFunc(func(c *config) { c.side = side })
 }
 
-// WithPivots pins the Pool pivot cells instead of placing them randomly.
-// One pivot per event dimension is required.
-func WithPivots(pivots []CellID) Option {
-	return optionFunc(func(c *config) { c.pivots = append([]CellID(nil), pivots...) })
-}
-
 // WithWorkloadSharing enables the §4.2 workload-sharing mechanism: when a
 // cell's active storage segment reaches quota events, its index node
 // delegates further storage to an under-loaded neighbour, keeping a
@@ -69,13 +63,6 @@ func WithWorkloadSharing(quota int) Option {
 // the operation spans.
 func WithTracer(t *trace.Tracer) Option {
 	return optionFunc(func(c *config) { c.tracer = t })
-}
-
-// WithARQBudget overrides the per-hop link-layer retransmission budget
-// for every routed unicast the system issues (default
-// dcs.DefaultMaxRetransmissions).
-func WithARQBudget(n int) Option {
-	return optionFunc(func(c *config) { c.arq = dcs.TxOptions{MaxRetransmissions: n} })
 }
 
 // WithMetrics registers the system's live metrics on reg: insert/query
@@ -146,8 +133,7 @@ var _ dcs.StorageReporter = (*System)(nil)
 
 // New builds a Pool system for events of the given dimensionality. Pivot
 // cells are placed randomly (non-overlapping where possible) using src,
-// matching the paper's random pivot placement, unless WithPivots pins
-// them.
+// matching the paper's random pivot placement.
 func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, opts ...Option) (*System, error) {
 	cfg := config{side: DefaultSide}
 	for _, o := range opts {
@@ -294,8 +280,8 @@ func (s *System) pickDelegate(index, current int) int {
 		if v == current || s.dead[v] {
 			continue
 		}
-		if best < 0 || s.stored[v] < bestLoad {
-			best, bestLoad = v, s.stored[v]
+		if best < 0 || s.Stored(v) < bestLoad {
+			best, bestLoad = v, s.Stored(v)
 		}
 	}
 	if best < 0 {
@@ -384,22 +370,22 @@ func (s *System) gather(key Key, node int, mirror bool) (n int, partial bool) {
 		s.replyBuf = s.AppendMirrorMatches(s.replyBuf, rq, key)
 		return len(s.replyBuf) - start, partial
 	}
-	segs := s.segsOf(key)
+	segs := s.Segments(key)
 	for j := range segs {
 		seg := &segs[j]
-		if seg.node != node {
-			if _, err := s.unicast(node, seg.node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
+		if seg.Node != node {
+			if _, err := s.unicast(node, seg.Node, network.KindQuery, dcs.QueryBytes(s.dims)); err != nil {
 				partial = true
 				continue
 			}
 		}
 		mark := len(s.replyBuf)
-		s.replyBuf = seg.rows.AppendMatches(s.replyBuf, rq)
+		s.replyBuf = seg.Rows.AppendMatches(s.replyBuf, rq)
 		segMatches := len(s.replyBuf) - mark
-		if segMatches == 0 || seg.node == node {
+		if segMatches == 0 || seg.Node == node {
 			continue
 		}
-		if _, err := s.unicast(seg.node, node, network.KindReply,
+		if _, err := s.unicast(seg.Node, node, network.KindReply,
 			dcs.ReplyBytes(s.dims, segMatches)); err != nil {
 			// The delegate's reply never reached the index node.
 			s.replyBuf = s.replyBuf[:mark]

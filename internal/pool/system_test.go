@@ -3,12 +3,25 @@ package pool
 import (
 	"testing"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
 )
+
+// withPivots pins the Pool pivot cells instead of placing them randomly.
+// One pivot per event dimension is required.
+func withPivots(pivots []CellID) Option {
+	return optionFunc(func(c *config) { c.pivots = append([]CellID(nil), pivots...) })
+}
+
+// withARQBudget overrides the per-hop link-layer retransmission budget for
+// every routed unicast the system issues.
+func withARQBudget(n int) Option {
+	return optionFunc(func(c *config) { c.arq = dcs.TxOptions{MaxRetransmissions: n} })
+}
 
 func newSystem(t testing.TB, n int, seed int64, opts ...Option) (*System, *network.Network) {
 	t.Helper()
@@ -38,10 +51,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(net, router, 3, nil); err == nil {
 		t.Error("nil rng without pivots accepted")
 	}
-	if _, err := New(net, router, 3, nil, WithPivots([]CellID{{0, 0}})); err == nil {
+	if _, err := New(net, router, 3, nil, withPivots([]CellID{{0, 0}})); err == nil {
 		t.Error("wrong pivot count accepted")
 	}
-	if _, err := New(net, router, 3, nil, WithPivots([]CellID{{0, 0}, {1, 1}, {1000, 1000}})); err == nil {
+	if _, err := New(net, router, 3, nil, withPivots([]CellID{{0, 0}, {1, 1}, {1000, 1000}})); err == nil {
 		t.Error("out-of-grid pivot accepted")
 	}
 	// A pool side larger than the whole grid must fail.
@@ -264,7 +277,7 @@ func TestWithPivotsPinsLayout(t *testing.T) {
 	}
 	net := network.New(l)
 	pivots := []CellID{{1, 2}, {2, 10}, {7, 3}}
-	s, err := New(net, gpsr.New(l), 3, nil, WithPivots(pivots), WithPoolSide(5))
+	s, err := New(net, gpsr.New(l), 3, nil, withPivots(pivots), WithPoolSide(5))
 	if err != nil {
 		t.Fatal(err)
 	}

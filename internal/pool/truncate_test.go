@@ -7,6 +7,7 @@ import (
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/dcs/dcstest"
 	"pooldcs/internal/event"
+	"pooldcs/internal/holding"
 	"pooldcs/internal/rng"
 )
 
@@ -30,8 +31,8 @@ func seqsOf(lists ...[]event.Event) map[uint64]bool {
 // cellSeqs collects the Seq of every event stored for one cell.
 func cellSeqs(s *System, key Key) map[uint64]bool {
 	out := make(map[uint64]bool)
-	for _, seg := range s.segsOf(key) {
-		for _, e := range seg.rows.AppendTo(nil) {
+	for _, seg := range s.Segments(key) {
+		for _, e := range seg.Rows.AppendTo(nil) {
 			out[e.Seq] = true
 		}
 	}
@@ -47,10 +48,10 @@ func checkNoPhantoms(t testing.TB, s *System, got []event.Event, comp dcs.Comple
 		unreached[l] = true
 	}
 	home := make(map[uint64]Key)
-	for i, segs := range s.segs {
+	for i, segs := range s.allSegs() {
 		key := s.keyAt(i)
 		for _, seg := range segs {
-			for _, e := range seg.rows.AppendTo(nil) {
+			for _, e := range seg.Rows.AppendTo(nil) {
 				home[e.Seq] = key
 			}
 		}
@@ -144,7 +145,7 @@ search:
 func TestLostDelegateReplyContributesNothing(t *testing.T) {
 	// One ARQ attempt per hop, so a single dropped frame loses a leg.
 	const quota = 10
-	s, net, _ := newUniverse(t, 300, 592, WithWorkloadSharing(quota), WithARQBudget(1))
+	s, net, _ := newUniverse(t, 300, 592, WithWorkloadSharing(quota), withARQBudget(1))
 	src := rng.New(593)
 	for i := 0; i < 3*quota; i++ {
 		e := event.New(0.9+src.Float64()*0.001, 0.5, 0.1)
@@ -154,29 +155,29 @@ func TestLostDelegateReplyContributesNothing(t *testing.T) {
 		}
 	}
 	var key Key
-	for i, segs := range s.segs {
+	for i, segs := range s.allSegs() {
 		k := s.keyAt(i)
 		if len(segs) > 1 {
 			key = k
 		}
 	}
-	segs := s.segsOf(key)
+	segs := s.Segments(key)
 	if len(segs) < 2 {
 		t.Fatal("no delegated segment")
 	}
 	// The index node asks for itself: it is its own sink and splitter, so
 	// the only radio legs of the cell are the index↔delegate exchanges.
-	index, delegate := s.IndexNode(key.Cell), segs[1].node
-	if segs[0].node != index || delegate == index {
-		t.Fatalf("segments at %d,%d for index %d", segs[0].node, delegate, index)
+	index, delegate := s.IndexNode(key.Cell), segs[1].Node
+	if segs[0].Node != index || delegate == index {
+		t.Fatalf("segments at %d,%d for index %d", segs[0].Node, delegate, index)
 	}
-	lost := seqsOf(segs[1].rows.AppendTo(nil))
-	kept := seqsOf(segs[0].rows.AppendTo(nil))
+	lost := seqsOf(segs[1].Rows.AppendTo(nil))
+	kept := seqsOf(segs[0].Rows.AppendTo(nil))
 	for _, seg := range segs[2:] {
-		if seg.node == delegate {
+		if seg.Node == delegate {
 			t.Fatalf("delegate %d holds two segments", delegate)
 		}
-		for seq := range seqsOf(seg.rows.AppendTo(nil)) {
+		for seq := range seqsOf(seg.Rows.AppendTo(nil)) {
 			kept[seq] = true
 		}
 	}
@@ -223,9 +224,9 @@ func TestJammedRestoreLeavesKeyLost(t *testing.T) {
 	s, net, router := newUniverse(t, 300, 598, WithReplication())
 	loadEvents(t, s, 600, 599)
 	var key Key
-	for i, segs, most := 0, s.segs, 0; i < len(segs); i++ {
-		if len(segs[i]) > 0 && segs[i][0].rows.Len() > most {
-			key, most = s.keyAt(i), segs[i][0].rows.Len()
+	for i, segs, most := 0, s.allSegs(), 0; i < len(segs); i++ {
+		if len(segs[i]) > 0 && segs[i][0].Rows.Len() > most {
+			key, most = s.keyAt(i), segs[i][0].Rows.Len()
 		}
 	}
 	// The first crash re-elects the cell onto its mirror, which adopts its
@@ -244,7 +245,7 @@ func TestJammedRestoreLeavesKeyLost(t *testing.T) {
 	if s.IndexNode(key.Cell) != first || mirror == first || mirror < 0 {
 		t.Fatalf("cell held by %d with mirror %d; want the first victim %d pulling from another node", s.IndexNode(key.Cell), mirror, first)
 	}
-	if p, _ := s.Durability(key); p != PrimaryLost {
+	if p, _ := s.Durability(key); p != holding.Lost {
 		t.Errorf("key is %d after its restore transfer was jammed, want lost", p)
 	}
 	if _, comp, err := s.QueryWithReport(pickAlive(s), fullDomain()); err != nil || !listed(comp, CellLabel(key.Dim, key.Cell)) {
@@ -295,8 +296,8 @@ search:
 
 	withMatches := 0
 	for _, c := range cells {
-		for _, seg := range s.segsOf(Key{Dim: 1, Cell: c}) {
-			if len(q.Filter(seg.rows.AppendTo(nil))) > 0 {
+		for _, seg := range s.Segments(Key{Dim: 1, Cell: c}) {
+			if len(q.Filter(seg.Rows.AppendTo(nil))) > 0 {
 				withMatches++
 				break
 			}

@@ -142,10 +142,10 @@ func TestTreeOperationsNameUnreachedCells(t *testing.T) {
 		t.Errorf("delete past a corpse: err = %v", err)
 	}
 	left := 0
-	for i, segs := range s.segs {
+	for i, segs := range s.allSegs() {
 		k := s.keyAt(i)
 		for _, seg := range segs {
-			if n := len(wide.Rewrite().Filter(seg.rows.AppendTo(nil))); n > 0 && s.IndexNode(k.Cell) != victim {
+			if n := len(wide.Rewrite().Filter(seg.Rows.AppendTo(nil))); n > 0 && s.IndexNode(k.Cell) != victim {
 				t.Errorf("cell %v still holds %d matches", k.Cell, n)
 			} else {
 				left += n

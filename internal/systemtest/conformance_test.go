@@ -102,10 +102,8 @@ func scenarios() []scenario {
 			// Detection ran, so service must be complete for every system
 			// that kept its data; how much survives is each design's story:
 			// replication keeps recall 1, the single-copy systems lose the
-			// victim's share, which the single-copy Pools report.
-			expect: everySystem(
-				expect{minRecall: 0.5, complete: true},
-				lostShare(expect{fullRecall: true, complete: true})),
+			// victim's share and report it.
+			expect: lostShare,
 		},
 		{
 			name: "silent-crash",
@@ -204,9 +202,7 @@ func scenarios() []scenario {
 					t.Errorf("query A's result changed under later writes: %v, was %v", a, snapshot)
 				}
 			},
-			expect: everySystem(
-				expect{minRecall: 0.5, complete: true},
-				lostShare(expect{fullRecall: true, complete: true})),
+			expect: lostShare,
 		},
 		{
 			// A store that kept its caller's Values would answer from, or
@@ -354,9 +350,7 @@ func scenarios() []scenario {
 			},
 			// After emergent detection the service contract is the same as
 			// for a hand-detected crash.
-			expect: everySystem(
-				expect{minRecall: 0.5, complete: true},
-				lostShare(expect{fullRecall: true, complete: true})),
+			expect: lostShare,
 		},
 		{
 			// The first victim comes back empty and closest to its old
@@ -398,28 +392,28 @@ func deepCopy(events []event.Event) []event.Event {
 
 // cascadeExpect is what two detected crashes leave: every event with a
 // mirror, and for the single-copy systems the two victims' shares lost,
-// which the single-copy Pools report and DIM and GHT do not. The floors sit
-// below the lowest recall seeds 4200–4207 measure: 0.61 for Pool, 0.81 for
-// DIM and 0.88 for GHT.
+// and reported. The floors sit below the lowest recall seeds 4200–4207
+// measure: 0.61 for Pool, 0.81 for DIM and 0.88 for GHT.
 var cascadeExpect = everySystem(
-	expect{minRecall: 0.55, complete: true},
+	expect{minRecall: 0.55, incomplete: true},
 	map[string]expect{
-		"pool":        {minRecall: 0.55, incomplete: true},
-		"node":        {minRecall: 0.55, incomplete: true},
 		"pool+repl":   {fullRecall: true, complete: true},
 		"node+repair": {fullRecall: true, complete: true},
-		"dim":         {minRecall: 0.75, complete: true},
-		"ght":         {minRecall: 0.8, complete: true},
-		"ght+sr":      {minRecall: 0.8, complete: true},
+		"dim":         {minRecall: 0.75, incomplete: true},
+		"ght":         {minRecall: 0.8, incomplete: true},
+		"ght+sr":      {minRecall: 0.8, incomplete: true},
 	})
 
-// lostShare holds the replicated Pools to replicated and the single-copy
-// Pools to a detected crash's loss, reported: the keys that lost events
-// answer incomplete from then on.
-func lostShare(replicated expect) map[string]expect {
-	lossy := expect{minRecall: 0.5, incomplete: true}
-	return map[string]expect{"pool+repl": replicated, "node+repair": replicated, "pool": lossy, "node": lossy}
-}
+// lostShare is what a detected crash leaves: the replicated Pools keep
+// every event, and every single-copy system loses the victim's share and
+// reports it — a Pool key, DIM zone or GHT point that lost events answers
+// incomplete from then on.
+var lostShare = everySystem(
+	expect{minRecall: 0.5, incomplete: true},
+	map[string]expect{
+		"pool+repl":   {fullRecall: true, complete: true},
+		"node+repair": {fullRecall: true, complete: true},
+	})
 
 // crashMostLoaded crashes the node holding the most events, detected, and
 // returns it.

@@ -229,7 +229,9 @@ type Report struct {
 //     not error;
 //   - 0 ≤ CellsReached ≤ CellsTotal and the Unreached list matches the
 //     gap exactly;
-//   - every returned event matches the query (no phantom results).
+//   - every returned event matches the query (no phantom results);
+//   - a complete answer holds every oracle event: completeness is never
+//     over-reported.
 func (u *Universe) RunQueries(sink int) Report {
 	var rep Report
 	for _, e := range u.Events {
@@ -262,7 +264,12 @@ func (u *Universe) RunQueries(sink int) Report {
 					fmt.Sprintf("event %d: phantom result %d", e.Seq, g.Seq))
 			}
 		}
-		rep.SumRecall += recallOf(got, oracle)
+		recall := recallOf(got, oracle)
+		if comp.Complete() && recall < 1 {
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("event %d: complete answer with recall %.3f", e.Seq, recall))
+		}
+		rep.SumRecall += recall
 		rep.Retries += comp.Retries
 		if comp.Complete() {
 			rep.Complete++
