@@ -13,11 +13,18 @@ test:
 	$(GO) test ./...
 
 # go vet, then gofmt: any Go file gofmt would rewrite (bench/ included,
-# the bench-pair build tree not) fails the target.
+# the bench-pair build tree not) fails the target. Then the one
+# deployment constructor: a non-test Go file under internal/ or cmd/
+# outside internal/experiment that generates a field or builds a router
+# or a radio fails it too (examples/ teach those building blocks, and
+# bench/ is a module of its own).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '\b(field\.Generate(Clustered)?|gpsr\.New|network\.New)\(' \
+		$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/experiment/*')); \
+	if [ -n "$$out" ]; then echo "deployment built outside experiment.Deploy:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -47,6 +47,7 @@ import (
 	"strings"
 	"time"
 
+	"pooldcs/internal/experiment"
 	"pooldcs/internal/load"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
@@ -63,7 +64,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("poolload", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "random seed")
-	backend := fs.String("backend", "pool", "backend: "+strings.Join(load.Backends(), " | "))
+	backend := fs.String("backend", "pool", "backend: "+strings.Join(experiment.LoadBackends(), " | "))
 	modeFlag := fs.String("mode", "open", "arrival regime: open | closed")
 	arrivalFlag := fs.String("arrival", "poisson", "open-loop arrival process: poisson | uniform")
 	ratesFlag := fs.String("rates", "25,50,100,200,400", "comma-separated open-loop offered rates (ops/sec)")
@@ -214,11 +215,11 @@ func run(args []string, out io.Writer) error {
 // points are independent and the sweep order cannot leak state.
 func runPoint(backend string, nodes, perNode int, cfg load.Config) (*load.Report, error) {
 	sched := sim.NewScheduler()
-	dep, err := load.Deploy(backend, nodes, cfg.Dims, perNode, rng.New(cfg.Seed), sched, load.CostModel{})
+	target, err := experiment.DeployLoad(backend, nodes, cfg.Dims, perNode, rng.New(cfg.Seed), sched)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := load.NewEngine(sched, dep.Target, dep.Nodes, cfg)
+	eng, err := load.NewEngine(sched, target, nodes, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,7 @@ import (
 	"pooldcs/internal/chaos"
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/discovery"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
+	"pooldcs/internal/experiment"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
@@ -97,21 +96,20 @@ func run(args []string, out io.Writer) error {
 
 	reg := metrics.New()
 	src := rng.New(*seed)
-	layout, err := field.Generate(field.DefaultSpec(*n), src.Fork("layout"))
+	env, err := experiment.Deploy(*n, *dims, src)
 	if err != nil {
 		return err
 	}
 	sched := sim.NewScheduler()
-	net := network.New(layout, network.WithMetrics(reg))
-	router := gpsr.New(layout)
 	poolOpts := []pool.Option{pool.WithMetrics(reg)}
 	if *repair {
 		poolOpts = append(poolOpts, pool.WithReplication())
 	}
-	sys, err := pool.New(net, router, *dims, src.Fork("pivots"), poolOpts...)
+	sys, err := env.AddPool("pool", src.Fork("pivots"), []network.Option{network.WithMetrics(reg)}, poolOpts...)
 	if err != nil {
 		return err
 	}
+	net, router := env.Arms[0].Net, env.Router
 	// The actor engine shares the pool layout so both implementations
 	// observe the same cells.
 	var pivots []pool.CellID

@@ -24,8 +24,6 @@ import (
 
 	"pooldcs/internal/event"
 	"pooldcs/internal/experiment"
-	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
@@ -243,19 +241,18 @@ func runRoute(args []string, out io.Writer) error {
 		return err
 	}
 
-	src := rng.New(*seed)
-	layout, err := field.Generate(field.DefaultSpec(*n), src)
+	env, err := experiment.Deploy(*n, 3, rng.New(*seed))
 	if err != nil {
 		return err
 	}
+	layout := env.Layout
 	if *to < 0 {
 		*to = layout.N() - 1
 	}
 	if *from < 0 || *from >= layout.N() || *to < 0 || *to >= layout.N() {
 		return fmt.Errorf("nodes must be in 0..%d", layout.N()-1)
 	}
-	router := gpsr.New(layout)
-	res, err := router.RouteToNode(*from, *to)
+	res, err := env.Router.RouteToNode(*from, *to)
 	if err != nil {
 		return err
 	}

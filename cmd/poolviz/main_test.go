@@ -1,10 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/experiment"
+	"pooldcs/internal/rng"
 )
 
 func TestParseQuery(t *testing.T) {
@@ -192,4 +195,21 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("parseQuery(%q) returned invalid query: %v", s, err)
 		}
 	})
+}
+
+// TestRunRouteDrawsDeployedField: route draws the field experiment.Deploy
+// builds at the same seed, the one layout draws too.
+func TestRunRouteDrawsDeployedField(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"route", "-n", "300", "-seed", "42", "-from", "0", "-to", "299"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	env, err := experiment.Deploy(300, 3, rng.New(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("distance %.0f m", env.Layout.Pos(0).Dist(env.Layout.Pos(299)))
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("route output lacks %q:\n%s", want, out.String())
+	}
 }

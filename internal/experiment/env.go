@@ -88,16 +88,7 @@ func Deploy(n, dims int, src *rng.Source) (*Env, error) {
 
 // deployOn wraps an already generated layout.
 func deployOn(layout *field.Layout, dims int) *Env {
-	return &Env{Layout: layout, Router: newRouter(layout), Dims: dims}
-}
-
-// newRouter planarises eagerly: planarisation is the router's one lazy
-// mutation, and doing it here is what lets arms share the router across
-// goroutines.
-func newRouter(layout *field.Layout) *gpsr.Router {
-	r := gpsr.New(layout)
-	r.PlanarNeighbors(0)
-	return r
+	return &Env{Layout: layout, Router: gpsr.New(layout), Dims: dims}
 }
 
 // NewEnv builds the paper's comparison: a deployment of n nodes with a
@@ -128,7 +119,7 @@ func (e *Env) arm(name string, net []network.Option) *Arm {
 	// A nil registry attaches nothing, here and in the schemes' options.
 	a.Net = network.New(e.Layout, append([]network.Option{network.WithMetrics(a.Reg)}, net...)...)
 	if e.ownRouters {
-		a.Router = newRouter(e.Layout)
+		a.Router = gpsr.New(e.Layout)
 	}
 	e.Arms = append(e.Arms, a)
 	return a

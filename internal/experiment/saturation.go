@@ -57,12 +57,11 @@ func Saturation(cfg Config, rates []float64) (*Result, error) {
 		sched := sim.NewScheduler()
 		// Same seed at every point: each trial sees the same deployment and
 		// arrival randomness, so rate and policy are the only variables.
-		dep, err := load.Deploy(pt.backend, saturationNodes, cfg.Dims, cfg.EventsPerNode,
-			rng.New(cfg.Seed), sched, load.CostModel{})
+		target, err := DeployLoad(pt.backend, saturationNodes, cfg.Dims, cfg.EventsPerNode, rng.New(cfg.Seed), sched)
 		if err != nil {
 			return nil, err
 		}
-		eng, err := load.NewEngine(sched, dep.Target, dep.Nodes, load.Config{
+		eng, err := load.NewEngine(sched, target, saturationNodes, load.Config{
 			Seed:      cfg.Seed,
 			Rate:      pt.rate,
 			Duration:  saturationDuration,

@@ -3,7 +3,32 @@ package experiment
 import (
 	"strconv"
 	"testing"
+
+	"pooldcs/internal/load"
+	"pooldcs/internal/rng"
+	"pooldcs/internal/sim"
 )
+
+// TestDeployLoadBackends deploys every backend poolload offers, and an
+// unknown name, which must fail.
+func TestDeployLoadBackends(t *testing.T) {
+	for _, backend := range append(LoadBackends(), "nosuch") {
+		target, err := DeployLoad(backend, 40, 3, 1, rng.New(1), sim.NewScheduler())
+		if backend == "nosuch" {
+			if err == nil {
+				t.Error("unknown backend deployed")
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", backend, err)
+			continue
+		}
+		if target.Name() != backend || !target.Supports(load.PointQuery) {
+			t.Errorf("%s: deployed %q, point queries supported %v", backend, target.Name(), target.Supports(load.PointQuery))
+		}
+	}
+}
 
 func TestSaturationShape(t *testing.T) {
 	cfg := Quick()

@@ -1,4 +1,4 @@
-package load
+package load_test
 
 import (
 	"strings"
@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"pooldcs/internal/attrib"
+	"pooldcs/internal/experiment"
+	"pooldcs/internal/load"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
@@ -14,14 +16,14 @@ import (
 
 // runAutopsy deploys backend fresh and executes one load run with the
 // autopsy enabled over a ring of ringCap events.
-func runAutopsy(t *testing.T, backend string, cfg Config, ringCap int, reg *metrics.Registry) (*Report, *trace.Tracer) {
+func runAutopsy(t *testing.T, backend string, cfg load.Config, ringCap int, reg *metrics.Registry) (*load.Report, *trace.Tracer) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	dep, err := Deploy(backend, 60, cfg.Dims, 2, rng.New(cfg.Seed), sched, CostModel{})
+	target, err := experiment.DeployLoad(backend, 60, cfg.Dims, 2, rng.New(cfg.Seed), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(sched, dep.Target, dep.Nodes, cfg)
+	eng, err := load.NewEngine(sched, target, 60, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +39,8 @@ func runAutopsy(t *testing.T, backend string, cfg Config, ringCap int, reg *metr
 
 // overloadCfg offers well past the station model's capacity so SLO
 // windows breach and the autopsy has something to capture.
-func overloadCfg(seed int64) Config {
-	return Config{Seed: seed, Rate: 300, Duration: 4 * time.Second, Dims: 3}
+func overloadCfg(seed int64) load.Config {
+	return load.Config{Seed: seed, Rate: 300, Duration: 4 * time.Second, Dims: 3}
 }
 
 func TestAutopsyCapturesExemplars(t *testing.T) {
@@ -50,9 +52,9 @@ func TestAutopsyCapturesExemplars(t *testing.T) {
 		t.Fatal("breached windows captured no exemplars")
 	}
 	breached := rep.SLOWindows - rep.SLOOK
-	if len(rep.Exemplars) > breached*exemplarsPerWindow {
+	if len(rep.Exemplars) > breached*load.ExemplarsPerWindow {
 		t.Fatalf("%d exemplars from %d breached windows (cap %d/window)",
-			len(rep.Exemplars), breached, exemplarsPerWindow)
+			len(rep.Exemplars), breached, load.ExemplarsPerWindow)
 	}
 	lastW := int64(-1)
 	for _, ex := range rep.Exemplars {
@@ -87,7 +89,7 @@ func TestAutopsyBurnRates(t *testing.T) {
 	if n == 0 || bad == 0 {
 		t.Fatal("overload run breached no windows")
 	}
-	wantSlow := float64(bad) / float64(n) / DefaultSLO.Budget
+	wantSlow := float64(bad) / float64(n) / load.DefaultSLO.Budget
 	if rep.BurnSlow != wantSlow {
 		t.Errorf("slow burn %g, want %g", rep.BurnSlow, wantSlow)
 	}
@@ -101,7 +103,7 @@ func TestAutopsyBurnRates(t *testing.T) {
 	}
 
 	// A healthy run burns nothing.
-	healthy, _ := runAutopsy(t, "pool", Config{Seed: 63, Rate: 20, Duration: 4 * time.Second, Dims: 3}, 1<<16, nil)
+	healthy, _ := runAutopsy(t, "pool", load.Config{Seed: 63, Rate: 20, Duration: 4 * time.Second, Dims: 3}, 1<<16, nil)
 	if healthy.SLOOK != healthy.SLOWindows {
 		t.Fatalf("light load breached %d windows", healthy.SLOWindows-healthy.SLOOK)
 	}
@@ -139,7 +141,7 @@ func TestAutopsyRingEviction(t *testing.T) {
 // autopsy watches the run, it must not alter it.
 func TestAutopsyDoesNotChangeOutcomes(t *testing.T) {
 	cfg := overloadCfg(65)
-	cfg.Admission = AdmissionConfig{Policy: ShedOnDepth, HighDepth: 4, LowDepth: 2}
+	cfg.Admission = load.AdmissionConfig{Policy: load.ShedOnDepth, HighDepth: 4, LowDepth: 2}
 	plain := summarize(runOnce(t, "pool", cfg))
 	traced, _ := runAutopsy(t, "pool", cfg, 1<<16, nil)
 	if got := summarize(traced); got != plain {
@@ -151,7 +153,7 @@ func TestAutopsyDoesNotChangeOutcomes(t *testing.T) {
 // spans must nest into real hop-by-hop traffic and still account
 // exactly.
 func TestAutopsyActorBackend(t *testing.T) {
-	rep, tr := runAutopsy(t, "pool-actor", Config{Seed: 66, Rate: 150, Duration: 4 * time.Second, Dims: 3}, 1<<18, nil)
+	rep, tr := runAutopsy(t, "pool-actor", load.Config{Seed: 66, Rate: 150, Duration: 4 * time.Second, Dims: 3}, 1<<18, nil)
 	if rep.Served == 0 {
 		t.Fatal("no traffic served")
 	}

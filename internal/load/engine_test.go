@@ -1,23 +1,25 @@
-package load
+package load_test
 
 import (
 	"testing"
 	"time"
 
+	"pooldcs/internal/experiment"
+	"pooldcs/internal/load"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
 
 // runOnce deploys backend fresh and executes one load run.
-func runOnce(t *testing.T, backend string, cfg Config) *Report {
+func runOnce(t *testing.T, backend string, cfg load.Config) *load.Report {
 	t.Helper()
 	sched := sim.NewScheduler()
-	dep, err := Deploy(backend, 60, cfg.Dims, 2, rng.New(cfg.Seed), sched, CostModel{})
+	target, err := experiment.DeployLoad(backend, 60, cfg.Dims, 2, rng.New(cfg.Seed), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(sched, dep.Target, dep.Nodes, cfg)
+	eng, err := load.NewEngine(sched, target, 60, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ type summary struct {
 	p50, p99                                              int64
 }
 
-func summarize(r *Report) summary {
+func summarize(r *load.Report) summary {
 	q := r.QueryLatency()
 	return summary{
 		offered: r.Offered, served: r.Served, shed: r.Shed,
@@ -47,15 +49,15 @@ func summarize(r *Report) summary {
 }
 
 func TestEngineDeterminism(t *testing.T) {
-	cfg := Config{
+	cfg := load.Config{
 		Seed: 7, Rate: 80, Duration: 3 * time.Second, Dims: 3,
-		Admission: AdmissionConfig{Policy: ShedOnDepth},
+		Admission: load.AdmissionConfig{Policy: load.ShedOnDepth},
 	}
 	for _, backend := range []string{"pool", "dim", "ght", "pool-actor"} {
 		c := cfg
 		if backend == "ght" {
 			// GHT has no range-query support; offer only supported classes.
-			c.Mix = Mix{Point: 0.9, Insert: 0.1}
+			c.Mix = load.Mix{Point: 0.9, Insert: 0.1}
 		}
 		a := summarize(runOnce(t, backend, c))
 		b := summarize(runOnce(t, backend, c))
@@ -73,7 +75,7 @@ func TestEngineDeterminism(t *testing.T) {
 // keeps p99 bounded at the cost of explicit rejections.
 func TestEngineKnee(t *testing.T) {
 	for _, backend := range []string{"pool", "dim"} {
-		base := Config{Seed: 42, Rate: 300, Duration: 4 * time.Second, Dims: 3}
+		base := load.Config{Seed: 42, Rate: 300, Duration: 4 * time.Second, Dims: 3}
 
 		open := runOnce(t, backend, base)
 		if open.Shed != 0 {
@@ -84,7 +86,7 @@ func TestEngineKnee(t *testing.T) {
 		shedCfg := base
 		// Tight thresholds: bound the wait a served query can see to a few
 		// service times, holding p99 under the default 500ms SLO target.
-		shedCfg.Admission = AdmissionConfig{Policy: ShedOnDepth, HighDepth: 4, LowDepth: 2}
+		shedCfg.Admission = load.AdmissionConfig{Policy: load.ShedOnDepth, HighDepth: 4, LowDepth: 2}
 		shed := runOnce(t, backend, shedCfg)
 		shedP99 := shed.QueryLatency().Quantile(99)
 
@@ -109,7 +111,7 @@ func TestEngineKnee(t *testing.T) {
 }
 
 func TestEngineZeroRate(t *testing.T) {
-	rep := runOnce(t, "pool", Config{Seed: 1, Rate: 0, Duration: time.Second, Dims: 3})
+	rep := runOnce(t, "pool", load.Config{Seed: 1, Rate: 0, Duration: time.Second, Dims: 3})
 	if rep.Offered != 0 || rep.Served != 0 || rep.SLOWindows != 0 {
 		t.Fatalf("zero-rate run saw traffic: %+v", summarize(rep))
 	}
@@ -119,8 +121,8 @@ func TestEngineZeroRate(t *testing.T) {
 }
 
 func TestEngineClosedLoop(t *testing.T) {
-	rep := runOnce(t, "pool", Config{
-		Seed: 3, Mode: Closed, Clients: 8, Think: 20 * time.Millisecond,
+	rep := runOnce(t, "pool", load.Config{
+		Seed: 3, Mode: load.Closed, Clients: 8, Think: 20 * time.Millisecond,
 		Duration: 3 * time.Second, Dims: 3,
 	})
 	if rep.Mode != "closed" {
@@ -140,8 +142,8 @@ func TestEngineClosedLoop(t *testing.T) {
 }
 
 func TestEngineUniformArrivals(t *testing.T) {
-	rep := runOnce(t, "pool", Config{
-		Seed: 5, Arrival: Uniform, Rate: 50, Duration: 2 * time.Second, Dims: 3,
+	rep := runOnce(t, "pool", load.Config{
+		Seed: 5, Arrival: load.Uniform, Rate: 50, Duration: 2 * time.Second, Dims: 3,
 	})
 	if rep.Mode != "open/uniform" {
 		t.Fatalf("mode = %q", rep.Mode)
@@ -155,12 +157,12 @@ func TestEngineUniformArrivals(t *testing.T) {
 
 func TestEngineRejectsUnsupportedMix(t *testing.T) {
 	sched := sim.NewScheduler()
-	dep, err := Deploy("ght", 40, 3, 1, rng.New(1), sched, CostModel{})
+	target, err := experiment.DeployLoad("ght", 40, 3, 1, rng.New(1), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// GHT cannot serve range queries; the default mix includes them.
-	if _, err := NewEngine(sched, dep.Target, dep.Nodes, Config{
+	if _, err := load.NewEngine(sched, target, 40, load.Config{
 		Seed: 1, Rate: 10, Duration: time.Second, Dims: 3,
 	}); err == nil {
 		t.Fatal("engine accepted range queries for ght")
@@ -168,9 +170,9 @@ func TestEngineRejectsUnsupportedMix(t *testing.T) {
 }
 
 func TestEngineBatching(t *testing.T) {
-	rep := runOnce(t, "pool", Config{
+	rep := runOnce(t, "pool", load.Config{
 		Seed: 11, Rate: 300, Duration: 4 * time.Second, Dims: 3,
-		Admission: AdmissionConfig{Policy: ShedOnDepth, BatchLimit: 8},
+		Admission: load.AdmissionConfig{Policy: load.ShedOnDepth, BatchLimit: 8},
 	})
 	if rep.Degraded == 0 {
 		t.Fatal("overloaded run with batching never degraded")
@@ -186,13 +188,13 @@ func TestEngineBatching(t *testing.T) {
 
 func TestEngineMetrics(t *testing.T) {
 	sched := sim.NewScheduler()
-	dep, err := Deploy("dim", 60, 3, 2, rng.New(9), sched, CostModel{})
+	target, err := experiment.DeployLoad("dim", 60, 3, 2, rng.New(9), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(sched, dep.Target, dep.Nodes, Config{
+	eng, err := load.NewEngine(sched, target, 60, load.Config{
 		Seed: 9, Rate: 150, Duration: 3 * time.Second, Dims: 3,
-		Admission: AdmissionConfig{Policy: ShedOnDepth},
+		Admission: load.AdmissionConfig{Policy: load.ShedOnDepth},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,23 +231,17 @@ func TestEngineMetrics(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
+	bad := []load.Config{
 		{},                      // no duration
 		{Duration: time.Second}, // no dims
 		{Duration: time.Second, Dims: 3, Rate: -1},
-		{Duration: time.Second, Dims: 3, Mode: Closed},
-		{Duration: time.Second, Dims: 3, Mix: Mix{Point: -1}},
-		{Duration: time.Second, Dims: 3, Admission: AdmissionConfig{Policy: TokenBucket}},
+		{Duration: time.Second, Dims: 3, Mode: load.Closed},
+		{Duration: time.Second, Dims: 3, Mix: load.Mix{Point: -1}},
+		{Duration: time.Second, Dims: 3, Admission: load.AdmissionConfig{Policy: load.TokenBucket}},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v validated", cfg)
 		}
-	}
-}
-
-func TestDeployUnknownBackend(t *testing.T) {
-	if _, err := Deploy("nosuch", 10, 3, 1, rng.New(1), sim.NewScheduler(), CostModel{}); err == nil {
-		t.Fatal("unknown backend deployed")
 	}
 }

@@ -17,10 +17,9 @@ import (
 
 	"pooldcs/internal/chaos"
 	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
-	"pooldcs/internal/field"
+	"pooldcs/internal/experiment"
 	"pooldcs/internal/ght"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
@@ -65,12 +64,14 @@ type Deleter interface {
 	Delete(sink int, q event.Query) (int, error)
 }
 
-// Factory names one system flavour and builds it over a substrate. The
-// scheduler is the deployment's event kernel: the synchronous systems
-// ignore it, the actor-engine flavours run their exchanges on it.
+// Factory names one system flavour and adds it, under the given name,
+// as the one arm of a deployment: the arm's radio carries its traffic,
+// the deployment's router routes it, and the actor-engine flavours run
+// their exchanges on the deployment's scheduler. src is the flavour's
+// own randomness (Pool's pivots).
 type Factory struct {
 	Name string
-	New  func(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source) (SUT, error)
+	Add  func(e *experiment.Env, name string, src *rng.Source) (SUT, error)
 }
 
 // Factories returns every system flavour the conformance suite covers.
@@ -80,59 +81,56 @@ type Factory struct {
 // completion behind the synchronous SUT surface by node.Sync.
 func Factories() []Factory {
 	return []Factory{
-		{"pool", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return pool.New(net, router, dims, src)
+		{"pool", func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+			return e.AddPool(name, src, nil)
 		}},
-		{"pool+repl", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return pool.New(net, router, dims, src, pool.WithReplication())
+		{"pool+repl", func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+			return e.AddPool(name, src, nil, pool.WithReplication())
 		}},
-		{"dim", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return dim.New(net, router, dims)
+		{"dim", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
+			return e.AddDIM(name, nil)
 		}},
-		{"ght", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return ght.New(net, router), nil
+		{"ght", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
+			return e.AddGHT(name, nil), nil
 		}},
-		{"ght+sr", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return ght.New(net, router, ght.WithStructuredReplication(1)), nil
+		{"ght+sr", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
+			return e.AddGHT(name, nil, ght.WithStructuredReplication(1)), nil
 		}},
-		{"node", func(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			eng, err := node.NewEngine(net, router, sched, dims, src, nil)
-			if err != nil {
-				return nil, err
-			}
-			return node.NewSync("node", eng, sched), nil
-		}},
-		{"node+repair", func(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			eng, err := node.NewEngine(net, router, sched, dims, src, nil, node.WithReplication())
-			if err != nil {
-				return nil, err
-			}
-			return node.NewSync("node+repair", eng, sched), nil
-		}},
+		{"node", addActor()},
+		{"node+repair", addActor(node.WithReplication())},
+	}
+}
+
+// addActor is the Add of an actor-engine flavour: it returns the
+// node.Sync surface AddActor gave the arm.
+func addActor(opts ...node.Option) func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+	return func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+		if _, err := e.AddActor(name, src, nil, opts...); err != nil {
+			return nil, err
+		}
+		return e.Arms[len(e.Arms)-1].Sys.(SUT), nil
 	}
 }
 
 // BuildUniverse assembles one factory's system over a fresh deployment
 // and loads events from random origins. The same seed always yields the
-// same universe, event placement, and beacon timeline.
+// same universe, event placement, and beacon timeline: its forks, in
+// order, are layout, system, beacons, events.
 func BuildUniverse(f Factory, n, nEvents, dims int, seed int64) (*Universe, error) {
 	src := rng.New(seed)
-	layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+	env, err := experiment.Deploy(n, dims, src)
 	if err != nil {
 		return nil, err
 	}
-	sched := sim.NewScheduler()
-	net := network.New(layout)
-	router := gpsr.New(layout)
-	sys, err := f.New(net, router, sched, dims, src.Fork("system"))
+	env.Sched = sim.NewScheduler()
+	sys, err := f.Add(env, f.Name, src.Fork("system"))
 	if err != nil {
 		return nil, err
 	}
-	disc := discovery.New(net, sched, src.Fork("beacons"), discovery.Config{Interval: time.Second})
-	engine := chaos.NewEngine(sched, net, router, []chaos.System{sys},
-		chaos.WithFailureDetection(disc))
-
-	u := &Universe{Sched: sched, Net: net, Router: router, Sys: sys, Detector: disc, Engine: engine}
+	u := &Universe{Sched: env.Sched, Net: env.Arms[0].Net, Router: env.Router, Sys: sys}
+	u.Detector = discovery.New(u.Net, u.Sched, src.Fork("beacons"), discovery.Config{Interval: time.Second})
+	u.Engine = chaos.NewEngine(u.Sched, u.Net, u.Router, []chaos.System{sys},
+		chaos.WithFailureDetection(u.Detector))
 	u.Deleter, _ = sys.(Deleter)
 	evSrc := src.Fork("events")
 	for i := 0; i < nEvents; i++ {
