@@ -30,14 +30,16 @@ race:
 	$(GO) test -race ./...
 
 # Non-test Go lines per internal/* and cmd/* package, then the total outside
-# bench/ (its own module) and the bench-pair build tree: the line counts
-# ROADMAP reports.
+# bench/ (its own module) and the bench-pair build tree, then the lines of
+# the three prose documents: the line counts ROADMAP reports. Prints
+# only; nothing is gated.
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-24s %6d\n' total $$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
 		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+	@for f in DESIGN.md README.md EXPERIMENTS.md; do printf '%-24s %6d\n' $$f $$(wc -l < $$f); done
 
 # The parallel experiment runner's determinism contract, exercised with
 # real contention: 8 scheduler threads regardless of host core count.
@@ -160,9 +162,10 @@ bench-oracle:
 # within 10% and ns/op within the row's own tolerance where it has one.
 # Keeps `make check` honest without the full bench sweep.
 #
-# Allocation rows first. The disabled-registry hot path must stay
-# allocation-free (same for the disabled-tracer autopsy path) and the
-# exposition writer must run. Fig6a's count is its preload and is the
+# Allocation rows first. The disabled-tracer autopsy path must stay
+# allocation-free, and the exposition writer runs over a registry of
+# views (metric families read their owners' counters, so there is no
+# metrics hot path left to gate). Fig6a's count is its preload and is the
 # same at one iteration; a Pool query's is gated warm, at 2000
 # iterations — its first query alone sizes the reply and path buffers (10
 # allocations against the 1 of every later one), which is start-up cost,
@@ -209,7 +212,7 @@ bench-oracle:
 # code measures on a shared 2-vCPU host from a quiet phase to a loaded
 # one: up to +86% over its row.
 micro-bench:
-	$(GO) test ./internal/metrics -run=NONE -bench='DisabledHotPath|EnabledHotPath|SnapshotWrite' -benchmem -benchtime=100x
+	$(GO) test ./internal/metrics -run=NONE -bench='^BenchmarkSnapshotWrite$$' -benchmem -benchtime=100x
 	$(GO) test . -run=NONE -bench='^BenchmarkFig6a$$' -benchmem -benchtime=1x 2>&1 \
 		| tee /tmp/micro-bench.out
 	$(GO) test . -run=NONE -bench='^BenchmarkPoolQuery$$' -benchmem -benchtime=2000x 2>&1 \

@@ -257,16 +257,20 @@ func registerAutopsy(reg *metrics.Registry, flight *trace.Tracer, slo, window ti
 	for _, p := range attrib.Phases() {
 		phases = append(phases, p.String())
 	}
-	phaseMs := reg.CounterVec("attrib_phase_ms_total",
-		"latency mass attributed to each phase across traced queries (ms)", "phase", phases)
-	for _, bd := range bds {
-		for p, d := range bd.Phases {
-			phaseMs.Add(p, uint64(d/time.Millisecond))
-		}
-	}
-	reg.Counter("attrib_queries_total", "query spans decomposed by the autopsy").Add(uint64(len(bds)))
+	reg.CounterVecFunc("attrib_phase_ms_total",
+		"latency mass attributed to each phase across traced queries (ms)", "phase", phases,
+		func(p int) uint64 {
+			var ms uint64
+			for _, bd := range bds {
+				ms += uint64(bd.Phases[p] / time.Millisecond)
+			}
+			return ms
+		})
+	reg.CounterFunc("attrib_queries_total", "query spans decomposed by the autopsy",
+		func() float64 { return float64(len(bds)) })
 	if flight.Dropped() > 0 {
-		reg.Counter("attrib_trace_dropped_total", "flight-recorder events evicted before analysis").Add(flight.Dropped())
+		reg.CounterFunc("attrib_trace_dropped_total", "flight-recorder events evicted before analysis",
+			func() float64 { return float64(flight.Dropped()) })
 	}
 
 	fast, slow := burnRates(bds, slo, window)

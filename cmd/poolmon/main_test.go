@@ -40,7 +40,8 @@ func golden(t *testing.T, name string, args []string) {
 }
 
 // TestGolden locks the exact monitoring report of a seeded run, with and
-// without churn. Regenerate intentionally with:
+// without churn, and the full Prometheus and JSON expositions of a run
+// with every optional family. Regenerate intentionally with:
 //
 //	go test ./cmd/poolmon -run Golden -update
 func TestGolden(t *testing.T) {
@@ -48,6 +49,9 @@ func TestGolden(t *testing.T) {
 	golden(t, "churn", []string{"-n", "300", "-queries", "20", "-churn", "10"})
 	golden(t, "repair", []string{"-n", "300", "-queries", "20", "-churn", "10", "-repair"})
 	golden(t, "autopsy", []string{"-n", "300", "-queries", "20", "-churn", "10", "-autopsy", "-slo", "60ms"})
+	full := []string{"-n", "300", "-queries", "20", "-churn", "10", "-repair", "-autopsy"}
+	golden(t, "full-prom", append(full, "-format", "prom"))
+	golden(t, "full-json", append(full[:len(full):len(full)], "-format", "json"))
 }
 
 // TestAutopsyFamilies checks that -autopsy surfaces the attribution and

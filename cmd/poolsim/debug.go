@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pooldcs/internal/metrics"
+	"pooldcs/internal/stats"
 )
 
 // debugServer serves net/http/pprof and a Prometheus-style /metrics
@@ -21,9 +22,10 @@ type debugServer struct {
 	reg *metrics.Registry
 	ln  net.Listener
 
-	experiments *metrics.Counter
-	failures    *metrics.Counter
-	durations   *metrics.Histogram
+	// experiments and failures count finished and failed experiments;
+	// durations holds their wall-clock runtimes in milliseconds.
+	experiments, failures uint64
+	durations             *stats.IntHistogram
 }
 
 // newDebugServer binds addr (host:port; port 0 picks a free one) and
@@ -34,10 +36,12 @@ func newDebugServer(addr string) (*debugServer, error) {
 		return nil, err
 	}
 	reg := metrics.New()
-	s := &debugServer{reg: reg, ln: ln}
-	s.experiments = reg.Counter("poolsim_experiments_total", "experiments completed by this process")
-	s.failures = reg.Counter("poolsim_experiment_failures_total", "experiments that returned an error")
-	s.durations = reg.Histogram("poolsim_experiment_duration_ms", "wall-clock runtime per experiment")
+	s := &debugServer{reg: reg, ln: ln, durations: stats.NewIntHistogram()}
+	reg.CounterFunc("poolsim_experiments_total", "experiments completed by this process",
+		func() float64 { return float64(s.experiments) })
+	reg.CounterFunc("poolsim_experiment_failures_total", "experiments that returned an error",
+		func() float64 { return float64(s.failures) })
+	reg.HistogramOf("poolsim_experiment_duration_ms", "wall-clock runtime per experiment", s.durations)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.serveMetrics)
@@ -63,11 +67,11 @@ func (s *debugServer) record(d time.Duration, failed bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.experiments.Inc()
+	s.experiments++
 	if failed {
-		s.failures.Inc()
+		s.failures++
 	}
-	s.durations.Observe(d.Milliseconds())
+	s.durations.Add(d.Milliseconds())
 }
 
 // serveMetrics renders the registry in the Prometheus text exposition.

@@ -13,12 +13,7 @@
 // query.
 package dim
 
-import (
-	"fmt"
-	"strings"
-
-	"pooldcs/internal/geo"
-)
+import "strings"
 
 // maxCodeBits bounds zone-code length. 64 bits of splits is far beyond any
 // realistic deployment depth (2^64 zones).
@@ -29,23 +24,6 @@ const maxCodeBits = 64
 type Code struct {
 	bits uint64
 	n    int
-}
-
-// ParseCode builds a Code from a string of '0' and '1' runes, e.g. "110"
-// for the paper's Figure 1 zones.
-func ParseCode(s string) (Code, error) {
-	var c Code
-	for _, r := range s {
-		switch r {
-		case '0':
-			c = c.Append(0)
-		case '1':
-			c = c.Append(1)
-		default:
-			return Code{}, fmt.Errorf("dim: invalid code character %q in %q", r, s)
-		}
-	}
-	return c, nil
 }
 
 // Len returns the number of bits in the code.
@@ -64,14 +42,6 @@ func (c Code) Append(bit int) Code {
 	return Code{bits: c.bits<<1 | uint64(bit&1), n: c.n + 1}
 }
 
-// IsPrefixOf reports whether c is a prefix of other.
-func (c Code) IsPrefixOf(other Code) bool {
-	if c.n > other.n {
-		return false
-	}
-	return other.bits>>uint(other.n-c.n) == c.bits
-}
-
 // String implements fmt.Stringer.
 func (c Code) String() string {
 	if c.n == 0 {
@@ -82,31 +52,6 @@ func (c Code) String() string {
 		b.WriteByte(byte('0' + c.Bit(i)))
 	}
 	return b.String()
-}
-
-// GeoRect returns the geographic rectangle a code denotes inside the given
-// field: bit i bisects the x axis when i is even (0 = left) and the y axis
-// when i is odd (0 = bottom), matching the zone construction.
-func (c Code) GeoRect(fieldSide float64) geo.Rect {
-	r := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(fieldSide, fieldSide)}
-	for i := 0; i < c.n; i++ {
-		if i%2 == 0 {
-			left, right := r.SplitVertical()
-			if c.Bit(i) == 0 {
-				r = left
-			} else {
-				r = right
-			}
-		} else {
-			bottom, top := r.SplitHorizontal()
-			if c.Bit(i) == 0 {
-				r = bottom
-			} else {
-				r = top
-			}
-		}
-	}
-	return r
 }
 
 // EventCode returns the depth-bit code of a value vector: the zone code an

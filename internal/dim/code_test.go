@@ -1,6 +1,7 @@
 package dim
 
 import (
+	"fmt"
 	"testing"
 
 	"pooldcs/internal/geo"
@@ -189,4 +190,54 @@ func TestEventCodePrefixConsistency(t *testing.T) {
 				shallow, deep, vals)
 		}
 	}
+}
+
+// ParseCode builds a Code from a string of '0' and '1' runes, e.g. "110"
+// for the paper's Figure 1 zones.
+func ParseCode(s string) (Code, error) {
+	var c Code
+	for _, r := range s {
+		switch r {
+		case '0':
+			c = c.Append(0)
+		case '1':
+			c = c.Append(1)
+		default:
+			return Code{}, fmt.Errorf("dim: invalid code character %q in %q", r, s)
+		}
+	}
+	return c, nil
+}
+
+// IsPrefixOf reports whether c is a prefix of other.
+func (c Code) IsPrefixOf(other Code) bool {
+	if c.n > other.n {
+		return false
+	}
+	return other.bits>>uint(other.n-c.n) == c.bits
+}
+
+// GeoRect returns the geographic rectangle a code denotes inside the given
+// field: bit i bisects the x axis when i is even (0 = left) and the y axis
+// when i is odd (0 = bottom), matching the zone construction.
+func (c Code) GeoRect(fieldSide float64) geo.Rect {
+	r := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(fieldSide, fieldSide)}
+	for i := 0; i < c.n; i++ {
+		if i%2 == 0 {
+			left, right := r.SplitVertical()
+			if c.Bit(i) == 0 {
+				r = left
+			} else {
+				r = right
+			}
+		} else {
+			bottom, top := r.SplitHorizontal()
+			if c.Bit(i) == 0 {
+				r = bottom
+			} else {
+				r = top
+			}
+		}
+	}
+	return r
 }

@@ -11,6 +11,7 @@ import (
 	"pooldcs/internal/holding"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
+	"pooldcs/internal/stats"
 	"pooldcs/internal/trace"
 )
 
@@ -135,12 +136,14 @@ type System struct {
 	// dead marks failed nodes (faults.go).
 	dead []bool
 
-	// Metric handles (nil when no registry is attached).
-	reg      *metrics.Registry
-	mInserts *metrics.Counter
-	mQueries *metrics.Counter
-	mRetries *metrics.Counter
-	mFanout  *metrics.Histogram
+	// Operation counts, which the metric families view: events
+	// inserted, queries answered, and the retry unicasts and relevant
+	// zones of those queries.
+	inserts, queries, retries uint64
+	fanout                    *stats.IntHistogram
+
+	// reg is the registry WithMetrics attaches (nil: none).
+	reg *metrics.Registry
 }
 
 var _ dcs.System = (*System)(nil)
@@ -159,6 +162,7 @@ func New(net *network.Network, router *gpsr.Router, dims int, opts ...Option) (*
 		dissemination: ChainDissemination,
 		dead:          make([]bool, net.Layout().N()),
 		answered:      make([]uint32, net.Layout().N()),
+		fanout:        stats.NewIntHistogram(),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -177,10 +181,11 @@ func New(net *network.Network, router *gpsr.Router, dims int, opts ...Option) (*
 // enableMetrics registers the system's metric families (WithMetrics).
 func (s *System) enableMetrics(reg *metrics.Registry) {
 	n := s.net.Layout().N()
-	s.mInserts = reg.Counter("dim_inserts_total", "events stored through DIM")
-	s.mQueries = reg.Counter("dim_queries_total", "range queries resolved by DIM")
-	s.mRetries = reg.Counter("dim_query_retries_total", "extra unicasts spent by the query failure policy")
-	s.mFanout = reg.Histogram("dim_query_fanout_zones", "relevant zones addressed per query")
+	reg.CounterFunc("dim_inserts_total", "events stored through DIM", func() float64 { return float64(s.inserts) })
+	reg.CounterFunc("dim_queries_total", "range queries resolved by DIM", func() float64 { return float64(s.queries) })
+	reg.CounterFunc("dim_query_retries_total", "extra unicasts spent by the query failure policy",
+		func() float64 { return float64(s.retries) })
+	reg.HistogramOf("dim_query_fanout_zones", "relevant zones addressed per query", s.fanout)
 	reg.NodeGaugeFunc("dim_stored_events", "events held per node", n,
 		func(i int) float64 { return float64(s.Stored(i)) })
 	reg.GaugeFunc("dim_zones", "leaves of the zone subdivision",
@@ -207,11 +212,6 @@ func (s *System) Name() string { return "DIM" }
 
 // Dims returns the event dimensionality the index was built for.
 func (s *System) Dims() int { return s.dims }
-
-// Zones returns the zone table, sorted by code (in-order tree traversal),
-// reproducing the paper's Figure 1(b) layout. The slice is owned by the
-// system.
-func (s *System) Zones() []Zone { return s.zones }
 
 // buildZones recursively bisects the field until every zone holds at most
 // one node, then assigns node-free zones to the node nearest their centre.
@@ -307,7 +307,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 		return fmt.Errorf("dim: insert: %w", err)
 	}
 	s.Append(zi, z.Owner, e)
-	s.mInserts.Inc()
+	s.inserts++
 	return nil
 }
 
@@ -483,9 +483,9 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 			comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", s.zones[v.zone].Code))
 		}
 	}
-	s.mQueries.Inc()
-	s.mFanout.Observe(int64(comp.CellsTotal))
-	s.mRetries.Add(uint64(comp.Retries))
+	s.queries++
+	s.retries += uint64(comp.Retries)
+	s.fanout.Add(int64(comp.CellsTotal))
 	return event.CloneEvents(s.replyBuf), comp, nil
 }
 

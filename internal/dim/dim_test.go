@@ -418,3 +418,8 @@ func TestSplitDisseminationCostComparable(t *testing.T) {
 		t.Errorf("dissemination costs diverge: chain %d, split %d", cc, sc)
 	}
 }
+
+// Zones returns the zone table, sorted by code (in-order tree traversal),
+// reproducing the paper's Figure 1(b) layout. The slice is owned by the
+// system.
+func (s *System) Zones() []Zone { return s.zones }

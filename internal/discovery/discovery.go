@@ -117,10 +117,10 @@ type Protocol struct {
 	// stopped ends the beacon loops.
 	stopped bool
 
-	// Metric handles (nil until EnableMetrics).
-	mBeacons    *metrics.Counter
-	mSuspicions *metrics.Counter
-	mEvictions  *metrics.Counter
+	// beacons, suspicions and evictions count beacon broadcasts sent,
+	// suspicion episodes raised and neighbour-table evictions; the
+	// metric families view them.
+	beacons, suspicions, evictions uint64
 }
 
 // never is the time of a neighbour not in the table, and the stamp of a
@@ -203,9 +203,12 @@ func (p *Protocol) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	p.mBeacons = reg.Counter("discovery_beacons_total", "beacon broadcasts sent")
-	p.mSuspicions = reg.Counter("discovery_suspicions_total", "suspicion episodes raised")
-	p.mEvictions = reg.Counter("discovery_evictions_total", "neighbour-table evictions on beacon timeout")
+	reg.CounterFunc("discovery_beacons_total", "beacon broadcasts sent",
+		func() float64 { return float64(p.beacons) })
+	reg.CounterFunc("discovery_suspicions_total", "suspicion episodes raised",
+		func() float64 { return float64(p.suspicions) })
+	reg.CounterFunc("discovery_evictions_total", "neighbour-table evictions on beacon timeout",
+		func() float64 { return float64(p.evictions) })
 	reg.GaugeFunc("discovery_suspected_nodes", "nodes currently under suspicion", func() float64 {
 		var n float64
 		for _, s := range p.suspected {
@@ -284,7 +287,7 @@ func (p *Protocol) beacon(id int, ep uint64) {
 		return
 	}
 	now := p.sched.Now()
-	p.mBeacons.Inc()
+	p.beacons++
 	missed := p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes)
 	if len(missed) > 0 || p.missOut[id] > 0 {
 		p.merge(id, missed)
@@ -346,12 +349,12 @@ func (p *Protocol) sweep(id int, now time.Duration) {
 		}
 		p.old[row+k] = never
 		p.cand[id]--
-		p.mEvictions.Inc()
+		p.evictions++
 		if p.suspected[nbr] {
 			continue
 		}
 		p.suspected[nbr] = true
-		p.mSuspicions.Inc()
+		p.suspicions++
 		if p.onSuspect != nil {
 			p.onSuspect(nbr)
 		}

@@ -50,10 +50,10 @@ type refProtocol struct {
 	// stopped ends the beacon loops.
 	stopped bool
 
-	// Metric handles (nil until EnableMetrics).
-	mBeacons    *metrics.Counter
-	mSuspicions *metrics.Counter
-	mEvictions  *metrics.Counter
+	// beacons, suspicions and evictions count beacon broadcasts sent,
+	// suspicion episodes raised and neighbour-table evictions; the
+	// metric families view them.
+	beacons, suspicions, evictions uint64
 }
 
 // newRef prepares the reference over a network and scheduler.
@@ -114,9 +114,12 @@ func (p *refProtocol) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	p.mBeacons = reg.Counter("discovery_beacons_total", "beacon broadcasts sent")
-	p.mSuspicions = reg.Counter("discovery_suspicions_total", "suspicion episodes raised")
-	p.mEvictions = reg.Counter("discovery_evictions_total", "neighbour-table evictions on beacon timeout")
+	reg.CounterFunc("discovery_beacons_total", "beacon broadcasts sent",
+		func() float64 { return float64(p.beacons) })
+	reg.CounterFunc("discovery_suspicions_total", "suspicion episodes raised",
+		func() float64 { return float64(p.suspicions) })
+	reg.CounterFunc("discovery_evictions_total", "neighbour-table evictions on beacon timeout",
+		func() float64 { return float64(p.evictions) })
 	reg.GaugeFunc("discovery_suspected_nodes", "nodes currently under suspicion", func() float64 {
 		var n float64
 		for _, s := range p.suspected {
@@ -186,7 +189,7 @@ func (p *refProtocol) beacon(id int, ep uint64) {
 		return
 	}
 	now := p.sched.Now()
-	p.mBeacons.Inc()
+	p.beacons++
 	// The receivers are id's adjacency row less the missed slots, and rev
 	// turns a slot into id's slot in that receiver's row.
 	nbrs, rev := p.net.Layout().Neighbors(id), p.rev[id]
@@ -219,12 +222,12 @@ func (p *refProtocol) sweep(id int, now time.Duration) {
 		}
 		nbr := nbrs[k]
 		p.lastHeard[id][k] = never
-		p.mEvictions.Inc()
+		p.evictions++
 		if p.suspected[nbr] {
 			continue
 		}
 		p.suspected[nbr] = true
-		p.mSuspicions.Inc()
+		p.suspicions++
 		if p.onSuspect != nil {
 			p.onSuspect(nbr)
 		}

@@ -384,13 +384,3 @@ func (l *Layout) NearestFunc(p geo.Point, ok func(id int) bool) (id int, tied bo
 	}
 	return best, tied
 }
-
-// NearestWithin returns the node closest to p among those within dist of
-// p, or -1 when none qualifies.
-func (l *Layout) NearestWithin(p geo.Point, dist float64) int {
-	id := l.Nearest(p)
-	if id < 0 || p.Dist(l.Positions[id]) > dist {
-		return -1
-	}
-	return id
-}

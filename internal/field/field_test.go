@@ -415,3 +415,13 @@ func TestGenerateClusteredValidation(t *testing.T) {
 		t.Error("invalid spec accepted")
 	}
 }
+
+// NearestWithin returns the node closest to p among those within dist of
+// p, or -1 when none qualifies.
+func (l *Layout) NearestWithin(p geo.Point, dist float64) int {
+	id := l.Nearest(p)
+	if id < 0 || p.Dist(l.Positions[id]) > dist {
+		return -1
+	}
+	return id
+}

@@ -224,14 +224,6 @@ func (r Rect) SplitHorizontal() (bottom, top Rect) {
 	return bottom, top
 }
 
-// ClampPoint returns the point of r closest to p.
-func (r Rect) ClampPoint(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
-	}
-}
-
 // Interval is a closed one-dimensional interval [Lo, Hi].
 type Interval struct {
 	Lo, Hi float64

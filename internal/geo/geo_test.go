@@ -357,3 +357,11 @@ func TestIntervalIntersectCommutesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ClampPoint returns the point of r closest to p.
+func (r Rect) ClampPoint(p Point) Point {
+	return Point{
+		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
+		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"pooldcs/internal/holding"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
+	"pooldcs/internal/stats"
 )
 
 // ErrUnsupported is returned for queries GHT cannot evaluate (anything but
@@ -83,12 +84,14 @@ type System struct {
 	roots   []geo.Point
 	rootSet map[geo.Point]bool
 
-	// Metric handles (nil when no registry is attached).
-	reg      *metrics.Registry
-	mInserts *metrics.Counter
-	mQueries *metrics.Counter
-	mRetries *metrics.Counter
-	mFanout  *metrics.Histogram
+	// Operation counts, which the metric families view: events
+	// inserted, queries answered, and the retry unicasts and mirror
+	// homes of those queries.
+	inserts, queries, retries uint64
+	fanout                    *stats.IntHistogram
+
+	// reg is the registry WithMetrics attaches (nil: none).
+	reg *metrics.Registry
 
 	// arq carries the reusable route-path buffer for every unicast this
 	// system issues; a System serves one goroutine at a time.
@@ -114,6 +117,7 @@ func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
 		storage: make([]event.Rows, net.Layout().N()),
 		homes:   make(map[geo.Point]homing),
 		dead:    make([]bool, net.Layout().N()),
+		fanout:  stats.NewIntHistogram(),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -128,10 +132,11 @@ func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
 // enableMetrics registers the system's metric families (WithMetrics).
 func (s *System) enableMetrics(reg *metrics.Registry) {
 	n := s.net.Layout().N()
-	s.mInserts = reg.Counter("ght_inserts_total", "events stored through GHT")
-	s.mQueries = reg.Counter("ght_queries_total", "exact-match queries resolved by GHT")
-	s.mRetries = reg.Counter("ght_query_retries_total", "extra unicasts spent by the query failure policy")
-	s.mFanout = reg.Histogram("ght_query_fanout_mirrors", "mirror homes addressed per query")
+	reg.CounterFunc("ght_inserts_total", "events stored through GHT", func() float64 { return float64(s.inserts) })
+	reg.CounterFunc("ght_queries_total", "exact-match queries resolved by GHT", func() float64 { return float64(s.queries) })
+	reg.CounterFunc("ght_query_retries_total", "extra unicasts spent by the query failure policy",
+		func() float64 { return float64(s.retries) })
+	reg.HistogramOf("ght_query_fanout_mirrors", "mirror homes addressed per query", s.fanout)
 	reg.NodeGaugeFunc("ght_stored_events", "events held per home node", n,
 		func(i int) float64 { return float64(s.storage[i].Len()) })
 }
@@ -246,7 +251,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if s.replDepth > 0 {
 		s.recordRoot(root)
 	}
-	s.mInserts.Inc()
+	s.inserts++
 	return nil
 }
 
@@ -363,9 +368,9 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		}
 		comp.CellsReached++
 	}
-	s.mQueries.Inc()
-	s.mFanout.Observe(int64(comp.CellsTotal))
-	s.mRetries.Add(uint64(comp.Retries))
+	s.queries++
+	s.retries += uint64(comp.Retries)
+	s.fanout.Add(int64(comp.CellsTotal))
 	return event.CloneEvents(s.replyBuf), comp, nil
 }
 

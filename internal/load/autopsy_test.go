@@ -187,19 +187,23 @@ func TestAutopsyMetricsFamilies(t *testing.T) {
 	if len(rep.Exemplars) == 0 {
 		t.Fatal("no exemplars captured")
 	}
-	var buf strings.Builder
-	if _, err := reg.Snapshot().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"attrib_phase_ms_total{phase=\"queue\"}",
-		"attrib_exemplars_total",
-		"slo_burn_fast",
-		"slo_burn_slow",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %s:\n%s", want, out)
+	// Every family is a view of the report: the phase masses sum each
+	// exemplar's truncated milliseconds, not the truncated total.
+	phaseMs := make([]float64, attrib.NumPhases)
+	for _, ex := range rep.Exemplars {
+		for p, d := range ex.Breakdown.Phases {
+			phaseMs[p] += float64(d / time.Millisecond)
 		}
+	}
+	want := map[string][]float64{
+		"attrib_phase_ms_total":  phaseMs,
+		"attrib_exemplars_total": {float64(len(rep.Exemplars))},
+		"slo_burn_fast":          {rep.BurnFast},
+		"slo_burn_slow":          {rep.BurnSlow},
+	}
+	checkFamilies(t, reg, want)
+	text := reg.Snapshot().Text()
+	if !strings.Contains(text, "attrib_phase_ms_total{phase=\"queue\"}") {
+		t.Errorf("exposition missing the queue phase:\n%s", text)
 	}
 }

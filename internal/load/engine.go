@@ -185,13 +185,6 @@ type Engine struct {
 	tracer  *trace.Tracer
 	wcands  map[int64][]exCand
 	curWidx int64
-
-	mOps       *metrics.CounterVec
-	mOutcomes  *metrics.CounterVec
-	mSLOTotal  *metrics.Counter
-	mSLOBad    *metrics.Counter
-	mPhase     *metrics.CounterVec
-	mExemplars *metrics.Counter
 }
 
 // exCand is one completed query awaiting its window's SLO verdict.
@@ -255,23 +248,28 @@ func NewEngine(sched *sim.Scheduler, target Target, nodes int, cfg Config) (*Eng
 	return e, nil
 }
 
-// EnableMetrics registers the engine's live families on reg: offered
-// operations by class, outcomes, per-class latency histograms, in-flight
-// operations, and — at run end — SLO window verdicts. A nil registry is
-// a no-op.
+// EnableMetrics registers the engine's live families on reg, each a
+// view of the Report or of the in-flight count: offered operations by
+// class, outcomes, per-class latency histograms, in-flight operations,
+// and — at run end — SLO window verdicts. A nil registry is a no-op.
 func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
+	rep := e.rep
 	classes := make([]string, 0, int(numClasses))
 	for _, c := range Classes() {
 		classes = append(classes, c.String())
 	}
-	e.mOps = reg.CounterVec("load_ops_total", "operations offered by class", "class", classes)
-	e.mOutcomes = reg.CounterVec("load_outcomes_total", "operation outcomes", "outcome",
-		[]string{"served", "shed", "degraded", "abandoned"})
-	e.mSLOTotal = reg.Counter("load_slo_windows_total", "SLO evaluation windows with traffic")
-	e.mSLOBad = reg.Counter("load_slo_violations_total", "SLO windows missing the p99 target")
+	reg.CounterVecFunc("load_ops_total", "operations offered by class", "class", classes,
+		func(i int) uint64 { return rep.PerClass[i].Offered })
+	outcomes := [...]*uint64{&rep.Served, &rep.Shed, &rep.Degraded, &rep.Abandoned}
+	reg.CounterVecFunc("load_outcomes_total", "operation outcomes", "outcome",
+		[]string{"served", "shed", "degraded", "abandoned"}, func(i int) uint64 { return *outcomes[i] })
+	reg.CounterFunc("load_slo_windows_total", "SLO evaluation windows with traffic",
+		func() float64 { return float64(rep.SLOWindows) })
+	reg.CounterFunc("load_slo_violations_total", "SLO windows missing the p99 target",
+		func() float64 { return float64(rep.SLOWindows - rep.SLOOK) })
 	reg.GaugeFunc("load_inflight_ops", "operations in flight", func() float64 { return float64(e.inflight) })
 	for _, c := range Classes() {
 		reg.HistogramOf("load_latency_ms_"+c.String(), "completion latency (ms) of "+c.String()+" operations",
@@ -321,9 +319,17 @@ func (e *Engine) EnableAutopsyMetrics(reg *metrics.Registry) {
 	for _, p := range attrib.Phases() {
 		phases = append(phases, p.String())
 	}
-	e.mPhase = reg.CounterVec("attrib_phase_ms_total",
-		"latency mass attributed to each phase across captured exemplars (ms)", "phase", phases)
-	e.mExemplars = reg.Counter("attrib_exemplars_total", "worst offenders captured from breached SLO windows")
+	reg.CounterVecFunc("attrib_phase_ms_total",
+		"latency mass attributed to each phase across captured exemplars (ms)", "phase", phases,
+		func(p int) uint64 {
+			var ms uint64
+			for _, ex := range e.rep.Exemplars {
+				ms += uint64(ex.Breakdown.Phases[p] / time.Millisecond)
+			}
+			return ms
+		})
+	reg.CounterFunc("attrib_exemplars_total", "worst offenders captured from breached SLO windows",
+		func() float64 { return float64(len(e.rep.Exemplars)) })
 	reg.GaugeFunc("slo_burn_fast",
 		"breached-window fraction over the last 6 windows divided by the error budget",
 		func() float64 { return e.rep.BurnFast })
@@ -371,7 +377,6 @@ func (e *Engine) offer(op *Op, done func()) error {
 	e.rep.Offered++
 	cs := &e.rep.PerClass[op.Class]
 	cs.Offered++
-	e.mOps.Add(int(op.Class), 1)
 
 	var span uint64
 	if e.tracer != nil && op.Class != Insert {
@@ -398,7 +403,6 @@ func (e *Engine) offer(op *Op, done func()) error {
 		e.tracer.EndSpan(span)
 		e.rep.Shed++
 		cs.Shed++
-		e.mOutcomes.Add(1, 1)
 		if done != nil {
 			done()
 		}
@@ -406,7 +410,6 @@ func (e *Engine) offer(op *Op, done func()) error {
 	case Batch:
 		e.rep.Degraded++
 		cs.Degraded++
-		e.mOutcomes.Add(2, 1)
 	}
 	start := e.sched.Now()
 	e.inflight++
@@ -420,7 +423,6 @@ func (e *Engine) offer(op *Op, done func()) error {
 			e.rep.ServedInHorizon++
 		}
 		cs.Served++
-		e.mOutcomes.Add(0, 1)
 		e.tracer.EndSpan(span)
 		if op.Class != Insert && e.cfg.SLO.Window > 0 {
 			idx := int64((e.sched.Now() - e.start) / e.cfg.SLO.Window)
@@ -482,7 +484,6 @@ func (e *Engine) Run() (*Report, error) {
 		return nil, runErr
 	}
 	e.rep.Abandoned = uint64(e.inflight)
-	e.mOutcomes.Add(3, uint64(e.inflight))
 	e.finishSLO()
 	e.rep.MaxDepth = e.target.MaxDepth()
 	for _, id := range e.stationIDs() {
@@ -588,14 +589,6 @@ func (e *Engine) captureWindow(idx int64) {
 			}
 		}
 		e.rep.Exemplars = append(e.rep.Exemplars, ex)
-		if e.mExemplars != nil {
-			e.mExemplars.Inc()
-		}
-		if e.mPhase != nil {
-			for p, d := range ex.Breakdown.Phases {
-				e.mPhase.Add(p, uint64(d/time.Millisecond))
-			}
-		}
 	}
 }
 
@@ -618,12 +611,10 @@ func (e *Engine) finishSLO() {
 	breached := make([]bool, 0, len(idxs))
 	for _, idx := range idxs {
 		e.rep.SLOWindows++
-		e.mSLOTotal.Inc()
 		if e.windows[idx].Quantile(99) <= target {
 			e.rep.SLOOK++
 			breached = append(breached, false)
 		} else {
-			e.mSLOBad.Inc()
 			breached = append(breached, true)
 		}
 	}

@@ -1,6 +1,7 @@
 package load_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -206,27 +207,50 @@ func TestEngineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ops := reg.NodeValues("load_ops_total")
-	var offered float64
-	for _, v := range ops {
-		offered += v
+	// Every load_* family is a view of a Report field: cell by cell for
+	// the vecs, the observation count for the latency histograms.
+	served, shed, degraded, abandoned := float64(rep.Served), float64(rep.Shed), float64(rep.Degraded), float64(rep.Abandoned)
+	want := map[string][]float64{
+		"load_outcomes_total":       {served, shed, degraded, abandoned},
+		"load_slo_windows_total":    {float64(rep.SLOWindows)},
+		"load_slo_violations_total": {float64(rep.SLOWindows - rep.SLOOK)},
+		"load_inflight_ops":         {abandoned},
 	}
-	if uint64(offered) != rep.Offered {
-		t.Errorf("load_ops_total = %g, report offered %d", offered, rep.Offered)
+	var offered []float64
+	for _, c := range load.Classes() {
+		cs := rep.PerClass[c]
+		offered = append(offered, float64(cs.Offered))
+		want["load_latency_ms_"+c.String()] = []float64{float64(cs.Latency.Total())}
 	}
-	out := reg.NodeValues("load_outcomes_total")
-	if uint64(out[0]) != rep.Served || uint64(out[1]) != rep.Shed ||
-		uint64(out[2]) != rep.Degraded || uint64(out[3]) != rep.Abandoned {
-		t.Errorf("load_outcomes_total = %v, report %+v", out, summarize(rep))
+	want["load_ops_total"] = offered
+	if rep.Offered == 0 || rep.Shed == 0 || rep.SLOWindows == 0 {
+		t.Fatalf("run exercised too little: %+v", summarize(rep))
 	}
-	if int(reg.Value("load_slo_windows_total")) != rep.SLOWindows {
-		t.Errorf("slo windows metric %g, report %d", reg.Value("load_slo_windows_total"), rep.SLOWindows)
+	checkFamilies(t, reg, want)
+}
+
+// checkFamilies fails unless reg registers exactly the families of want
+// and each reads its want values: cell by cell for a vec, the scalar
+// reduction otherwise.
+func checkFamilies(t *testing.T, reg *metrics.Registry, want map[string][]float64) {
+	t.Helper()
+	for _, name := range reg.Names() {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("family %s is not checked against the report", name)
+			continue
+		}
+		delete(want, name)
+		got := reg.NodeValues(name)
+		if got == nil {
+			got = []float64{reg.Value(name)}
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s = %v, report %v", name, got, w)
+		}
 	}
-	if int(reg.Value("load_slo_violations_total")) != rep.SLOWindows-rep.SLOOK {
-		t.Errorf("slo violations metric %g, report %d", reg.Value("load_slo_violations_total"), rep.SLOWindows-rep.SLOOK)
-	}
-	if reg.Value("load_inflight_ops") != float64(rep.Abandoned) {
-		t.Errorf("inflight gauge %g, abandoned %d", reg.Value("load_inflight_ops"), rep.Abandoned)
+	for name := range want {
+		t.Errorf("family %s not registered", name)
 	}
 }
 

@@ -5,81 +5,18 @@ import (
 	"testing"
 )
 
-// BenchmarkDisabledHotPath measures exactly the call sequence
-// network.Transmit performs per frame against a nil registry's handles:
-// two counter-vec increments, one vec add, and one scalar counter add.
-// The acceptance bar is ≤ 2 ns/op and 0 allocs/op — the disabled
-// registry must be invisible on the radio hot path.
-func BenchmarkDisabledHotPath(b *testing.B) {
-	var r *Registry
-	tx := r.NodeCounter("net_tx_frames_total", "", 0)
-	rx := r.NodeCounter("net_rx_frames_total", "", 0)
-	drops := r.NodeCounter("net_dropped_frames_total", "", 0)
-	msgs := r.Counter("net_messages_total", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx.Inc(i & 1)
-		rx.Add(i&1, 2)
-		drops.Inc(i & 1)
-		msgs.Add(1)
-	}
-}
-
-func TestDisabledHotPathAllocs(t *testing.T) {
-	var r *Registry
-	tx := r.NodeCounter("net_tx_frames_total", "", 0)
-	msgs := r.Counter("net_messages_total", "")
-	if n := testing.AllocsPerRun(1000, func() {
-		tx.Inc(3)
-		tx.Add(3, 2)
-		msgs.Inc()
-	}); n != 0 {
-		t.Fatalf("disabled hot path allocates %v per op", n)
-	}
-}
-
-// BenchmarkEnabledHotPath is the same sequence against a live registry,
-// to keep the enabled cost honest in BENCH_*.json.
-func BenchmarkEnabledHotPath(b *testing.B) {
-	r := New()
-	tx := r.NodeCounter("net_tx_frames_total", "", 8)
-	rx := r.NodeCounter("net_rx_frames_total", "", 8)
-	drops := r.NodeCounter("net_dropped_frames_total", "", 8)
-	msgs := r.Counter("net_messages_total", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx.Inc(i & 7)
-		rx.Add(i&7, 2)
-		drops.Inc(i & 7)
-		msgs.Add(1)
-	}
-}
-
-// BenchmarkHistogramObserve tracks the map-backed histogram cost.
-func BenchmarkHistogramObserve(b *testing.B) {
-	r := New()
-	h := r.Histogram("fanout", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i & 63))
-	}
-}
-
 // BenchmarkSnapshotWrite tracks the exposition path over a registry the
 // size of a mid-sized deployment (300 nodes, 3 per-node vecs).
 func BenchmarkSnapshotWrite(b *testing.B) {
 	r := New()
 	const n = 300
-	tx := r.NodeCounter("net_tx_frames_total", "frames", n)
-	rx := r.NodeCounter("net_rx_frames_total", "frames", n)
-	r.NodeGaugeFunc("pool_stored_events", "events", n, func(i int) float64 { return float64(i) })
-	for i := 0; i < n; i++ {
-		tx.Add(i, uint64(i))
-		rx.Add(i, uint64(2*i))
+	tx, rx := make([]uint64, n), make([]uint64, n)
+	for i := range tx {
+		tx[i], rx[i] = uint64(i), uint64(2*i)
 	}
+	r.CounterVecFunc("net_tx_frames_total", "frames", "node", NodeLabels(n), func(i int) uint64 { return tx[i] })
+	r.CounterVecFunc("net_rx_frames_total", "frames", "node", NodeLabels(n), func(i int) uint64 { return rx[i] })
+	r.NodeGaugeFunc("pool_stored_events", "events", n, func(i int) float64 { return float64(i) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

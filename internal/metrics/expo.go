@@ -41,22 +41,15 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, e := range r.entries {
 		f := Family{Name: e.name, Help: e.help, Kind: e.kind.String()}
 		switch {
-		case e.counter != nil:
-			f.Points = []Point{{Value: e.counter.Value()}}
-		case e.gauge != nil:
-			f.Points = []Point{{Value: e.gauge.Value()}}
-		case e.counterVec != nil:
-			f.Points = make([]Point, len(e.counterVec.values))
-			for i, lv := range e.counterVec.values {
-				f.Points[i] = Point{Labels: []string{e.counterVec.label, lv}, Value: float64(e.counterVec.Value(i))}
-			}
-		case e.gaugeVec != nil:
-			f.Points = make([]Point, len(e.gaugeVec.values))
-			for i, lv := range e.gaugeVec.values {
-				f.Points[i] = Point{Labels: []string{e.gaugeVec.label, lv}, Value: e.gaugeVec.Value(i)}
+		case e.fn != nil:
+			f.Points = []Point{{Value: e.fn()}}
+		case e.cell != nil:
+			f.Points = make([]Point, len(e.values))
+			for i, lv := range e.values {
+				f.Points[i] = Point{Labels: []string{e.label, lv}, Value: e.cell(i)}
 			}
 		case e.hist != nil:
-			h := e.hist.h
+			h := e.hist
 			n := float64(h.Total())
 			f.Points = []Point{
 				{Labels: []string{"quantile", "0.5"}, Value: float64(h.Quantile(50))},

@@ -6,20 +6,22 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"pooldcs/internal/stats"
 )
 
 func buildRegistry() *Registry {
 	r := New()
-	r.Counter("net_messages_total", "total messages").Add(7)
-	r.Gauge("pool_delegations", "active delegations").Set(2.5)
-	cv := r.NodeCounter("net_tx_frames_total", "frames sent per node", 3)
-	cv.Add(0, 4)
-	cv.Add(2, 1)
-	h := r.Histogram("query_fanout_cells", "cells addressed per query")
+	r.CounterFunc("net_messages_total", "total messages", func() float64 { return 7 })
+	r.GaugeFunc("pool_delegations", "active delegations", func() float64 { return 2.5 })
+	tx := []uint64{4, 0, 1}
+	r.CounterVecFunc("net_tx_frames_total", "frames sent per node", "node", NodeLabels(3), func(i int) uint64 { return tx[i] })
+	h := stats.NewIntHistogram()
 	for _, v := range []int64{1, 2, 2, 3, 10} {
-		h.Observe(v)
+		h.Add(v)
 	}
-	r.Counter("empty_total", "never incremented")
+	r.HistogramOf("query_fanout_cells", "cells addressed per query", h)
+	r.CounterFunc("empty_total", "never incremented", func() float64 { return 0 })
 	return r
 }
 
@@ -82,8 +84,9 @@ func TestWriteToIsWellFormed(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := New()
-	gv := r.GaugeVec("weird", "help with \\ backslash\nand newline", "zone", []string{`a"b`, "c\\d", "e\nf"})
-	gv.Set(0, 1)
+	cells := []uint64{1, 0, 0}
+	r.CounterVecFunc("weird", "help with \\ backslash\nand newline", "zone", []string{`a"b`, "c\\d", "e\nf"},
+		func(i int) uint64 { return cells[i] })
 	text := r.Snapshot().Text()
 	for _, want := range []string{
 		`weird{zone="a\"b"} 1`,

@@ -3,6 +3,8 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"pooldcs/internal/stats"
 )
 
 // FuzzExpositionWrite drives arbitrary metric names, help strings, label
@@ -16,13 +18,14 @@ func FuzzExpositionWrite(f *testing.F) {
 	f.Add("x", `\`, "\n", 1e308, int64(1<<62))
 	f.Fuzz(func(t *testing.T, name, help, labelValue string, v float64, obs int64) {
 		r := New()
-		r.Counter(name, help).Add(7)
-		r.Gauge(name+"_g", help).Set(v)
-		gv := r.GaugeVec(name+"_vec", help, "zone", []string{labelValue, "fixed"})
-		gv.Set(0, v)
-		h := r.Histogram(name+"_hist", help)
-		h.Observe(obs)
-		h.Observe(obs / 2)
+		r.CounterFunc(name, help, func() float64 { return 7 })
+		r.GaugeFunc(name+"_g", help, func() float64 { return v })
+		r.CounterVecFunc(name+"_vec", help, "zone", []string{labelValue, "fixed"}, func(i int) uint64 { return uint64(i) })
+		r.NodeGaugeFunc(name+"_node", help, 2, func(int) float64 { return v })
+		h := stats.NewIntHistogram()
+		h.Add(obs)
+		h.Add(obs / 2)
+		r.HistogramOf(name+"_hist", help, h)
 
 		snap := r.Snapshot()
 		text := snap.Text()

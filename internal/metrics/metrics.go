@@ -1,8 +1,8 @@
 // Package metrics is the live observability layer of the simulator: a
-// registry of named counters, gauges, and histograms with network-wide
-// and per-node scopes, sampled on the discrete-event clock into
-// in-memory time series and exported in Prometheus text exposition or
-// JSON.
+// registry of named counter, gauge and histogram families with
+// network-wide and per-node scopes, sampled on the discrete-event clock
+// into in-memory time series and exported in Prometheus text exposition
+// or JSON.
 //
 // The paper's central empirical claim is about *load* — how evenly Pool
 // spreads storage and message traffic compared with DIM (§5) — so the
@@ -10,12 +10,12 @@
 // coefficient of variation, top-k hotspot tables) the experiment runners
 // and the poolmon CLI derive from per-node vectors.
 //
-// A nil *Registry is the disabled registry: every constructor returns a
-// nil metric and every metric method is a guarded no-op, so instrumented
-// hot paths (network.Transmit in particular) pay only a nil pointer
-// compare when metrics are off. Instrumentation sites that would compute
-// values (label formatting and the like) must keep that work behind the
-// nil handle, exactly like the trace package's disabled tracer.
+// Every family is a read-time view of a fact its owner keeps anyway — a
+// plain counter, a per-node slice, a stats.IntHistogram — and the
+// package has no write side: nothing is incremented on its behalf. Each
+// fact is counted in one place, and a metered component does exactly
+// the same work per event as an unmetered one. A nil *Registry is the
+// disabled registry: registering on it does nothing.
 package metrics
 
 import (
@@ -54,223 +54,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing counter. The nil Counter is
-// disabled: Inc and Add are no-ops, Value is 0.
-type Counter struct {
-	v  uint64
-	fn func() float64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v++
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Value returns the current count. Function-backed counters evaluate
-// their callback.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	if c.fn != nil {
-		return c.fn()
-	}
-	return float64(c.v)
-}
-
-// Gauge is an instantaneous value. The nil Gauge is disabled.
-type Gauge struct {
-	v  float64
-	fn func() float64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Add shifts the value by d (negative d decreases it).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-}
-
-// Value returns the current value. Function-backed gauges evaluate
-// their callback.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v
-}
-
-// Histogram records a distribution of integer observations (hop counts,
-// fan-out sizes, millisecond latencies) with exact quantiles, backed by
-// stats.IntHistogram. The nil Histogram is disabled.
-type Histogram struct {
-	h *stats.IntHistogram
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.h.Add(v)
-}
-
-// Hist returns the underlying histogram (nil on the disabled Histogram).
-func (h *Histogram) Hist() *stats.IntHistogram {
-	if h == nil {
-		return nil
-	}
-	return h.h
-}
-
-// CounterVec is a counter family split by one label over a fixed value
-// set declared at registration — per-node counters use the label "node"
-// with one value per node id. Cells are addressed by dense index, so the
-// hot path is a bounds-checked slice increment; function-backed vecs
-// evaluate fn(i) per cell at read time instead, and Inc and Add leave
-// them alone. The nil CounterVec is disabled.
-type CounterVec struct {
-	label  string
-	values []string
-	v      []uint64
-	fn     func(i int) uint64
-}
-
-// Inc adds one to cell i. Out-of-range indexes are ignored.
-func (c *CounterVec) Inc(i int) {
-	if c == nil || i < 0 || i >= len(c.v) {
-		return
-	}
-	c.v[i]++
-}
-
-// Add adds n to cell i. Out-of-range indexes are ignored.
-func (c *CounterVec) Add(i int, n uint64) {
-	if c == nil || i < 0 || i >= len(c.v) {
-		return
-	}
-	c.v[i] += n
-}
-
-// Value returns cell i (0 when disabled or out of range).
-func (c *CounterVec) Value(i int) uint64 {
-	if c == nil || i < 0 || i >= len(c.values) {
-		return 0
-	}
-	if c.fn != nil {
-		return c.fn(i)
-	}
-	return c.v[i]
-}
-
-// Values returns a copy of all cells in label order (nil when disabled).
-func (c *CounterVec) Values() []float64 {
-	if c == nil {
-		return nil
-	}
-	out := make([]float64, len(c.values))
-	for i := range out {
-		out[i] = float64(c.Value(i))
-	}
-	return out
-}
-
-// Sum returns the total across all cells.
-func (c *CounterVec) Sum() float64 {
-	if c == nil {
-		return 0
-	}
-	var t float64
-	for i := range c.values {
-		t += float64(c.Value(i))
-	}
-	return t
-}
-
-// GaugeVec is a gauge family split by one label; function-backed vecs
-// evaluate fn(i) per cell at read time, so maintaining them costs the
-// instrumented code nothing. The nil GaugeVec is disabled.
-type GaugeVec struct {
-	label  string
-	values []string
-	v      []float64
-	fn     func(i int) float64
-}
-
-// Set replaces cell i. Out-of-range indexes are ignored.
-func (g *GaugeVec) Set(i int, v float64) {
-	if g == nil || i < 0 || i >= len(g.v) {
-		return
-	}
-	g.v[i] = v
-}
-
-// Add shifts cell i by d. Out-of-range indexes are ignored.
-func (g *GaugeVec) Add(i int, d float64) {
-	if g == nil || i < 0 || i >= len(g.v) {
-		return
-	}
-	g.v[i] += d
-}
-
-// Value returns cell i (0 when disabled or out of range).
-func (g *GaugeVec) Value(i int) float64 {
-	if g == nil || i < 0 || i >= len(g.values) {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn(i)
-	}
-	return g.v[i]
-}
-
-// Values returns a copy of all cells in label order (nil when disabled).
-func (g *GaugeVec) Values() []float64 {
-	if g == nil {
-		return nil
-	}
-	out := make([]float64, len(g.values))
-	for i := range out {
-		out[i] = g.Value(i)
-	}
-	return out
-}
-
-// Sum returns the total across all cells.
-func (g *GaugeVec) Sum() float64 {
-	if g == nil {
-		return 0
-	}
-	var t float64
-	for i := range g.values {
-		t += g.Value(i)
-	}
-	return t
-}
-
 // NodeLabels returns the label values "0".."n-1" for per-node vectors.
 func NodeLabels(n int) []string {
 	out := make([]string, n)
@@ -280,45 +63,50 @@ func NodeLabels(n int) []string {
 	return out
 }
 
-// entry is one registered metric family, in registration order.
+// entry is one registered metric family, in registration order: a
+// scalar view, a vec view (one label, its values and a cell view), or a
+// histogram.
 type entry struct {
 	name, help string
 	kind       Kind
 
-	counter    *Counter
-	gauge      *Gauge
-	hist       *Histogram
-	counterVec *CounterVec
-	gaugeVec   *GaugeVec
+	fn     func() float64
+	label  string
+	values []string
+	cell   func(i int) float64
+	hist   *stats.IntHistogram
 
 	series []Sample
 }
 
 // scalar reduces the family to one number for time-series sampling:
-// counters and gauges sample their value, vecs their sum, histograms
-// their observation count.
+// scalar views sample their value, vecs their sum, histograms their
+// observation count.
 func (e *entry) scalar() float64 {
 	switch {
-	case e.counter != nil:
-		return e.counter.Value()
-	case e.gauge != nil:
-		return e.gauge.Value()
-	case e.counterVec != nil:
-		return e.counterVec.Sum()
-	case e.gaugeVec != nil:
-		return e.gaugeVec.Sum()
+	case e.fn != nil:
+		return e.fn()
+	case e.cell != nil:
+		var t float64
+		for i := range e.values {
+			t += e.cell(i)
+		}
+		return t
 	case e.hist != nil:
-		return float64(e.hist.h.Total())
+		return float64(e.hist.Total())
 	}
 	return 0
 }
 
-// Registry holds named metric families in registration order. The nil
-// Registry is the disabled registry: every constructor returns a nil
-// metric whose methods are no-ops. Construct enabled registries with
-// New. A Registry is not goroutine-safe; snapshot it from the simulation
-// goroutine and hand the immutable Snapshot to concurrent readers (the
-// poolsim -debug-addr endpoint does exactly that).
+// Registry holds named metric families in registration order. Every
+// family is a view: it reads, at snapshot and sample time, a counter,
+// slice or histogram its owner keeps anyway, so registering a family
+// changes nothing about what the owner does per event. The nil Registry
+// is the disabled registry: registration on it is a no-op. Construct
+// enabled registries with New. A Registry is not goroutine-safe;
+// snapshot it on the goroutine that owns the viewed state and hand the
+// immutable Snapshot to concurrent readers (the poolsim -debug-addr
+// endpoint does exactly that).
 type Registry struct {
 	entries []*entry
 	byName  map[string]*entry
@@ -332,159 +120,57 @@ func New() *Registry {
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
 
-// register adds a family, or returns the existing one when name and kind
-// match (idempotent registration lets two subsystems share a family).
-// Re-registering a name with a different kind is a programming error.
-func (r *Registry) register(name, help string, kind Kind) (*entry, bool) {
-	name = sanitizeName(name)
-	if e, ok := r.byName[name]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("metrics: %q re-registered as %v, was %v", name, kind, e.kind))
-		}
-		return e, false
+// register adds a family. A name registered twice is a programming
+// error: the second view would be silently dropped and its owner's facts
+// under-reported.
+func (r *Registry) register(e *entry) {
+	e.name = sanitizeName(e.name)
+	if _, ok := r.byName[e.name]; ok {
+		panic(fmt.Sprintf("metrics: %q registered twice", e.name))
 	}
-	e := &entry{name: name, help: help, kind: kind}
 	r.entries = append(r.entries, e)
-	r.byName[name] = e
-	return e, true
-}
-
-// Counter registers (or finds) a counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindCounter)
-	if fresh {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	r.byName[e.name] = e
 }
 
 // CounterFunc registers a counter whose value is read from fn at
-// snapshot and sample time — for monotone quantities a subsystem already
-// tracks (chaos crash counts, pool delegations).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) *Counter {
-	if r == nil {
-		return nil
+// snapshot and sample time.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	if r != nil {
+		r.register(&entry{name: name, help: help, kind: KindCounter, fn: fn})
 	}
-	e, fresh := r.register(name, help, KindCounter)
-	if fresh {
-		e.counter = &Counter{fn: fn}
-	}
-	return e.counter
-}
-
-// Gauge registers (or finds) a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindGauge)
-	if fresh {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
 }
 
 // GaugeFunc registers a gauge read from fn at snapshot and sample time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) *Gauge {
-	if r == nil {
-		return nil
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	if r != nil {
+		r.register(&entry{name: name, help: help, kind: KindGauge, fn: fn})
 	}
-	e, fresh := r.register(name, help, KindGauge)
-	if fresh {
-		e.gauge = &Gauge{fn: fn}
-	}
-	return e.gauge
 }
 
-// Histogram registers (or finds) a histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	if r == nil {
-		return nil
+// HistogramOf registers a stats.IntHistogram its owner maintains under
+// name. A nil histogram registers nothing.
+func (r *Registry) HistogramOf(name, help string, h *stats.IntHistogram) {
+	if r != nil && h != nil {
+		r.register(&entry{name: name, help: help, kind: KindHistogram, hist: h})
 	}
-	e, fresh := r.register(name, help, KindHistogram)
-	if fresh {
-		e.hist = &Histogram{h: stats.NewIntHistogram()}
-	}
-	return e.hist
-}
-
-// HistogramOf registers an existing stats.IntHistogram under name, so a
-// distribution a subsystem already maintains (chaos detection latency)
-// is exported without double bookkeeping.
-func (r *Registry) HistogramOf(name, help string, h *stats.IntHistogram) *Histogram {
-	if r == nil || h == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindHistogram)
-	if fresh {
-		e.hist = &Histogram{h: h}
-	}
-	return e.hist
-}
-
-// CounterVec registers a counter family split by one label over the
-// given value set.
-func (r *Registry) CounterVec(name, help, label string, values []string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindCounter)
-	if fresh {
-		e.counterVec = &CounterVec{label: sanitizeName(label), values: values, v: make([]uint64, len(values))}
-	}
-	return e.counterVec
 }
 
 // CounterVecFunc registers a counter family split by one label whose
 // cells are read from fn(i) at snapshot and sample time.
-func (r *Registry) CounterVecFunc(name, help, label string, values []string, fn func(i int) uint64) *CounterVec {
-	if r == nil {
-		return nil
+func (r *Registry) CounterVecFunc(name, help, label string, values []string, fn func(i int) uint64) {
+	if r != nil {
+		r.register(&entry{name: name, help: help, kind: KindCounter, label: sanitizeName(label), values: values,
+			cell: func(i int) float64 { return float64(fn(i)) }})
 	}
-	e, fresh := r.register(name, help, KindCounter)
-	if fresh {
-		e.counterVec = &CounterVec{label: sanitizeName(label), values: values, fn: fn}
-	}
-	return e.counterVec
 }
 
-// NodeCounter registers a per-node counter family (label "node", one
-// cell per node id).
-func (r *Registry) NodeCounter(name, help string, n int) *CounterVec {
-	if r == nil {
-		return nil
+// NodeGaugeFunc registers a per-node gauge family (label "node", one
+// cell per node id) whose cells are read from fn(node) at snapshot and
+// sample time.
+func (r *Registry) NodeGaugeFunc(name, help string, n int, fn func(node int) float64) {
+	if r != nil {
+		r.register(&entry{name: name, help: help, kind: KindGauge, label: "node", values: NodeLabels(n), cell: fn})
 	}
-	return r.CounterVec(name, help, "node", NodeLabels(n))
-}
-
-// GaugeVec registers a gauge family split by one label.
-func (r *Registry) GaugeVec(name, help, label string, values []string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindGauge)
-	if fresh {
-		e.gaugeVec = &GaugeVec{label: sanitizeName(label), values: values, v: make([]float64, len(values))}
-	}
-	return e.gaugeVec
-}
-
-// NodeGaugeFunc registers a per-node gauge family whose cells are read
-// from fn(node) at snapshot and sample time — per-node state the
-// subsystem already maintains (stored events, radio energy) is exported
-// with zero hot-path cost.
-func (r *Registry) NodeGaugeFunc(name, help string, n int, fn func(node int) float64) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindGauge)
-	if fresh {
-		e.gaugeVec = &GaugeVec{label: "node", values: NodeLabels(n), fn: fn}
-	}
-	return e.gaugeVec
 }
 
 // Names returns the registered family names in registration order.
@@ -507,16 +193,14 @@ func (r *Registry) NodeValues(name string) []float64 {
 		return nil
 	}
 	e, ok := r.byName[name]
-	if !ok {
+	if !ok || e.cell == nil {
 		return nil
 	}
-	switch {
-	case e.counterVec != nil:
-		return e.counterVec.Values()
-	case e.gaugeVec != nil:
-		return e.gaugeVec.Values()
+	out := make([]float64, len(e.values))
+	for i := range out {
+		out[i] = e.cell(i)
 	}
-	return nil
+	return out
 }
 
 // Value returns the named family's scalar reduction (counter/gauge

@@ -15,30 +15,15 @@ func TestDisabledRegistryIsInert(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
-	c := r.Counter("c", "")
-	g := r.Gauge("g", "")
-	h := r.Histogram("h", "")
-	cv := r.NodeCounter("cv", "", 4)
-	gv := r.GaugeVec("gv", "", "node", NodeLabels(4))
-	gf := r.NodeGaugeFunc("gf", "", 4, func(int) float64 { return 7 })
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
-	h.Observe(9)
-	cv.Inc(2)
-	cv.Add(1, 10)
-	gv.Set(0, 2)
-	gv.Add(0, 1)
-	if c.Value() != 0 || g.Value() != 0 || cv.Value(2) != 0 || gv.Value(0) != 0 || gf.Value(0) != 0 {
-		t.Fatal("disabled metrics recorded values")
-	}
-	if cv.Values() != nil || gv.Values() != nil || h.Hist() != nil {
-		t.Fatal("disabled metrics returned data")
-	}
+	one := func() float64 { return 1 }
+	r.CounterFunc("c", "", one)
+	r.GaugeFunc("g", "", one)
+	r.HistogramOf("h", "", stats.NewIntHistogram())
+	r.CounterVecFunc("cv", "", "node", NodeLabels(4), func(int) uint64 { return 1 })
+	r.NodeGaugeFunc("gf", "", 4, func(int) float64 { return 7 })
 	r.Sample(time.Second)
 	if r.Series("c") != nil || r.Names() != nil || r.NodeValues("cv") != nil || r.Value("c") != 0 {
-		t.Fatal("disabled registry returned series")
+		t.Fatal("disabled registry returned data")
 	}
 	snap := r.Snapshot()
 	if len(snap.Families) != 0 {
@@ -50,103 +35,92 @@ func TestDisabledRegistryIsInert(t *testing.T) {
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := New()
-	c := r.Counter("ops_total", "ops")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %v, want 5", got)
-	}
-	g := r.Gauge("depth", "")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %v, want 7", got)
-	}
-	h := r.Histogram("lat_ms", "")
+	var ops uint64
+	r.CounterFunc("ops_total", "ops", func() float64 { return float64(ops) })
+	depth := 10.0
+	r.GaugeFunc("depth", "", func() float64 { return depth })
+	lat := stats.NewIntHistogram()
+	r.HistogramOf("lat_ms", "", lat)
+	ops += 5
+	depth -= 3
 	for _, v := range []int64{1, 2, 2, 3, 100} {
-		h.Observe(v)
+		lat.Add(v)
 	}
-	if h.Hist().Total() != 5 || h.Hist().Quantile(50) != 2 {
-		t.Fatalf("histogram: %v", h.Hist())
+	// Views read their owner's state when asked, not when registered.
+	for name, want := range map[string]float64{"ops_total": 5, "depth": 7, "lat_ms": 5} {
+		if got := r.Value(name); got != want {
+			t.Errorf("Value(%q) = %v, want %v", name, got, want)
+		}
 	}
-	cf := r.CounterFunc("crashes_total", "", func() float64 { return 42 })
-	if cf.Value() != 42 {
-		t.Fatalf("counter func = %v", cf.Value())
+	snap := r.Snapshot()
+	if got := snap.Values("lat_ms"); len(got) != 5 || got[0] != 2 || got[4] != 5 {
+		t.Fatalf("histogram points = %v", got)
 	}
-	gf := r.GaugeFunc("pending", "", func() float64 { return 3.5 })
-	if gf.Value() != 3.5 {
-		t.Fatalf("gauge func = %v", gf.Value())
+	if snap.Value("ops_total") != 5 || snap.Value("depth") != 7 {
+		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 
 func TestVectors(t *testing.T) {
 	r := New()
-	cv := r.NodeCounter("tx_total", "frames", 3)
-	cv.Inc(0)
-	cv.Add(2, 5)
-	cv.Inc(99) // out of range: ignored
-	cv.Inc(-1)
-	if got := cv.Values(); !reflect.DeepEqual(got, []float64{1, 0, 5}) {
-		t.Fatalf("counter vec = %v", got)
-	}
-	if cv.Sum() != 6 || cv.Value(2) != 5 || cv.Value(9) != 0 {
-		t.Fatal("counter vec accessors wrong")
-	}
-	gv := r.GaugeVec("mailbox", "", "node", NodeLabels(2))
-	gv.Set(1, 4)
-	gv.Add(1, -1)
-	if gv.Value(1) != 3 || gv.Sum() != 3 {
-		t.Fatalf("gauge vec = %v", gv.Values())
-	}
+	tx := []uint64{1, 0, 5}
+	r.CounterVecFunc("tx_total", "frames", "node", NodeLabels(3), func(i int) uint64 { return tx[i] })
 	loads := []float64{10, 20, 30}
-	gf := r.NodeGaugeFunc("stored", "", 3, func(i int) float64 { return loads[i] })
-	if gf.Sum() != 60 || !reflect.DeepEqual(gf.Values(), loads) {
-		t.Fatalf("gauge func vec = %v", gf.Values())
-	}
+	r.NodeGaugeFunc("stored", "", 3, func(i int) float64 { return loads[i] })
 	if got := r.NodeValues("stored"); !reflect.DeepEqual(got, loads) {
 		t.Fatalf("NodeValues = %v", got)
 	}
 	if got := r.NodeValues("tx_total"); !reflect.DeepEqual(got, []float64{1, 0, 5}) {
 		t.Fatalf("NodeValues = %v", got)
 	}
-	if r.NodeValues("nope") != nil || r.NodeValues("mailbox") == nil {
+	if r.Value("tx_total") != 6 || r.Value("stored") != 60 {
+		t.Fatal("vec sums wrong")
+	}
+	r.GaugeFunc("scalar", "", func() float64 { return 1 })
+	if r.NodeValues("nope") != nil || r.NodeValues("scalar") != nil {
 		t.Fatal("NodeValues lookup wrong")
+	}
+	snap := r.Snapshot()
+	if p := snap.Families[0].Points[2]; !reflect.DeepEqual(p.Labels, []string{"node", "2"}) || p.Value != 5 {
+		t.Fatalf("vec point = %+v", p)
 	}
 }
 
-func TestIdempotentRegistration(t *testing.T) {
-	r := New()
-	a := r.Counter("x_total", "first")
-	b := r.Counter("x_total", "second help ignored")
-	if a != b {
-		t.Fatal("re-registration returned a different counter")
+// TestDuplicateRegistrationPanics holds the one-view-per-name rule: a
+// second family under a taken name, of any kind, panics rather than
+// silently dropping its view.
+func TestDuplicateRegistrationPanics(t *testing.T) {
+	zero := func() float64 { return 0 }
+	for name, second := range map[string]func(r *Registry){
+		"same kind":  func(r *Registry) { r.CounterFunc("x_total", "second", zero) },
+		"other kind": func(r *Registry) { r.GaugeFunc("x_total", "", zero) },
+		"histogram":  func(r *Registry) { r.HistogramOf("x-total", "", stats.NewIntHistogram()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := New()
+			r.CounterFunc("x_total", "first", zero)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("second registration did not panic")
+				}
+			}()
+			second(r)
+		})
 	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("shared counter not shared")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch did not panic")
-		}
-	}()
-	r.Gauge("x_total", "")
 }
 
 func TestHistogramOf(t *testing.T) {
 	r := New()
 	shared := stats.NewIntHistogram()
 	shared.Add(10)
-	h := r.HistogramOf("detect_ms", "", shared)
-	if h.Hist() != shared {
-		t.Fatal("HistogramOf did not wrap the shared histogram")
+	r.HistogramOf("detect_ms", "", shared)
+	shared.Add(20)
+	if r.Value("detect_ms") != 2 {
+		t.Fatal("view did not see the owner's observation")
 	}
-	h.Observe(20)
-	if shared.Total() != 2 {
-		t.Fatal("observation did not reach the shared histogram")
-	}
-	if r.HistogramOf("other", "", nil) != nil {
-		t.Fatal("nil shared histogram should register nothing")
+	r.HistogramOf("other", "", nil)
+	if !reflect.DeepEqual(r.Names(), []string{"detect_ms"}) {
+		t.Fatalf("nil histogram registered a family: %v", r.Names())
 	}
 }
 
@@ -168,10 +142,11 @@ func TestSanitizeName(t *testing.T) {
 func TestSamplingOnScheduler(t *testing.T) {
 	r := New()
 	sched := sim.NewScheduler()
-	c := r.Counter("events_total", "")
+	var events uint64
+	r.CounterFunc("events_total", "", func() float64 { return float64(events) })
 	for i := 1; i <= 5; i++ {
 		i := i
-		sched.At(time.Duration(i)*time.Second, func() { c.Add(uint64(i)) })
+		sched.At(time.Duration(i)*time.Second, func() { events += uint64(i) })
 	}
 	stop := r.StartSampling(sched, 2*time.Second)
 	sched.At(7*time.Second, stop)
@@ -198,14 +173,13 @@ func TestSamplingOnScheduler(t *testing.T) {
 
 func TestSampleScalarReductions(t *testing.T) {
 	r := New()
-	r.Counter("c", "").Add(2)
-	r.Gauge("g", "").Set(5)
-	cv := r.NodeCounter("cv", "", 2)
-	cv.Inc(0)
-	cv.Inc(1)
-	h := r.Histogram("h", "")
-	h.Observe(1)
-	h.Observe(9)
+	r.CounterFunc("c", "", func() float64 { return 2 })
+	r.GaugeFunc("g", "", func() float64 { return 5 })
+	r.CounterVecFunc("cv", "", "node", NodeLabels(2), func(int) uint64 { return 1 })
+	h := stats.NewIntHistogram()
+	h.Add(1)
+	h.Add(9)
+	r.HistogramOf("h", "", h)
 	r.Sample(time.Second)
 	for name, want := range map[string]float64{"c": 2, "g": 5, "cv": 2, "h": 2} {
 		s := r.Series(name)

@@ -651,15 +651,3 @@ func (n *Network) NodeDrops(id int) uint64 { return n.nodeDrop[id] }
 
 // Drops returns the total number of lost frames.
 func (n *Network) Drops() uint64 { return n.drops }
-
-// MaxNodeLoad returns the highest tx+rx total over all nodes and the node
-// that bears it — the hotspot metric.
-func (n *Network) MaxNodeLoad() (node int, load uint64) {
-	node = -1
-	for i := range n.nodeTx {
-		if l := n.nodeTx[i] + n.nodeRx[i]; l > load || node < 0 {
-			node, load = i, l
-		}
-	}
-	return node, load
-}

@@ -427,3 +427,15 @@ func TestTraceMatchesCountersByKind(t *testing.T) {
 		t.Errorf("total frames: trace %d, counters %d", a.TotalFrames(), c.Total())
 	}
 }
+
+// MaxNodeLoad returns the highest tx+rx total over all nodes and the node
+// that bears it — the hotspot metric.
+func (n *Network) MaxNodeLoad() (node int, load uint64) {
+	node = -1
+	for i := range n.nodeTx {
+		if l := n.nodeTx[i] + n.nodeRx[i]; l > load || node < 0 {
+			node, load = i, l
+		}
+	}
+	return node, load
+}

@@ -154,11 +154,11 @@ type Engine struct {
 	// (WithTracer).
 	tracer *trace.Tracer
 
-	// Metric handles (nil until EnableMetrics).
-	mMailbox  *metrics.GaugeVec
-	mInserts  *metrics.Counter
-	mQueries  *metrics.Counter
-	mSendErrs *metrics.Counter
+	// Operation counts, which the metric families view: inserts and
+	// queries injected, sends lost to transport errors, and per node the
+	// packets in flight toward it (+1 in send, −1 when delivered or lost).
+	inserts, queries, sendErrs uint64
+	inflightTo                 []int32
 }
 
 // arena holds value-typed records addressed by slot index and recycled
@@ -294,25 +294,30 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 		rehomes:    make(map[pool.Key]*xferTask),
 		repairHist: stats.NewIntHistogram(),
 		tracer:     cfg.tracer,
+		inflightTo: make([]int32, layout.N()),
 	}
 	e.hid = sched.Register(e)
 	return e, nil
 }
 
-// EnableMetrics registers the engine's live metrics on reg: a per-node
-// mailbox-depth gauge (packets scheduled toward a node that have not yet
-// been delivered), insert/query counters, a function-backed gauge over
-// in-flight operations and repairs, the repair-latency histogram, and a
-// transport-error counter. A nil registry is a no-op.
+// EnableMetrics registers the engine's live metrics on reg, each a view
+// of the engine's own state: a per-node mailbox-depth gauge (packets
+// scheduled toward a node that have not yet been delivered),
+// insert/query counters, a transport-error counter, gauges over
+// in-flight operations and repairs, and the repair-latency histogram. A
+// nil registry is a no-op.
 func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	e.mMailbox = reg.GaugeVec("node_mailbox_depth", "packets in flight toward each node", "node",
-		metrics.NodeLabels(e.layout.N()))
-	e.mInserts = reg.Counter("node_inserts_total", "inserts injected into the actor engine")
-	e.mQueries = reg.Counter("node_queries_total", "queries injected into the actor engine")
-	e.mSendErrs = reg.Counter("node_send_errors_total", "sends aborted by transport errors")
+	reg.NodeGaugeFunc("node_mailbox_depth", "packets in flight toward each node", e.layout.N(),
+		func(i int) float64 { return float64(e.inflightTo[i]) })
+	reg.CounterFunc("node_inserts_total", "inserts injected into the actor engine",
+		func() float64 { return float64(e.inserts) })
+	reg.CounterFunc("node_queries_total", "queries injected into the actor engine",
+		func() float64 { return float64(e.queries) })
+	reg.CounterFunc("node_send_errors_total", "sends aborted by transport errors",
+		func() float64 { return float64(e.sendErrs) })
 	reg.GaugeFunc("node_inflight_ops", "operations awaiting completion",
 		func() float64 { return float64(e.ops.live()) })
 	reg.GaugeFunc("node_repairs_inflight", "crashed nodes whose repair exchanges are still in flight",
@@ -361,7 +366,7 @@ func (e *Engine) send(from, to int, kind network.Kind, size int, cont recKind, r
 	// The exchange belongs to whatever span is ambient at send time;
 	// every typed continuation re-enters it so per-hop records and
 	// downstream sends attribute correctly.
-	e.mMailbox.Add(to, 1)
+	e.inflightTo[to]++
 	ti := e.tasks.alloc()
 	t := e.tasks.at(ti)
 	t.span = e.tracer.CurrentSpan()
@@ -518,7 +523,7 @@ func (e *Engine) finishDeliver(ti int32) {
 		e.failTask(ti, fmt.Errorf("node: %d died with the packet queued: %w", to, dcs.ErrUnreachable))
 		return
 	}
-	e.mMailbox.Add(to, -1)
+	e.inflightTo[to]--
 	cont, rec := t.cont, t.rec
 	e.freeTask(ti)
 	e.settle(cont, rec, nil)
@@ -529,8 +534,8 @@ func (e *Engine) finishDeliver(ti int32) {
 // sends reuse the slot.
 func (e *Engine) failTask(ti int32, err error) {
 	t := e.tasks.at(ti)
-	e.mMailbox.Add(int(t.to), -1)
-	e.mSendErrs.Inc()
+	e.inflightTo[t.to]--
+	e.sendErrs++
 	if !dcs.IsDegradable(err) {
 		e.errs = append(e.errs, err)
 	}
@@ -570,7 +575,7 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 	if err != nil {
 		return err
 	}
-	e.mInserts.Inc()
+	e.inserts++
 	span := e.tracer.BeginAt(e.tracer.CurrentSpan(), trace.OpInsert, origin, "")
 	wi := e.writes.alloc()
 	*e.writes.at(wi) = write{key: key, ev: ev, index: int32(index), span: span, done: done}

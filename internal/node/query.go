@@ -139,7 +139,7 @@ func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []
 	op.span = e.tracer.BeginAt(e.tracer.CurrentSpan(), trace.OpQuery, sink, "")
 	op.started = e.sched.Now()
 	op.onDone = onDone
-	e.mQueries.Inc()
+	e.queries++
 	pools := len(op.plan.Fanouts)
 	op.poolsLeft = pools
 	op.comp.CellsTotal = op.plan.NumCells()

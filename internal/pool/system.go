@@ -10,6 +10,7 @@ import (
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
+	"pooldcs/internal/stats"
 	"pooldcs/internal/trace"
 )
 
@@ -110,6 +111,14 @@ type System struct {
 	// recoveryMsgs counts the messages FailNode spends (faults.go).
 	recoveryMsgs uint64
 
+	// Operation counts, which the metric families view: events
+	// inserted, queries answered, the retry unicasts and relevant cells
+	// of those queries, and the per-Pool fan-outs each node served as
+	// splitter.
+	inserts, queries, retries uint64
+	fanout                    *stats.IntHistogram
+	splitterLegs              []uint64
+
 	// Anti-entropy state (antientropy.go), replication only: the replica
 	// pair list as of directory version pairsAt-1 (0: never built).
 	pairs   []antientropy.Pair
@@ -119,13 +128,6 @@ type System struct {
 	subs    [][]*Subscription // by Key slot
 	subSeq  uint64
 	pending []Notification
-
-	// Metric handles (nil when no registry is attached).
-	mInserts  *metrics.Counter
-	mQueries  *metrics.Counter
-	mRetries  *metrics.Counter
-	mFanout   *metrics.Histogram
-	mSplitter *metrics.CounterVec
 }
 
 var _ dcs.System = (*System)(nil)
@@ -145,14 +147,16 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 		return nil, err
 	}
 	s := &System{
-		Directory: dir,
-		Store:     NewStore(dir),
-		subs:      make([][]*Subscription, dir.numSlots()),
-		net:       net,
-		router:    router,
-		quota:     cfg.quota,
-		tracer:    cfg.tracer,
-		arq:       cfg.arq,
+		Directory:    dir,
+		Store:        NewStore(dir),
+		subs:         make([][]*Subscription, dir.numSlots()),
+		net:          net,
+		router:       router,
+		quota:        cfg.quota,
+		tracer:       cfg.tracer,
+		arq:          cfg.arq,
+		fanout:       stats.NewIntHistogram(),
+		splitterLegs: make([]uint64, layout.N()),
 		// Sized here so the first query allocates no more than a later one.
 		plan: Plan{Fanouts: make([]Fanout, 0, dims)},
 	}
@@ -166,11 +170,13 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 // enableMetrics registers the system's metric families (WithMetrics).
 func (s *System) enableMetrics(reg *metrics.Registry) {
 	n := s.net.Layout().N()
-	s.mInserts = reg.Counter("pool_inserts_total", "events stored through Pool")
-	s.mQueries = reg.Counter("pool_queries_total", "range queries resolved by Pool")
-	s.mRetries = reg.Counter("pool_query_retries_total", "extra unicasts spent by the query failure policy")
-	s.mFanout = reg.Histogram("pool_query_fanout_cells", "relevant cells addressed per query")
-	s.mSplitter = reg.NodeCounter("pool_splitter_queries_total", "per-Pool fan-outs served by each node as splitter", n)
+	reg.CounterFunc("pool_inserts_total", "events stored through Pool", func() float64 { return float64(s.inserts) })
+	reg.CounterFunc("pool_queries_total", "range queries resolved by Pool", func() float64 { return float64(s.queries) })
+	reg.CounterFunc("pool_query_retries_total", "extra unicasts spent by the query failure policy",
+		func() float64 { return float64(s.retries) })
+	reg.HistogramOf("pool_query_fanout_cells", "relevant cells addressed per query", s.fanout)
+	reg.CounterVecFunc("pool_splitter_queries_total", "per-Pool fan-outs served by each node as splitter",
+		"node", metrics.NodeLabels(n), func(i int) uint64 { return s.splitterLegs[i] })
 	reg.NodeGaugeFunc("pool_stored_events", "events held per node (delegated segments included)", n,
 		func(i int) float64 { return float64(s.Stored(i)) })
 	reg.CounterFunc("pool_delegations_total", "workload-sharing segments opened beyond the index nodes",
@@ -219,7 +225,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if _, err := s.unicast(origin, index, network.KindInsert, payload); err != nil {
 		return fmt.Errorf("pool: insert: %w", err)
 	}
-	s.mInserts.Inc()
+	s.inserts++
 	return s.storeEvent(key, index, e, payload)
 }
 
@@ -345,9 +351,9 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	if err != nil {
 		return nil, comp, err
 	}
-	s.mQueries.Inc()
-	s.mFanout.Observe(int64(comp.CellsTotal))
-	s.mRetries.Add(uint64(comp.Retries))
+	s.queries++
+	s.retries += uint64(comp.Retries)
+	s.fanout.Add(int64(comp.CellsTotal))
 	return event.CloneEvents(s.replyBuf), comp, nil
 }
 

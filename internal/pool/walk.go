@@ -98,7 +98,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 		}
 		return nil
 	}
-	s.mSplitter.Inc(splitter)
+	s.splitterLegs[splitter]++
 	stage = StageCell
 	poolMark, gathered := len(s.replyBuf), 0
 	served := s.servedBuf[:0]

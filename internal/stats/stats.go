@@ -41,16 +41,14 @@ func (s *Summary) N() int { return s.n }
 // Mean returns the arithmetic mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Var returns the sample variance (0 with fewer than two observations).
-func (s *Summary) Var() float64 {
+// Std returns the sample standard deviation (0 with fewer than two
+// observations).
+func (s *Summary) Std() float64 {
 	if s.n < 2 {
 		return 0
 	}
-	return s.m2 / float64(s.n-1)
+	return math.Sqrt(s.m2 / float64(s.n-1))
 }
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation (0 for an empty summary).
 func (s *Summary) Min() float64 { return s.min }

@@ -122,3 +122,11 @@ func TestGiniRandomBounds(t *testing.T) {
 		}
 	}
 }
+
+// Var returns the sample variance (0 with fewer than two observations).
+func (s *Summary) Var() float64 {
+	if s.n < 2 {
+		return 0
+	}
+	return s.m2 / float64(s.n-1)
+}
