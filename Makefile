@@ -120,7 +120,7 @@ conformance:
 #   dcs          the one failure policy all three schemes run under: 90%
 #   field        the spatial index every nearest-node rule reads: 90%
 #   gpsr         home lookup and memo each claim to equal a probe: 90%
-#   holding      one durability rule decides completeness for all three
+#   holding      one vouching rule decides completeness for all three
 #                schemes: 90%
 #   sim          a wrong ladder-queue branch silently reorders simulations
 #                instead of crashing them, and the property/fuzz suite

@@ -43,12 +43,6 @@ type Summarizer interface {
 	Summary() *Summary
 }
 
-// Syncer is the optional half of a replica Store that keeps a durability
-// state: Synced tells it a session has just left it equal to its primary.
-type Syncer interface {
-	Synced()
-}
-
 // PairID names a replicated unit by *role*, not by node, so re-homed
 // replicas keep their history. It is comparable — it keys the
 // divergence-window bookkeeping across rounds — and is rendered only
@@ -336,9 +330,6 @@ func (r *Reconciler) reconcile(p *Pair) int {
 		return moved
 	}
 	r.sessions++
-	if s, ok := p.Replica.(Syncer); ok {
-		s.Synced()
-	}
 	if moved > 0 && !st.diverged {
 		st.diverged, st.divergedAt = true, st.lastSync
 	}

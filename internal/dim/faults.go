@@ -56,7 +56,7 @@ func (s *System) FailNode(id int) error {
 	}
 	s.owned[id] = nil
 	for _, l := range emptied {
-		s.Handover(l, s.zones[l.Unit].Owner, nil, false)
+		s.Handover(l, s.zones[l.Unit].Owner, nil)
 	}
 	return nil
 }

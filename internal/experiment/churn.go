@@ -271,7 +271,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 						return
 					}
 					u.msgs += u.queryFrames() - before
-					u.sumRecall += recallOf(got, uOracle)
+					u.sumRecall += RecallOf(got, uOracle)
 					u.sumComp += comp.Fraction()
 				}
 			}); err != nil {
@@ -307,7 +307,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 				// mirror fallback, and the transfer contention.
 				degraded := nodeEng.QueryDegraded(q, nodeU.engine.Down)
 				err := nodeEng.QueryWithReport(sink, q, func(got []event.Event, comp dcs.Completeness, elapsed time.Duration) {
-					nodeU.sumRecall += recallOf(got, oracle)
+					nodeU.sumRecall += RecallOf(got, oracle)
 					nodeU.sumComp += comp.Fraction()
 					nodeDone++
 					if degraded {
@@ -455,9 +455,9 @@ func attributionShares(tr *trace.Tracer) []string {
 	}
 }
 
-// recallOf returns |got ∩ oracle| / |oracle|, 1.0 when the oracle is
+// RecallOf returns |got ∩ oracle| / |oracle|, 1.0 when the oracle is
 // empty (nothing to miss).
-func recallOf(got, oracle []event.Event) float64 {
+func RecallOf(got, oracle []event.Event) float64 {
 	if len(oracle) == 0 {
 		return 1
 	}

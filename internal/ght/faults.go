@@ -46,7 +46,7 @@ func (s *System) FailNode(id int) error {
 		s.mirrorBuf = s.appendMirrors(s.mirrorBuf[:0], s.HashPoint(rows.At(j).Values))
 		for _, pt := range s.mirrorBuf {
 			if h, ok := s.homes[pt]; ok && int(h.node) == id {
-				h.dur = h.dur.Crashed(1).Settled(false, false)
+				h.lost = true
 				s.homes[pt] = h
 			}
 		}
@@ -72,7 +72,7 @@ func (s *System) FailNode(id int) error {
 		if next < 0 {
 			return fmt.Errorf("ght: no surviving node for hashed point %v", pt)
 		}
-		s.homes[pt] = homing{node: int32(next), dur: s.homes[pt].dur}
+		s.homes[pt] = homing{node: int32(next), lost: s.homes[pt].lost}
 	}
 	return nil
 }

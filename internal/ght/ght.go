@@ -22,7 +22,6 @@ import (
 	"pooldcs/internal/event"
 	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
-	"pooldcs/internal/holding"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/stats"
@@ -190,29 +189,30 @@ func (s *System) HashPoint(values []float64) geo.Point {
 	return geo.Pt(x, y)
 }
 
-// homing is a hashed point's home node and the state of its events.
+// homing is a hashed point's home node, and whether a crash took events
+// of the point no copy restores: that never ends.
 type homing struct {
 	node int32
-	dur  holding.Primary
+	lost bool
 }
 
 // home returns the home node for a hashed point as seen from the given
-// node, and the state of the point's events. The first operation on a
+// node, and whether the point is lost. The first operation on a
 // point resolves it through the router — an index lookup that charges
 // nothing, as GPSR discovers the home as a side effect of the first routed
 // packet — and every later one reads the homes map. The map is state, not
 // only a cache: FailNode re-homes and marks in it what outlives
 // RecoverNode.
-func (s *System) home(from int, pt geo.Point) (int, holding.Primary, error) {
+func (s *System) home(from int, pt geo.Point) (int, bool, error) {
 	if h, ok := s.homes[pt]; ok {
-		return int(h.node), h.dur, nil
+		return int(h.node), h.lost, nil
 	}
 	h, err := s.router.HomeNode(from, pt)
 	if err != nil {
-		return -1, holding.Live, err
+		return -1, false, err
 	}
 	s.homes[pt] = homing{node: int32(h)}
-	return h, holding.Live, nil
+	return h, false, nil
 }
 
 // Insert implements dcs.System: the event is routed to the home node of
@@ -314,7 +314,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	}
 	cur := sink
 	for mi, pt := range mirrors {
-		home, dur, err := s.home(cur, pt)
+		home, lost, err := s.home(cur, pt)
 		if err != nil {
 			if !dcs.IsDegradable(err) {
 				return nil, comp, fmt.Errorf("ght: query: %w", err)
@@ -362,7 +362,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 				s.replyBuf = kept
 			}
 		}
-		if dur != holding.Live { // it answers what survived, unreached
+		if lost { // it answers what survived, unreached
 			comp.Unreached = append(comp.Unreached, mirrorLabel(mi, pt))
 			continue
 		}

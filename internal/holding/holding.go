@@ -1,11 +1,12 @@
 // Package holding is what a storage scheme's nodes hold, and the one rule
-// for what a crash does to it. A unit is what a scheme stores events
+// for whether a copy of it is whole. A unit is what a scheme stores events
 // under — a Pool key, a DIM zone — and its slot is a dense index the
 // scheme assigns. Each unit has a primary copy, made of segments each held
 // by one node, and optionally a mirror copy at a node the scheme places.
 // The Store keeps the events of both, the events held per node, a memo of
-// each copy's set summary, and how whole each copy is; the scheme keeps
-// its unit↔slot map and its placement rules (Scheme).
+// each copy's set summary, and a fingerprint of each copy and of the
+// events its unit acked; the scheme keeps its unit↔slot map and its
+// placement rules (Scheme).
 package holding
 
 import (
@@ -23,48 +24,22 @@ type Segment struct {
 	Rows event.Rows
 }
 
-// Primary is how whole a unit's primary copy is. A lost unit never turns
-// live again: nothing stored later brings its events back.
-type Primary uint8
+// fingerprint summarises a set of events by their Seqs: how many, and the
+// sum and the xor of a splitmix64 mix of each. Two copies with equal
+// fingerprints hold the same events but for a 64-bit collision; a count
+// alone would not tell a copy missing one event and holding another twice
+// from a whole one (DESIGN §8).
+type fingerprint struct{ n, sum, xor uint64 }
 
-const (
-	Live    Primary = iota // holds every event stored under the unit
-	Partial                // a crash emptied it, no restore landed whole since
-	Lost                   // a crash emptied it and no copy survived
-)
+func (f *fingerprint) add(seq uint64) { m := mix(seq); f.n++; f.sum += m; f.xor ^= m }
+func (f *fingerprint) sub(seq uint64) { m := mix(seq); f.n--; f.sum -= m; f.xor ^= m }
 
-// Crashed is the rule for a crash that emptied held events of the copy: a
-// live primary that held any is partial until a restore settles it.
-func (p Primary) Crashed(held int) Primary {
-	if held > 0 && p == Live {
-		return Partial
-	}
-	return p
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
-
-// Settled is the rule for a restore that ended: lost when nothing landed,
-// live when it landed on a partial primary a whole mirror covers.
-func (p Primary) Settled(landed, covered bool) Primary {
-	if !landed {
-		return Lost
-	}
-	if p == Partial && covered {
-		return Live
-	}
-	return p
-}
-
-// durability is how whole a unit's two copies are. The mirror's is whole
-// unless a write to it is on the air or behind is set: it missed a write
-// or a crash dropped it, and no re-home or anti-entropy session has made
-// it whole since.
-type durability struct {
-	primary Primary
-	behind  bool
-	inAir   int32
-}
-
-func (d *durability) whole() bool { return !d.behind && d.inAir == 0 }
 
 // copySummary memoises the set summary of one copy of a unit, so a session
 // between two copies that agree reads six words and no event. Every write
@@ -107,10 +82,11 @@ type Store[K comparable] struct {
 	sums      [][2]copySummary
 	digestBuf []uint64
 
-	// dur holds how whole both copies of every unit are, and crashes
-	// counts the crashes that could have made one less so.
-	dur     []durability
-	crashes int
+	// acked holds the fingerprint of the events each unit acked and has not
+	// deleted since, and held that of what each copy of it holds, 0 the
+	// primary: a copy vouches iff the two are equal.
+	acked []fingerprint
+	held  [][2]fingerprint
 }
 
 // New returns an empty store of units units over nodes nodes. Every unit's
@@ -118,7 +94,8 @@ type Store[K comparable] struct {
 // segment each, a DIM query's, reads them in place.
 func New[K comparable](units, nodes int, sch Scheme[K]) *Store[K] {
 	st := &Store[K]{sch: sch, segs: make([][]Segment, units),
-		copies: make([]event.Rows, units), stored: make([]int, nodes), dur: make([]durability, units)}
+		copies: make([]event.Rows, units), stored: make([]int, nodes),
+		acked: make([]fingerprint, units), held: make([][2]fingerprint, units)}
 	first := make([]Segment, units)
 	for i := range st.segs {
 		st.segs[i] = first[i : i : i+1]
@@ -127,38 +104,21 @@ func New[K comparable](units, nodes int, sch Scheme[K]) *Store[K] {
 }
 
 // Vouches reports whether the copy a query leg was served from — the
-// mirror's, or else the primary's — holds every event stored under k.
+// mirror's, or else the primary's — holds exactly the events stored under
+// k and not deleted since. A copy missing one never vouches again unless a
+// repair lands it.
 func (st *Store[K]) Vouches(k K, mirror bool) bool {
-	d := &st.dur[st.sch.Slot(k)]
-	return mirror && d.whole() || !mirror && d.primary == Live
-}
-
-// Durability returns k's primary state and whether its mirror is whole.
-func (st *Store[K]) Durability(k K) (Primary, bool) {
-	return st.dur[st.sch.Slot(k)].primary, st.Vouches(k, true)
-}
-
-// settle ends a restore of slot i's primary by the Settled rule.
-func (st *Store[K]) settle(i int, landed bool) {
-	d := &st.dur[i]
-	d.primary = d.primary.Settled(landed, landed && d.primary == Partial && d.whole() && st.covers(i))
-}
-
-// covers reports whether slot i's mirror copy holds every event of its
-// segments.
-func (st *Store[K]) covers(i int) bool {
-	in := map[uint64]bool{}
-	for j := 0; j < st.copies[i].Len(); j++ {
-		in[st.copies[i].At(j).Seq] = true
+	i, c := st.sch.Slot(k), 0
+	if mirror {
+		c = 1
 	}
-	for _, seg := range st.segs[i] {
-		for j := 0; j < seg.Rows.Len(); j++ {
-			if !in[seg.Rows.At(j).Seq] {
-				return false
-			}
-		}
-	}
-	return true
+	return st.held[i][c] == st.acked[i]
+}
+
+// refresh makes slot i's copy c, 0 the primary, fingerprint its rows
+// after a write that replaced them.
+func (st *Store[K]) refresh(i, c int) {
+	st.held[i][c] = Copy[K]{st: st, slot: i, side: c}.fingerprint()
 }
 
 // putSegments ends every write to slot i's segments, in-place edits
@@ -214,12 +174,11 @@ func (st *Store[K]) MirrorCopy(k K) []event.Event {
 }
 
 // ReplaceMirror makes copies of events k's mirror copy: a re-home landed.
-// The copy is whole when it holds every event of a live primary.
 func (st *Store[K]) ReplaceMirror(k K, events []event.Event) {
 	i := st.sch.Slot(k)
 	st.copies[i].Reset(events)
+	st.refresh(i, 1)
 	st.putMirror(i)
-	st.dur[i].behind = st.dur[i].primary != Live || !st.covers(i)
 }
 
 // last returns the index of the last of segs node holds, or -1.
@@ -244,42 +203,40 @@ func (st *Store[K]) at(k K, node int) (int, []Segment, *Segment) {
 	return i, segs, &segs[j]
 }
 
-// Append lands e on the last of k's segments node holds, or on a new one
-// at the end.
+// Append stores e under k: its unit acks it, and it lands on the last of
+// k's segments node holds, or on a new one at the end.
 func (st *Store[K]) Append(k K, node int, e event.Event) {
+	st.acked[st.insert(k, node, e)].add(e.Seq)
+}
+
+// insert lands e on the primary copy as Append does, without the ack, and
+// returns k's slot.
+func (st *Store[K]) insert(k K, node int, e event.Event) int {
 	i, segs, seg := st.at(k, node)
 	seg.Rows.Append(e)
 	st.stored[node]++
+	st.held[i][0].add(e.Seq)
 	st.putSegments(i, segs)
+	return i
 }
 
-// AppendSegment opens a new segment of k at node holding e: a delegation.
+// AppendSegment stores e under k in a new segment at node: a delegation.
 func (st *Store[K]) AppendSegment(k K, node int, e event.Event) {
 	i := st.sch.Slot(k)
 	st.stored[node]++
 	seg := Segment{Node: node}
 	seg.Rows.Append(e)
+	st.acked[i].add(e.Seq)
+	st.held[i][0].add(e.Seq)
 	st.putSegments(i, append(st.segs[i], seg))
 }
 
-// AppendMirror appends e to k's mirror copy.
+// AppendMirror lands e on k's mirror copy: a mirror write arrived.
 func (st *Store[K]) AppendMirror(k K, e event.Event) {
 	i := st.sch.Slot(k)
 	st.copies[i].Append(e)
+	st.held[i][1].add(e.Seq)
 	st.putMirror(i)
-}
-
-// MirrorSent puts a write to k's mirror on the air; MirrorLanded settles
-// it: landed, e joins the copy, lost, the mirror is behind.
-func (st *Store[K]) MirrorSent(k K) { st.dur[st.sch.Slot(k)].inAir++ }
-
-func (st *Store[K]) MirrorLanded(k K, e event.Event, landed bool) {
-	d := &st.dur[st.sch.Slot(k)]
-	d.inAir--
-	d.behind = d.behind || !landed
-	if landed {
-		st.AppendMirror(k, e)
-	}
 }
 
 // Emptied is a segment a crash emptied — unit Unit's Seg-th — with the rows
@@ -292,19 +249,17 @@ type Emptied[K comparable] struct {
 }
 
 // Crash loses node's RAM: it empties every segment node holds, in place,
-// leaving a primary that held events partial, drops every mirror copy node
-// holds, leaving it behind, and returns the emptied segments in
-// EachSegment's order.
+// and drops every mirror copy node holds, and returns the emptied segments
+// in EachSegment's order.
 func (st *Store[K]) Crash(node int) []Emptied[K] {
-	st.crashes++
 	var lost []Emptied[K]
 	for i, segs := range st.segs {
 		for j := range segs {
 			if segs[j].Node == node {
 				lost = append(lost, Emptied[K]{Unit: st.sch.Unit(i), Seg: j, Rows: segs[j].Rows, slot: i})
-				st.dur[i].primary = st.dur[i].primary.Crashed(segs[j].Rows.Len())
 				st.stored[node] -= segs[j].Rows.Len()
 				segs[j].Rows.Reset(nil)
+				st.refresh(i, 0)
 				st.putSegments(i, segs)
 			}
 		}
@@ -312,8 +267,8 @@ func (st *Store[K]) Crash(node int) []Emptied[K] {
 	for i := range st.copies {
 		if st.sch.MirrorAt(i) == node {
 			st.copies[i].Reset(nil)
+			st.held[i][1] = fingerprint{}
 			st.putMirror(i)
-			st.dur[i].behind = true
 		}
 	}
 	return lost
@@ -337,38 +292,29 @@ func (st *Store[K]) Survivors(l Emptied[K]) []event.Event {
 }
 
 // Handover hands an emptied segment to its unit's new holder to with
-// copies of events, what a restore shipped if restored.
-func (st *Store[K]) Handover(l Emptied[K], to int, events []event.Event, restored bool) {
+// copies of events, what a restore shipped.
+func (st *Store[K]) Handover(l Emptied[K], to int, events []event.Event) {
 	segs := st.segs[l.slot]
 	segs[l.Seg].Node = to
 	segs[l.Seg].Rows.Reset(events)
 	st.stored[to] += len(events)
+	st.refresh(l.slot, 0)
 	st.putSegments(l.slot, segs)
-	st.settle(l.slot, restored || l.Rows.Len() == 0)
 }
 
 // Restore lands a restore chunk on node's segment of k: each event keep
 // admits whose Seq the segment does not hold yet, so a replayed chunk
-// changes nothing. The last chunk settles the restore.
-func (st *Store[K]) Restore(k K, node int, chunk []event.Event, last bool, keep func(event.Event) bool) {
+// changes nothing.
+func (st *Store[K]) Restore(k K, node int, chunk []event.Event, keep func(event.Event) bool) {
 	i, segs, seg := st.at(k, node)
 	for _, e := range chunk {
 		if !holds(&seg.Rows, e.Seq) && keep(e) {
 			seg.Rows.Append(e)
 			st.stored[node]++
+			st.held[i][0].add(e.Seq)
 		}
 	}
 	st.putSegments(i, segs)
-	if last {
-		st.settle(i, true)
-	}
-}
-
-// Unrestorable settles a partial primary no copy is left to restore.
-func (st *Store[K]) Unrestorable(k K) {
-	if i := st.sch.Slot(k); st.dur[i].primary == Partial {
-		st.settle(i, false)
-	}
 }
 
 func holds(r *event.Rows, seq uint64) bool {
@@ -380,22 +326,40 @@ func holds(r *event.Rows, seq uint64) bool {
 	return false
 }
 
-// Prune deletes the matching events of k's j-th segment and returns how
-// many it deleted.
+// Prune deletes the matching events of k's j-th segment, for its unit too,
+// and returns how many it deleted.
 func (st *Store[K]) Prune(k K, j int, match func(event.Event) bool) int {
 	i := st.sch.Slot(k)
 	segs := st.segs[i]
-	n := segs[j].Rows.DeleteFunc(match)
+	n := segs[j].Rows.DeleteFunc(func(e event.Event) bool {
+		if !match(e) {
+			return false
+		}
+		st.held[i][0].sub(e.Seq)
+		st.acked[i].sub(e.Seq)
+		return true
+	})
 	st.stored[segs[j].Node] -= n
 	st.putSegments(i, segs)
 	return n
 }
 
 // PruneMirror deletes the matching events of k's mirror copy and returns
-// how many it deleted.
-func (st *Store[K]) PruneMirror(k K, match func(event.Event) bool) int {
+// how many it deleted. served says the delete was served at the mirror:
+// then they are deleted for the unit too, which a delete served at the
+// primary has done through Prune.
+func (st *Store[K]) PruneMirror(k K, match func(event.Event) bool, served bool) int {
 	i := st.sch.Slot(k)
-	n := st.copies[i].DeleteFunc(match)
+	n := st.copies[i].DeleteFunc(func(e event.Event) bool {
+		if !match(e) {
+			return false
+		}
+		st.held[i][1].sub(e.Seq)
+		if served {
+			st.acked[i].sub(e.Seq)
+		}
+		return true
+	})
 	st.putMirror(i)
 	return n
 }
@@ -499,6 +463,18 @@ func (c Copy[K]) part(p int) *event.Rows {
 	return &c.st.segs[c.slot][p].Rows
 }
 
+// fingerprint returns the fingerprint of the copy's rows as they stand.
+func (c Copy[K]) fingerprint() fingerprint {
+	var f fingerprint
+	for p := 0; p < c.parts(); p++ {
+		r := c.part(p)
+		for j := 0; j < r.Len(); j++ {
+			f.add(r.At(j).Seq)
+		}
+	}
+	return f
+}
+
 func (c Copy[K]) AppendDigests(buf []uint64) []uint64 {
 	for p := 0; p < c.parts(); p++ {
 		r := c.part(p)
@@ -530,7 +506,7 @@ func (c Copy[K]) Fetch(digests []uint64, buf []event.Event) []event.Event {
 
 // Insert lands a repaired event in the copy — a primary's in its active
 // segment, bypassing any workload-sharing quota: repair restores lost
-// copies, it does not open delegations.
+// copies, it does not open delegations, and it acks nothing.
 func (c Copy[K]) Insert(e event.Event) {
 	k := c.Unit()
 	if c.side == 1 {
@@ -538,7 +514,7 @@ func (c Copy[K]) Insert(e event.Event) {
 		return
 	}
 	node, _ := c.st.Active(k, c.node)
-	c.st.Append(k, node, e)
+	c.st.insert(k, node, e)
 }
 
 func (c Copy[K]) Len() int {
@@ -549,32 +525,23 @@ func (c Copy[K]) Len() int {
 	return n
 }
 
-// Synced implements antientropy.Syncer on the mirror copy: equal to a
-// live primary, it is whole.
-func (c Copy[K]) Synced() {
-	if d := &c.st.dur[c.slot]; d.primary == Live {
-		d.behind = false
-	}
-}
-
 // CheckStore verifies what holds in every state and returns the first
 // violation found, or nil: every slot holding a segment or a copy is the
 // slot of its unit, no failed node holds a segment with events, every
-// node's counter is what its segments hold, only a crash leaves a primary
-// partial or lost, and a whole mirror at an alive node holds every event
-// of its live primary.
+// node's counter is what its segments hold, and every copy's fingerprint
+// is what its rows make.
 func (st *Store[K]) CheckStore() error {
 	counted := make([]int, len(st.stored))
 	for i, segs := range st.segs {
-		k, d := st.sch.Unit(i), &st.dur[i]
+		k := st.sch.Unit(i)
 		if (len(segs) > 0 || st.copies[i].Len() > 0) && st.sch.Slot(k) != i {
 			return fmt.Errorf("holding: slot %d holds unit %v, whose slot is %d", i, k, st.sch.Slot(k))
 		}
-		if d.primary != Live && st.crashes == 0 {
-			return fmt.Errorf("holding: unit %v is %d with no crash behind it", k, d.primary)
-		}
-		if m := st.sch.MirrorAt(i); m >= 0 && !st.sch.Failed(m) && d.primary == Live && d.whole() && !st.covers(i) {
-			return fmt.Errorf("holding: unit %v: its whole mirror misses an event of its live primary", k)
+		for c := range st.held[i] {
+			if f := (Copy[K]{st: st, slot: i, side: c}).fingerprint(); f != st.held[i][c] {
+				return fmt.Errorf("holding: unit %v copy %d (1 the mirror): kept fingerprint %+v, its rows make %+v",
+					k, c, st.held[i][c], f)
+			}
 		}
 		for j := range segs {
 			seg := &segs[j]

@@ -1,6 +1,8 @@
 package holding
 
 import (
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -55,27 +57,13 @@ func (w *world) primaryEvents(u int) []event.Event {
 	return out
 }
 
-func TestPrimaryRule(t *testing.T) {
-	for _, tc := range []struct {
-		p              Primary
-		held           int
-		landed, covers bool
-		crashed, after Primary
-	}{
-		{Live, 0, true, false, Live, Live},
-		{Live, 3, true, true, Partial, Live},
-		{Live, 3, true, false, Partial, Partial},
-		{Live, 3, false, true, Partial, Lost},
-		{Partial, 1, true, true, Partial, Live},
-		{Lost, 1, true, true, Lost, Lost},
-	} {
-		if got := tc.p.Crashed(tc.held); got != tc.crashed {
-			t.Errorf("%d.Crashed(%d) = %d, want %d", tc.p, tc.held, got, tc.crashed)
-		}
-		if got := tc.p.Crashed(tc.held).Settled(tc.landed, tc.covers); got != tc.after {
-			t.Errorf("%d.Crashed(%d).Settled(%v, %v) = %d, want %d", tc.p, tc.held, tc.landed, tc.covers, got, tc.after)
-		}
+// vouching returns whether each unit's primary copy vouches.
+func (w *world) vouching() []bool {
+	out := make([]bool, len(w.mirrors))
+	for u := range out {
+		out[u] = w.st.Vouches(u, false)
 	}
+	return out
 }
 
 // TestCrashHandoverAndRestore walks one unit through a crash its mirror
@@ -86,8 +74,7 @@ func TestCrashHandoverAndRestore(t *testing.T) {
 	w.mirrors[0] = 3
 	for seq := uint64(1); seq <= 3; seq++ {
 		w.st.Append(0, 0, ev(seq))
-		w.st.MirrorSent(0)
-		w.st.MirrorLanded(0, ev(seq), true)
+		w.st.AppendMirror(0, ev(seq))
 	}
 	w.st.Append(1, 0, ev(10))
 	w.st.Append(2, 0, ev(20))
@@ -100,19 +87,16 @@ func TestCrashHandoverAndRestore(t *testing.T) {
 	if len(emptied) != 3 || emptied[0].Unit != 0 || emptied[2].Unit != 2 || emptied[0].Rows.Len() != 3 {
 		t.Fatalf("Crash = %+v", emptied)
 	}
-	if p, whole := w.st.Durability(0); p != Partial || !whole {
-		t.Fatalf("after the crash: %d, mirror whole %v", p, whole)
+	if w.st.Vouches(0, false) || !w.st.Vouches(0, true) {
+		t.Fatalf("after the crash: primary vouches %v, mirror %v", w.st.Vouches(0, false), w.st.Vouches(0, true))
 	}
 	if got := seqs(w.st.Survivors(emptied[0])); !slices.Equal(got, []uint64{1, 2, 3}) {
 		t.Fatalf("Survivors = %v", got)
 	}
-	w.st.Handover(emptied[0], 1, w.st.Survivors(emptied[0]), true)
-	w.st.Handover(emptied[1], 1, nil, false)
-	w.st.Unrestorable(2)
-	for u, want := range []Primary{Live, Lost, Lost} {
-		if p, _ := w.st.Durability(u); p != want {
-			t.Errorf("unit %d is %d, want %d", u, p, want)
-		}
+	w.st.Handover(emptied[0], 1, w.st.Survivors(emptied[0]))
+	w.st.Handover(emptied[1], 1, nil)
+	if got := w.vouching(); !slices.Equal(got, []bool{true, false, false}) {
+		t.Errorf("primaries vouch %v, want only the restored one", got)
 	}
 	if err := w.st.CheckStore(); err != nil {
 		t.Fatal(err)
@@ -123,24 +107,24 @@ func TestCrashHandoverAndRestore(t *testing.T) {
 	w.failed[1] = true
 	w.st.Crash(1)
 	copyOf := w.st.MirrorCopy(0)
-	w.st.Restore(0, 2, copyOf[:2], false, func(event.Event) bool { return true })
-	if p, _ := w.st.Durability(0); p != Partial {
-		t.Errorf("a restore in flight left %d, want partial", p)
+	w.st.Restore(0, 2, copyOf[:2], func(event.Event) bool { return true })
+	if w.st.Vouches(0, false) {
+		t.Error("a restore in flight vouches")
 	}
-	w.st.Restore(0, 2, copyOf, true, func(event.Event) bool { return true })
+	w.st.Restore(0, 2, copyOf, func(event.Event) bool { return true })
 	if got := seqs(w.primaryEvents(0)); !slices.Equal(got, []uint64{1, 2, 3}) {
 		t.Errorf("restored primary = %v, want [1 2 3]", got)
 	}
-	if p, _ := w.st.Durability(0); p != Live {
-		t.Errorf("a restore from a whole mirror left %d, want live", p)
+	if !w.st.Vouches(0, false) {
+		t.Error("a restore from a whole mirror does not vouch")
 	}
 	// What keep refuses stays out, and a lost unit stays lost.
-	w.st.Restore(1, 2, []event.Event{ev(11), ev(12)}, true, func(e event.Event) bool { return e.Seq != 12 })
+	w.st.Restore(1, 2, []event.Event{ev(11), ev(12)}, func(e event.Event) bool { return e.Seq != 12 })
 	if got := seqs(w.primaryEvents(1)); !slices.Equal(got, []uint64{11}) {
 		t.Errorf("restore through keep = %v, want [11]", got)
 	}
-	if p, _ := w.st.Durability(1); p != Lost {
-		t.Errorf("a lost unit restored into is %d", p)
+	if w.st.Vouches(1, false) {
+		t.Error("a lost unit restored into vouches")
 	}
 	if err := w.st.CheckStore(); err != nil {
 		t.Fatal(err)
@@ -155,35 +139,46 @@ func TestCrashHandoverAndRestore(t *testing.T) {
 	}
 }
 
-// TestMirrorDurability covers the mirror's states: in the air, behind
-// after a lost write or a crash, whole again after a re-home or a sync.
+// TestMirrorDurability covers when a mirror vouches: not with a write in
+// the air or lost, nor after a crash emptied it; again after a re-home or a
+// repair lands what it missed; and after a delete served at it, whatever
+// the primary it could not reach still holds.
 func TestMirrorDurability(t *testing.T) {
 	w := newWorld(1, 3)
 	w.mirrors[0] = 1
 	w.st.Append(0, 0, ev(1))
-	w.st.MirrorSent(0)
 	if w.st.Vouches(0, true) {
-		t.Error("a mirror with a write in the air vouches")
-	}
-	w.st.MirrorLanded(0, ev(1), false)
-	if w.st.Vouches(0, true) {
-		t.Error("a mirror that missed a write vouches")
+		t.Error("a mirror with a write in the air, or one that missed it, vouches")
 	}
 	w.st.ReplaceMirror(0, w.primaryEvents(0))
 	if !w.st.Vouches(0, true) {
-		t.Error("a re-homed copy of a live primary does not vouch")
+		t.Error("a re-homed copy of a whole primary does not vouch")
 	}
 	w.failed[1] = true
 	w.st.Crash(1)
 	if w.st.Vouches(0, true) || w.st.MirrorRows(0).Len() != 0 {
 		t.Error("a crashed mirror still vouches or holds events")
 	}
-	_, mirror := w.st.Copies(0, 0, 1)
-	mirror.Synced()
-	if !w.st.Vouches(0, true) {
-		t.Error("a synced mirror of a live primary does not vouch")
+	w.failed[1] = false
+	primary, mirror := w.st.Copies(0, 0, 1)
+	mirror.Insert(ev(2)) // an event its unit never acked
+	if w.st.Vouches(0, true) {
+		t.Error("a mirror holding only what its unit never acked vouches")
 	}
-	if n := w.st.PruneMirror(0, func(event.Event) bool { return true }); n != 0 {
+	w.st.ReplaceMirror(0, nil)
+	for _, e := range primary.Fetch(primary.Summary().Keys, nil) {
+		mirror.Insert(e)
+	}
+	if !w.st.Vouches(0, true) || !w.st.Vouches(0, false) {
+		t.Error("a mirror repaired from a whole primary does not vouch, or the primary stopped")
+	}
+	if n := w.st.PruneMirror(0, func(event.Event) bool { return true }, true); n != 1 {
+		t.Errorf("PruneMirror served at the mirror deleted %d, want 1", n)
+	}
+	if !w.st.Vouches(0, true) || w.st.Vouches(0, false) {
+		t.Error("after a delete served at the mirror: the mirror does not vouch, or the primary still holding the event does")
+	}
+	if n := w.st.PruneMirror(0, func(event.Event) bool { return true }, false); n != 0 {
 		t.Errorf("PruneMirror of an empty copy deleted %d", n)
 	}
 }
@@ -235,7 +230,13 @@ func TestCopiesAsReplicaPair(t *testing.T) {
 	for _, e := range primary.Fetch(sum.Keys, nil) {
 		mirror.Insert(e)
 	}
+	if !w.st.Vouches(0, true) {
+		t.Error("a mirror repaired to its primary's events does not vouch")
+	}
 	primary.Insert(ev(4))
+	if w.st.Vouches(0, false) {
+		t.Error("a primary holding an event its unit never acked vouches")
+	}
 	if primary.Len() != 4 || mirror.Len() != 3 || w.st.Segments(0)[1].Rows.Len() != 3 {
 		t.Errorf("after repair: lens %d/%d, active segment %d", primary.Len(), mirror.Len(), w.st.Segments(0)[1].Rows.Len())
 	}
@@ -259,8 +260,8 @@ func TestCheckStoreNamesEachViolation(t *testing.T) {
 		want  string
 	}{
 		{"slot", func(w *world) { w.st.sch.Slot = func(int) int { return 0 } }, "whose slot"},
-		{"crashless loss", func(w *world) { w.st.dur[0].primary = Lost }, "no crash"},
-		{"uncovered mirror", func(w *world) { w.st.Append(0, 0, ev(5)) }, "whole mirror"},
+		{"stale primary print", func(w *world) { w.st.segs[1][0].Rows.Append(ev(5)) }, "copy 0 (1 the mirror): kept fingerprint"},
+		{"stale mirror print", func(w *world) { w.st.copies[0].Append(ev(5)) }, "copy 1 (1 the mirror): kept fingerprint"},
 		{"dead holder", func(w *world) { w.failed[0] = true }, "failed node"},
 		{"counter", func(w *world) { w.st.stored[1]++ }, "stored counter"},
 	} {
@@ -279,175 +280,337 @@ func TestCheckStoreNamesEachViolation(t *testing.T) {
 	}
 }
 
-// FuzzHoldingMatchesModel runs random sequences of appends, mirror sends
-// and landings, crashes, handovers, restores, re-homes, recoveries and
-// prunes against a flat model of every acked event per unit, with one
-// segment per unit (as DIM and the synchronous Pool hold them) or several
-// (delegations, the actor engine's restores). After every step the
-// store's checks pass and a copy that vouches holds every acked, unpruned
-// event of its unit.
+// opsRun drives a store through byte-coded operations — appends, mirror
+// writes landing or lost, crashes, handovers, restores, re-homes,
+// recoveries and deletes — against a flat model of every acked event per
+// unit, with one segment per unit (as DIM and the synchronous Pool hold
+// them) or several (delegations, the actor engine's restores). After
+// every step the store's checks pass and a copy that vouches holds every
+// acked, undeleted event of its unit. It is the body of
+// FuzzHoldingMatchesModel and of TestHoldingSmallScope.
+type opsRun struct {
+	w        *world
+	nodes    int
+	several  bool
+	model    []map[uint64]bool
+	holder   []int
+	inAir    []pending
+	restores []int
+	seq      uint64
+}
+
+type pending struct {
+	u int
+	e event.Event
+}
+
+func newOpsRun(several bool, units, nodes int) *opsRun {
+	r := &opsRun{w: newWorld(units, nodes), nodes: nodes, several: several,
+		model: make([]map[uint64]bool, units), holder: make([]int, units)}
+	for u := range r.model {
+		r.model[u] = map[uint64]bool{}
+		r.holder[u] = u
+		r.w.mirrors[u] = nodes - 1 - u%2
+	}
+	return r
+}
+
+// alive returns the first node from from on, cyclically, that is up, or
+// -1.
+func (r *opsRun) alive(from int) int {
+	for i := 0; i < r.nodes; i++ {
+		if n := (from + i) % r.nodes; !r.w.failed[n] {
+			return n
+		}
+	}
+	return -1
+}
+
+// step runs operation op%10 with argument arg and returns the first
+// violation it leaves, naming the operation.
+func (r *opsRun) step(op, arg int) error {
+	r.do(op, arg)
+	return r.check(op % 10)
+}
+
+// do runs operation op%10 with argument arg.
+func (r *opsRun) do(op, arg int) {
+	w, units := r.w, len(r.model)
+	u := arg % units
+	all := func(event.Event) bool { return true }
+	switch op % 10 {
+	case 0, 1: // append at the holder, a delegate segment when several
+		if w.failed[r.holder[u]] {
+			break
+		}
+		r.seq++
+		e := ev(r.seq)
+		if n := r.alive(arg / units); op%10 == 1 && r.several && n >= 0 {
+			w.st.AppendSegment(u, n, e)
+		} else {
+			w.st.Append(u, r.holder[u], e)
+		}
+		r.model[u][r.seq] = true
+		if m := w.mirrors[u]; m >= 0 && !w.failed[m] {
+			r.inAir = append(r.inAir, pending{u, e})
+		}
+	case 2: // a mirror write lands or is lost
+		if len(r.inAir) > 0 {
+			p := r.inAir[0]
+			r.inAir = r.inAir[1:]
+			if arg%3 != 0 {
+				w.st.AppendMirror(p.u, p.e)
+			}
+		}
+	case 3: // a crash; one segment per unit is handed over at once
+		n := arg % r.nodes
+		if w.failed[n] {
+			break
+		}
+		if w.failed[n] = true; r.alive(n) < 0 {
+			w.failed[n] = false // the last node alive stays up
+			break
+		}
+		for v := range r.holder {
+			if r.holder[v] == n {
+				r.holder[v] = r.alive(n + 1)
+			}
+		}
+		for _, l := range w.st.Crash(n) {
+			switch m := w.mirrors[l.Unit]; {
+			case r.several:
+				r.restores = append(r.restores, l.Unit)
+			case m >= 0 && !w.failed[m]:
+				w.st.Handover(l, r.holder[l.Unit], w.st.Survivors(l))
+			default:
+				w.st.Handover(l, r.holder[l.Unit], nil)
+			}
+		}
+	case 4: // a restore streams the mirror's copy in two chunks
+		if len(r.restores) == 0 {
+			break
+		}
+		v := r.restores[0]
+		if m := w.mirrors[v]; m < 0 || w.failed[m] || w.failed[r.holder[v]] {
+			r.restores = r.restores[1:]
+			break
+		}
+		chunk := w.st.MirrorCopy(v)
+		if half := len(chunk) / 2; arg%2 == 0 && half > 0 {
+			w.st.Restore(v, r.holder[v], chunk[:half], all)
+			break
+		}
+		w.st.Restore(v, r.holder[v], chunk, all)
+		r.restores = r.restores[1:]
+	case 5: // a re-home ships the primary to a new mirror
+		if m := r.alive(arg / units); m >= 0 {
+			w.mirrors[u] = m
+			w.st.ReplaceMirror(u, w.primaryEvents(u))
+		}
+	case 6: // a delete served at the primary prunes both copies; one served
+		// at the mirror (arg ≥ 128), the mirror's alone
+		match := func(e event.Event) bool { return e.Seq%3 == uint64(arg/units)%3 }
+		if arg < 128 {
+			for j := range w.st.Segments(u) {
+				w.st.Prune(u, j, match)
+			}
+		}
+		w.st.PruneMirror(u, match, arg >= 128)
+		for s := range r.model[u] {
+			if match(ev(s)) {
+				delete(r.model[u], s)
+			}
+		}
+	case 7: // a recovery brings a node back empty
+		w.failed[arg%r.nodes] = false
+	case 8: // warm the summary memos
+		for v := 0; v < units; v++ {
+			p, m := w.st.Copies(v, r.holder[v], w.mirrors[v])
+			p.Summary()
+			m.Summary()
+		}
+	case 9: // a re-home that found no node leaves no mirror
+		w.mirrors[u] = -1
+		w.st.ReplaceMirror(u, nil)
+	}
+}
+
+// check returns the first violation of the store's checks or of the
+// vouching rule against the model.
+func (r *opsRun) check(op int) error {
+	w := r.w
+	if err := w.st.CheckStore(); err != nil {
+		return fmt.Errorf("op %d: %v", op, err)
+	}
+	if err := w.st.CheckSummaries(); err != nil {
+		return fmt.Errorf("op %d: %v", op, err)
+	}
+	for v := range r.model {
+		for _, c := range []struct {
+			name   string
+			mirror bool
+		}{{"primary", false}, {"mirror", true}} {
+			if !w.st.Vouches(v, c.mirror) || c.mirror && w.mirrors[v] < 0 {
+				continue
+			}
+			events := w.primaryEvents(v)
+			if c.mirror {
+				events = w.st.MirrorCopy(v)
+			}
+			for s := range r.model[v] {
+				if !slices.ContainsFunc(events, func(e event.Event) bool { return e.Seq == s }) {
+					return fmt.Errorf("op %d: unit %d's %s copy vouches but misses event %d", op, v, c.name, s)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzHoldingMatchesModel runs random operation sequences (opsRun) on
+// three units over five nodes, two bytes an operation: its code and its
+// argument. The named seeds are orders that broke a vouching rule: a
+// restore settling on an emptied segment (item1-restore-overreport), and
+// two that a rule counting events alone gets wrong — a mirror write from
+// before a re-home landing on a copy that already holds it
+// (stale-landing-duplicate), and one landing after its event was deleted
+// (stale-landing-deleted).
 func FuzzHoldingMatchesModel(f *testing.F) {
 	f.Add(false, []byte{0, 0, 0, 1, 2, 3, 16, 17, 4, 5, 0, 1, 6, 7})
 	f.Add(true, []byte{0, 8, 0, 9, 1, 2, 4, 3, 5, 5, 5, 0, 6, 1, 9, 7, 2})
 	f.Add(true, []byte{0, 0, 0, 0, 8, 8, 3, 4, 5, 1, 5, 5, 9, 9, 6, 0, 2, 3, 7, 7})
 	f.Add(false, []byte{3, 2, 1, 0, 4, 4, 4, 1, 0, 0, 0, 9, 3, 5, 5, 6})
 	f.Fuzz(func(t *testing.T, several bool, ops []byte) {
-		const units, nodes = 3, 5
-		w := newWorld(units, nodes)
-		model := make([]map[uint64]bool, units)
-		holder := make([]int, units)
-		for u := range model {
-			model[u] = map[uint64]bool{}
-			holder[u] = u
-			w.mirrors[u] = 3 + u%2
-		}
-		type pending struct {
-			u int
-			e event.Event
-		}
-		var inAir []pending
-		var restores []int
-		var seq uint64
-		next := func() int {
-			if len(ops) == 0 {
-				return 0
-			}
-			b := int(ops[0])
-			ops = ops[1:]
-			return b
-		}
-		alive := func(from int) int {
-			for i := 0; i < nodes; i++ {
-				if n := (from + i) % nodes; !w.failed[n] {
-					return n
-				}
-			}
-			return -1
-		}
-		all := func(event.Event) bool { return true }
-
+		r := newOpsRun(several, 3, 5)
 		for len(ops) > 0 {
-			op, arg := next(), next()
-			u := arg % units
-			switch op % 10 {
-			case 0, 1: // append at the holder, a delegate segment when several
-				if w.failed[holder[u]] {
-					break
-				}
-				seq++
-				e := ev(seq)
-				if n := alive(arg / units); op%10 == 1 && several && n >= 0 {
-					w.st.AppendSegment(u, n, e)
-				} else {
-					w.st.Append(u, holder[u], e)
-				}
-				model[u][seq] = true
-				if m := w.mirrors[u]; m >= 0 && !w.failed[m] {
-					w.st.MirrorSent(u)
-					inAir = append(inAir, pending{u, e})
-				}
-			case 2: // a mirror write lands or is lost
-				if len(inAir) > 0 {
-					p := inAir[0]
-					inAir = inAir[1:]
-					w.st.MirrorLanded(p.u, p.e, arg%3 != 0)
-				}
-			case 3: // a crash; one segment per unit is handed over at once
-				n := arg % nodes
-				if w.failed[n] {
-					break
-				}
-				if w.failed[n] = true; alive(n) < 0 {
-					w.failed[n] = false // the last node alive stays up
-					break
-				}
-				for v := range holder {
-					if holder[v] == n {
-						holder[v] = alive(n + 1)
-					}
-				}
-				for _, l := range w.st.Crash(n) {
-					switch m := w.mirrors[l.Unit]; {
-					case several:
-						restores = append(restores, l.Unit)
-					case m >= 0 && !w.failed[m]:
-						w.st.Handover(l, holder[l.Unit], w.st.Survivors(l), true)
-					default:
-						w.st.Handover(l, holder[l.Unit], nil, false)
-					}
-				}
-			case 4: // a restore streams the mirror's copy in two chunks
-				if len(restores) == 0 {
-					break
-				}
-				v := restores[0]
-				if m := w.mirrors[v]; m < 0 || w.failed[m] || w.failed[holder[v]] {
-					w.st.Unrestorable(v)
-					restores = restores[1:]
-					break
-				}
-				chunk := w.st.MirrorCopy(v)
-				if half := len(chunk) / 2; arg%2 == 0 && half > 0 {
-					w.st.Restore(v, holder[v], chunk[:half], false, all)
-					break
-				}
-				w.st.Restore(v, holder[v], chunk, true, all)
-				restores = restores[1:]
-			case 5: // a re-home ships the primary to a new mirror
-				if m := alive(arg / units); m >= 0 {
-					w.mirrors[u] = m
-					w.st.ReplaceMirror(u, w.primaryEvents(u))
-				}
-			case 6: // a deletion prunes both copies
-				match := func(e event.Event) bool { return e.Seq%3 == uint64(arg/units)%3 }
-				for j := range w.st.Segments(u) {
-					w.st.Prune(u, j, match)
-				}
-				w.st.PruneMirror(u, match)
-				for s := range model[u] {
-					if match(ev(s)) {
-						delete(model[u], s)
-					}
-				}
-			case 7: // a recovery brings a node back empty
-				w.failed[arg%nodes] = false
-			case 8: // warm the summary memos
-				for v := 0; v < units; v++ {
-					p, m := w.st.Copies(v, holder[v], w.mirrors[v])
-					p.Summary()
-					m.Summary()
-				}
-			case 9: // a re-home that found no node leaves no mirror
-				w.mirrors[u] = -1
-				w.st.ReplaceMirror(u, nil)
+			op, arg := ops[0], byte(0)
+			if len(ops) > 1 {
+				arg = ops[1]
 			}
-
-			if err := w.st.CheckStore(); err != nil {
-				t.Fatalf("op %d: %v", op%10, err)
-			}
-			if err := w.st.CheckSummaries(); err != nil {
-				t.Fatalf("op %d: %v", op%10, err)
-			}
-			for v := 0; v < units; v++ {
-				for _, c := range []struct {
-					name   string
-					mirror bool
-					events []event.Event
-				}{{"primary", false, w.primaryEvents(v)}, {"mirror", true, w.st.MirrorCopy(v)}} {
-					if !w.st.Vouches(v, c.mirror) || c.mirror && w.mirrors[v] < 0 {
-						continue
-					}
-					held := map[uint64]bool{}
-					for _, e := range c.events {
-						held[e.Seq] = true
-					}
-					for s := range model[v] {
-						if !held[s] {
-							t.Fatalf("op %d: unit %d's %s copy vouches but misses event %d", op%10, v, c.name, s)
-						}
-					}
-				}
+			ops = ops[min(2, len(ops)):]
+			if err := r.step(int(op), int(arg)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
+}
+
+// TestHoldingSmallScope runs opsRun over every sequence of up to seven
+// operations on one unit over three nodes with one segment, and of up to
+// five with several, each operation from a reduced alphabet: every code
+// once per argument it tells apart there. Small scopes are where a wrong
+// vouching rule shows first, and the fuzz engine only samples them. A
+// failure names the shortest sequence.
+func TestHoldingSmallScope(t *testing.T) {
+	alphabet := [][2]int{
+		{0, 0}, {1, 1}, {1, 2}, // append; a delegate segment at node 1 or 2
+		{2, 0}, {2, 1}, // a mirror write lost, landed
+		{3, 0}, {3, 1}, {3, 2}, // crash
+		{4, 0}, {4, 1}, // a restore's half, its whole
+		{5, 0}, {5, 1}, {5, 2}, // re-home
+		{6, 1}, {6, 129}, // delete at the primary, at the mirror
+		{7, 0}, {7, 1}, {7, 2}, // recover
+		{8, 0}, {9, 0}, // warm the memos; no mirror
+	}
+	// With one segment a delegate append is an append and nothing restores.
+	single := slices.DeleteFunc(slices.Clone(alphabet), func(a [2]int) bool { return a[0] == 1 || a[0] == 4 })
+	for _, tc := range []struct {
+		several  bool
+		alphabet [][2]int
+		maxOps   int
+	}{{false, single, 7}, {true, alphabet, 5}} {
+		if ops, err := smallScope(tc.several, tc.alphabet, tc.maxOps); err != nil {
+			t.Fatalf("several %v: %v after %v", tc.several, err, ops)
+		}
+	}
+}
+
+// smallScope runs every sequence of alphabet's operations up to maxOps
+// long, shortest first, and returns the first that fails and its
+// violation. A sequence that reaches a state an earlier one reached is not
+// extended: from equal states every step passes or fails alike.
+func smallScope(several bool, alphabet [][2]int, maxOps int) ([][2]int, error) {
+	seen := map[string]bool{newOpsRun(several, 1, 3).state(): true}
+	frontier := [][][2]int{nil}
+	for n := 1; n <= maxOps; n++ {
+		var next [][][2]int
+		for _, prefix := range frontier {
+			for _, a := range alphabet {
+				ops := append(slices.Clip(prefix), a)
+				r := newOpsRun(several, 1, 3)
+				for _, o := range prefix {
+					r.do(o[0], o[1])
+				}
+				if err := r.step(a[0], a[1]); err != nil {
+					return ops, err
+				}
+				if s := r.state(); !seen[s] {
+					seen[s] = true
+					next = append(next, ops)
+				}
+			}
+		}
+		frontier = next
+	}
+	return nil, nil
+}
+
+// state returns everything a step reads of the run, events by Seq and in
+// the order they are held, each list after its length.
+func (r *opsRun) state() string {
+	st := r.w.st
+	var b []byte
+	put := func(x int) { b = binary.AppendVarint(b, int64(x)) }
+	ints := func(xs []int) {
+		put(len(xs))
+		for _, x := range xs {
+			put(x)
+		}
+	}
+	rows := func(rs *event.Rows) {
+		put(rs.Len())
+		for j := 0; j < rs.Len(); j++ {
+			put(int(rs.At(j).Seq))
+		}
+	}
+	put(int(r.seq))
+	ints(r.restores)
+	ints(r.holder)
+	ints(r.w.mirrors)
+	ints(st.stored)
+	for _, f := range r.w.failed {
+		put(b2i(f))
+	}
+	put(len(r.inAir))
+	for _, p := range r.inAir {
+		put(p.u)
+		put(int(p.e.Seq))
+	}
+	for u, m := range r.model {
+		model := make([]int, 0, len(m))
+		for s := range m {
+			model = append(model, int(s))
+		}
+		slices.Sort(model)
+		ints(model)
+		for _, f := range []fingerprint{st.acked[u], st.held[u][0], st.held[u][1]} {
+			b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, f.n), f.sum), f.xor)
+		}
+		put(b2i(st.sums != nil && st.sums[u][0].valid))
+		put(b2i(st.sums != nil && st.sums[u][1].valid))
+		rows(&st.copies[u])
+		put(len(st.segs[u]))
+		for _, seg := range st.segs[u] {
+			put(seg.Node)
+			rows(&seg.Rows)
+		}
+	}
+	return string(b)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -7,7 +7,6 @@ import (
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
-	"pooldcs/internal/holding"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/workload"
@@ -24,8 +23,8 @@ import (
 //   - a result set holds stored events that answer the query, each once;
 //   - with every node alive, a complete answer is the whole answer, and
 //     on a clean radio every answer is complete;
-//   - a complete answer holds every event of the query outside the keys
-//     the repair left lost;
+//   - a complete answer holds every event of the query: each was acked,
+//     and a copy short of one never vouches;
 //   - once the scheduler has run dry every task, leg, gather, operation,
 //     write and repair packet is back in its arena, no repair is left in
 //     flight, the stores are consistent, and no non-degradable error
@@ -115,8 +114,8 @@ func FuzzQueryUnderFaults(f *testing.F) {
 				t.Fatalf("query %d reports complete with %d of %d answers", i, len(iq.results), len(rq.Filter(fx.events)))
 			}
 			for _, ev := range rq.Filter(fx.events) {
-				if p, _ := fx.engine.Durability(fx.keyOf(t, ev)); c.Complete() && !seen[ev.Seq] && p != holding.Lost {
-					t.Fatalf("query %d reports complete without event %d, whose key is not lost", i, ev.Seq)
+				if c.Complete() && !seen[ev.Seq] {
+					t.Fatalf("query %d reports complete without event %d", i, ev.Seq)
 				}
 			}
 		}

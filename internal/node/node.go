@@ -587,14 +587,16 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 
 // writeSettled lands a write: an insert is stored (and mirrored) at its
 // index node, its span closed and its caller told; a mirror copy joins
-// the mirror store, or, lost, leaves the mirror behind. A lost insert
+// the mirror store, or, lost, leaves the mirror short of it. A lost insert
 // loses the event — its span still closes.
 func (e *Engine) writeSettled(wi int32, err error) {
 	w := *e.writes.at(wi)
 	e.writes.release(wi, write{})
 	switch {
 	case w.mirror:
-		e.MirrorLanded(w.key, w.ev, err == nil)
+		if err == nil {
+			e.AppendMirror(w.key, w.ev)
+		}
 	case err != nil:
 		e.tracer.EndSpan(w.span)
 	default:
@@ -636,6 +638,5 @@ func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bo
 	}
 	wi := e.writes.alloc()
 	*e.writes.at(wi) = write{key: key, ev: ev, mirror: true}
-	e.MirrorSent(key)
 	e.send(index, mirror, network.KindInsert, dcs.EventBytes(e.Dims()), recWrite, wi)
 }

@@ -311,9 +311,9 @@ func (e *Engine) runSplitter(gi int32) {
 
 // serveCell runs at the queried node: filter the store (or the mirror
 // copy) and start the reply back to the splitter. A copy the Store does
-// not vouch for — a restore still streaming or cut short, a lost key, a
-// mirror behind its primary — serves what it holds but is reported
-// unreached (degraded completeness).
+// not vouch for — one short of what its cell acked: a restore still
+// streaming or cut short, a lost key, a mirror that missed a write —
+// serves what it holds but is reported unreached (degraded completeness).
 func (e *Engine) serveCell(li int32) {
 	l := e.legs.at(li)
 	q := e.ops.at(l.op).plan.Query

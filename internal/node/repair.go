@@ -316,7 +316,7 @@ func legOf(pkt repairPacket, src, dst int, back bool) bool {
 func (e *Engine) chunkLanded(t *xferTask, pkt repairPacket) {
 	t.recvNext++
 	if !t.toMirror {
-		e.Restore(t.Key, t.To, pkt.events, pkt.last)
+		e.Restore(t.Key, t.To, pkt.events)
 	}
 	if pkt.last {
 		e.xferEnd(t, true)
@@ -337,7 +337,7 @@ func (e *Engine) electGranted(t *electTask) {
 			e.startXfer(t.run, x, false)
 			continue
 		}
-		e.Restore(x.Key, x.To, e.MirrorCopy(x.Key), true)
+		e.Restore(x.Key, x.To, e.MirrorCopy(x.Key))
 		e.startXfer(t.run, e.Rehome(x.Key), true)
 	}
 	delete(e.elects, t.Cell)
@@ -384,9 +384,9 @@ func (e *Engine) shipChunk(t *xferTask) {
 }
 
 // xferEnd retires a transfer that landed or was cut short by further
-// failures. A restore's last chunk has already settled its key in the
-// Store; cut short, the holder keeps whatever slice landed and the key
-// stays partial, served but reported unreached. A new mirror adopts a
+// failures. A restore's chunks have already landed in the Store; cut
+// short, the holder keeps whatever slice landed, short of what the cell
+// acked, served but reported unreached. A new mirror adopts a
 // copy that landed and the assignment flips; an undeliverable one is
 // dropped entirely, never claiming phantom data.
 func (e *Engine) xferEnd(t *xferTask, landed bool) {

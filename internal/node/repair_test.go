@@ -12,7 +12,6 @@ import (
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
-	"pooldcs/internal/holding"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -405,24 +404,24 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	results, comp := f.runQuery(t, sink, fullQuery())
 	// Exactly the keys a cut-short restore or a lost copy left short are
 	// reported unreached, and every other event comes back.
-	notLive := 0
+	short := 0
 	for _, p := range f.engine.Pools() {
 		for _, c := range p.Cells() {
-			if pr, _ := f.engine.Durability(pool.Key{Dim: p.Dim, Cell: c}); pr != holding.Live {
-				notLive++
+			if !f.engine.Vouches(pool.Key{Dim: p.Dim, Cell: c}, false) {
+				short++
 			}
 		}
 	}
-	if len(comp.Unreached) != notLive {
-		t.Errorf("post-abort query: %d cells unreached, %d keys not live", len(comp.Unreached), notLive)
+	if len(comp.Unreached) != short {
+		t.Errorf("post-abort query: %d cells unreached, %d primaries not vouching", len(comp.Unreached), short)
 	}
 	returned := map[uint64]bool{}
 	for _, e := range results {
 		returned[e.Seq] = true
 	}
 	for _, e := range f.events {
-		if pr, _ := f.engine.Durability(f.keyOf(t, e)); pr == holding.Live && !returned[e.Seq] {
-			t.Errorf("event %d of a live key missing after the aborts", e.Seq)
+		if f.engine.Vouches(f.keyOf(t, e), false) && !returned[e.Seq] {
+			t.Errorf("event %d of a vouching key missing after the aborts", e.Seq)
 		}
 	}
 	if len(results) > len(f.events) {
@@ -476,8 +475,8 @@ func TestRepairPlanAccountsForLoss(t *testing.T) {
 				continue
 			}
 			missing++
-			if p, _ := f.engine.Durability(f.keyOf(t, e)); p != holding.Lost {
-				t.Errorf("seed %d: event %d is gone, but its key is %d, not lost", seed, e.Seq, p)
+			if f.engine.Vouches(f.keyOf(t, e), false) {
+				t.Errorf("seed %d: event %d is gone, but its key's primary vouches", seed, e.Seq)
 			}
 		}
 		if missing == 0 {
@@ -551,8 +550,8 @@ func TestAbortedRestoreStaysPartial(t *testing.T) {
 		}
 		f.drain(t)
 		checkStores(t, f.engine)
-		if p, _ := f.engine.Durability(x.Key); p == holding.Live {
-			t.Errorf("seed %d: key %+v live after its restore was cut short", seed, x.Key)
+		if f.engine.Vouches(x.Key, false) {
+			t.Errorf("seed %d: key %+v vouches after its restore was cut short", seed, x.Key)
 		}
 		got, comp := f.runQuery(t, f.alive(0), fullQuery())
 		if comp.Complete() && len(got) != len(f.events) {
@@ -593,8 +592,8 @@ func TestLostMirrorWriteLeavesMirrorBehind(t *testing.T) {
 	if !stored {
 		t.Fatal("the insert never landed")
 	}
-	if _, whole := f.engine.Durability(key); whole {
-		t.Fatal("mirror whole after its write was lost")
+	if f.engine.Vouches(key, true) {
+		t.Fatal("mirror vouches after its write was lost")
 	}
 	f.crash(t, index)
 	f.drain(t)

@@ -51,7 +51,7 @@ func (s *System) Delete(sink int, q event.Query) (int, error) {
 func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 	rq, qBytes := s.plan.Query, dcs.QueryBytes(s.dims)
 	if mirror {
-		return s.PruneMirror(key, rq.Matches), nil
+		return s.PruneMirror(key, rq.Matches, true), nil
 	}
 	removed := 0
 	for i, seg := range s.Segments(key) {
@@ -71,7 +71,7 @@ func (s *System) deleteFromCell(key Key, node int, mirror bool) (int, error) {
 		removed += s.Prune(key, i, rq.Matches)
 	}
 	if m := s.Mirror(key); removed > 0 && m >= 0 {
-		s.PruneMirror(key, rq.Matches)
+		s.PruneMirror(key, rq.Matches, false)
 		if m != node && !s.dead[m] {
 			if _, err := s.unicast(node, m, network.KindControl, qBytes); err != nil {
 				return removed, fmt.Errorf("pool: delete mirror: %w", err)

@@ -65,7 +65,7 @@ func (s *System) FailNode(id int) error {
 				x.From, x.Events = -1, nil
 			}
 		}
-		s.Handover(l, x.To, x.Events, x.From >= 0)
+		s.Handover(l, x.To, x.Events)
 		if x.From >= 0 {
 			s.recoveryMsgs++
 		}

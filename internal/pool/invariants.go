@@ -18,8 +18,8 @@ import (
 //  4. Every stored event's values place it in the (pool, cell) it is
 //     stored under (Theorem 3.1 consistency) — so Theorem 3.2 lookups
 //     can never miss it.
-//  5. With replication on, a live primary's events are all in the copy of
-//     the cell's alive mirror while that copy is whole (Delete prunes both).
+//  5. Every copy's kept fingerprint, the one Vouches compares with what
+//     its cell acked, is what its rows make.
 //  6. Every memoised set summary still valid equals the one recomputed
 //     from the copy's events, and the kept replica pair list is the
 //     directory's (CheckSummaries).

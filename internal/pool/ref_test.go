@@ -225,7 +225,7 @@ func (ad actorDriver) fail(id int) error {
 		key := l.Unit
 		got = append(got, segRow{Key: key, Seg: l.Seg, Node: id, Events: l.Rows.Len()})
 		if _, ok := ad.d.MirrorFor(key, -1); ok {
-			ad.st.Restore(key, ad.d.IndexNode(key.Cell), ad.st.MirrorCopy(key), true)
+			ad.st.Restore(key, ad.d.IndexNode(key.Cell), ad.st.MirrorCopy(key))
 		}
 	}
 	if !slices.Equal(got, want) {

@@ -14,8 +14,8 @@ import (
 //  1. Election, at crash time (PlanRepair; Election re-plans one cell).
 //  2. Restore, once a cell's new holder is in place (RestoreLost,
 //     RestoreCell): per key, an alive mirror's copy, the new holder's own
-//     when it is the mirror, or none, which leaves a primary the crash
-//     left partial lost.
+//     when it is the mirror, or none, which leaves the events the crash
+//     took lost.
 //  3. Re-home (Rehomes, Rehome): a mirror that died or that re-election
 //     left on its cell's index node moves to the next-closest alive node.
 //
@@ -76,10 +76,7 @@ func (d *Directory) Election(c CellID) (Election, bool) {
 
 // restore is the restore step for key, its cell's new holder to in place.
 func (st *Store) restore(key Key, to int) Transfer {
-	from, ok := st.dir.MirrorFor(key, -1)
-	if !ok {
-		st.Unrestorable(key)
-	}
+	from, _ := st.dir.MirrorFor(key, -1)
 	return Transfer{Key: key, From: from, To: to}
 }
 

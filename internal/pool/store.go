@@ -24,8 +24,8 @@ func NewStore(dir *Directory) *Store {
 
 // Restore lands a restore chunk on node's segment of the cell by the
 // layer's rule, keeping the events that suit the deployment.
-func (st *Store) Restore(key Key, node int, chunk []event.Event, last bool) {
-	st.Store.Restore(key, node, chunk, last, func(e event.Event) bool { return st.dir.checkEvent(e) == nil })
+func (st *Store) Restore(key Key, node int, chunk []event.Event) {
+	st.Store.Restore(key, node, chunk, func(e event.Event) bool { return st.dir.checkEvent(e) == nil })
 }
 
 // copiesOf returns the primary and mirror copies of key's cell.

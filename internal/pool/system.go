@@ -267,12 +267,10 @@ func (s *System) mirrorEvent(key Key, index int, e event.Event, payload int) err
 	if mirror < 0 {
 		return nil
 	}
-	s.MirrorSent(key)
-	_, err := s.unicast(index, mirror, network.KindInsert, payload)
-	s.MirrorLanded(key, e, err == nil)
-	if err != nil {
+	if _, err := s.unicast(index, mirror, network.KindInsert, payload); err != nil {
 		return fmt.Errorf("pool: mirror copy: %w", err)
 	}
+	s.AppendMirror(key, e)
 	return nil
 }
 

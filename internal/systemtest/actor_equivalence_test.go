@@ -130,8 +130,8 @@ func checkSplitters(t *testing.T, actor, spec *Universe) {
 
 // checkStores holds the actor's drained store to the spec's, Pool cell by
 // Pool cell: the same index node and mirror, the same seqs at every node,
-// the same seqs in the mirror copy, the same durability — and the same
-// storage load.
+// the same seqs in the mirror copy, the same copies vouching — and the
+// same storage load.
 func checkStores(t *testing.T, actor, spec *Universe) {
 	t.Helper()
 	eng := actor.Sys.(*node.Sync).Engine()
@@ -152,10 +152,10 @@ func checkStores(t *testing.T, actor, spec *Universe) {
 			if am, sm := seqSet(eng.MirrorCopy(key)), seqSet(sys.MirrorCopy(key)); !equalSeqs(am, sm) {
 				t.Errorf("cell %v of P%d: mirror copies diverge\nactor: %v\nspec:  %v", c, p.Dim, am, sm)
 			}
-			ap, aw := eng.Durability(key)
-			sp, sw := sys.Durability(key)
-			if ap != sp || aw != sw {
-				t.Errorf("cell %v of P%d: durability diverges: actor primary %d, mirror whole %v; spec %d, %v", c, p.Dim, ap, aw, sp, sw)
+			for _, mirror := range []bool{false, true} {
+				if av, sv := eng.Vouches(key, mirror), sys.Vouches(key, mirror); av != sv {
+					t.Errorf("cell %v of P%d (mirror %v): vouches diverges: actor %v, spec %v", c, p.Dim, mirror, av, sv)
+				}
 			}
 		}
 	}

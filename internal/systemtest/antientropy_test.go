@@ -5,6 +5,7 @@ import (
 
 	"pooldcs/internal/antientropy"
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/event"
 )
 
 // TestConformanceAntiEntropyEventualEquality pins the repair contract
@@ -34,12 +35,12 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			// A store that memoises set summaries (Pool) must keep them honest
 			// through every step: each step leaves them warm (Divergence reads
 			// every one), so a write that forgot to invalidate fails the step
-			// after it. The rest of pool.CheckInvariants is not asked for here:
-			// the window this test opens breaks mirror coverage on purpose.
+			// after it. pool.CheckInvariants checks them beside the rest of the
+			// system's rules, which the divergence window keeps too.
 			step := func(what string) {
 				t.Helper()
-				if c, ok := u.Sys.(interface{ CheckSummaries() error }); ok {
-					if err := c.CheckSummaries(); err != nil {
+				if c, ok := u.Sys.(interface{ CheckInvariants() error }); ok {
+					if err := c.CheckInvariants(); err != nil {
 						t.Fatalf("after %s: %v", what, err)
 					}
 				}
@@ -67,8 +68,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			// Open the divergence window: the loaded pair's replica node
 			// goes down silently, inserts keep flowing (degradable failures
 			// are the scenario — events that land nowhere stay out of the
-			// oracle), and lost mirror writes are modelled directly through
-			// the pair's Store interface.
+			// oracle), and three land on the loaded pair's primary alone.
 			victim := pairs[loaded].Replica.Node()
 			u.CrashSilent(victim)
 			step("silent crash")
@@ -85,8 +85,26 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 				}
 				step("insert")
 			}
+			// Each is a sibling of an event the pair holds, inserted at the
+			// primary's node through the scheme: the scheme acks it, so it
+			// joins the oracle even when the insert reports its lost replica
+			// write.
+			primary, side := pairs[loaded].Primary, pairs[loaded].Primary
+			if side.Len() == 0 {
+				side = pairs[loaded].Replica
+			}
+			held := side.Fetch(side.AppendDigests(nil)[:1], nil)[0]
 			for i := 0; i < 3; i++ {
-				pairs[loaded].Primary.Insert(eventAt(confDims, 20_000+i))
+				e := event.New(held.Values...)
+				e.Seq = uint64(20_000 + i)
+				before := primary.Len()
+				if err := u.Sys.Insert(primary.Node(), e); err != nil && !dcs.IsDegradable(err) {
+					t.Fatalf("primary-only insert %d: non-degradable error: %v", i, err)
+				}
+				if primary.Len() != before+1 {
+					t.Fatalf("primary-only insert %d did not land on the loaded pair's primary", i)
+				}
+				u.Events = append(u.Events, e)
 				step("primary-only insert")
 			}
 			u.Recover(victim)

@@ -262,7 +262,7 @@ func (u *Universe) RunQueries(sink int) Report {
 					fmt.Sprintf("event %d: phantom result %d", e.Seq, g.Seq))
 			}
 		}
-		recall := recallOf(got, oracle)
+		recall := experiment.RecallOf(got, oracle)
 		if comp.Complete() && recall < 1 {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("event %d: complete answer with recall %.3f", e.Seq, recall))
@@ -286,22 +286,3 @@ func (r Report) MeanRecall() float64 {
 
 // AllComplete reports whether every query's fan-out was fully served.
 func (r Report) AllComplete() bool { return r.Complete == r.Queries }
-
-// recallOf returns |got ∩ oracle| / |oracle|, 1.0 when the oracle is
-// empty (nothing to miss).
-func recallOf(got, oracle []event.Event) float64 {
-	if len(oracle) == 0 {
-		return 1
-	}
-	want := make(map[uint64]bool, len(oracle))
-	for _, e := range oracle {
-		want[e.Seq] = true
-	}
-	hit := 0
-	for _, e := range got {
-		if want[e.Seq] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(oracle))
-}
