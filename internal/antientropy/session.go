@@ -15,8 +15,8 @@ import (
 )
 
 // Store is one side of a replica pair: a digest-addressable view of the
-// events a node holds for the replicated unit (a pool cell's
-// primary/mirror copy, a GHT root's structured-replication share).
+// events a node holds for the replicated unit (a pool cell's primary
+// or mirror copy).
 type Store interface {
 	// Node is the network node holding this side.
 	Node() int

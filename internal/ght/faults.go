@@ -14,11 +14,9 @@ import (
 // restore them from — the baseline weakness Pool is measured against — so
 // by the holding layer's rule every point that held events there is lost:
 // its new home answers with what it holds, and the point counts unreached.
-// Structured replication spreads each key's events over 4^d mirror
-// points, so a crash loses only the points homed at the corpse. Events
-// stay in one Rows per node rather than per point: almost every point
-// holds one or two events, and a Rows per point costs five times the
-// memory (DESIGN §8).
+// Events stay in one Rows per node rather than per point: almost every
+// point holds one or two events, and a Rows per point costs five times
+// the memory (DESIGN §8).
 
 // Failed reports whether a node has been marked failed; ids outside the
 // deployment are not.
@@ -39,17 +37,14 @@ func (s *System) FailNode(id int) error {
 		return nil
 	}
 	s.dead[id] = true
-	// Each event held here hashes once; it was stored at an image of its
-	// root homed here, and no copy is left to restore it from.
+	// Each event held here hashes straight to its point, homed here, and
+	// no copy is left to restore it from.
 	rows := &s.storage[id]
 	for j := 0; j < rows.Len(); j++ {
-		s.mirrorBuf = s.appendMirrors(s.mirrorBuf[:0], s.HashPoint(rows.At(j).Values))
-		for _, pt := range s.mirrorBuf {
-			if h, ok := s.homes[pt]; ok && int(h.node) == id {
-				h.lost = true
-				s.homes[pt] = h
-			}
-		}
+		pt := s.HashPoint(rows.At(j).Values)
+		h := s.homes[pt]
+		h.lost = true
+		s.homes[pt] = h
 	}
 	rows.Reset(nil)
 

@@ -249,38 +249,6 @@ func TestOracleCompletenessEqualsRecall(t *testing.T) {
 	}
 }
 
-// Structured replication softens a crash structurally: each key's events
-// are spread over the mirror homes, so losing one mirror loses only its
-// share while the mirror walk keeps serving the rest.
-func TestStructuredReplicationSurvivesMirrorLoss(t *testing.T) {
-	s, net, router := newFaultUniverse(t, 300, 730, WithStructuredReplication(1))
-	all := loadGHT(t, s, 400, 731)
-	victim := mostLoaded(s)
-	lost := make(map[uint64]bool)
-	for _, e := range s.storage[victim].AppendTo(nil) {
-		lost[e.Seq] = true
-	}
-	if len(lost) == 0 || len(lost) == len(all) {
-		t.Fatalf("degenerate spread: victim holds %d of %d", len(lost), len(all))
-	}
-	crashGHT(t, s, net, router, victim)
-
-	sink := pickAliveGHT(s)
-	survivors := 0
-	for _, e := range all {
-		if checkPointQuery(t, s, sink, e) {
-			survivors++
-			if lost[e.Seq] {
-				t.Errorf("event %d served although its mirror home died", e.Seq)
-			}
-		}
-	}
-	if want := len(all) - len(lost); survivors != want {
-		t.Errorf("surviving recall %d/%d, want %d — only the corpse's mirror share may be lost",
-			survivors, len(all), want)
-	}
-}
-
 func TestRecoverNodeComesBackEmpty(t *testing.T) {
 	s, net, router := newFaultUniverse(t, 300, 740)
 	loadGHT(t, s, 200, 741)

@@ -2,12 +2,13 @@ package ght
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
+	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
 )
@@ -186,116 +187,60 @@ func TestHomeCacheAvoidsRouteProbe(t *testing.T) {
 	}
 }
 
-func newReplicatedSystem(t testing.TB, n int, seed int64, depth int) (*System, *network.Network) {
-	t.Helper()
-	l, err := field.Generate(field.DefaultSpec(n), rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
+// TestMetricsCountOperations holds every ght_* family of a metered system
+// to the operations performed: the events stored, the queries answered, the
+// retries those spent on a silently crashed home, one home per query, and
+// each node's events. An insert of another k is rejected and counts
+// nothing.
+func TestMetricsCountOperations(t *testing.T) {
+	reg := metrics.New()
+	s, net, router := newFaultUniverse(t, 300, 780, WithMetrics(reg))
+	if s.Name() != "GHT" {
+		t.Errorf("Name() = %q", s.Name())
 	}
-	net := network.New(l)
-	return New(net, gpsr.New(l), WithStructuredReplication(depth)), net
-}
-
-func TestMirrorPoints(t *testing.T) {
-	s, net := newReplicatedSystem(t, 300, 20, 1)
-	root := geo.Pt(10, 20)
-	mirrors := s.MirrorPoints(root)
-	if len(mirrors) != 4 {
-		t.Fatalf("depth 1 should give 4 mirrors, got %d", len(mirrors))
+	all := loadGHT(t, s, 60, 781)
+	if err := s.Insert(0, event.New(0.1, 0.2)); err == nil || !strings.Contains(err.Error(), "dims") {
+		t.Errorf("insert of a 2-value event into a 3-value deployment = %v, want an error naming the dims", err)
 	}
-	side := net.Layout().Side
-	seen := make(map[geo.Point]bool)
-	for _, m := range mirrors {
-		if m.X < 0 || m.X > side || m.Y < 0 || m.Y > side {
-			t.Errorf("mirror %v outside field", m)
-		}
-		if seen[m] {
-			t.Errorf("duplicate mirror %v", m)
-		}
-		seen[m] = true
-	}
-	if !seen[root] {
-		t.Errorf("root %v not among its own mirrors %v", root, mirrors)
-	}
-
-	// Depth 2 gives 16.
-	s2, _ := newReplicatedSystem(t, 300, 21, 2)
-	if got := len(s2.MirrorPoints(root)); got != 16 {
-		t.Errorf("depth 2 mirrors = %d, want 16", got)
-	}
-
-	// Depth 0 is the identity.
-	s0, _ := newSystem(t, 300, 22)
-	if got := s0.MirrorPoints(root); len(got) != 1 || !got[0].Equal(root) {
-		t.Errorf("depth 0 mirrors = %v", got)
-	}
-}
-
-func TestReplicatedInsertAndQuery(t *testing.T) {
-	s, _ := newReplicatedSystem(t, 300, 23, 1)
-	src := rng.New(24)
-	var keys [][]float64
-	for i := 0; i < 50; i++ {
-		vals := []float64{src.Float64(), src.Float64(), src.Float64()}
-		keys = append(keys, vals)
-		e := event.New(vals...)
-		e.Seq = uint64(i + 1)
-		if err := s.Insert(src.Intn(300), e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, vals := range keys {
-		q := event.NewQuery(event.PointRange(vals[0]), event.PointRange(vals[1]), event.PointRange(vals[2]))
-		got, err := s.Query(src.Intn(300), q)
+	victim := mostLoaded(s)
+	router.Exclude(victim)
+	net.FailNode(victim)
+	sink := (victim + 1) % net.Layout().N()
+	retries := 0
+	for _, e := range all {
+		_, comp, err := s.QueryWithReport(sink, pointQueryFor(e))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 || got[0].Seq != uint64(i+1) {
-			t.Fatalf("key %d: got %v", i, got)
-		}
+		retries += comp.Retries
 	}
-}
+	if retries == 0 {
+		t.Fatal("no query retried: the silent crash exercised nothing")
+	}
 
-func TestReplicationTradesInsertForQuery(t *testing.T) {
-	// Structured replication should cut insert cost (nearest mirror) and
-	// raise query cost (all mirrors visited).
-	insertCost := func(depth int) (float64, float64) {
-		var s *System
-		var net *network.Network
-		if depth == 0 {
-			s, net = newSystem(t, 600, 25)
-		} else {
-			s, net = newReplicatedSystem(t, 600, 25, depth)
-		}
-		src := rng.New(26)
-		var events []event.Event
-		for i := 0; i < 200; i++ {
-			e := event.New(src.Float64(), src.Float64(), src.Float64())
-			e.Seq = uint64(i + 1)
-			events = append(events, e)
-			if err := s.Insert(src.Intn(600), e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ins := float64(net.Snapshot().Messages[network.KindInsert]) / 200
-		before := net.Snapshot()
-		for i := 0; i < 50; i++ {
-			e := events[src.Intn(len(events))]
-			q := event.NewQuery(event.PointRange(e.Values[0]), event.PointRange(e.Values[1]), event.PointRange(e.Values[2]))
-			if _, err := s.Query(src.Intn(600), q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d := net.Diff(before)
-		qc := float64(d.Messages[network.KindQuery]+d.Messages[network.KindReply]) / 50
-		return ins, qc
+	snap := reg.Snapshot()
+	fan := snap.Values("ght_query_fanout_mirrors") // p50, p95, p99, sum, count
+	if len(fan) != 5 {
+		t.Fatalf("ght_query_fanout_mirrors points = %v", fan)
 	}
-	ins0, q0 := insertCost(0)
-	ins1, q1 := insertCost(1)
-	if ins1 >= ins0 {
-		t.Errorf("replication did not cut insert cost: %v vs %v", ins1, ins0)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"ght_inserts_total", snap.Value("ght_inserts_total"), float64(len(all))},
+		{"ght_queries_total", snap.Value("ght_queries_total"), float64(len(all))},
+		{"ght_query_retries_total", snap.Value("ght_query_retries_total"), float64(retries)},
+		{"ght_query_fanout_mirrors_sum", fan[3], float64(len(all))},
+		{"ght_query_fanout_mirrors_count", fan[4], float64(len(all))},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
-	if q1 <= q0 {
-		t.Errorf("replication did not raise query cost: %v vs %v", q1, q0)
+	stored := snap.Values("ght_stored_events")
+	for i, l := range s.StorageLoad() {
+		if stored[i] != float64(l) {
+			t.Errorf("ght_stored_events{node=%d} = %v, want %d", i, stored[i], l)
+		}
 	}
 }

@@ -611,7 +611,8 @@ func (e *Engine) writeSettled(wi int32, err error) {
 // Preload stores an event synchronously through global knowledge — no
 // packets, no virtual time — so experiments can load a population
 // before the clock starts. Placement, storage, and mirror election are
-// identical to a drained Insert; only the radio traffic is skipped.
+// identical to a drained Insert, and so is a mirror write lost to a
+// mirror whose radio is down; only the radio traffic is skipped.
 func (e *Engine) Preload(origin int, ev event.Event) error {
 	key, index, err := e.Place(origin, ev)
 	if err != nil {
@@ -625,7 +626,8 @@ func (e *Engine) Preload(origin int, ev event.Event) error {
 // replication is on, electing the mirror on first use with the same
 // rule as the synchronous mirrorEvent (the directory's ElectMirror).
 // viaRadio selects whether the mirror copy is a real
-// exchange or a preload-time bookkeeping write.
+// exchange or a preload-time bookkeeping write, which reaches a mirror
+// that is on the air.
 func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bool) {
 	e.Append(key, index, ev)
 	mirror := e.ElectMirror(key, index)
@@ -633,7 +635,9 @@ func (e *Engine) storeEvent(key pool.Key, index int, ev event.Event, viaRadio bo
 		return
 	}
 	if !viaRadio {
-		e.AppendMirror(key, ev)
+		if e.net.Alive(mirror) {
+			e.AppendMirror(key, ev)
+		}
 		return
 	}
 	wi := e.writes.alloc()

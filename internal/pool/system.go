@@ -261,13 +261,19 @@ func (s *System) storeEvent(key Key, index int, e event.Event, payload int) erro
 }
 
 // mirrorEvent copies a freshly stored event to the cell's mirror node,
-// electing the mirror on first use.
+// electing the mirror on first use. The unit acked the event when it was
+// stored, so a mirror write the radio loses is no insert failure: the
+// mirror copy stays behind and does not vouch until repair lands the
+// event, as on the actor engine.
 func (s *System) mirrorEvent(key Key, index int, e event.Event, payload int) error {
 	mirror := s.ElectMirror(key, index)
 	if mirror < 0 {
 		return nil
 	}
 	if _, err := s.unicast(index, mirror, network.KindInsert, payload); err != nil {
+		if dcs.IsDegradable(err) {
+			return nil
+		}
 		return fmt.Errorf("pool: mirror copy: %w", err)
 	}
 	s.AppendMirror(key, e)

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/node"
+	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 )
 
@@ -183,8 +185,8 @@ func scenarios() []scenario {
 				snapshot := deepCopy(a)
 				query(PointQueryFor(u.Events[1]))
 				query(PointQueryFor(u.Events[2]))
-				// Equal values land in A's cell or zone; origins spread over
-				// the field reach every structured-replication mirror home.
+				// Equal values land in A's cell, zone or home, from origins
+				// spread over the field.
 				for i := 0; i < 64; i++ {
 					e := event.Event{Values: slices.Clone(u.Events[0].Values), Seq: uint64(40000 + i)}
 					if err := u.Sys.Insert(i*confNodes/64, e); err != nil {
@@ -401,7 +403,6 @@ var cascadeExpect = everySystem(
 		"node+repair": {fullRecall: true, complete: true},
 		"dim":         {minRecall: 0.75, incomplete: true},
 		"ght":         {minRecall: 0.8, incomplete: true},
-		"ght+sr":      {minRecall: 0.8, incomplete: true},
 	})
 
 // lostShare is what a detected crash leaves: the replicated Pools keep
@@ -498,5 +499,76 @@ func TestConformanceDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same-seed runs diverge:\n%+v\n%+v", f.Name, a, b)
 		}
+	}
+}
+
+// TestConformanceLostMirrorWrite inserts an event into a loaded cell whose
+// mirror node is down: the unit acks the event when its primary stores
+// it, so both Pool engines report the insert as a success and the oracle
+// keeps it, while the mirror copy, short of it, no longer vouches.
+func TestConformanceLostMirrorWrite(t *testing.T) {
+	for _, f := range Factories() {
+		if f.Name != "pool+repl" && f.Name != "node+repair" {
+			continue
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cells interface {
+				Place(origin int, e event.Event) (pool.Key, int, error)
+				Mirror(key pool.Key) int
+				Vouches(key pool.Key, mirror bool) bool
+			}
+			switch sys := u.Sys.(type) {
+			case *pool.System:
+				cells = sys
+			case *node.Sync:
+				cells = sys.Engine()
+			}
+			// A sibling of a loaded event lands in its cell; detected at the
+			// cell's index node, only its mirror write crosses the radio.
+			var (
+				e             event.Event
+				key           pool.Key
+				index, mirror = -1, -1
+			)
+			for _, held := range u.Events {
+				e = event.Event{Values: slices.Clone(held.Values), Seq: 50_000}
+				if key, index, err = cells.Place(0, e); err != nil {
+					t.Fatal(err)
+				}
+				if mirror = cells.Mirror(key); mirror >= 0 && mirror != index {
+					break
+				}
+			}
+			if mirror < 0 || mirror == index {
+				t.Fatal("no loaded cell with a mirror apart from its index node")
+			}
+			if !cells.Vouches(key, false) || !cells.Vouches(key, true) {
+				t.Fatal("a copy of the loaded cell does not vouch before any fault")
+			}
+			u.CrashSilent(mirror)
+			if err := u.Insert(index, e); err != nil {
+				t.Fatalf("insert with the mirror down: %v", err)
+			}
+			if last := u.Events[len(u.Events)-1]; last.Seq != e.Seq {
+				t.Fatalf("the oracle's last event is %d, want %d", last.Seq, e.Seq)
+			}
+			if !cells.Vouches(key, false) {
+				t.Error("the primary copy does not vouch for the event it acked")
+			}
+			if cells.Vouches(key, true) {
+				t.Error("the mirror copy vouches although its write was lost")
+			}
+			got, comp, err := u.Sys.QueryWithReport(index, PointQueryFor(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !comp.Complete() || !slices.ContainsFunc(got, func(g event.Event) bool { return g.Seq == e.Seq }) {
+				t.Errorf("the acked event is not served whole: %v, %+v", got, comp)
+			}
+		})
 	}
 }

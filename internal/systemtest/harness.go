@@ -1,8 +1,8 @@
 // Package systemtest is the cross-system conformance harness: one table
 // of fault/recovery/query scenarios executed against every System
-// implementation (Pool, Pool with replication, DIM, GHT, GHT with
-// structured replication), so their degradation semantics are pinned by
-// a single spec instead of per-package test files that can drift.
+// implementation (Pool and the actor engine, each with and without
+// replication, DIM and GHT), so their degradation semantics are pinned
+// by a single spec instead of per-package test files that can drift.
 //
 // The contract under test is the shared fault surface grown around the
 // paper's protocols: FailNode/RecoverNode/Failed, QueryWithReport with
@@ -20,7 +20,6 @@ import (
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
 	"pooldcs/internal/experiment"
-	"pooldcs/internal/ght"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
@@ -92,9 +91,6 @@ func Factories() []Factory {
 		}},
 		{"ght", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
 			return e.AddGHT(name, nil), nil
-		}},
-		{"ght+sr", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
-			return e.AddGHT(name, nil, ght.WithStructuredReplication(1)), nil
 		}},
 		{"node", addActor()},
 		{"node+repair", addActor(node.WithReplication())},
