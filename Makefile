@@ -57,10 +57,12 @@ docs:
 # same worker pool, and the poolload goldens must stay byte-identical
 # under the race detector. The forEach workers share one gpsr.Router, so
 # its concurrent-readers contract (lock-free greedy memo) is raced here
-# too.
+# too. poolsim's all-tables run overlaps every table on one shared pool
+# and must still print the per-table goldens.
 race-parallel:
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/experiment \
-		-run 'TestParallelMatchesSequential|TestForEachOrderAndErrors|TestSaturationParallelInvariance'
+		-run 'TestParallelMatchesSequential|TestForEachOrderAndErrors|TestSharedPoolNestedFanOut|TestRunTablesStopsAtEmitError|TestSaturationParallelInvariance'
+	GOMAXPROCS=8 $(GO) test -race -count=1 ./cmd/poolsim -run TestAllMatchesGoldens
 	GOMAXPROCS=8 $(GO) test -race -count=10 ./internal/gpsr -run TestRouterConcurrentReaders
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./cmd/poolload -run Golden
 

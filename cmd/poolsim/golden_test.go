@@ -59,3 +59,26 @@ func TestGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestAllMatchesGoldens: "all" runs every table on one shared pool, the
+// tables overlapping, yet prints exactly the per-table goldens joined in
+// report order, sequentially and with eight goroutines computing at once.
+func TestAllMatchesGoldens(t *testing.T) {
+	var want strings.Builder
+	for _, tbl := range experiment.Tables() {
+		b, err := os.ReadFile(filepath.Join("testdata", tbl.Name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(b)
+	}
+	for _, parallel := range []string{"1", "8"} {
+		var out strings.Builder
+		if err := run([]string{"-quick", "-parallel", parallel, "all"}, &out); err != nil {
+			t.Fatalf("-parallel %s: %v", parallel, err)
+		}
+		if out.String() != want.String() {
+			t.Errorf("-parallel %s all differs from the per-table goldens joined in report order", parallel)
+		}
+	}
+}

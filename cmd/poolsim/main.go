@@ -15,7 +15,8 @@
 //	-queries N   queries per data point (default 100; 30 with -quick)
 //	-sizes LIST  comma-separated network sizes for the fig6 sweeps
 //	-quick       fewer queries, smaller sweep (smoke run)
-//	-parallel N  worker goroutines per experiment (0 = GOMAXPROCS, 1 = sequential)
+//	-parallel N  goroutines computing at once across the whole run: tables
+//	             overlap and share them (0 = GOMAXPROCS, 1 = sequential)
 //	-repair-period D  anti-entropy round interval for the churn experiment (default 5s)
 //	-backend B   storage backend for the resilience sweep: pool (synchronous
 //	             spec, default) or node (event-driven actor engine)
@@ -35,7 +36,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"pooldcs/internal/experiment"
 )
@@ -62,7 +62,7 @@ func run(args []string, out io.Writer) error {
 	queries := fs.Int("queries", 100, "queries per data point")
 	sizes := fs.String("sizes", "", "comma-separated network sizes for the fig6 sweeps (default 300,600,900,1200)")
 	quick := fs.Bool("quick", false, "smoke run: fewer queries per point")
-	parallel := fs.Int("parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = sequential); tables are identical at any setting")
+	parallel := fs.Int("parallel", 0, "goroutines computing at once across the whole run, tables overlapping (0 = GOMAXPROCS, 1 = sequential); output is identical at any setting")
 	repairPeriod := fs.Duration("repair-period", 0, "anti-entropy reconciliation round interval for the churn experiment (0 = default 5s)")
 	backend := fs.String("backend", "pool", "storage backend for the resilience sweep: pool (synchronous spec) or node (actor engine)")
 	repair := fs.Bool("repair", false, "with -backend=node: mirror cells and restore crashes via message-driven repair")
@@ -157,19 +157,17 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "poolsim: debug server on http://%s (/metrics, /debug/pprof/)\n", dbg.addr())
 	}
 
-	for _, t := range tables {
-		start := time.Now()
-		res, err := t.Run(cfg)
-		dbg.record(time.Since(start), err != nil)
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.Name, err)
+	return experiment.RunTables(cfg, tables, func(o experiment.Outcome) error {
+		dbg.record(o.Took, o.Err != nil)
+		if o.Err != nil {
+			return fmt.Errorf("%s: %w", o.Table.Name, o.Err)
 		}
-		if res.ID != t.ID {
-			return fmt.Errorf("%s: registered as result %q but produced %q", t.Name, t.ID, res.ID)
+		if o.Result.ID != o.Table.ID {
+			return fmt.Errorf("%s: registered as result %q but produced %q", o.Table.Name, o.Table.ID, o.Result.ID)
 		}
-		fmt.Fprint(out, render(res))
-	}
-	return nil
+		fmt.Fprint(out, render(o.Result))
+		return nil
+	})
 }
 
 // parseSizes parses a comma-separated list of positive network sizes.

@@ -52,7 +52,7 @@ func run() error {
 	}
 	pair := *env
 	pair.Arms = env.Arms[:2]
-	costs, err := pair.Cost(1, queries)
+	costs, err := pair.Cost(queries)
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func run() error {
 		}
 		points[i] = event.NewQuery(ranges...)
 	}
-	if costs, err = env.Cost(1, env.Place(sinkSrc, points)); err != nil {
+	if costs, err = env.Cost(env.Place(sinkSrc, points)); err != nil {
 		return err
 	}
 

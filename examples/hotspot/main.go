@@ -77,7 +77,7 @@ func run() error {
 	// Queries remain correct and complete across delegated segments: Cost
 	// refuses result sets that differ between arms.
 	q := event.NewQuery(event.Span(0.85, 1), event.Span(0, 0.3), event.Unspecified())
-	costs, err := env.Cost(1, []experiment.PlacedQuery{{Sink: 0, Query: q}})
+	costs, err := env.Cost([]experiment.PlacedQuery{{Sink: 0, Query: q}})
 	if err != nil {
 		return err
 	}

@@ -119,7 +119,7 @@ func PoolSize(cfg Config, sides []int) (*Result, error) {
 			return nil, err
 		}
 		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
-		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+		costs, err := env.cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +160,7 @@ func PointQuery(cfg Config) (*Result, error) {
 	for i := range population {
 		population[i] = pointQueryFor(events[pickSrc.Intn(len(events))].Event)
 	}
-	costs, err := env.Cost(cfg.parallel(), env.Place(sinkSrc, population))
+	costs, err := env.cost(cfg.parallel(), env.Place(sinkSrc, population))
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func AsyncLatency(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		costs, err := env.Cost(1, env.Place(sinkSrc, population))
+		costs, err := env.Cost(env.Place(sinkSrc, population))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", kind.name, err)
 		}

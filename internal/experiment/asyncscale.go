@@ -52,7 +52,7 @@ func AsyncScale(cfg Config, sizes []int) (*Result, error) {
 		drainMs := float64(env.Sched.Now().Milliseconds())
 
 		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
-		costs, err := env.Cost(1, env.Place(src.Fork("sinks"), population))
+		costs, err := env.Cost(env.Place(src.Fork("sinks"), population))
 		if err != nil {
 			return nil, fmt.Errorf("n=%d: %w", n, err)
 		}

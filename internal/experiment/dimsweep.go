@@ -43,11 +43,11 @@ func DimSweep(cfg Config, dims []int) (*Result, error) {
 			}
 		}
 		placed := env.Place(src.Fork("sinks"), exact)
-		exactCost, err := env.Cost(cfg.parallel(), placed)
+		exactCost, err := env.cost(cfg.parallel(), placed)
 		if err != nil {
 			return nil, fmt.Errorf("k=%d exact: %w", k, err)
 		}
-		partialCost, err := env.Cost(cfg.parallel(), requery(placed, func(i int, _ event.Query) event.Query { return partial[i] }))
+		partialCost, err := env.cost(cfg.parallel(), requery(placed, func(i int, _ event.Query) event.Query { return partial[i] }))
 		if err != nil {
 			return nil, fmt.Errorf("k=%d partial: %w", k, err)
 		}

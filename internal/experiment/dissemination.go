@@ -37,7 +37,7 @@ func Dissemination(cfg Config) (*Result, error) {
 	placed := env.Place(src.Fork("sinks"), bases)
 
 	for n := 1; n <= cfg.Dims; n++ {
-		costs, err := env.Cost(cfg.parallel(), oneAtN(placed, n))
+		costs, err := env.cost(cfg.parallel(), oneAtN(placed, n))
 		if err != nil {
 			return nil, fmt.Errorf("1@%d: %w", n, err)
 		}

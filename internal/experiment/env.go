@@ -340,17 +340,23 @@ func (a *Arm) answer(sched *sim.Scheduler, queries []PlacedQuery, res [][]event.
 	return latencyMs, nil
 }
 
-// Cost runs the same placed queries through every arm, on up to workers
-// goroutines, and returns each arm's query-processing traffic in arm
-// order. Each pass touches only its own system, network and result
+// Cost runs the same placed queries through every arm, one arm after
+// another, and returns each arm's query-processing traffic in arm
+// order. All arms answer the same population, so they must return
+// identical result sets; a mismatch is reported as an error since it
+// indicates a correctness bug.
+func (e *Env) Cost(queries []PlacedQuery) ([]Traffic, error) {
+	return e.cost(nil, queries)
+}
+
+// cost is Cost with the arms fanned out on the pool w (nil: one after
+// another). Each pass touches only its own system, network and result
 // slice, and the shared router is read-only, so the totals are the same
-// at any worker count (actor arms share the deployment's clock and
-// cannot be fanned out; no table costs two). All arms answer the same
-// population, so they must return identical result sets; a mismatch is
-// reported as an error since it indicates a correctness bug.
-func (e *Env) Cost(workers int, queries []PlacedQuery) ([]Traffic, error) {
+// at any pool size (actor arms share the deployment's clock and cannot
+// be fanned out; no table costs two).
+func (e *Env) cost(w *workers, queries []PlacedQuery) ([]Traffic, error) {
 	res := make([][][]event.Event, len(e.Arms))
-	out, err := forEach(workers, len(e.Arms), func(ai int) (Traffic, error) {
+	out, err := forEach(w, len(e.Arms), func(ai int) (Traffic, error) {
 		a := e.Arms[ai]
 		res[ai] = make([][]event.Event, len(queries))
 		f0, r0 := a.queryTraffic()

@@ -33,7 +33,7 @@ func EventLoad(cfg Config, perNode []int) (*Result, error) {
 
 		// Fixed query population across rows (same generator seed).
 		population := exactMatches(workload.NewQueries(rng.New(cfg.Seed+557), cfg.Dims), cfg.Queries, workload.UniformSizes)
-		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+		costs, err := env.cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 		if err != nil {
 			return nil, fmt.Errorf("per=%d: %w", per, err)
 		}

@@ -29,10 +29,11 @@ type Config struct {
 	NetworkSizes []int
 	// PartialSize is the fixed deployment size of Figure 7 (paper: 900).
 	PartialSize int
-	// Parallel bounds the number of worker goroutines used to fan
-	// independent trials of a table across cores: 1 forces a sequential
-	// run, 0 (the default) uses GOMAXPROCS. Every trial seeds its own
-	// random source, so the tables are byte-identical at any setting.
+	// Parallel bounds the number of goroutines that compute at once,
+	// across every table of a RunTables run and every trial fanned out
+	// inside them: 1 forces a sequential run, 0 (the default) uses
+	// GOMAXPROCS. Every trial seeds its own random source, so the
+	// tables are byte-identical at any setting.
 	Parallel int
 	// RepairPeriod is the background anti-entropy round interval of the
 	// churn experiment's replicated universes (0 selects the
@@ -53,6 +54,10 @@ type Config struct {
 	// bounds trace memory; eviction degrades the attribution columns
 	// gracefully rather than growing the heap with the horizon.
 	TraceRing int
+
+	// workers is the pool RunTables shares across its run (runner.go);
+	// nil outside one.
+	workers *workers
 }
 
 // DefaultTraceRing bounds the per-universe flight recorder: large

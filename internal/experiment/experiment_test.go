@@ -53,7 +53,7 @@ func TestEnvInsertAndQueryConsistency(t *testing.T) {
 	// Cost verifies that Pool and DIM return identical result sets; any
 	// divergence fails here, at every worker count.
 	for _, workers := range []int{1, 4} {
-		costs, err := env.Cost(workers, queries)
+		costs, err := env.cost(Config{Parallel: workers}.parallel(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestEnvInsertAndQueryConsistency(t *testing.T) {
 	if _, err := env.AddDIM("empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.Cost(1, queries); err == nil || !strings.Contains(err.Error(), "result sets differ") {
+	if _, err := env.Cost(queries); err == nil || !strings.Contains(err.Error(), "result sets differ") {
 		t.Errorf("diverging result sets passed the cross-check: %v", err)
 	}
 }

@@ -21,7 +21,7 @@ func pairCost(cfg Config, n int, src *rng.Source, population []event.Query) (poo
 	if _, err := env.Populate(cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)); err != nil {
 		return 0, 0, err
 	}
-	costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+	costs, err := env.cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -85,7 +85,7 @@ func Fig7a(cfg Config) (*Result, error) {
 	}
 
 	for m := 1; m < cfg.Dims; m++ {
-		costs, err := env.Cost(cfg.parallel(), requery(placed, func(i int, q event.Query) event.Query {
+		costs, err := env.cost(cfg.parallel(), requery(placed, func(i int, q event.Query) event.Query {
 			return blankOut(q, wildOrder[i][:m])
 		}))
 		if err != nil {
@@ -147,7 +147,7 @@ func Fig7b(cfg Config) (*Result, error) {
 				cellCount += len(cells)
 			}
 		}
-		costs, err := env.Cost(cfg.parallel(), queries)
+		costs, err := env.cost(cfg.parallel(), queries)
 		if err != nil {
 			return nil, fmt.Errorf("1@%d: %w", n, err)
 		}

@@ -64,7 +64,7 @@ func LoadBalance(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("loadbalance: %w", err)
 	}
 	population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
-	if _, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population)); err != nil {
+	if _, err := env.cost(cfg.parallel(), env.Place(src.Fork("sinks"), population)); err != nil {
 		return nil, fmt.Errorf("loadbalance: %w", err)
 	}
 

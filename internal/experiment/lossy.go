@@ -43,7 +43,7 @@ func Lossy(cfg Config, rates []float64) (*Result, error) {
 			return [2]float64{}, err
 		}
 		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
-		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+		costs, err := env.cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("p=%v: %w", p, err)
 		}

@@ -51,7 +51,7 @@ func Placement(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
 		population := exactMatches(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
-		costs, err := env.Cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
+		costs, err := env.cost(cfg.parallel(), env.Place(src.Fork("sinks"), population))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}

@@ -158,7 +158,7 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 			}
 		}
 	}
-	costs, err := env.Cost(1, env.Place(src.Fork("sinks"), population))
+	costs, err := env.Cost(env.Place(src.Fork("sinks"), population))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: trace %w", err)
 	}

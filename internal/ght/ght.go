@@ -28,7 +28,6 @@ import (
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
-	"pooldcs/internal/stats"
 )
 
 // ErrUnsupported is returned for queries GHT cannot evaluate (anything but
@@ -70,10 +69,9 @@ type System struct {
 	dead []bool
 
 	// Operation counts, which the metric families view: events
-	// inserted, queries answered, and the retry unicasts and homes of
-	// those queries.
+	// inserted, queries answered, and the retry unicasts of those
+	// queries.
 	inserts, queries, retries uint64
-	fanout                    *stats.IntHistogram
 
 	// reg is the registry WithMetrics attaches (nil: none).
 	reg *metrics.Registry
@@ -99,7 +97,6 @@ func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
 		storage: make([]event.Rows, net.Layout().N()),
 		homes:   make(map[geo.Point]homing),
 		dead:    make([]bool, net.Layout().N()),
-		fanout:  stats.NewIntHistogram(),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -118,7 +115,6 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("ght_queries_total", "exact-match queries resolved by GHT", func() float64 { return float64(s.queries) })
 	reg.CounterFunc("ght_query_retries_total", "extra unicasts spent by the query failure policy",
 		func() float64 { return float64(s.retries) })
-	reg.HistogramOf("ght_query_fanout_mirrors", "homes addressed per query: the key's one home", s.fanout)
 	reg.NodeGaugeFunc("ght_stored_events", "events held per home node", n,
 		func(i int) float64 { return float64(s.storage[i].Len()) })
 }
@@ -247,7 +243,6 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	}
 	s.queries++
 	s.retries += uint64(comp.Retries)
-	s.fanout.Add(int64(comp.CellsTotal))
 	return event.CloneEvents(s.replyBuf), comp, nil
 }
 

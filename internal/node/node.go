@@ -611,12 +611,17 @@ func (e *Engine) writeSettled(wi int32, err error) {
 // Preload stores an event synchronously through global knowledge — no
 // packets, no virtual time — so experiments can load a population
 // before the clock starts. Placement, storage, and mirror election are
-// identical to a drained Insert, and so is a mirror write lost to a
-// mirror whose radio is down; only the radio traffic is skipped.
+// identical to a drained Insert, and so are an insert to an index node
+// whose radio is down (an error wrapping dcs.ErrUnreachable, nothing
+// stored) and a mirror write lost to a mirror whose radio is down; only
+// the radio traffic is skipped.
 func (e *Engine) Preload(origin int, ev event.Event) error {
 	key, index, err := e.Place(origin, ev)
 	if err != nil {
 		return err
+	}
+	if !e.net.Alive(index) {
+		return fmt.Errorf("node: preload: index node %d is down: %w", index, dcs.ErrUnreachable)
 	}
 	e.storeEvent(key, index, ev, false)
 	return nil

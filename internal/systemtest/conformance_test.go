@@ -1,6 +1,7 @@
 package systemtest
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
@@ -570,5 +572,66 @@ func TestConformanceLostMirrorWrite(t *testing.T) {
 				t.Errorf("the acked event is not served whole: %v, %+v", got, comp)
 			}
 		})
+	}
+}
+
+// TestConformanceInsertAtDownIndexNode inserts a sibling of a loaded event
+// while its cell's index node is silently down (at confSeed, node 84,
+// the insert coming from node 85). No driver can reach the index node,
+// so every Pool flavour — synchronous and actor, replicated or not —
+// returns an error wrapping dcs.ErrUnreachable, stores nothing and
+// leaves the oracle as it was; each actor flavour then answers the
+// event's point query exactly as its synchronous twin does.
+func TestConformanceInsertAtDownIndexNode(t *testing.T) {
+	type answer struct {
+		seqs     []uint64
+		complete bool
+	}
+	answers := map[string]answer{}
+	for _, f := range Factories() {
+		if !strings.HasPrefix(f.Name, "pool") && !strings.HasPrefix(f.Name, "node") {
+			continue
+		}
+		u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells interface {
+			Place(origin int, e event.Event) (pool.Key, int, error)
+		}
+		switch sys := u.Sys.(type) {
+		case *pool.System:
+			cells = sys
+		case *node.Sync:
+			cells = sys.Engine()
+		}
+		e := event.Event{Values: slices.Clone(u.Events[0].Values), Seq: 50_000}
+		_, index, err := cells.Place(0, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		origin := (index + 1) % confNodes
+		loaded := len(u.Events)
+		u.CrashSilent(index)
+		if err := u.Insert(origin, e); !errors.Is(err, dcs.ErrUnreachable) {
+			t.Errorf("%s: insert from %d to down index node %d: got %v, want dcs.ErrUnreachable", f.Name, origin, index, err)
+		}
+		if len(u.Events) != loaded {
+			t.Errorf("%s: the oracle holds %d events after a failed insert, want %d", f.Name, len(u.Events), loaded)
+		}
+		got, comp, err := u.Sys.QueryWithReport(origin, PointQueryFor(e))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		a := answer{seqs: seqSet(got), complete: comp.Complete()}
+		if slices.Contains(a.seqs, e.Seq) {
+			t.Errorf("%s: the failed insert is served: %v", f.Name, a.seqs)
+		}
+		answers[f.Name] = a
+	}
+	for actor, spec := range map[string]string{"node": "pool", "node+repair": "pool+repl"} {
+		if a, s := answers[actor], answers[spec]; !equalSeqs(a.seqs, s.seqs) || a.complete != s.complete {
+			t.Errorf("%s answers %+v, %s %+v", actor, a, spec, s)
+		}
 	}
 }
