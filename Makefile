@@ -17,7 +17,10 @@ test:
 # deployment constructor: a non-test Go file under internal/ or cmd/
 # outside internal/experiment that generates a field or builds a router
 # or a radio fails it too (examples/ teach those building blocks, and
-# bench/ is a module of its own).
+# bench/ is a module of its own). Last the one storage-system surface: a
+# non-test Go file under internal/ or cmd/ outside internal/dcs that
+# declares an interface method QueryWithReport, FailNode or StorageLoad
+# fails it, so dcs.System stays declared once.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
@@ -25,6 +28,9 @@ vet:
 	@out=$$(grep -nE '\b(field\.Generate(Clustered)?|gpsr\.New|network\.New)\(' \
 		$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/experiment/*')); \
 	if [ -n "$$out" ]; then echo "deployment built outside experiment.Deploy:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '^[[:space:]]+(QueryWithReport|FailNode|StorageLoad)\(|interface *\{[^}]*\b(QueryWithReport|FailNode|StorageLoad)\(' \
+		$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/dcs/*')); \
+	if [ -n "$$out" ]; then echo "storage-system surface declared outside dcs.System:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -23,7 +23,6 @@ import (
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 	"pooldcs/internal/stats"
-	"pooldcs/internal/trace"
 )
 
 // FaultKind selects what a Fault does.
@@ -175,7 +174,6 @@ type Engine struct {
 	router  *gpsr.Router
 	systems []System
 
-	tracer    *trace.Tracer
 	burstSrc  *rng.Source
 	detector  FailureDetector
 	onRecover func(id int)
@@ -201,11 +199,6 @@ type EngineOption interface {
 type engineOption func(*Engine)
 
 func (f engineOption) apply(e *Engine) { f(e) }
-
-// WithTracer records every executed fault as a trace.TypeFault event.
-func WithTracer(t *trace.Tracer) EngineOption {
-	return engineOption(func(e *Engine) { e.tracer = t })
-}
 
 // WithMetrics registers the engine's live metrics on reg:
 // function-backed counters over crashes, recoveries, bursts, and repair
@@ -332,9 +325,6 @@ func (e *Engine) CrashNode(id int) {
 	}
 	e.down[id] = true
 	e.crashes++
-	if e.tracer.Enabled() {
-		e.tracer.Record(trace.TypeFault, id, 0, "chaos crash")
-	}
 	e.net.FailNode(id)
 	if e.detector != nil {
 		e.detector.Fail(id)
@@ -393,9 +383,6 @@ func (e *Engine) RecoverNode(id int) {
 	e.down[id] = false
 	e.recoveries++
 	e.crashedAt[id] = detectSentinel
-	if e.tracer.Enabled() {
-		e.tracer.Record(trace.TypeFault, id, 0, "chaos recover")
-	}
 	e.router.Restore(id)
 	e.net.RecoverNode(id)
 	if e.detector != nil {
@@ -412,28 +399,9 @@ func (e *Engine) RecoverNode(id int) {
 // StartBurst opens a regional loss window now and schedules its end.
 func (e *Engine) StartBurst(region geo.Rect, rate float64, duration time.Duration) {
 	e.bursts++
-	if e.tracer.Enabled() {
-		e.tracer.Record(trace.TypeFault, -1, int(rate*100), "chaos burst")
-	}
 	cancel := e.net.AddRegionLoss(region, rate, e.burstSrc)
 	e.sched.After(duration, cancel)
 }
-
-// FailNode is the engine-level counterpart of RecoverNode: it crashes
-// the node immediately, exactly as a scheduled Crash fault would
-// (CrashNode remains the named primitive). With it the engine itself
-// satisfies dcs.Degradable, so engines compose anywhere a storage
-// system's fault surface is expected. The error return is always nil —
-// per-system repair errors are collected in Errs, as for planned
-// faults.
-func (e *Engine) FailNode(id int) error {
-	e.CrashNode(id)
-	return nil
-}
-
-// Failed reports whether the engine currently holds the node down
-// (dcs.Degradable; identical to Down).
-func (e *Engine) Failed(id int) bool { return e.Down(id) }
 
 // Down reports whether the engine currently holds the node down.
 func (e *Engine) Down(id int) bool { return e.down[id] }

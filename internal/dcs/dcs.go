@@ -19,7 +19,9 @@ import (
 	"pooldcs/internal/network"
 )
 
-// System is a data-centric storage scheme running over a sensor network.
+// System is a data-centric storage scheme running over a sensor network:
+// the one surface pool.System, dim.System, ght.System and node.Sync (the
+// actor engine's synchronous face) implement and every driver uses.
 type System interface {
 	// Name identifies the scheme in reports.
 	Name() string
@@ -27,14 +29,12 @@ type System interface {
 	Insert(origin int, e event.Event) error
 	// Query resolves q from the sink node and returns the matching events.
 	Query(sink int, q event.Query) ([]event.Event, error)
-}
-
-// StorageReporter is implemented by systems that can report per-node
-// storage occupancy, which the hotspot experiments inspect.
-type StorageReporter interface {
+	// QueryWithReport is Query plus how much of the fan-out was served.
+	QueryWithReport(sink int, q event.Query) ([]event.Event, Completeness, error)
 	// StorageLoad returns the number of events stored at each node,
 	// indexed by node ID.
 	StorageLoad() []int
+	Degradable
 }
 
 // Payload sizes in bytes for the cost model. One attribute value is eight
@@ -202,12 +202,11 @@ func Exchange(net *network.Network, router *gpsr.Router, from, to int, kind netw
 	}
 }
 
-// Degradable is the fault surface every storage system exposes: mark a
-// node failed (running whatever repair the design provides), bring it
-// back, and report its status. pool.System, dim.System, ght.System, and
-// node.Engine all implement it, and chaos.Engine drives any number of
-// them through this one interface — there is no per-backend
-// registration path.
+// Degradable is the fault surface of a storage system: mark a node
+// failed (running whatever repair the design provides), bring it back,
+// and report its status. Every System includes it, node.Engine beneath
+// node.Sync implements it, and chaos.Engine drives any number of them
+// through this one interface: there is no per-backend registration path.
 type Degradable interface {
 	// FailNode marks the node failed and repairs or drops its
 	// responsibilities. The error covers only unrecoverable states (no

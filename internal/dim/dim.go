@@ -147,7 +147,6 @@ type System struct {
 }
 
 var _ dcs.System = (*System)(nil)
-var _ dcs.StorageReporter = (*System)(nil)
 
 // New builds the DIM zone structure over the network's deployment for
 // events of the given dimensionality.

@@ -126,14 +126,14 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		sched := env.Sched
 
 		// attach puts the arm just added under churn: beacons drawn from
-		// bsrc detect its crashes, its chaos engine tears sys down when
-		// they do, and the arm's registry collects both.
-		attach := func(bsrc *rng.Source, sys chaos.System) *churnUniverse {
+		// bsrc detect its crashes, its chaos engine tears the arm's system
+		// down when they do, and the arm's registry collects both.
+		attach := func(bsrc *rng.Source) *churnUniverse {
 			u := &churnUniverse{Arm: env.Arms[len(env.Arms)-1]}
 			u.disc = discovery.New(u.Net, sched, bsrc.Fork("beacons-"+u.Name),
 				discovery.Config{Interval: churnBeaconInterval})
 			u.disc.EnableMetrics(u.Reg)
-			u.engine = chaos.NewEngine(sched, u.Net, u.Router, []chaos.System{sys},
+			u.engine = chaos.NewEngine(sched, u.Net, u.Router, []chaos.System{u.Sys},
 				chaos.WithFailureDetection(u.disc), chaos.WithMetrics(u.Reg),
 				chaos.WithRecoveryHook(func(int) {
 					if u.kick != nil {
@@ -142,22 +142,21 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 				}))
 			return u
 		}
-		plainSys, err := env.AddPool("plain", src.Fork("pivots-plain"), nil)
-		if err != nil {
+		if _, err := env.AddPool("plain", src.Fork("pivots-plain"), nil); err != nil {
 			return nil, err
 		}
-		plain := attach(src, plainSys)
+		plain := attach(src)
 		replSys, err := env.AddPool("repl", src.Fork("pivots-repl"), nil, pool.WithReplication())
 		if err != nil {
 			return nil, err
 		}
-		repl := attach(src, replSys)
-		dimSys, err := env.AddDIM("dim", nil)
-		if err != nil {
+		repl := attach(src)
+		if _, err := env.AddDIM("dim", nil); err != nil {
 			return nil, err
 		}
-		dimU := attach(src, dimSys)
-		ghtU := attach(src, env.AddGHT("ght", nil))
+		dimU := attach(src)
+		env.AddGHT("ght", nil)
+		ghtU := attach(src)
 		// The snapshot-baseline universe draws from its own root source so
 		// the four established universes reproduce their exact pre-existing
 		// streams (Fork consumes from the parent sequence).
@@ -166,7 +165,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		snap := attach(snapSrc, snapSys)
+		snap := attach(snapSrc)
 		// The actor universe likewise draws from its own root source.
 		// Message-driven repair plus a per-packet service time: restore
 		// transfers queue behind (and ahead of) live query traffic.
@@ -176,7 +175,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			return nil, err
 		}
 		nodeEng.EnableService(churnServiceTime)
-		nodeU := attach(nodeSrc, nodeEng)
+		nodeU := attach(nodeSrc)
 		// Flight recorder: a bounded event ring over the actor universe's
 		// spans and hop records. The attribution columns decompose the
 		// probe latencies recorded here; the ring caps trace memory no

@@ -63,18 +63,10 @@ type Arm struct {
 	// Reg is nil unless the deployment is metered.
 	Reg *metrics.Registry
 	// Sys is the blocking surface Populate stores into and Cost queries.
-	Sys System
+	Sys dcs.System
 	// Engine is set on an actor arm; Sys is then its node.Sync adapter,
 	// whose inserts preload at no radio or virtual-time cost.
 	Engine *node.Engine
-}
-
-// System is the surface every scheme under comparison exposes: the
-// shared insert/query interface plus the completeness-reporting query the
-// fault tables read.
-type System interface {
-	dcs.System
-	QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
 }
 
 // Deploy generates a connected deployment of n nodes with no arms yet.
@@ -420,15 +412,11 @@ func (e *Env) failRandom(k int, src *rng.Source) (map[int]bool, error) {
 		}
 		dead[v] = true
 		for _, a := range e.Arms {
-			sys, ok := a.Sys.(dcs.Degradable)
-			if !ok {
-				return nil, fmt.Errorf("experiment: %s cannot fail nodes", a.Name)
-			}
 			if a.Engine != nil {
 				a.Router.Exclude(v)
 				a.Net.FailNode(v)
 			}
-			if err := sys.FailNode(v); err != nil {
+			if err := a.Sys.FailNode(v); err != nil {
 				return nil, fmt.Errorf("%s: failing node %d: %w", a.Name, v, err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pooldcs/internal/load"
+	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 	"pooldcs/internal/workload"
@@ -25,22 +26,60 @@ func DeployLoad(backend string, n, dims, perNode int, src *rng.Source, sched *si
 	}
 	e.Sched = sched
 	gen := workload.NewUniformEvents(src.Fork("preload"), dims)
-	var b load.SystemBackend
+	// Each scheme's station rule names the node an operation queues at.
+	var station func(op *load.Op) int
+	var unsupported []load.Class
 	switch backend {
 	case "pool":
 		p, err := e.AddPool(backend, src.Fork("pivots"), nil)
 		if err != nil {
 			return nil, err
 		}
-		b = &load.PoolBackend{Sys: p, Net: e.Arms[0].Net}
+		// An insert at its Theorem 3.1 index node, a query at the splitter
+		// of its first relevant Pool, the entry of the splitter tree.
+		station = func(op *load.Op) int {
+			var plan pool.Plan
+			if op.Class == load.Insert {
+				if _, index, err := p.Place(op.Node, op.Event); err == nil {
+					return index
+				}
+			} else if p.Resolve(op.Query, &plan) == nil && len(plan.Fanouts) > 0 {
+				return p.SplitterFor(plan.Fanouts[0].Pool, op.Node)
+			}
+			return op.Node
+		}
 	case "dim":
 		d, err := e.AddDIM(backend, nil)
 		if err != nil {
 			return nil, err
 		}
-		b = &load.DIMBackend{Sys: d, Net: e.Arms[0].Net}
+		// An insert at its zone's owner, a query at its first relevant
+		// zone's. Under a skewed population these are the hot owners —
+		// DIM's hotspot — so DIM saturates before Pool at equal load.
+		station = func(op *load.Op) int {
+			if op.Class == load.Insert {
+				return d.ZoneOf(op.Event.Values).Owner
+			}
+			if zs := d.RelevantZones(op.Query); len(zs) > 0 {
+				return zs[0].Owner
+			}
+			return op.Node
+		}
 	case "ght":
-		b = &load.GHTBackend{Sys: e.AddGHT(backend, nil), Net: e.Arms[0].Net}
+		// The home node of the hashed values. GHT hashes whole events to
+		// a point, so it serves inserts and point queries only.
+		g := e.AddGHT(backend, nil)
+		unsupported = []load.Class{load.RangeQuery}
+		station = func(op *load.Op) int {
+			values := op.Event.Values
+			if op.Class != load.Insert {
+				values = make([]float64, len(op.Query.Ranges))
+				for i, r := range op.Query.Ranges {
+					values[i] = r.L
+				}
+			}
+			return e.Layout.Nearest(g.HashPoint(values))
+		}
 	case "pool-actor":
 		eng, err := e.AddActor(backend, src.Fork("pivots"), nil)
 		if err != nil {
@@ -55,12 +94,12 @@ func DeployLoad(backend string, n, dims, perNode int, src *rng.Source, sched *si
 			}
 		}
 		sched.Run()
-		return load.NewActorTarget(eng, load.DefaultPerPacket), nil
+		return load.NewActorTarget(eng), nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown backend %q (choose from %s)", backend, strings.Join(LoadBackends(), ", "))
 	}
 	if _, err := e.Populate(perNode, gen); err != nil {
 		return nil, err
 	}
-	return load.NewStationTarget(b, sched, load.DefaultCost), nil
+	return load.NewStationTarget(e.Arms[0].Sys, e.Arms[0].Net, sched, station, unsupported...), nil
 }

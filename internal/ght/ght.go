@@ -87,7 +87,6 @@ type System struct {
 }
 
 var _ dcs.System = (*System)(nil)
-var _ dcs.StorageReporter = (*System)(nil)
 
 // New builds a GHT over the given network and router.
 func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
@@ -155,13 +154,17 @@ type homing struct {
 // nothing, as GPSR discovers the home as a side effect of the first routed
 // packet — and every later one reads the homes map. The map is state, not
 // only a cache: FailNode re-homes and marks in it what outlives
-// RecoverNode.
+// RecoverNode. A lookup no route can make (from a down node) wraps
+// dcs.ErrUnreachable, as a failed unicast does.
 func (s *System) home(from int, pt geo.Point) (int, bool, error) {
 	if h, ok := s.homes[pt]; ok {
 		return int(h.node), h.lost, nil
 	}
 	h, err := s.router.HomeNode(from, pt)
 	if err != nil {
+		if errors.Is(err, gpsr.ErrUnreachable) {
+			err = fmt.Errorf("%v: %w", err, dcs.ErrUnreachable)
+		}
 		return -1, false, err
 	}
 	s.homes[pt] = homing{node: int32(h)}
@@ -282,7 +285,7 @@ func (s *System) serve(sink int, pt geo.Point, q event.Query, comp *dcs.Complete
 	return !lost, nil
 }
 
-// StorageLoad implements dcs.StorageReporter.
+// StorageLoad implements dcs.System.
 func (s *System) StorageLoad() []int {
 	out := make([]int, len(s.storage))
 	for i := range s.storage {

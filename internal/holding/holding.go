@@ -396,7 +396,7 @@ func (st *Store[K]) AppendMirrorMatches(dst []event.Event, q event.Query, k K) [
 // Stored returns how many events node holds in segments.
 func (st *Store[K]) Stored(node int) int { return st.stored[node] }
 
-// StorageLoad implements dcs.StorageReporter: events currently held by
+// StorageLoad implements dcs.System: events currently held by
 // each node, mirror copies excluded.
 func (st *Store[K]) StorageLoad() []int { return slices.Clone(st.stored) }
 

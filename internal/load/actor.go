@@ -7,9 +7,9 @@ import (
 	"pooldcs/internal/node"
 )
 
-// DefaultPerPacket is the actor engine's default per-packet processing
-// time in service mode: the same order of magnitude as the station
-// model's per-message cost, so the two backends saturate comparably.
+// DefaultPerPacket is the actor engine's per-packet processing time in
+// service mode: the same order of magnitude as the station model's
+// per-message cost, so the two backends saturate comparably.
 const DefaultPerPacket = 2 * time.Millisecond
 
 // ActorTarget drives the Pool protocol through the internal/node actor
@@ -22,13 +22,10 @@ type ActorTarget struct {
 	eng *node.Engine
 }
 
-// NewActorTarget wraps eng, enabling service mode with perPacket
-// processing time (DefaultPerPacket when ≤ 0).
-func NewActorTarget(eng *node.Engine, perPacket time.Duration) *ActorTarget {
-	if perPacket <= 0 {
-		perPacket = DefaultPerPacket
-	}
-	eng.EnableService(perPacket)
+// NewActorTarget wraps eng, enabling service mode with DefaultPerPacket
+// processing time.
+func NewActorTarget(eng *node.Engine) *ActorTarget {
+	eng.EnableService(DefaultPerPacket)
 	return &ActorTarget{eng: eng}
 }
 

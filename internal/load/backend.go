@@ -3,13 +3,12 @@ package load
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
-	"pooldcs/internal/ght"
 	"pooldcs/internal/network"
-	"pooldcs/internal/pool"
 	"pooldcs/internal/sim"
 	"pooldcs/internal/trace"
 )
@@ -45,18 +44,6 @@ type Batcher interface {
 	LaunchBatched(op *Op, station int, done func()) error
 }
 
-// SystemBackend adapts one synchronous DCS system to the station model:
-// it maps operations to serving stations and executes them, reporting
-// the message cost that becomes the station's service demand.
-type SystemBackend interface {
-	Name() string
-	Station(op *Op) int
-	Supports(c Class) bool
-	// Execute runs op on the underlying system and returns the number of
-	// radio messages it cost.
-	Execute(op *Op) (msgs uint64, err error)
-}
-
 // CostModel converts an operation's message footprint into the service
 // time its station spends on it. The defaults make one serving node
 // worth roughly 500 messages of processing per second — slow sensor-class
@@ -72,7 +59,7 @@ type CostModel struct {
 	BatchDiscount float64
 }
 
-// DefaultCost is the default service-time model.
+// DefaultCost is the service-time model of every StationTarget.
 var DefaultCost = CostModel{Base: 2 * time.Millisecond, PerMessage: 2 * time.Millisecond, BatchDiscount: 0.5}
 
 // demand converts a message count into a service time.
@@ -87,15 +74,18 @@ type batch struct {
 	gen   uint64 // invalidates the window timer after an early flush
 }
 
-// StationTarget runs a SystemBackend under the station queueing model:
-// each operation executes synchronously for its message footprint, then
-// occupies its serving station for the modelled service time; completion
-// fires when the station works through the queue.
+// StationTarget runs a synchronous storage system under the station
+// queueing model: each operation executes on the system for its message
+// footprint, then occupies its serving station for the service time
+// DefaultCost charges it; completion fires when the station works
+// through the queue.
 type StationTarget struct {
-	backend  SystemBackend
-	sched    *sim.Scheduler
-	cost     CostModel
-	stations map[int]*Station
+	sys         dcs.System
+	net         *network.Network
+	rule        func(op *Op) int
+	unsupported []Class
+	sched       *sim.Scheduler
+	stations    map[int]*Station
 
 	batchLimit  int
 	batchWindow time.Duration
@@ -109,32 +99,32 @@ type StationTarget struct {
 	errs []error
 }
 
-// NewStationTarget wraps backend in the station model on sched. A zero
-// cost model selects DefaultCost.
-func NewStationTarget(backend SystemBackend, sched *sim.Scheduler, cost CostModel) *StationTarget {
-	if cost == (CostModel{}) {
-		cost = DefaultCost
-	}
-	if cost.BatchDiscount <= 0 || cost.BatchDiscount > 1 {
-		cost.BatchDiscount = DefaultCost.BatchDiscount
-	}
+// NewStationTarget runs sys, whose radio is net, in the station model on
+// sched. rule is the scheme's station rule: the node that serves op, the
+// entry node admission control consults and where queueing happens.
+// unsupported lists the classes the scheme cannot serve (GHT has no
+// range-query path).
+func NewStationTarget(sys dcs.System, net *network.Network, sched *sim.Scheduler, rule func(op *Op) int, unsupported ...Class) *StationTarget {
 	return &StationTarget{
-		backend:  backend,
-		sched:    sched,
-		cost:     cost,
-		stations: make(map[int]*Station),
-		batches:  make(map[int]*batch),
+		sys:         sys,
+		net:         net,
+		rule:        rule,
+		unsupported: unsupported,
+		sched:       sched,
+		stations:    make(map[int]*Station),
+		batches:     make(map[int]*batch),
 	}
 }
 
-// Name implements Target.
-func (t *StationTarget) Name() string { return t.backend.Name() }
+// Name implements Target: the scheme's name in lower case, as the
+// backend is named on the command line.
+func (t *StationTarget) Name() string { return strings.ToLower(t.sys.Name()) }
 
 // Station implements Target.
-func (t *StationTarget) Station(op *Op) int { return t.backend.Station(op) }
+func (t *StationTarget) Station(op *Op) int { return t.rule(op) }
 
 // Supports implements Target.
-func (t *StationTarget) Supports(c Class) bool { return t.backend.Supports(c) }
+func (t *StationTarget) Supports(c Class) bool { return !slices.Contains(t.unsupported, c) }
 
 // Depth implements Target.
 func (t *StationTarget) Depth(station int) int {
@@ -163,13 +153,13 @@ func (t *StationTarget) station(id int) *Station {
 
 // Launch implements Target.
 func (t *StationTarget) Launch(op *Op, station int, done func()) error {
-	msgs, err := t.backend.Execute(op)
+	msgs, err := t.execute(op)
 	if err != nil {
 		return err
 	}
 	st := t.station(station)
 	t.recordQueueing(st, station)
-	st.Submit(t.cost.demand(msgs), func(wait, service time.Duration) { done() })
+	st.Submit(DefaultCost.demand(msgs), func(wait, service time.Duration) { done() })
 	return nil
 }
 
@@ -233,15 +223,15 @@ func (t *StationTarget) flush(station int) {
 	b.gen++
 	var total uint64
 	for _, op := range ops {
-		msgs, err := t.backend.Execute(op)
+		msgs, err := t.execute(op)
 		if err != nil {
 			t.errs = append(t.errs, fmt.Errorf("load: batched %s op: %w", op.Class, err))
 			continue
 		}
 		total += msgs
 	}
-	discounted := uint64(math.Ceil(float64(total) * t.cost.BatchDiscount))
-	t.station(station).Submit(t.cost.demand(discounted), func(wait, service time.Duration) {
+	discounted := uint64(math.Ceil(float64(total) * DefaultCost.BatchDiscount))
+	t.station(station).Submit(DefaultCost.demand(discounted), func(wait, service time.Duration) {
 		for _, done := range dones {
 			done()
 		}
@@ -268,107 +258,18 @@ func trafficDelta(net *network.Network) uint64 {
 	return net.Messages(network.KindQuery) + net.Messages(network.KindReply) + net.Messages(network.KindInsert)
 }
 
-// execute runs op on sys and returns the radio messages it cost — the
-// Execute of every SystemBackend.
-func execute(name string, sys dcs.System, net *network.Network, op *Op) (uint64, error) {
-	before := trafficDelta(net)
+// execute runs op on the system and returns the radio messages it
+// cost.
+func (t *StationTarget) execute(op *Op) (uint64, error) {
+	before := trafficDelta(t.net)
 	var err error
 	if op.Class == Insert {
-		err = sys.Insert(op.Node, op.Event)
+		err = t.sys.Insert(op.Node, op.Event)
 	} else {
-		_, err = sys.Query(op.Node, op.Query)
+		_, err = t.sys.Query(op.Node, op.Query)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("load: %s %s: %w", name, op.Class, err)
+		return 0, fmt.Errorf("load: %s %s: %w", t.Name(), op.Class, err)
 	}
-	return trafficDelta(net) - before, nil
+	return trafficDelta(t.net) - before, nil
 }
-
-// PoolBackend adapts pool.System.
-type PoolBackend struct {
-	Sys *pool.System
-	Net *network.Network
-}
-
-// Name implements SystemBackend.
-func (b *PoolBackend) Name() string { return "pool" }
-
-// Supports implements SystemBackend.
-func (b *PoolBackend) Supports(c Class) bool { return true }
-
-// Station implements SystemBackend: the splitter of the first relevant
-// pool for queries (the entry point of the splitter tree), the Theorem
-// 3.1 index node for inserts.
-func (b *PoolBackend) Station(op *Op) int {
-	if op.Class == Insert {
-		if _, index, err := b.Sys.Place(op.Node, op.Event); err == nil {
-			return index
-		}
-		return op.Node
-	}
-	var plan pool.Plan
-	if err := b.Sys.Resolve(op.Query, &plan); err == nil && len(plan.Fanouts) > 0 {
-		return b.Sys.SplitterFor(plan.Fanouts[0].Pool, op.Node)
-	}
-	return op.Node
-}
-
-// Execute implements SystemBackend.
-func (b *PoolBackend) Execute(op *Op) (uint64, error) { return execute("pool", b.Sys, b.Net, op) }
-
-// DIMBackend adapts dim.System.
-type DIMBackend struct {
-	Sys *dim.System
-	Net *network.Network
-}
-
-// Name implements SystemBackend.
-func (b *DIMBackend) Name() string { return "dim" }
-
-// Supports implements SystemBackend.
-func (b *DIMBackend) Supports(c Class) bool { return true }
-
-// Station implements SystemBackend: the owner of the event's zone for
-// inserts, the owner of the first relevant zone for queries. Under a
-// skewed population this concentrates on the hot zone owners — DIM's
-// hotspot — so DIM saturates earlier than Pool at equal offered load.
-func (b *DIMBackend) Station(op *Op) int {
-	if op.Class == Insert {
-		return b.Sys.ZoneOf(op.Event.Values).Owner
-	}
-	if zs := b.Sys.RelevantZones(op.Query); len(zs) > 0 {
-		return zs[0].Owner
-	}
-	return op.Node
-}
-
-// Execute implements SystemBackend.
-func (b *DIMBackend) Execute(op *Op) (uint64, error) { return execute("dim", b.Sys, b.Net, op) }
-
-// GHTBackend adapts ght.System. GHT hashes whole events to a point, so
-// only point queries and inserts are servable.
-type GHTBackend struct {
-	Sys *ght.System
-	Net *network.Network
-}
-
-// Name implements SystemBackend.
-func (b *GHTBackend) Name() string { return "ght" }
-
-// Supports implements SystemBackend.
-func (b *GHTBackend) Supports(c Class) bool { return c != RangeQuery }
-
-// Station implements SystemBackend: the home node of the hashed values.
-func (b *GHTBackend) Station(op *Op) int {
-	values := op.Event.Values
-	if op.Class != Insert {
-		values = make([]float64, len(op.Query.Ranges))
-		for i, r := range op.Query.Ranges {
-			values[i] = r.L
-		}
-	}
-	return b.Net.Layout().Nearest(b.Sys.HashPoint(values))
-}
-
-// Execute implements SystemBackend.
-func (b *GHTBackend) Execute(op *Op) (uint64, error) { return execute("ght", b.Sys, b.Net, op) }

@@ -131,7 +131,6 @@ type System struct {
 }
 
 var _ dcs.System = (*System)(nil)
-var _ dcs.StorageReporter = (*System)(nil)
 
 // New builds a Pool system for events of the given dimensionality. Pivot
 // cells are placed randomly (non-overlapping where possible) using src,

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/dim"
 	"pooldcs/internal/event"
+	"pooldcs/internal/ght"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -634,4 +636,70 @@ func TestConformanceInsertAtDownIndexNode(t *testing.T) {
 			t.Errorf("%s answers %+v, %s %+v", actor, a, spec, s)
 		}
 	}
+}
+
+// TestConformanceInsertFromDownOrigin inserts a fresh event detected at a
+// node whose radio is silently down, which is not the node the event is
+// stored at. The reading cannot leave its sensor, so every flavour
+// returns an error wrapping dcs.ErrUnreachable, stores nothing and
+// leaves the oracle as it was; a point query from the down origin answers
+// incomplete, and one from a live sink does not serve the event.
+func TestConformanceInsertFromDownOrigin(t *testing.T) {
+	for _, f := range Factories() {
+		u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := eventAt(confDims, 60_000)
+		origin := 0
+		for origin == storedAt(t, u, origin, e) {
+			origin++
+		}
+		loaded := len(u.Events)
+		u.CrashSilent(origin)
+		if err := u.Insert(origin, e); !errors.Is(err, dcs.ErrUnreachable) {
+			t.Errorf("%s: insert from down origin %d: got %v, want dcs.ErrUnreachable", f.Name, origin, err)
+		}
+		if len(u.Events) != loaded {
+			t.Errorf("%s: the oracle holds %d events after a failed insert, want %d", f.Name, len(u.Events), loaded)
+		}
+		// Issued at the down origin itself, the event's first query
+		// degrades like any unreachable fan-out: no error, nothing served.
+		if got, comp, err := u.Sys.QueryWithReport(origin, PointQueryFor(e)); err != nil || comp.Complete() || len(got) > 0 {
+			t.Errorf("%s: point query from down origin %d: %d events, %+v, %v; want none, incomplete, no error", f.Name, origin, len(got), comp, err)
+		}
+		got, _, err := u.Sys.QueryWithReport(origin+1, PointQueryFor(e))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if slices.ContainsFunc(got, func(g event.Event) bool { return g.Seq == e.Seq }) {
+			t.Errorf("%s: the failed insert is served", f.Name)
+		}
+	}
+}
+
+// storedAt returns the node u's system stores e at when origin detects
+// it: Pool's index node, DIM's zone owner, GHT's home node.
+func storedAt(t *testing.T, u *Universe, origin int, e event.Event) int {
+	t.Helper()
+	var cells interface {
+		Place(origin int, e event.Event) (pool.Key, int, error)
+	}
+	switch sys := u.Sys.(type) {
+	case *pool.System:
+		cells = sys
+	case *node.Sync:
+		cells = sys.Engine()
+	case *dim.System:
+		return sys.ZoneOf(e.Values).Owner
+	case *ght.System:
+		return u.Net.Layout().Nearest(sys.HashPoint(e.Values))
+	default:
+		t.Fatalf("%s: no storage rule for %T", u.Sys.Name(), u.Sys)
+	}
+	_, index, err := cells.Place(origin, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return index
 }

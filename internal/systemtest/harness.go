@@ -1,5 +1,5 @@
 // Package systemtest is the cross-system conformance harness: one table
-// of fault/recovery/query scenarios executed against every System
+// of fault/recovery/query scenarios executed against every dcs.System
 // implementation (Pool and the actor engine, each with and without
 // replication, DIM and GHT), so their degradation semantics are pinned
 // by a single spec instead of per-package test files that can drift.
@@ -28,19 +28,6 @@ import (
 	"pooldcs/internal/sim"
 )
 
-// SUT is the surface every storage system must conform to: insert,
-// query-with-completeness, the fault hooks the chaos engine drives, and
-// the storage report the harness uses to aim crashes at loaded nodes.
-type SUT interface {
-	Name() string
-	Insert(origin int, e event.Event) error
-	QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
-	FailNode(id int) error
-	RecoverNode(id int)
-	Failed(id int) bool
-	StorageLoad() []int
-}
-
 // Universe is one system under test with its full substrate: the shared
 // deterministic scheduler, radio, router, beacon protocol, and the chaos
 // engine wired for beacon-timeout failure detection.
@@ -48,7 +35,7 @@ type Universe struct {
 	Sched    *sim.Scheduler
 	Net      *network.Network
 	Router   *gpsr.Router
-	Sys      SUT
+	Sys      dcs.System
 	Detector *discovery.Protocol
 	Engine   *chaos.Engine
 
@@ -70,26 +57,26 @@ type Deleter interface {
 // own randomness (Pool's pivots).
 type Factory struct {
 	Name string
-	Add  func(e *experiment.Env, name string, src *rng.Source) (SUT, error)
+	Add  func(e *experiment.Env, name string, src *rng.Source) (dcs.System, error)
 }
 
 // Factories returns every system flavour the conformance suite covers.
 // "node" and "node+repair" are the actor-engine implementations of
 // "pool" and "pool+repl": the same protocol executed as real
 // message exchanges (including message-driven fault repair), drained to
-// completion behind the synchronous SUT surface by node.Sync.
+// completion behind the synchronous dcs.System surface by node.Sync.
 func Factories() []Factory {
 	return []Factory{
-		{"pool", func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+		{"pool", func(e *experiment.Env, name string, src *rng.Source) (dcs.System, error) {
 			return e.AddPool(name, src, nil)
 		}},
-		{"pool+repl", func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+		{"pool+repl", func(e *experiment.Env, name string, src *rng.Source) (dcs.System, error) {
 			return e.AddPool(name, src, nil, pool.WithReplication())
 		}},
-		{"dim", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
+		{"dim", func(e *experiment.Env, name string, _ *rng.Source) (dcs.System, error) {
 			return e.AddDIM(name, nil)
 		}},
-		{"ght", func(e *experiment.Env, name string, _ *rng.Source) (SUT, error) {
+		{"ght", func(e *experiment.Env, name string, _ *rng.Source) (dcs.System, error) {
 			return e.AddGHT(name, nil), nil
 		}},
 		{"node", addActor()},
@@ -99,12 +86,12 @@ func Factories() []Factory {
 
 // addActor is the Add of an actor-engine flavour: it returns the
 // node.Sync surface AddActor gave the arm.
-func addActor(opts ...node.Option) func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
-	return func(e *experiment.Env, name string, src *rng.Source) (SUT, error) {
+func addActor(opts ...node.Option) func(e *experiment.Env, name string, src *rng.Source) (dcs.System, error) {
+	return func(e *experiment.Env, name string, src *rng.Source) (dcs.System, error) {
 		if _, err := e.AddActor(name, src, nil, opts...); err != nil {
 			return nil, err
 		}
-		return e.Arms[len(e.Arms)-1].Sys.(SUT), nil
+		return e.Arms[len(e.Arms)-1].Sys, nil
 	}
 }
 

@@ -166,16 +166,15 @@ type Clock interface {
 type Tracer struct {
 	clock  Clock
 	tab    *strtab
-	recs   []Record // the unbounded tracer's store
 	stack  []uint64
 	nextID uint64
 
-	// limit > 0 makes the tracer a fixed-capacity flight recorder (see
-	// NewRing). Its n records live in chunks of ringChunk slots, allocated
-	// as the ring fills, so growing never copies what is already recorded
-	// and a ring that stays short never pays for its capacity. Once
-	// n == limit, head is the ring's oldest slot and every append
-	// overwrites it.
+	// The n records live in chunks of ringChunk slots, allocated as the
+	// store fills, so growing never copies what is already recorded and
+	// a ring that stays short never pays for its capacity. limit > 0
+	// makes the tracer a fixed-capacity flight recorder (see NewRing):
+	// once n == limit, head is the ring's oldest slot and every append
+	// overwrites it. A tracer from New has no limit.
 	limit   int
 	chunks  [][]Record
 	n       int
@@ -183,7 +182,7 @@ type Tracer struct {
 	dropped uint64
 }
 
-// ringChunk is the number of records per ring chunk (a power of two;
+// ringChunk is the number of records per chunk (a power of two;
 // 256 KB of pointer-free records, which the collector never scans).
 const ringChunk = 1 << 12
 
@@ -212,20 +211,20 @@ func NewRing(clock Clock, capacity int) *Tracer {
 // is built elsewhere and copied in.
 func (t *Tracer) put(at time.Duration, typ Type, span uint64) *Record {
 	var r *Record
-	switch {
-	case t.limit == 0:
-		t.recs = append(t.recs, Record{})
-		r = &t.recs[len(t.recs)-1]
-	case t.n == t.limit:
+	if t.n == t.limit && t.limit > 0 {
 		r = &t.chunks[t.head/ringChunk][t.head%ringChunk]
 		t.head++
 		if t.head == t.limit {
 			t.head = 0
 		}
 		t.dropped++
-	default:
+	} else {
 		if t.n == len(t.chunks)*ringChunk {
-			t.chunks = append(t.chunks, make([]Record, min(ringChunk, t.limit-t.n)))
+			size := ringChunk
+			if t.limit > 0 {
+				size = min(size, t.limit-t.n)
+			}
+			t.chunks = append(t.chunks, make([]Record, size))
 		}
 		r = &t.chunks[t.n/ringChunk][t.n%ringChunk]
 		t.n++
@@ -403,7 +402,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.recs) + t.n
+	return t.n
 }
 
 // Events returns a read-only view of the recorded events in append order
@@ -415,9 +414,6 @@ func (t *Tracer) Events() Log {
 	if t == nil {
 		return Log{}
 	}
-	if t.limit == 0 {
-		return logOf(t.tab, t.recs)
-	}
 	return Log{tab: t.tab, chunks: t.chunks, head: t.head, n: t.n}
 }
 
@@ -428,7 +424,6 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.tab = newStrtab()
-	t.recs = t.recs[:0]
 	t.stack = t.stack[:0]
 	t.nextID = 0
 	t.n = 0
