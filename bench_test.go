@@ -533,6 +533,27 @@ func BenchmarkSplitterForCold(b *testing.B) {
 // benchSink keeps a benchmark's result live.
 var benchSink int
 
+// BenchmarkDeploy builds the repository benchmark's sync_ingest
+// deployment once per iteration: an N=900 layout with its neighbour
+// index, the Gabriel planarization, and a Pool, a DIM and a GHT arm each
+// on its own radio. Gated on allocs/op and B/op in `make micro-bench`.
+func BenchmarkDeploy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		src := rng.New(43)
+		env, err := experiment.Deploy(900, 3, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := env.AddPool("Pool", src.Fork("pivots"), nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := env.AddDIM("DIM", nil); err != nil {
+			b.Fatal(err)
+		}
+		env.AddGHT("GHT", nil)
+	}
+}
+
 func BenchmarkGabrielPlanarization(b *testing.B) {
 	layout, err := field.Generate(field.DefaultSpec(900), rng.New(11))
 	if err != nil {

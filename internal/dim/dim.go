@@ -220,20 +220,59 @@ func (s *System) buildZones() {
 	for i := range all {
 		all[i] = i
 	}
+	// A uniform deployment cuts about 1.45 zones per node.
+	s.zones = make([]Zone, 0, l.N()+l.N()/2+1)
+	b := zoneBuilder{s: s, l: l, hi: make([]int, 0, l.N())}
 	bounds := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(l.Side, l.Side)}
-	s.root = s.split(Code{}, bounds, all, l)
+	s.root = b.split(Code{}, bounds, all)
 	// The DFS in split appends leaves child-0-first, so zones are already
 	// in code order — the spatially coherent traversal order Query uses.
-	s.owned, s.relevant = make([][]int32, l.N()), make([]uint32, len(s.zones))
+	// The owned lists are carved from one backing array.
+	s.relevant = make([]uint32, len(s.zones))
+	count := make([]int, l.N()+1)
+	for _, z := range s.zones {
+		s.maxDepth = max(s.maxDepth, z.Code.Len())
+		count[z.Owner+1]++
+	}
+	for i := range l.N() {
+		count[i+1] += count[i]
+	}
+	backing := make([]int32, len(s.zones))
+	s.owned = make([][]int32, l.N())
+	for i := range s.owned {
+		s.owned[i] = backing[count[i]:count[i]:count[i+1]]
+	}
 	for i, z := range s.zones {
-		if z.Code.Len() > s.maxDepth {
-			s.maxDepth = z.Code.Len()
-		}
 		s.owned[z.Owner] = append(s.owned[z.Owner], int32(i))
 	}
 }
 
-func (s *System) split(code Code, rect geo.Rect, nodes []int, l *field.Layout) *treeNode {
+// zoneBuilder carries the scratch of one zone subdivision: hi holds the
+// upper half of the node list being partitioned, and tree nodes are taken
+// from slab chunks instead of one heap object each.
+type zoneBuilder struct {
+	s    *System
+	l    *field.Layout
+	hi   []int
+	slab []treeNode
+}
+
+// node takes a tree node from the slab. A tree has one internal node
+// fewer than it has leaves, about 2.9 nodes per sensor when uniform, so
+// one chunk usually holds the whole tree.
+func (b *zoneBuilder) node(zone int) *treeNode {
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]treeNode, 0, max(64, 3*b.l.N()))
+	}
+	b.slab = append(b.slab, treeNode{zone: zone})
+	return &b.slab[len(b.slab)-1]
+}
+
+// split subdivides rect, whose nodes are listed in ascending id order, and
+// returns its subtree. The list is partitioned in place and stably, so
+// each child's list stays in ascending order.
+func (b *zoneBuilder) split(code Code, rect geo.Rect, nodes []int) *treeNode {
+	s, l := b.s, b.l
 	if len(nodes) <= 1 || code.Len() >= maxCodeBits {
 		owner := -1
 		if len(nodes) >= 1 {
@@ -242,7 +281,7 @@ func (s *System) split(code Code, rect geo.Rect, nodes []int, l *field.Layout) *
 			owner = l.Nearest(rect.Center())
 		}
 		s.zones = append(s.zones, Zone{Code: code, Rect: rect, Owner: owner})
-		return &treeNode{zone: len(s.zones) - 1}
+		return b.node(len(s.zones) - 1)
 	}
 	var lo, hi geo.Rect
 	if code.Len()%2 == 0 {
@@ -250,19 +289,22 @@ func (s *System) split(code Code, rect geo.Rect, nodes []int, l *field.Layout) *
 	} else {
 		lo, hi = rect.SplitHorizontal()
 	}
-	var loNodes, hiNodes []int
+	// Half-open rectangles tile the plane, so each node lands in exactly
+	// one child: the lower child's nodes move to the front of the list,
+	// the upper child's go through the scratch to the back.
+	k, up := 0, b.hi[:0]
 	for _, n := range nodes {
-		// Half-open rectangles tile the plane, so each node lands in
-		// exactly one child.
 		if lo.Contains(l.Pos(n)) {
-			loNodes = append(loNodes, n)
+			nodes[k] = n
+			k++
 		} else {
-			hiNodes = append(hiNodes, n)
+			up = append(up, n)
 		}
 	}
-	t := &treeNode{zone: -1}
-	t.children[0] = s.split(code.Append(0), lo, loNodes, l)
-	t.children[1] = s.split(code.Append(1), hi, hiNodes, l)
+	copy(nodes[k:], up)
+	t := b.node(-1)
+	t.children[0] = b.split(code.Append(0), lo, nodes[:k])
+	t.children[1] = b.split(code.Append(1), hi, nodes[k:])
 	return t
 }
 
@@ -600,9 +642,9 @@ func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Int
 	return entry, nil
 }
 
-// subtreeCenter returns the geographic centre of the region a subtree
-// covers (the centre of its leftmost zone's enclosing rect level is not
-// tracked, so use the first zone's rect as an anchor).
+// subtreeCenter returns the centre of the subtree's first leaf zone (its
+// child-0-most leaf), not of the region the whole subtree covers: split
+// dissemination orders the two children of a node by this anchor.
 func (s *System) subtreeCenter(t *treeNode) geo.Point {
 	for t.zone < 0 {
 		t = t.children[0]

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pooldcs/internal/geo"
 	"pooldcs/internal/rng"
@@ -185,8 +185,16 @@ func FromPositions(positions []geo.Point, side, radioRange float64) (*Layout, er
 const maxGridCellsPerNode = 4
 
 // index builds the bucket grid and neighbour tables. Buckets are at least
-// one radio range on a side, so neighbour scans only touch the 3×3 block of
-// buckets around a node.
+// one radio range on a side, so a node's neighbours all lie in the 3×3
+// block of buckets around it.
+//
+// Each pair of nodes is tested once, from its lower id: block adjacency
+// is symmetric and Dist2 is bitwise symmetric, so the pairs found are
+// exactly those a scan from either end would find. Scanning ids in
+// ascending order hands every row its smaller ids already sorted; only
+// the larger-id suffix, found in cell order, is sorted. The rows are
+// carved from one flat backing array, so a layout costs a constant
+// number of allocations.
 func (l *Layout) index() {
 	r := l.Spec.RadioRange
 	n := len(l.Positions)
@@ -216,30 +224,47 @@ func (l *Layout) index() {
 		fill[c]++
 	}
 
-	// Adjacency is built in two passes into one flat backing array —
-	// count degrees, then fill — so a layout costs a constant number of
-	// allocations instead of per-node append-doubling.
+	// One geometric pass: upper[upStart[i]:upStart[i+1]] lists the
+	// larger-id neighbours of i in cell order, and lower[j] counts the
+	// smaller-id neighbours of j.
 	r2 := r * r
-	total := 0
+	upStart := make([]int32, n+1)
+	upper := make([]int32, 0, n*int(l.Spec.AvgNeighbors)/2)
+	lower := make([]int, n)
 	for i, p := range l.Positions {
-		l.eachNear(p, func(j int) {
-			if j != i && p.Dist2(l.Positions[j]) <= r2 {
-				total++
+		cx, cy := l.cellCoord(p.X), l.cellCoord(p.Y)
+		x0, x1 := max(cx-1, 0), min(cx+1, l.gridW-1)
+		for y := max(cy-1, 0); y <= min(cy+1, l.gridW-1); y++ {
+			for _, j := range l.cellNodes[l.cellStart[y*l.gridW+x0]:l.cellStart[y*l.gridW+x1+1]] {
+				if int(j) > i && p.Dist2(l.Positions[j]) <= r2 {
+					upper = append(upper, j)
+					lower[j]++
+				}
 			}
-		})
+		}
+		upStart[i+1] = int32(len(upper))
 	}
-	flat := make([]int, 0, total)
+
+	// Lay the rows out back to back, smaller ids first; lower[i] becomes
+	// the fill cursor of row i's smaller-id prefix.
+	flat := make([]int, 2*len(upper))
 	l.neighbors = make([][]int, n)
-	for i, p := range l.Positions {
-		from := len(flat)
-		l.eachNear(p, func(j int) {
-			if j != i && p.Dist2(l.Positions[j]) <= r2 {
-				flat = append(flat, j)
-			}
-		})
-		nbrs := flat[from:len(flat):len(flat)]
-		sort.Ints(nbrs)
-		l.neighbors[i] = nbrs
+	at := 0
+	for i := range n {
+		end := at + lower[i] + int(upStart[i+1]-upStart[i])
+		l.neighbors[i] = flat[at:end:end]
+		lower[i] = at
+		at = end
+	}
+	for i, row := range l.neighbors {
+		up := upper[upStart[i]:upStart[i+1]]
+		hi := row[len(row)-len(up):]
+		for k, j := range up {
+			hi[k] = int(j)
+			flat[lower[j]] = i
+			lower[j]++
+		}
+		slices.Sort(hi)
 	}
 }
 
@@ -250,17 +275,6 @@ func (l *Layout) cellCoord(v float64) int {
 		return 0
 	}
 	return min(max(int(v/l.bucketLen), 0), l.gridW-1)
-}
-
-// eachNear calls fn for every node in the 3×3 block of cells around p.
-func (l *Layout) eachNear(p geo.Point, fn func(j int)) {
-	cx, cy := l.cellCoord(p.X), l.cellCoord(p.Y)
-	x0, x1 := max(cx-1, 0), min(cx+1, l.gridW-1)
-	for y := max(cy-1, 0); y <= min(cy+1, l.gridW-1); y++ {
-		for _, j := range l.cellNodes[l.cellStart[y*l.gridW+x0]:l.cellStart[y*l.gridW+x1+1]] {
-			fn(int(j))
-		}
-	}
 }
 
 // N returns the number of nodes.

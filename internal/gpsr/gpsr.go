@@ -184,56 +184,96 @@ func (r *Router) refreshNode(u int) {
 	r.planarizeNode(u)
 }
 
-// planarize computes the Gabriel graph of the alive subgraph. The planar
-// row backing arrays are reused across rebuilds: rows are truncated and
-// refilled in place, so steady-state rebuilds allocate nothing.
+// planarize computes the Gabriel graph of the alive subgraph. The first
+// pass computes the rows back to back into one scratch array and carves
+// them from one backing array of exactly their total length, each row's
+// capacity its Gabriel degree; later passes refill the rows in place, so
+// a rebuild allocates only when an exclusion opens more edges at a node
+// than it had when first planarized.
 func (r *Router) planarize() {
 	l := r.layout
-	if r.planar == nil {
-		r.planar = make([][]int, l.N())
-		r.touched = make([]int, l.N())
+	if r.planar != nil {
+		for u := range r.planar {
+			r.planarizeNode(u)
+		}
+		return
 	}
-	for u := 0; u < l.N(); u++ {
-		r.planarizeNode(u)
+	r.planar = make([][]int, l.N())
+	r.touched = make([]int, l.N())
+	ends := make([]int, l.N())
+	rows := make([]int, 0, 4*l.N())
+	for u := range ends {
+		if !r.excluded[u] {
+			rows = r.appendGabriel(rows, u)
+		}
+		ends[u] = len(rows)
+	}
+	backing := append([]int(nil), rows...)
+	from := 0
+	for u, end := range ends {
+		r.planar[u] = backing[from:end:end]
+		from = end
 	}
 }
 
-// planarizeNode recomputes the planar row of node u in place: the edge
-// (u,v) survives iff no alive witness node lies strictly inside the disc
-// with diameter uv. Any such witness is necessarily a radio neighbour of
-// both endpoints (its distance to each is at most |uv| ≤ radio range), so
-// scanning u's neighbour list suffices — exactly the local rule real GPSR
-// nodes apply, with dead neighbours evicted by the beacon protocol.
+// planarizeNode recomputes the planar row of node u in place.
 func (r *Router) planarizeNode(u int) {
-	l := r.layout
 	row := r.planar[u][:0]
-	if r.excluded[u] {
-		r.planar[u] = row
-		return
+	if !r.excluded[u] {
+		row = r.appendGabriel(row, u)
 	}
-	pu := l.Pos(u)
-	for _, v := range l.Neighbors(u) {
+	r.planar[u] = row
+}
+
+// appendGabriel appends the planar row of the alive node u to row: the
+// edge (u,v) survives iff no alive witness node lies strictly inside the
+// disc with diameter uv. Any such witness is necessarily a radio neighbour
+// of both endpoints (its distance to each is at most |uv| ≤ radio range),
+// so scanning u's neighbour list suffices — exactly the local rule real
+// GPSR nodes apply, with dead neighbours evicted by the beacon protocol.
+//
+// The neighbours' positions are copied once into a local array in which
+// an excluded neighbour sits at +Inf, where no disc contains it, and v
+// itself is parked there while its own edge is tested; the witness scan
+// is then one distance test per slot.
+func (r *Router) appendGabriel(row []int, u int) []int {
+	l := r.layout
+	nbrs := l.Neighbors(u)
+	var arr [64]geo.Point
+	pts := arr[:0]
+	if len(nbrs) > len(arr) {
+		pts = make([]geo.Point, 0, len(nbrs))
+	}
+	far := geo.Pt(math.Inf(1), math.Inf(1))
+	for _, w := range nbrs {
+		if r.excluded[w] {
+			pts = append(pts, far)
+		} else {
+			pts = append(pts, l.Positions[w])
+		}
+	}
+	pu := l.Positions[u]
+	for i, v := range nbrs {
+		pv := pts[i]
 		if r.excluded[v] {
 			continue
 		}
-		pv := l.Pos(v)
 		mid := pu.Mid(pv)
 		rad2 := pu.Dist2(pv) / 4
+		pts[i] = far
 		keep := true
-		for _, w := range l.Neighbors(u) {
-			if w == v || r.excluded[w] {
-				continue
-			}
-			if l.Pos(w).Dist2(mid) < rad2 {
+		for _, pw := range pts {
+			if pw.Dist2(mid) < rad2 {
 				keep = false
 				break
 			}
 		}
+		pts[i] = pv
 		if keep {
 			row = append(row, v)
 		}
 	}
-	r.planar[u] = row
+	return row
 }
 
 // Layout returns the deployment the router serves.

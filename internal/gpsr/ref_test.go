@@ -86,3 +86,39 @@ func refGreedy(r *Router, cur int, target geo.Point, d2 float64) int {
 	}
 	return best
 }
+
+// refPlanarizeNode is planarizeNode as it stood before the local-array
+// kernel: for every alive neighbour v of u, a scan of u's whole neighbour
+// list that reads each witness's exclusion flag and position anew. It
+// returns u's planar row under r's exclusion set in a fresh slice and
+// leaves r's rows untouched.
+func (r *Router) refPlanarizeNode(u int) []int {
+	l := r.layout
+	var row []int
+	if r.excluded[u] {
+		return row
+	}
+	pu := l.Pos(u)
+	for _, v := range l.Neighbors(u) {
+		if r.excluded[v] {
+			continue
+		}
+		pv := l.Pos(v)
+		mid := pu.Mid(pv)
+		rad2 := pu.Dist2(pv) / 4
+		keep := true
+		for _, w := range l.Neighbors(u) {
+			if w == v || r.excluded[w] {
+				continue
+			}
+			if l.Pos(w).Dist2(mid) < rad2 {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			row = append(row, v)
+		}
+	}
+	return row
+}
