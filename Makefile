@@ -228,7 +228,13 @@ bench-oracle:
 # tolerance and so gated nothing, and the ratio now gates its kernel. A
 # warm routed unicast (BenchmarkUnicastPath) is gated at 0 allocs/op and
 # fails when it runs slower than the hop-by-hop reference interleaved
-# with it (ref/path below 1.0). The beacon exchange under churn
+# with it (ref/path below 1.0), and a warm cached storage leg
+# (BenchmarkUnicastLeg) at 0 allocs/op, failing when it runs less than
+# 1.5x faster than routing the same legs interleaved with it (route/leg).
+# GHT's home lookup (BenchmarkGPSRHomeNode) is gated at 0 allocs/op and
+# fails when it runs less than 10x faster than the perimeter probe it
+# replaced, timed on the same points in the same run (probe/home): its
+# ns rows had failed on host noise alone. The beacon exchange under churn
 # (BenchmarkBeaconRound) is gated at 0 allocs/op and fails when it runs
 # slower than the per-edge reference protocol interleaved with it
 # (ref/new below 1.0). The
@@ -265,7 +271,7 @@ micro-bench:
 		| tee -a /tmp/micro-bench.out
 	$(GO) test ./internal/gpsr -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkGreedyNext$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
-	$(GO) test ./internal/dcs -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkUnicastPath$$' 2>&1 \
+	$(GO) test ./internal/dcs -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkUnicastPath$$|^BenchmarkUnicastLeg$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test ./internal/discovery -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkBeaconRound$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out

@@ -647,7 +647,13 @@ func BenchmarkFieldNearest(b *testing.B) {
 
 // BenchmarkGPSRHomeNode is GHT's mapping step, the home of a hashed point:
 // one index lookup on an intact deployment, the same lookup filtered by
-// the source's alive component once nodes are excluded (5% here).
+// the source's alive component once nodes are excluded (5% here). ns/op
+// and allocs/op are HomeNode's. The perimeter probe it replaced,
+// Router.Route's home, runs on a sample of the same points after each
+// block of lookups, so that both see the same phase of the host, and
+// probe/home reports how many times faster HomeNode ran. `make
+// micro-bench` gates allocs/op at 0, and the benchmark fails below
+// homeNodeFloor.
 func BenchmarkGPSRHomeNode(b *testing.B) {
 	layout, err := field.Generate(field.DefaultSpec(900), rng.New(16))
 	if err != nil {
@@ -658,6 +664,9 @@ func BenchmarkGPSRHomeNode(b *testing.B) {
 	for i := range points {
 		points[i] = geo.Pt(src.Uniform(0, layout.Side), src.Uniform(0, layout.Side))
 	}
+	// probeSample is the probe's share of each block: at about 30 times
+	// HomeNode's cost, 64 probes take about half as long as 4096 lookups.
+	const probeSample = 64
 	for _, excluded := range []int{0, 45} {
 		name := "intact"
 		if excluded > 0 {
@@ -669,15 +678,43 @@ func BenchmarkGPSRHomeNode(b *testing.B) {
 			for _, id := range rng.New(18).Perm(layout.N() - 1)[:excluded] {
 				router.Exclude(id + 1)
 			}
+			var home, probe time.Duration
+			homes, probes := 0, 0
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := router.HomeNode(0, points[i%len(points)]); err != nil {
-					b.Fatal(err)
+			for done := 0; done < b.N; done += len(points) {
+				n := min(len(points), b.N-done)
+				start := time.Now()
+				for _, p := range points[:n] {
+					if _, err := router.HomeNode(0, p); err != nil {
+						b.Fatal(err)
+					}
 				}
+				home, homes = home+time.Since(start), homes+n
+				b.StopTimer()
+				start = time.Now()
+				for range probeSample {
+					if _, err := router.Route(0, points[probes%len(points)]); err != nil {
+						b.Fatal(err)
+					}
+					probes++
+				}
+				probe += time.Since(start)
+				b.StartTimer()
+			}
+			b.StopTimer()
+			speedup := (float64(probe) / float64(probes)) / (float64(home) / float64(homes))
+			b.ReportMetric(speedup, "probe/home")
+			if b.N >= 10*len(points) && speedup < homeNodeFloor {
+				b.Fatalf("HomeNode is %.1f× the perimeter probe, below the %.0f× floor", speedup, homeNodeFloor)
 			}
 		})
 	}
 }
+
+// homeNodeFloor is the least speedup over the perimeter probe
+// BenchmarkGPSRHomeNode accepts (eight runs on a shared 2-vCPU Xeon VM:
+// 28.9–34.5×).
+const homeNodeFloor = 10.0
 
 func BenchmarkPoolNearest(b *testing.B) {
 	env := benchEnv(b, 900)

@@ -82,9 +82,13 @@ type TxOptions struct {
 	MaxRetransmissions int
 	// PathBuf, when non-nil, points at a reusable backing array for the
 	// route path; the (possibly grown) buffer is stored back after each
-	// unicast. Route paths are then only allocated when they outgrow the
-	// buffer. The buffer must not be shared across goroutines.
+	// routed unicast. Route paths are then only allocated when they
+	// outgrow the buffer. The buffer must not be shared across goroutines.
 	PathBuf *[]int
+	// Legs, when non-nil, replays the paths of legs it has routed before
+	// (see Legs); a replayed leg leaves PathBuf as it was. Only the
+	// storage-to-storage legs of one System carry it.
+	Legs *Legs
 }
 
 func (o TxOptions) retries() int {
@@ -104,16 +108,14 @@ func (o TxOptions) retries() int {
 // retry at a higher layer may succeed).
 func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
 	if from == to {
+		if !net.Alive(from) {
+			// A node whose radio is down cannot take part in an exchange,
+			// not even one with itself.
+			return 0, fmt.Errorf("dcs: unicast %d→%d: %w: %w", from, to, network.ErrNodeDown, ErrUnreachable)
+		}
 		return 0, nil
 	}
-	var res gpsr.Result
-	var err error
-	if opts.PathBuf != nil {
-		res, err = router.RouteToNodeBuf(from, to, *opts.PathBuf)
-		*opts.PathBuf = res.Path
-	} else {
-		res, err = router.RouteToNode(from, to)
-	}
+	path, err := opts.route(router, from, to)
 	if err != nil {
 		if errors.Is(err, gpsr.ErrUnreachable) {
 			return 0, fmt.Errorf("dcs: unicast %d→%d: %v: %w", from, to, err, ErrUnreachable)
@@ -121,7 +123,7 @@ func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind n
 		return 0, fmt.Errorf("dcs: unicast %d→%d: %w", from, to, err)
 	}
 	// Only a hop whose first attempt failed goes through the ARQ retry.
-	sent, path := 0, res.Path
+	sent := 0
 	for i := 0; i < len(path)-1; i++ {
 		delivered, err := net.TransmitPath(path[i:], kind, payloadBytes)
 		sent, i = sent+delivered, i+delivered
@@ -135,6 +137,31 @@ func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind n
 		}
 	}
 	return sent, nil
+}
+
+// route returns the path of the leg from → to: replayed from Legs when
+// it holds the leg for the router's current generation, routed (into
+// PathBuf when set) and stored in Legs otherwise.
+func (o TxOptions) route(router *gpsr.Router, from, to int) ([]int, error) {
+	legs := o.Legs
+	if legs != nil && legs.router != router {
+		legs = nil // a table replays the routes of its own router only
+	}
+	if path, ok := legs.get(from, to); ok {
+		return path, nil
+	}
+	var res gpsr.Result
+	var err error
+	if o.PathBuf != nil {
+		res, err = router.RouteToNodeBuf(from, to, *o.PathBuf)
+		*o.PathBuf = res.Path
+	} else {
+		res, err = router.RouteToNode(from, to)
+	}
+	if err == nil {
+		legs.put(from, to, res.Path)
+	}
+	return res.Path, err
 }
 
 // transmitARQ finishes one logical hop whose first attempt failed with

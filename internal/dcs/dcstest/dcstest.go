@@ -4,9 +4,12 @@
 package dcstest
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"pooldcs/internal/event"
 	"pooldcs/internal/geo"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
@@ -50,4 +53,32 @@ func OneWayRelay(t testing.TB, router *gpsr.Router, from, to int) int {
 		}
 	}
 	return -1
+}
+
+// Outcome renders what an operation returned — the sequence numbers of
+// its events, then the rest (a Completeness, an error) — for comparing
+// two runs of one script.
+func Outcome(got []event.Event, rest ...any) string {
+	seqs := make([]uint64, len(got))
+	for i, e := range got {
+		seqs[i] = e.Seq
+	}
+	return fmt.Sprint(seqs, rest)
+}
+
+// SameRadio fails t unless radios a and b counted the same traffic: the
+// totals, and per node the frames sent, heard and dropped and the energy.
+func SameRadio(t testing.TB, step string, a, b *network.Network) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) || !reflect.DeepEqual(a.NodeEnergies(), b.NodeEnergies()) {
+		t.Fatalf("%s: radio counters %+v, against %+v", step, a.Snapshot(), b.Snapshot())
+	}
+	for id := range a.NodeEnergies() {
+		txa, rxa := a.NodeLoad(id)
+		txb, rxb := b.NodeLoad(id)
+		if txa != txb || rxa != rxb || a.NodeDrops(id) != b.NodeDrops(id) {
+			t.Fatalf("%s: node %d sent/heard/dropped %d/%d/%d, against %d/%d/%d",
+				step, id, txa, rxa, a.NodeDrops(id), txb, rxb, b.NodeDrops(id))
+		}
+	}
 }

@@ -17,9 +17,14 @@ import (
 )
 
 // refUnicastOpts is the reference for UnicastOpts: its body as it stood
-// before the path charge, every hop a separate refTransmitARQ.
+// before the path charge and the leg table, every leg routed and every hop
+// a separate refTransmitARQ. A self leg at a node whose radio is down
+// fails like any leg into a dead node.
 func refUnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
 	if from == to {
+		if !net.Alive(from) {
+			return 0, fmt.Errorf("dcs: unicast %d→%d: %w: %w", from, to, network.ErrNodeDown, ErrUnreachable)
+		}
 		return 0, nil
 	}
 	var res gpsr.Result
@@ -117,17 +122,19 @@ func (tw *unicastTwin) state(t *testing.T) string {
 	return b.String()
 }
 
-// FuzzUnicastMatchesReference holds UnicastOpts to refUnicastOpts on twin
-// radios over one 100-node deployment: a sequence of routed unicasts
-// under a loss rate and a small ARQ budget, with relays crashed on the
-// radio but not excluded from routing, nodes excluded from both, an
-// energy budget that depletes nodes mid-route, the path buffer, the
-// tracer and the metrics registry on or off.
+// FuzzUnicastMatchesReference holds UnicastOpts, with and without a leg
+// table, to refUnicastOpts on twin radios over one 100-node deployment: a
+// script of routed unicasts, repeated legs and exclusion flips (see
+// runUnicastScript) under a loss rate and a small ARQ budget, with relays
+// crashed on the radio but not excluded from routing, nodes excluded from
+// both, an energy budget that depletes nodes mid-route, the path buffer,
+// the tracer and the metrics registry on or off.
 func FuzzUnicastMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(0), uint8(0), []byte{1, 2, 3, 4, 5, 6})
 	f.Add(int64(2), uint8(40), uint16(0), uint8(7), []byte{9, 3, 200, 17, 88, 4, 61, 5})
 	f.Add(int64(3), uint8(20), uint16(40), uint8(3), []byte{50, 60, 70, 80, 90, 10, 20, 30})
 	f.Add(int64(4), uint8(70), uint16(300), uint8(12), []byte{33, 44, 55, 66, 77, 88, 99, 11, 22})
+	f.Add(int64(5), uint8(10), uint16(0), uint8(8), []byte{12, 80, 200, 0, 250, 40, 200, 0, 250, 40, 200, 0, 7, 7})
 	f.Fuzz(func(t *testing.T, seed int64, lossPct uint8, budgetUJ uint16, flags uint8, ends []byte) {
 		if len(ends) > 64 {
 			return
@@ -140,38 +147,17 @@ func FuzzUnicastMatchesReference(f *testing.F) {
 		for i := 0; i < int(flags>>4); i++ {
 			router.Exclude(src.Intn(l.N()))
 		}
-		var down []int
+		c := unicastCase{
+			loss: float64(lossPct%80) / 100, budget: float64(budgetUJ%512) * 1e-6,
+			traced: flags&1 != 0, metered: flags&2 != 0, pathBuf: flags&8 != 0,
+			retries: int(flags>>2) % 4,
+		}
 		for id := 0; id < l.N(); id++ {
 			if router.Excluded(id) || src.Bool(0.03) {
-				down = append(down, id)
+				c.down = append(c.down, id)
 			}
 		}
-		loss, budget := float64(lossPct%80)/100, float64(budgetUJ%512)*1e-6
-		traced, metered := flags&1 != 0, flags&2 != 0
-		a := newUnicastTwin(l, seed, loss, budget, traced, metered, down)
-		b := newUnicastTwin(l, seed, loss, budget, traced, metered, down)
-		opts := TxOptions{MaxRetransmissions: int(flags>>2) % 4}
-		var bufA, bufB []int
-		for i := 0; i+1 < len(ends); i += 2 {
-			from, to := int(ends[i])%l.N(), int(ends[i+1])%l.N()
-			optsA, optsB := opts, opts
-			if flags&8 != 0 {
-				optsA.PathBuf, optsB.PathBuf = &bufA, &bufB
-			}
-			sa, erra := UnicastOpts(a.net, router, from, to, network.KindInsert, 40, optsA)
-			sb, errb := refUnicastOpts(b.net, router, from, to, network.KindInsert, 40, optsB)
-			if sa != sb || fmt.Sprint(erra) != fmt.Sprint(errb) ||
-				errors.Is(erra, ErrUnreachable) != errors.Is(errb, ErrUnreachable) ||
-				errors.Is(erra, ErrHopExhausted) != errors.Is(errb, ErrHopExhausted) {
-				t.Fatalf("unicast %d→%d: sent %d, %v; reference %d, %v", from, to, sa, erra, sb, errb)
-			}
-			if fmt.Sprint(bufA) != fmt.Sprint(bufB) {
-				t.Fatalf("unicast %d→%d: path buffer %v, reference %v", from, to, bufA, bufB)
-			}
-			if sa, sb := a.state(t), b.state(t); sa != sb {
-				t.Fatalf("unicast %d→%d: radio state\n%s\nreference\n%s", from, to, sa, sb)
-			}
-		}
+		runUnicastScript(t, l, router, seed, c, ends)
 	})
 }
 

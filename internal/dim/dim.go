@@ -112,7 +112,9 @@ type System struct {
 
 	// arq is the per-hop retransmission budget for routed unicasts; its
 	// PathBuf points at pathBuf so route paths reuse one backing array.
-	arq dcs.TxOptions
+	// legs is arq with the System's leg table, for the query's legs from
+	// one zone owner to the next (dcs.Legs).
+	arq, legs dcs.TxOptions
 	// pathBuf, zoneBuf, visitBuf, answered, and replyBuf are query/insert
 	// hot-path scratch, reused across operations. A System is
 	// single-goroutine. zoneBuf and visitBuf carry indices into zones.
@@ -167,6 +169,8 @@ func New(net *network.Network, router *gpsr.Router, dims int, opts ...Option) (*
 		o.apply(s)
 	}
 	s.arq.PathBuf = &s.pathBuf
+	s.legs = s.arq
+	s.legs.Legs = dcs.NewLegs(router)
 	s.buildZones()
 	zone := func(i int) int { return i }
 	s.Store = holding.New(len(s.zones), net.Layout().N(), holding.Scheme[int]{
@@ -198,11 +202,11 @@ func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int
 	return dcs.UnicastOpts(s.net, s.router, from, to, kind, payloadBytes, s.arq)
 }
 
-// exchange is unicast under the failure policy of dcs.Exchange — a zone
-// has one owner, so the retry goes to the same node — and reports whether
-// the payload landed.
-func (s *System) exchange(from, to int, kind network.Kind, payloadBytes int, comp *dcs.Completeness) (bool, error) {
-	landed, err := dcs.Exchange(s.net, s.router, from, to, kind, payloadBytes, s.arq, comp, nil)
+// exchange is a unicast with opts (s.arq, or s.legs between owners)
+// under the failure policy of dcs.Exchange — a zone has one owner, so the
+// retry goes to the same node — and reports whether the payload landed.
+func (s *System) exchange(from, to int, kind network.Kind, payloadBytes int, opts dcs.TxOptions, comp *dcs.Completeness) (bool, error) {
+	landed, err := dcs.Exchange(s.net, s.router, from, to, kind, payloadBytes, opts, comp, nil)
 	return landed >= 0, err
 }
 
@@ -500,7 +504,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		if matches == 0 {
 			continue
 		}
-		landed, err := s.exchange(owner, sink, network.KindReply, dcs.ReplyBytes(s.dims, matches), &comp)
+		landed, err := s.exchange(owner, sink, network.KindReply, dcs.ReplyBytes(s.dims, matches), s.arq, &comp)
 		if err != nil {
 			return nil, comp, fmt.Errorf("dim: reply: %w", err)
 		}
@@ -533,16 +537,17 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 // disseminateChain forwards the query through the relevant zones in code
 // order, returning the visited zones. A zone whose owner stays
 // unreachable after one retry is recorded in comp and skipped; the chain
-// continues from the previous carrier.
+// continues from the previous carrier. Once the query sits at an owner,
+// its legs replay from the leg table.
 func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dcs.Completeness) ([]zoneVisit, error) {
 	zones := s.appendRelevantZones(s.zoneBuf[:0], rq)
 	s.zoneBuf = zones
 	comp.CellsTotal += len(zones)
 	visits := s.visitBuf[:0]
-	cur := sink
+	cur, opts := sink, s.arq
 	for _, zi := range zones {
 		z := &s.zones[zi]
-		landed, err := s.exchange(cur, z.Owner, network.KindQuery, qBytes, comp)
+		landed, err := s.exchange(cur, z.Owner, network.KindQuery, qBytes, opts, comp)
 		if err != nil {
 			return nil, fmt.Errorf("dim: query forward: %w", err)
 		}
@@ -550,7 +555,7 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 			comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))
 			continue
 		}
-		cur = z.Owner
+		cur, opts = z.Owner, s.legs
 		visits = append(visits, zoneVisit{zone: zi, ok: true})
 	}
 	s.visitBuf = visits
@@ -566,7 +571,7 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 func (s *System) disseminateSplit(sink int, rq event.Query, qBytes int, comp *dcs.Completeness) ([]zoneVisit, error) {
 	var regionArr [8]geo.Interval
 	s.zoneBuf, s.visitBuf = s.zoneBuf[:0], s.visitBuf[:0]
-	if _, err := s.splitWalk(sink, s.root, 0, s.unitRegion(&regionArr), rq, qBytes, &s.visitBuf, comp); err != nil {
+	if _, err := s.splitWalk(sink, s.arq, s.root, 0, s.unitRegion(&regionArr), rq, qBytes, &s.visitBuf, comp); err != nil {
 		return nil, err
 	}
 	return s.visitBuf, nil
@@ -574,15 +579,16 @@ func (s *System) disseminateSplit(sink int, rq event.Query, qBytes int, comp *dc
 
 // splitWalk recursively disseminates the query under t, returning the
 // entry node (the first owner reached in this subtree), or -1 when no
-// zone under t is relevant or its owner stayed unreachable.
-func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Interval, rq event.Query, qBytes int, visits *[]zoneVisit, comp *dcs.Completeness) (int, error) {
+// zone under t is relevant or its owner stayed unreachable. opts is the
+// carrier's: s.arq at the sink, s.legs at an owner.
+func (s *System) splitWalk(carrier int, opts dcs.TxOptions, t *treeNode, depth int, region []geo.Interval, rq event.Query, qBytes int, visits *[]zoneVisit, comp *dcs.Completeness) (int, error) {
 	if t.zone >= 0 {
 		z := &s.zones[t.zone]
 		s.zoneBuf = append(s.zoneBuf, t.zone)
 		comp.CellsTotal++
 		// A zone given up leaves its sibling's subquery to depart from the
 		// carrier instead.
-		landed, err := s.exchange(carrier, z.Owner, network.KindQuery, qBytes, comp)
+		landed, err := s.exchange(carrier, z.Owner, network.KindQuery, qBytes, opts, comp)
 		if err != nil {
 			return -1, fmt.Errorf("dim: split forward: %w", err)
 		}
@@ -629,14 +635,14 @@ func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Int
 	for _, c := range children {
 		saved := region[j]
 		region[j] = c.iv
-		e, err := s.splitWalk(cur, c.node, depth+1, region, rq, qBytes, visits, comp)
+		e, err := s.splitWalk(cur, opts, c.node, depth+1, region, rq, qBytes, visits, comp)
 		region[j] = saved
 		if err != nil {
 			return -1, err
 		}
 		if e >= 0 && entry < 0 {
 			entry = e
-			cur = e
+			cur, opts = e, s.legs
 		}
 	}
 	return entry, nil

@@ -68,6 +68,8 @@ type Router struct {
 	excluded  []bool
 	nExcluded int
 	dirty     bool
+	// gen counts the exclusion flips since New (Generation).
+	gen uint64
 
 	// pending lists the nodes whose exclusion state flipped since the
 	// last rebuild. A Gabriel witness for an edge (u,v) is always a radio
@@ -116,11 +118,13 @@ func (r *Router) Restore(id int) {
 	}
 }
 
-// markChanged queues a node for the next lazy re-planarization. Past
-// N/8 queued changes the incremental path would refresh most rows
-// anyway, so the rebuild falls back to a full pass.
+// markChanged queues a node for the next lazy re-planarization and
+// starts a new generation. Past N/8 queued changes the incremental path
+// would refresh most rows anyway, so the rebuild falls back to a full
+// pass.
 func (r *Router) markChanged(id int) {
 	r.dirty = true
+	r.gen++
 	if r.pendingFull {
 		return
 	}
@@ -131,6 +135,11 @@ func (r *Router) markChanged(id int) {
 	}
 	r.pending = append(r.pending, id)
 }
+
+// Generation counts the Exclude and Restore calls that flipped a node.
+// Nothing else changes a node-addressed route, so RouteToNode(src, dst)
+// returns the same path for as long as Generation returns the same value.
+func (r *Router) Generation() uint64 { return r.gen }
 
 // Excluded reports whether a node is currently excluded from routing;
 // out-of-range ids are not.

@@ -91,7 +91,9 @@ type System struct {
 
 	// arq is the per-hop retransmission budget for routed unicasts; its
 	// PathBuf points at pathBuf so route paths reuse one backing array.
-	arq dcs.TxOptions
+	// legs is arq with the System's leg table, for a walk's legs between
+	// a splitter and the cells it fans out to (dcs.Legs).
+	arq, legs dcs.TxOptions
 	// pathBuf, plan, servedBuf, and replyBuf are the scratch of the
 	// operation in progress — plan is what walk walks — reused across
 	// operations. A System is single-goroutine, so plain fields suffice.
@@ -160,6 +162,8 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 		plan: Plan{Fanouts: make([]Fanout, 0, dims)},
 	}
 	s.arq.PathBuf = &s.pathBuf
+	s.legs = s.arq
+	s.legs.Legs = dcs.NewLegs(router)
 	if cfg.reg != nil {
 		s.enableMetrics(cfg.reg)
 	}
@@ -191,9 +195,10 @@ func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int
 	return dcs.UnicastOpts(s.net, s.router, from, to, kind, payloadBytes, s.arq)
 }
 
-// exchange is unicast under the failure policy of dcs.Exchange.
-func (s *System) exchange(from, to int, kind network.Kind, payloadBytes int, comp *dcs.Completeness, retarget func(int) int) (int, error) {
-	return dcs.Exchange(s.net, s.router, from, to, kind, payloadBytes, s.arq, comp, retarget)
+// exchange is a unicast with opts (s.arq, or s.legs between a splitter
+// and a cell) under the failure policy of dcs.Exchange.
+func (s *System) exchange(from, to int, kind network.Kind, payloadBytes int, opts dcs.TxOptions, comp *dcs.Completeness, retarget func(int) int) (int, error) {
+	return dcs.Exchange(s.net, s.router, from, to, kind, payloadBytes, opts, comp, retarget)
 }
 
 // Name implements dcs.System.

@@ -88,7 +88,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 	}
 	unreached := func(c CellID) { comp.Unreached = append(comp.Unreached, CellLabel(dim, c)) }
 
-	splitter, err := s.exchange(sink, splitter, v.kind, qBytes, comp, retarget)
+	splitter, err := s.exchange(sink, splitter, v.kind, qBytes, s.arq, comp, retarget)
 	if err != nil {
 		return fmt.Errorf("pool: to the P%d splitter: %w", dim, err)
 	}
@@ -105,7 +105,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 	for _, c := range f.Cells {
 		key.Cell = c
 		index := s.IndexNode(c)
-		node, err := s.exchange(splitter, index, v.kind, qBytes, comp, retarget)
+		node, err := s.exchange(splitter, index, v.kind, qBytes, s.legs, comp, retarget)
 		if err != nil {
 			return fmt.Errorf("pool: to cell %v: %w", c, err)
 		}
@@ -120,7 +120,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 				s.tracer.Record(trace.TypeResolve, node, n, c.String())
 			}
 			if bytes > 0 {
-				node, err = s.exchange(node, splitter, network.KindReply, bytes, comp, nil)
+				node, err = s.exchange(node, splitter, network.KindReply, bytes, s.legs, comp, nil)
 			}
 		}
 		if err != nil && !dcs.IsDegradable(err) {
@@ -145,7 +145,7 @@ func (s *System) walkPool(f Fanout, sink int, v visitor, comp *dcs.Completeness)
 		if traced == traceFull {
 			s.tracer.Record(trace.TypeReply, splitter, gathered, "")
 		}
-		landed, err := s.exchange(splitter, sink, network.KindReply, bytes, comp, nil)
+		landed, err := s.exchange(splitter, sink, network.KindReply, bytes, s.arq, comp, nil)
 		if err != nil {
 			return fmt.Errorf("pool: P%d reply to sink: %w", dim, err)
 		}

@@ -2,6 +2,7 @@ package systemtest
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -639,41 +640,49 @@ func TestConformanceInsertAtDownIndexNode(t *testing.T) {
 }
 
 // TestConformanceInsertFromDownOrigin inserts a fresh event detected at a
-// node whose radio is silently down, which is not the node the event is
-// stored at. The reading cannot leave its sensor, so every flavour
-// returns an error wrapping dcs.ErrUnreachable, stores nothing and
-// leaves the oracle as it was; a point query from the down origin answers
-// incomplete, and one from a live sink does not serve the event.
+// node whose radio is silently down: once at a node the event is not
+// stored at, once at the very node it is stored at, where no radio hop is
+// needed. Either way the reading cannot be stored by a node that is down,
+// so every flavour returns an error wrapping dcs.ErrUnreachable, stores
+// nothing and leaves the oracle as it was; a point query from the down
+// origin answers incomplete, and one from a live sink does not serve the
+// event.
 func TestConformanceInsertFromDownOrigin(t *testing.T) {
-	for _, f := range Factories() {
-		u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := eventAt(confDims, 60_000)
-		origin := 0
-		for origin == storedAt(t, u, origin, e) {
-			origin++
-		}
-		loaded := len(u.Events)
-		u.CrashSilent(origin)
-		if err := u.Insert(origin, e); !errors.Is(err, dcs.ErrUnreachable) {
-			t.Errorf("%s: insert from down origin %d: got %v, want dcs.ErrUnreachable", f.Name, origin, err)
-		}
-		if len(u.Events) != loaded {
-			t.Errorf("%s: the oracle holds %d events after a failed insert, want %d", f.Name, len(u.Events), loaded)
-		}
-		// Issued at the down origin itself, the event's first query
-		// degrades like any unreachable fan-out: no error, nothing served.
-		if got, comp, err := u.Sys.QueryWithReport(origin, PointQueryFor(e)); err != nil || comp.Complete() || len(got) > 0 {
-			t.Errorf("%s: point query from down origin %d: %d events, %+v, %v; want none, incomplete, no error", f.Name, origin, len(got), comp, err)
-		}
-		got, _, err := u.Sys.QueryWithReport(origin+1, PointQueryFor(e))
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		if slices.ContainsFunc(got, func(g event.Event) bool { return g.Seq == e.Seq }) {
-			t.Errorf("%s: the failed insert is served", f.Name)
+	for _, atStore := range []bool{false, true} {
+		for _, f := range Factories() {
+			u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := eventAt(confDims, 60_000)
+			origin := 0
+			if atStore {
+				origin = storedAt(t, u, 0, e)
+			}
+			for (origin == storedAt(t, u, origin, e)) != atStore {
+				origin++
+			}
+			name := fmt.Sprintf("%s, origin %d (storage node: %v)", f.Name, origin, atStore)
+			loaded := len(u.Events)
+			u.CrashSilent(origin)
+			if err := u.Insert(origin, e); !errors.Is(err, dcs.ErrUnreachable) {
+				t.Errorf("%s: insert from the down origin: got %v, want dcs.ErrUnreachable", name, err)
+			}
+			if len(u.Events) != loaded {
+				t.Errorf("%s: the oracle holds %d events after a failed insert, want %d", name, len(u.Events), loaded)
+			}
+			// Issued at the down origin itself, the event's first query
+			// degrades like any unreachable fan-out: no error, nothing served.
+			if got, comp, err := u.Sys.QueryWithReport(origin, PointQueryFor(e)); err != nil || comp.Complete() || len(got) > 0 {
+				t.Errorf("%s: point query from the down origin: %d events, %+v, %v; want none, incomplete, no error", name, len(got), comp, err)
+			}
+			got, _, err := u.Sys.QueryWithReport((origin+1)%confNodes, PointQueryFor(e))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if slices.ContainsFunc(got, func(g event.Event) bool { return g.Seq == e.Seq }) {
+				t.Errorf("%s: the failed insert is served", name)
+			}
 		}
 	}
 }
