@@ -50,7 +50,7 @@ loc:
 # A ratchet toward ROADMAP's doc budget (DESIGN.md 1000 lines, README.md
 # 500): each file fails the target past the line count of its row. Lower
 # a row whenever a change shortens its file; never raise one.
-DOC_RATCHET := DESIGN.md:1653 README.md:873
+DOC_RATCHET := DESIGN.md:1631 README.md:873
 docs:
 	@fail=0; for row in $(DOC_RATCHET); do \
 		f=$${row%%:*}; max=$${row##*:}; n=$$(wc -l < $$f); \

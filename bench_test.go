@@ -368,10 +368,10 @@ const cellScanFloor = 2.0
 // BenchmarkAntiEntropyRoundSteady is the steady state of background
 // repair: a replicated Pool at N=900, three events per node, every mirror
 // in sync, and one iteration is one reconciliation round over all its
-// cell pairs, drained. Each session compares the two copies' memoised set
-// summaries, routes its one 40-byte frame and returns, so a round touches
-// no event and allocates nothing; `make micro-bench` gates that count
-// exactly.
+// cell pairs, drained. Each session compares the fingerprints the store
+// keeps of the two copies, routes its one 40-byte frame and returns, so a
+// round touches no event and allocates nothing; `make micro-bench` gates
+// that count exactly.
 func BenchmarkAntiEntropyRoundSteady(b *testing.B) {
 	layout, err := field.Generate(field.DefaultSpec(900), rng.New(1234))
 	if err != nil {
@@ -395,7 +395,7 @@ func BenchmarkAntiEntropyRoundSteady(b *testing.B) {
 		}
 		sched.Run()
 	}
-	round() // summaries, pair list and routes are warm from here on
+	round() // pair list and routes are warm from here on
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -715,24 +715,6 @@ func BenchmarkGPSRHomeNode(b *testing.B) {
 // BenchmarkGPSRHomeNode accepts (eight runs on a shared 2-vCPU Xeon VM:
 // 28.9–34.5×).
 const homeNodeFloor = 10.0
-
-func BenchmarkPoolNearest(b *testing.B) {
-	env := benchEnv(b, 900)
-	gen := workload.NewUniformEvents(rng.New(20), 3)
-	for i := 0; i < 2700; i++ {
-		if err := env.Pool.Insert(i%900, gen.Next()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	src := rng.New(21)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		point := []float64{src.Float64(), src.Float64(), src.Float64()}
-		if _, err := env.Pool.Nearest(src.Intn(900), point, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Tracer overhead ---
 //

@@ -1,14 +1,12 @@
-// Monitoring: the paper's §6 extensions in action — continuous queries
-// that push matching events to a sink as they are sensed, and
-// nearest-neighbour queries over the stored data. A control room
-// subscribes to "freezer out of range" alerts while sensors stream
+// Monitoring: the paper's §6 continuous queries in action — a standing
+// query pushes matching events to a sink as they are sensed. A control
+// room subscribes to "freezer out of range" alerts while sensors stream
 // readings.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"pooldcs/internal/event"
 	"pooldcs/internal/experiment"
@@ -46,11 +44,10 @@ func run() error {
 
 	// Sensors stream readings; most are nominal, a few are hot.
 	readings := rng.New(12)
-	var stored []event.Event
+	var seq uint64
 	insert := func(node int, values ...float64) error {
-		e := event.Event{Values: values, Seq: uint64(len(stored) + 1)}
-		stored = append(stored, e)
-		return sys.Insert(node, e)
+		seq++
+		return sys.Insert(node, event.Event{Values: values, Seq: seq})
 	}
 	hot := 0
 	for i := 0; i < 1000; i++ {
@@ -77,31 +74,6 @@ func run() error {
 		fmt.Printf("  alert: event %d %v\n", n.Event.Seq, n.Event)
 	}
 
-	// After the shift, the operator looks for readings most similar to a
-	// suspicious profile.
-	profile := []float64{0.75, 0.2, 0.5}
-	similar, err := sys.Nearest(controlRoom, profile, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("3 readings most similar to profile %v:\n", profile)
-	for _, e := range similar {
-		fmt.Printf("  %v\n", e)
-	}
-	// A flat scan finds no other reading closer than the third.
-	if len(similar) != 3 {
-		return fmt.Errorf("nearest returned %d readings, want 3", len(similar))
-	}
-	closer := 0
-	for _, e := range stored {
-		if distance(e, profile) < distance(similar[2], profile) {
-			closer++
-		}
-	}
-	if closer > 2 {
-		return fmt.Errorf("%d readings are closer to the profile than the third nearest", closer)
-	}
-
 	// Unsubscribe: no further pushes.
 	if err := sys.Unsubscribe(alert); err != nil {
 		return err
@@ -115,13 +87,4 @@ func run() error {
 	fmt.Println("unsubscribed; no further alerts")
 	fmt.Printf("total radio messages: %d\n", net.Snapshot().Total())
 	return nil
-}
-
-// distance is the Euclidean distance between a reading and a profile.
-func distance(e event.Event, profile []float64) float64 {
-	sum := 0.0
-	for i, v := range profile {
-		sum += (e.Values[i] - v) * (e.Values[i] - v)
-	}
-	return math.Sqrt(sum)
 }

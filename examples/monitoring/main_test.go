@@ -2,8 +2,8 @@ package main
 
 import "testing"
 
-// TestRun runs the example end to end: every alert pushed, none after the
-// unsubscribe, and the nearest readings confirmed by a flat scan.
+// TestRun runs the example end to end: every alert pushed, and none after
+// the unsubscribe.
 func TestRun(t *testing.T) {
 	if err := run(); err != nil {
 		t.Fatal(err)

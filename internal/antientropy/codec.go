@@ -8,7 +8,7 @@
 // affordable on a sensor network.
 //
 // The codec half of the package (this file) is pure computation: a
-// Summary is what a copy knows about its own digest set, an Encoder
+// Summary is one copy's digest set as a session reads it, an Encoder
 // folds that set into coded symbols on demand, a Decoder subtracts the
 // local set symbol by symbol and peel-decodes the residual into the two
 // one-sided differences. The session half (session.go) runs the codec
@@ -75,9 +75,9 @@ const SymbolBytes = 24
 // zero reports whether the symbol carries nothing.
 func (s Symbol) zero() bool { return s.Sum == 0 && s.Check == 0 && s.Count == 0 }
 
-// Summary is what one copy of a replicated unit knows about its event
-// set without reading the events again. Duplicate digests are collapsed —
-// a copy holding an event twice summarises as holding it once.
+// Summary is what a session knows about one copy's event set once it has
+// read the copy's digests. Duplicate digests are collapsed — a copy
+// holding an event twice summarises as holding it once.
 type Summary struct {
 	// Zero is symbol 0 of the copy's rateless stream. Every key maps to
 	// symbol 0, so it codes the whole set: two copies whose Zero agree hold
@@ -104,12 +104,6 @@ func Summarize(sum *Summary, digests []uint64) {
 			sum.First[i] = int32(pos)
 		}
 	}
-}
-
-// Equal reports whether two summaries describe the same copy contents in
-// the same order.
-func (sum *Summary) Equal(o *Summary) bool {
-	return sum.Zero == o.Zero && slices.Equal(sum.Keys, o.Keys) && slices.Equal(sum.First, o.First)
 }
 
 // sortedSet sorts keys in place, drops duplicates and returns the set

@@ -18,7 +18,8 @@ import (
 )
 
 // sessionCase is one differential scenario: a pair of stores and the
-// conditions its one session runs under.
+// conditions its one session runs under. memo runs it on memoStores, which
+// keep their fingerprints as a pool cell copy does.
 type sessionCase struct {
 	seed                   uint64
 	common, onlyA, onlyB   int
@@ -100,8 +101,8 @@ func runBoth(t *testing.T, c sessionCase) {
 	var p, r Store
 	var pMem, rMem *memStore
 	if c.memo {
-		pm := &memoStore{memStore: memStore{node: c.primaryNode, evs: event.CloneEvents(pEvs)}}
-		rm := &memoStore{memStore: memStore{node: c.replicaAt, evs: event.CloneEvents(rEvs)}}
+		pm := newMemoStore(c.primaryNode, event.CloneEvents(pEvs))
+		rm := newMemoStore(c.replicaAt, event.CloneEvents(rEvs))
 		p, r, pMem, rMem = pm, rm, &pm.memStore, &rm.memStore
 	} else {
 		pMem = &memStore{node: c.primaryNode, evs: event.CloneEvents(pEvs)}
@@ -185,6 +186,9 @@ func TestSessionMatchesReference(t *testing.T) {
 		{0, 0, 0, 0, 0}, {12, 0, 0, 0, 0}, {12, 0, 0, 3, 2},
 		{0, 5, 0, 0, 0}, {0, 0, 5, 1, 1}, {20, 1, 0, 0, 0}, {20, 0, 1, 2, 0},
 		{30, 4, 3, 2, 2}, {5, 40, 30, 0, 4}, {60, 60, 0, 5, 5},
+		// One set on both sides, unequal fingerprints: the codec decodes
+		// the empty difference the reference decodes.
+		{1, 0, 0, 1, 0}, {25, 0, 0, 0, 3}, {40, 0, 0, 7, 7},
 	}
 	for ci, cfg := range cfgs {
 		for si, sh := range shapes {
@@ -221,6 +225,7 @@ func FuzzSessionMatchesReference(f *testing.F) {
 	f.Add(uint64(6), uint8(30), uint8(4), uint8(4), uint8(1), uint8(1), uint8(1), uint8(16), uint16(512), uint8(2), uint8(0))
 	f.Add(uint64(7), uint8(30), uint8(4), uint8(4), uint8(1), uint8(1), uint8(1), uint8(16), uint16(512), uint8(4), uint8(0))
 	f.Add(uint64(8), uint8(0), uint8(9), uint8(0), uint8(3), uint8(0), uint8(2), uint8(8), uint16(64), uint8(5), uint8(120))
+	f.Add(uint64(9), uint8(30), uint8(0), uint8(0), uint8(2), uint8(5), uint8(4), uint8(16), uint16(3), uint8(4), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, common, onlyA, onlyB, dupA, dupB, firstBatch, maxBatch uint8, maxSymbols uint16, flags, loss uint8) {
 		c := sessionCase{
 			seed:   seed,
@@ -281,7 +286,7 @@ func TestSummarizeCollapsesDuplicates(t *testing.T) {
 	Summarize(&sum, []uint64{9, 4, 9, 4, 2, 9})
 	want := Summary{Keys: []uint64{2, 4, 9}, First: []int32{4, 1, 0}}
 	_, want.Zero = sortedSet([]uint64{2, 4, 9})
-	if !sum.Equal(&want) {
+	if !reflect.DeepEqual(sum, want) {
 		t.Fatalf("Summarize = %+v, want %+v", sum, want)
 	}
 	if got := NewEncoder([]uint64{9, 4, 9, 4, 2, 9}).Next(); got != sum.Zero {

@@ -20,6 +20,9 @@ import (
 type Store interface {
 	// Node is the network node holding this side.
 	Node() int
+	// Fingerprint is the fingerprint of the held events: two sides whose
+	// fingerprints are equal hold the same events.
+	Fingerprint() event.Fingerprint
 	// AppendDigests appends the digest of every held event to buf.
 	// Duplicates are allowed; the codec collapses them.
 	AppendDigests(buf []uint64) []uint64
@@ -31,16 +34,6 @@ type Store interface {
 	Insert(e event.Event)
 	// Len returns the number of held events.
 	Len() int
-}
-
-// Summarizer is the optional half of a Store: a copy that memoises its
-// own Summary, so a session learns that two copies agree without
-// touching an event. A store without it pays one Summarize over
-// AppendDigests per session.
-type Summarizer interface {
-	// Summary returns the copy's summary, computed on first use after a
-	// mutation and valid until the next one.
-	Summary() *Summary
 }
 
 // PairID names a replicated unit by *role*, not by node, so re-homed
@@ -148,8 +141,9 @@ type Reconciler struct {
 	state map[PairID]*pairState
 
 	// Session scratch, reused across sessions: the routed path, the
-	// summaries and digest column of stores that keep none, the codec of a
-	// diverged pair, and the digests, positions and events of a transfer.
+	// summaries of both sides and the digest column they are built from,
+	// the codec of a diverged pair, and the digests, positions and events
+	// of a transfer.
 	pathBuf    []int
 	sumA, sumB Summary
 	digests    []uint64
@@ -309,13 +303,13 @@ func (r *Reconciler) stateOf(id PairID) *pairState {
 // observes its length in the convergence histogram.
 func (r *Reconciler) reconcile(p *Pair) int {
 	st := r.stateOf(p.ID)
-	a, b := summaryOf(p.Primary, &r.sumA, &r.digests), summaryOf(p.Replica, &r.sumB, &r.digests)
 	var moved int
 	var err error
 	if r.cfg.Snapshot {
+		a, b := r.summarize(p)
 		moved, err = r.snapshotSession(p, a, b)
 	} else {
-		moved, err = r.ratelessSession(p, a, b)
+		moved, err = r.ratelessSession(p)
 	}
 	r.moved += uint64(moved)
 	if err != nil {
@@ -342,15 +336,14 @@ func (r *Reconciler) reconcile(p *Pair) int {
 	return moved
 }
 
-// summaryOf returns a store's summary: its own when it keeps one,
-// otherwise one computed into scratch from its digests.
-func summaryOf(st Store, scratch *Summary, digests *[]uint64) *Summary {
-	if m, ok := st.(Summarizer); ok {
-		return m.Summary()
-	}
-	*digests = st.AppendDigests((*digests)[:0])
-	Summarize(scratch, *digests)
-	return scratch
+// summarize builds the summaries of the pair's primary and replica in the
+// session's scratch and returns them.
+func (r *Reconciler) summarize(p *Pair) (a, b *Summary) {
+	r.digests = p.Primary.AppendDigests(r.digests[:0])
+	Summarize(&r.sumA, r.digests)
+	r.digests = p.Replica.AppendDigests(r.digests[:0])
+	Summarize(&r.sumB, r.digests)
+	return &r.sumA, &r.sumB
 }
 
 // unicast sends one session frame, charging the cost model on success.
@@ -367,13 +360,15 @@ func (r *Reconciler) unicast(from, to int, payload int) error {
 // transfers exactly the missing events in both directions. Cost is
 // ~O(|Δ|) symbols however large the stores are; an undecodable stream
 // (past MaxSymbols) falls back to the snapshot exchange. On the host a
-// pair whose summaries agree costs its one frame and three compared
-// words: the replica's residual symbol 0 is zero, which is the whole
-// decode of an empty difference, so no encoder is started.
-func (r *Reconciler) ratelessSession(p *Pair, a, b *Summary) (int, error) {
+// pair whose fingerprints are equal costs its one frame and no event
+// read: it holds one set, so the stream would decode an empty difference
+// from that frame. A pair holding one set with unequal fingerprints — one
+// side holds an event twice — runs the codec and decodes the same empty
+// difference after the same frame.
+func (r *Reconciler) ratelessSession(p *Pair) (int, error) {
 	maxSymbols, maxBatch := r.cfg.maxSymbols(), r.cfg.maxBatch()
 	batch := r.cfg.firstBatch()
-	if a.Zero == b.Zero {
+	if p.Primary.Fingerprint() == p.Replica.Fingerprint() {
 		n := min(batch, maxSymbols)
 		if err := r.unicast(p.Primary.Node(), p.Replica.Node(), frameBytes(n)); err != nil {
 			return 0, err
@@ -381,6 +376,7 @@ func (r *Reconciler) ratelessSession(p *Pair, a, b *Summary) (int, error) {
 		r.symbols += uint64(n)
 		return 0, nil
 	}
+	a, b := r.summarize(p)
 	r.enc.reset(a.Keys, a.Zero)
 	r.dec.reset(b.Keys, b.Zero)
 	for {
@@ -450,8 +446,7 @@ func (r *Reconciler) ship(from, to Store, digests []uint64) (int, error) {
 // store to the replica, which applies what it lacks and pushes its own
 // surplus back. Cost grows with store size regardless of how little
 // actually differs. Which events differ is a merge over the two
-// summaries' sorted keys, decided before either side is written to —
-// an Insert ends the life of the summary it lands on.
+// summaries' sorted keys, decided before either side is written to.
 func (r *Reconciler) snapshotSession(p *Pair, a, b *Summary) (int, error) {
 	r.wantB = r.onlyIn(r.wantB[:0], a, b)
 	r.wantA = r.onlyIn(r.wantA[:0], b, a)
@@ -512,8 +507,9 @@ func PairInSync(p Pair) bool {
 
 func pairDivergence(p Pair) int {
 	var sa, sb Summary
-	var digests []uint64
-	a, b := summaryOf(p.Primary, &sa, &digests).Keys, summaryOf(p.Replica, &sb, &digests).Keys
+	Summarize(&sa, p.Primary.AppendDigests(nil))
+	Summarize(&sb, p.Replica.AppendDigests(nil))
+	a, b := sa.Keys, sb.Keys
 	common := 0
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {

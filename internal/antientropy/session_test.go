@@ -15,13 +15,22 @@ import (
 )
 
 // memStore is an in-memory Store for driving the session machinery
-// without a pool or GHT behind it.
+// without a pool or GHT behind it. Its fingerprint is recounted from its
+// events on every call.
 type memStore struct {
 	node int
 	evs  []event.Event
 }
 
 func (m *memStore) Node() int { return m.node }
+
+func (m *memStore) Fingerprint() event.Fingerprint {
+	var f event.Fingerprint
+	for _, e := range m.evs {
+		f.Add(e.Seq)
+	}
+	return f
+}
 
 func (m *memStore) AppendDigests(buf []uint64) []uint64 {
 	for _, e := range m.evs {
@@ -46,25 +55,25 @@ func (m *memStore) Insert(e event.Event) { m.evs = append(m.evs, e) }
 
 func (m *memStore) Len() int { return len(m.evs) }
 
-// memoStore is a memStore that keeps its own Summary, as a pool cell
-// copy does.
+// memoStore is a memStore that keeps its fingerprint as a pool cell copy
+// does: counted once from the events it starts with, then folded in by
+// every Insert.
 type memoStore struct {
 	memStore
-	sum   Summary
-	valid bool
+	print event.Fingerprint
 }
+
+func newMemoStore(node int, evs []event.Event) *memoStore {
+	m := &memoStore{memStore: memStore{node: node, evs: evs}}
+	m.print = m.memStore.Fingerprint()
+	return m
+}
+
+func (m *memoStore) Fingerprint() event.Fingerprint { return m.print }
 
 func (m *memoStore) Insert(e event.Event) {
 	m.memStore.Insert(e)
-	m.valid = false
-}
-
-func (m *memoStore) Summary() *Summary {
-	if !m.valid {
-		Summarize(&m.sum, m.AppendDigests(nil))
-		m.valid = true
-	}
-	return &m.sum
+	m.print.Add(e.Seq)
 }
 
 // memID names a test pair.
@@ -206,9 +215,27 @@ func TestStopStartKeepsOneTickChain(t *testing.T) {
 	}
 }
 
+// unread is a Store whose events a session must not read: one side of a
+// pair whose fingerprints are equal.
+type unread struct {
+	Store
+	t *testing.T
+}
+
+func (u unread) AppendDigests(buf []uint64) []uint64 {
+	u.t.Error("the session read the digests of an in-sync copy")
+	return u.Store.AppendDigests(buf)
+}
+
+func (u unread) Fetch(digests []uint64, buf []event.Event) []event.Event {
+	u.t.Error("the session fetched events of an in-sync copy")
+	return u.Store.Fetch(digests, buf)
+}
+
 func TestInSyncPairConfirmsInOneSymbol(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
 	_, _, pair := divergedPair("mem eq", 0, 5, 40, 0, 0)
+	pair.Primary, pair.Replica = unread{pair.Primary, t}, unread{pair.Replica, t}
 	rec := New(sched, net, router, Config{}, &memSource{pairs: []Pair{pair}})
 	if moved := rec.RunRound(); moved != 0 {
 		t.Fatalf("equal pair moved %d events", moved)

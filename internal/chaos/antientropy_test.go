@@ -93,16 +93,18 @@ func TestChaosDivergenceConvergesUnderRepair(t *testing.T) {
 		}
 	})
 
-	// In steps, so that the memoised set summaries are checked — and left
-	// warm — between any two of the writes above: the inserts, the crash
-	// repairs and the sessions' own inserts must each invalidate what they
-	// change.
+	// In steps, so that the kept fingerprints and the kept pair list are
+	// checked — the list left warm — between any two of the writes above:
+	// the inserts, the crash repairs and the sessions' own inserts must
+	// each keep the fingerprint of the copy they change.
 	for at := time.Duration(0); at <= 60*time.Second; at += 125 * time.Millisecond {
 		if err := u.sched.RunUntil(at, 2_000_000); err != nil {
 			t.Fatal(err)
 		}
-		if err := u.pool.CheckSummaries(); err != nil {
-			t.Fatalf("at %v: %v", at, err)
+		for _, check := range []func() error{u.pool.CheckStore, u.pool.CheckPairs} {
+			if err := check(); err != nil {
+				t.Fatalf("at %v: %v", at, err)
+			}
 		}
 		antientropy.Divergence(u.pool)
 	}

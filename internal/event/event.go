@@ -30,6 +30,25 @@ func New(values ...float64) Event {
 	return Event{Values: values}
 }
 
+// Fingerprint summarises a set of events by their Seqs: how many, and the
+// sum and the xor of a splitmix64 mix of each. Seqs are network-unique, so
+// two copies with equal fingerprints hold the same events but for a 64-bit
+// collision; a count alone would not tell a copy missing one event and
+// holding another twice from a whole one. A copy holding an event twice
+// has another fingerprint than one holding it once.
+type Fingerprint struct{ n, sum, xor uint64 }
+
+// Add folds one more event, by its Seq, into f.
+func (f *Fingerprint) Add(seq uint64) {
+	x := seq + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	f.n++
+	f.sum += x
+	f.xor ^= x
+}
+
 // Dims returns the dimensionality k of the event.
 func (e Event) Dims() int { return len(e.Values) }
 

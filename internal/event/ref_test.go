@@ -115,8 +115,6 @@ func TestRowsMatchReference(t *testing.T) {
 			}
 			q := randomRanges(src, qk)
 			checkRowsAgainstSpec(t, &r, q)
-			r.DeleteFunc(func(e Event) bool { return e.Seq%3 == uint64(trial%3) })
-			checkRowsAgainstSpec(t, &r, q)
 			r.Reset(r.AppendTo(nil))
 			checkRowsAgainstSpec(t, &r, q)
 		}
@@ -137,10 +135,9 @@ func deepCopy(events []Event) []Event {
 }
 
 // TestRowsWrites covers the chunk contract: Append copies the caller's
-// values, a reply aliases its row with its capacity capped, DeleteFunc
-// keeps count and order, a row of another k panics, and every reply taken
-// before a write — Append across chunk boundaries, DeleteFunc, Reset —
-// survives all later writes unchanged.
+// values, a reply aliases its row with its capacity capped, a row of
+// another k panics, and every reply taken before a write — Append across
+// chunk boundaries, Reset — survives all later writes unchanged.
 func TestRowsWrites(t *testing.T) {
 	all := NewQuery(Unspecified(), Unspecified(), Unspecified())
 	var r Rows
@@ -170,20 +167,10 @@ func TestRowsWrites(t *testing.T) {
 		t.Fatalf("after appends: %d of 70 matched, first row moved: %v", len(got), &got[0].Values[0] != first)
 	}
 	snap()
-	if n := r.DeleteFunc(func(e Event) bool { return e.Seq%2 == 0 }); n != 35 {
-		t.Fatalf("DeleteFunc deleted %d, want 35", n)
-	}
-	if got := seqs(r.AppendTo(nil)); len(got) != 35 || got[0] != 1 || got[1] != 3 || got[34] != 69 {
-		t.Fatalf("after DeleteFunc: %v", got)
-	}
-	if n := r.DeleteFunc(func(Event) bool { return false }); n != 0 || r.Len() != 35 {
-		t.Fatalf("a DeleteFunc that deletes nothing deleted %d, left %d", n, r.Len())
-	}
-	snap()
 	rev := r.AppendTo(nil)
 	slices.Reverse(rev)
 	r.Reset(rev)
-	if got := seqs(r.AppendTo(nil)); got[0] != 69 || got[34] != 1 {
+	if got := seqs(r.AppendTo(nil)); len(got) != 70 || got[0] != 70 || got[69] != 1 {
 		t.Fatalf("after Reset: %v", got)
 	}
 	snap()
@@ -219,8 +206,8 @@ func seqs(es []Event) []uint64 {
 
 // FuzzRowsMatchReference decodes arbitrary bytes into one k, a query — any
 // float bit pattern for its bounds (NaN and ±Inf included) and Wild flags
-// — and a stream of writes: appends of any non-NaN values, deletions and
-// reversing resets, each held to what it must leave, with the kernel held
+// — and a stream of writes: appends of any non-NaN values and reversing
+// resets, each held to what it must leave, with the kernel held
 // to the specification and each of the first 16 replies to its deep copy
 // after every later write.
 func FuzzRowsMatchReference(f *testing.F) {
@@ -270,13 +257,6 @@ func FuzzRowsMatchReference(f *testing.F) {
 		}
 		for seq := uint64(1); len(data) > 0; seq++ {
 			switch data[0] {
-			case 0xee:
-				data = data[1:]
-				del := func(e Event) bool { return e.Seq%2 == seq%2 }
-				want := deepCopy(slices.DeleteFunc(r.AppendTo(nil), del))
-				if n := r.Len() - len(want); r.DeleteFunc(del) != n || !reflect.DeepEqual(deepCopy(r.AppendTo(nil)), want) {
-					t.Fatalf("DeleteFunc kept %v, want %v", r.AppendTo(nil), want)
-				}
 			case 0xdd:
 				data = data[1:]
 				src := r.AppendTo(nil)

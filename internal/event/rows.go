@@ -19,7 +19,7 @@ const firstChunk = 4
 // rewritten once written: the first chunk holds firstChunk rows and each
 // later one as many rows as the Rows already holds. Append copies the
 // event's values, so a store never keeps its caller's slice; every other
-// write (Reset, DeleteFunc) builds fresh chunks and leaves the old ones to
+// write (Reset) builds fresh chunks and leaves the old ones to
 // whoever still reads them. That is what lets a reply alias a row at no
 // cost: the Event that At, AppendTo and AppendMatches hand out carries the
 // row's values with their capacity capped, and stays valid, unchanged, for
@@ -89,20 +89,6 @@ func (r *Rows) Reset(events []Event) {
 	for _, e := range events {
 		r.Append(e)
 	}
-}
-
-// DeleteFunc deletes the events del reports true for, calling it once per
-// event in order, keeps the rest in order, in fresh chunks, and returns
-// how many it deleted.
-func (r *Rows) DeleteFunc(del func(Event) bool) int {
-	old := *r
-	*r = Rows{}
-	for j := 0; j < old.n; j++ {
-		if e := old.At(j); !del(e) {
-			r.Append(e)
-		}
-	}
-	return old.n - r.n
 }
 
 // AppendMatches appends the events matching q to dst, in order, each

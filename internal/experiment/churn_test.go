@@ -311,14 +311,16 @@ func TestChurnKeepsInvariants(t *testing.T) {
 		if err := env.Sched.RunUntil(at, 0); err != nil {
 			t.Fatal(err)
 		}
-		// The summaries every step; the whole list, whose directory scan is
-		// the dear part, every virtual second.
-		check := sys.CheckSummaries
+		// The store and the pair list every step; the whole list, whose
+		// directory scan is the dear part, every virtual second.
+		checks := []func() error{sys.CheckStore, sys.CheckPairs}
 		if at%time.Second == 0 {
-			check = sys.CheckInvariants
+			checks = []func() error{sys.CheckInvariants}
 		}
-		if err := check(); err != nil {
-			t.Fatalf("at %v: %v", at, err)
+		for _, check := range checks {
+			if err := check(); err != nil {
+				t.Fatalf("at %v: %v", at, err)
+			}
 		}
 		antientropy.Divergence(sys)
 	}

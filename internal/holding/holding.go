@@ -3,10 +3,10 @@
 // under — a Pool key, a DIM zone — and its slot is a dense index the
 // scheme assigns. Each unit has a primary copy, made of segments each held
 // by one node, and optionally a mirror copy at a node the scheme places.
-// The Store keeps the events of both, the events held per node, a memo of
-// each copy's set summary, and a fingerprint of each copy and of the
-// events its unit acked; the scheme keeps its unit↔slot map and its
-// placement rules (Scheme).
+// The Store keeps the events of both, the events held per node, and a
+// fingerprint of each copy and of the events its unit acked, which is the
+// one answer to whether a copy is whole and whether two copies agree; the
+// scheme keeps its unit↔slot map and its placement rules (Scheme).
 package holding
 
 import (
@@ -22,31 +22,6 @@ import (
 type Segment struct {
 	Node int
 	Rows event.Rows
-}
-
-// fingerprint summarises a set of events by their Seqs: how many, and the
-// sum and the xor of a splitmix64 mix of each. Two copies with equal
-// fingerprints hold the same events but for a 64-bit collision; a count
-// alone would not tell a copy missing one event and holding another twice
-// from a whole one (DESIGN §8).
-type fingerprint struct{ n, sum, xor uint64 }
-
-func (f *fingerprint) add(seq uint64) { m := mix(seq); f.n++; f.sum += m; f.xor ^= m }
-func (f *fingerprint) sub(seq uint64) { m := mix(seq); f.n--; f.sum -= m; f.xor ^= m }
-
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
-// copySummary memoises the set summary of one copy of a unit, so a session
-// between two copies that agree reads six words and no event. Every write
-// clears valid; CheckSummaries recomputes every valid one.
-type copySummary struct {
-	antientropy.Summary
-	valid bool
 }
 
 // Scheme is what a Store asks the scheme whose units of type K it holds:
@@ -77,16 +52,11 @@ type Store[K comparable] struct {
 	// stored counts the events each node holds in segments.
 	stored []int
 
-	// sums holds the summaries of both copies of every unit, made on first
-	// use (memo), and digestBuf the scratch they are built in.
-	sums      [][2]copySummary
-	digestBuf []uint64
-
-	// acked holds the fingerprint of the events each unit acked and has not
-	// deleted since, and held that of what each copy of it holds, 0 the
-	// primary: a copy vouches iff the two are equal.
-	acked []fingerprint
-	held  [][2]fingerprint
+	// acked holds the fingerprint of the events each unit acked, and held
+	// that of what each copy of it holds, 0 the primary (DESIGN §8): a copy
+	// vouches iff the two are equal, and two copies agree iff theirs are.
+	acked []event.Fingerprint
+	held  [][2]event.Fingerprint
 }
 
 // New returns an empty store of units units over nodes nodes. Every unit's
@@ -95,7 +65,7 @@ type Store[K comparable] struct {
 func New[K comparable](units, nodes int, sch Scheme[K]) *Store[K] {
 	st := &Store[K]{sch: sch, segs: make([][]Segment, units),
 		copies: make([]event.Rows, units), stored: make([]int, nodes),
-		acked: make([]fingerprint, units), held: make([][2]fingerprint, units)}
+		acked: make([]event.Fingerprint, units), held: make([][2]event.Fingerprint, units)}
 	first := make([]Segment, units)
 	for i := range st.segs {
 		st.segs[i] = first[i : i : i+1]
@@ -105,8 +75,7 @@ func New[K comparable](units, nodes int, sch Scheme[K]) *Store[K] {
 
 // Vouches reports whether the copy a query leg was served from — the
 // mirror's, or else the primary's — holds exactly the events stored under
-// k and not deleted since. A copy missing one never vouches again unless a
-// repair lands it.
+// k. A copy missing one never vouches again unless a repair lands it.
 func (st *Store[K]) Vouches(k K, mirror bool) bool {
 	i, c := st.sch.Slot(k), 0
 	if mirror {
@@ -118,33 +87,7 @@ func (st *Store[K]) Vouches(k K, mirror bool) bool {
 // refresh makes slot i's copy c, 0 the primary, fingerprint its rows
 // after a write that replaced them.
 func (st *Store[K]) refresh(i, c int) {
-	st.held[i][c] = Copy[K]{st: st, slot: i, side: c}.fingerprint()
-}
-
-// putSegments ends every write to slot i's segments, in-place edits
-// included: it ends the life of the primary copy's summary.
-func (st *Store[K]) putSegments(i int, segs []Segment) {
-	st.segs[i] = segs
-	st.invalidate(i, 0)
-}
-
-// putMirror ends every write to slot i's mirror copy.
-func (st *Store[K]) putMirror(i int) { st.invalidate(i, 1) }
-
-// invalidate ends the life of the memo of slot i's copy c, 0 the primary.
-func (st *Store[K]) invalidate(i, c int) {
-	if st.sums != nil {
-		st.sums[i][c].valid = false
-	}
-}
-
-// memo returns the memo of slot i's copy c, 0 the primary, making the
-// table on first use: a scheme that never reconciles keeps none.
-func (st *Store[K]) memo(i, c int) *copySummary {
-	if st.sums == nil {
-		st.sums = make([][2]copySummary, len(st.segs))
-	}
-	return &st.sums[i][c]
+	st.held[i][c] = Copy[K]{st: st, slot: i, side: c}.recount()
 }
 
 // Segments returns k's segments in the order they were opened, none for a
@@ -178,7 +121,6 @@ func (st *Store[K]) ReplaceMirror(k K, events []event.Event) {
 	i := st.sch.Slot(k)
 	st.copies[i].Reset(events)
 	st.refresh(i, 1)
-	st.putMirror(i)
 }
 
 // last returns the index of the last of segs node holds, or -1.
@@ -206,7 +148,7 @@ func (st *Store[K]) at(k K, node int) (int, []Segment, *Segment) {
 // Append stores e under k: its unit acks it, and it lands on the last of
 // k's segments node holds, or on a new one at the end.
 func (st *Store[K]) Append(k K, node int, e event.Event) {
-	st.acked[st.insert(k, node, e)].add(e.Seq)
+	st.acked[st.insert(k, node, e)].Add(e.Seq)
 }
 
 // insert lands e on the primary copy as Append does, without the ack, and
@@ -215,8 +157,8 @@ func (st *Store[K]) insert(k K, node int, e event.Event) int {
 	i, segs, seg := st.at(k, node)
 	seg.Rows.Append(e)
 	st.stored[node]++
-	st.held[i][0].add(e.Seq)
-	st.putSegments(i, segs)
+	st.held[i][0].Add(e.Seq)
+	st.segs[i] = segs
 	return i
 }
 
@@ -226,17 +168,16 @@ func (st *Store[K]) AppendSegment(k K, node int, e event.Event) {
 	st.stored[node]++
 	seg := Segment{Node: node}
 	seg.Rows.Append(e)
-	st.acked[i].add(e.Seq)
-	st.held[i][0].add(e.Seq)
-	st.putSegments(i, append(st.segs[i], seg))
+	st.acked[i].Add(e.Seq)
+	st.held[i][0].Add(e.Seq)
+	st.segs[i] = append(st.segs[i], seg)
 }
 
 // AppendMirror lands e on k's mirror copy: a mirror write arrived.
 func (st *Store[K]) AppendMirror(k K, e event.Event) {
 	i := st.sch.Slot(k)
 	st.copies[i].Append(e)
-	st.held[i][1].add(e.Seq)
-	st.putMirror(i)
+	st.held[i][1].Add(e.Seq)
 }
 
 // Emptied is a segment a crash emptied — unit Unit's Seg-th — with the rows
@@ -260,15 +201,13 @@ func (st *Store[K]) Crash(node int) []Emptied[K] {
 				st.stored[node] -= segs[j].Rows.Len()
 				segs[j].Rows.Reset(nil)
 				st.refresh(i, 0)
-				st.putSegments(i, segs)
 			}
 		}
 	}
 	for i := range st.copies {
 		if st.sch.MirrorAt(i) == node {
 			st.copies[i].Reset(nil)
-			st.held[i][1] = fingerprint{}
-			st.putMirror(i)
+			st.held[i][1] = event.Fingerprint{}
 		}
 	}
 	return lost
@@ -299,7 +238,6 @@ func (st *Store[K]) Handover(l Emptied[K], to int, events []event.Event) {
 	segs[l.Seg].Rows.Reset(events)
 	st.stored[to] += len(events)
 	st.refresh(l.slot, 0)
-	st.putSegments(l.slot, segs)
 }
 
 // Restore lands a restore chunk on node's segment of k: each event keep
@@ -311,10 +249,10 @@ func (st *Store[K]) Restore(k K, node int, chunk []event.Event, keep func(event.
 		if !holds(&seg.Rows, e.Seq) && keep(e) {
 			seg.Rows.Append(e)
 			st.stored[node]++
-			st.held[i][0].add(e.Seq)
+			st.held[i][0].Add(e.Seq)
 		}
 	}
-	st.putSegments(i, segs)
+	st.segs[i] = segs
 }
 
 func holds(r *event.Rows, seq uint64) bool {
@@ -324,44 +262,6 @@ func holds(r *event.Rows, seq uint64) bool {
 		}
 	}
 	return false
-}
-
-// Prune deletes the matching events of k's j-th segment, for its unit too,
-// and returns how many it deleted.
-func (st *Store[K]) Prune(k K, j int, match func(event.Event) bool) int {
-	i := st.sch.Slot(k)
-	segs := st.segs[i]
-	n := segs[j].Rows.DeleteFunc(func(e event.Event) bool {
-		if !match(e) {
-			return false
-		}
-		st.held[i][0].sub(e.Seq)
-		st.acked[i].sub(e.Seq)
-		return true
-	})
-	st.stored[segs[j].Node] -= n
-	st.putSegments(i, segs)
-	return n
-}
-
-// PruneMirror deletes the matching events of k's mirror copy and returns
-// how many it deleted. served says the delete was served at the mirror:
-// then they are deleted for the unit too, which a delete served at the
-// primary has done through Prune.
-func (st *Store[K]) PruneMirror(k K, match func(event.Event) bool, served bool) int {
-	i := st.sch.Slot(k)
-	n := st.copies[i].DeleteFunc(func(e event.Event) bool {
-		if !match(e) {
-			return false
-		}
-		st.held[i][1].sub(e.Seq)
-		if served {
-			st.acked[i].sub(e.Seq)
-		}
-		return true
-	})
-	st.putMirror(i)
-	return n
 }
 
 // Active returns the node holding k's last segment and how many events it
@@ -419,7 +319,7 @@ type Copy[K comparable] struct {
 	st   *Store[K]
 	slot int
 	node int
-	// side is 1 for the mirror copy, 0 for the primary: its memo's index.
+	// side is 1 for the mirror copy, 0 for the primary: its index in held.
 	side int
 }
 
@@ -435,17 +335,8 @@ func (c Copy[K]) Unit() K { return c.st.sch.Unit(c.slot) }
 
 func (c Copy[K]) Node() int { return c.node }
 
-// Summary returns the memo, rebuilt from the copy's events when a write
-// has invalidated it.
-func (c Copy[K]) Summary() *antientropy.Summary {
-	m := c.st.memo(c.slot, c.side)
-	if !m.valid {
-		c.st.digestBuf = c.AppendDigests(c.st.digestBuf[:0])
-		antientropy.Summarize(&m.Summary, c.st.digestBuf)
-		m.valid = true
-	}
-	return &m.Summary
-}
+// Fingerprint returns the fingerprint the store keeps of the copy.
+func (c Copy[K]) Fingerprint() event.Fingerprint { return c.st.held[c.slot][c.side] }
 
 // parts returns how many Rows the copy is made of: its segments, or the
 // mirror copy. part(p) returns the p-th of them, in order.
@@ -463,13 +354,13 @@ func (c Copy[K]) part(p int) *event.Rows {
 	return &c.st.segs[c.slot][p].Rows
 }
 
-// fingerprint returns the fingerprint of the copy's rows as they stand.
-func (c Copy[K]) fingerprint() fingerprint {
-	var f fingerprint
+// recount returns the fingerprint of the copy's rows as they stand.
+func (c Copy[K]) recount() event.Fingerprint {
+	var f event.Fingerprint
 	for p := 0; p < c.parts(); p++ {
 		r := c.part(p)
 		for j := 0; j < r.Len(); j++ {
-			f.add(r.At(j).Seq)
+			f.Add(r.At(j).Seq)
 		}
 	}
 	return f
@@ -485,20 +376,19 @@ func (c Copy[K]) AppendDigests(buf []uint64) []uint64 {
 	return buf
 }
 
+// Fetch scans the copy once per digest asked for the first event with that
+// digest; only the session of a diverged pair fetches.
 func (c Copy[K]) Fetch(digests []uint64, buf []event.Event) []event.Event {
-	sum := c.Summary()
+next:
 	for _, d := range digests {
-		i, ok := slices.BinarySearch(sum.Keys, d)
-		if !ok {
-			continue
-		}
-		for p, pos := 0, int(sum.First[i]); p < c.parts(); p++ {
+		for p := 0; p < c.parts(); p++ {
 			r := c.part(p)
-			if pos < r.Len() {
-				buf = append(buf, r.At(pos))
-				break
+			for j := 0; j < r.Len(); j++ {
+				if e := r.At(j); antientropy.Digest(e) == d {
+					buf = append(buf, e)
+					continue next
+				}
 			}
-			pos -= r.Len()
 		}
 	}
 	return buf
@@ -538,7 +428,7 @@ func (st *Store[K]) CheckStore() error {
 			return fmt.Errorf("holding: slot %d holds unit %v, whose slot is %d", i, k, st.sch.Slot(k))
 		}
 		for c := range st.held[i] {
-			if f := (Copy[K]{st: st, slot: i, side: c}).fingerprint(); f != st.held[i][c] {
+			if f := (Copy[K]{st: st, slot: i, side: c}).recount(); f != st.held[i][c] {
 				return fmt.Errorf("holding: unit %v copy %d (1 the mirror): kept fingerprint %+v, its rows make %+v",
 					k, c, st.held[i][c], f)
 			}
@@ -555,25 +445,6 @@ func (st *Store[K]) CheckStore() error {
 	for node, have := range st.stored {
 		if have != counted[node] {
 			return fmt.Errorf("holding: node %d stored counter %d, segments hold %d", node, have, counted[node])
-		}
-	}
-	return nil
-}
-
-// CheckSummaries recomputes every valid memo from the events it claims to
-// summarise: a write that forgot to invalidate would otherwise show up as
-// a silently missed repair.
-func (st *Store[K]) CheckSummaries() error {
-	var fresh antientropy.Summary
-	for i := range st.sums {
-		for _, c := range []Copy[K]{{st: st, slot: i}, {st: st, slot: i, side: 1}} {
-			if m := &st.sums[i][c.side]; m.valid {
-				antientropy.Summarize(&fresh, c.AppendDigests(nil))
-				if !fresh.Equal(&m.Summary) {
-					return fmt.Errorf("holding: stale set summary for unit %v (copy %d, 1 the mirror): memo says %+v, events say %+v",
-						c.Unit(), c.side, m.Zero, fresh.Zero)
-				}
-			}
 		}
 	}
 	return nil

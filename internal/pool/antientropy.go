@@ -14,16 +14,15 @@ import (
 // mirror copy was lost to an undetected crash, and mirror copies
 // orphaned by recovery re-homing.
 
-// CheckSummaries recomputes what anti-entropy keeps between rounds — the
-// replica pair list, and every valid summary memo from the events it
-// claims to summarise — and returns the first mismatch, or nil. It is the
+// CheckPairs recomputes the replica pair list anti-entropy keeps between
+// rounds and returns an error if the kept one differs, or nil. It is the
 // part of CheckInvariants that holds in every state, replicas diverged by
 // undetected crashes included.
-func (s *System) CheckSummaries() error {
+func (s *System) CheckPairs() error {
 	if s.pairsAt == s.version+1 && !slices.Equal(s.pairs, s.appendPairs(nil)) {
 		return fmt.Errorf("pool: replica pair list kept since directory version %d is not what the directory says now", s.version)
 	}
-	return s.Store.Store.CheckSummaries()
+	return nil
 }
 
 // ReplicaPairs implements antientropy.PairSource over the mirrored

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/holding"
+	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
@@ -194,68 +196,69 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	}
 }
 
-// A copy that holds an event twice summarises — and so reconciles — as
-// holding it once, as the codec promises; the duplicate is invisible to
-// the set summary but not to its position index.
+// A copy that holds an event twice holds its pair's set, but not its
+// fingerprint: it does not vouch, and its session runs the codec, which
+// decodes an empty difference from the frame an in-sync pair sends. So
+// one round moves nothing and costs what it costs when every pair is in
+// sync.
 func TestSummaryIgnoresDuplicates(t *testing.T) {
-	s, net, router := newUniverse(t, 300, 77, WithReplication())
-	loadEvents(t, s, 200, 78)
-	pairs := s.ReplicaPairs()
-	loaded := -1
-	for i, p := range pairs {
-		if p.Primary.Len() > 1 {
-			loaded = i
-			break
+	round := func(dup bool) (*antientropy.Reconciler, network.Counters) {
+		t.Helper()
+		s, net, router := newUniverse(t, 300, 77, WithReplication())
+		loadEvents(t, s, 200, 78)
+		pairs := s.ReplicaPairs()
+		loaded := slices.IndexFunc(pairs, func(p antientropy.Pair) bool { return p.Primary.Len() > 1 })
+		if loaded < 0 {
+			t.Fatal("no cell holds two events")
 		}
+		p := pairs[loaded]
+		key := p.Primary.(holding.Copy[Key]).Unit()
+		if p.Primary.Fingerprint() != p.Replica.Fingerprint() || !s.Vouches(key, false) {
+			t.Fatal("a loaded pair disagrees before the duplicate")
+		}
+		if dup {
+			p.Primary.Insert(p.Primary.Fetch(p.Primary.AppendDigests(nil)[:1], nil)[0])
+			if p.Primary.Fingerprint() == p.Replica.Fingerprint() || s.Vouches(key, false) {
+				t.Fatal("a primary holding an event twice agrees with its mirror, or vouches")
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := antientropy.New(sim.NewScheduler(), net, router, antientropy.Config{}, s)
+		if moved := rec.RunRound(); moved != 0 {
+			t.Fatalf("round moved %d events (duplicate %v)", moved, dup)
+		}
+		if rec.Symbols() != rec.Sessions() || rec.Sessions() != uint64(len(pairs)) {
+			t.Fatalf("%d sessions cost %d symbols over %d pairs, want one each", rec.Sessions(), rec.Symbols(), len(pairs))
+		}
+		return rec, net.Snapshot()
 	}
-	if loaded < 0 {
-		t.Fatal("no cell holds two events")
+	dup, dupRadio := round(true)
+	sync, syncRadio := round(false)
+	if dup.Symbols() != sync.Symbols() || dup.Bytes() != sync.Bytes() {
+		t.Errorf("with a duplicate: %d symbols, %d bytes; in sync: %d, %d",
+			dup.Symbols(), dup.Bytes(), sync.Symbols(), sync.Bytes())
 	}
-	p := pairs[loaded]
-	before := *p.Primary.(antientropy.Summarizer).Summary()
-	before.Keys, before.First = slices.Clone(before.Keys), slices.Clone(before.First)
-
-	// The primary takes a second copy of its first event.
-	dup := p.Primary.Fetch(before.Keys[:1], nil)
-	if len(dup) != 1 {
-		t.Fatalf("fetched %d events for one held digest", len(dup))
-	}
-	p.Primary.Insert(dup[0])
-	if got := p.Primary.Len(); got != len(before.Keys)+1 {
-		t.Fatalf("primary holds %d events, want %d", got, len(before.Keys)+1)
-	}
-	after := p.Primary.(antientropy.Summarizer).Summary()
-	if !after.Equal(&before) {
-		t.Fatalf("summary moved with a duplicate: %+v, was %+v", after.Zero, before.Zero)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// So the pair is still in sync, one symbol confirms it, and nothing moves.
-	rec := antientropy.New(sim.NewScheduler(), net, router, antientropy.Config{}, s)
-	if moved := rec.RunRound(); moved != 0 {
-		t.Fatalf("round moved %d events for a duplicate", moved)
-	}
-	if rec.Symbols() != rec.Sessions() || rec.Sessions() != uint64(len(pairs)) {
-		t.Fatalf("%d sessions cost %d symbols over %d pairs, want one each", rec.Sessions(), rec.Symbols(), len(pairs))
-	}
-	if got := p.Replica.Len(); got != len(before.Keys) {
-		t.Fatalf("mirror holds %d events, want %d", got, len(before.Keys))
+	if !reflect.DeepEqual(dupRadio, syncRadio) {
+		t.Errorf("radio counters differ from an in-sync round:\n got %+v\nwant %+v", dupRadio, syncRadio)
 	}
 }
 
 // After a load, the fault repairs write a whole copy at once — a mirror
 // re-homed onto a fresh node, a primary dropped for want of a replica —
-// and each must end the life of the summary it overwrites, also when the
-// new contents differ from the old.
+// and each must replace the summary the store keeps of the copy it
+// overwrites, its fingerprint, also when the new contents differ from the
+// old.
 func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	s, net, router := newUniverse(t, 300, 610, WithReplication())
 	loadEvents(t, s, 200, 611)
 	honest := func(after string) {
 		t.Helper()
-		if err := s.CheckSummaries(); err != nil {
-			t.Fatalf("after %s: %v", after, err)
+		for _, check := range []func() error{s.CheckStore, s.CheckPairs} {
+			if err := check(); err != nil {
+				t.Fatalf("after %s: %v", after, err)
+			}
 		}
 		antientropy.Divergence(s)
 	}

@@ -20,12 +20,10 @@ import (
 //     can never miss it.
 //  5. Every copy's kept fingerprint, the one Vouches compares with what
 //     its cell acked, is what its rows make.
-//  6. Every memoised set summary still valid equals the one recomputed
-//     from the copy's events, and the kept replica pair list is the
-//     directory's (CheckSummaries).
+//  6. The kept replica pair list is the directory's (CheckPairs).
 //
-// Rules 2, 3, 5 and the memo half of 6 are the Store's, which the node
-// actor engine embeds too.
+// Rules 2, 3 and 5 are the Store's, which the node actor engine embeds
+// too.
 func (s *System) CheckInvariants() error {
 	if err := s.CheckDirectory(); err != nil {
 		return err
@@ -52,7 +50,7 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 
-	for _, check := range []func() error{s.CheckStore, s.CheckSummaries} {
+	for _, check := range []func() error{s.CheckStore, s.CheckPairs} {
 		if err := check(); err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package pool
 import (
 	"testing"
 
-	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/rng"
 )
@@ -32,18 +31,6 @@ func (o *oracle) query(q event.Query) map[uint64]bool {
 	return out
 }
 
-func (o *oracle) delete(q event.Query) int {
-	rq := q.Rewrite()
-	n := 0
-	for seq, e := range o.events {
-		if rq.Matches(e) {
-			delete(o.events, seq)
-			n++
-		}
-	}
-	return n
-}
-
 // randomQuery draws a query mixing exact, partial, narrow and wide
 // ranges.
 func randomQuery(src *rng.Source) event.Query {
@@ -68,11 +55,11 @@ func randomQuery(src *rng.Source) event.Query {
 }
 
 // TestStateMachineAgainstOracle drives a replicated, workload-sharing
-// Pool system with a random operation sequence — inserts, queries,
-// deletes, node failures — comparing every query result against the
-// oracle and checking the internal invariants as it goes, the memoised
-// set summaries after every single operation. This is the repository's
-// main randomized correctness harness.
+// Pool system with a random operation sequence — inserts, queries, node
+// failures — comparing every query result against the oracle and checking
+// the internal invariants as it goes, the kept replica pair list after
+// every single operation. This is the repository's main randomized
+// correctness harness.
 func TestStateMachineAgainstOracle(t *testing.T) {
 	const (
 		seeds      = 6
@@ -100,7 +87,7 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 
 			for op := 0; op < operations; op++ {
 				switch src.Intn(10) {
-				case 0, 1, 2, 3: // insert (40%)
+				case 0, 1, 2, 3, 4: // insert (50%)
 					nextSeq++
 					e := event.Event{
 						Values: []float64{src.Float64(), src.Float64(), src.Float64()},
@@ -114,7 +101,7 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 					}
 					o.insert(e)
 
-				case 4, 5, 6: // query (30%)
+				case 5, 6, 7, 8: // query (40%)
 					q := randomQuery(src)
 					got, err := sys.Query(aliveNode(), q)
 					if err != nil {
@@ -128,16 +115,6 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 						if !want[e.Seq] {
 							t.Fatalf("op %d query %v: spurious event %d", op, q, e.Seq)
 						}
-					}
-
-				case 7, 8: // delete (20%)
-					q := randomQuery(src)
-					got, err := sys.Delete(aliveNode(), q)
-					if err != nil {
-						t.Fatalf("op %d delete %v: %v", op, q, err)
-					}
-					if want := o.delete(q); got != want {
-						t.Fatalf("op %d delete %v: removed %d, oracle %d", op, q, got, want)
 					}
 
 				case 9: // fail a node (10%), keeping most of the network up
@@ -159,12 +136,12 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 					syncOracleAfterFailure(t, sys, o)
 				}
 
-				// Every copy's set summary was warm going into the op; whatever
-				// the op changed must have been invalidated.
-				if err := sys.CheckSummaries(); err != nil {
+				// The pair list was kept going into the op; a directory change
+				// the op made must have dropped it.
+				if err := sys.CheckPairs(); err != nil {
 					t.Fatalf("op %d: %v", op, err)
 				}
-				antientropy.Divergence(sys)
+				sys.ReplicaPairs()
 
 				if op%25 == 0 {
 					if err := sys.CheckInvariants(); err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // visitor is what one operation does at the nodes of the §3.2.3 forwarding
-// tree; walk supplies the tree. QueryWithReport, Aggregate, Delete and
-// Subscribe each fill one in.
+// tree; walk supplies the tree. QueryWithReport, Aggregate and Subscribe
+// each fill one in.
 type visitor struct {
 	// kind is the kind of the frames that carry the operation down the
 	// tree; traced says which trace records its walk emits.

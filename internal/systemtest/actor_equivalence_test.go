@@ -46,8 +46,6 @@ func TestConformanceActorEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// The actor cannot delete, so neither side does.
-					spec.Deleter = nil
 					// Same seed, same placement algorithm: both universes must
 					// aim the scenario's crash at the same victim.
 					if av, sv := actor.MostLoaded(), spec.MostLoaded(); av != sv {

@@ -170,8 +170,8 @@ func scenarios() []scenario {
 			// by the next query on the same system, and a reply aliasing a
 			// stored row that moved or changed by the next write. So after
 			// query A: more queries, 64 inserts into what A read (past
-			// several chunk boundaries), a deletion where the flavour has
-			// one, and a detected crash of the most loaded node.
+			// several chunk boundaries), and a detected crash of the most
+			// loaded node.
 			name: "result-ownership",
 			apply: func(t *testing.T, u *Universe) {
 				sink := u.PickAlive()
@@ -197,12 +197,6 @@ func scenarios() []scenario {
 					if err := u.Sys.Insert(i*confNodes/64, e); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if u.Deleter != nil {
-					if _, err := u.Deleter.Delete(sink, qa); err != nil {
-						t.Fatal(err)
-					}
-					u.Events = slices.DeleteFunc(u.Events, qa.Matches)
 				}
 				crashMostLoaded(t, u)
 				if !reflect.DeepEqual(a, snapshot) {

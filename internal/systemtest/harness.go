@@ -41,13 +41,6 @@ type Universe struct {
 
 	// Events is the ground-truth oracle: every event ever inserted.
 	Events []event.Event
-	// Deleter is Sys when it can delete (the synchronous Pool), else nil.
-	Deleter Deleter
-}
-
-// Deleter is a system that deletes the events matching a query.
-type Deleter interface {
-	Delete(sink int, q event.Query) (int, error)
 }
 
 // Factory names one system flavour and adds it, under the given name,
@@ -114,7 +107,6 @@ func BuildUniverse(f Factory, n, nEvents, dims int, seed int64) (*Universe, erro
 	u.Detector = discovery.New(u.Net, u.Sched, src.Fork("beacons"), discovery.Config{Interval: time.Second})
 	u.Engine = chaos.NewEngine(u.Sched, u.Net, u.Router, []chaos.System{sys},
 		chaos.WithFailureDetection(u.Detector))
-	u.Deleter, _ = sys.(Deleter)
 	evSrc := src.Fork("events")
 	for i := 0; i < nEvents; i++ {
 		vals := make([]float64, dims)

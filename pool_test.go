@@ -1,8 +1,8 @@
 package pooldcs
 
 // The Pool operations a user reaches first — insert, exact and partial
-// range query, aggregate, nearest neighbour, subscribe — checked on a
-// pool.System stood up the way the examples stand it up.
+// range query, aggregate, subscribe — checked on a pool.System stood up
+// the way the examples stand it up.
 
 import (
 	"testing"
@@ -87,19 +87,6 @@ func TestAggregateFacade(t *testing.T) {
 	}
 	if avg < 0.19 || avg > 0.21 {
 		t.Errorf("Avg = %v, want 0.2", avg)
-	}
-}
-
-func TestNearestFacade(t *testing.T) {
-	p, _ := newPool(t, 10)
-	insert(t, p, 0, 1, 0.5, 0.5, 0.2)
-	insert(t, p, 1, 2, 0.1, 0.1, 0.05)
-	got, err := p.Nearest(2, []float64{0.5, 0.5, 0.21}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Values[0] != 0.5 {
-		t.Errorf("Nearest = %v", got)
 	}
 }
 
