@@ -215,7 +215,9 @@ bench-oracle:
 # copy of the ring would be 16 MB over — and ns/op within 60%. A steady
 # anti-entropy round over a converged replicated Pool
 # (BenchmarkAntiEntropyRoundSteady) is gated at exactly 0 allocs/op — one
-# allocation per in-sync pair would read 244 — and ns/op within 60%.
+# allocation per in-sync pair, a pair walk that boxed its copies, would
+# read 244 — and ns/op within 60%; pool's TestConvergedRoundAllocatesNothing
+# holds tier-1 to the same 0.
 # The cell scan (BenchmarkCellScan) is gated at 0 allocs/op for the
 # branch-free row kernel, and the benchmark itself fails when the
 # kernel runs less than 2x faster than the Query.AppendMatches
@@ -234,7 +236,11 @@ bench-oracle:
 # GHT's home lookup (BenchmarkGPSRHomeNode) is gated at 0 allocs/op and
 # fails when it runs less than 10x faster than the perimeter probe it
 # replaced, timed on the same points in the same run (probe/home): its
-# ns rows had failed on host noise alone. The beacon exchange under churn
+# ns rows had failed on host noise alone. A warm splitter lookup
+# (BenchmarkSplitterFor) is gated at 0 allocs/op and fails when a cold
+# one, swept after a re-election cleared the memo in blocks interleaved
+# with the warm calls, costs less than 25x as much (cold/warm): its ns
+# row had a 100% tolerance. The beacon exchange under churn
 # (BenchmarkBeaconRound) is gated at 0 allocs/op and fails when it runs
 # slower than the per-edge reference protocol interleaved with it
 # (ref/new below 1.0). The

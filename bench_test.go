@@ -497,17 +497,52 @@ func BenchmarkRouteToNodeCold(b *testing.B) {
 }
 
 // BenchmarkSplitterFor is splitter choice in steady state: every (Pool,
-// sink) of a 900-node deployment asked again and again.
+// sink) of a 900-node deployment asked again and again. Blocks of these
+// warm calls alternate with cold sweeps — every (Pool, sink) asked once
+// after a re-election cleared the memo, as BenchmarkSplitterForCold does,
+// timed outside b's clock — so a slow phase of the host hits both alike.
+// It reports how many times slower a cold call is (cold/warm) and fails
+// below splitterFloor.
 func BenchmarkSplitterFor(b *testing.B) {
 	env := benchEnv(b, 900)
 	pools := env.Pool.Pools()
-	sum := 0
+	cell := pools[0].Cells()[0]
+	holder := env.Pool.IndexNode(cell)
+	const block = 1 << 16
+	var warm, cold time.Duration
+	warms, colds, sum := 0, 0, 0
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum += env.Pool.SplitterFor(pools[i%len(pools)], i%900)
+	for done := 0; done < b.N; done += block {
+		b.StopTimer()
+		env.Pool.Reelect(cell, holder)
+		start := time.Now()
+		for _, p := range pools {
+			for sink := 0; sink < 900; sink++ {
+				sum += env.Pool.SplitterFor(p, sink)
+			}
+		}
+		cold, colds = cold+time.Since(start), colds+900*len(pools)
+		b.StartTimer()
+		n := min(block, b.N-done)
+		start = time.Now()
+		for i := done; i < done+n; i++ {
+			sum += env.Pool.SplitterFor(pools[i%len(pools)], i%900)
+		}
+		warm, warms = warm+time.Since(start), warms+n
 	}
+	b.StopTimer()
 	benchSink = sum
+	ratio := (float64(cold) / float64(colds)) / (float64(warm) / float64(warms))
+	b.ReportMetric(ratio, "cold/warm")
+	if b.N >= 10*block && ratio < splitterFloor {
+		b.Fatalf("a cold SplitterFor is %.1f× a warm one, below the %.0f× floor", ratio, splitterFloor)
+	}
 }
+
+// splitterFloor is the least cold/warm ratio BenchmarkSplitterFor accepts
+// (thirteen runs on a shared 2-vCPU Xeon VM: 55.4–81.7×, while ns/op
+// spread over 6.0–14.8).
+const splitterFloor = 25.0
 
 // BenchmarkSplitterForCold is splitter choice on a cold memo, what every
 // fresh deployment pays: each (Pool, sink) of a 900-node deployment asked

@@ -91,7 +91,9 @@ func caseStores(c sessionCase) (primary, replica []event.Event) {
 }
 
 // runBoth runs the case's one session through the Reconciler and through
-// the reference and fails the test on any observable difference.
+// the reference and fails the test on any observable difference, or when
+// a completed rateless session decoded a difference wider than its budget:
+// a peel frees one key per pure symbol, so past maxSymbols it falls back.
 func runBoth(t *testing.T, c sessionCase) {
 	t.Helper()
 	pEvs, rEvs := caseStores(c)
@@ -109,15 +111,14 @@ func runBoth(t *testing.T, c sessionCase) {
 		rMem = &memStore{node: c.replicaAt, evs: event.CloneEvents(rEvs)}
 		p, r = pMem, rMem
 	}
-	rec := New(sim.NewScheduler(), net, router, c.cfg,
-		&memSource{pairs: []Pair{{ID: memID("diff"), Primary: p, Replica: r}}})
+	rec := New(sim.NewScheduler(), net, router, c.cfg, &memSource{pairs: []Pair{{Primary: p, Replica: r}}})
 	moved := rec.RunRound()
 
 	// The specification.
 	refNet, refRouter, refTr := lineUniverse(t, c)
 	refP := refStore{&memStore{node: c.primaryNode, evs: event.CloneEvents(pEvs)}}
 	refR := refStore{&memStore{node: c.replicaAt, evs: event.CloneEvents(rEvs)}}
-	ref := &refSessions{net: refNet, router: refRouter, cfg: c.cfg}
+	ref := &refSessions{net: refNet, router: refRouter}
 	var refMoved int
 	var refErr error
 	if c.cfg.Snapshot {
@@ -132,6 +133,9 @@ func runBoth(t *testing.T, c sessionCase) {
 	if rec.Symbols() != ref.symbols || rec.Bytes() != ref.bytes || rec.Fallbacks() != ref.fallbacks {
 		t.Fatalf("symbols/bytes/fallbacks %d/%d/%d, reference %d/%d/%d",
 			rec.Symbols(), rec.Bytes(), rec.Fallbacks(), ref.symbols, ref.bytes, ref.fallbacks)
+	}
+	if !c.cfg.Snapshot && c.onlyA+c.onlyB > maxSymbols && rec.Sessions() == 1 && rec.Fallbacks() == 0 {
+		t.Fatalf("|Δ| %d decoded within %d symbols", c.onlyA+c.onlyB, maxSymbols)
 	}
 	switch {
 	case refErr == nil:
@@ -172,15 +176,16 @@ func seqs(evs []event.Event) []uint64 {
 	return out
 }
 
-// The corners the fuzz seeds also start from, as a plain test.
+// The corners the fuzz seeds also start from, as a plain test. Each arm is
+// a session mode and the one-sided events it adds to every shape: arm 4
+// carries each past the budget, so its healthy sessions (fault0) fall back.
 func TestSessionMatchesReference(t *testing.T) {
-	cfgs := []Config{
-		{},
-		{Snapshot: true},
-		{FirstBatch: 1, MaxBatch: 1, MaxSymbols: 1},
-		{FirstBatch: 4, MaxBatch: 2, MaxSymbols: 3},
-		{FirstBatch: 3, MaxBatch: 16, MaxSymbols: 40},
-		{FirstBatch: 1, MaxBatch: 4, MaxSymbols: 8},
+	arms := []struct {
+		snapshot     bool
+		onlyA, onlyB int
+	}{
+		{false, 0, 0}, {true, 0, 0},
+		{false, 0, 40}, {false, 120, 120}, {false, 520, 0}, {true, 100, 100},
 	}
 	shapes := []struct{ common, onlyA, onlyB, dupA, dupB int }{
 		{0, 0, 0, 0, 0}, {12, 0, 0, 0, 0}, {12, 0, 0, 3, 2},
@@ -190,13 +195,14 @@ func TestSessionMatchesReference(t *testing.T) {
 		// the empty difference the reference decodes.
 		{1, 0, 0, 1, 0}, {25, 0, 0, 0, 3}, {40, 0, 0, 7, 7},
 	}
-	for ci, cfg := range cfgs {
+	for ci, arm := range arms {
 		for si, sh := range shapes {
 			for _, memo := range []bool{false, true} {
 				for _, fault := range []int{0, 1, 2} {
 					c := sessionCase{
-						seed: uint64(1000*ci + 10*si + fault), cfg: cfg, memo: memo,
-						common: sh.common, onlyA: sh.onlyA, onlyB: sh.onlyB, dupA: sh.dupA, dupB: sh.dupB,
+						seed: uint64(1000*ci + 10*si + fault), cfg: Config{Snapshot: arm.snapshot}, memo: memo,
+						common: sh.common, onlyA: sh.onlyA + arm.onlyA, onlyB: sh.onlyB + arm.onlyB,
+						dupA: sh.dupA, dupB: sh.dupB,
 						primaryNode: si % 3, replicaAt: 3 + si%3,
 						deadReplica: fault == 1,
 					}
@@ -212,33 +218,35 @@ func TestSessionMatchesReference(t *testing.T) {
 
 // FuzzSessionMatchesReference holds one reconciliation session of the
 // Reconciler to the reference sessions of ref_test.go: random store pairs
-// — duplicates on either side, empty sides, |Δ| from 0 to past MaxSymbols
-// — under every batch and budget corner, with the replica dead or frames
-// lost mid-session, must yield the same moved count, symbols, bytes,
-// fallbacks, outcome, frame sequence and final store contents.
+// — duplicates on either side, empty sides, |Δ| from 0 to past the
+// 512-symbol budget — with the replica dead or frames lost mid-session,
+// must yield the same moved count, symbols, bytes, fallbacks, outcome,
+// frame sequence and final store contents. wide adds up to 699 events to
+// one side, the replica's when flags&8 is set.
 func FuzzSessionMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint8(10), uint8(2), uint8(3), uint8(0), uint8(0), uint8(1), uint8(16), uint16(512), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint16(1), uint8(0), uint8(0))
-	f.Add(uint64(3), uint8(40), uint8(0), uint8(0), uint8(5), uint8(7), uint8(1), uint8(16), uint16(512), uint8(1), uint8(0))
-	f.Add(uint64(4), uint8(5), uint8(60), uint8(50), uint8(2), uint8(2), uint8(1), uint8(4), uint16(8), uint8(0), uint8(0))
-	f.Add(uint64(5), uint8(20), uint8(1), uint8(0), uint8(0), uint8(0), uint8(3), uint8(2), uint16(5), uint8(1), uint8(90))
-	f.Add(uint64(6), uint8(30), uint8(4), uint8(4), uint8(1), uint8(1), uint8(1), uint8(16), uint16(512), uint8(2), uint8(0))
-	f.Add(uint64(7), uint8(30), uint8(4), uint8(4), uint8(1), uint8(1), uint8(1), uint8(16), uint16(512), uint8(4), uint8(0))
-	f.Add(uint64(8), uint8(0), uint8(9), uint8(0), uint8(3), uint8(0), uint8(2), uint8(8), uint16(64), uint8(5), uint8(120))
-	f.Add(uint64(9), uint8(30), uint8(0), uint8(0), uint8(2), uint8(5), uint8(4), uint8(16), uint16(3), uint8(4), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, common, onlyA, onlyB, dupA, dupB, firstBatch, maxBatch uint8, maxSymbols uint16, flags, loss uint8) {
+	f.Add(uint64(1), uint8(10), uint8(2), uint8(3), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(40), uint8(0), uint8(0), uint8(5), uint8(7), uint16(0), uint8(1), uint8(0))
+	f.Add(uint64(4), uint8(5), uint8(60), uint8(50), uint8(2), uint8(2), uint16(520), uint8(0), uint8(0))
+	f.Add(uint64(5), uint8(20), uint8(1), uint8(0), uint8(0), uint8(0), uint16(0), uint8(1), uint8(90))
+	f.Add(uint64(6), uint8(30), uint8(4), uint8(4), uint8(1), uint8(1), uint16(0), uint8(2), uint8(0))
+	f.Add(uint64(7), uint8(30), uint8(4), uint8(4), uint8(1), uint8(1), uint16(0), uint8(4), uint8(0))
+	f.Add(uint64(8), uint8(0), uint8(9), uint8(0), uint8(3), uint8(0), uint16(600), uint8(13), uint8(120))
+	f.Add(uint64(9), uint8(30), uint8(0), uint8(0), uint8(2), uint8(5), uint16(530), uint8(12), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, common, onlyA, onlyB, dupA, dupB uint8, wide uint16, flags, loss uint8) {
 		c := sessionCase{
 			seed:   seed,
 			common: int(common) % 80, onlyA: int(onlyA) % 80, onlyB: int(onlyB) % 80,
 			dupA: int(dupA) % 8, dupB: int(dupB) % 8,
-			// Zero selects the default, as in Config.
-			cfg: Config{
-				FirstBatch: int(firstBatch) % 20, MaxBatch: int(maxBatch) % 20,
-				MaxSymbols: int(maxSymbols) % 600, Snapshot: flags&1 != 0,
-			},
+			cfg:         Config{Snapshot: flags&1 != 0},
 			deadReplica: flags&2 != 0, memo: flags&4 != 0,
 			lossPermille: int(loss) * 3,
 			primaryNode:  int(seed % 3), replicaAt: 3 + int(seed/3%3),
+		}
+		if flags&8 != 0 {
+			c.onlyB += int(wide) % 700
+		} else {
+			c.onlyA += int(wide) % 700
 		}
 		runBoth(t, c)
 	})

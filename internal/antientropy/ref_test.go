@@ -217,7 +217,6 @@ type refPair struct{ Primary, Replica refStore }
 type refSessions struct {
 	net    *network.Network
 	router *gpsr.Router
-	cfg    Config
 
 	pathBuf  []int
 	bufA     []uint64
@@ -242,11 +241,11 @@ func (r *refSessions) ratelessSession(p refPair) (int, error) {
 	r.bufB = p.Replica.AppendDigests(r.bufB[:0])
 	enc := refNewEncoder(r.bufA)
 	dec := refNewDecoder(r.bufB)
-	batch := r.cfg.firstBatch()
+	batch := firstBatch
 	var diff Diff
 	for {
 		n := batch
-		if rem := r.cfg.maxSymbols() - dec.Received(); n > rem {
+		if rem := maxSymbols - dec.Received(); n > rem {
 			n = rem
 		}
 		for i := 0; i < n; i++ {
@@ -260,14 +259,14 @@ func (r *refSessions) ratelessSession(p refPair) (int, error) {
 			diff = d
 			break
 		}
-		if dec.Received() >= r.cfg.maxSymbols() {
+		if dec.Received() >= maxSymbols {
 			r.fallbacks++
 			return r.snapshotSession(p)
 		}
-		if batch < r.cfg.maxBatch() {
+		if batch < maxBatch {
 			batch *= 2
-			if batch > r.cfg.maxBatch() {
-				batch = r.cfg.maxBatch()
+			if batch > maxBatch {
+				batch = maxBatch
 			}
 		}
 	}

@@ -32,31 +32,20 @@ type Store interface {
 	Fetch(digests []uint64, buf []event.Event) []event.Event
 	// Insert adds a missing event to this side.
 	Insert(e event.Event)
-	// Len returns the number of held events.
-	Len() int
 }
-
-// PairID names a replicated unit by *role*, not by node, so re-homed
-// replicas keep their history. It is comparable — it keys the
-// divergence-window bookkeeping across rounds — and is rendered only
-// when a session fails: Format is a constant printf format over A, B, C.
-type PairID struct {
-	Format  string
-	A, B, C int
-}
-
-func (id PairID) String() string { return fmt.Sprintf(id.Format, id.A, id.B, id.C) }
 
 // Pair is one replicated unit to keep in sync.
 type Pair struct {
-	ID      PairID
+	// ID is the unit's slot: it names the unit by role, not by node, so a
+	// re-homed replica keeps its divergence window across rounds.
+	ID      int
 	Primary Store
 	Replica Store
 }
 
 // PairSource enumerates a backend's replica pairs. The enumeration must
-// be deterministic: same system state, same order. The slice is the
-// source's own and holds until its replica layout next changes.
+// be deterministic: same system state, same order. The slice and the
+// Stores in it are the source's own and hold until its next call.
 type PairSource interface {
 	ReplicaPairs() []Pair
 }
@@ -69,18 +58,20 @@ const sessionHeaderBytes = 16
 func frameBytes(symbols int) int  { return sessionHeaderBytes + symbols*SymbolBytes }
 func digestBytes(digests int) int { return sessionHeaderBytes + digests*8 }
 
+// A session's rateless stream opens with a frame of firstBatch coded
+// symbols, so an in-sync pair confirms equality in one ~40-byte frame;
+// batches double per frame up to maxBatch, and past maxSymbols the session
+// falls back to a full snapshot exchange.
+const (
+	firstBatch = 1
+	maxBatch   = 16
+	maxSymbols = 512
+)
+
 // Config tunes the reconciler. The zero value selects the defaults.
 type Config struct {
 	// Period is the background round interval (default 5s).
 	Period time.Duration
-	// FirstBatch is the coded-symbol count of a session's opening frame
-	// (default 1, so an in-sync pair confirms equality in one ~40-byte
-	// frame). Batches double per frame up to MaxBatch (default 16).
-	FirstBatch int
-	MaxBatch   int
-	// MaxSymbols bounds a session's rateless stream; past it the session
-	// falls back to a full snapshot exchange (default 512).
-	MaxSymbols int
 	// Snapshot forces every session to the naive full-snapshot exchange —
 	// the baseline the experiments compare rateless reconciliation against.
 	Snapshot bool
@@ -91,27 +82,6 @@ func (c Config) period() time.Duration {
 		return c.Period
 	}
 	return 5 * time.Second
-}
-
-func (c Config) firstBatch() int {
-	if c.FirstBatch > 0 {
-		return c.FirstBatch
-	}
-	return 1
-}
-
-func (c Config) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return 16
-}
-
-func (c Config) maxSymbols() int {
-	if c.MaxSymbols > 0 {
-		return c.MaxSymbols
-	}
-	return 512
 }
 
 // pairState tracks a pair's divergence window between rounds.
@@ -126,8 +96,8 @@ type pairState struct {
 }
 
 // Reconciler runs anti-entropy sessions between replica pairs as
-// scheduled background traffic. Each round it walks every source's
-// pairs and reconciles them over routed unicast (KindControl frames, so
+// scheduled background traffic. Each round it walks its source's pairs
+// and reconciles them over routed unicast (KindControl frames, so
 // repair traffic never pollutes the data-path counters); a session that
 // hits a dead or partitioned replica aborts gracefully and retries next
 // round.
@@ -136,9 +106,10 @@ type Reconciler struct {
 	net    *network.Network
 	router *gpsr.Router
 	cfg    Config
-	srcs   []PairSource
+	src    PairSource
 
-	state map[PairID]*pairState
+	// state holds each pair's divergence window, indexed by Pair.ID.
+	state []pairState
 
 	// Session scratch, reused across sessions: the routed path, the
 	// summaries of both sides and the digest column they are built from,
@@ -178,16 +149,15 @@ const (
 	opKick              // an extra round asked for by Kick
 )
 
-// New builds a reconciler over the given pair sources. Call Start to
+// New builds a reconciler over the pairs src enumerates. Call Start to
 // begin background rounds, or RunRound to drive it manually.
-func New(sched *sim.Scheduler, net *network.Network, router *gpsr.Router, cfg Config, srcs ...PairSource) *Reconciler {
+func New(sched *sim.Scheduler, net *network.Network, router *gpsr.Router, cfg Config, src PairSource) *Reconciler {
 	r := &Reconciler{
 		sched:  sched,
 		net:    net,
 		router: router,
 		cfg:    cfg,
-		srcs:   srcs,
-		state:  make(map[PairID]*pairState),
+		src:    src,
 		conv:   stats.NewIntHistogram(),
 	}
 	r.hid = sched.Register(r)
@@ -248,15 +218,13 @@ func (r *Reconciler) HandleEvent(op uint8, a, _ uint64) {
 	}
 }
 
-// RunRound reconciles every pair of every source once and returns the
-// number of events moved.
+// RunRound reconciles every pair once and returns the number of events
+// moved.
 func (r *Reconciler) RunRound() int {
 	total := 0
-	for _, src := range r.srcs {
-		pairs := src.ReplicaPairs()
-		for i := range pairs {
-			total += r.reconcile(&pairs[i])
-		}
+	pairs := r.src.ReplicaPairs()
+	for i := range pairs {
+		total += r.reconcile(&pairs[i])
 	}
 	return total
 }
@@ -288,13 +256,11 @@ func (r *Reconciler) Convergence() *stats.IntHistogram { return r.conv }
 // never produces any.
 func (r *Reconciler) Errs() []error { return r.errs }
 
-func (r *Reconciler) stateOf(id PairID) *pairState {
-	st, ok := r.state[id]
-	if !ok {
-		st = &pairState{}
-		r.state[id] = st
+func (r *Reconciler) stateOf(id int) *pairState {
+	if id >= len(r.state) {
+		r.state = append(r.state, make([]pairState, id+1-len(r.state))...)
 	}
-	return st
+	return &r.state[id]
 }
 
 // reconcile runs one session and settles the pair's divergence window:
@@ -314,7 +280,7 @@ func (r *Reconciler) reconcile(p *Pair) int {
 	r.moved += uint64(moved)
 	if err != nil {
 		if !dcs.IsDegradable(err) {
-			r.errs = append(r.errs, fmt.Errorf("antientropy %s: %w", p.ID, err))
+			r.errs = append(r.errs, fmt.Errorf("antientropy pair %d: %w", p.ID, err))
 			return moved
 		}
 		r.aborted++
@@ -359,21 +325,19 @@ func (r *Reconciler) unicast(from, to int, payload int) error {
 // batches until the replica peel-decodes the symmetric difference, then
 // transfers exactly the missing events in both directions. Cost is
 // ~O(|Δ|) symbols however large the stores are; an undecodable stream
-// (past MaxSymbols) falls back to the snapshot exchange. On the host a
+// (past maxSymbols) falls back to the snapshot exchange. On the host a
 // pair whose fingerprints are equal costs its one frame and no event
 // read: it holds one set, so the stream would decode an empty difference
 // from that frame. A pair holding one set with unequal fingerprints — one
 // side holds an event twice — runs the codec and decodes the same empty
 // difference after the same frame.
 func (r *Reconciler) ratelessSession(p *Pair) (int, error) {
-	maxSymbols, maxBatch := r.cfg.maxSymbols(), r.cfg.maxBatch()
-	batch := r.cfg.firstBatch()
+	batch := firstBatch
 	if p.Primary.Fingerprint() == p.Replica.Fingerprint() {
-		n := min(batch, maxSymbols)
-		if err := r.unicast(p.Primary.Node(), p.Replica.Node(), frameBytes(n)); err != nil {
+		if err := r.unicast(p.Primary.Node(), p.Replica.Node(), frameBytes(batch)); err != nil {
 			return 0, err
 		}
-		r.symbols += uint64(n)
+		r.symbols += uint64(batch)
 		return 0, nil
 	}
 	a, b := r.summarize(p)
@@ -395,7 +359,7 @@ func (r *Reconciler) ratelessSession(p *Pair) (int, error) {
 			r.fallbacks++
 			return r.snapshotSession(p, a, b)
 		}
-		batch = min(2*batch, max(batch, maxBatch))
+		batch = min(2*batch, maxBatch)
 	}
 }
 
@@ -524,17 +488,12 @@ func pairDivergence(p Pair) int {
 	return len(a) + len(b) - 2*common
 }
 
-// Divergence sums the symmetric-difference sizes across every pair of
-// every source — 0 means all replicas are in sync.
-func Divergence(srcs ...PairSource) int {
+// Divergence sums the symmetric-difference sizes across every pair src
+// enumerates — 0 means all replicas are in sync.
+func Divergence(src PairSource) int {
 	total := 0
-	for _, src := range srcs {
-		for _, p := range src.ReplicaPairs() {
-			total += pairDivergence(p)
-		}
+	for _, p := range src.ReplicaPairs() {
+		total += pairDivergence(p)
 	}
 	return total
 }
-
-// Converged reports whether every replica pair is in sync.
-func Converged(srcs ...PairSource) bool { return Divergence(srcs...) == 0 }

@@ -76,9 +76,6 @@ func (m *memoStore) Insert(e event.Event) {
 	m.print.Add(e.Seq)
 }
 
-// memID names a test pair.
-func memID(label string) PairID { return PairID{Format: label + " %d.%d.%d"} }
-
 type memSource struct{ pairs []Pair }
 
 func (s *memSource) ReplicaPairs() []Pair { return s.pairs }
@@ -106,7 +103,7 @@ func mkEvent(seq int) event.Event {
 
 // divergedPair returns a primary holding events [0,n), a replica
 // holding [0,n-miss) plus extra replica-only events, and the pair.
-func divergedPair(label string, pNode, rNode, n, miss, extra int) (*memStore, *memStore, Pair) {
+func divergedPair(pNode, rNode, n, miss, extra int) (*memStore, *memStore, Pair) {
 	p := &memStore{node: pNode}
 	r := &memStore{node: rNode}
 	for i := 0; i < n; i++ {
@@ -118,12 +115,12 @@ func divergedPair(label string, pNode, rNode, n, miss, extra int) (*memStore, *m
 	for i := 0; i < extra; i++ {
 		r.evs = append(r.evs, mkEvent(10_000+i))
 	}
-	return p, r, Pair{ID: memID(label), Primary: p, Replica: r}
+	return p, r, Pair{Primary: p, Replica: r}
 }
 
 func TestBackgroundRoundsConvergeAndExportMetrics(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	p, r, pair := divergedPair("mem A", 0, 5, 30, 5, 3)
+	p, r, pair := divergedPair(0, 5, 30, 5, 3)
 	src := &memSource{pairs: []Pair{pair}}
 
 	rec := New(sched, net, router, Config{Period: time.Second}, src)
@@ -186,7 +183,7 @@ func TestBackgroundRoundsConvergeAndExportMetrics(t *testing.T) {
 // tick chain, not two: the stale tick belongs to an older epoch.
 func TestStopStartKeepsOneTickChain(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	_, _, pair := divergedPair("mem chain", 0, 5, 4, 0, 0)
+	_, _, pair := divergedPair(0, 5, 4, 0, 0)
 	rec := New(sched, net, router, Config{Period: time.Second}, &memSource{pairs: []Pair{pair}})
 	rec.Start()
 	if err := sched.RunUntil(500*time.Millisecond, 1000); err != nil {
@@ -234,7 +231,7 @@ func (u unread) Fetch(digests []uint64, buf []event.Event) []event.Event {
 
 func TestInSyncPairConfirmsInOneSymbol(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	_, _, pair := divergedPair("mem eq", 0, 5, 40, 0, 0)
+	_, _, pair := divergedPair(0, 5, 40, 0, 0)
 	pair.Primary, pair.Replica = unread{pair.Primary, t}, unread{pair.Replica, t}
 	rec := New(sched, net, router, Config{}, &memSource{pairs: []Pair{pair}})
 	if moved := rec.RunRound(); moved != 0 {
@@ -253,7 +250,7 @@ func TestInSyncPairConfirmsInOneSymbol(t *testing.T) {
 
 func TestSnapshotModeCostTracksStoreSize(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	_, _, pair := divergedPair("mem snap", 0, 5, 50, 0, 0)
+	_, _, pair := divergedPair(0, 5, 50, 0, 0)
 	rec := New(sched, net, router, Config{Snapshot: true}, &memSource{pairs: []Pair{pair}})
 	if moved := rec.RunRound(); moved != 0 {
 		t.Fatalf("equal pair moved %d events", moved)
@@ -270,7 +267,7 @@ func TestSnapshotModeCostTracksStoreSize(t *testing.T) {
 
 func TestSnapshotRepairsBothDirections(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	p, r, pair := divergedPair("mem snap2", 1, 4, 20, 4, 2)
+	p, r, pair := divergedPair(1, 4, 20, 4, 2)
 	rec := New(sched, net, router, Config{Snapshot: true}, &memSource{pairs: []Pair{pair}})
 	if moved := rec.RunRound(); moved != 6 {
 		t.Fatalf("moved %d events, want 6", moved)
@@ -283,11 +280,15 @@ func TestSnapshotRepairsBothDirections(t *testing.T) {
 
 func TestUndecodableStreamFallsBackToSnapshot(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	// 60 differing events cannot peel within 8 symbols.
-	_, _, pair := divergedPair("mem fb", 0, 3, 60, 60, 0)
-	rec := New(sched, net, router, Config{MaxSymbols: 8}, &memSource{pairs: []Pair{pair}})
-	if moved := rec.RunRound(); moved != 60 {
-		t.Fatalf("moved %d events, want 60", moved)
+	// A peel frees one key per pure symbol, so 600 differing events cannot
+	// peel within the 512-symbol budget.
+	_, _, pair := divergedPair(0, 3, 600, 600, 0)
+	rec := New(sched, net, router, Config{}, &memSource{pairs: []Pair{pair}})
+	if moved := rec.RunRound(); moved != 600 {
+		t.Fatalf("moved %d events, want 600", moved)
+	}
+	if rec.Symbols() != maxSymbols {
+		t.Fatalf("stream sent %d symbols before falling back, want %d", rec.Symbols(), maxSymbols)
 	}
 	if rec.Fallbacks() != 1 {
 		t.Fatalf("fallbacks = %d, want 1", rec.Fallbacks())
@@ -299,7 +300,7 @@ func TestUndecodableStreamFallsBackToSnapshot(t *testing.T) {
 
 func TestSessionAbortsDegradablyOnDeadReplica(t *testing.T) {
 	sched, net, router := sessionUniverse(t)
-	p, r, pair := divergedPair("mem dead", 0, 5, 10, 3, 0)
+	p, r, pair := divergedPair(0, 5, 10, 3, 0)
 	src := &memSource{pairs: []Pair{pair}}
 	rec := New(sched, net, router, Config{}, src)
 
@@ -326,20 +327,8 @@ func TestSessionAbortsDegradablyOnDeadReplica(t *testing.T) {
 	if rec.Convergence().Total() != 1 {
 		t.Fatalf("convergence observations = %d, want 1", rec.Convergence().Total())
 	}
-	if Divergence(src) != 0 || !Converged(src) {
-		t.Fatal("source-level divergence helpers disagree with PairInSync")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	if c.period() != 5*time.Second || c.firstBatch() != 1 || c.maxBatch() != 16 || c.maxSymbols() != 512 {
-		t.Fatalf("zero-value defaults wrong: %v %d %d %d",
-			c.period(), c.firstBatch(), c.maxBatch(), c.maxSymbols())
-	}
-	c = Config{Period: time.Minute, FirstBatch: 2, MaxBatch: 4, MaxSymbols: 64}
-	if c.period() != time.Minute || c.firstBatch() != 2 || c.maxBatch() != 4 || c.maxSymbols() != 64 {
-		t.Fatal("explicit config not honoured")
+	if Divergence(src) != 0 {
+		t.Fatal("source-level divergence disagrees with PairInSync")
 	}
 }
 
@@ -349,17 +338,5 @@ func TestNilRegistryMetricsAreNoOp(t *testing.T) {
 	rec.EnableMetrics(nil) // must not panic
 	if rec.RunRound() != 0 {
 		t.Fatal("empty source moved events")
-	}
-}
-
-// A pair id is a value to compare and key maps by; its text is made
-// only when asked for.
-func TestPairIDRendersOnDemand(t *testing.T) {
-	a := PairID{Format: "pool P%d C(%d,%d)", A: 2, B: 3, C: 4}
-	if b := (PairID{Format: "pool P%d C(%d,%d)", A: 2, B: 3, C: 4}); a != b {
-		t.Fatal("equal ids compare unequal")
-	}
-	if got := a.String(); got != "pool P2 C(3,4)" {
-		t.Fatalf("String() = %q", got)
 	}
 }

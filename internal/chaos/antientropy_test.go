@@ -7,6 +7,7 @@ import (
 	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/pool"
+	"pooldcs/internal/pooltest"
 	"pooldcs/internal/rng"
 )
 
@@ -32,7 +33,7 @@ func TestChaosDivergenceConvergesUnderRepair(t *testing.T) {
 	victims := make([]int, 0, 3)
 	seen := map[int]bool{}
 	for _, p := range u.pool.ReplicaPairs() {
-		if p.Replica.Len() == 0 {
+		if len(p.Replica.AppendDigests(nil)) == 0 {
 			continue
 		}
 		v := p.Replica.Node()
@@ -93,20 +94,19 @@ func TestChaosDivergenceConvergesUnderRepair(t *testing.T) {
 		}
 	})
 
-	// In steps, so that the kept fingerprints and the kept pair list are
-	// checked — the list left warm — between any two of the writes above:
-	// the inserts, the crash repairs and the sessions' own inserts must
-	// each keep the fingerprint of the copy they change.
+	// In steps, so that the kept fingerprints and the pair walk are
+	// checked between any two of the writes above: the inserts, the crash
+	// repairs and the sessions' own inserts must each keep the fingerprint
+	// of the copy they change.
 	for at := time.Duration(0); at <= 60*time.Second; at += 125 * time.Millisecond {
 		if err := u.sched.RunUntil(at, 2_000_000); err != nil {
 			t.Fatal(err)
 		}
-		for _, check := range []func() error{u.pool.CheckStore, u.pool.CheckPairs} {
-			if err := check(); err != nil {
+		for _, err := range []error{u.pool.CheckStore(), pooltest.CheckReplicaPairs(u.pool)} {
+			if err != nil {
 				t.Fatalf("at %v: %v", at, err)
 			}
 		}
-		antientropy.Divergence(u.pool)
 	}
 	rec.Stop()
 

@@ -3,9 +3,9 @@ package chaos
 import (
 	"testing"
 
-	"pooldcs/internal/antientropy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/pool"
+	"pooldcs/internal/pooltest"
 	"pooldcs/internal/rng"
 )
 
@@ -81,9 +81,10 @@ func FuzzResolveUnderFaults(f *testing.F) {
 					}
 				}
 			}
-			antientropy.Divergence(u.pool)
-			if err := u.pool.CheckInvariants(); err != nil {
-				t.Fatalf("after op %#x: %v", op, err)
+			for _, err := range []error{u.pool.CheckInvariants(), pooltest.CheckReplicaPairs(u.pool)} {
+				if err != nil {
+					t.Fatalf("after op %#x: %v", op, err)
+				}
 			}
 		}
 		// Any interleaving must leave the universe queryable.

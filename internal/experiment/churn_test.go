@@ -14,6 +14,7 @@ import (
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
+	"pooldcs/internal/pooltest"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 	"pooldcs/internal/workload"
@@ -311,18 +312,17 @@ func TestChurnKeepsInvariants(t *testing.T) {
 		if err := env.Sched.RunUntil(at, 0); err != nil {
 			t.Fatal(err)
 		}
-		// The store and the pair list every step; the whole list, whose
+		// The store and the pair walk every step; the whole system, whose
 		// directory scan is the dear part, every virtual second.
-		checks := []func() error{sys.CheckStore, sys.CheckPairs}
+		check := sys.CheckStore
 		if at%time.Second == 0 {
-			checks = []func() error{sys.CheckInvariants}
+			check = sys.CheckInvariants
 		}
-		for _, check := range checks {
-			if err := check(); err != nil {
+		for _, err := range []error{check(), pooltest.CheckReplicaPairs(sys)} {
+			if err != nil {
 				t.Fatalf("at %v: %v", at, err)
 			}
 		}
-		antientropy.Divergence(sys)
 	}
 	if rec.Sessions() == 0 || rec.Aborted() == 0 || sys.RecoveryMessages() == 0 {
 		t.Fatalf("sessions=%d aborted=%d recovery msgs=%d: the run exercised no repair",

@@ -57,6 +57,10 @@ type Store[K comparable] struct {
 	// vouches iff the two are equal, and two copies agree iff theirs are.
 	acked []event.Fingerprint
 	held  [][2]event.Fingerprint
+
+	// recs holds each unit's two Copy records, the primary's first: what
+	// Copies hands out, made on its first call.
+	recs [][2]Copy[K]
 }
 
 // New returns an empty store of units units over nodes nodes. Every unit's
@@ -324,10 +328,16 @@ type Copy[K comparable] struct {
 }
 
 // Copies returns k's primary copy, whose active holder is index, and its
-// mirror copy, held by mirror.
-func (st *Store[K]) Copies(k K, index, mirror int) (Copy[K], Copy[K]) {
+// mirror copy, held by mirror: k's two records, which the next call for k
+// points at its nodes.
+func (st *Store[K]) Copies(k K, index, mirror int) (*Copy[K], *Copy[K]) {
+	if st.recs == nil {
+		st.recs = make([][2]Copy[K], len(st.segs))
+	}
 	i := st.sch.Slot(k)
-	return Copy[K]{st: st, slot: i, node: index}, Copy[K]{st: st, slot: i, node: mirror, side: 1}
+	r := &st.recs[i]
+	*r = [2]Copy[K]{{st: st, slot: i, node: index}, {st: st, slot: i, node: mirror, side: 1}}
+	return &r[0], &r[1]
 }
 
 // Unit returns the copy's unit.
@@ -405,14 +415,6 @@ func (c Copy[K]) Insert(e event.Event) {
 	}
 	node, _ := c.st.Active(k, c.node)
 	c.st.insert(k, node, e)
-}
-
-func (c Copy[K]) Len() int {
-	n := 0
-	for p := 0; p < c.parts(); p++ {
-		n += c.part(p).Len()
-	}
-	return n
 }
 
 // CheckStore verifies what holds in every state and returns the first

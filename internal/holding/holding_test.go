@@ -206,12 +206,13 @@ func TestCopiesAsReplicaPair(t *testing.T) {
 	w.st.Append(0, 1, ev(3))
 	var primary, mirror antientropy.Store
 	primary, mirror = w.st.Copies(0, 0, 2)
-	if primary.Node() != 0 || mirror.Node() != 2 || primary.(Copy[int]).Unit() != 0 {
+	if primary.Node() != 0 || mirror.Node() != 2 || primary.(*Copy[int]).Unit() != 0 {
 		t.Fatal("copies name the wrong nodes or unit")
 	}
+	held := func(c antientropy.Store) int { return len(c.AppendDigests(nil)) }
 	digests := primary.AppendDigests(nil)
-	if len(digests) != 3 || primary.Len() != 3 || mirror.Len() != 0 {
-		t.Fatalf("%d digests, lens %d/%d", len(digests), primary.Len(), mirror.Len())
+	if len(digests) != 3 || held(mirror) != 0 {
+		t.Fatalf("%d digests, mirror holds %d", len(digests), held(mirror))
 	}
 	got := primary.Fetch([]uint64{antientropy.Digest(ev(3)), 42, antientropy.Digest(ev(1))}, nil)
 	if len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 1 {
@@ -230,8 +231,8 @@ func TestCopiesAsReplicaPair(t *testing.T) {
 	if w.st.Vouches(0, false) {
 		t.Error("a primary holding an event its unit never acked vouches")
 	}
-	if primary.Len() != 4 || mirror.Len() != 3 || w.st.Segments(0)[1].Rows.Len() != 3 {
-		t.Errorf("after repair: lens %d/%d, active segment %d", primary.Len(), mirror.Len(), w.st.Segments(0)[1].Rows.Len())
+	if held(primary) != 4 || held(mirror) != 3 || w.st.Segments(0)[1].Rows.Len() != 3 {
+		t.Errorf("after repair: lens %d/%d, active segment %d", held(primary), held(mirror), w.st.Segments(0)[1].Rows.Len())
 	}
 	// A copy holding an event twice holds the other's set, but not its
 	// fingerprint, and a fetch of that event answers once.
@@ -245,6 +246,10 @@ func TestCopiesAsReplicaPair(t *testing.T) {
 	}
 	if err := w.st.CheckStore(); err != nil {
 		t.Fatal(err)
+	}
+	// The records are the unit's own: the next call points them anew.
+	if again, _ := w.st.Copies(0, 1, 0); antientropy.Store(again) != primary || primary.Node() != 1 {
+		t.Error("a second Copies call handed out other records, or left their nodes")
 	}
 }
 

@@ -91,9 +91,6 @@ func TestMirrorDivergenceRepairedByReconciliation(t *testing.T) {
 	if d := antientropy.Divergence(s); d != 0 {
 		t.Fatalf("divergence %d after reconciliation, want 0 (was %d)", d, before)
 	}
-	if !antientropy.Converged(s) {
-		t.Fatal("Converged disagrees with zero divergence")
-	}
 	_ = victim
 }
 
@@ -126,7 +123,7 @@ func TestReconcilerPushesMirrorOnlyEventsBack(t *testing.T) {
 	if moved := rec.RunRound(); moved != 1 {
 		t.Fatalf("moved %d events, want 1", moved)
 	}
-	if !antientropy.Converged(s) {
+	if antientropy.Divergence(s) != 0 {
 		t.Fatal("orphan not pushed back to primary")
 	}
 	// The orphan is now queryable through the primary path.
@@ -191,7 +188,7 @@ func TestReconcilerAbortsAgainstCorpseThenConverges(t *testing.T) {
 	router.Restore(mirror)
 	net.RecoverNode(mirror)
 	rec.RunRound()
-	if !antientropy.Converged(s) {
+	if antientropy.Divergence(s) != 0 {
 		t.Fatal("pairs not converged after recovery round")
 	}
 }
@@ -207,12 +204,12 @@ func TestSummaryIgnoresDuplicates(t *testing.T) {
 		s, net, router := newUniverse(t, 300, 77, WithReplication())
 		loadEvents(t, s, 200, 78)
 		pairs := s.ReplicaPairs()
-		loaded := slices.IndexFunc(pairs, func(p antientropy.Pair) bool { return p.Primary.Len() > 1 })
+		loaded := slices.IndexFunc(pairs, func(p antientropy.Pair) bool { return len(p.Primary.AppendDigests(nil)) > 1 })
 		if loaded < 0 {
 			t.Fatal("no cell holds two events")
 		}
 		p := pairs[loaded]
-		key := p.Primary.(holding.Copy[Key]).Unit()
+		key := p.Primary.(*holding.Copy[Key]).Unit()
 		if p.Primary.Fingerprint() != p.Replica.Fingerprint() || !s.Vouches(key, false) {
 			t.Fatal("a loaded pair disagrees before the duplicate")
 		}
@@ -255,12 +252,11 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	loadEvents(t, s, 200, 611)
 	honest := func(after string) {
 		t.Helper()
-		for _, check := range []func() error{s.CheckStore, s.CheckPairs} {
-			if err := check(); err != nil {
+		for _, err := range []error{s.CheckStore(), CheckReplicaPairs(s)} {
+			if err != nil {
 				t.Fatalf("after %s: %v", after, err)
 			}
 		}
-		antientropy.Divergence(s)
 	}
 	honest("load")
 
@@ -268,8 +264,8 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	var cells []Key
 	used := map[int]bool{}
 	for _, p := range s.ReplicaPairs() {
-		key := p.Primary.(holding.Copy[Key]).Unit()
-		if p.Primary.Len() == 0 || used[p.Primary.Node()] || used[p.Replica.Node()] {
+		key := p.Primary.(*holding.Copy[Key]).Unit()
+		if len(p.Primary.AppendDigests(nil)) == 0 || used[p.Primary.Node()] || used[p.Replica.Node()] {
 			continue
 		}
 		used[p.Primary.Node()], used[p.Replica.Node()] = true, true
@@ -286,7 +282,7 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	a := cells[0]
 	extra := event.New(0.5, 0.5, 0.5)
 	extra.Seq = 90_000
-	primaryA, _ := s.copiesOf(a)
+	primaryA, _ := s.Copies(a, s.IndexNode(a.Cell), s.Mirror(a))
 	primaryA.Insert(extra)
 	honest("primary-only insert")
 	crash(t, s, net, router, s.Mirror(a))
@@ -301,8 +297,35 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	honest("mirror dropped")
 	crash(t, s, net, router, s.IndexNode(b.Cell))
 	honest("unreplicated loss")
-	primaryB, _ := s.copiesOf(b)
-	if n := primaryB.Len(); n != 0 {
+	primaryB, _ := s.Copies(b, s.IndexNode(b.Cell), s.Mirror(b))
+	if n := len(primaryB.AppendDigests(nil)); n != 0 {
 		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
+	}
+
+	// An index node marked failed before its repair runs, as in the actor
+	// engine's detection window, takes its cells out of the walk.
+	h := s.IndexNode(a.Cell)
+	if _, err := s.MarkFailed(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckReplicaPairs(s); err != nil {
+		t.Fatalf("with index node %d marked failed: %v", h, err)
+	}
+	s.RecoverNode(h)
+	honest("index node recovered")
+}
+
+// A round over a converged replicated Pool allocates nothing: the pair
+// walk rebuilds its list in place from the cells' own records, and each
+// in-sync session sends its one frame down a warm route.
+func TestConvergedRoundAllocatesNothing(t *testing.T) {
+	s, net, router := newUniverse(t, 300, 630, WithReplication())
+	loadEvents(t, s, 200, 631)
+	rec := antientropy.New(sim.NewScheduler(), net, router, antientropy.Config{}, s)
+	if moved := rec.RunRound(); moved != 0 || len(s.ReplicaPairs()) == 0 {
+		t.Fatalf("a freshly loaded store moved %d events over %d pairs", moved, len(s.ReplicaPairs()))
+	}
+	if n := testing.AllocsPerRun(20, func() { rec.RunRound() }); n != 0 {
+		t.Fatalf("a converged round allocates %v times", n)
 	}
 }

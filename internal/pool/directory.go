@@ -53,12 +53,6 @@ type Directory struct {
 	// Pool index node closest to a sink depends only on node positions,
 	// which never change, and on holder, so Reelect clears it.
 	memo [][]int32
-
-	// version counts the changes to holder, dead and mirrors, so what is
-	// derived from them alone (System.ReplicaPairs) is rebuilt only after
-	// one. Their writers — Reelect, MarkFailed, RecoverNode, ElectMirror,
-	// SetMirror — bump it.
-	version uint64
 }
 
 // NewDirectory lays out a deployment for events of the given
@@ -392,9 +386,6 @@ func (d *Directory) MarkFailed(id int) (bool, error) {
 	}
 	changed := !d.dead[id]
 	d.dead[id] = true
-	if changed {
-		d.version++
-	}
 	return changed, nil
 }
 
@@ -406,7 +397,6 @@ func (d *Directory) MarkFailed(id int) (bool, error) {
 func (d *Directory) RecoverNode(id int) {
 	if d.Failed(id) {
 		d.dead[id] = false
-		d.version++
 	}
 }
 
@@ -443,7 +433,6 @@ func (d *Directory) Orphaned() []CellID {
 // honest.
 func (d *Directory) Reelect(c CellID, to int) {
 	d.holder[d.gridIndex(c)] = int32(to)
-	d.version++
 	for _, row := range d.memo {
 		clear(row)
 	}
@@ -494,7 +483,6 @@ func (d *Directory) ElectMirror(key Key, index int) int {
 // SetMirror reassigns the cell's mirror; -1 records that it has none.
 func (d *Directory) SetMirror(key Key, node int) {
 	d.mirrors[d.slot(key)] = int32(node)
-	d.version++
 }
 
 // MirrorKeys returns every cell that has elected a mirror, in (dimension,

@@ -18,6 +18,10 @@ import (
 // walks need no sort. This file keeps the hash-map-plus-sort versions of
 // those walks as a reference and checks the tables against them.
 
+// CheckReplicaPairs is pooltest.CheckReplicaPairs, the reference the
+// replica pair walk is held to; pooltest_test.go sets it.
+var CheckReplicaPairs func(*System) error
+
 // keyLess orders keys by (dimension, row, column): MirrorKeys' order.
 func keyLess(a, b Key) bool {
 	if a.Dim != b.Dim {

@@ -57,8 +57,8 @@ func randomQuery(src *rng.Source) event.Query {
 // TestStateMachineAgainstOracle drives a replicated, workload-sharing
 // Pool system with a random operation sequence — inserts, queries, node
 // failures — comparing every query result against the oracle and checking
-// the internal invariants as it goes, the kept replica pair list after
-// every single operation. This is the repository's main randomized
+// the internal invariants as it goes, the replica pair walk against its
+// reference after every single operation. This is the repository's main randomized
 // correctness harness.
 func TestStateMachineAgainstOracle(t *testing.T) {
 	const (
@@ -136,12 +136,9 @@ func TestStateMachineAgainstOracle(t *testing.T) {
 					syncOracleAfterFailure(t, sys, o)
 				}
 
-				// The pair list was kept going into the op; a directory change
-				// the op made must have dropped it.
-				if err := sys.CheckPairs(); err != nil {
+				if err := CheckReplicaPairs(sys); err != nil {
 					t.Fatalf("op %d: %v", op, err)
 				}
-				sys.ReplicaPairs()
 
 				if op%25 == 0 {
 					if err := sys.CheckInvariants(); err != nil {

@@ -27,8 +27,3 @@ func NewStore(dir *Directory) *Store {
 func (st *Store) Restore(key Key, node int, chunk []event.Event) {
 	st.Store.Restore(key, node, chunk, func(e event.Event) bool { return st.dir.checkEvent(e) == nil })
 }
-
-// copiesOf returns the primary and mirror copies of key's cell.
-func (st *Store) copiesOf(key Key) (primary, mirror holding.Copy[Key]) {
-	return st.Copies(key, st.dir.IndexNode(key.Cell), st.dir.Mirror(key))
-}

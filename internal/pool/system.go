@@ -121,10 +121,8 @@ type System struct {
 	fanout                    *stats.IntHistogram
 	splitterLegs              []uint64
 
-	// Anti-entropy state (antientropy.go), replication only: the replica
-	// pair list as of directory version pairsAt-1 (0: never built).
-	pairs   []antientropy.Pair
-	pairsAt uint64
+	// pairs is ReplicaPairs' list, rebuilt in place on every call.
+	pairs []antientropy.Pair
 
 	// Continuous-query state (continuous.go).
 	subs    [][]*Subscription // by Key slot

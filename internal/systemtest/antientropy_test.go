@@ -32,11 +32,9 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 				}
 				t.Skipf("%s exposes no replica pairs", f.Name)
 			}
-			// A store that memoises set summaries (Pool) must keep them honest
-			// through every step: each step leaves them warm (Divergence reads
-			// every one), so a write that forgot to invalidate fails the step
-			// after it. pool.CheckInvariants checks them beside the rest of the
-			// system's rules, which the divergence window keeps too.
+			// A system with invariants (Pool) must keep them through every
+			// step of the divergence window: its copies' kept fingerprints
+			// among them.
 			step := func(what string) {
 				t.Helper()
 				if c, ok := u.Sys.(interface{ CheckInvariants() error }); ok {
@@ -44,8 +42,8 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 						t.Fatalf("after %s: %v", what, err)
 					}
 				}
-				antientropy.Divergence(src)
 			}
+			size := func(c antientropy.Store) int { return len(c.AppendDigests(nil)) }
 			step("load")
 			pairs := src.ReplicaPairs()
 			if len(pairs) == 0 {
@@ -56,7 +54,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			}
 			loaded := -1
 			for i, p := range pairs {
-				if p.Replica.Len() > 0 || p.Primary.Len() > 0 {
+				if size(p.Replica) > 0 || size(p.Primary) > 0 {
 					loaded = i
 					break
 				}
@@ -89,18 +87,18 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			// primary's node: the unit acks it there, and its replica write
 			// is lost to the crashed node without failing the insert.
 			primary, side := pairs[loaded].Primary, pairs[loaded].Primary
-			if side.Len() == 0 {
+			if size(side) == 0 {
 				side = pairs[loaded].Replica
 			}
 			held := side.Fetch(side.AppendDigests(nil)[:1], nil)[0]
 			for i := 0; i < 3; i++ {
 				e := event.New(held.Values...)
 				e.Seq = uint64(20_000 + i)
-				before := primary.Len()
+				before := size(primary)
 				if err := u.Insert(primary.Node(), e); err != nil {
 					t.Fatalf("primary-only insert %d: %v", i, err)
 				}
-				if primary.Len() != before+1 {
+				if size(primary) != before+1 {
 					t.Fatalf("primary-only insert %d did not land on the loaded pair's primary", i)
 				}
 				step("primary-only insert")
@@ -113,7 +111,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			}
 
 			rec := antientropy.New(u.Sched, u.Net, u.Router, antientropy.Config{}, src)
-			for round := 0; round < 6 && !antientropy.Converged(src); round++ {
+			for round := 0; round < 6 && antientropy.Divergence(src) != 0; round++ {
 				rec.RunRound()
 				step("round")
 			}
@@ -125,7 +123,7 @@ func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
 			}
 			for _, p := range src.ReplicaPairs() {
 				if !antientropy.PairInSync(p) {
-					t.Errorf("pair %s not in sync", p.ID)
+					t.Errorf("pair %d not in sync", p.ID)
 				}
 			}
 
