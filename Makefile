@@ -50,7 +50,7 @@ loc:
 # A ratchet toward ROADMAP's doc budget (DESIGN.md 1000 lines, README.md
 # 500): each file fails the target past the line count of its row. Lower
 # a row whenever a change shortens its file; never raise one.
-DOC_RATCHET := DESIGN.md:1631 README.md:873
+DOC_RATCHET := DESIGN.md:1626 README.md:871
 docs:
 	@fail=0; for row in $(DOC_RATCHET); do \
 		f=$${row%%:*}; max=$${row##*:}; n=$$(wc -l < $$f); \
@@ -94,7 +94,7 @@ race-parallel:
 # protocol's stamps must keep every table, suspicion and counter of the
 # per-edge reference under any plan of faults, loss and depletion; the
 # holding layer must pass its own check after any sequence of appends,
-# mirror writes, crashes, handovers, restores, re-homes and prunes, with one
+# mirror writes, crashes, handovers, restores and re-homes, with one
 # segment per unit or several, and a copy that vouches must hold every
 # acked event of its unit. go test
 # accepts one -fuzz target per invocation, hence the separate runs.
@@ -243,7 +243,11 @@ bench-oracle:
 # row had a 100% tolerance. The beacon exchange under churn
 # (BenchmarkBeaconRound) is gated at 0 allocs/op and fails when it runs
 # slower than the per-edge reference protocol interleaved with it
-# (ref/new below 1.0). The
+# (ref/new below 1.0). One hop on an untraced radio
+# (BenchmarkTransmitTracerDisabled, internal/network) is gated at 0
+# allocs/op and fails when it runs less than 0.75x as fast as the
+# reference hop interleaved with it (ref/kernel): its ns row had a 60%
+# tolerance and failed on host noise alone. The
 # 100% ns tolerance of BenchmarkActorQuerySteady covers what the same
 # code measures on a shared 2-vCPU host from a quiet phase to a loaded
 # one: up to +86% over its row.
@@ -258,7 +262,7 @@ micro-bench:
 	$(GO) test ./internal/attrib -run=NONE -bench='^BenchmarkAttribDisabledPath$$' -benchmem -benchtime=100x 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test . -run=NONE -benchmem -benchtime=2000000x \
-		-bench='^BenchmarkTransmitTracerDisabled$$|^BenchmarkPoolInsert$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$|^BenchmarkTransmitTracerEnabled$$|^BenchmarkFlightRecorderEmit$$' 2>&1 \
+		-bench='^BenchmarkPoolInsert$$|^BenchmarkTheorem31InsertCell$$|^BenchmarkRouteToNodeWarm$$|^BenchmarkRouteToNodeCold$$|^BenchmarkSplitterFor$$|^BenchmarkGPSRHomeNode$$|^BenchmarkTransmitTracerEnabled$$|^BenchmarkFlightRecorderEmit$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
@@ -280,6 +284,8 @@ micro-bench:
 	$(GO) test ./internal/dcs -run=NONE -benchmem -benchtime=200000x -bench='^BenchmarkUnicastPath$$|^BenchmarkUnicastLeg$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) test ./internal/discovery -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkBeaconRound$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/network -run=NONE -benchmem -benchtime=2000000x -bench='^BenchmarkTransmitTracerDisabled$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 

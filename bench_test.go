@@ -754,29 +754,9 @@ const homeNodeFloor = 10.0
 // --- Tracer overhead ---
 //
 // The disabled tracer (the default: no WithTracer option, tracer nil)
-// must cost no more than a pointer compare on the Transmit hot path.
-// Compare TracerDisabled against TracerEnabled to see the full recording
-// cost; TracerDisabled against the historical Transmit numbers to confirm
-// the hook itself is free.
-
-func benchTransmit(b *testing.B, opts ...network.Option) {
-	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(30, 0)}
-	layout, err := field.FromPositions(pts, 100, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := network.New(layout, opts...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Transmit(0, 1, network.KindInsert, 32); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTransmitTracerDisabled(b *testing.B) {
-	benchTransmit(b)
-}
+// must cost no more than a pointer compare on the Transmit hot path:
+// internal/network's BenchmarkTransmitTracerDisabled gates it against the
+// reference hop. TracerEnabled here is the full recording cost.
 
 func BenchmarkTransmitTracerEnabled(b *testing.B) {
 	tr := trace.New(nil)

@@ -245,11 +245,8 @@ func run(args []string, out io.Writer) error {
 const autopsyRing = 1 << 18
 
 // registerAutopsy attributes the recorded query spans and registers the
-// attrib_* and slo_burn_* families. The burn rates follow the load
-// engine's accounting: the run is cut into sampling-period windows, a
-// window breaches when its query p99 exceeds the SLO, and the breached
-// fraction (over the last six windows for fast, the whole run for slow)
-// is divided by a 5% error budget.
+// attrib_* and slo_burn_* families, the burn rates as burnRates computes
+// them.
 func registerAutopsy(reg *metrics.Registry, flight *trace.Tracer, slo, window time.Duration) {
 	_, bds := attrib.Analyze(flight, attrib.Options{})
 
@@ -284,7 +281,9 @@ func registerAutopsy(reg *metrics.Registry, flight *trace.Tracer, slo, window ti
 
 // burnRates buckets query completions into windows and returns the
 // fast (last six windows) and slow (whole run) burn rates against a 5%
-// error budget.
+// error budget. The run is cut into windows from 0 to the last
+// completion's, a window breaches when the 99th-percentile latency of its
+// queries exceeds slo, and a window without queries counts as clean.
 func burnRates(bds []attrib.Breakdown, slo, window time.Duration) (fast, slow float64) {
 	const (
 		budget      = 0.05

@@ -8,6 +8,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"pooldcs/internal/attrib"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -93,6 +96,71 @@ func TestAutopsyFamilies(t *testing.T) {
 	for _, want := range []string{"attrib_queries_total", "slo_burn_slow"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report missing %q", want)
+		}
+	}
+}
+
+// TestBurnRates holds poolmon's burn-rate rule: windows of the sampling
+// period from 0 to the last query's, each breached when its p99 passes
+// the SLO, the breached fraction over the last six windows (fast) and the
+// whole run (slow) divided by a 5% error budget.
+func TestBurnRates(t *testing.T) {
+	const (
+		window = time.Second
+		slo    = 100 * time.Millisecond
+		ok     = 50 * time.Millisecond
+		slow   = 200 * time.Millisecond
+	)
+	// run builds one query per entry of lats, lats[w] ending in window w;
+	// a zero entry leaves its window empty.
+	run := func(lats ...time.Duration) []attrib.Breakdown {
+		var bds []attrib.Breakdown
+		for w, lat := range lats {
+			if lat > 0 {
+				bds = append(bds, attrib.Breakdown{End: time.Duration(w)*window + window/2, Total: lat})
+			}
+		}
+		return bds
+	}
+	repeat := func(n int, lat time.Duration) []time.Duration {
+		lats := make([]time.Duration, n)
+		for i := range lats {
+			lats[i] = lat
+		}
+		return lats
+	}
+	// p99 puts 100 queries in window 0, over of them past the SLO.
+	p99 := func(over int) []attrib.Breakdown {
+		bds := make([]attrib.Breakdown, 100)
+		for i := range bds {
+			bds[i] = attrib.Breakdown{End: window / 2, Total: ok}
+			if i < over {
+				bds[i].Total = slow
+			}
+		}
+		return bds
+	}
+	// burn is bad breached windows of n against the 5% budget, computed
+	// at run time as burnRates computes it.
+	burn := func(bad, n int) float64 { return float64(bad) / float64(n) / 0.05 }
+	for _, tc := range []struct {
+		name       string
+		bds        []attrib.Breakdown
+		window     time.Duration
+		fast, slow float64
+	}{
+		{"no breakdowns", nil, window, 0, 0},
+		{"zero window", run(slow, slow), 0, 0, 0},
+		{"every window within the SLO", run(repeat(10, ok)...), window, 0, 0},
+		{"every window breached", run(repeat(10, slow)...), window, 20, 20},
+		{"last six windows clean", run(append(repeat(4, slow), repeat(6, ok)...)...), window, 0, burn(4, 10)},
+		{"empty window between breached ones", run(slow, 0, slow), window, burn(2, 3), burn(2, 3)},
+		{"99th smallest of 100 within the SLO", p99(1), window, 0, 0},
+		{"99th smallest of 100 past the SLO", p99(2), window, 20, 20},
+	} {
+		fast, slowBurn := burnRates(tc.bds, slo, tc.window)
+		if fast != tc.fast || slowBurn != tc.slow {
+			t.Errorf("%s: burn rates fast %g slow %g, want %g and %g", tc.name, fast, slowBurn, tc.fast, tc.slow)
 		}
 	}
 }

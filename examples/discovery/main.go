@@ -31,10 +31,7 @@ func run() error {
 	}
 	sched := sim.NewScheduler()
 	net := network.New(layout)
-	proto := discovery.New(net, sched, src.Fork("beacons"), discovery.Config{
-		Interval:  time.Second,
-		MissLimit: 3,
-	})
+	proto := discovery.New(net, sched, src.Fork("beacons"), discovery.Config{Interval: time.Second})
 	proto.Start()
 
 	// Let two beacon rounds pass.

@@ -159,7 +159,7 @@ func TestBeaconDrivenDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := discovery.Config{Interval: time.Second, MissLimit: 3}
+	cfg := discovery.Config{Interval: time.Second}
 	disc := discovery.New(net, sched, rng.New(832), cfg)
 	engine := NewEngine(sched, net, router, []System{p}, WithFailureDetection(disc))
 	disc.Start()
@@ -187,7 +187,7 @@ func TestBeaconDrivenDetection(t *testing.T) {
 	if lat < ecfg.Interval {
 		t.Errorf("latency %v < one beacon period", lat)
 	}
-	if lat > ecfg.Timeout()+ecfg.Interval+ecfg.Jitter {
+	if lat > ecfg.Timeout()+ecfg.Interval+ecfg.Jitter() {
 		t.Errorf("latency %v far beyond timeout %v", lat, ecfg.Timeout())
 	}
 }

@@ -61,9 +61,9 @@ func ReplyBytes(k, n int) int {
 	return headerBytes + n*k*perValueBytes
 }
 
-// DefaultMaxRetransmissions is the per-hop link-layer retry budget used
-// when no TxOptions override it.
-const DefaultMaxRetransmissions = 16
+// MaxRetransmissions is the per-hop link-layer retry budget: the frames
+// a hop sends, its first attempt included, before it gives up.
+const MaxRetransmissions = 16
 
 // ErrHopExhausted reports a hop that stayed lossy through the whole ARQ
 // retry budget. Test with errors.Is.
@@ -74,12 +74,9 @@ var ErrHopExhausted = errors.New("dcs: hop retransmission budget exhausted")
 // or the alive routing graph is partitioned. Test with errors.Is.
 var ErrUnreachable = errors.New("dcs: destination unreachable")
 
-// TxOptions tunes routed-unicast behaviour. The zero value selects the
-// defaults, so existing call sites keep their semantics.
+// TxOptions tunes routed-unicast behaviour. The zero value routes every
+// leg afresh into a new path.
 type TxOptions struct {
-	// MaxRetransmissions bounds per-hop link-layer retries on lossy
-	// links; 0 selects DefaultMaxRetransmissions.
-	MaxRetransmissions int
 	// PathBuf, when non-nil, points at a reusable backing array for the
 	// route path; the (possibly grown) buffer is stored back after each
 	// routed unicast. Route paths are then only allocated when they
@@ -91,21 +88,14 @@ type TxOptions struct {
 	Legs *Legs
 }
 
-func (o TxOptions) retries() int {
-	if o.MaxRetransmissions > 0 {
-		return o.MaxRetransmissions
-	}
-	return DefaultMaxRetransmissions
-}
-
 // UnicastOpts routes a payload from one node to another with GPSR,
 // charging one transmission per hop to the network counters. On lossy
-// links each hop retransmits until the frame gets through (ARQ) or the
-// retry budget in opts runs out, so every attempt is paid for. It returns
-// the number of transmissions performed. Errors wrap ErrUnreachable when a
-// dead node or partition blocks the route (retrying is futile) and
-// ErrHopExhausted when a hop stayed lossy through the whole ARQ budget (a
-// retry at a higher layer may succeed).
+// links each hop retransmits until the frame gets through (ARQ) or its
+// MaxRetransmissions frames are spent, so every attempt is paid for. It
+// returns the number of transmissions performed. Errors wrap
+// ErrUnreachable when a dead node or partition blocks the route (retrying
+// is futile) and ErrHopExhausted when a hop stayed lossy through the
+// whole ARQ budget (a retry at a higher layer may succeed).
 func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
 	if from == to {
 		if !net.Alive(from) {
@@ -130,7 +120,7 @@ func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind n
 		if err == nil {
 			break
 		}
-		n, err := transmitARQ(net, path[i], path[i+1], kind, payloadBytes, opts, err)
+		n, err := transmitARQ(net, path[i], path[i+1], kind, payloadBytes, err)
 		sent += n
 		if err != nil {
 			return sent, fmt.Errorf("dcs: unicast %d→%d at hop %d: %w", from, to, i+1, err)
@@ -169,8 +159,7 @@ func (o TxOptions) route(router *gpsr.Router, from, to int) ([]int, error) {
 // frames the hop sent, the first attempt included. A crashed or depleted
 // endpoint aborts immediately (wrapping ErrUnreachable); a hop that stays
 // lossy through the retry budget wraps ErrHopExhausted.
-func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadBytes int, opts TxOptions, err error) (int, error) {
-	max := opts.retries()
+func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadBytes int, err error) (int, error) {
 	for attempt := 1; ; attempt++ {
 		if errors.Is(err, network.ErrNodeDown) {
 			// Retransmitting into a dead radio cannot help.
@@ -179,7 +168,7 @@ func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadB
 		if !errors.Is(err, network.ErrFrameLost) {
 			return attempt, err
 		}
-		if attempt >= max {
+		if attempt >= MaxRetransmissions {
 			return attempt, fmt.Errorf("dcs: hop %d→%d dropped after %d attempts: %w",
 				from, to, attempt, ErrHopExhausted)
 		}

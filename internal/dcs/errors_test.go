@@ -37,28 +37,18 @@ func TestHopExhaustedIsTyped(t *testing.T) {
 	}
 }
 
+// TestConfigurableARQBudget: over an always-lossy link a hop puts
+// exactly MaxRetransmissions frames on the air, then gives up.
 func TestConfigurableARQBudget(t *testing.T) {
 	l := lineLayout(t, 2)
-	// Always-lossy link: the frame count is exactly the retry budget.
 	net := network.New(l, network.WithLossRate(0.999999999, rng.New(7)))
-	router := gpsr.New(l)
-
-	sent, err := UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{MaxRetransmissions: 3})
+	sent, err := UnicastOpts(net, gpsr.New(l), 0, 1, network.KindQuery, 4, TxOptions{})
 	if !errors.Is(err, ErrHopExhausted) {
 		t.Fatalf("err = %v, want ErrHopExhausted", err)
 	}
-	if sent != 3 {
-		t.Errorf("sent %d frames, want exactly the 3-frame budget", sent)
-	}
-
-	// The zero value keeps the historical default of 16.
-	net = network.New(l, network.WithLossRate(0.999999999, rng.New(7)))
-	sent, err = UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{})
-	if !errors.Is(err, ErrHopExhausted) {
-		t.Fatalf("err = %v, want ErrHopExhausted", err)
-	}
-	if sent != DefaultMaxRetransmissions {
-		t.Errorf("sent %d frames, want default budget %d", sent, DefaultMaxRetransmissions)
+	if sent != 16 || net.Messages(network.KindQuery) != 16 || MaxRetransmissions != 16 {
+		t.Errorf("sent %d frames, the radio counted %d; want the 16-frame budget (MaxRetransmissions %d)",
+			sent, net.Messages(network.KindQuery), MaxRetransmissions)
 	}
 }
 

@@ -27,13 +27,13 @@ func TestExchangePolicy(t *testing.T) {
 	}{
 		{name: "lands first try", landed: 3, wantQueries: 3},
 		{name: "same node, lost twice", jam: []int{3}, landed: -1, retries: 1,
-			wantQueries: 2 * (2 + DefaultMaxRetransmissions)},
+			wantQueries: 2 * (2 + MaxRetransmissions)},
 		{name: "lands at the retargeted node", jam: []int{3}, retarget: to(2), landed: 2, retries: 1,
-			wantQueries: 2 + DefaultMaxRetransmissions + 2},
+			wantQueries: 2 + MaxRetransmissions + 2},
 		{name: "retargeted node lost too", jam: []int{2, 3}, retarget: to(2), landed: -1, retries: 1,
-			wantQueries: 2 * (1 + DefaultMaxRetransmissions)},
+			wantQueries: 2 * (1 + MaxRetransmissions)},
 		{name: "nowhere to retry", jam: []int{3}, retarget: to(-1), landed: -1, retries: 0,
-			wantQueries: 2 + DefaultMaxRetransmissions},
+			wantQueries: 2 + MaxRetransmissions},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

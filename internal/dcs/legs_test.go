@@ -16,12 +16,11 @@ import (
 
 // unicastCase is the radio and the options one unicast script runs
 // under: a loss rate, an energy budget (0: none), the nodes crashed on
-// the radio at the start, the ARQ budget (0: the default), and whether a
-// path buffer, a tracer and a metrics registry are attached.
+// the radio at the start, and whether a path buffer, a tracer and a
+// metrics registry are attached.
 type unicastCase struct {
 	loss, budget             float64
 	down                     []int
-	retries                  int
 	traced, metered, pathBuf bool
 }
 
@@ -45,7 +44,6 @@ func runUnicastScript(t *testing.T, l *field.Layout, router *gpsr.Router, seed i
 	}
 	a, b, cached := twin(), twin(), twin()
 	legs := NewLegs(router)
-	opts := TxOptions{MaxRetransmissions: c.retries}
 	var bufA, bufB, bufC []int
 	var legsRun [][2]int
 	var st legStats
@@ -76,7 +74,7 @@ func runUnicastScript(t *testing.T, l *field.Layout, router *gpsr.Router, seed i
 			from, to = int(op)%l.N(), arg%l.N()
 			legsRun = append(legsRun, [2]int{from, to})
 		}
-		optsA, optsB, optsC := opts, opts, opts
+		var optsA, optsB, optsC TxOptions
 		if c.pathBuf {
 			optsA.PathBuf, optsB.PathBuf, optsC.PathBuf = &bufA, &bufB, &bufC
 		}
@@ -172,7 +170,7 @@ func TestLegsMatchReference(t *testing.T) {
 	}{
 		{name: "plain", layout: uniform},
 		{name: "path buffer, traced, metered", layout: uniform, c: unicastCase{pathBuf: true, traced: true, metered: true}},
-		{name: "lossy", layout: uniform, c: unicastCase{loss: 0.3, retries: 3, pathBuf: true}},
+		{name: "lossy", layout: uniform, c: unicastCase{loss: 0.8, pathBuf: true}},
 		{name: "depleting", layout: uniform, c: unicastCase{budget: 60e-6, loss: 0.1}},
 		{name: "crashed relays", layout: uniform, c: unicastCase{down: []int{3, 17, 42, 58, 71, 90}}},
 		{name: "flips", layout: uniform, c: unicastCase{loss: 0.1, pathBuf: true}, flipRate: 0.08},

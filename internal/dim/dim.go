@@ -110,8 +110,8 @@ type System struct {
 	// tracer records structured events; nil disables tracing.
 	tracer *trace.Tracer
 
-	// arq is the per-hop retransmission budget for routed unicasts; its
-	// PathBuf points at pathBuf so route paths reuse one backing array.
+	// arq is the options of every routed (ARQ) unicast: its PathBuf
+	// points at pathBuf so route paths reuse one backing array.
 	// legs is arq with the System's leg table, for the query's legs from
 	// one zone owner to the next (dcs.Legs).
 	arq, legs dcs.TxOptions

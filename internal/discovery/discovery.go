@@ -30,38 +30,29 @@ import (
 type Config struct {
 	// Interval between a node's beacons (default 1 s).
 	Interval time.Duration
-	// Jitter is the maximum random offset added to each beacon (default
-	// Interval/4); it desynchronizes the nodes.
-	Jitter time.Duration
-	// MissLimit is how many consecutive missed beacons evict a neighbour
-	// (default 3).
-	MissLimit int
-	// PayloadBytes is the beacon frame size (default 16: node id +
-	// coordinates).
-	PayloadBytes int
 }
+
+// MissLimit is how many consecutive missed beacons evict a neighbour.
+const MissLimit = 3
+
+// BeaconBytes is the beacon frame size: node id and coordinates.
+const BeaconBytes = 16
 
 func (c *Config) applyDefaults() {
 	if c.Interval == 0 {
 		c.Interval = time.Second
 	}
-	if c.Jitter == 0 {
-		c.Jitter = c.Interval / 4
-	}
-	if c.MissLimit == 0 {
-		c.MissLimit = 3
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 16
-	}
 }
 
-// Validate rejects, after defaults, a configuration that breaks the
-// protocol: Interval ≤ 0 spins the beacon loop at zero delay, Jitter < 0
-// breaks the jitter draw, and MissLimit < 1 suspects healthy nodes.
+// Jitter is the largest random offset of a beacon, a quarter of the
+// Interval; it desynchronizes the nodes.
+func (c Config) Jitter() time.Duration { return c.Interval / 4 }
+
+// Validate rejects, after defaults, an Interval ≤ 0: it would spin the
+// beacon loop at zero delay.
 func (c Config) Validate() error {
-	if c.applyDefaults(); c.Interval <= 0 || c.Jitter < 0 || c.MissLimit < 1 || c.PayloadBytes < 0 {
-		return fmt.Errorf("discovery: want Interval > 0, Jitter ≥ 0, MissLimit ≥ 1 and PayloadBytes ≥ 0, got %+v", c)
+	if c.applyDefaults(); c.Interval <= 0 {
+		return fmt.Errorf("discovery: want Interval > 0, got %v", c.Interval)
 	}
 	return nil
 }
@@ -70,7 +61,7 @@ func (c Config) Validate() error {
 // long is suspected. MissLimit beacon periods plus the jitter slack each
 // period can add.
 func (c Config) Timeout() time.Duration {
-	return time.Duration(c.MissLimit) * (c.Interval + c.Jitter)
+	return MissLimit * (c.Interval + c.Jitter())
 }
 
 // Protocol is a running beacon exchange. A beacon that changes no table
@@ -224,7 +215,7 @@ func (p *Protocol) EnableMetrics(reg *metrics.Registry) {
 // advance the protocol.
 func (p *Protocol) Start() {
 	for id := 0; id < p.net.Layout().N(); id++ {
-		offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
+		offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter()+1))
 		p.scheduleBeacon(id, p.epoch[id], offset)
 	}
 }
@@ -261,7 +252,7 @@ func (p *Protocol) Recover(id int) {
 	}
 	p.failed[id] = false
 	p.epoch[id]++
-	offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
+	offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter()+1))
 	p.scheduleBeacon(id, p.epoch[id], offset)
 }
 
@@ -288,7 +279,7 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	}
 	now := p.sched.Now()
 	p.beacons++
-	missed := p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes)
+	missed := p.net.Broadcast(id, network.KindControl, BeaconBytes)
 	if len(missed) > 0 || p.missOut[id] > 0 {
 		p.merge(id, missed)
 	}
@@ -302,8 +293,8 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	if p.cand[id] > 0 {
 		p.sweep(id, now)
 	}
-	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-	p.scheduleBeacon(id, ep, p.cfg.Interval+jitter-p.cfg.Jitter/2)
+	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter()+1))
+	p.scheduleBeacon(id, ep, p.cfg.Interval+jitter-p.cfg.Jitter()/2)
 }
 
 // merge updates, before stamp[id] moves, the edges for id that a beacon

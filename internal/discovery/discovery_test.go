@@ -51,7 +51,7 @@ func TestDiscoveryBeaconRate(t *testing.T) {
 }
 
 func TestFailedNodeEvicted(t *testing.T) {
-	p, sched, _ := protocolFixture(t, 300, 3, Config{Interval: time.Second, MissLimit: 3})
+	p, sched, _ := protocolFixture(t, 300, 3, Config{Interval: time.Second})
 	p.Start()
 	if err := sched.RunUntil(2*time.Second, 0); err != nil {
 		t.Fatal(err)
@@ -119,11 +119,11 @@ func TestStopHaltsBeacons(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.applyDefaults()
-	if cfg.Interval != time.Second || cfg.MissLimit != 3 || cfg.PayloadBytes != 16 {
-		t.Errorf("defaults = %+v", cfg)
+	if cfg.Interval != time.Second || cfg.Jitter() != 250*time.Millisecond {
+		t.Errorf("defaults: interval %v, jitter %v", cfg.Interval, cfg.Jitter())
 	}
-	if cfg.Jitter != 250*time.Millisecond {
-		t.Errorf("jitter default = %v", cfg.Jitter)
+	if cfg.Timeout() != 3750*time.Millisecond {
+		t.Errorf("default timeout %v, want 3 × 1.25 s", cfg.Timeout())
 	}
 }
 
@@ -163,20 +163,14 @@ func TestBroadcastReachesNeighbors(t *testing.T) {
 	}
 }
 
-// Each of these configurations once broke the protocol: a negative
-// Jitter panicked in Start with an integer divide by zero, a negative
-// MissLimit gave a negative Timeout under which healthy nodes were
-// suspected within seconds, and a negative Interval spun the beacon loop
-// at zero delay. New must refuse them.
+// A negative Interval once spun the beacon loop at zero delay. New must
+// refuse it.
 func TestConfigValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"negative jitter", Config{Jitter: -1}},
-		{"negative miss limit", Config{MissLimit: -2}},
 		{"negative interval", Config{Interval: -time.Second}},
-		{"negative payload", Config{PayloadBytes: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.cfg.Validate(); err == nil {
@@ -190,7 +184,7 @@ func TestConfigValidate(t *testing.T) {
 			protocolFixture(t, 50, 1, tc.cfg)
 		})
 	}
-	for _, cfg := range []Config{{}, {Interval: time.Millisecond, MissLimit: 1, Jitter: time.Millisecond}} {
+	for _, cfg := range []Config{{}, {Interval: time.Millisecond}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
 		}

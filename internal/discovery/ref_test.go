@@ -135,7 +135,7 @@ func (p *refProtocol) EnableMetrics(reg *metrics.Registry) {
 // advance the protocol.
 func (p *refProtocol) Start() {
 	for id := 0; id < p.net.Layout().N(); id++ {
-		offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
+		offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter()+1))
 		p.scheduleBeacon(id, p.epoch[id], offset)
 	}
 }
@@ -163,7 +163,7 @@ func (p *refProtocol) Recover(id int) {
 	}
 	p.failed[id] = false
 	p.epoch[id]++
-	offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
+	offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter()+1))
 	p.scheduleBeacon(id, p.epoch[id], offset)
 }
 
@@ -193,7 +193,7 @@ func (p *refProtocol) beacon(id int, ep uint64) {
 	// The receivers are id's adjacency row less the missed slots, and rev
 	// turns a slot into id's slot in that receiver's row.
 	nbrs, rev := p.net.Layout().Neighbors(id), p.rev[id]
-	missed := p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes)
+	missed := p.net.Broadcast(id, network.KindControl, BeaconBytes)
 	for k, nbr := range nbrs {
 		if len(missed) > 0 && missed[0] == k {
 			missed = missed[1:]
@@ -206,8 +206,8 @@ func (p *refProtocol) beacon(id int, ep uint64) {
 		p.suspected[id] = false
 	}
 	p.sweep(id, now)
-	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-	p.scheduleBeacon(id, ep, p.cfg.Interval+jitter-p.cfg.Jitter/2)
+	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter()+1))
+	p.scheduleBeacon(id, ep, p.cfg.Interval+jitter-p.cfg.Jitter()/2)
 }
 
 // sweep evicts neighbours of id not heard within the timeout and raises
@@ -405,8 +405,8 @@ func sameEnds(t *testing.T, a, b *beaconTwin) {
 // universes alike — a protocol-only Fail, a radio-only crash, both, a
 // recovery in either order, a loss burst around a node, or Stop — under
 // a loss rate, an energy budget that depletes nodes mid-run (whose
-// watcher may fail them inside their own broadcast), MissLimit 1–3 and
-// Jitter up to one Interval.
+// watcher may fail them inside their own broadcast), and an Interval of
+// 100 ms to 2 s (the jitter a quarter of it).
 func FuzzBeaconMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(0), uint8(0), uint8(25), []byte{0x1f, 0x22, 0x1f, 0x1f, 0x1f, 0x82, 0x1f, 0x1f})
 	f.Add(int64(2), uint8(20), uint16(0), uint8(1), uint8(100), []byte{0x0a, 0x45, 0x1f, 0x65, 0x1f, 0x1f, 0xa5, 0x1f, 0x1f, 0xc3, 0x1f, 0x1f})
@@ -414,7 +414,7 @@ func FuzzBeaconMatchesReference(f *testing.F) {
 	f.Add(int64(4), uint8(0), uint16(0), uint8(2), uint8(60), []byte{0x10, 0x24, 0x44, 0x64, 0x1f, 0x1f, 0x84, 0x1f, 0xa4, 0x1f, 0x1f, 0xe0, 0x1f})
 	f.Add(int64(5), uint8(40), uint16(30), uint8(5), uint8(1), []byte{0x07, 0x33, 0x53, 0x1f, 0xc7, 0x1f, 0x73, 0x93, 0x1f, 0x1f, 0xe1, 0x1f})
 	f.Add(int64(-68), uint8(5), uint16(9), uint8(0x39), uint8(1), []byte{0x2c, 0x1f})
-	f.Fuzz(func(t *testing.T, seed int64, lossPct uint8, budget100uJ uint16, flags uint8, jitterPct uint8, steps []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, lossPct uint8, budget100uJ uint16, flags uint8, interval10ms uint8, steps []byte) {
 		if len(steps) > 64 {
 			return
 		}
@@ -427,11 +427,7 @@ func FuzzBeaconMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		cfg := Config{
-			Interval:  time.Second,
-			Jitter:    time.Duration(jitterPct%101) * time.Second / 100,
-			MissLimit: 1 + int(flags%3),
-		}
+		cfg := Config{Interval: time.Duration(10+int(interval10ms)%191) * 10 * time.Millisecond}
 		loss := float64(lossPct%60) / 100
 		budget := float64(budget100uJ%64) * 1e-4
 		failOnDeplete := flags&8 != 0

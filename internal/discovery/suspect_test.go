@@ -28,7 +28,7 @@ func pickVictim(t *testing.T, p *Protocol) int {
 // eviction, and mutating a returned slice must not corrupt the protocol's
 // state. Neighbors must return a fresh allocation per call.
 func TestNeighborsReturnsFreshSlice(t *testing.T) {
-	p, sched, _ := protocolFixture(t, 300, 7, Config{Interval: time.Second, MissLimit: 3})
+	p, sched, _ := protocolFixture(t, 300, 7, Config{Interval: time.Second})
 	p.Start()
 	if err := sched.RunUntil(2*time.Second, 0); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestNeighborsReturnsFreshSlice(t *testing.T) {
 }
 
 func TestSuspectFiresOnFailure(t *testing.T) {
-	p, sched, _ := protocolFixture(t, 300, 8, Config{Interval: time.Second, MissLimit: 3})
+	p, sched, _ := protocolFixture(t, 300, 8, Config{Interval: time.Second})
 	p.Start()
 	if err := sched.RunUntil(2*time.Second, 0); err != nil {
 		t.Fatal(err)
@@ -99,13 +99,13 @@ func TestSuspectFiresOnFailure(t *testing.T) {
 	if latency < p.cfg.Interval {
 		t.Errorf("detection latency %v < one beacon period %v", latency, p.cfg.Interval)
 	}
-	if latency > p.cfg.Timeout()+p.cfg.Interval+p.cfg.Jitter {
+	if latency > p.cfg.Timeout()+p.cfg.Interval+p.cfg.Jitter() {
 		t.Errorf("detection latency %v exceeds timeout %v plus a sweep period", latency, p.cfg.Timeout())
 	}
 }
 
 func TestSuspicionClearedOnRecovery(t *testing.T) {
-	p, sched, _ := protocolFixture(t, 300, 9, Config{Interval: time.Second, MissLimit: 3})
+	p, sched, _ := protocolFixture(t, 300, 9, Config{Interval: time.Second})
 	p.Start()
 	if err := sched.RunUntil(2*time.Second, 0); err != nil {
 		t.Fatal(err)
@@ -173,18 +173,17 @@ func TestRecoverDoesNotDuplicateBeaconLoop(t *testing.T) {
 	}
 }
 
-// Satellite property test: across random beacon periods, jitters, miss
-// limits, and link loss rates, the detection latency for a crashed node
-// is (a) at least one beacon period — the protocol cannot know sooner —
-// and (b) finite whenever the victim has a live beaconing neighbour.
+// Satellite property test: across random beacon periods (and with them
+// the jitter) and link loss rates, the detection latency for a crashed
+// node is (a) at least one beacon period — the protocol cannot know
+// sooner — and (b) finite whenever the victim has a live beaconing
+// neighbour.
 func TestDetectionLatencyProperty(t *testing.T) {
 	src := rng.New(11)
 	for trial := 0; trial < 10; trial++ {
 		interval := time.Duration(200+src.Intn(1800)) * time.Millisecond
-		jitter := interval / time.Duration(3+src.Intn(5))
-		missLimit := 3 + src.Intn(2)
 		loss := src.Float64() * 0.08
-		cfg := Config{Interval: interval, Jitter: jitter, MissLimit: missLimit}
+		cfg := Config{Interval: interval}
 
 		layout, err := field.Generate(field.DefaultSpec(120), rng.New(int64(100+trial)))
 		if err != nil {
@@ -195,7 +194,7 @@ func TestDetectionLatencyProperty(t *testing.T) {
 		p := New(net, sched, src.Fork("beacon"), cfg)
 		p.Start()
 		// Let the tables converge before crashing anyone.
-		warmup := time.Duration(cfg.MissLimit+2) * (interval + jitter)
+		warmup := (MissLimit + 2) * (interval + cfg.Jitter())
 		if err := sched.RunUntil(warmup, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -225,14 +224,13 @@ func TestDetectionLatencyProperty(t *testing.T) {
 		}
 
 		if detected < 0 {
-			t.Errorf("trial %d (interval=%v loss=%.3f miss=%d): crash never detected",
-				trial, interval, loss, missLimit)
+			t.Errorf("trial %d (interval=%v loss=%.3f): crash never detected", trial, interval, loss)
 			continue
 		}
 		latency := detected - failAt
 		if latency < interval {
-			t.Errorf("trial %d (interval=%v loss=%.3f miss=%d): latency %v < one beacon period",
-				trial, interval, loss, missLimit, latency)
+			t.Errorf("trial %d (interval=%v loss=%.3f): latency %v < one beacon period",
+				trial, interval, loss, latency)
 		}
 	}
 }

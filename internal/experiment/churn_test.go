@@ -102,13 +102,8 @@ func TestChurnDegradesGracefully(t *testing.T) {
 			if p95 < p50 {
 				t.Errorf("pct %d: detect p95 %v < p50 %v", pct, p95, p50)
 			}
-			// The applied defaults for Config{Interval: churnBeaconInterval}.
-			cfg := discovery.Config{
-				Interval:  churnBeaconInterval,
-				Jitter:    churnBeaconInterval / 4,
-				MissLimit: 3,
-			}
-			if max := float64((cfg.Timeout() + cfg.Interval + cfg.Jitter).Milliseconds()); p95 > max {
+			cfg := discovery.Config{Interval: churnBeaconInterval}
+			if max := float64((cfg.Timeout() + cfg.Interval + cfg.Jitter()).Milliseconds()); p95 > max {
 				t.Errorf("pct %d: detect p95 %v ms > timeout+period bound %v ms", pct, p95, max)
 			}
 		}

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"pooldcs/internal/attrib"
-	"pooldcs/internal/metrics"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 	"pooldcs/internal/stats"
@@ -125,9 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.SLO == (SLO{}) {
 		c.SLO = DefaultSLO
 	}
-	if c.SLO.Budget <= 0 || c.SLO.Budget > 1 {
-		c.SLO.Budget = DefaultSLO.Budget
-	}
 	c.Admission = c.Admission.withDefaults()
 	return c
 }
@@ -177,21 +172,8 @@ type Engine struct {
 	rep      *Report
 	windows  map[int64]*stats.IntHistogram
 
-	// Autopsy state (nil tracer = disabled). wcands buffers the spans
-	// and latencies of each still-open window's completions; curWidx is
-	// the newest window a completion has landed in. Windows are captured
-	// eagerly as soon as a later completion proves them closed, before
-	// the flight-recorder ring can evict their evidence.
-	tracer  *trace.Tracer
-	wcands  map[int64][]exCand
-	curWidx int64
-}
-
-// exCand is one completed query awaiting its window's SLO verdict.
-type exCand struct {
-	span uint64
-	node int
-	lat  time.Duration
+	// tracer, when non-nil (EnableAutopsy), runs every query under a span.
+	tracer *trace.Tracer
 }
 
 // NewEngine builds a run over target, a deployment of nodes sensors.
@@ -248,94 +230,22 @@ func NewEngine(sched *sim.Scheduler, target Target, nodes int, cfg Config) (*Eng
 	return e, nil
 }
 
-// EnableMetrics registers the engine's live families on reg, each a
-// view of the Report or of the in-flight count: offered operations by
-// class, outcomes, per-class latency histograms, in-flight operations,
-// and — at run end — SLO window verdicts. A nil registry is a no-op.
-func (e *Engine) EnableMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	rep := e.rep
-	classes := make([]string, 0, int(numClasses))
-	for _, c := range Classes() {
-		classes = append(classes, c.String())
-	}
-	reg.CounterVecFunc("load_ops_total", "operations offered by class", "class", classes,
-		func(i int) uint64 { return rep.PerClass[i].Offered })
-	outcomes := [...]*uint64{&rep.Served, &rep.Shed, &rep.Degraded, &rep.Abandoned}
-	reg.CounterVecFunc("load_outcomes_total", "operation outcomes", "outcome",
-		[]string{"served", "shed", "degraded", "abandoned"}, func(i int) uint64 { return *outcomes[i] })
-	reg.CounterFunc("load_slo_windows_total", "SLO evaluation windows with traffic",
-		func() float64 { return float64(rep.SLOWindows) })
-	reg.CounterFunc("load_slo_violations_total", "SLO windows missing the p99 target",
-		func() float64 { return float64(rep.SLOWindows - rep.SLOOK) })
-	reg.GaugeFunc("load_inflight_ops", "operations in flight", func() float64 { return float64(e.inflight) })
-	for _, c := range Classes() {
-		reg.HistogramOf("load_latency_ms_"+c.String(), "completion latency (ms) of "+c.String()+" operations",
-			e.rep.PerClass[c].Latency)
-	}
-}
-
-// exemplarsPerWindow caps how many worst offenders a breached window
-// snapshots; burnFastWindows is the fast burn rate's lookback.
-const (
-	exemplarsPerWindow = 2
-	burnFastWindows    = 6
-)
-
 // EnableAutopsy attaches a causal tracer — typically a bounded ring
-// from trace.NewRing, the always-on flight recorder — and turns on
-// SLO-exemplar capture: every query runs under its own span, station
-// queueing leaves wait/serve records, and when an evaluation window
-// closes in breach the engine snapshots its worst offenders as
-// attributed Exemplars before eviction can erase the evidence. The
-// report gains Exemplars and multi-window burn rates. Call before Run;
-// a nil tracer is a no-op.
+// from trace.NewRing, the always-on flight recorder: every query runs
+// under its own span, and station queueing leaves wait/serve records, so
+// attrib.Analyze over the ring splits each query's latency into phases.
+// Call before Run; a nil tracer is a no-op.
 func (e *Engine) EnableAutopsy(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
 	e.tracer = tr
-	e.wcands = make(map[int64][]exCand)
-	e.curWidx = -1
 	switch t := e.target.(type) {
 	case *StationTarget:
 		t.tracer = tr
 	case *ActorTarget:
 		t.eng.SetTracer(tr)
 	}
-}
-
-// EnableAutopsyMetrics registers the attribution and burn-rate families
-// on reg. Deliberately separate from EnableMetrics: deployments that
-// never run the autopsy keep their exposition output byte-identical. A
-// nil registry is a no-op.
-func (e *Engine) EnableAutopsyMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	phases := make([]string, 0, int(attrib.NumPhases))
-	for _, p := range attrib.Phases() {
-		phases = append(phases, p.String())
-	}
-	reg.CounterVecFunc("attrib_phase_ms_total",
-		"latency mass attributed to each phase across captured exemplars (ms)", "phase", phases,
-		func(p int) uint64 {
-			var ms uint64
-			for _, ex := range e.rep.Exemplars {
-				ms += uint64(ex.Breakdown.Phases[p] / time.Millisecond)
-			}
-			return ms
-		})
-	reg.CounterFunc("attrib_exemplars_total", "worst offenders captured from breached SLO windows",
-		func() float64 { return float64(len(e.rep.Exemplars)) })
-	reg.GaugeFunc("slo_burn_fast",
-		"breached-window fraction over the last 6 windows divided by the error budget",
-		func() float64 { return e.rep.BurnFast })
-	reg.GaugeFunc("slo_burn_slow",
-		"breached-window fraction over the whole run divided by the error budget",
-		func() float64 { return e.rep.BurnSlow })
 }
 
 // weight returns a class's mix weight.
@@ -415,8 +325,7 @@ func (e *Engine) offer(op *Op, done func()) error {
 	e.inflight++
 	complete := func() {
 		e.inflight--
-		elapsed := e.sched.Now() - start
-		ms := int64(elapsed / time.Millisecond)
+		ms := int64((e.sched.Now() - start) / time.Millisecond)
 		cs.Latency.Add(ms)
 		e.rep.Served++
 		if e.sched.Now() <= e.start+e.cfg.Duration {
@@ -432,19 +341,6 @@ func (e *Engine) offer(op *Op, done func()) error {
 				e.windows[idx] = h
 			}
 			h.Add(ms)
-			if span != 0 {
-				// Completion times are monotone, so a completion in a
-				// later window proves every earlier one closed: capture
-				// breached windows now, while their spans still live in
-				// the ring.
-				if e.curWidx >= 0 && idx > e.curWidx {
-					e.captureWindow(e.curWidx)
-				}
-				if idx > e.curWidx {
-					e.curWidx = idx
-				}
-				e.wcands[idx] = append(e.wcands[idx], exCand{span: span, node: op.Node, lat: elapsed})
-			}
 		}
 		if done != nil {
 			done()
@@ -542,95 +438,17 @@ func (e *Engine) startClosed(fail func(error)) {
 	}
 }
 
-// captureWindow closes one SLO window: if its p99 breached the target,
-// the window's worst offenders become attributed Exemplars. Runs the
-// moment the window is provably over — against a ring tracer, waiting
-// until the end of the run would find the evidence evicted.
-func (e *Engine) captureWindow(idx int64) {
-	cands := e.wcands[idx]
-	delete(e.wcands, idx)
-	h := e.windows[idx]
-	if h == nil || len(cands) == 0 {
-		return
-	}
-	if h.Quantile(99) <= int64(e.cfg.SLO.P99/time.Millisecond) {
-		return
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lat != cands[j].lat {
-			return cands[i].lat > cands[j].lat
-		}
-		return cands[i].span < cands[j].span
-	})
-	if len(cands) > exemplarsPerWindow {
-		cands = cands[:exemplarsPerWindow]
-	}
-	// One pair of passes over the recorder extracts every offender's span.
-	roots := make([]uint64, len(cands))
-	for i, c := range cands {
-		roots[i] = c.span
-	}
-	subs := trace.ExtractSpans(e.tracer.Events(), roots...)
-	for i, c := range cands {
-		ex := Exemplar{Window: idx, Node: c.node, Latency: c.lat}
-		if sub := subs[i]; sub.Len() == 0 {
-			// The ring evicted the whole span; record the offender's
-			// identity and latency anyway.
-			ex.Truncated = true
-			ex.Breakdown.Span = c.span
-		} else {
-			a, _ := trace.Analyze(sub)
-			ex.Truncated = a.Truncated
-			for _, bd := range attrib.Attribute(sub, a, attrib.Options{}) {
-				if bd.Span == c.span {
-					ex.Breakdown = bd
-					break
-				}
-			}
-		}
-		e.rep.Exemplars = append(e.rep.Exemplars, ex)
-	}
-}
-
-// finishSLO evaluates every window that saw query traffic and derives
-// the burn rates.
+// finishSLO evaluates every window that saw query traffic.
 func (e *Engine) finishSLO() {
 	if e.cfg.SLO.Window <= 0 {
 		return
 	}
-	if e.tracer != nil && e.curWidx >= 0 {
-		e.captureWindow(e.curWidx)
-		e.curWidx = -1
-	}
 	target := int64(e.cfg.SLO.P99 / time.Millisecond)
-	idxs := make([]int64, 0, len(e.windows))
-	for idx := range e.windows {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	breached := make([]bool, 0, len(idxs))
-	for _, idx := range idxs {
+	for _, h := range e.windows {
 		e.rep.SLOWindows++
-		if e.windows[idx].Quantile(99) <= target {
+		if h.Quantile(99) <= target {
 			e.rep.SLOOK++
-			breached = append(breached, false)
-		} else {
-			breached = append(breached, true)
 		}
-	}
-	if n := len(breached); n > 0 && e.cfg.SLO.Budget > 0 {
-		fast := breached
-		if n > burnFastWindows {
-			fast = breached[n-burnFastWindows:]
-		}
-		bad := 0
-		for _, b := range fast {
-			if b {
-				bad++
-			}
-		}
-		e.rep.BurnFast = float64(bad) / float64(len(fast)) / e.cfg.SLO.Budget
-		e.rep.BurnSlow = float64(n-e.rep.SLOOK) / float64(n) / e.cfg.SLO.Budget
 	}
 }
 

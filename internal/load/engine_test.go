@@ -1,13 +1,11 @@
 package load_test
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"pooldcs/internal/experiment"
 	"pooldcs/internal/load"
-	"pooldcs/internal/metrics"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
@@ -184,73 +182,6 @@ func TestEngineBatching(t *testing.T) {
 	// Degraded operations still complete and count as served.
 	if rep.Served < rep.Degraded {
 		t.Fatalf("served %d < degraded %d", rep.Served, rep.Degraded)
-	}
-}
-
-func TestEngineMetrics(t *testing.T) {
-	sched := sim.NewScheduler()
-	target, err := experiment.DeployLoad("dim", 60, 3, 2, rng.New(9), sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := load.NewEngine(sched, target, 60, load.Config{
-		Seed: 9, Rate: 150, Duration: 3 * time.Second, Dims: 3,
-		Admission: load.AdmissionConfig{Policy: load.ShedOnDepth},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.New()
-	eng.EnableMetrics(reg)
-	rep, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every load_* family is a view of a Report field: cell by cell for
-	// the vecs, the observation count for the latency histograms.
-	served, shed, degraded, abandoned := float64(rep.Served), float64(rep.Shed), float64(rep.Degraded), float64(rep.Abandoned)
-	want := map[string][]float64{
-		"load_outcomes_total":       {served, shed, degraded, abandoned},
-		"load_slo_windows_total":    {float64(rep.SLOWindows)},
-		"load_slo_violations_total": {float64(rep.SLOWindows - rep.SLOOK)},
-		"load_inflight_ops":         {abandoned},
-	}
-	var offered []float64
-	for _, c := range load.Classes() {
-		cs := rep.PerClass[c]
-		offered = append(offered, float64(cs.Offered))
-		want["load_latency_ms_"+c.String()] = []float64{float64(cs.Latency.Total())}
-	}
-	want["load_ops_total"] = offered
-	if rep.Offered == 0 || rep.Shed == 0 || rep.SLOWindows == 0 {
-		t.Fatalf("run exercised too little: %+v", summarize(rep))
-	}
-	checkFamilies(t, reg, want)
-}
-
-// checkFamilies fails unless reg registers exactly the families of want
-// and each reads its want values: cell by cell for a vec, the scalar
-// reduction otherwise.
-func checkFamilies(t *testing.T, reg *metrics.Registry, want map[string][]float64) {
-	t.Helper()
-	for _, name := range reg.Names() {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("family %s is not checked against the report", name)
-			continue
-		}
-		delete(want, name)
-		got := reg.NodeValues(name)
-		if got == nil {
-			got = []float64{reg.Value(name)}
-		}
-		if !reflect.DeepEqual(got, w) {
-			t.Errorf("%s = %v, report %v", name, got, w)
-		}
-	}
-	for name := range want {
-		t.Errorf("family %s not registered", name)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"pooldcs/internal/attrib"
 	"pooldcs/internal/event"
 	"pooldcs/internal/stats"
 )
@@ -98,34 +97,10 @@ type SLO struct {
 	Window time.Duration
 	// P99 is the target 99th-percentile latency per window.
 	P99 time.Duration
-	// Budget is the error budget: the tolerated fraction of breached
-	// windows. Burn rates are breached-window fractions divided by this
-	// budget, so burn > 1 means the budget is being spent faster than it
-	// accrues. Zero selects the default (5%).
-	Budget float64
 }
 
-// DefaultSLO evaluates p99 < 500ms over 2-second windows with a 5%
-// error budget.
-var DefaultSLO = SLO{Window: 2 * time.Second, P99: 500 * time.Millisecond, Budget: 0.05}
-
-// Exemplar is one worst-offender query captured when an SLO window
-// closed in breach: its attributed latency breakdown is the evidence
-// for why that window's tail was slow.
-type Exemplar struct {
-	// Window is the breached evaluation window's index.
-	Window int64
-	// Node is the sink that issued the query.
-	Node int
-	// Latency is the query's completion latency.
-	Latency time.Duration
-	// Breakdown is the per-phase decomposition of Latency (zero when
-	// the flight recorder had already evicted the whole span).
-	Breakdown attrib.Breakdown
-	// Truncated reports that eviction left the breakdown partial: the
-	// unexplained remainder sits in the "other" phase.
-	Truncated bool
-}
+// DefaultSLO evaluates p99 < 500ms over 2-second windows.
+var DefaultSLO = SLO{Window: 2 * time.Second, P99: 500 * time.Millisecond}
 
 // ClassStats aggregates one class's outcomes over a run.
 type ClassStats struct {
@@ -171,14 +146,6 @@ type Report struct {
 	// Engagements counts admission-controller engage transitions summed
 	// over stations.
 	Engagements int
-	// Exemplars holds the worst offenders of breached SLO windows, in
-	// window order (autopsy runs only).
-	Exemplars []Exemplar
-	// BurnFast and BurnSlow are the multi-window burn rates: the
-	// breached-window fraction over the last few windows (fast — pages
-	// when a regression is in progress) and over the whole run (slow —
-	// tracks budget exhaustion), each divided by the error budget.
-	BurnFast, BurnSlow float64
 }
 
 // ServedPerSec is the delivered throughput: completions inside the

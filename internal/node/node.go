@@ -354,14 +354,14 @@ func (e *Engine) Errors() []error { return e.errs }
 
 // send moves a packet from one node to another hop by hop; each hop is a
 // scheduled radio transmission with per-hop link-layer retransmission
-// (the same dcs.DefaultMaxRetransmissions budget the synchronous
-// unicast applies). The exchange settles exactly once, on record rec of
-// kind cont (settle): with a nil error at the destination when the last
-// hop lands, or with the loss at the virtual time the exchange is known
-// lost — the route is unreachable, a dead radio blocks a hop, or a hop
-// exhausts its retry budget. What a loss means is the record's business
-// (a mirror copy shrugs, a query leg retries); a non-degradable fault is
-// always recorded in Errors as well.
+// (the dcs.MaxRetransmissions budget the synchronous unicast applies).
+// The exchange settles exactly once, on record rec of kind cont
+// (settle): with a nil error at the destination when the last hop lands,
+// or with the loss at the virtual time the exchange is known lost — the
+// route is unreachable, a dead radio blocks a hop, or a hop exhausts its
+// retry budget. What a loss means is the record's business (a mirror copy
+// shrugs, a query leg retries); a non-degradable fault is always recorded
+// in Errors as well.
 func (e *Engine) send(from, to int, kind network.Kind, size int, cont recKind, rec int32) {
 	// The exchange belongs to whatever span is ambient at send time;
 	// every typed continuation re-enters it so per-hop records and
@@ -415,7 +415,7 @@ func (e *Engine) HandleEvent(op uint8, a, _ uint64) {
 		// hearing no ack, retransmits.
 		next := t.path[t.hop+1]
 		if !e.net.Alive(next) {
-			if int(t.attempt) >= dcs.DefaultMaxRetransmissions {
+			if int(t.attempt) >= dcs.MaxRetransmissions {
 				e.failTask(ti, fmt.Errorf("node: hop %d→%d died mid-flight: %w",
 					t.path[t.hop], next, dcs.ErrUnreachable))
 				break
@@ -458,7 +458,7 @@ func (e *Engine) hopStep(ti int32) {
 	case err == nil:
 		e.sched.AfterEvent(e.hopLatency, e.hid, opArrive, uint64(ti), 0)
 	case errors.Is(err, network.ErrFrameLost):
-		if int(t.attempt) >= dcs.DefaultMaxRetransmissions {
+		if int(t.attempt) >= dcs.MaxRetransmissions {
 			e.failTask(ti, fmt.Errorf("node: hop %d→%d dropped after %d attempts: %w",
 				from, next, t.attempt, dcs.ErrHopExhausted))
 			return
@@ -471,7 +471,7 @@ func (e *Engine) hopStep(ti int32) {
 		// relay burns its whole retransmission budget before giving
 		// up. Failure detection costs the full ARQ timeout; it is
 		// not a free NACK from a corpse.
-		if int(t.attempt) >= dcs.DefaultMaxRetransmissions {
+		if int(t.attempt) >= dcs.MaxRetransmissions {
 			e.failTask(ti, fmt.Errorf("node: hop %d→%d: %v: %w", from, next, err, dcs.ErrUnreachable))
 			return
 		}

@@ -1,10 +1,13 @@
 package node
 
 import (
+	"errors"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
@@ -271,5 +274,58 @@ func TestEngineRandomPivots(t *testing.T) {
 	}
 	if a, b := engSrc.Int63(), specSrc.Int63(); a != b {
 		t.Errorf("construction consumed different draws: next is %d vs %d", a, b)
+	}
+}
+
+// TestHopBudgetMatchesUnicast ties the actor engine's per-hop retry
+// budget to dcs's: an insert one hop from its index node, over an
+// always-lossy radio, puts exactly dcs.MaxRetransmissions frames on the
+// air and gives up, and so does dcs.UnicastOpts over the same hop.
+func TestHopBudgetMatchesUnicast(t *testing.T) {
+	layout, err := field.Generate(field.DefaultSpec(300), rng.New(211))
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := gpsr.New(layout)
+	lossy := func() *network.Network {
+		return network.New(layout, network.WithLossRate(0.999999999, rng.New(7)))
+	}
+	net, sched := lossy(), sim.NewScheduler()
+	eng, err := NewEngine(net, router, sched, 3, rng.New(212), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := event.New(0.9, 0.5, 0.1)
+	ev.Seq = 1
+	_, index, err := eng.Place(0, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := layout.Neighbors(index)[0]
+	if res, err := router.RouteToNode(origin, index); err != nil || res.Hops() != 1 {
+		t.Fatalf("route %d→%d: %v, %v; want one hop", origin, index, res.Path, err)
+	}
+
+	if err := eng.Insert(origin, ev, func() { t.Error("an insert over an always-lossy hop was acked") }); err != nil {
+		t.Fatal(err)
+	}
+	sched.Run()
+	if errs := eng.Errors(); len(errs) > 0 {
+		t.Fatalf("engine errors: %v", errs)
+	}
+	if got := net.Messages(network.KindInsert); got != dcs.MaxRetransmissions {
+		t.Errorf("the actor engine put %d frames on the air, want %d", got, dcs.MaxRetransmissions)
+	}
+
+	ref := lossy()
+	sent, err := dcs.UnicastOpts(ref, router, origin, index, network.KindInsert, dcs.EventBytes(3), dcs.TxOptions{})
+	if !errors.Is(err, dcs.ErrHopExhausted) {
+		t.Fatalf("UnicastOpts: %v, want ErrHopExhausted", err)
+	}
+	if got := ref.Messages(network.KindInsert); sent != dcs.MaxRetransmissions || got != dcs.MaxRetransmissions {
+		t.Errorf("UnicastOpts sent %d frames, the radio counted %d, want %d", sent, got, dcs.MaxRetransmissions)
+	}
+	if a, b := net.Snapshot(), ref.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("the two radios differ: actor engine %+v, UnicastOpts %+v", a, b)
 	}
 }

@@ -12,10 +12,11 @@ import "pooldcs/internal/antientropy"
 // ReplicaPairs implements antientropy.PairSource over the mirrored
 // cells, each pair's ID the cell's Key slot. Pairs run in MirrorKeys'
 // (dimension, row, column) order so rounds are deterministic; cells whose
-// mirror or index node is a detected corpse are skipped — FailNode
-// re-homes them, and until then there is no replica to repair. Each call
-// rebuilds the list in one buffer from the directory's tables, its Stores
-// the cells' own records (holding.Store.Copies), so a round allocates
+// mirror is a detected corpse are skipped — there is no replica to
+// repair. A cell's index node is alive (CheckInvariants rule 1: FailNode
+// marks a node and re-elects its cells in one call). Each call rebuilds
+// the list in one buffer from the directory's tables, its Stores the
+// cells' own records (holding.Store.Copies), so a round allocates
 // nothing.
 func (s *System) ReplicaPairs() []antientropy.Pair {
 	if !s.replicate {
@@ -28,7 +29,7 @@ func (s *System) ReplicaPairs() []antientropy.Pair {
 				key := Key{Dim: p.Dim, Cell: p.Pivot.Add(ho, vo)}
 				i := s.slot(key)
 				m, index := s.mirrors[i], s.holder[s.gridIndex(key.Cell)]
-				if m < 0 || s.dead[m] || s.dead[index] {
+				if m < 0 || s.dead[m] {
 					continue
 				}
 				primary, mirror := s.Copies(key, int(index), int(m))

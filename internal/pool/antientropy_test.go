@@ -301,18 +301,6 @@ func TestRepairAndLoadInvalidateSummaries(t *testing.T) {
 	if n := len(primaryB.AppendDigests(nil)); n != 0 {
 		t.Fatalf("%d events survived the loss of an unmirrored cell", n)
 	}
-
-	// An index node marked failed before its repair runs, as in the actor
-	// engine's detection window, takes its cells out of the walk.
-	h := s.IndexNode(a.Cell)
-	if _, err := s.MarkFailed(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckReplicaPairs(s); err != nil {
-		t.Fatalf("with index node %d marked failed: %v", h, err)
-	}
-	s.RecoverNode(h)
-	honest("index node recovered")
 }
 
 // A round over a converged replicated Pool allocates nothing: the pair

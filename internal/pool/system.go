@@ -29,7 +29,6 @@ type config struct {
 	quota     int // per-node storage quota before delegation; 0 disables sharing
 	replicate bool
 	tracer    *trace.Tracer
-	arq       dcs.TxOptions
 	reg       *metrics.Registry
 }
 
@@ -89,8 +88,8 @@ type System struct {
 	// delegations counts workload-sharing segment creations.
 	delegations int
 
-	// arq is the per-hop retransmission budget for routed unicasts; its
-	// PathBuf points at pathBuf so route paths reuse one backing array.
+	// arq is the options of every routed (ARQ) unicast: its PathBuf
+	// points at pathBuf so route paths reuse one backing array.
 	// legs is arq with the System's leg table, for a walk's legs between
 	// a splitter and the cells it fans out to (dcs.Legs).
 	arq, legs dcs.TxOptions
@@ -153,7 +152,6 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 		router:       router,
 		quota:        cfg.quota,
 		tracer:       cfg.tracer,
-		arq:          cfg.arq,
 		fanout:       stats.NewIntHistogram(),
 		splitterLegs: make([]uint64, layout.N()),
 		// Sized here so the first query allocates no more than a later one.

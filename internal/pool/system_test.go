@@ -3,7 +3,6 @@ package pool
 import (
 	"testing"
 
-	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
@@ -15,12 +14,6 @@ import (
 // One pivot per event dimension is required.
 func withPivots(pivots []CellID) Option {
 	return optionFunc(func(c *config) { c.pivots = append([]CellID(nil), pivots...) })
-}
-
-// withARQBudget overrides the per-hop link-layer retransmission budget for
-// every routed unicast the system issues.
-func withARQBudget(n int) Option {
-	return optionFunc(func(c *config) { c.arq = dcs.TxOptions{MaxRetransmissions: n} })
 }
 
 func newSystem(t testing.TB, n int, seed int64, opts ...Option) (*System, *network.Network) {

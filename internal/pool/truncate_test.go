@@ -142,9 +142,8 @@ search:
 }
 
 func TestLostDelegateReplyContributesNothing(t *testing.T) {
-	// One ARQ attempt per hop, so a single dropped frame loses a leg.
 	const quota = 10
-	s, net, _ := newUniverse(t, 300, 592, WithWorkloadSharing(quota), withARQBudget(1))
+	s, net, _ := newUniverse(t, 300, 592, WithWorkloadSharing(quota))
 	src := rng.New(593)
 	for i := 0; i < 3*quota; i++ {
 		e := event.New(0.9+src.Float64()*0.001, 0.5, 0.1)
@@ -182,18 +181,18 @@ func TestLostDelegateReplyContributesNothing(t *testing.T) {
 	}
 	q := event.NewQuery(event.Span(0.9, 0.91), event.PointRange(0.5), event.PointRange(0.1))
 
-	// A half-rate burst at the delegate decides each frame by (link
-	// direction, frame index): look for a burst that delivers the index's
-	// query and drops the delegate's reply.
+	// A 90% burst at the delegate decides each frame by (link direction,
+	// frame index): look for a burst that delivers the index's query and
+	// drops all dcs.MaxRetransmissions frames of the delegate's reply.
 	for seed := int64(1); seed <= 64; seed++ {
 		dropsIndex, dropsDelegate := net.NodeDrops(index), net.NodeDrops(delegate)
-		cancel := dcstest.BurstAt(net, delegate, 0.5, seed)
+		cancel := dcstest.BurstAt(net, delegate, 0.9, seed)
 		got, comp, err := s.QueryWithReport(index, q)
 		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if net.NodeDrops(index) != dropsIndex || net.NodeDrops(delegate) != dropsDelegate+1 {
+		if net.NodeDrops(index) != dropsIndex || net.NodeDrops(delegate) != dropsDelegate+dcs.MaxRetransmissions {
 			continue // query leg dropped too, or nothing dropped
 		}
 		have := seqsOf(got)

@@ -12,8 +12,8 @@ import (
 )
 
 // CheckReplicaPairs compares s.ReplicaPairs() with the pairs MirrorKeys,
-// MirrorFor and IndexNode name — every cell with an alive mirror whose
-// index node is alive, in MirrorKeys' order — and returns the first
+// MirrorFor and IndexNode name — every cell with an alive mirror, in
+// MirrorKeys' order — and returns the first
 // difference, or nil. A pair's ID must be its cell's place in (dimension,
 // column, row) order, its nodes the cell's index node and mirror, and its
 // fingerprints those of the cell's segments and mirror copy.
@@ -23,7 +23,7 @@ func CheckReplicaPairs(s *pool.System) error {
 	for _, key := range s.MirrorKeys() {
 		mirror, ok := s.MirrorFor(key, -1)
 		index := s.IndexNode(key.Cell)
-		if !ok || s.Failed(index) {
+		if !ok {
 			continue
 		}
 		if n == len(got) {

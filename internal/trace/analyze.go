@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -252,58 +251,6 @@ func Analyze(log Log) (*Analysis, error) {
 		}
 	}
 	return a, nil
-}
-
-// ExtractSpan returns the records belonging to root's subtree — the span
-// boundaries of root and every descendant plus all records under them —
-// preserving stream order. It is the exemplar-capture primitive: a
-// worst-offender query's full causal trace snapshotted out of a flight
-// recorder before eviction claims it. The result owns its records, so it
-// stays valid whatever the source tracer records next.
-func ExtractSpan(log Log, root uint64) Log {
-	return ExtractSpans(log, root)[0]
-}
-
-// ExtractSpans is ExtractSpan for several roots in one pair of passes
-// over the log; result i is the subtree of roots[i]. A root of 0 or one
-// the log does not hold gives an empty Log.
-func ExtractSpans(log Log, roots ...uint64) []Log {
-	out := make([]Log, len(roots))
-	// member maps a span to the set of roots whose subtree holds it, one
-	// bit per root, so nested or repeated roots each get their full
-	// subtree; more than 64 roots go in batches.
-	for base := 0; base < len(roots); base += 64 {
-		batch := roots[base:min(base+64, len(roots))]
-		member := make(map[uint64]uint64, len(batch))
-		for i, root := range batch {
-			if root != 0 {
-				member[root] |= 1 << i
-			}
-		}
-		for i, n := 0, log.Len(); i < n; i++ {
-			if ev := log.At(i); ev.Type == TypeSpanStart {
-				if m := member[ev.Parent]; m != 0 {
-					member[ev.Span] |= m
-				}
-			}
-		}
-		subs := make([][]Record, len(batch))
-		var lastSpan, lastMask uint64
-		for i, n := 0, log.Len(); i < n; i++ {
-			ev := log.At(i)
-			if ev.Span != lastSpan {
-				lastSpan, lastMask = ev.Span, member[ev.Span]
-			}
-			for m := lastMask; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				subs[j] = append(subs[j], *ev)
-			}
-		}
-		for j, recs := range subs {
-			out[base+j] = logOf(log.tab, recs)
-		}
-	}
-	return out
 }
 
 // RootsByOp returns the top-level spans of one operation, in start order.

@@ -172,34 +172,6 @@ func TestAnalyzeUnclosedSpanEndsAtHorizon(t *testing.T) {
 	}
 }
 
-func TestExtractSpan(t *testing.T) {
-	events := sampleTrace()
-	sub := ExtractSpan(events, 2)
-	if sub.Len() == 0 {
-		t.Fatal("empty extraction")
-	}
-	ids := map[uint64]bool{}
-	for _, ev := range sub.Slice() {
-		ids[ev.Span] = true
-	}
-	if !ids[2] || !ids[3] {
-		t.Errorf("extraction missing query subtree spans: %v", ids)
-	}
-	if ids[1] {
-		t.Error("extraction leaked the unrelated insert span")
-	}
-	a, err := Analyze(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Roots) != 1 || a.Roots[0].ID != 2 {
-		t.Errorf("extracted trace roots = %+v, want span 2 only", a.Roots)
-	}
-	if ExtractSpan(events, 0).Len() != 0 {
-		t.Error("ExtractSpan(0) returned events")
-	}
-}
-
 func TestWriteTree(t *testing.T) {
 	a, err := Analyze(sampleTrace())
 	if err != nil {

@@ -106,11 +106,10 @@ func (tab *strtab) i32(v int) int32 {
 }
 
 // Log is a read-only, ordered view of trace records: what Tracer.Events
-// returns and what Analyze, ExtractSpan, WriteJSONL and the attrib
-// package read. A Log taken from a Tracer aliases the tracer's storage
-// and string table, so it is valid only until that tracer records again
-// or is Reset; a Log made by LogOf or ExtractSpan owns its records. The
-// zero Log is empty.
+// returns and what Analyze, WriteJSONL and the attrib package read. A
+// Log taken from a Tracer aliases the tracer's storage and string table,
+// so it is valid only until that tracer records again or is Reset; a Log
+// made by LogOf owns its records. The zero Log is empty.
 type Log struct {
 	tab *strtab
 	// chunks hold the records, ringChunk per chunk but for the last; the
@@ -118,16 +117,6 @@ type Log struct {
 	chunks [][]Record
 	head   int
 	n      int
-}
-
-// logOf wraps a flat record slice by cutting it into chunks in place.
-func logOf(tab *strtab, recs []Record) Log {
-	l := Log{tab: tab, n: len(recs)}
-	for ; len(recs) > ringChunk; recs = recs[ringChunk:] {
-		l.chunks = append(l.chunks, recs[:ringChunk])
-	}
-	l.chunks = append(l.chunks, recs)
-	return l
 }
 
 // LogOf packs literal events — a test's table, a fuzz corpus, what
@@ -145,7 +134,12 @@ func LogOf(events []Event) Log {
 			Type: ev.Type, Op: tab.op(ev.Op), Kind: tab.kind(ev.Kind), Lost: ev.Lost,
 		}
 	}
-	return logOf(tab, recs)
+	l := Log{tab: tab, n: len(recs)}
+	for ; len(recs) > ringChunk; recs = recs[ringChunk:] {
+		l.chunks = append(l.chunks, recs[:ringChunk])
+	}
+	l.chunks = append(l.chunks, recs)
+	return l
 }
 
 // Len returns the number of records in the view.

@@ -207,54 +207,6 @@ func TestResetEmptiesStringTable(t *testing.T) {
 	}
 }
 
-// TestExtractSpansMatchesExtractSpan: extracting many roots in one pair
-// of passes gives, root for root, what one ExtractSpan call each gives —
-// for nested roots, repeated roots, unknown roots, and more roots than
-// one batch holds.
-func TestExtractSpansMatchesExtractSpan(t *testing.T) {
-	sc := newScripter(11, New)
-	for i := 0; i < 4000; i++ {
-		sc.step()
-	}
-	tr := sc.tr
-	log := tr.Events()
-	a, _ := Analyze(log)
-	var roots []uint64
-	for id := range a.ByID {
-		roots = append(roots, id) // nested spans included
-	}
-	roots = append(roots, 0, 1<<40, roots[0], roots[1])
-	if len(roots) <= 64 {
-		t.Fatalf("only %d roots: the batching path is not exercised", len(roots))
-	}
-	subs := ExtractSpans(log, roots...)
-	if len(subs) != len(roots) {
-		t.Fatalf("%d results for %d roots", len(subs), len(roots))
-	}
-	nonEmpty := 0
-	for i, root := range roots {
-		want := ExtractSpan(log, root).Slice()
-		if got := subs[i].Slice(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("root %d: batch extraction differs from ExtractSpan (%d vs %d events)", root, len(got), len(want))
-		}
-		if len(want) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 64 {
-		t.Errorf("only %d non-empty extractions", nonEmpty)
-	}
-	// An extraction owns its records: it survives the tracer recording on.
-	keep := ExtractSpan(log, roots[0])
-	want := keep.Slice()
-	for i := 0; i < 4000; i++ {
-		sc.step()
-	}
-	if got := keep.Slice(); !reflect.DeepEqual(got, want) {
-		t.Error("extracted log changed when the tracer recorded again")
-	}
-}
-
 // fuzzLogEvents decodes bytes into events whose every field is in the
 // stored record's range, strings from a vocabulary indexed by the data.
 func fuzzLogEvents(data []byte) []Event {
